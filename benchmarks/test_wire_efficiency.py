@@ -12,7 +12,11 @@ fixed-point quantization).  Measures:
   quantized ones;
 * the network-sustainable frame rate of both encodings over a shaped
   1 MB/s UltraNet channel (modeled via :class:`VirtualClock`, so the
-  benchmark is deterministic and does not sleep).
+  benchmark is deterministic and does not sleep);
+* measured q16 bytes against the analytic model: ``repro.perf.wire``
+  prices q16 at the unpacked 6 bytes/point, which the packed wire form
+  may only ever undercut (the gate: measured <= model, keyframe and
+  session).
 
 Results land in ``benchmarks/output/BENCH_5.json`` — the wire-efficiency
 trajectory, next to BENCH_4's compute trajectory.
@@ -35,7 +39,7 @@ from repro.netsim import (
     ThrottledChannel,
     VirtualClock,
 )
-from repro.perf import SessionWireModel
+from repro.perf import SessionWireModel, frame_payload_bytes
 
 FAST = bool(os.environ.get("WT_BENCH_FAST"))
 
@@ -127,7 +131,10 @@ def test_v2_cuts_bytes_per_frame(wt_server, small_dataset, record, output_dir):
         name="v2",
     )
     c2.subscribe(encoding="q16", deltas=True)
+    hist0 = wt_server.registry.snapshot()["histograms"]["net.bytes_per_frame"]
     keyframe = c2.fetch_frame()
+    hist1 = wt_server.registry.snapshot()["histograms"]["net.bytes_per_frame"]
+    keyframe_bytes = hist1["total"] - hist0["total"]
     rake_end = wt_server.env.rakes[rids[0]].end_a.copy()
     net0 = vc2.now
     v2 = _drag_session(wt_server, c2, rake_end)
@@ -157,6 +164,10 @@ def test_v2_cuts_bytes_per_frame(wt_server, small_dataset, record, output_dir):
         n_rakes=N_RAKES,
         changed_fraction=1.0 / N_RAKES,
     )
+    model_keyframe_bytes = frame_payload_bytes(
+        n_points, encoding="q16", n_rakes=N_RAKES
+    )
+    q16 = wt_server.registry.snapshot()["counters"]
     result = {
         "bench": "BENCH_5",
         "scenario": (
@@ -170,6 +181,9 @@ def test_v2_cuts_bytes_per_frame(wt_server, small_dataset, record, output_dir):
         "v2_bytes_per_frame": v2["bytes_per_frame"],
         "reduction": reduction,
         "model_reduction": model.reduction(encoding="q16"),
+        "q16_keyframe_bytes": keyframe_bytes,
+        "model_q16_keyframe_bytes": model_keyframe_bytes,
+        "q16_packed_ratio": q16["net.q16_packed_bytes"] / q16["net.q16_raw_bytes"],
         "v1_network_fps": 1.0 / v1_net_seconds,
         "v2_network_fps": 1.0 / v2_net_seconds,
         "max_quantization_error": max_err,
@@ -185,11 +199,16 @@ def test_v2_cuts_bytes_per_frame(wt_server, small_dataset, record, output_dir):
             f"v2 bytes/frame: {v2['bytes_per_frame']:.0f}",
             f"reduction: {reduction:.1f}x (analytic model: "
             f"{result['model_reduction']:.1f}x)",
+            f"q16 keyframe bytes: {keyframe_bytes:.0f} (model upper bound: "
+            f"{model_keyframe_bytes}; packed/raw {result['q16_packed_ratio']:.2f})",
             f"network-sustainable fps @ 1 MB/s: v1 {result['v1_network_fps']:.1f}"
             f" -> v2 {result['v2_network_fps']:.1f}",
             f"max quantized decode error: {max_err:.2e} grid units",
         ],
     )
     assert reduction >= MIN_REDUCTION
+    # The model prices q16 unpacked: an upper bound, never a fit.
+    assert keyframe_bytes <= model_keyframe_bytes
+    assert v2["bytes"] <= model.v2_bytes(encoding="q16")
     assert max_err <= MAX_QUANT_ERR
     assert result["v2_network_fps"] > result["v1_network_fps"]

@@ -43,7 +43,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from repro.dlib.protocol import PreEncoded, encode_value, quantize_points
+from repro.dlib.protocol import PreEncoded, encode_value, pack_q16, quantize_points
 
 __all__ = [
     "ENCODINGS",
@@ -56,8 +56,9 @@ __all__ = [
 ]
 
 #: Wire encodings a client can subscribe to (docs/network.md).
-#: ``v1`` = float32 (12 bytes/point), ``f16`` = IEEE half precision,
-#: ``q16`` = per-axis fixed-point int16 (both 6 bytes/point).
+#: ``v1`` = float32 (12 bytes/point), ``f16`` = IEEE half precision
+#: (6 bytes/point), ``q16`` = per-axis fixed-point int16, packed
+#: losslessly along each polyline (at most 6 bytes/point, typically ~2).
 ENCODINGS = ("v1", "f16", "q16")
 
 #: How many published frames' digest maps the store remembers — the
@@ -166,6 +167,10 @@ class EncodingCache:
     is prebuilt by :func:`encode_published`; everything else is encoded
     lazily on first request and then shared by every subscriber — the
     encode-once guarantee, extended to the whole variant space.
+
+    ``q16_raw_bytes`` / ``q16_packed_bytes`` total the int16 grid sizes
+    and the packed sizes of the q16 variants built here (the server
+    surfaces them as ``net.q16_raw_bytes`` / ``net.q16_packed_bytes``).
     """
 
     def __init__(self) -> None:
@@ -173,6 +178,8 @@ class EncodingCache:
         self._fragments: dict[tuple, bytes] = {}
         self.hits = 0
         self.misses = 0
+        self.q16_raw_bytes = 0
+        self.q16_packed_bytes = 0
 
     def entry(self, frame: "PublishedFrame", rid: str, encoding: str, decimate: int) -> bytes:
         if encoding == "v1" and decimate == 1:
@@ -189,8 +196,7 @@ class EncodingCache:
             self.misses += 1
         return fragment
 
-    @staticmethod
-    def _build(entry: dict, encoding: str, decimate: int) -> dict:
+    def _build(self, entry: dict, encoding: str, decimate: int) -> dict:
         if encoding not in ENCODINGS:
             raise ValueError(f"unknown wire encoding {encoding!r}")
         if decimate < 1:
@@ -207,9 +213,13 @@ class EncodingCache:
             }
         if encoding == "q16":
             q = quantize_points(entry["vertices"])
+            packed = pack_q16(q["q"])
+            with self._lock:
+                self.q16_raw_bytes += q["q"].nbytes
+                self.q16_packed_bytes += len(packed["qpack"])
             return {
                 "kind": entry["kind"],
-                "q": q["q"],
+                **packed,
                 "scale": q["scale"],
                 "offset": q["offset"],
                 "lengths": entry["lengths"],

@@ -139,7 +139,7 @@ class FrameBudgetGovernor:
 #: scene churns, everything helps when it doesn't).
 DEGRADATION_LADDER = (
     {"encoding": None, "decimate": 1},    # 0: as negotiated (full fidelity)
-    {"encoding": "q16", "decimate": 1},   # 1: quantize to 6 bytes/point
+    {"encoding": "q16", "decimate": 1},   # 1: quantize, packed (<= 6 bytes/point)
     {"encoding": "q16", "decimate": 2},   # 2: + every 2nd point
     {"encoding": "q16", "decimate": 4},   # 3: + every 4th point
 )

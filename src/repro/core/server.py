@@ -162,6 +162,8 @@ class WindtunnelServer:
         self._net_delta_frames = self.registry.counter("net.delta_frames")
         self._net_enc_hits = self.registry.counter("net.encode_cache_hits")
         self._net_enc_misses = self.registry.counter("net.encode_cache_misses")
+        self._net_q16_raw = self.registry.counter("net.q16_raw_bytes")
+        self._net_q16_packed = self.registry.counter("net.q16_packed_bytes")
         self._net_send_gauge = self.registry.gauge("net.send_throughput")
         # Push-mode fan-out (docs/network.md, "Push-mode delivery").
         self._net_push_frames = self.registry.counter("net.push_frames")
@@ -794,9 +796,12 @@ class WindtunnelServer:
                 ]
         cache = frame.enc_cache
         hits0, misses0 = cache.hits, cache.misses
+        raw0, packed0 = cache.q16_raw_bytes, cache.q16_packed_bytes
         fragment = frame.compose(send, encoding=encoding, decimate=decimate)
         self._net_enc_hits.inc(cache.hits - hits0)
         self._net_enc_misses.inc(cache.misses - misses0)
+        self._net_q16_raw.inc(cache.q16_raw_bytes - raw0)
+        self._net_q16_packed.inc(cache.q16_packed_bytes - packed0)
         (self._net_delta_frames if mode == "delta" else self._net_keyframes).inc()
         total = self._net_delta_frames.value + self._net_keyframes.value
         self._net_delta_ratio.set(self._net_delta_frames.value / total)

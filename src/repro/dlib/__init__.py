@@ -34,8 +34,10 @@ from repro.dlib.protocol import (
     dequantize_points,
     encode_message,
     encode_value,
+    pack_q16,
     quantization_error_bound,
     quantize_points,
+    unpack_q16,
 )
 from repro.dlib.transport import Stream, connect_tcp, pipe_pair
 from repro.dlib.server import Deferred, DlibServer, ServerContext
@@ -57,6 +59,8 @@ __all__ = [
     "quantize_points",
     "dequantize_points",
     "quantization_error_bound",
+    "pack_q16",
+    "unpack_q16",
     "Stream",
     "connect_tcp",
     "pipe_pair",

@@ -41,12 +41,17 @@ Quantized points (v2 frame encoding, docs/network.md): the paper ships
 :func:`quantize_points` / :func:`dequantize_points` implement the
 6-byte/point alternatives — IEEE float16 components, or per-axis
 fixed-point int16 with an explicit error bound — used by the
-bandwidth-adaptive frame delivery layer.
+bandwidth-adaptive frame delivery layer.  :func:`pack_q16` /
+:func:`unpack_q16` are the lossless wire form of that int16 grid:
+differences along each polyline, byte-shuffled and deflated, because a
+smooth streamline's neighbouring vertices differ by a few levels, not by
+sixteen bits.
 """
 
 from __future__ import annotations
 
 import struct
+import zlib
 from enum import IntEnum
 
 import numpy as np
@@ -68,6 +73,8 @@ __all__ = [
     "quantize_points",
     "dequantize_points",
     "quantization_error_bound",
+    "pack_q16",
+    "unpack_q16",
     "decode_path_entry",
 ]
 
@@ -492,10 +499,14 @@ def dequantize_points(payload: dict) -> np.ndarray:
         q = np.asarray(payload["q"], dtype=np.float64)
         scale = np.asarray(payload["scale"], dtype=np.float64)
         offset = np.asarray(payload["offset"], dtype=np.float64)
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise DlibProtocolError("malformed quantized-point payload") from exc
     if scale.shape != (3,) or offset.shape != (3,):
         raise DlibProtocolError("quantized-point scale/offset must be (3,)")
+    if not (np.isfinite(scale).all() and np.isfinite(offset).all()):
+        raise DlibProtocolError("quantized-point scale/offset must be finite")
+    if q.ndim < 1 or q.shape[-1] != 3:
+        raise DlibProtocolError("quantized points must be a (..., 3) array")
     return ((q + _Q_HALF) * scale + offset).astype(np.float32)
 
 
@@ -514,18 +525,96 @@ def quantization_error_bound(payload: dict) -> float:
     return step * 1.001 + magnitude * np.finfo(np.float32).eps
 
 
+#: Most points one packed q16 entry may declare: about 160 paper-scale
+#: frames (25.7k points each) or 40 times Table 1's largest row.  It
+#: caps what a hostile ``qshape`` can make :func:`unpack_q16` allocate
+#: (6 bytes/point inflated).
+Q16_MAX_POINTS = 1 << 22
+
+
+def pack_q16(q: np.ndarray) -> dict:
+    """Losslessly pack an int16 ``(n, L, 3)`` polyline grid for the wire.
+
+    ``q`` is :func:`quantize_points`' ``"q"`` array for ``n`` polylines
+    of ``L`` vertices.  Each polyline keeps its first vertex and ships
+    int16 differences (mod 2**16) along the rest; the differences are
+    laid out axis-planar, byte-shuffled (all low bytes, then all high
+    bytes) and deflated at zlib level 1.  Returns ``{"qpack": bytes,
+    "qshape": [n, L, 3]}`` — plain wire types, inverted exactly by
+    :func:`unpack_q16`.
+    """
+    q = np.asarray(q)
+    if q.dtype != np.int16 or q.ndim != 3 or q.shape[2] != 3:
+        raise DlibProtocolError("pack_q16 expects an int16 (n, L, 3) array")
+    n, length, _ = q.shape
+    if n * length > Q16_MAX_POINTS:
+        raise DlibProtocolError("too many points for one packed q16 entry")
+    planar = np.ascontiguousarray(q.transpose(2, 0, 1), dtype="<i2")
+    diffs = planar.copy()
+    diffs[:, :, 1:] -= planar[:, :, :-1]  # int16 arithmetic wraps mod 2**16
+    shuffled = np.ascontiguousarray(diffs.view(np.uint8).reshape(-1, 2).T)
+    return {
+        "qpack": zlib.compress(shuffled.tobytes(), 1),
+        "qshape": [n, length, 3],
+    }
+
+
+def unpack_q16(payload: dict) -> np.ndarray:
+    """Invert :func:`pack_q16`; returns int16 ``(n, L, 3)``.
+
+    The payload is untrusted: ``qshape`` is validated and capped before
+    anything is allocated, the inflate is bounded by the size the shape
+    implies, and a stream that is truncated, corrupt, short, long or
+    followed by trailing bytes raises :class:`DlibProtocolError`.
+    """
+    try:
+        data, shape = payload["qpack"], payload["qshape"]
+    except (KeyError, TypeError) as exc:
+        raise DlibProtocolError("malformed packed q16 payload") from exc
+    if not isinstance(data, (bytes, bytearray, memoryview)):
+        raise DlibProtocolError("packed q16 data must be bytes")
+    if (
+        not isinstance(shape, (list, tuple))
+        or len(shape) != 3
+        or any(type(s) is not int or s < 0 for s in shape)
+        or shape[2] != 3
+    ):
+        raise DlibProtocolError("qshape must be [n, L, 3], non-negative ints")
+    n, length, _ = shape
+    if n * length > Q16_MAX_POINTS:
+        raise DlibProtocolError("qshape declares too many points")
+    expected = n * length * 6
+    inflater = zlib.decompressobj()
+    try:
+        # One byte of slack: a stream that would inflate past the
+        # declared size stops here instead of allocating what it asks for.
+        raw = inflater.decompress(data, expected + 1)
+    except zlib.error as exc:
+        raise DlibProtocolError("corrupt packed q16 stream") from exc
+    if len(raw) != expected or not inflater.eof or inflater.unused_data:
+        raise DlibProtocolError("packed q16 stream does not match qshape")
+    shuffled = np.frombuffer(raw, dtype=np.uint8).reshape(2, -1)
+    diffs = np.ascontiguousarray(shuffled.T).view("<i2").reshape(3, n, length)
+    planar = np.cumsum(diffs, axis=2, dtype=np.int16)
+    return np.ascontiguousarray(planar.transpose(1, 2, 0))
+
+
 def decode_path_entry(entry: dict) -> dict:
     """Normalize one wire path entry to the v1 in-memory shape.
 
     A v2 frame may carry a rake entry in any negotiated encoding:
     float32 (``vertices``), float16 (``vertices`` with dtype ``<f2``), or
-    fixed point (``q``/``scale``/``offset``).  This returns the common
-    ``{"kind", "vertices" (float32), "lengths"}`` form the render path
-    consumes, so everything above the decoder is encoding-agnostic.
+    fixed point — packed as the server ships it
+    (``qpack``/``qshape``/``scale``/``offset``, see :func:`pack_q16`) or
+    as :func:`quantize_points`' plain ``q`` array.  This returns the
+    common ``{"kind", "vertices" (float32), "lengths"}`` form the render
+    path consumes, so everything above the decoder is encoding-agnostic.
     """
-    if not isinstance(entry, dict) or "kind" not in entry:
+    if not isinstance(entry, dict) or "kind" not in entry or "lengths" not in entry:
         raise DlibProtocolError("malformed path entry")
-    if "q" in entry:
+    if "qpack" in entry:
+        vertices = dequantize_points(dict(entry, q=unpack_q16(entry)))
+    elif "q" in entry:
         vertices = dequantize_points(entry)
     elif "vertices" in entry:
         vertices = np.asarray(entry["vertices"], dtype=np.float32)

@@ -157,17 +157,16 @@ class SolverProducer:
         if solver_changes:
             self.solver.reconfigure(**solver_changes)
         if "taper" in changes or "angle" in changes:
-            self._geometry["taper"] = float(
-                changes.get("taper", self._geometry["taper"])
-            )
-            self._geometry["angle"] = float(
-                changes.get("angle", self._geometry["angle"])
-            )
+            # One assignment: ``snapshot`` reads this dict from other
+            # threads and must never see a new taper beside an old angle.
+            geometry = {
+                key: float(changes.get(key, self._geometry[key]))
+                for key in ("taper", "angle")
+            }
+            self._geometry = geometry
             if self.obstacle_factory is not None:
                 self.solver.set_obstacle(
-                    self.obstacle_factory(
-                        self._geometry["taper"], self._geometry["angle"]
-                    )
+                    self.obstacle_factory(geometry["taper"], geometry["angle"])
                 )
         if changes.get("reset"):
             self.solver.restore_state(self._initial_snapshot)

@@ -6,6 +6,11 @@ quantization (6 bytes/point), decimation (1/n of the points), and deltas
 (only rakes whose geometry changed ship at all) — and this module prices
 the combination, so benchmarks can check the measured reduction against
 what the encoding arithmetic predicts.
+
+For ``q16`` the prediction is an upper bound: the wire form packs the
+int16 grid losslessly (``repro.dlib.pack_q16``) by an amount that
+depends on how smooth the paths are, which arithmetic cannot know.
+``benchmarks/test_wire_efficiency.py`` gates measured <= model.
 """
 
 from __future__ import annotations
@@ -30,7 +35,13 @@ def frame_payload_bytes(
     decimate: int = 1,
     n_rakes: int = 1,
 ) -> int:
-    """Predicted ``paths`` payload bytes for one full (keyframe) frame."""
+    """Predicted ``paths`` payload bytes for one full (keyframe) frame.
+
+    Exact arithmetic for ``v1`` and ``f16``.  For ``q16`` it is the
+    unpacked 6 bytes/point: the packed form undercuts it on any smooth
+    path, and on incompressible input exceeds it only by deflate's
+    stored-block framing (tens of bytes per entry).
+    """
     if n_points < 0:
         raise ValueError("n_points must be non-negative")
     if decimate < 1:

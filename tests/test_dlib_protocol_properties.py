@@ -9,10 +9,15 @@ and rejection paths) with the properties the observability PR leans on:
   encoding the original value inline — at any position in a payload;
 * the trace-ID header extension round-trips, and its absence is
   byte-identical to the pre-extension format, so old-format messages
-  (and old decoders) keep working — the compat regression suite.
+  (and old decoders) keep working — the compat regression suite;
+* the packed q16 form (``pack_q16`` / ``unpack_q16``) is lossless on any
+  int16 polyline grid, decodes bit-identically to the plain ``q`` array,
+  and rejects every damaged payload with a typed error.
 """
 
 import struct
+import tracemalloc
+import zlib
 
 import numpy as np
 import pytest
@@ -27,9 +32,14 @@ from repro.dlib.protocol import (
     PreEncoded,
     decode_message,
     decode_message_ex,
+    decode_path_entry,
     decode_value,
+    dequantize_points,
     encode_message,
     encode_value,
+    pack_q16,
+    quantize_points,
+    unpack_q16,
 )
 
 # Every dtype the wire whitelists (docs/protocol.md, "Value encoding").
@@ -197,3 +207,176 @@ class TestTraceHeaderExtension:
         )
         with pytest.raises(DlibProtocolError, match="trace_id 0"):
             decode_message_ex(wire)
+
+
+# -- packed q16 polylines -------------------------------------------------------
+
+q16_grids = arrays(
+    dtype=np.int16,
+    shape=st.tuples(st.integers(0, 5), st.integers(0, 24), st.just(3)),
+    elements=st.integers(-32768, 32767),
+)
+
+polylines = arrays(
+    dtype=np.float32,
+    shape=st.tuples(st.integers(0, 4), st.integers(0, 20), st.just(3)),
+    elements=st.floats(-1e4, 1e4, width=32),
+)
+
+
+def packed_entry(vertices: np.ndarray) -> dict:
+    """A q16 rake entry as the server builds it (``EncodingCache._build``)."""
+    payload = quantize_points(vertices)
+    return {
+        "kind": "streamline",
+        **pack_q16(payload["q"]),
+        "scale": payload["scale"],
+        "offset": payload["offset"],
+        "lengths": np.full(vertices.shape[0], vertices.shape[1], dtype=np.int64),
+    }
+
+
+def smooth_grid(n: int = 3, length: int = 40) -> np.ndarray:
+    """A compressible grid, so the deflate stream is more than a header."""
+    t = np.linspace(0.0, 6.0, length)
+    curve = np.stack([np.sin(t), np.cos(t), t / 6.0], axis=-1) * 30000.0
+    return np.repeat(curve[None], n, axis=0).astype(np.int16)
+
+
+class TestPackedQ16:
+    @given(q16_grids)
+    @settings(max_examples=150, deadline=None)
+    def test_roundtrip_through_the_wire_is_lossless(self, q):
+        back = unpack_q16(decode_value(encode_value(pack_q16(q))))
+        assert back.dtype == np.int16 and back.shape == q.shape
+        np.testing.assert_array_equal(back, q)
+
+    @pytest.mark.parametrize("shape", [(0, 0, 3), (0, 7, 3), (4, 0, 3), (4, 1, 3)])
+    def test_degenerate_shapes_roundtrip(self, shape):
+        q = np.arange(int(np.prod(shape)), dtype=np.int16).reshape(shape)
+        back = unpack_q16(decode_value(encode_value(pack_q16(q))))
+        assert back.shape == shape
+        np.testing.assert_array_equal(back, q)
+
+    def test_difference_wraparound_is_exact(self):
+        """+-32767 alternation: every difference overflows int16."""
+        q = np.empty((2, 9, 3), dtype=np.int16)
+        q[:, 0::2] = 32767
+        q[:, 1::2] = -32767
+        q[1] = -q[1]
+        np.testing.assert_array_equal(unpack_q16(pack_q16(q)), q)
+
+    @given(polylines)
+    @settings(max_examples=100, deadline=None)
+    def test_packed_entry_decodes_bit_identical_to_plain_q16(self, vertices):
+        decoded = decode_path_entry(decode_value(encode_value(packed_entry(vertices))))
+        expected = dequantize_points(quantize_points(vertices))
+        assert decoded["vertices"].dtype == np.float32
+        assert decoded["vertices"].shape == vertices.shape
+        assert decoded["vertices"].tobytes() == expected.tobytes()
+
+    def test_pack_rejects_anything_but_an_int16_polyline_grid(self):
+        for bad in (
+            np.zeros((2, 4, 3), dtype=np.int32),
+            np.zeros((4, 3), dtype=np.int16),
+            np.zeros((2, 4, 2), dtype=np.int16),
+        ):
+            with pytest.raises(DlibProtocolError):
+                pack_q16(bad)
+
+    @given(q16_grids, st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_truncated_stream_rejected(self, q, data):
+        packed = pack_q16(q)
+        cut = data.draw(st.integers(0, len(packed["qpack"]) - 1))
+        with pytest.raises(DlibProtocolError):
+            unpack_q16(dict(packed, qpack=packed["qpack"][:cut]))
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_bit_flip_is_rejected_or_harmless(self, data):
+        """A flipped bit raises the typed error — or, where it lands in
+        deflate's ignored padding bits, changes nothing.  It never
+        decodes to different points and never escapes as another error."""
+        q = smooth_grid()
+        packed = pack_q16(q)
+        stream = bytearray(packed["qpack"])
+        bit = data.draw(st.integers(0, len(stream) * 8 - 1))
+        stream[bit // 8] ^= 1 << (bit % 8)
+        try:
+            back = unpack_q16(dict(packed, qpack=bytes(stream)))
+        except DlibProtocolError:
+            return
+        np.testing.assert_array_equal(back, q)
+
+    def test_flipped_payload_byte_rejected(self):
+        packed = pack_q16(smooth_grid())
+        stream = bytearray(packed["qpack"])
+        stream[len(stream) // 2] ^= 0xFF
+        with pytest.raises(DlibProtocolError):
+            unpack_q16(dict(packed, qpack=bytes(stream)))
+
+    @given(q16_grids, st.binary(min_size=1, max_size=8))
+    @settings(max_examples=50, deadline=None)
+    def test_trailing_bytes_rejected(self, q, extra):
+        packed = pack_q16(q)
+        with pytest.raises(DlibProtocolError):
+            unpack_q16(dict(packed, qpack=packed["qpack"] + extra))
+
+    @pytest.mark.parametrize(
+        "qshape",
+        [
+            [3, 41, 3],          # one vertex more than the stream holds
+            [3, 39, 3],          # one fewer
+            [2**40, 2**40, 3],   # would be a 6 * 2**80 byte allocation
+            [1 << 22, 2, 3],     # just past the point cap
+            [-3, -40, 3],
+            [3, 40, 2],
+            [3, 40],
+            [3.0, 40, 3],
+            [True, 40, 3],
+            "3x40x3",
+            None,
+        ],
+    )
+    def test_bad_qshape_rejected(self, qshape):
+        packed = pack_q16(smooth_grid(3, 40))
+        with pytest.raises(DlibProtocolError):
+            unpack_q16(dict(packed, qshape=qshape))
+
+    def test_deflate_bomb_stops_at_the_declared_size(self):
+        bomb = zlib.compress(bytes(16 << 20), 1)  # 16 MiB of zeros in ~70 kB
+        tracemalloc.start()
+        try:
+            with pytest.raises(DlibProtocolError):
+                unpack_q16({"qpack": bomb, "qshape": [1, 2, 3]})
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20  # inflated 13 bytes, not 16 MiB
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("scale", np.array([1.0, np.nan, 1.0], dtype=np.float32)),
+            ("scale", np.array([1.0, np.inf, 1.0], dtype=np.float32)),
+            ("offset", np.array([0.0, 0.0, -np.inf], dtype=np.float32)),
+            ("scale", np.ones(4, dtype=np.float32)),
+            ("offset", np.zeros((3, 1), dtype=np.float32)),
+            ("scale", "unit"),
+            ("qpack", "not bytes"),
+            ("qpack", None),
+        ],
+    )
+    def test_decode_path_entry_rejects_bad_packed_fields(self, field, value):
+        entry = packed_entry(np.ones((2, 5, 3), dtype=np.float32))
+        entry[field] = value
+        with pytest.raises(DlibProtocolError):
+            decode_path_entry(entry)
+
+    def test_decode_path_entry_requires_every_packed_field(self):
+        entry = packed_entry(np.ones((2, 5, 3), dtype=np.float32))
+        for field in ("qshape", "scale", "offset", "lengths", "kind"):
+            broken = {k: v for k, v in entry.items() if k != field}
+            with pytest.raises(DlibProtocolError):
+                decode_path_entry(broken)

@@ -140,9 +140,8 @@ class TestLiveSession:
     def test_state_snapshot_carries_steering_section(self, server):
         with WindtunnelClient(*server.address, name="s") as c:
             c.steer(taper=0.4, angle=15.0)
-            wait_until(
-                lambda: server.producer.snapshot()["geometry"]["taper"] == 0.4
-            )
+            # applied_epoch is stamped after the whole change set landed.
+            wait_until(lambda: server.producer.steering.applied_epoch >= 1)
             snap = c._call("wt.snapshot", c.client_id)
             steering = snap["steering"]
             assert steering["geometry"] == {"taper": 0.4, "angle": 15.0}

@@ -9,7 +9,10 @@ docs/network.md:
   advertised error bound for quantized ones;
 * a delta against a lost/forgotten ack resyncs via keyframe;
 * an old-format (v1) client sees byte-identical frames against the v2
-  server, and a new client degrades gracefully against an old server.
+  server, and a new client degrades gracefully against an old server;
+* the packed ``q16`` wire form decodes, over real sockets, to exactly
+  what the plain int16 form decoded to — keyframe, delta, decimated and
+  pushed — and is still built once per ``(rake, encoding, decimate)``.
 """
 
 import numpy as np
@@ -35,6 +38,7 @@ from repro.dlib.protocol import (
     encode_value,
     quantization_error_bound,
     quantize_points,
+    unpack_q16,
 )
 from repro.flow import MemoryDataset, RigidRotation, UniformFlow, sample_on_grid
 from repro.grid import cartesian_grid
@@ -178,6 +182,23 @@ def test_encoding_cache_builds_each_variant_once():
     # The prebuilt v1 variant is not a cache transaction at all.
     cache.entry(frame, "1", "v1", 1)
     assert cache.misses == 1 and cache.hits == 1
+
+
+def test_q16_variant_ships_only_the_packed_form():
+    """One q16 form on the wire: packed bytes, no plain ``q`` array, and
+    the int16 grid inside is exactly what ``quantize_points`` produces."""
+    frame = _frame({1: _Result(1, n_seeds=4, length=30)})
+    entry = decode_value(frame.compose(["1"], encoding="q16").data)["1"]
+    assert set(entry) == {"kind", "qpack", "qshape", "scale", "offset", "lengths"}
+    plain = quantize_points(frame.paths["1"]["vertices"])
+    np.testing.assert_array_equal(unpack_q16(entry), plain["q"])
+    np.testing.assert_array_equal(entry["scale"], plain["scale"])
+    np.testing.assert_array_equal(entry["offset"], plain["offset"])
+    cache = frame.enc_cache
+    assert cache.q16_raw_bytes == plain["q"].nbytes == 4 * 30 * 6
+    assert cache.q16_packed_bytes == len(entry["qpack"])
+    frame.compose(["1"], encoding="q16")  # a hit builds (and counts) nothing
+    assert cache.q16_raw_bytes == plain["q"].nbytes
 
 
 def test_decimated_entry_keeps_every_nth_point():
@@ -444,6 +465,126 @@ class TestInterop:
             assert snap["histograms"]["net.bytes_per_frame"]["count"] >= 2
             assert "net.encode_cache_hits" in snap["counters"]
             assert f"net.degradation.{c.client_id}.level" in snap["gauges"]
+
+
+# -- the packed q16 form over real sockets ---------------------------------------
+
+
+def _assert_decodes_as_plain_q16(frame: PublishedFrame, state: dict, decimate: int):
+    """Every held rake equals what the plain (unpacked) q16 form decoded
+    to — bit for bit — and sits inside the advertised error bound."""
+    assert state["v2"]["seq"] == frame.seq
+    assert state["v2"]["encoding"] == "q16"
+    assert state["v2"]["decimate"] == decimate
+    assert set(state["paths"]) == set(frame.paths)
+    for rid, entry in state["paths"].items():
+        ref = np.ascontiguousarray(frame.paths[rid]["vertices"][:, ::decimate, :])
+        payload = quantize_points(ref)
+        np.testing.assert_array_equal(entry["vertices"], dequantize_points(payload))
+        assert entry["vertices"].dtype == np.float32
+        err = np.abs(entry["vertices"].astype(np.float64) - ref.astype(np.float64))
+        assert float(err.max()) <= quantization_error_bound(payload)
+        np.testing.assert_array_equal(
+            entry["lengths"],
+            (frame.paths[rid]["lengths"] + decimate - 1) // decimate,
+        )
+
+
+class TestPackedQ16Loopback:
+    @pytest.mark.parametrize("decimate", [1, 2, 4])
+    def test_keyframe_and_delta_decode_as_plain_q16(self, server, decimate):
+        with WindtunnelClient(*server.address, name="packed") as c:
+            c.time_control("pause")
+            for i in range(3):
+                c.add_rake([1 + i, 1, 1], [1 + i, 7, 3], n_seeds=5)
+            c.subscribe(encoding="q16", deltas=True, decimate=decimate)
+            key = c.fetch_frame()
+            assert key["v2"]["mode"] == "keyframe"
+            _assert_decodes_as_plain_q16(server.store.latest(), key, decimate)
+            held = {rid: e["vertices"] for rid, e in key["paths"].items()}
+            new = c.add_rake([6, 1, 1], [6, 7, 3], n_seeds=5)  # one rake changes
+            delta = c.fetch_frame()
+            assert delta["v2"]["mode"] == "delta"
+            _assert_decodes_as_plain_q16(server.store.latest(), delta, decimate)
+            # Only the new rake crossed the wire; the rest are the held arrays.
+            for rid, vertices in held.items():
+                assert delta["paths"][rid]["vertices"] is vertices
+            assert str(new) not in held
+
+    def test_pushed_frames_decode_as_plain_q16(self, server):
+        with WindtunnelClient(*server.address, name="pushed") as c:
+            c.time_control("pause")
+            c.subscribe(encoding="q16", push=True)
+            c.add_rake([1, 1, 1], [1, 7, 3], n_seeds=5)
+            c.add_rake([4, 1, 1], [4, 7, 3], n_seeds=5)
+
+            def caught_up():
+                c.drain_pushes(0.05)
+                state, frame = c.latest_state, server.store.latest()
+                return (
+                    state is not None
+                    and frame is not None
+                    and len(frame.paths) == 2
+                    and state["v2"]["seq"] == frame.seq
+                )
+
+            wait_until(caught_up, timeout=5.0)
+            assert c.pushed_frames >= 1
+            _assert_decodes_as_plain_q16(server.store.latest(), c.latest_state, 1)
+
+    def test_variant_built_once_and_counted(self, server):
+        """Two q16 subscribers on one publication: the second is all cache
+        hits, and the q16 byte counters moved once, by the built sizes."""
+        with WindtunnelClient(*server.address, name="a") as a, \
+             WindtunnelClient(*server.address, name="b") as b:
+            a.time_control("pause")
+            a.add_rake([1, 1, 1], [1, 7, 3], n_seeds=5)
+            a.add_rake([4, 1, 1], [4, 7, 3], n_seeds=5)
+            a.fetch_frame()  # publication exists before anyone subscribes
+            a.subscribe(encoding="q16", deltas=False)
+            b.subscribe(encoding="q16", deltas=False)
+            before = server.registry.snapshot()["counters"]
+            a.fetch_frame()
+            mid = server.registry.snapshot()["counters"]
+            b.fetch_frame()
+            after = server.registry.snapshot()["counters"]
+
+            def moved(lo, hi, name):
+                return hi.get(name, 0) - lo.get(name, 0)
+
+            assert moved(before, mid, "net.encode_cache_misses") == 2
+            assert moved(before, mid, "net.encode_cache_hits") == 0
+            assert moved(mid, after, "net.encode_cache_misses") == 0
+            assert moved(mid, after, "net.encode_cache_hits") == 2
+            frame = server.store.latest()
+            raw = sum(e["vertices"].size * 2 for e in frame.paths.values())
+            packed = sum(
+                len(decode_value(frame.compose([rid], encoding="q16").data)[rid]["qpack"])
+                for rid in frame.paths
+            )
+            assert moved(before, mid, "net.q16_raw_bytes") == raw
+            assert moved(before, mid, "net.q16_packed_bytes") == packed
+            assert 0 < packed < raw
+            assert moved(mid, after, "net.q16_raw_bytes") == 0
+            assert moved(mid, after, "net.q16_packed_bytes") == 0
+
+    def test_v1_client_bytes_unchanged_beside_a_q16_subscriber(self, server):
+        with WindtunnelClient(*server.address, name="q") as q, \
+             WindtunnelClient(*server.address, name="v1") as v1:
+            q.add_rake([1, 1, 1], [1, 7, 3], n_seeds=5)
+            q.subscribe(encoding="q16")
+            q.fetch_frame()  # the q16 variant now sits in the frame's cache
+            state = v1.fetch_frame()
+            assert "v2" not in state
+            frame = server.store.latest()
+            assert frame.paths_wire.data == encode_value(frame.paths)
+            assert frame.compose(list(frame.paths)).data == frame.paths_wire.data
+            for rid, entry in state["paths"].items():
+                assert set(entry) == {"kind", "vertices", "lengths"}
+                assert entry["vertices"].dtype == np.float32
+                np.testing.assert_array_equal(
+                    entry["vertices"], frame.paths[rid]["vertices"]
+                )
 
 
 # -- push-mode delivery -------------------------------------------------------
