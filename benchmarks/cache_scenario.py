@@ -118,7 +118,7 @@ def _produce_frames(dataset, with_cache: bool) -> list[bytes]:
         clock = {"now": 0.0}
         pipeline = FramePipeline(
             engine, env, store,
-            threaded=False, time_fn=lambda: clock["now"], registry=registry,
+            time_fn=lambda: clock["now"], registry=registry,
         )
         frames = []
         for _ in range(IDENTITY_FRAMES):

@@ -12,10 +12,14 @@ The workload is the acceptance scenario: a synthetic three-stage frame
 with load ≈ integrate ≈ encode.  The load cost is a modeled disk read
 (charged in the :class:`~repro.diskio.loader.TimestepLoader`, so prefetch
 can hide it exactly as figure 8 prescribes); integrate and encode costs
-are modeled stage work in the pipeline.  We run the same server twice —
-``pipelined=False`` (the old inline-on-the-RPC-path behaviour) and
-``pipelined=True`` (the producer pipeline) — and compare both measured
-publish periods against :func:`repro.perf.pipeline.simulate_pipeline`.
+are modeled stage work in the pipeline.  The server has one way to
+produce frames (the producer pipeline), so the serial baseline is not a
+server mode: it is the same :class:`~repro.core.pipeline.FramePipeline`
+stage code over the same loader and ``stage_cost``, never started and
+driven headless through ``produce_inline()`` on an injected clock — one
+stage after the other on one thread, the sum figure 8 is drawn against.
+Both measured periods are compared against
+:func:`repro.perf.pipeline.simulate_pipeline`.
 
 Set ``WT_BENCH_FAST=1`` for the CI smoke variant (shorter stages and
 measurement windows).
@@ -26,10 +30,19 @@ import time
 
 import pytest
 
-from repro.core import ToolSettings, WindtunnelClient, WindtunnelServer
+from repro.core import (
+    ComputeEngine,
+    Environment,
+    FramePipeline,
+    FrameStore,
+    ToolSettings,
+    WindtunnelClient,
+    WindtunnelServer,
+)
 from repro.diskio.loader import TimestepLoader
 from repro.diskio.model import DiskModel
 from repro.perf import compare_to_model, simulate_pipeline
+from repro.tracers.rake import Rake
 
 FAST = bool(os.environ.get("WT_BENCH_FAST"))
 #: Fast mode shrinks the measurement windows, not the stage cost much:
@@ -46,30 +59,72 @@ STAGES = {
     "encode": STAGE_SECONDS,
 }
 
+#: Keep the real tracer work tiny so the modeled stage costs dominate
+#: and the measured period is attributable to them.
+SETTINGS = ToolSettings(streamline_steps=16)
+#: The load stage's cost is the loader's modeled disk read, not this.
+STAGE_COST = {name: STAGES[name] for name in ("integrate", "encode")}
+TIME_SPEED = 1.0 / STAGE_SECONDS  # the clock ticks once per stage
+RAKE = ([1.2, -1.0, 0.5], [1.2, 1.0, 1.5])
+N_SEEDS = 6
 
-def _measure_publish_period(dataset, *, pipelined: bool) -> tuple[float, dict]:
-    """Run one server mode; return (steady publish period, pipeline stats)."""
+
+def _stage_loader(dataset, *, prefetch: bool) -> TimestepLoader:
     disk = DiskModel(
         name="synthetic-stage",
         min_bandwidth=1e12,  # the read cost is all latency: exactly one
         max_bandwidth=2e12,  # stage period per uncached timestep
         latency=STAGE_SECONDS,
     )
-    loader = TimestepLoader(dataset, disk, prefetch=pipelined)
+    return TimestepLoader(dataset, disk, prefetch=prefetch)
+
+
+def _measure_serial_period(dataset) -> tuple[float, dict]:
+    """Headless sum-of-stages baseline; return (frame period, stats)."""
+    loader = _stage_loader(dataset, prefetch=False)
+    env = Environment(dataset.n_timesteps, time_speed=TIME_SPEED)
+    env.add_rake(Rake(*RAKE, n_seeds=N_SEEDS))
+    clock = {"now": 0.0}
+    pipeline = FramePipeline(
+        ComputeEngine(dataset, SETTINGS, loader=loader),
+        env,
+        FrameStore(),
+        time_fn=lambda: clock["now"],
+        stage_cost=STAGE_COST,
+    )
+
+    def produce_until(deadline: float) -> int:
+        frames = 0
+        while time.monotonic() < deadline:
+            pipeline.produce_inline()
+            clock["now"] += STAGE_SECONDS  # one timestep per frame
+            frames += 1
+        return frames
+
+    try:
+        produce_until(time.monotonic() + WARMUP_SECONDS)
+        t0 = time.monotonic()
+        frames = produce_until(t0 + MEASURE_SECONDS)
+        elapsed = time.monotonic() - t0
+        assert frames >= 5, "measurement window produced too few frames"
+        return elapsed / frames, pipeline.stats()
+    finally:
+        loader.close()
+
+
+def _measure_publish_period(dataset) -> tuple[float, dict]:
+    """Run the live server; return (steady publish period, pipeline stats)."""
     server = WindtunnelServer(
         dataset,
-        # Keep the real tracer work tiny so the modeled stage costs
-        # dominate and the measured period is attributable to them.
-        settings=ToolSettings(streamline_steps=16),
-        time_speed=1.0 / STAGE_SECONDS,  # the clock ticks once per stage
-        loader=loader,
-        pipelined=pipelined,
-        stage_cost={"integrate": STAGE_SECONDS, "encode": STAGE_SECONDS},
+        settings=SETTINGS,
+        time_speed=TIME_SPEED,
+        loader=_stage_loader(dataset, prefetch=True),
+        stage_cost=STAGE_COST,
     )
     server.start()
     try:
         with WindtunnelClient(*server.address) as client:
-            client.add_rake([1.2, -1.0, 0.5], [1.2, 1.0, 1.5], n_seeds=6)
+            client.add_rake(*RAKE, n_seeds=N_SEEDS)
 
             def poll_until(deadline: float) -> None:
                 while time.monotonic() < deadline:
@@ -91,12 +146,8 @@ def _measure_publish_period(dataset, *, pipelined: bool) -> tuple[float, dict]:
 
 @pytest.mark.benchmark(group="fig8-live")
 def test_fig8_live_pipeline_vs_serial(cylinder_dataset, record):
-    serial_period, serial_stats = _measure_publish_period(
-        cylinder_dataset, pipelined=False
-    )
-    pipelined_period, pipe_stats = _measure_publish_period(
-        cylinder_dataset, pipelined=True
-    )
+    serial_period, serial_stats = _measure_serial_period(cylinder_dataset)
+    pipelined_period, pipe_stats = _measure_publish_period(cylinder_dataset)
 
     model = simulate_pipeline(STAGES, n_frames=100)
     # Feed the *measured* per-stage times (modeled cost + real tracer and
@@ -147,13 +198,12 @@ def test_fig8_live_pipeline_vs_serial(cylinder_dataset, record):
     # The serial baseline really is the sum of the stages.
     assert serial_error < 0.25
     # wt.pipeline_stats' own estimates agree with the measurement.
-    assert pipe_stats["pipelined"] is True
     est = pipe_stats["steady_period_estimate"]
     assert abs(est - pipelined_period) / pipelined_period < 0.35, (
         f"steady_period_estimate {est * 1e3:.1f} ms inconsistent with "
         f"measured {pipelined_period * 1e3:.1f} ms"
     )
-    # Prefetch actually hid the load in pipelined mode: the producer's
+    # Prefetch actually hid the load on the live server: the producer's
     # load stage cost a small fraction of the modeled read.
     assert pipe_stats["stages"]["load"]["mean"] < 0.5 * STAGE_SECONDS
     assert serial_stats["stages"]["load"]["mean"] > 0.8 * STAGE_SECONDS

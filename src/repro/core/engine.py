@@ -334,9 +334,3 @@ class ComputeEngine:
         registry.counter("engine.fused_frames").inc()
         registry.counter("engine.points_computed").inc(points)
         return out
-
-    def reset_rake_state(self, rake_id: int) -> None:
-        """Drop per-rake persistent state (e.g. on rake removal)."""
-        self._streaks.pop(rake_id, None)
-        self._streak_last.pop(rake_id, None)
-        self._seed_cache.pop(rake_id, None)

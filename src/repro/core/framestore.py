@@ -1,12 +1,11 @@
 """The published-frame store: figure 8's hand-off buffer, made explicit.
 
 The producer pipeline computes and encodes frames; the dlib service
-thread serves them.  The seam between the two is this store: a
-double-buffered slot holding the latest :class:`PublishedFrame` (plus the
-one it replaced, so a reader mid-copy can never see a frame torn down
-under it) guarded by a condition variable.  Publishing is the only write;
-reads are lock-brief snapshots; a reader that needs a *fresher* frame
-than the current one waits on the condition with a deadline.
+thread serves them.  The seam between the two is this store: a slot
+holding the latest :class:`PublishedFrame` behind a lock.  Publishing is
+the only write; reads are lock-brief snapshots of an immutable frame
+(the reader's own reference keeps it alive past the next publish); a
+reader that needs a *fresher* frame subscribes a listener.
 
 Invariants (docs/architecture.md, docs/network.md):
 
@@ -51,7 +50,6 @@ __all__ = [
     "EncodingCache",
     "FrameStore",
     "PublishedFrame",
-    "encode_paths",
     "encode_published",
 ]
 
@@ -135,18 +133,6 @@ def encode_published(kinds: dict[int, str], results: dict) -> EncodedPaths:
         digests=digests,
         fragments=fragments,
     )
-
-
-def encode_paths(
-    kinds: dict[int, str], results: dict
-) -> tuple[dict, PreEncoded, int]:
-    """Compatibility wrapper over :func:`encode_published`.
-
-    Returns ``(paths, wire, n_points)`` exactly as before the v2 layer;
-    the wire bytes are unchanged (composition equals direct encoding).
-    """
-    enc = encode_published(kinds, results)
-    return enc.paths, enc.wire, enc.n_points
 
 
 def _decimate_entry(entry: dict, decimate: int) -> dict:
@@ -315,20 +301,18 @@ class PublishedFrame:
 
 
 class FrameStore:
-    """Double-buffered publication point between producer and servers.
+    """Publication point between producer and servers.
 
     One writer (the pipeline's encode stage), any number of readers (the
     dlib service thread today; sharded servers tomorrow).  ``publish``
-    swaps the new frame in and wakes every waiter; ``latest`` is a
-    snapshot read; ``wait_beyond`` blocks until a publication newer than
-    a known sequence number lands (or the deadline passes).
+    swaps the new frame in and calls every subscribed listener;
+    ``latest`` is a snapshot read.
     """
 
     def __init__(self, *, registry=None, digest_history: int = DIGEST_HISTORY) -> None:
-        self._cond = threading.Condition()
+        self._lock = threading.Lock()
         self._listeners: list = []
         self._front: PublishedFrame | None = None
-        self._back: PublishedFrame | None = None  # previous frame, kept alive
         self._seq = 0
         self.published_total = 0
         self.publish_gap = None  # seconds between the last two publishes
@@ -351,17 +335,12 @@ class FrameStore:
     @property
     def seq(self) -> int:
         """Sequence number of the latest published frame (0 = none yet)."""
-        with self._cond:
+        with self._lock:
             return self._seq
 
     def latest(self) -> PublishedFrame | None:
-        with self._cond:
+        with self._lock:
             return self._front
-
-    def previous(self) -> PublishedFrame | None:
-        """The frame the latest one replaced (the back buffer)."""
-        with self._cond:
-            return self._back
 
     def digests_at(self, seq: int) -> dict | None:
         """Per-rake digest map of publication ``seq``, if still remembered.
@@ -369,7 +348,7 @@ class FrameStore:
         ``None`` means the seq left the bounded history (or never existed)
         — the caller must fall back to a keyframe (delta resync).
         """
-        with self._cond:
+        with self._lock:
             return self._digest_history.get(int(seq))
 
     def subscribe(self, listener) -> None:
@@ -381,11 +360,11 @@ class FrameStore:
         via ``DlibServer.call_soon``.  A listener that raises is the
         publisher's bug; exceptions propagate.
         """
-        with self._cond:
+        with self._lock:
             self._listeners.append(listener)
 
     def unsubscribe(self, listener) -> None:
-        with self._cond:
+        with self._lock:
             try:
                 self._listeners.remove(listener)
             except ValueError:
@@ -394,21 +373,20 @@ class FrameStore:
     @property
     def publish_period_mean(self) -> float:
         """Mean seconds between consecutive publishes (0 if < 2 frames)."""
-        with self._cond:
+        with self._lock:
             if self._period_count == 0:
                 return 0.0
             return self._period_sum / self._period_count
 
     def publish(self, frame: PublishedFrame) -> PublishedFrame:
-        """Swap ``frame`` in as the current frame; wake all waiters.
+        """Swap ``frame`` in as the current frame; call the listeners.
 
         The store assigns the sequence number — callers build frames with
         ``seq=0`` and receive the stamped copy back.
         """
-        with self._cond:
+        with self._lock:
             self._seq += 1
             stamped = replace(frame, seq=self._seq)
-            self._back = self._front
             self._front = stamped
             self.published_total += 1
             self._digest_history[self._seq] = stamped.digests
@@ -425,35 +403,7 @@ class FrameStore:
             self._last_publish_mono = now
             if self._published_counter is not None:
                 self._published_counter.inc()
-            self._cond.notify_all()
             listeners = list(self._listeners)
         for listener in listeners:
             listener(stamped)
         return stamped
-
-    def wait_beyond(
-        self, seq: int, timeout: float
-    ) -> PublishedFrame | None:
-        """Block until a frame with sequence > ``seq`` is published.
-
-        Returns the newest such frame, or ``None`` on timeout.  Readers
-        use short slices of this in a loop so they can re-examine the
-        environment clock (and shutdown flags) while waiting.
-        """
-        deadline = time.monotonic() + timeout
-        with self._cond:
-            while self._seq <= seq:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    return None
-                self._cond.wait(remaining)
-            return self._front
-
-    @staticmethod
-    def freeze_arrays(paths: dict) -> dict:
-        """Utility: mark every ndarray in a paths dict read-only."""
-        for entry in paths.values():
-            for value in entry.values():
-                if isinstance(value, np.ndarray):
-                    value.setflags(write=False)
-        return paths

@@ -2,13 +2,9 @@
 
 The paper's figure 8 shows the remote system as *concurrent* processes:
 while the current visualization computes, the next timestep loads, and
-finished frames stream to the workstation.  Earlier revisions of this
-reproduction collapsed all of that onto the RPC path — every ``wt.frame``
-call computed, encoded, and serialized inline on the dlib service thread,
-so the steady-state frame period was the *sum* of the stage times and a
-slow stage stalled every client.
-
-:class:`FramePipeline` restores the overlap:
+finished frames stream to the workstation.  :class:`FramePipeline` is
+that overlap, and the only way a server — bare or a gateway worker —
+produces frames:
 
 * a **producer thread** follows the environment clock, loads the needed
   timestep (prefetching where the clock is *going*, one production period
@@ -23,7 +19,9 @@ slow stage stalled every client.
 Steady state, the publish period approaches ``max(t_load, t_integrate,
 t_encode)`` instead of their sum (the ``benchmarks/test_fig8_live_pipeline``
 benchmark measures exactly this against the analytic model in
-:mod:`repro.perf.pipeline`).
+:mod:`repro.perf.pipeline`).  A pipeline that is never ``start()``ed has
+no threads; headless callers (the sweep runner) drive the same stage
+code one frame at a time through :meth:`FramePipeline.produce_inline`.
 
 Production is **demand-gated** so an idle server stays idle and frozen-
 clock tests stay deterministic: the producer computes only when a client
@@ -40,7 +38,6 @@ import logging
 import queue
 import threading
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 
 from repro.core.environment import Environment
@@ -78,9 +75,9 @@ class FramePipeline:
     Parameters
     ----------
     engine
-        The compute engine.  In threaded mode the producer thread is the
-        *only* caller of its compute methods (the engine's per-rake state
-        is not thread-safe).
+        The compute engine.  Once the pipeline is started the producer
+        thread is the *only* caller of its compute methods (the engine's
+        per-rake state is not thread-safe).
     env
         The shared environment; the pipeline subscribes to its version
         bumps for immediate invalidation wake-ups.
@@ -94,11 +91,6 @@ class FramePipeline:
     time_fn
         The environment wall clock (injectable for deterministic tests).
         Demand-window bookkeeping always uses real ``time.monotonic``.
-    threaded
-        ``True`` runs the producer and encoder threads (figure 8).
-        ``False`` is the serial fallback: ``produce_inline`` runs the
-        same stages synchronously on the caller's thread — used by the
-        benchmark as the sum-of-stages baseline.
     demand_window
         Seconds (real time) after a ``wt.frame`` request during which the
         clock ticking to a new timestep triggers anticipatory production.
@@ -122,7 +114,6 @@ class FramePipeline:
         *,
         governor: FrameBudgetGovernor | None = None,
         time_fn=time.monotonic,
-        threaded: bool = True,
         demand_window: float = 0.5,
         poll_interval: float = 0.02,
         stage_cost: dict | None = None,
@@ -132,7 +123,6 @@ class FramePipeline:
         self.env = env
         self.store = store
         self.governor = governor
-        self.threaded = bool(threaded)
         self._time_fn = time_fn
         self._demand_window = float(demand_window)
         self._poll_interval = float(poll_interval)
@@ -236,8 +226,6 @@ class FramePipeline:
     # -- lifecycle ---------------------------------------------------------
 
     def start(self) -> "FramePipeline":
-        if not self.threaded:
-            return self
         if self._running:
             raise RuntimeError("pipeline already started")
         self._running = True
@@ -262,10 +250,16 @@ class FramePipeline:
 
     @property
     def alive(self) -> bool:
-        """Whether a waiting reader can still expect a publication."""
-        if not self.threaded:
-            return True  # inline production happens on the caller's thread
-        return self._running and self._compute_thread is not None
+        """Whether a waiting reader can still expect a publication.
+
+        Read off the stage threads: one that died on an exception reads
+        dead, so parked ``wt.frame`` calls fail promptly and
+        ``wt.health`` tells the supervisor the truth.
+        """
+        threads = (self._compute_thread, self._encode_thread)
+        return self._running and all(
+            t is not None and t.is_alive() for t in threads
+        )
 
     # -- demand signalling (called from the dlib service thread) -----------
 
@@ -277,12 +271,14 @@ class FramePipeline:
                 self._demand_until = until
 
     def note_waiter(self) -> None:
-        """Register a reader blocked on a fresh frame (non-scoped form).
+        """Register a reader parked on a fresh frame.
 
-        The parked-continuation path uses this pair directly: ``wt.frame``
-        defers its reply, registers a waiter, and the publication (or
-        timeout) callback calls :meth:`forget_waiter` — there is no stack
-        frame to scope a context manager to.
+        ``wt.frame`` defers its reply and registers a waiter; the
+        publication (or timeout) callback calls :meth:`forget_waiter`.
+        A registered waiter is what authorizes the producer to compute
+        outside the tick-anticipation path, so a frozen clock plus an
+        unchanged environment still yields exactly one compute per
+        distinct ``(version, timestep)``.
         """
         with self._state_lock:
             self._waiters += 1
@@ -293,21 +289,6 @@ class FramePipeline:
         """Balance a :meth:`note_waiter` once the reader unblocks."""
         with self._state_lock:
             self._waiters -= 1
-
-    @contextmanager
-    def waiting(self):
-        """Scope in which a reader is blocked on a fresh frame.
-
-        Registering a waiter is what authorizes the producer to compute
-        outside the tick-anticipation path, so a frozen clock plus an
-        unchanged environment still yields exactly one compute per
-        distinct ``(version, timestep)``.
-        """
-        self.note_waiter()
-        try:
-            yield
-        finally:
-            self.forget_waiter()
 
     def add_standing_demand(self) -> None:
         """A push-mode subscriber appeared: produce on every key change.
@@ -555,14 +536,15 @@ class FramePipeline:
         )
         return self.store.publish(frame)
 
-    # -- serial fallback ---------------------------------------------------
+    # -- headless production -----------------------------------------------
 
     def produce_inline(self) -> PublishedFrame:
-        """Compute, encode, and publish synchronously (serial mode).
+        """Compute, encode, and publish one frame on the caller's thread.
 
-        Runs the identical stage code on the caller's thread, so the
-        immutability and encode-once guarantees hold in both modes and
-        the benchmark's serial baseline measures sum-of-stages honestly.
+        The headless library call for a pipeline that was never started
+        (a started one's producer thread owns the engine) — no server
+        path reaches it.  It runs the identical stage code, so the
+        immutability and encode-once guarantees hold.
         """
         return self._encode_and_publish(self._produce())
 
@@ -573,11 +555,6 @@ class FramePipeline:
         with self._stats_lock:
             means = [s.mean for s in self.stage_stats.values() if s.count]
         return max(means) if means else 0.0
-
-    def serial_period_estimate(self) -> float:
-        """What the frame period would be unpipelined: sum(t_i)."""
-        with self._stats_lock:
-            return sum(s.mean for s in self.stage_stats.values() if s.count)
 
     def stats(self) -> dict:
         """Stage-resolved pipeline statistics (``wt.pipeline_stats``)."""
@@ -595,7 +572,6 @@ class FramePipeline:
             frames_produced = self.frames_produced
             frames_encoded = self.frames_encoded
         return {
-            "pipelined": self.threaded,
             "frames_produced": frames_produced,
             "frames_encoded": frames_encoded,
             "frames_published": self.store.published_total,
@@ -603,7 +579,6 @@ class FramePipeline:
             "publish_period_mean": self.store.publish_period_mean,
             "stages": stages,
             "steady_period_estimate": self.production_period_estimate(),
-            "serial_period_estimate": self.serial_period_estimate(),
             "frames_anticipated": self.frames_anticipated,
             "standing_demand": self.standing_demand,
             "requests": self.requests,

@@ -70,11 +70,6 @@ class WindtunnelServer:
         adapts to hold the 1/8 s budget.
     time_fn
         Wall clock (injectable for deterministic tests).
-    pipelined
-        ``True`` (default) runs the figure-8 producer pipeline on its own
-        threads.  ``False`` is the serial fallback: frames are produced
-        inline on the service thread through the same stage code — the
-        benchmark's sum-of-stages baseline.
     demand_window
         Seconds of anticipatory production after a ``wt.frame`` request
         (see :class:`~repro.core.pipeline.FramePipeline`).
@@ -116,7 +111,6 @@ class WindtunnelServer:
         loader: TimestepLoader | None = None,
         governor: FrameBudgetGovernor | None = None,
         time_fn=time.monotonic,
-        pipelined: bool = True,
         demand_window: float = 0.5,
         stage_cost: dict | None = None,
         frame_wait: float = 10.0,
@@ -144,7 +138,6 @@ class WindtunnelServer:
             self.store,
             governor=governor,
             time_fn=time_fn,
-            threaded=pipelined,
             demand_window=demand_window,
             stage_cost=stage_cost,
             registry=self.registry,
@@ -211,9 +204,9 @@ class WindtunnelServer:
         return self
 
     def stop(self) -> None:
-        # Stop the pipeline first: service threads blocked in a frame
-        # wait observe ``pipeline.alive`` going false and unwind, so the
-        # dlib join below cannot deadlock on a waiter.
+        # Stop the pipeline first: the waiter tick sees ``pipeline.alive``
+        # go false and fails every parked ``wt.frame`` ("shutting down")
+        # while the loop still runs, so no caller waits out ``frame_wait``.
         self.pipeline.stop()
         self.dlib.stop()
         if self.engine.loader is not None:
@@ -478,12 +471,6 @@ class WindtunnelServer:
                 f"rake {rake_id} is held by client {owner}"
             )
         self.env.remove_rake(int(rake_id))
-        if not self.pipeline.threaded:
-            # Serial mode runs the engine on this thread, so the reset is
-            # safe here.  In pipelined mode the producer thread owns the
-            # engine's per-rake state and garbage-collects it on the next
-            # snapshot compute (rake ids are never reused).
-            self.engine.reset_rake_state(int(rake_id))
 
     def _rpc_time(self, ctx, client_id: int, op: str, value: float = 0.0) -> dict:
         """Shared time control: any user can drive the clock."""
@@ -559,15 +546,6 @@ class WindtunnelServer:
             return self._frame_reply(
                 latest, True, int(client_id), int(ack), float(throughput), trace
             )
-        if not pipeline.threaded:
-            # Serial fallback: produce inline on this thread (the
-            # benchmark's sum-of-stages baseline) — no continuation.
-            wait_start = trace.now() if trace is not None else 0.0
-            frame = pipeline.produce_inline()
-            return self._frame_reply(
-                frame, False, int(client_id), int(ack), float(throughput),
-                trace, wait_start=wait_start,
-            )
         deferred = self.dlib.defer()
         pipeline.note_waiter()
         self._frame_waiters.append(
@@ -592,21 +570,20 @@ class WindtunnelServer:
         ack: int,
         throughput: float,
         trace,
-        wait_start: float | None = None,
+        wait_start: float = 0.0,
     ) -> dict:
         """Assemble one client's ``wt.frame`` response for ``frame``.
 
-        Runs on the dlib service thread — synchronously for cache hits
-        and serial mode, from the publication callback for resolved
-        continuations (``wait_start`` is the trace-relative moment the
-        wait began; the production stages are grafted inside it).
+        Runs on the dlib service thread — synchronously for cache hits,
+        from the publication callback for resolved continuations
+        (``wait_start`` is the trace-relative moment the wait began; the
+        production stages are grafted inside it).
         """
         if trace is not None and not cached:
-            start = wait_start if wait_start is not None else trace.now()
             wait_span = trace.mark(
-                "frame_wait", trace.now() - start, start=start
+                "frame_wait", trace.now() - wait_start, start=wait_start
             )
-            offset = start
+            offset = wait_start
             for stage in STAGES:
                 seconds = float(frame.stage_seconds.get(stage, 0.0))
                 wait_span.add_child(stage, offset, seconds)
@@ -1036,7 +1013,6 @@ class WindtunnelServer:
             "frames_computed": self.frames_computed,
             "frames_published": self.store.published_total,
             "publish_seq": self.store.seq,
-            "pipelined": self.pipeline.threaded,
             "compute_mean_seconds": self.compute_stats.mean,
             "points_computed": self.engine.points_computed,
             "quality": self.governor.quality if self.governor else 1.0,

@@ -79,7 +79,8 @@ class SessionGateway:
     Parameters
     ----------
     spec
-        Worker spec (see :func:`~repro.gateway.worker.default_worker_spec`).
+        Worker spec: any subset of :data:`~repro.gateway.worker.DEFAULT_SPEC`
+        (an unknown key raises ``ValueError``).
     n_workers
         Pool size.
     max_sessions_per_worker, max_sessions_total
@@ -141,7 +142,7 @@ class SessionGateway:
         # workers only ever *attach*, so a SIGKILLed worker can neither
         # leak nor take down the segment — crash recovery respawns into
         # the same warm cache.  Created in start(), unlinked in stop().
-        self._spec = dict(spec) if spec is not None else default_worker_spec()
+        self._spec = default_worker_spec(**(spec or {}))
         self._shared_cache_requested = bool(shared_timestep_cache)
         self._cache_slots = int(cache_slots)
         self.timestep_cache = None

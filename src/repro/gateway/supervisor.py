@@ -5,10 +5,11 @@ Failure model (docs/operations.md):
 * **Crash** — the process exits (segfault, OOM kill, SIGKILL).  Detected
   by ``Process.is_alive()`` on the next sweep.
 * **Hang** — the process lives but its service loop is wedged (deadlock,
-  runaway compute, ``wt.chaos_hang`` in tests).  Detected by the
-  ``wt.health`` probe missing its liveness deadline
-  ``probe_failures_to_kill`` sweeps in a row; the remedy is SIGKILL,
-  which converts the hang into a crash.
+  runaway compute, ``wt.chaos_hang`` in tests), or a frame-pipeline
+  thread died and it can never publish again.  Detected by the
+  ``wt.health`` probe missing its liveness deadline, or answering
+  ``pipeline_alive: False``, ``probe_failures_to_kill`` sweeps in a row;
+  the remedy is SIGKILL, which converts the hang into a crash.
 * **Saturation** — the worker answers but reports frame compute near or
   past the interaction budget.  Not a supervisor problem: the health
   payload is handed to the admission ladder, which sheds load.
@@ -205,10 +206,12 @@ class WorkerSupervisor:
             try:
                 health = self._probe(slot)
             except RETRYABLE_ERRORS:
+                health = None
+            if health is None or not health.get("pipeline_alive", True):
                 slot.probe_failures += 1
                 if slot.probe_failures >= self.probe_failures_to_kill:
-                    # Alive but past the liveness deadline repeatedly:
-                    # hung.  SIGKILL converts it into a clean crash.
+                    # Alive but repeatedly past the liveness deadline (or
+                    # without a pipeline): hung.  SIGKILL makes it a crash.
                     self._hangs.inc()
                     slot.handle.kill()
                     self._respawn(slot, cause="hang")

@@ -4,9 +4,10 @@ Process isolation is the fault boundary — a worker that segfaults, gets
 OOM-killed, or wedges takes only its own sessions down, and those come
 back via the journal.  The child entrypoint (:func:`run_worker`) builds
 its dataset from a plain picklable *spec* dict, starts an ordinary
-:class:`~repro.core.server.WindtunnelServer` on an ephemeral port, and
-reports the bound address back over a pipe; :class:`WorkerHandle` is the
-parent-side wrapper (spawn, liveness, graceful stop, SIGKILL).
+:class:`~repro.core.server.WindtunnelServer` (figure-8 producer pipeline
+and all) on an ephemeral port, and reports the bound address back over
+a pipe; :class:`WorkerHandle` is the parent-side wrapper (spawn,
+liveness, graceful stop, SIGKILL).
 
 The ``fork`` start method is preferred when the platform offers it:
 respawn latency is part of the recovery time objective (see
@@ -22,10 +23,10 @@ from multiprocessing.connection import Connection
 
 __all__ = ["DEFAULT_SPEC", "WorkerHandle", "default_worker_spec", "run_worker"]
 
-#: Baseline worker spec: a small tapered-cylinder dataset that computes
-#: frames well inside the interaction budget, serial (non-pipelined)
-#: production for determinism under test, and a short frame wait so a
-#: routed call cannot park the gateway's service loop for long.
+#: Baseline worker spec, and the closed set of spec keys: a small
+#: tapered-cylinder dataset that computes frames well inside the
+#: interaction budget, and a short frame wait so a routed call cannot
+#: park the gateway's service loop for long.
 DEFAULT_SPEC = {
     "shape": (12, 12, 6),
     "n_timesteps": 4,
@@ -33,7 +34,6 @@ DEFAULT_SPEC = {
     "time_speed": 2.0,
     "backend": "vector",
     "workers": 2,
-    "pipelined": False,
     "frame_wait": 5.0,
     "lease_seconds": 30.0,
     "reap_interval": 1.0,
@@ -48,15 +48,21 @@ DEFAULT_SPEC = {
 
 
 def default_worker_spec(**overrides) -> dict:
-    """A fresh copy of :data:`DEFAULT_SPEC` with ``overrides`` applied."""
-    spec = dict(DEFAULT_SPEC)
-    spec.update(overrides)
-    return spec
+    """A fresh copy of :data:`DEFAULT_SPEC` with ``overrides`` applied.
+
+    An unknown key raises ``ValueError``: a typo is never dropped silently.
+    """
+    for key in overrides:
+        if key not in DEFAULT_SPEC:
+            raise ValueError(
+                f"unknown worker spec key {key!r}; known: {sorted(DEFAULT_SPEC)}"
+            )
+    return {**DEFAULT_SPEC, **overrides}
 
 
 def spec_slot_shape(spec: dict) -> tuple[int, ...]:
     """Decoded-timestep shape for a spec's dataset, without building it."""
-    return tuple(spec.get("shape", DEFAULT_SPEC["shape"])) + (3,)
+    return tuple(spec["shape"]) + (3,)
 
 
 def spec_dataset_key(spec: dict) -> str:
@@ -69,9 +75,9 @@ def spec_dataset_key(spec: dict) -> str:
     """
     import hashlib
 
-    shape = tuple(spec.get("shape", DEFAULT_SPEC["shape"]))
-    n_timesteps = int(spec.get("n_timesteps", DEFAULT_SPEC["n_timesteps"]))
-    dt = float(spec.get("dt", DEFAULT_SPEC["dt"]))
+    shape = tuple(spec["shape"])
+    n_timesteps = int(spec["n_timesteps"])
+    dt = float(spec["dt"])
     n_points = 1
     for s in shape:
         n_points *= int(s)
@@ -95,10 +101,11 @@ def run_worker(spec: dict, conn: Connection) -> None:
     from repro.diskio.shmcache import SharedTimestepCache
     from repro.flow.taperedcylinder import tapered_cylinder_dataset
 
+    spec = default_worker_spec(**spec)
     dataset = tapered_cylinder_dataset(
-        shape=tuple(spec.get("shape", DEFAULT_SPEC["shape"])),
-        n_timesteps=int(spec.get("n_timesteps", DEFAULT_SPEC["n_timesteps"])),
-        dt=float(spec.get("dt", DEFAULT_SPEC["dt"])),
+        shape=tuple(spec["shape"]),
+        n_timesteps=int(spec["n_timesteps"]),
+        dt=float(spec["dt"]),
     )
     # Tier-2 attach: when the gateway carved a shared segment for this
     # dataset, co-located workers read decoded timesteps from it instead
@@ -106,7 +113,7 @@ def run_worker(spec: dict, conn: Connection) -> None:
     # disk reads (docs/caching.md).  Attach failures degrade to a
     # private loader: the cache is an optimization, never a dependency.
     loader = None
-    cache_spec = spec.get("timestep_cache") or None
+    cache_spec = spec["timestep_cache"]
     if cache_spec:
         try:
             shared = SharedTimestepCache.for_dataset(
@@ -117,9 +124,7 @@ def run_worker(spec: dict, conn: Connection) -> None:
             )
             tiers = TieredTimestepCache(
                 dataset,
-                l1_timesteps=int(
-                    spec.get("cache_timesteps", DEFAULT_SPEC["cache_timesteps"])
-                ),
+                l1_timesteps=int(spec["cache_timesteps"]),
                 l2=shared,
                 owns_l2=True,  # the attachment dies with this worker
             )
@@ -131,18 +136,13 @@ def run_worker(spec: dict, conn: Connection) -> None:
         host="127.0.0.1",
         port=0,
         loader=loader,
-        backend=str(spec.get("backend", DEFAULT_SPEC["backend"])),
-        workers=int(spec.get("workers", DEFAULT_SPEC["workers"])),
-        time_speed=float(spec.get("time_speed", DEFAULT_SPEC["time_speed"])),
-        pipelined=bool(spec.get("pipelined", DEFAULT_SPEC["pipelined"])),
-        frame_wait=float(spec.get("frame_wait", DEFAULT_SPEC["frame_wait"])),
-        lease_seconds=float(
-            spec.get("lease_seconds", DEFAULT_SPEC["lease_seconds"])
-        ),
-        reap_interval=float(
-            spec.get("reap_interval", DEFAULT_SPEC["reap_interval"])
-        ),
-        allow_chaos=bool(spec.get("allow_chaos", DEFAULT_SPEC["allow_chaos"])),
+        backend=str(spec["backend"]),
+        workers=int(spec["workers"]),
+        time_speed=float(spec["time_speed"]),
+        frame_wait=float(spec["frame_wait"]),
+        lease_seconds=float(spec["lease_seconds"]),
+        reap_interval=float(spec["reap_interval"]),
+        allow_chaos=bool(spec["allow_chaos"]),
     )
     server.start()
     try:

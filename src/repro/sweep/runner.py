@@ -2,10 +2,11 @@
 
 One :func:`run_scenario` is a complete windtunnel session with no socket
 and no workstation: the same :class:`~repro.core.engine.ComputeEngine`,
-:class:`~repro.core.pipeline.FramePipeline` (serial mode — the stages
-run on the worker's thread through the identical stage code the live
-server uses), and :class:`~repro.core.framestore.FrameStore` as the
-interactive path, driven by an injected clock one timestep per frame.
+:class:`~repro.core.pipeline.FramePipeline` (never started — each
+``produce_inline()`` runs the stages on the worker's thread through the
+identical stage code the live server uses), and
+:class:`~repro.core.framestore.FrameStore` as the interactive path,
+driven by an injected clock one timestep per frame.
 Every run gets its own :class:`~repro.obs.MetricsRegistry` via
 :func:`~repro.obs.scoped_registry`, so concurrently-running scenarios
 cannot bleed counters into each other and a run's snapshot is *its*
@@ -224,7 +225,6 @@ def _run_scenario_scoped(
         engine,
         env,
         store,
-        threaded=False,
         time_fn=lambda: clock["now"],
         registry=registry,
     )

@@ -10,10 +10,11 @@ Covers the guarantees the refactor introduced:
   slow engine;
 * environment mutations invalidate and republish promptly (bounded
   staleness);
-* the serial fallback mode serves through the identical stage code.
+* headless ``produce_inline()`` on an un-started pipeline runs the
+  identical stage code (encode-once, read-only arrays);
+* a dead producer thread reads dead: parked calls fail promptly.
 """
 
-import threading
 import time
 
 import numpy as np
@@ -28,7 +29,7 @@ from repro.core import (
     WindtunnelClient,
     WindtunnelServer,
 )
-from repro.core.framestore import encode_paths
+from repro.core.framestore import encode_published
 from repro.dlib.protocol import PreEncoded, decode_value, encode_value
 from repro.flow import MemoryDataset, RigidRotation, UniformFlow, sample_on_grid
 from repro.grid import cartesian_grid
@@ -84,6 +85,8 @@ class TestPreEncoded:
 class TestFrameStore:
     def test_publish_stamps_monotonic_seq(self):
         store = FrameStore()
+        heard = []
+        store.subscribe(heard.append)
         frames = [
             store.publish(
                 PublishedFrame(
@@ -96,37 +99,7 @@ class TestFrameStore:
         ]
         assert [f.seq for f in frames] == [1, 2, 3]
         assert store.latest().timestep == 2
-        assert store.previous().timestep == 1
-
-    def test_wait_beyond_times_out_without_publication(self):
-        store = FrameStore()
-        assert store.wait_beyond(0, timeout=0.05) is None
-
-    def test_wait_beyond_wakes_on_publish(self):
-        # Event-driven, not sleep-paced (see tests/__init__.py): the
-        # assertion holds under either interleaving — a reader parked in
-        # wait_beyond is woken by publish, and a reader that arrives
-        # after the publish returns immediately (seq already advanced).
-        store = FrameStore()
-        entered = threading.Event()
-        got = []
-
-        def reader():
-            entered.set()
-            got.append(store.wait_beyond(0, timeout=5.0))
-
-        t = threading.Thread(target=reader)
-        t.start()
-        assert entered.wait(2.0)
-        store.publish(
-            PublishedFrame(
-                version=1, timestep=0, seq=0,
-                paths={}, paths_wire=PreEncoded.wrap({}),
-                compute_seconds=0.0,
-            )
-        )
-        t.join(timeout=5.0)
-        assert got and got[0].seq == 1
+        assert heard == frames  # listeners see every stamped publication
 
 
 class TestImmutablePublication:
@@ -220,14 +193,13 @@ class TestGovernorUnderPipeline:
             c.add_rake([2, 2, 2], [2, 6, 2], n_seeds=4)
             c.fetch_frame()
             stats = c.pipeline_stats()
-            assert stats["pipelined"] is True
             assert stats["frames_published"] == stats["frames_encoded"]
             assert stats["publish_seq"] >= 1
             for stage in ("load", "locate", "integrate", "encode"):
                 assert stage in stats["stages"]
-            assert stats["serial_period_estimate"] >= stats[
-                "steady_period_estimate"
-            ]
+            assert stats["steady_period_estimate"] == max(
+                s["mean"] for s in stats["stages"].values()
+            )
 
 
 class TestInvalidationRepublish:
@@ -281,27 +253,73 @@ class TestInvalidationRepublish:
             assert server.pipeline.frames_produced == produced
 
 
-class TestSerialFallback:
-    def test_serial_mode_serves_identically(self, dataset):
-        clock = {"now": 0.0}
+class TestHeadlessProduction:
+    def test_produce_inline_on_unstarted_pipeline(self, dataset):
+        """The library call the sweep runner drives: no threads, the
+        identical stage code — encode-once and read-only arrays hold."""
+        from repro.core import ComputeEngine, Environment
+        from repro.tracers.rake import Rake
+
+        env = Environment(dataset.n_timesteps)
+        env.add_rake(Rake([2, 2, 2], [2, 6, 2], n_seeds=4))
+        store = FrameStore()
+        pipeline = FramePipeline(
+            ComputeEngine(dataset, ToolSettings(streamline_steps=20)),
+            env,
+            store,
+            time_fn=lambda: 0.0,
+        )
+        assert not pipeline.alive  # never started: nothing will publish
+        frame = pipeline.produce_inline()
+        assert store.latest() is frame and frame.seq == 1
+        assert pipeline.frames_encoded == pipeline.frames_produced == 1
+        stats = pipeline.stats()
+        assert stats["stages"]["encode"]["count"] == 1
+        assert stats["frames_published"] == 1
+        entry = next(iter(frame.paths.values()))
+        assert not entry["vertices"].flags.writeable
+        assert not entry["lengths"].flags.writeable
+
+
+class TestProducerDeath:
+    @pytest.mark.filterwarnings(
+        "ignore::pytest.PytestUnhandledThreadExceptionWarning"
+    )
+    def test_dead_producer_fails_parked_calls_promptly(self, dataset):
+        """A producer thread killed outside its loop's ``try`` (here: the
+        clock raising in ``_should_produce``) must read dead, so a parked
+        ``wt.frame`` fails with the shutdown error long before
+        ``frame_wait`` and ``wt.health`` says so."""
+        from repro.dlib.client import DlibRemoteError
+
+        fault = {"armed": False}
+
+        def time_fn():
+            if fault["armed"]:
+                raise RuntimeError("injected clock fault")
+            return 0.0
+
         with WindtunnelServer(
             dataset,
-            settings=ToolSettings(streamline_steps=20),
-            time_fn=lambda: clock["now"],
-            pipelined=False,
+            settings=ToolSettings(streamline_steps=10),
+            time_fn=time_fn,
+            frame_wait=30.0,
+            reap_interval=3600.0,  # the reaper reads the clock too
         ) as srv:
             with WindtunnelClient(*srv.address) as c:
-                c.add_rake([2, 2, 2], [2, 6, 2], n_seeds=4)
-                s0 = c.fetch_frame()
-                assert s0["cached"] is False
-                s1 = c.fetch_frame()
-                assert s1["cached"] is True
-                stats = c.pipeline_stats()
-                assert stats["pipelined"] is False
-                # Encode-once and immutability hold in serial mode too.
-                assert stats["frames_encoded"] == stats["frames_produced"] == 1
-                entry = next(iter(srv.store.latest().paths.values()))
-                assert not entry["vertices"].flags.writeable
+                c.add_rake([2, 2, 2], [2, 6, 2], n_seeds=3)
+                assert c.fetch_frame()["cached"] is False
+                assert srv.pipeline.alive
+                fault["armed"] = True
+                srv.pipeline.nudge()
+                wait_until(lambda: not srv.pipeline.alive)
+                fault["armed"] = False  # the RPC path reads the clock too
+                srv.env.bump()  # no published frame matches: the call parks
+                t0 = time.monotonic()
+                with pytest.raises(DlibRemoteError, match="shutting down"):
+                    c.fetch_frame()
+                assert time.monotonic() - t0 < 5.0  # not the 30 s frame_wait
+                assert c._call("wt.health")["pipeline_alive"] is False
 
 
 class TestEncodePaths:
@@ -313,11 +331,11 @@ class TestEncodePaths:
         rake = Rake([2, 2, 2], [2, 6, 2], n_seeds=3)
         rake.rake_id = 7
         results = engine.compute_rakes({7: rake}, 0)
-        paths, wire, n_points = encode_paths({7: "streamline"}, results)
-        assert n_points > 0
-        assert not paths["7"]["vertices"].flags.writeable
-        decoded = wire.decode()
+        enc = encode_published({7: "streamline"}, results)
+        assert enc.n_points > 0
+        assert not enc.paths["7"]["vertices"].flags.writeable
+        decoded = enc.wire.decode()
         np.testing.assert_array_equal(
-            decoded["7"]["vertices"], paths["7"]["vertices"]
+            decoded["7"]["vertices"], enc.paths["7"]["vertices"]
         )
         assert decoded["7"]["kind"] == "streamline"

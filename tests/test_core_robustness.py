@@ -397,7 +397,6 @@ def _unstarted_server(fake, **kw):
     return WindtunnelServer(
         make_dataset(),
         settings=ToolSettings(streamline_steps=8),
-        pipelined=False,
         time_fn=lambda: fake["t"],
         **kw,
     )

@@ -357,7 +357,6 @@ class TestMetricsReconciliation:
         with WindtunnelServer(
             dataset,
             loader=loader,
-            pipelined=False,
             time_fn=lambda: 0.0,
         ) as srv:
             with WindtunnelClient(*srv.address) as c:

@@ -389,7 +389,7 @@ class TestPipelineIntegration:
         env.add_rake(Rake([2, 5, 2], [9, 5, 2], n_seeds=4))
         env.add_rake(Rake([5, 2, 2], [5, 9, 2], n_seeds=3))
         store = FrameStore()
-        pipe = FramePipeline(engine, env, store, threaded=False)
+        pipe = FramePipeline(engine, env, store)
         frame = pipe.produce_inline()
         assert frame.batch["fused"] is True
         assert frame.batch["fused_batch_size"] == 7

@@ -28,6 +28,8 @@ from repro.netsim import ProcessFaults
 from repro.obs import MetricsRegistry
 from repro.perf import GatewayCapacityModel
 
+from tests import wait_until
+
 
 class TestSessionJournal:
     def test_join_routes_and_leave_forgets(self):
@@ -329,6 +331,29 @@ class TestClientResilience:
             backup.stop()
 
 
+class TestWorkerSpec:
+    def test_unknown_key_is_rejected_by_name(self):
+        for stale in ({"pipelined": False}, {"frame_wiat": 2.0}):
+            (key,) = stale
+            with pytest.raises(ValueError) as exc:
+                default_worker_spec(**stale)
+            assert repr(key) in str(exc.value)
+            assert "frame_wait" in str(exc.value)  # the known set is named
+            with pytest.raises(ValueError, match=key):
+                SessionGateway(spec=stale)
+
+    def test_benchmark_keys_still_apply(self):
+        # The three keys benchmarks/e2e passes.
+        spec = default_worker_spec(
+            shape=(16, 16, 8), n_timesteps=8, frame_wait=2.0
+        )
+        assert spec["shape"] == (16, 16, 8)
+        assert spec["n_timesteps"] == 8 and spec["frame_wait"] == 2.0
+        assert spec["dt"] == default_worker_spec()["dt"]  # the rest default
+        gw = SessionGateway(spec={"frame_wait": 2.0}, n_workers=1)
+        assert gw.supervisor.spec == default_worker_spec(frame_wait=2.0)
+
+
 @pytest.fixture(scope="module")
 def gateway():
     gw = SessionGateway(
@@ -374,6 +399,30 @@ class TestGatewayRouting:
             c.remove_rake(rid)
             assert gateway.journal.recovery_state(worker)["rakes"] == {}
 
+    def test_workers_run_the_figure8_pipeline(self, gateway):
+        """A routed ``wt.frame`` miss parks on the worker and is resolved
+        by its producer thread — the same path a bare server runs."""
+        from repro.core import WindtunnelClient
+
+        host, port = gateway.address
+        with WindtunnelClient(host, port, name="fig8") as c:
+            c.add_rake((0, 0, 0), (1, 1, 1), n_seeds=3)
+            c.time_control("pause")  # no clock tick between the two reads
+            c.time_control("step", 1)
+            assert c.fetch_frame()["cached"] is False
+            assert c.fetch_frame()["cached"] is True
+            stats = c.pipeline_stats()
+            assert stats["frames_encoded"] == stats["frames_produced"] >= 1
+            assert stats["requests"] >= 1  # the miss registered a waiter
+            # The producer thread is live: it keeps polling while idle.
+            wait_until(
+                lambda: c.pipeline_stats()["idle_cycles"] > stats["idle_cycles"]
+            )
+            worker = gateway.journal.worker_of(c.client_id)
+            with DlibClient(*gateway.supervisor.address_of(worker)) as direct:
+                assert direct.call("wt.health")["pipeline_alive"] is True
+            c.time_control("resume")
+
     def test_subscription_and_clock_journal(self, gateway):
         from repro.core import WindtunnelClient
 
@@ -409,6 +458,42 @@ class TestGatewayRouting:
             with pytest.raises(DlibRemoteError) as exc:
                 raw.call("wt.frame", 424242)
             assert exc.value.remote_type == "KeyError"
+
+
+class TestSupervisorDeadPipeline:
+    def test_dead_pipeline_probe_walks_the_hang_ladder(self, monkeypatch):
+        """A worker that answers ``pipeline_alive: False`` can never
+        publish again: the supervisor counts the probe as failed and,
+        after ``probe_failures_to_kill`` of them, kills and respawns."""
+        from repro.core import WindtunnelClient
+
+        gw = SessionGateway(
+            n_workers=1,
+            heartbeat_interval=3600.0,  # sweeps are driven by hand below
+            probe_failures_to_kill=2,
+        )
+        with gw:
+            sup = gw.supervisor
+            sup.sweep()
+            assert sup.healths()["w0"]["pipeline_alive"] is True
+            generation, pid = sup.generation_of("w0"), sup.handle_of("w0").pid
+            real_probe = sup._probe
+            monkeypatch.setattr(
+                sup, "_probe",
+                lambda slot: {**real_probe(slot), "pipeline_alive": False},
+            )
+            sup.sweep()  # one bad answer is weather
+            assert sup.generation_of("w0") == generation
+            sup.sweep()  # two in a row is a wedge
+            monkeypatch.undo()
+            assert sup.generation_of("w0") == generation + 1
+            assert sup.handle_of("w0").pid != pid
+            counters = gw.registry.snapshot()["counters"]
+            assert counters["gateway.workers_hung"] == 1
+            assert counters["gateway.workers_respawned"] == 1
+            assert counters["gateway.worker.w0.respawns.hang"] == 1
+            with WindtunnelClient(*gw.address, name="after") as c:
+                assert c.fetch_frame()["timestep"] >= 0
 
 
 class TestGatewayAdmissionLive:

@@ -7,7 +7,10 @@ deadline — no torn frames, no duplicated rakes, and the gateway's
 recovery counters reconcile exactly against the injected fault count.
 A second scenario wedges a worker's service loop (``wt.chaos_hang``) and
 checks the supervisor's liveness deadline converts the hang into a crash
-it already knows how to recover.
+it already knows how to recover.  A third kills a worker while a routed
+``wt.frame`` is *parked* on it as a continuation — workers run the
+figure-8 producer pipeline, so a miss waits on the worker's loop without
+blocking it.
 """
 
 import threading
@@ -16,8 +19,11 @@ import time
 import pytest
 
 from repro.core import WindtunnelClient
+from repro.dlib.client import DlibClient
 from repro.gateway import SessionGateway, default_worker_spec
 from repro.netsim import ProcessFaults
+
+from tests import wait_until
 
 JOIN_DEADLINE = 60.0
 RECOVER_DEADLINE = 30.0
@@ -177,3 +183,56 @@ class TestHangRecovery:
             assert c.rejoins >= 1
         assert faults.stats.hangs == 1
         assert counter(gateway, "gateway.workers_hung") - hung0 == 1
+
+
+class TestKillWhileParked:
+    def test_sigkill_with_a_routed_frame_parked_on_the_worker(self):
+        """The worker dies holding a deferred ``wt.frame``: the blocked
+        forward fails once, the client sees ``SessionExpiredError``,
+        rejoins, and is served a frame of the journaled clock."""
+        gw = SessionGateway(
+            # Generous waits: the production below is deliberately long.
+            default_worker_spec(frame_wait=30.0),
+            n_workers=1,
+            heartbeat_interval=0.2,
+            recovery_wait=20.0,
+            route_timeout=40.0,
+        )
+        with gw:
+            faults = ProcessFaults(seed=3, registry=gw.registry)
+            with WindtunnelClient(*gw.address, name="parked") as c:
+                c.time_control("pause")
+                journaled = c.time_control("step", 1)["timestep"]
+                # Many seeds: production takes long enough to be caught
+                # mid-flight, with the call parked the whole time.
+                rids = [
+                    c.add_rake((-1.0, y, 0.5), (1.0, y, 0.5), n_seeds=1500)
+                    for y in (-1.0, 1.0)
+                ]
+                got = {}
+                t = threading.Thread(
+                    target=lambda: got.update(frame=c.fetch_frame()),
+                    daemon=True,
+                )
+                with DlibClient(*gw.supervisor.address_of("w0")) as direct:
+                    t.start()
+                    wait_until(
+                        lambda: direct.call("wt.stats")["frame_waiters"] == 1,
+                        timeout=JOIN_DEADLINE,
+                        interval=0.001,
+                    )
+                    faults.kill(gw.supervisor.handle_of("w0"))
+                t.join(timeout=RECOVER_DEADLINE)
+                assert not t.is_alive()
+
+                assert c.rejoins == 1
+                frame = got["frame"]
+                assert frame["timestep"] == journaled
+                assert frame["env"]["clock"]["playing"] is False
+                assert set(frame["paths"]) == {str(r) for r in rids}
+
+            assert faults.stats.kills == 1
+            assert counter(gw, "gateway.forward_failures") == 1
+            assert counter(gw, "gateway.workers_respawned") == 1
+            assert counter(gw, "gateway.sessions_recovered") == 1
+            assert counter(gw, "gateway.rejoins") == 1

@@ -26,7 +26,6 @@ from repro.core.framestore import (
     EncodingCache,
     FrameStore,
     PublishedFrame,
-    encode_paths,
     encode_published,
 )
 from repro.core.governor import DEGRADATION_LADDER, DegradationPolicy
@@ -150,11 +149,11 @@ def test_composed_wire_is_byte_identical_to_direct_encode():
     """Fragment concatenation == single-shot encode: the v1 compat pin."""
     results = {1: _Result(1), 2: _Result(2), 7: _Result(7)}
     kinds = {rid: "streamline" for rid in results}
-    paths, wire, n_points = encode_paths(kinds, results)
-    assert wire.data == encode_value(paths)
+    enc = encode_published(kinds, results)
+    assert enc.wire.data == encode_value(enc.paths)
     frame = _frame(results)
     full = frame.compose(list(frame.paths))
-    assert full.data == wire.data
+    assert full.data == enc.wire.data
 
 
 def test_compose_subset_matches_direct_subset_encode():
