@@ -1,4 +1,4 @@
-"""The BENCH_9 tiered timestep-cache scenario: co-located replay, measured.
+"""The tiered timestep-cache scenario: co-located replay, measured.
 
 Replays one small unsteady dataset through the three-tier cache ladder
 (docs/caching.md) twice over:
@@ -17,19 +17,15 @@ Disk time is modeled (the ``DiskModel`` charge flows through an
 injected sleep that accumulates instead of sleeping), so both numbers
 are deterministic and the lane runs in milliseconds.  The lane also
 proves the cache is *transparent*: frames produced through the cached
-loader are bit-identical to the uncached path.  Per-tier read costs are
-measured live and fitted into a :class:`repro.perf.CacheTierModel`,
-which extrapolates the fleet-scale Table 2 rows.
+loader are bit-identical to the uncached path.
 
-Shared between ``benchmarks/record.py --cache`` (emits BENCH_9.json
-with host provenance + CI gates) and ad-hoc profiling of the cache.
+The scenario behind ``benchmarks/test_cache_tiers.py``.
 """
 
 from __future__ import annotations
 
 import os
 import sys
-import time
 from itertools import count
 from pathlib import Path
 
@@ -45,7 +41,6 @@ from repro.diskio import CONVEX_DISK, TieredTimestepCache, TimestepLoader  # noq
 from repro.diskio.shmcache import SharedTimestepCache  # noqa: E402
 from repro.flow import tapered_cylinder_dataset  # noqa: E402
 from repro.obs import MetricsRegistry, scoped_registry  # noqa: E402
-from repro.perf import CacheTierModel  # noqa: E402
 from repro.tracers import Rake  # noqa: E402
 
 FAST = bool(os.environ.get("WT_BENCH_FAST"))
@@ -131,44 +126,8 @@ def _produce_frames(dataset, with_cache: bool) -> list[bytes]:
         return frames
 
 
-def _measure_tier_costs(dataset) -> list[tuple]:
-    """Live per-tier read costs as ``CacheTierModel.fit`` sample mixes."""
-    charges: list[float] = []
-    tiers = TieredTimestepCache(
-        dataset, disk_model=CONVEX_DISK, sleep=charges.append,
-        l1_timesteps=TIMESTEPS,
-    )
-    tiers.get(0)
-    rounds = 50
-    t0 = time.perf_counter()
-    for _ in range(rounds):
-        tiers.get(0)  # warm L1
-    l1_cost = (time.perf_counter() - t0) / rounds
-    tiers.close()
-
-    seg = SharedTimestepCache.for_dataset(
-        dataset, name=f"wt-b9-cost-{os.getpid()}-{next(_seq)}", slots=2,
-        create="always",
-    )
-    try:
-        seg.put(0, np.asarray(dataset.grid_velocity(0)))
-        t0 = time.perf_counter()
-        for _ in range(rounds):
-            seg.get(0)  # seqlock-validated copy-out
-        l2_cost = (time.perf_counter() - t0) / rounds
-    finally:
-        seg.close()
-
-    source_cost = CONVEX_DISK.read_time(dataset.timestep_nbytes)
-    return [
-        (1.0, 0.0, 0.0, l1_cost),
-        (0.0, 1.0, 0.0, l2_cost),
-        (0.0, 0.0, 1.0, source_cost),
-    ]
-
-
 def run_cache_scenario() -> dict:
-    """Run the BENCH_9 measurement once; plain-data result for JSON."""
+    """Run the measurement once; returns the result the gate asserts on."""
     dataset = tapered_cylinder_dataset(
         shape=SHAPE, n_timesteps=TIMESTEPS, dt=0.25
     )
@@ -222,37 +181,7 @@ def run_cache_scenario() -> dict:
     frames_plain = _produce_frames(dataset, with_cache=False)
     frames_identical = frames_cached == frames_plain
 
-    # -- fitted cost model and the fleet-scale Table 2 ---------------------
-    model = CacheTierModel.fit(_measure_tier_costs(dataset))
-    mb = float(1 << 20)
-    fleet_rows = []
-    for n in (1, 2, 4, 8, 16, 32):
-        h2 = CacheTierModel.fleet_l2_hit_rate(n)
-        fleet_rows.append(
-            {
-                "sessions": n,
-                "l2_hit_rate": h2,
-                "aggregate_disk_factor": model.aggregate_disk_factor(n),
-                "effective_bandwidth_mbps": model.effective_bandwidth(
-                    dataset.timestep_nbytes, 0.0, h2
-                )
-                / mb,
-                "max_sessions_at_10hz": model.max_sessions(10.0, h2),
-            }
-        )
-
     return {
-        "bench": "BENCH_9",
-        "fast_mode": FAST,
-        "scenario": {
-            "shape": list(SHAPE),
-            "timesteps": TIMESTEPS,
-            "sessions": N_SESSIONS,
-            "passes": PASSES,
-            "l1_timesteps": L1_TIMESTEPS,
-            "l2_slots": SLOTS,
-            "timestep_nbytes": int(dataset.timestep_nbytes),
-        },
         "baseline": {
             "disk_seconds": baseline_disk_seconds,
             "source_reads": int(baseline_reads),
@@ -267,12 +196,4 @@ def run_cache_scenario() -> dict:
         },
         "aggregate_disk_ratio": ratio,
         "frames_identical": frames_identical,
-        "identity_frames": IDENTITY_FRAMES,
-        "model": {
-            "l1_seconds": model.l1_seconds,
-            "l2_seconds": model.l2_seconds,
-            "source_seconds": model.source_seconds,
-        },
-        "fleet_table": fleet_rows,
-        "gates": {"ratio": RATIO_GATE, "l2_hit_rate": L2_HIT_GATE},
     }

@@ -1,13 +1,10 @@
-"""BENCH_6 driver: gateway capacity and recovery, measured live.
+"""Gateway capacity and recovery, measured live.
 
-One scenario, shared by ``benchmarks/test_gateway_capacity.py`` (the
-gated pytest entry) and ``benchmarks/record.py --gateway`` (the JSON
-trajectory recorder): bring up a :class:`repro.gateway.SessionGateway`
-pool, measure the two constants of the
-:class:`repro.perf.GatewayCapacityModel` (per-frame worker service time
-and per-call gateway routing overhead), sweep aggregate frame throughput
-and p99 latency against session count, then SIGKILL a loaded worker and
-time the recovery — the measured RTO the model is supposed to predict.
+The scenario behind ``benchmarks/test_gateway_capacity.py``: bring up a
+:class:`repro.gateway.SessionGateway` pool, measure per-frame worker
+service time and per-call gateway routing overhead, sweep aggregate
+frame throughput and p99 latency against session count, then SIGKILL a
+loaded worker and time the recovery — the measured RTO.
 
 ``WT_BENCH_FAST=1`` shrinks the sweep for CI smoke runs.
 """
@@ -81,11 +78,10 @@ def _throughput_sweep(clients, session_counts, window: float) -> list[dict]:
 
 
 def run_capacity_scenario() -> dict:
-    """The full BENCH_6 measurement; returns the JSON-ready result."""
+    """The full measurement; returns the result the gate asserts on."""
     from repro.core import WindtunnelClient
     from repro.gateway import SessionGateway, default_worker_spec
     from repro.netsim import ProcessFaults
-    from repro.perf import GatewayCapacityModel
 
     spec = default_worker_spec(frame_wait=2.0)
     max_sessions = max(SESSION_COUNTS)
@@ -113,9 +109,9 @@ def run_capacity_scenario() -> dict:
                 )
                 c.fetch_frame()  # warm every seat
 
-            # Constant 1: the gateway hop alone.  wt.stats answers from
-            # the gateway's own serial loop without touching a worker, so
-            # its round trip is decode + route bookkeeping + re-encode.
+            # The gateway hop alone.  wt.stats answers from the gateway's
+            # own serial loop without touching a worker, so its round
+            # trip is decode + route bookkeeping + re-encode.
             route_samples = []
             for _ in range(ROUTE_PROBES):
                 t0 = time.perf_counter()
@@ -123,8 +119,8 @@ def run_capacity_scenario() -> dict:
                 route_samples.append(time.perf_counter() - t0)
             route_overhead = _median(route_samples)
 
-            # Constant 2: worker frame service time, measured with one
-            # tenant and the gateway hop subtracted back out.
+            # Worker frame service time, measured with one tenant and
+            # the gateway hop subtracted back out.
             solo = []
             for _ in range(ROUTE_PROBES // 2):
                 t0 = time.perf_counter()
@@ -162,20 +158,8 @@ def run_capacity_scenario() -> dict:
                     time.sleep(0.05)
             rto_measured = time.perf_counter() - t_kill
 
-            model = GatewayCapacityModel(
-                frame_seconds=frame_seconds,
-                route_overhead_seconds=route_overhead,
-                respawn_seconds=rto_measured,
-            )
-            peak = sweep[-1]
-            predicted = model.aggregate_fps(peak["sessions"], N_WORKERS)
             return {
-                "bench": "BENCH_6",
-                "fast_mode": FAST,
                 "n_workers": N_WORKERS,
-                "worker_spec": {
-                    k: v for k, v in spec.items() if k != "allow_chaos"
-                },
                 "frame_seconds": frame_seconds,
                 "route_overhead_seconds": route_overhead,
                 "throughput": sweep,
@@ -188,13 +172,6 @@ def run_capacity_scenario() -> dict:
                     "workers_respawned": gateway.registry.counter(
                         "gateway.workers_respawned"
                     ).value,
-                },
-                "model": {
-                    "predicted_aggregate_fps": predicted,
-                    "measured_aggregate_fps": peak["aggregate_fps"],
-                    "prediction_ratio": (
-                        peak["aggregate_fps"] / predicted if predicted else 0.0
-                    ),
                 },
             }
         finally:

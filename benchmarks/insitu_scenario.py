@@ -1,4 +1,4 @@
-"""The BENCH_10 live-windtunnel soak: sim + vis + steered push clients.
+"""The live-windtunnel soak: sim + vis + steered push clients.
 
 One :class:`~repro.insitu.InsituWindtunnelServer` free-runs its solver
 while ``N_CLIENTS`` pushed subscribers watch.  A pilot client steers the
@@ -15,12 +15,7 @@ the scenario measures the three things docs/steering.md promises:
   ``insitu.sim_steps_total`` must equal
   ``(insitu.timesteps_published - 1) * steps_per_timestep``.
 
-Measured solver-step and frame timings are fitted into a
-:class:`repro.perf.SimVisModel`, whose predicted achievable fps and
-steering latency ride along in the result for trajectory tracking.
-
-Shared between ``benchmarks/record.py --insitu`` (emits BENCH_10.json
-with host provenance + CI gates) and ``benchmarks/test_insitu_soak.py``.
+The scenario behind ``benchmarks/test_insitu_soak.py``.
 """
 
 from __future__ import annotations
@@ -33,9 +28,8 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.core import WindtunnelClient  # noqa: E402
-from repro.flow.solver import NavierStokes2D, SolverConfig  # noqa: E402
+from repro.flow.solver import SolverConfig  # noqa: E402
 from repro.insitu import InsituWindtunnelServer  # noqa: E402
-from repro.perf import SimVisModel  # noqa: E402
 
 FAST = bool(os.environ.get("WT_BENCH_FAST"))
 
@@ -65,24 +59,9 @@ MIN_CLIENT_FPS = 4.0 if FAST else 8.0
 FRAME_BUDGET_SECONDS = 0.125   # the paper's 1/8 s interaction bound
 
 
-def _measure_step_seconds(config: SolverConfig, n: int = 5) -> list[float]:
-    """Per-step wall cost of the deployed solver grid (for the model fit)."""
-    solver = NavierStokes2D(config)
-    solver.run(2)  # warm the operator caches
-    samples = []
-    for _ in range(n):
-        start = time.perf_counter()
-        solver.run(1)
-        samples.append(time.perf_counter() - start)
-    return samples
-
-
 def run_insitu_scenario() -> dict:
-    config = SolverConfig(nx=NX, ny=NY)
-    step_samples = _measure_step_seconds(config)
-
     server = InsituWindtunnelServer(
-        solver_config=config,
+        solver_config=SolverConfig(nx=NX, ny=NY),
         steps_per_timestep=STEPS_PER_TIMESTEP,
         ring_capacity=32,
         sim_period_seconds=SIM_PERIOD,
@@ -153,23 +132,7 @@ def run_insitu_scenario() -> dict:
                 }
             )
 
-        mean_fps = sum(r["fps"] for r in client_rows) / len(client_rows)
-        model = SimVisModel.fit(
-            step_samples,
-            steps_per_timestep=STEPS_PER_TIMESTEP,
-            vis_samples=[1.0 / mean_fps] if mean_fps > 0 else (),
-        )
         return {
-            "bench": "BENCH_10",
-            "scenario": {
-                "grid": [NX, NY],
-                "steps_per_timestep": STEPS_PER_TIMESTEP,
-                "sim_period_seconds": SIM_PERIOD,
-                "clients": N_CLIENTS,
-                "steers": N_STEERS,
-                "steer_interval_seconds": STEER_INTERVAL,
-                "fast": FAST,
-            },
             "elapsed_seconds": elapsed,
             "sim": {
                 "timesteps_published": published,
@@ -184,24 +147,8 @@ def run_insitu_scenario() -> dict:
             "steering": steers,
             "clients": client_rows,
             "frame_budget_seconds": FRAME_BUDGET_SECONDS,
-            "model": {
-                "step_seconds": model.step_seconds,
-                "publish_seconds": model.publish_seconds,
-                "vis_seconds": model.vis_seconds,
-                "predicted_fps": model.achievable_fps(),
-                "predicted_steering_latency_seconds": (
-                    model.steering_latency_seconds()
-                ),
-                "predicted_frames_behind": model.frames_behind(),
-            },
         }
     finally:
         for c in clients:
             c.close()
         server.stop()
-
-
-if __name__ == "__main__":
-    import json
-
-    print(json.dumps(run_insitu_scenario(), indent=2, sort_keys=True))

@@ -1,15 +1,13 @@
-"""BENCH_7 driver: push fan-out soak on one event-loop worker.
+"""Push fan-out soak on one event-loop worker.
 
-One scenario, shared by ``benchmarks/test_server_soak.py`` (the gated
-pytest entry) and ``benchmarks/record.py --soak`` (the JSON trajectory
-recorder): stand up a single :class:`repro.core.WindtunnelServer`,
-connect a ladder of raw-socket push subscribers spread across the
-encoding variants, drive the simulation clock at a fixed tick rate, and
-measure — per subscriber level — delivered frame throughput, the
-server's fan-out latency and loop lag (from ``repro.obs``), and the
-encode-dedup ratio (variant encodes per publication, which must track
-the number of *distinct* variants, not the number of clients).  The
-sweep then fits a :class:`repro.perf.ServerLoopModel`.
+The scenario behind ``benchmarks/test_server_soak.py``: stand up a
+single :class:`repro.core.WindtunnelServer`, connect a ladder of
+raw-socket push subscribers spread across the encoding variants, drive
+the simulation clock at a fixed tick rate, and measure — per subscriber
+level — delivered frame throughput, the server's fan-out latency and
+loop lag (from ``repro.obs``), and the encode-dedup ratio (variant
+encodes per publication, which must track the number of *distinct*
+variants, not the number of clients).
 
 Subscribers are deliberately raw sockets, not ``WindtunnelClient``s: a
 thousand full clients cost more test-harness CPU than server CPU, which
@@ -193,9 +191,8 @@ def _make_dataset():
 
 
 def run_soak_scenario() -> dict:
-    """The full BENCH_7 measurement; returns the JSON-ready result."""
+    """The full measurement; returns the result the gate asserts on."""
     from repro.core import ToolSettings, WindtunnelClient, WindtunnelServer
-    from repro.perf import ServerLoopModel
 
     max_clients = max(CLIENT_COUNTS)
     fd_ceiling = _raise_fd_limit(2 * max_clients + 256)
@@ -286,28 +283,12 @@ def run_soak_scenario() -> dict:
                     }
                 )
 
-            model = ServerLoopModel.fit(
-                [(row["clients"], row["mean_fanout_seconds"]) for row in levels],
-            )
-            peak = levels[-1]
-            predicted_hz = model.max_publish_hz(peak["clients"])
             return {
-                "bench": "BENCH_7",
-                "fast_mode": FAST,
-                "tick_hz": TICK_HZ,
-                "n_rakes": N_RAKES,
-                "variants": [list(v) for v in VARIANTS],
                 "distinct_encoded_variants": sum(
                     1 for enc, dec in VARIANTS if not (enc == "v1" and dec == 1)
                 ),
                 "subscribers_dropped": reader.dropped,
                 "levels": levels,
-                "model": {
-                    "encode_seconds": model.encode_seconds,
-                    "per_client_seconds": model.per_client_seconds,
-                    "max_publish_hz_at_peak": predicted_hz,
-                    "max_clients_at_tick_hz": model.max_clients(TICK_HZ),
-                },
             }
     finally:
         reader.stop()

@@ -8,12 +8,11 @@ the fused path gathers every rake's seeds into one batch, integrates
 once, and slices the results back by offset.
 
 Asserted here: the fused path is **>= 2x faster** at **bit-identical**
-output on the ``vector`` backend, and the measured per-rake/fused pair is
-explained by the :class:`repro.perf.ComputeModel` launch-overhead law.
+output on the ``vector`` backend.
 
 Set ``WT_BENCH_FAST=1`` for the CI smoke variant (fewer rounds, shorter
 paths, and a relaxed 1.3x floor — CI machines are noisy; the tracked
-number comes from ``benchmarks/record.py``).
+compute number is ``pipeline.integrate_ms`` in ``benchmarks/e2e``).
 """
 
 import os
@@ -22,7 +21,6 @@ import time
 import numpy as np
 
 from repro.core import ComputeEngine, ToolSettings
-from repro.perf import ComputeModel
 from repro.tracers import Rake
 
 FAST = bool(os.environ.get("WT_BENCH_FAST"))
@@ -80,11 +78,6 @@ def test_fused_vs_per_rake_speedup(cylinder_dataset, record, benchmark):
     speedup = t_base / t_fused
     points = sum(r.n_points for r in out_fused.values())
 
-    # The launch-overhead cost law, fitted from the two measurements:
-    # t = n_launches * overhead + points * per_point.
-    model = ComputeModel.fit(
-        [N_RAKES, 1], [points, points], [t_base, t_fused]
-    )
     record(
         "fused_compute",
         [
@@ -93,11 +86,6 @@ def test_fused_vs_per_rake_speedup(cylinder_dataset, record, benchmark):
             f"fused frame     {t_fused * 1e3:8.2f} ms",
             f"speedup         {speedup:8.2f}x  (floor {MIN_SPEEDUP}x)",
             f"points/second   {points / t_fused:,.0f}",
-            f"fitted launch overhead   {model.launch_overhead * 1e3:.3f} ms",
-            f"fitted per-point cost    {model.per_point_seconds * 1e9:.1f} ns",
         ],
     )
     assert speedup >= MIN_SPEEDUP, (t_base, t_fused)
-    # The model round-trips: with the fitted parameters, fusing this
-    # frame should predict (close to) the measured speedup.
-    assert model.predicted_speedup(N_RAKES, points) > MIN_SPEEDUP

@@ -1,21 +1,16 @@
-"""BENCH_6 — gateway capacity and recovery time (issue 6).
+"""Gateway capacity and recovery time (issue 6).
 
 Runs the live scenario from :mod:`benchmarks.gateway_scenario` and gates
 on what must always hold, fast machine or slow: throughput grows (or at
-least does not collapse) with session count, the fitted
-:class:`repro.perf.GatewayCapacityModel` predicts the measured aggregate
-within an order of magnitude, and a SIGKILLed worker's sessions are all
-serving again inside the recovery deadline with the gateway's counters
-reconciled.  ``benchmarks/record.py --gateway`` emits the same scenario
-as ``BENCH_6.json`` for the perf trajectory.
+least does not collapse) with session count, and a SIGKILLed worker's
+sessions are all serving again inside the recovery deadline with the
+gateway's counters reconciled.
 """
-
-import json
 
 from gateway_scenario import FAST, RECOVERY_DEADLINE, run_capacity_scenario
 
 
-def test_gateway_capacity_and_recovery(record, output_dir):
+def test_gateway_capacity_and_recovery(record):
     result = run_capacity_scenario()
 
     sweep = result["throughput"]
@@ -26,20 +21,11 @@ def test_gateway_capacity_and_recovery(record, output_dir):
     # throughput — admission and placement are doing their job.
     assert peak["aggregate_fps"] >= 0.5 * solo_fps
 
-    # The two-constant model lands within an order of magnitude of the
-    # measured aggregate (the tracked number lives in BENCH_6.json; the
-    # gate only catches the model going nonsensical).
-    ratio = result["model"]["prediction_ratio"]
-    assert 0.1 <= ratio <= 10.0, f"capacity model off by {ratio:.2f}x"
-
     rec = result["recovery"]
     assert rec["rto_seconds"] < RECOVERY_DEADLINE
     assert rec["workers_respawned"] == 1
     assert rec["sessions_recovered"] == rec["sessions_on_victim"]
 
-    (output_dir / "BENCH_6.json").write_text(
-        json.dumps(result, indent=2, sort_keys=True) + "\n"
-    )
     record(
         "gateway_capacity",
         [

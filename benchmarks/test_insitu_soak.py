@@ -1,11 +1,10 @@
-"""BENCH_10 — the live windtunnel under steering (docs/steering.md).
+"""The live windtunnel under steering (docs/steering.md).
 
 Sim + vis + pushed clients in one process: the solver free-runs while
 ``N_CLIENTS`` subscribers hold their frame budget, the pilot steers once
 per interval, and every client must observe new-epoch frames within the
 latency gate — with the ``insitu.*`` counters reconciling exactly.  The
-measurement itself lives in :mod:`benchmarks.insitu_scenario`, shared
-with ``record.py --insitu``.
+measurement itself lives in :mod:`benchmarks.insitu_scenario`.
 """
 
 import pytest
@@ -42,7 +41,6 @@ def test_clients_hold_frame_budget(scenario_result, record):
         assert row["fps"] >= MIN_CLIENT_FPS, row
 
     sim = scenario_result["sim"]
-    model = scenario_result["model"]
     latencies = [s["latency_seconds"] for s in scenario_result["steering"]]
     lines = [
         f"sim: {sim['timesteps_published']} timesteps "
@@ -53,8 +51,5 @@ def test_clients_hold_frame_budget(scenario_result, record):
         + f" (gate {MIN_CLIENT_FPS})",
         f"steering latency: max {max(latencies) * 1e3:.1f} ms over "
         f"{len(latencies)} steers (gate {STEER_LATENCY_GATE}s)",
-        f"model: step {model['step_seconds'] * 1e6:.0f} us, predicted "
-        f"{model['predicted_fps']:.1f} fps, steering latency "
-        f"{model['predicted_steering_latency_seconds'] * 1e3:.1f} ms",
     ]
     record("BENCH_10_insitu", lines)

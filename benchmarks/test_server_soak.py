@@ -1,4 +1,4 @@
-"""BENCH_7 — push fan-out soak on one event-loop worker (issue 7).
+"""Push fan-out soak on one event-loop worker (issue 7).
 
 Runs the live scenario from :mod:`benchmarks.soak_scenario` and gates on
 what must always hold, fast machine or slow: every subscriber level
@@ -6,16 +6,12 @@ keeps receiving frames (no starvation, no dropped connections), fan-out
 latency stays bounded, and — the tentpole property — the number of
 variant encodes per publication equals the number of *distinct*
 encoding variants in play, not the number of clients.
-``benchmarks/record.py --soak`` emits the same scenario as
-``BENCH_7.json`` for the perf trajectory.
 """
-
-import json
 
 from soak_scenario import FAST, N_RAKES, TICK_HZ, run_soak_scenario
 
 
-def test_push_fanout_soak(record, output_dir):
+def test_push_fanout_soak(record):
     result = run_soak_scenario()
 
     levels = result["levels"]
@@ -46,19 +42,6 @@ def test_push_fanout_soak(record, output_dir):
     if not FAST:
         assert peak["clients"] >= 500
 
-    # The fitted loop model stays physical and lands within an order of
-    # magnitude of the measured saturation rate.
-    model = result["model"]
-    assert model["per_client_seconds"] >= 0.0
-    measured_hz = peak["publish_hz"]
-    predicted_hz = model["max_publish_hz_at_peak"]
-    if measured_hz < 0.9 * TICK_HZ:  # saturated: the prediction is testable
-        ratio = measured_hz / predicted_hz if predicted_hz else 0.0
-        assert 0.1 <= ratio <= 10.0, f"loop model off by {ratio:.2f}x"
-
-    (output_dir / "BENCH_7.json").write_text(
-        json.dumps(result, indent=2, sort_keys=True) + "\n"
-    )
     record(
         "server_soak",
         [
@@ -72,7 +55,8 @@ def test_push_fanout_soak(record, output_dir):
                 f"{row['frames_shed']} shed"
                 for row in levels
             ),
-            f"model: {model['per_client_seconds'] * 1e6:.0f} us/client, "
-            f"max {model['max_clients_at_tick_hz']} clients at {TICK_HZ:.0f} Hz",
+            f"at {peak['clients']} clients one publication costs the loop "
+            f"{peak['mean_fanout_seconds'] / peak['clients'] * 1e6:.0f} "
+            "us per subscriber",
         ],
     )

@@ -18,15 +18,12 @@ fixed-point quantization).  Measures:
   may only ever undercut (the gate: measured <= model, keyframe and
   session).
 
-Results land in ``benchmarks/output/BENCH_5.json`` — the wire-efficiency
-trajectory, next to BENCH_4's compute trajectory.
+Results land in ``benchmarks/output/wire_efficiency.txt``.
 """
 
 from __future__ import annotations
 
-import json
 import os
-import platform
 
 import numpy as np
 import pytest
@@ -102,7 +99,7 @@ def _drag_session(server, client, rake_end) -> dict:
     return {"frames": frames, "bytes": total, "bytes_per_frame": total / frames}
 
 
-def test_v2_cuts_bytes_per_frame(wt_server, small_dataset, record, output_dir):
+def test_v2_cuts_bytes_per_frame(wt_server, small_dataset, record):
     host, port = wt_server.address
     vc1 = VirtualClock()
     shaped = BandwidthSchedule([(0.0, ULTRANET_ACTUAL.bandwidth)])
@@ -169,13 +166,10 @@ def test_v2_cuts_bytes_per_frame(wt_server, small_dataset, record, output_dir):
     )
     q16 = wt_server.registry.snapshot()["counters"]
     result = {
-        "bench": "BENCH_5",
         "scenario": (
             f"{N_RAKES} rakes x {SEEDS_PER_RAKE} seeds, drag 1 rake, "
             f"{N_DRAGS} drags x {FETCHES_PER_DRAG} fetches, shaped 1 MB/s"
         ),
-        "fast_mode": FAST,
-        "platform": platform.platform(),
         "n_points": n_points,
         "v1_bytes_per_frame": v1["bytes_per_frame"],
         "v2_bytes_per_frame": v2["bytes_per_frame"],
@@ -187,9 +181,7 @@ def test_v2_cuts_bytes_per_frame(wt_server, small_dataset, record, output_dir):
         "v1_network_fps": 1.0 / v1_net_seconds,
         "v2_network_fps": 1.0 / v2_net_seconds,
         "max_quantization_error": max_err,
-        "delta_ratio": wt_server.registry.snapshot()["gauges"]["net.delta_ratio"],
     }
-    (output_dir / "BENCH_5.json").write_text(json.dumps(result, indent=2))
     record(
         "wire_efficiency",
         [

@@ -6,9 +6,10 @@ drives the same client with :class:`~repro.vr.desktop.DesktopInput` —
 mouse position maps to a hand in a working volume, the wheel sets depth,
 left button grabs — and renders mono (no stereo writemasks).
 
-Run:  python examples/desktop_windtunnel.py
+Run:  python examples/desktop_windtunnel.py [output-dir]
 """
 
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +18,9 @@ from repro import WindtunnelClient, WindtunnelServer, tapered_cylinder_dataset
 from repro.vr import DesktopInput, MouseState
 from repro.util import look_at
 
-OUT = Path(__file__).parent / "output"
+OUT = Path(
+    sys.argv[1] if len(sys.argv) > 1 else Path(__file__).parent / "output"
+)
 OUT.mkdir(exist_ok=True)
 
 dataset = tapered_cylinder_dataset(shape=(24, 24, 12), n_timesteps=12, dt=0.25)

@@ -5,15 +5,18 @@ system (server) and a workstation (client) connected over loopback TCP,
 drops a streamline rake into the wake, runs one full interaction cycle,
 and writes the stereo frame to ``examples/output/quickstart.ppm``.
 
-Run:  python examples/quickstart.py
+Run:  python examples/quickstart.py [output-dir]
 """
 
+import sys
 from pathlib import Path
 
 from repro import WindtunnelClient, WindtunnelServer, tapered_cylinder_dataset
 from repro.util import look_at
 
-OUT = Path(__file__).parent / "output"
+OUT = Path(
+    sys.argv[1] if len(sys.argv) > 1 else Path(__file__).parent / "output"
+)
 OUT.mkdir(exist_ok=True)
 
 # 1. The dataset: unsteady flow past a tapered cylinder (the paper's demo

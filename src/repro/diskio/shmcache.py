@@ -4,7 +4,8 @@ Extends PR 4's shm *field transport* (one pipeline shipping a field to
 its own worker pool) into a named, crash-safe cache segment that any
 process on the machine can attach: gateway workers serving the same
 dataset no longer hold private copies of each decoded timestep, and N
-co-located sessions perform ≈1× aggregate disk reads (BENCH_9).
+co-located sessions perform ≈1× aggregate disk reads
+(``benchmarks/test_cache_tiers.py``).
 
 Layout of the single ``multiprocessing.shared_memory`` segment (all
 metadata is aligned int64, so loads/stores are single machine words)::

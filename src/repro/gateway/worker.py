@@ -10,9 +10,10 @@ a pipe; :class:`WorkerHandle` is the parent-side wrapper (spawn,
 liveness, graceful stop, SIGKILL).
 
 The ``fork`` start method is preferred when the platform offers it:
-respawn latency is part of the recovery time objective (see
-``repro.perf.capacity``), and forking skips a full interpreter boot and
-re-import.  ``spawn`` works too — the spec is self-contained.
+respawn latency is part of the recovery time objective (gated by
+``benchmarks/test_gateway_capacity.py``), and forking skips a full
+interpreter boot and re-import.  ``spawn`` works too — the spec is
+self-contained.
 """
 
 from __future__ import annotations

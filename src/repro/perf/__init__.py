@@ -8,15 +8,12 @@
 * :mod:`~repro.perf.wire` — the v2 wire-efficiency model: what deltas,
   quantization, and decimation buy against Table 1's 12 bytes/point
   (docs/network.md).
-* :mod:`~repro.perf.serverloop` — the push fan-out cost model: what one
-  publication costs the event loop per subscriber, and how many
-  subscribers one worker sustains (BENCH_7).
-* :mod:`~repro.perf.cachetier` — the tiered timestep-cache cost model:
-  per-tier hit rates to effective disk bandwidth and the fleet-scale
-  Table 2 wall (BENCH_9, docs/caching.md).
-* :mod:`~repro.perf.simvis` — the in situ sim/vis coupling model: solver
-  rate vs frame rate, steady-state lag, and worst-case steering latency
-  (BENCH_10, docs/steering.md).
+* :mod:`~repro.perf.regression` — per-metric tolerances the sweep lane
+  holds a run to against a stored baseline (docs/sweeps.md).
+
+Everything else about where a frame's time goes is measured, not
+modelled: ``benchmarks/e2e`` (see its README) times every layer of four
+whole sessions.
 """
 
 from repro.perf.scenario import (
@@ -29,36 +26,23 @@ from repro.perf.scenario import (
     table3_rows,
 )
 from repro.perf.pipeline import (
-    ComputeModel,
     PipelineResult,
     compare_to_model,
     simulate_pipeline,
 )
-from repro.perf.cachetier import CacheTierModel
-from repro.perf.capacity import GatewayCapacityModel
 from repro.perf.regression import (
     DEFAULT_SWEEP_TOLERANCES,
     MetricTolerance,
     SweepTolerances,
 )
-from repro.perf.profiling import ProfileReport, ProfileRow, profile_call
-from repro.perf.serverloop import ServerLoopModel
-from repro.perf.simvis import SimVisModel
 from repro.perf.wire import SessionWireModel, frame_payload_bytes
 
 __all__ = [
     "DEFAULT_SWEEP_TOLERANCES",
     "MetricTolerance",
     "SweepTolerances",
-    "CacheTierModel",
-    "GatewayCapacityModel",
-    "ServerLoopModel",
-    "SimVisModel",
     "SessionWireModel",
     "frame_payload_bytes",
-    "ProfileReport",
-    "ProfileRow",
-    "profile_call",
     "BENCHMARK_POINTS",
     "PAPER_TIMINGS",
     "BenchmarkResult",
@@ -66,7 +50,6 @@ __all__ = [
     "run_benchmark",
     "max_particles_at_fps",
     "table3_rows",
-    "ComputeModel",
     "PipelineResult",
     "simulate_pipeline",
     "compare_to_model",

@@ -19,85 +19,10 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "ComputeModel",
     "PipelineResult",
     "simulate_pipeline",
     "compare_to_model",
 ]
-
-
-@dataclass(frozen=True)
-class ComputeModel:
-    """Cost model for the integrate stage: launches plus per-point work.
-
-    The fused megabatch refactor changed the compute stage's cost law.
-    Per-rake compute pays the kernel-launch overhead (argument checking,
-    buffer allocation, and — on the process backends — field transport
-    and chunk scheduling) once *per rake*; the fused path pays it once
-    per frame.  Model::
-
-        t_compute = n_launches * launch_overhead + points * per_point_seconds
-
-    where per-rake compute has ``n_launches = n_rakes`` and fused compute
-    has ``n_launches = 1``.  ``compare_to_model`` consumers feed the
-    predicted compute time in as the integrate stage, so the pipeline
-    model stays honest about what fusion actually bought.
-    """
-
-    launch_overhead: float
-    per_point_seconds: float
-
-    def __post_init__(self) -> None:
-        if not np.isfinite(self.launch_overhead) or self.launch_overhead < 0:
-            raise ValueError("launch_overhead must be finite and non-negative")
-        if not np.isfinite(self.per_point_seconds) or self.per_point_seconds < 0:
-            raise ValueError("per_point_seconds must be finite and non-negative")
-
-    def seconds(self, n_launches: int, points: int) -> float:
-        """Predicted compute-stage time for ``points`` over ``n_launches``."""
-        if n_launches < 0 or points < 0:
-            raise ValueError("n_launches and points must be non-negative")
-        return n_launches * self.launch_overhead + points * self.per_point_seconds
-
-    def fused_seconds(self, points: int) -> float:
-        """Fused megabatch: one launch for the whole frame."""
-        return self.seconds(1, points)
-
-    def per_rake_seconds(self, n_rakes: int, points: int) -> float:
-        """Per-rake baseline: one launch per rake, same total points."""
-        return self.seconds(n_rakes, points)
-
-    def predicted_speedup(self, n_rakes: int, points: int) -> float:
-        """Fused vs per-rake speedup the model predicts for this frame."""
-        fused = self.fused_seconds(points)
-        if fused <= 0:
-            return 1.0
-        return self.per_rake_seconds(n_rakes, points) / fused
-
-    @classmethod
-    def fit(
-        cls, n_launches, points, seconds
-    ) -> "ComputeModel":
-        """Least-squares fit from measured (launches, points, seconds).
-
-        Feed it the benchmark's measurements — e.g. per-rake runs at
-        several rake counts plus the fused run — and it recovers the
-        launch overhead and per-point cost (clamped at zero: a fit on
-        noisy small samples can go slightly negative).
-        """
-        launches = np.asarray(n_launches, dtype=np.float64)
-        pts = np.asarray(points, dtype=np.float64)
-        times = np.asarray(seconds, dtype=np.float64)
-        if not (launches.shape == pts.shape == times.shape):
-            raise ValueError("n_launches, points, seconds must align")
-        if launches.size < 2:
-            raise ValueError("need at least two measurements to fit")
-        design = np.stack([launches, pts], axis=1)
-        coeffs, *_ = np.linalg.lstsq(design, times, rcond=None)
-        return cls(
-            launch_overhead=float(max(0.0, coeffs[0])),
-            per_point_seconds=float(max(0.0, coeffs[1])),
-        )
 
 
 @dataclass(frozen=True)

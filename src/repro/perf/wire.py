@@ -95,6 +95,6 @@ class SessionWireModel:
         return key + (self.n_frames - 1) * delta
 
     def reduction(self, *, encoding: str = "q16", decimate: int = 1) -> float:
-        """v1 bytes over v2 bytes — the headline ratio of BENCH_5."""
+        """v1 bytes over v2 bytes — the wire bench's headline ratio."""
         v2 = self.v2_bytes(encoding=encoding, decimate=decimate)
         return self.v1_bytes() / v2 if v2 else float("inf")

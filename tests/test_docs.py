@@ -24,6 +24,19 @@ class TestCheckDocs:
         bad.write_text("see [missing](no/such/file.md)\n")
         assert check_docs.main([str(bad)]) == 1
 
+    def test_deleted_name_and_path_detected(self, tmp_path, capsys):
+        ok = tmp_path / "ok.md"
+        ok.write_text(
+            "`repro.perf.SweepTolerances`, `repro.perf.wire` and "
+            "`python tools/check_docs.py docs/x.md` all exist; "
+            "`perf/wire.py` is rooted at the package\n"
+        )
+        assert check_docs.main([str(ok)]) == 0, capsys.readouterr().err
+        bad = tmp_path / "bad.md"
+        for gone in ("repro.perf.SimVisModel", "benchmarks/record.py --soak"):
+            bad.write_text(f"see `{gone}`\n")
+            assert check_docs.main([str(bad)]) == 1, gone
+
     def test_anchor_and_url_links_skipped(self, tmp_path):
         ok = tmp_path / "ok.md"
         ok.write_text(

@@ -14,9 +14,10 @@ import pytest
 EXAMPLES = Path(__file__).parent.parent / "examples"
 
 
-def run_example(name: str, timeout: float = 240.0) -> str:
+def run_example(name: str, out_dir: Path, timeout: float = 240.0) -> str:
+    """Run an example writing into ``out_dir``, not the tracked renders."""
     proc = subprocess.run(
-        [sys.executable, str(EXAMPLES / name)],
+        [sys.executable, str(EXAMPLES / name), str(out_dir)],
         capture_output=True,
         text=True,
         timeout=timeout,
@@ -28,14 +29,14 @@ def run_example(name: str, timeout: float = 240.0) -> str:
 
 
 @pytest.mark.slow
-def test_quickstart_runs():
-    out = run_example("quickstart.py")
+def test_quickstart_runs(tmp_path):
+    out = run_example("quickstart.py", tmp_path)
     assert "wrote" in out
-    assert (EXAMPLES / "output" / "quickstart.ppm").exists()
+    assert (tmp_path / "quickstart.ppm").exists()
 
 
 @pytest.mark.slow
-def test_desktop_example_runs():
-    out = run_example("desktop_windtunnel.py")
+def test_desktop_example_runs(tmp_path):
+    out = run_example("desktop_windtunnel.py", tmp_path)
     assert "rake dragged by mouse" in out
-    assert (EXAMPLES / "output" / "desktop_windtunnel.ppm").exists()
+    assert (tmp_path / "desktop_windtunnel.ppm").exists()

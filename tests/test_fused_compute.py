@@ -17,7 +17,6 @@ import pytest
 from repro.core import ComputeEngine, ToolSettings
 from repro.flow import MemoryDataset, RigidRotation, UniformFlow, sample_on_grid
 from repro.grid import cartesian_grid
-from repro.perf import ComputeModel
 from repro.tracers import Rake
 from repro.tracers import integrate as integ
 from repro.tracers.integrate import (
@@ -343,39 +342,6 @@ class TestParticlePathWorkspace:
         )
         assert np.array_equal(plain.grid_paths, ws.grid_paths)
         assert np.array_equal(plain.lengths, ws.lengths)
-
-
-class TestComputeModel:
-    def test_fit_recovers_parameters(self):
-        model = ComputeModel(launch_overhead=2e-3, per_point_seconds=5e-7)
-        launches = np.array([1, 2, 4, 8, 16])
-        points = np.array([1000, 1000, 2000, 4000, 8000])
-        times = np.array(
-            [model.seconds(int(n), int(p)) for n, p in zip(launches, points)]
-        )
-        fitted = ComputeModel.fit(launches, points, times)
-        assert fitted.launch_overhead == pytest.approx(2e-3, rel=1e-6)
-        assert fitted.per_point_seconds == pytest.approx(5e-7, rel=1e-6)
-
-    def test_predicted_speedup(self):
-        model = ComputeModel(launch_overhead=1e-2, per_point_seconds=1e-6)
-        # 8 rakes, launch-dominated: fusing approaches 8x.
-        assert model.predicted_speedup(8, 1000) > 7.0
-        # Point-dominated: fusing buys little.
-        assert model.predicted_speedup(8, 10_000_000) < 1.1
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ComputeModel(launch_overhead=-1.0, per_point_seconds=0.0)
-        with pytest.raises(ValueError):
-            ComputeModel(launch_overhead=0.0, per_point_seconds=float("nan"))
-        model = ComputeModel(launch_overhead=1e-3, per_point_seconds=1e-7)
-        with pytest.raises(ValueError):
-            model.seconds(-1, 10)
-        with pytest.raises(ValueError):
-            ComputeModel.fit([1], [10], [0.1])
-        with pytest.raises(ValueError):
-            ComputeModel.fit([1, 2], [10], [0.1, 0.2])
 
 
 class TestPipelineIntegration:

@@ -26,7 +26,6 @@ from repro.gateway import (
 )
 from repro.netsim import ProcessFaults
 from repro.obs import MetricsRegistry
-from repro.perf import GatewayCapacityModel
 
 from tests import wait_until
 
@@ -148,52 +147,6 @@ class TestAdmissionController:
         adm.admit_frame(42)
         adm.note_leave(42)
         assert 42 not in adm._last_frame
-
-
-class TestGatewayCapacityModel:
-    def test_aggregate_scales_until_gateway_bound(self):
-        m = GatewayCapacityModel(
-            frame_seconds=0.02, route_overhead_seconds=0.005
-        )
-        assert m.aggregate_fps(2, 2) == pytest.approx(100.0)
-        # Eight workers could do 400 fps, but the serial gateway caps at
-        # 1 / route_overhead = 200.
-        assert m.aggregate_fps(16, 8) == pytest.approx(200.0)
-        # One session cannot use more than one worker.
-        assert m.aggregate_fps(1, 8) == pytest.approx(50.0)
-
-    def test_session_fps_divides_the_worker(self):
-        m = GatewayCapacityModel(frame_seconds=0.025)
-        assert m.session_fps(1) == pytest.approx(40.0)
-        assert m.session_fps(4) == pytest.approx(10.0)
-
-    def test_sizing(self):
-        m = GatewayCapacityModel(frame_seconds=0.02)
-        assert m.max_sessions_per_worker(target_session_fps=10.0) == 5
-        assert m.workers_for(12, target_session_fps=10.0) == 3
-
-    def test_recovery_time_objective(self):
-        m = GatewayCapacityModel(
-            frame_seconds=0.02,
-            respawn_seconds=0.8,
-            restore_per_session_seconds=0.05,
-        )
-        assert m.recovery_time_objective(4) == pytest.approx(1.0)
-
-    def test_frame_latency_counts_cotenants(self):
-        m = GatewayCapacityModel(
-            frame_seconds=0.02, route_overhead_seconds=0.01
-        )
-        assert m.frame_latency(3) == pytest.approx(0.07)
-
-    def test_fit_and_validation(self):
-        m = GatewayCapacityModel.fit([0.01, 0.03], [0.002], [1.0])
-        assert m.frame_seconds == pytest.approx(0.02)
-        assert m.respawn_seconds == pytest.approx(1.0)
-        with pytest.raises(ValueError):
-            GatewayCapacityModel(frame_seconds=0.0)
-        with pytest.raises(ValueError):
-            GatewayCapacityModel.fit([])
 
 
 class TestProcessFaults:

@@ -1,10 +1,9 @@
 """Edge cases for the perf models: degenerate inputs must fail loudly.
 
-The pipeline model and the profiler both feed acceptance checks (the
-fig-8 benchmark gates on ``compare_to_model``), so a NaN that slides
-through a ``t < 0`` comparison or an empty stage list must raise, not
-silently return ``within_tolerance=False`` with NaN arithmetic behind
-it.
+The pipeline model feeds an acceptance check (the fig-8 benchmark
+gates on ``compare_to_model``), so a NaN that slides through a
+``t < 0`` comparison or an empty stage list must raise, not silently
+return ``within_tolerance=False`` with NaN arithmetic behind it.
 """
 
 import math
@@ -12,12 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.perf import (
-    ServerLoopModel,
-    compare_to_model,
-    profile_call,
-    simulate_pipeline,
-)
+from repro.perf import compare_to_model, simulate_pipeline
 
 
 class TestSimulatePipelineEdges:
@@ -99,96 +93,3 @@ class TestCompareToModelEdges:
         )
         assert out["within_tolerance"] is False
         assert out["relative_error"] > 1.0
-
-
-class TestProfileCallEdges:
-    def test_result_passes_through(self):
-        report = profile_call(lambda: 42)
-        assert report.result == 42
-        assert report.total_seconds >= 0.0
-        assert isinstance(report.rows, tuple)
-
-    def test_exception_propagates_and_profiler_is_disabled(self):
-        with pytest.raises(RuntimeError, match="boom"):
-            profile_call(self._boom)
-        # The profiler must have been disabled on the way out: a second
-        # profile works and is not contaminated by the failed one.
-        report = profile_call(sum, range(10))
-        assert report.result == 45
-
-    @staticmethod
-    def _boom():
-        raise RuntimeError("boom")
-
-    def test_trivial_call_yields_consistent_report_api(self):
-        report = profile_call(lambda: None)
-        assert report.result is None
-        assert report.top(3) == report.rows[:3]
-        assert report.find("no_such_function_name") == []
-        assert report.summary().startswith("total:")
-
-    def test_limit_bounds_row_count(self):
-        def busy():
-            return sorted(str(i) for i in range(100))
-
-        report = profile_call(busy, limit=2)
-        assert len(report.rows) <= 2
-
-    def test_rows_capture_named_functions(self):
-        def named_hotspot():
-            return float(np.sum(np.arange(1000.0)))
-
-        report = profile_call(named_hotspot)
-        assert report.find("named_hotspot")
-
-
-class TestServerLoopModel:
-    """The BENCH_7 fan-out cost model: fit, predict, and reject garbage."""
-
-    def test_fit_recovers_a_clean_line(self):
-        m = ServerLoopModel(encode_seconds=2e-3, per_client_seconds=1e-4)
-        samples = [(n, m.fanout_seconds(n)) for n in (100, 250, 500, 1000)]
-        fitted = ServerLoopModel.fit(samples)
-        assert math.isclose(fitted.encode_seconds, 2e-3, rel_tol=1e-9)
-        assert math.isclose(fitted.per_client_seconds, 1e-4, rel_tol=1e-9)
-
-    def test_fit_clamps_noise_driven_negative_terms(self):
-        # A quiet machine can measure a (slightly) negative intercept;
-        # the model must stay physical.
-        fitted = ServerLoopModel.fit([(10, 0.0009), (100, 0.0100)])
-        assert fitted.encode_seconds >= 0.0
-        assert fitted.per_client_seconds > 0.0
-
-    def test_fit_needs_two_distinct_client_counts(self):
-        with pytest.raises(ValueError):
-            ServerLoopModel.fit([(100, 0.01)])
-        with pytest.raises(ValueError):
-            ServerLoopModel.fit([(100, 0.01), (100, 0.02)])
-
-    def test_negative_constants_raise(self):
-        with pytest.raises(ValueError):
-            ServerLoopModel(encode_seconds=-1e-3, per_client_seconds=1e-4)
-        with pytest.raises(ValueError):
-            ServerLoopModel(encode_seconds=1e-3, per_client_seconds=-1e-4)
-
-    def test_max_publish_hz_is_the_fanout_reciprocal(self):
-        m = ServerLoopModel(encode_seconds=0.0, per_client_seconds=1e-3)
-        assert math.isclose(m.max_publish_hz(100), 10.0)
-        free = ServerLoopModel(encode_seconds=0.0, per_client_seconds=0.0)
-        assert free.max_publish_hz(10**6) == float("inf")
-
-    def test_max_clients_inverts_max_publish_hz(self):
-        m = ServerLoopModel(encode_seconds=1e-3, per_client_seconds=1e-4)
-        n = m.max_clients(10.0, utilization=1.0)
-        # n clients fit at 10 Hz; n+1 must not.
-        assert m.max_publish_hz(n) >= 10.0 > m.max_publish_hz(n + 1)
-
-    def test_max_clients_utilization_reserves_headroom(self):
-        m = ServerLoopModel(encode_seconds=0.0, per_client_seconds=1e-4)
-        assert m.max_clients(10.0, utilization=0.5) == pytest.approx(
-            m.max_clients(10.0, utilization=1.0) / 2, abs=1
-        )
-        with pytest.raises(ValueError):
-            m.max_clients(0.0)
-        with pytest.raises(ValueError):
-            m.max_clients(10.0, utilization=1.5)

@@ -35,6 +35,29 @@ def test_all_entries_resolve(name):
         assert hasattr(mod, entry), f"{name}.__all__ lists missing {entry!r}"
 
 
+def test_perf_exports_only_the_models_that_predict():
+    """Table 3, the Fig 8 stage model, the wire bound, sweep tolerances."""
+    import repro.perf
+
+    assert sorted(repro.perf.__all__) == [
+        "BENCHMARK_POINTS",
+        "BenchmarkResult",
+        "DEFAULT_SWEEP_TOLERANCES",
+        "MetricTolerance",
+        "PAPER_TIMINGS",
+        "PipelineResult",
+        "SessionWireModel",
+        "SweepTolerances",
+        "benchmark_seeds",
+        "compare_to_model",
+        "frame_payload_bytes",
+        "max_particles_at_fps",
+        "run_benchmark",
+        "simulate_pipeline",
+        "table3_rows",
+    ]
+
+
 def test_version():
     import repro
 

@@ -1,11 +1,16 @@
 #!/usr/bin/env python
-"""Docs CI: check relative markdown links and run fenced doctest blocks.
+"""Docs CI: check links, names and paths, and run fenced doctest blocks.
 
-Two classes of documentation rot, both caught mechanically:
+Three classes of documentation rot, all caught mechanically:
 
 * **Dead relative links** — every ``[text](target)`` whose target is not
   an URL or a pure anchor must resolve to a file (or directory) in the
   repository, relative to the document that links it.
+* **Names of deleted things** — inside back-ticks, every dotted
+  ``repro.<module>.<Name>`` must import and every repo-relative ``*.py``
+  path (one with a directory part, from the repo root or from
+  ``src/repro``) must exist.  ROADMAP.md is exempt: its Recent section
+  names deleted things on purpose.
 * **Stale runnable examples** — a fenced code block opened with
   ```` ```python doctest ```` is executed as a doctest session against
   the real package.  Prose examples (plain ```` ```python ````) are not
@@ -23,6 +28,7 @@ the test suite, and the ``docs`` CI job runs it directly.
 from __future__ import annotations
 
 import doctest
+import pkgutil
 import re
 import sys
 from pathlib import Path
@@ -40,6 +46,13 @@ _DOCTEST_FENCE = re.compile(
     r"^```python doctest\s*$(.*?)^```\s*$", re.MULTILINE | re.DOTALL
 )
 _SKIP_PREFIXES = ("http://", "https://", "mailto:", "#")
+_CODE_SPAN = re.compile(r"`([^`\n]+)`")
+_DOTTED_NAME = re.compile(r"\brepro(?:\.\w+)+")
+_PY_PATH = re.compile(r"[\w.-]+(?:/[\w.-]+)+\.py\b")
+#: Where a back-ticked ``dir/file.py`` may be rooted.
+_PATH_ROOTS = (REPO, REPO / "src" / "repro")
+#: Documents whose prose may name things that no longer exist.
+_NAME_CHECK_EXEMPT = ("ROADMAP.md",)
 
 
 def _rel(path: Path) -> str:
@@ -76,6 +89,30 @@ def check_links(path: Path, text: str) -> list[str]:
     return errors
 
 
+def _resolves(dotted: str) -> bool:
+    """Whether ``repro.a.b.C`` is an importable module or attribute chain."""
+    try:
+        pkgutil.resolve_name(dotted)
+    except (ImportError, AttributeError):
+        return False
+    return True
+
+
+def check_names(path: Path, text: str) -> list[str]:
+    """Back-ticked ``repro.*`` names import and ``dir/*.py`` paths exist."""
+    if path.name in _NAME_CHECK_EXEMPT:
+        return []
+    errors = []
+    for span in _CODE_SPAN.findall(strip_code_blocks(text)):
+        for dotted in _DOTTED_NAME.findall(span):
+            if not _resolves(dotted):
+                errors.append(f"{_rel(path)}: unresolved name -> {dotted}")
+        for py in _PY_PATH.findall(span):
+            if not any((root / py).exists() for root in _PATH_ROOTS):
+                errors.append(f"{_rel(path)}: missing file -> {py}")
+    return errors
+
+
 def run_doctests(path: Path, text: str) -> tuple[int, list[str]]:
     """Run every opted-in fenced block; returns (n_blocks, errors)."""
     parser = doctest.DocTestParser()
@@ -103,6 +140,7 @@ def main(argv: list[str] | None = None) -> int:
         link_errors = check_links(path, text)
         n_links += len(_LINK.findall(strip_code_blocks(text)))
         errors += link_errors
+        errors += check_names(path, text)
         blocks, dt_errors = run_doctests(path, text)
         n_blocks += blocks
         errors += dt_errors
