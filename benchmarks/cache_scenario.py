@@ -139,8 +139,8 @@ def run_cache_scenario() -> dict:
         sleep=charges.append,
     )
     _replay(baseline, PASSES)
-    baseline_disk_seconds = baseline.source.modeled_read_seconds
-    baseline_reads = baseline.source.stats.hits
+    baseline_disk_seconds = baseline.source.stats.stall_seconds.value
+    baseline_reads = baseline.source.stats.hits.value
     baseline.close()
 
     # -- fleet: N sessions on one shared tier-2 segment --------------------
@@ -162,11 +162,11 @@ def run_cache_scenario() -> dict:
     try:
         _lockstep_replay(sessions, PASSES)
         aggregate_disk_seconds = sum(
-            s.source.modeled_read_seconds for s in sessions
+            s.source.stats.stall_seconds.value for s in sessions
         )
-        source_reads = sum(s.source.stats.hits for s in sessions)
-        l1_hits = sum(s.l1.stats.hits for s in sessions)
-        l2_hits = sum(s.l2.stats.hits for s in sessions)
+        source_reads = sum(s.source.stats.hits.value for s in sessions)
+        l1_hits = sum(s.l1.stats.hits.value for s in sessions)
+        l2_hits = sum(s.l2.stats.hits.value for s in sessions)
         accesses = N_SESSIONS * PASSES * TIMESTEPS
     finally:
         for s in sessions:

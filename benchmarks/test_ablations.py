@@ -176,6 +176,6 @@ def test_ablation_prefetch(small_dataset, benchmark, prefetch):
 
     loader = benchmark.pedantic(sweep, rounds=3, iterations=1, warmup_rounds=0)
     if prefetch:
-        assert loader.hits >= ds.n_timesteps - 2
+        assert loader.hits.value >= ds.n_timesteps - 2
     else:
-        assert loader.misses == ds.n_timesteps
+        assert loader.misses.value == ds.n_timesteps

@@ -68,7 +68,7 @@ def test_fig8_live_prefetch_overlap(cylinder_dataset, tmp_path_factory, record, 
                 engine.compute_environment(env, t)
                 _t.sleep(0.002)  # brief think time lets prefetch land
             loader.drain()
-            return loader.hits, loader.misses
+            return loader.hits.value, loader.misses.value
 
     hits, misses = benchmark.pedantic(
         lambda: sweep(True), rounds=2, iterations=1, warmup_rounds=0

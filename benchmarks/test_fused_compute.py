@@ -3,9 +3,10 @@
 The acceptance scenario for the fused frame path: an 8-streamline-rake
 environment (16 seeds each, 200 integration steps — 128 streamlines, the
 Convex's vector length, spread across rakes the way a real shared session
-spreads them).  The per-rake baseline pays 8 kernel launches per frame;
-the fused path gathers every rake's seeds into one batch, integrates
-once, and slices the results back by offset.
+spreads them).  The per-rake baseline — a loop of ``compute_rake`` calls
+on a second engine — pays 8 kernel launches per frame; ``compute_rakes``
+gathers every rake's seeds into one batch, integrates once, and slices
+the results back by offset.
 
 Asserted here: the fused path is **>= 2x faster** at **bit-identical**
 output on the ``vector`` backend.
@@ -45,12 +46,20 @@ def make_rakes(dataset, n_rakes=N_RAKES, n_seeds=SEEDS_PER_RAKE):
     return rakes
 
 
-def measure(engine, rakes, rounds=ROUNDS):
+def fused_frame(engine, rakes):
+    return engine.compute_rakes(dict(rakes), 0)
+
+
+def per_rake_frame(engine, rakes):
+    return {rid: engine.compute_rake(rake, 0) for rid, rake in rakes.items()}
+
+
+def measure(frame, engine, rakes, rounds=ROUNDS):
     """Best-of-N frame time (the steady-state number, not the warmup)."""
     times = []
     for _ in range(rounds):
         start = time.perf_counter()
-        engine.compute_rakes(dict(rakes), 0)
+        frame(engine, rakes)
         times.append(time.perf_counter() - start)
     return min(times)
 
@@ -60,21 +69,21 @@ def test_fused_vs_per_rake_speedup(cylinder_dataset, record, benchmark):
     ds.grid_velocity(0)  # pre-convert, as every backend bench does
     settings = ToolSettings(streamline_steps=STEPS, streamline_dt=0.05)
     rakes = make_rakes(ds)
-    fused = ComputeEngine(ds, settings, fused=True)
-    per_rake = ComputeEngine(ds, settings, fused=False)
+    fused = ComputeEngine(ds, settings)
+    per_rake = ComputeEngine(ds, settings)
 
     # Identical output first — a speedup at different answers is a bug.
-    out_fused = fused.compute_rakes(dict(rakes), 0)
-    out_base = per_rake.compute_rakes(dict(rakes), 0)
+    out_fused = fused_frame(fused, rakes)
+    out_base = per_rake_frame(per_rake, rakes)
     for rid in out_base:
         assert np.array_equal(
             out_fused[rid].grid_paths, out_base[rid].grid_paths
         ), rid
         assert np.array_equal(out_fused[rid].lengths, out_base[rid].lengths), rid
 
-    t_base = measure(per_rake, rakes)
-    t_fused = benchmark(lambda: measure(fused, rakes, rounds=1))
-    t_fused = measure(fused, rakes)
+    t_base = measure(per_rake_frame, per_rake, rakes)
+    t_fused = benchmark(lambda: measure(fused_frame, fused, rakes, rounds=1))
+    t_fused = measure(fused_frame, fused, rakes)
     speedup = t_base / t_fused
     points = sum(r.n_points for r in out_fused.values())
 

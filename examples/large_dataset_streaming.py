@@ -60,10 +60,11 @@ with tempfile.TemporaryDirectory() as tmp:
             frames += 1
         print(f"\nstreamed {frames} frames in 3 s "
               f"({frames / 3.0:.1f} fps) with modeled Convex disk timing")
-        print(f"loader: hits={loader.hits} misses={loader.misses} "
-              f"prefetches={loader.prefetch_issued} "
-              f"stall={loader.stall_seconds * 1e3:.1f} ms "
-              f"modeled read time={loader.modeled_read_seconds:.2f} s")
+        print(f"loader: hits={loader.hits.value} misses={loader.misses.value} "
+              f"prefetches={loader.prefetch_issued.value} "
+              f"stall={loader.stall_seconds.value * 1e3:.1f} ms "
+              f"modeled read time="
+              f"{loader.cache.source.stats.stall_seconds.value:.2f} s")
         client.close()
     finally:
         server.stop()

@@ -18,7 +18,7 @@ from repro.core.environment import Environment
 from repro.diskio.loader import TimestepLoader
 from repro.flow.dataset import UnsteadyDataset
 from repro.grid.search import GridLocator
-from repro.obs import get_registry
+from repro.obs import MetricsRegistry
 from repro.tracers.integrate import IntegratorWorkspace, integrate_steady
 from repro.tracers.particlepath import compute_particle_paths
 from repro.tracers.rake import Rake
@@ -55,7 +55,11 @@ class ComputeEngine:
     """Computes every rake's tool for a given timestep.
 
     Holds the per-rake persistent state (streakline populations, warm-start
-    grid coordinates for rake seeds) that must survive across frames.
+    grid coordinates for rake seeds) that must survive across frames, and
+    records ``engine.*`` into ``registry`` (a private one when omitted;
+    the frame pipeline adopts it): ``engine.points_computed`` counts every
+    point produced, and the last megabatch's size and rate are the
+    ``engine.fused_batch_size`` / ``engine.points_per_second`` gauges.
     """
 
     def __init__(
@@ -66,22 +70,18 @@ class ComputeEngine:
         backend: str = "vector",
         workers: int = 4,
         loader: TimestepLoader | None = None,
-        fused: bool = True,
-        registry=None,
+        registry: MetricsRegistry | None = None,
     ) -> None:
         self.dataset = dataset
         self.settings = settings or ToolSettings()
         self.backend = backend
         self.workers = workers
         self.loader = loader
-        # Megabatch mode: one integration call per frame across all rakes
-        # of a kind (the paper's "vectorize across streamlines", extended
-        # across rakes).  ``False`` is the per-rake baseline the fused
-        # benchmark compares against.
-        self.fused = bool(fused)
-        # Optional MetricsRegistry; the frame pipeline wires its own in.
-        # ``None`` falls back to the process-wide registry at record time.
-        self.registry = registry
+        self.registry = registry if registry is not None else MetricsRegistry()
+        self._points_computed = self.registry.counter("engine.points_computed")
+        self._fused_frames = self.registry.counter("engine.fused_frames")
+        self._batch_size = self.registry.gauge("engine.fused_batch_size")
+        self._points_per_second = self.registry.gauge("engine.points_per_second")
         # The frame pipeline flips this off when it takes over prefetch
         # prediction (its clock-lookahead guess beats blind t+direction).
         self.auto_prefetch = True
@@ -89,14 +89,10 @@ class ComputeEngine:
         self._streaks: dict[int, StreaklineTracer] = {}
         self._streak_last: dict[int, int] = {}
         self._seed_cache: dict[int, tuple[bytes, np.ndarray]] = {}
-        self.points_computed = 0
         # Zero-allocation scratch for the fused vector kernels.  Owned by
         # whichever single thread calls the compute methods (the producer
         # thread under the frame pipeline) — not thread-safe.
         self.workspace = IntegratorWorkspace()
-        # Last-frame fused metrics (also exported as engine.* gauges).
-        self.fused_batch_size = 0
-        self.points_per_second = 0.0
 
     # -- seeds --------------------------------------------------------------
 
@@ -133,11 +129,11 @@ class ComputeEngine:
             return None
         out = self.loader.cache.stats_snapshot()
         out["loader"] = {
-            "hits": self.loader.hits,
-            "misses": self.loader.misses,
-            "prefetch_issued": self.loader.prefetch_issued,
-            "stall_seconds": self.loader.stall_seconds,
-            "modeled_read_seconds": self.loader.modeled_read_seconds,
+            "hits": self.loader.hits.value,
+            "misses": self.loader.misses.value,
+            "prefetch_issued": self.loader.prefetch_issued.value,
+            "stall_seconds": self.loader.stall_seconds.value,
+            "modeled_read_seconds": out["source"]["stall_seconds"],
         }
         return out
 
@@ -152,7 +148,11 @@ class ComputeEngine:
         self, rake: Rake, timestep: int, *, direction: int = 1,
         settings: ToolSettings | None = None,
     ) -> TracerResult:
-        """Run one rake's tool at ``timestep``; returns its paths."""
+        """Run one rake's tool at ``timestep``; returns its paths.
+
+        The per-rake reference the megabatch of :meth:`compute_rakes` is
+        tested against, and the path streaklines always take.
+        """
         s = settings or self.settings
         seeds = self.rake_seeds_grid(rake)
         rid = rake.rake_id if rake.rake_id is not None else id(rake)
@@ -181,8 +181,21 @@ class ComputeEngine:
             result = tracer.result(self.dataset.grid)
         else:  # pragma: no cover - Rake validates kinds
             raise ValueError(f"unknown tool kind {rake.kind!r}")
-        self.points_computed += result.n_points
+        self._points_computed.inc(result.n_points)
         return result
+
+    def _slice_back(self, rids, seeds, paths, lengths, out: dict) -> int:
+        """Hand each rake its rows of a megabatch; returns the points."""
+        offset = points = 0
+        for rid, rake_seeds in zip(rids, seeds):
+            n = rake_seeds.shape[0]
+            out[rid] = TracerResult(
+                paths[offset : offset + n], lengths[offset : offset + n],
+                self.dataset.grid,
+            )
+            offset += n
+            points += out[rid].n_points
+        return points
 
     def compute_environment(
         self, env: Environment, timestep: int, *, quality: float = 1.0
@@ -203,44 +216,7 @@ class ComputeEngine:
     ) -> dict[int, TracerResult]:
         """Compute a rake set (usually an environment snapshot).
 
-        The frame pipeline's producer thread calls this with a *copied*
-        rake dict taken under the environment lock, so the service thread
-        can keep mutating the live environment mid-compute.  Per-rake
-        persistent state (streakline populations, seed warm starts) for
-        rakes absent from ``rakes`` is garbage-collected here — rake ids
-        are never reused, so a later snapshot can't resurrect stale state.
-        """
-        base = settings or self.settings
-        effective = base if quality >= 1.0 else base.scaled(quality)
-        if self.fused and rakes:
-            out = self._compute_rakes_fused(
-                rakes, timestep, direction=direction, settings=effective
-            )
-        else:
-            out = {}
-            for rake_id, rake in rakes.items():
-                out[rake_id] = self.compute_rake(
-                    rake, timestep, direction=direction, settings=effective
-                )
-        # Garbage-collect state for rakes that no longer exist.
-        live = set(rakes)
-        for rid in set(self._streaks) - live:
-            del self._streaks[rid]
-            self._streak_last.pop(rid, None)
-        for rid in set(self._seed_cache) - live:
-            del self._seed_cache[rid]
-        return out
-
-    def _compute_rakes_fused(
-        self,
-        rakes: dict[int, Rake],
-        timestep: int,
-        *,
-        direction: int,
-        settings: ToolSettings,
-    ) -> dict[int, TracerResult]:
-        """One megabatch integration per rake kind, sliced back by offset.
-
+        One megabatch integration per rake kind, sliced back by offset.
         All streamline rakes' seeds concatenate into one
         :func:`integrate_steady` call (and likewise all particle-path
         rakes into one :func:`compute_particle_paths` call), so the
@@ -256,8 +232,16 @@ class ComputeEngine:
         The sliced ``grid_paths`` are views into the engine workspace's
         rotating buffer pool — valid while the frame pipeline encodes
         them (which copies), overwritten a few frames later.
+
+        The frame pipeline's producer thread calls this with a *copied*
+        rake dict taken under the environment lock, so the service thread
+        can keep mutating the live environment mid-compute.  Per-rake
+        persistent state (streakline populations, seed warm starts) for
+        rakes absent from ``rakes`` is garbage-collected here — rake ids
+        are never reused, so a later snapshot can't resurrect stale state.
         """
-        s = settings
+        base = settings or self.settings
+        s = base if quality >= 1.0 else base.scaled(quality)
         out: dict[int, TracerResult] = {}
         stream_ids: list[int] = []
         stream_seeds: list[np.ndarray] = []
@@ -290,17 +274,7 @@ class ComputeEngine:
                 backend=self.backend, workers=self.workers,
                 workspace=self.workspace if self.backend == "vector" else None,
             )
-            offset = 0
-            for rid, seeds in zip(stream_ids, stream_seeds):
-                n = seeds.shape[0]
-                result = TracerResult(
-                    paths[offset : offset + n],
-                    lengths[offset : offset + n],
-                    self.dataset.grid,
-                )
-                offset += n
-                out[rid] = result
-                points += result.n_points
+            points += self._slice_back(stream_ids, stream_seeds, paths, lengths, out)
         if ppath_ids:
             cat = (
                 np.concatenate(ppath_seeds, axis=0)
@@ -313,24 +287,19 @@ class ComputeEngine:
                 n_steps=s.particle_path_steps, max_window=s.max_window,
                 workspace=self.workspace,
             )
-            offset = 0
-            for rid, seeds in zip(ppath_ids, ppath_seeds):
-                n = seeds.shape[0]
-                result = TracerResult(
-                    merged.grid_paths[offset : offset + n],
-                    merged.lengths[offset : offset + n],
-                    self.dataset.grid,
-                )
-                offset += n
-                out[rid] = result
-                points += result.n_points
+            points += self._slice_back(
+                ppath_ids, ppath_seeds, merged.grid_paths, merged.lengths, out
+            )
         elapsed = time.perf_counter() - start
-        self.points_computed += points
-        self.fused_batch_size = batch
-        self.points_per_second = points / elapsed if elapsed > 0 else 0.0
-        registry = self.registry if self.registry is not None else get_registry()
-        registry.gauge("engine.fused_batch_size").set(float(batch))
-        registry.gauge("engine.points_per_second").set(self.points_per_second)
-        registry.counter("engine.fused_frames").inc()
-        registry.counter("engine.points_computed").inc(points)
+        self._points_computed.inc(points)
+        self._fused_frames.inc()
+        self._batch_size.set(batch)
+        self._points_per_second.set(points / elapsed if elapsed > 0 else 0.0)
+        # Garbage-collect state for rakes that no longer exist.
+        live = set(rakes)
+        for rid in set(self._streaks) - live:
+            del self._streaks[rid]
+            self._streak_last.pop(rid, None)
+        for rid in set(self._seed_cache) - live:
+            del self._seed_cache[rid]
         return out

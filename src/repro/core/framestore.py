@@ -43,6 +43,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from repro.dlib.protocol import PreEncoded, encode_value, pack_q16, quantize_points
+from repro.obs import MetricsRegistry
 
 __all__ = [
     "ENCODINGS",
@@ -242,10 +243,6 @@ class PublishedFrame:
         Governor quality the frame was computed at.
     n_points
         Total valid path points (the paper's particle count).
-    batch
-        Fused-compute provenance: ``{"fused", "fused_batch_size",
-        "points_per_second"}`` as recorded by the engine for this frame
-        (empty for engines that predate the megabatch path).
     digests
         ``{rake_id: content digest}`` — bit-exact geometry identity per
         rake, the basis of delta frames (docs/network.md).
@@ -269,7 +266,6 @@ class PublishedFrame:
     stage_seconds: dict = field(default_factory=dict)
     quality: float = 1.0
     n_points: int = 0
-    batch: dict = field(default_factory=dict)
     digests: dict = field(default_factory=dict)
     rake_fragments: dict = field(default_factory=dict)
     steer_epoch: int = 0
@@ -306,7 +302,8 @@ class FrameStore:
     One writer (the pipeline's encode stage), any number of readers (the
     dlib service thread today; sharded servers tomorrow).  ``publish``
     swaps the new frame in and calls every subscribed listener;
-    ``latest`` is a snapshot read.
+    ``latest`` is a snapshot read.  Publish cadence is recorded as
+    ``framestore.*`` in ``registry`` (a private one when omitted).
     """
 
     def __init__(self, *, registry=None, digest_history: int = DIGEST_HISTORY) -> None:
@@ -314,23 +311,12 @@ class FrameStore:
         self._listeners: list = []
         self._front: PublishedFrame | None = None
         self._seq = 0
-        self.published_total = 0
-        self.publish_gap = None  # seconds between the last two publishes
         self._last_publish_mono: float | None = None
-        self._period_sum = 0.0
-        self._period_count = 0
         self._digest_history_cap = int(digest_history)
         self._digest_history: OrderedDict[int, dict] = OrderedDict()
-        # Optional MetricsRegistry: publish cadence feeds the shared
-        # observability registry (framestore.* metrics) when wired in.
-        self._published_counter = (
-            registry.counter("framestore.frames_published") if registry else None
-        )
-        self._gap_hist = (
-            registry.histogram("framestore.publish_gap_seconds")
-            if registry
-            else None
-        )
+        registry = registry if registry is not None else MetricsRegistry()
+        self._published = registry.counter("framestore.frames_published")
+        self._gap_hist = registry.histogram("framestore.publish_gap_seconds")
 
     @property
     def seq(self) -> int:
@@ -371,12 +357,13 @@ class FrameStore:
                 pass
 
     @property
+    def published_total(self) -> int:
+        return self._published.value
+
+    @property
     def publish_period_mean(self) -> float:
         """Mean seconds between consecutive publishes (0 if < 2 frames)."""
-        with self._lock:
-            if self._period_count == 0:
-                return 0.0
-            return self._period_sum / self._period_count
+        return self._gap_hist.stats.mean
 
     def publish(self, frame: PublishedFrame) -> PublishedFrame:
         """Swap ``frame`` in as the current frame; call the listeners.
@@ -388,21 +375,14 @@ class FrameStore:
             self._seq += 1
             stamped = replace(frame, seq=self._seq)
             self._front = stamped
-            self.published_total += 1
             self._digest_history[self._seq] = stamped.digests
             while len(self._digest_history) > self._digest_history_cap:
                 self._digest_history.popitem(last=False)
             now = time.monotonic()
             if self._last_publish_mono is not None:
-                gap = now - self._last_publish_mono
-                self.publish_gap = gap
-                self._period_sum += gap
-                self._period_count += 1
-                if self._gap_hist is not None:
-                    self._gap_hist.observe(gap)
+                self._gap_hist.observe(now - self._last_publish_mono)
             self._last_publish_mono = now
-            if self._published_counter is not None:
-                self._published_counter.inc()
+            self._published.inc()
             listeners = list(self._listeners)
         for listener in listeners:
             listener(stamped)

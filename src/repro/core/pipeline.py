@@ -44,8 +44,7 @@ from repro.core.environment import Environment
 from repro.core.framestore import FrameStore, PublishedFrame, encode_published
 from repro.core.governor import FrameBudgetGovernor
 from repro.obs import MetricsRegistry
-from repro.tracers.integrate import transport_stats
-from repro.util.timers import Stopwatch, TimingStats
+from repro.util.timers import Stopwatch
 
 __all__ = ["FramePipeline"]
 
@@ -65,7 +64,6 @@ class _Job:
     compute_seconds: float
     stage_seconds: dict = field(default_factory=dict)
     quality: float = 1.0
-    batch: dict = field(default_factory=dict)
     steer_epoch: int = 0
 
 
@@ -100,10 +98,11 @@ class FramePipeline:
         the live-pipeline benchmark uses it to build the synthetic
         three-stage workload of the acceptance criteria.
     registry
-        Optional :class:`~repro.obs.registry.MetricsRegistry` the pipeline
-        records into (``pipeline.*`` metrics).  A private registry is
-        created when omitted, so the counter/stats attribute API works
-        unchanged for standalone pipelines.
+        The :class:`~repro.obs.registry.MetricsRegistry` the pipeline
+        records into (``pipeline.*`` metrics; a private one when
+        omitted).  It adopts the engine's and the loader's registries, so
+        ``engine.*``, ``loader.*`` and ``cache.*`` — totals accrued
+        before the pipeline existed included — report from the same one.
     """
 
     def __init__(
@@ -150,14 +149,8 @@ class FramePipeline:
             name: self.registry.histogram(f"pipeline.stage.{name}_seconds")
             for name in STAGES
         }
-        # Live views into the registry histograms' running stats, so the
-        # pre-registry attribute API (``pipeline.stage_stats["load"].mean``)
-        # keeps working while the registry stays the single source of truth.
-        self.stage_stats: dict[str, TimingStats] = {
-            name: h.stats for name, h in self._stage_hist.items()
-        }
+        # load + locate + integrate
         self._compute_hist = self.registry.histogram("pipeline.compute_seconds")
-        self.compute_stats = self._compute_hist.stats  # load + locate + integrate
         self._quality_gauge = self.registry.gauge("pipeline.quality")
         self._quality_gauge.set(governor.quality if governor else 1.0)
         self._frames_produced = self.registry.counter("pipeline.frames_produced")
@@ -170,20 +163,17 @@ class FramePipeline:
         self._produce_errors = self.registry.counter("pipeline.produce_errors")
         self._idle_cycles = self.registry.counter("pipeline.idle_cycles")
 
+        # One namespace per server: ``engine.*`` and the loader's
+        # ``loader.*`` / per-tier ``cache.*`` are re-homed here, so
+        # ``wt.metrics`` reconciles exactly with the loads this pipeline
+        # injects (and with any made before it was built).
+        self.registry.adopt(engine.registry)
         if engine.loader is not None:
+            self.registry.adopt(engine.loader.registry)
             # Prefetch prediction is the pipeline's job now — see
             # ``_predict_next``.  This also covers the engine's internal
             # loads during the integrate stage.
             engine.auto_prefetch = False
-            # Per-tier cache counters (cache.l1/l2/source.*) join the
-            # server's registry, so ``wt.metrics`` reconciles exactly
-            # with the loads this pipeline injects.
-            engine.loader.bind_registry(self.registry)
-        if getattr(engine, "registry", None) is None:
-            # The engine's fused-compute gauges (engine.fused_batch_size,
-            # engine.points_per_second) land in the pipeline's registry so
-            # ``wt.metrics`` exposes one coherent namespace per server.
-            engine.registry = self.registry
 
         env.subscribe(self.invalidate)
 
@@ -471,15 +461,6 @@ class FramePipeline:
             stage_seconds=stage_seconds,
             quality=quality,
             steer_epoch=int(epoch_fn(timestep)) if epoch_fn is not None else 0,
-            batch={
-                "fused": bool(getattr(self.engine, "fused", False)),
-                "fused_batch_size": int(
-                    getattr(self.engine, "fused_batch_size", 0)
-                ),
-                "points_per_second": float(
-                    getattr(self.engine, "points_per_second", 0.0)
-                ),
-            },
         )
 
     def _submit(self, job: _Job) -> None:
@@ -529,7 +510,6 @@ class FramePipeline:
             stage_seconds=stage_seconds,
             quality=job.quality,
             n_points=enc.n_points,
-            batch=job.batch,
             digests=enc.digests,
             rake_fragments=enc.fragments,
             steer_epoch=job.steer_epoch,
@@ -553,27 +533,16 @@ class FramePipeline:
     def production_period_estimate(self) -> float:
         """Steady-state publish period the stage times predict: max(t_i)."""
         with self._stats_lock:
-            means = [s.mean for s in self.stage_stats.values() if s.count]
+            means = [h.stats.mean for h in self._stage_hist.values() if h.count]
         return max(means) if means else 0.0
 
     def stats(self) -> dict:
         """Stage-resolved pipeline statistics (``wt.pipeline_stats``)."""
         with self._stats_lock:
-            stages = {
-                name: {
-                    "count": s.count,
-                    "mean": s.mean,
-                    "min": s.min if s.count else 0.0,
-                    "max": s.max,
-                    "total": s.total,
-                }
-                for name, s in self.stage_stats.items()
-            }
-            frames_produced = self.frames_produced
-            frames_encoded = self.frames_encoded
+            stages = {name: h.snapshot() for name, h in self._stage_hist.items()}
         return {
-            "frames_produced": frames_produced,
-            "frames_encoded": frames_encoded,
+            "frames_produced": self.frames_produced,
+            "frames_encoded": self.frames_encoded,
             "frames_published": self.store.published_total,
             "publish_seq": self.store.seq,
             "publish_period_mean": self.store.publish_period_mean,
@@ -587,19 +556,13 @@ class FramePipeline:
             "idle_cycles": self.idle_cycles,
             "governor": self.governor.to_wire() if self.governor else None,
             "compute": {
-                "fused": bool(getattr(self.engine, "fused", False)),
                 "fused_batch_size": int(
-                    getattr(self.engine, "fused_batch_size", 0)
+                    self.registry.gauge("engine.fused_batch_size").value
                 ),
-                "points_per_second": float(
-                    getattr(self.engine, "points_per_second", 0.0)
-                ),
-                "backend": getattr(self.engine, "backend", None),
-                "transport": transport_stats(),
+                "points_per_second": self.registry.gauge(
+                    "engine.points_per_second"
+                ).value,
+                "backend": self.engine.backend,
             },
-            "cache": (
-                self.engine.cache_stats()
-                if hasattr(self.engine, "cache_stats")
-                else None
-            ),
+            "cache": self.engine.cache_stats(),
         }

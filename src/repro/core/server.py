@@ -122,10 +122,15 @@ class WindtunnelServer:
     ) -> None:
         self.dataset = dataset
         self.env = Environment(dataset.n_timesteps, time_speed=time_speed)
-        self.engine = ComputeEngine(
-            dataset, settings, backend=backend, workers=workers, loader=loader
-        )
         self.registry = registry if registry is not None else MetricsRegistry()
+        self.engine = ComputeEngine(
+            dataset,
+            settings,
+            backend=backend,
+            workers=workers,
+            loader=loader,
+            registry=self.registry,
+        )
         self.governor = governor
         if governor is not None:
             governor.bind_registry(self.registry)
@@ -142,7 +147,8 @@ class WindtunnelServer:
             stage_cost=stage_cost,
             registry=self.registry,
         )
-        self.compute_stats = self.pipeline.compute_stats
+        self._compute_hist = self.registry.histogram("pipeline.compute_seconds")
+        self._points_computed = self.registry.counter("engine.points_computed")
         self._frames_served = self.registry.counter("wt.frames_served")
         self._frame_cache_hits = self.registry.counter("wt.frame_cache_hits")
         # v2 delivery (docs/network.md): per-client subscription table,
@@ -362,13 +368,16 @@ class WindtunnelServer:
     def _rpc_health(self, ctx) -> dict:
         """One cheap liveness + saturation probe (the supervisor's pulse).
 
-        Must stay light and lock-free: it runs on the service loop at the
-        supervisor's heartbeat interval, and a health check that can
-        block behind frame production would turn saturation into a false
-        crash verdict.  ``saturation`` is mean frame-compute cost over
-        the 1/8 s interaction budget, clipped to [0, 1]; the governor's
-        quality (< 1 when the budget loop is already degrading) is the
-        second signal the gateway's admission ladder feeds on.
+        Must stay light: it runs on the service loop at the supervisor's
+        heartbeat interval, and a health check that can block behind
+        frame production would turn saturation into a false crash verdict
+        (the one lock taken, the compute histogram's, is held for a
+        sample's bookkeeping).  ``saturation`` is the median frame-compute
+        cost over the histogram's recent window — the last 512 frames, so
+        onset and recovery both show within minutes, not hours — divided
+        by the 1/8 s interaction budget, clipped to [0, 1]; the
+        governor's quality (< 1 when the budget loop is already
+        degrading) is the second signal the admission ladder feeds on.
         """
         return {
             "sessions": self.sessions.active,
@@ -379,10 +388,11 @@ class WindtunnelServer:
             "publish_seq": self.store.seq,
             "pipeline_alive": self.pipeline.alive,
             "quality": self.governor.quality if self.governor else 1.0,
-            "compute_mean_seconds": self.compute_stats.mean,
+            "compute_mean_seconds": self._compute_hist.stats.mean,
             "send_throughput": self._net_send_gauge.value,
             "saturation": max(
-                0.0, min(1.0, self.compute_stats.mean / self._frame_budget)
+                0.0,
+                min(1.0, self._compute_hist.quantile(0.5) / self._frame_budget),
             ),
         }
 
@@ -1013,8 +1023,8 @@ class WindtunnelServer:
             "frames_computed": self.frames_computed,
             "frames_published": self.store.published_total,
             "publish_seq": self.store.seq,
-            "compute_mean_seconds": self.compute_stats.mean,
-            "points_computed": self.engine.points_computed,
+            "compute_mean_seconds": self._compute_hist.stats.mean,
+            "points_computed": self._points_computed.value,
             "quality": self.governor.quality if self.governor else 1.0,
             "n_rakes": len(self.env.rakes),
             "n_users": len(self.env.users),

@@ -24,7 +24,6 @@ from repro.diskio.model import (
 )
 from repro.diskio.cache import (
     DatasetSource,
-    TierStats,
     TieredTimestepCache,
     TimestepCache,
     dataset_key,
@@ -43,7 +42,6 @@ __all__ = [
     "TimestepLoader",
     "ResidencyPlan",
     "plan_residency",
-    "TierStats",
     "TimestepCache",
     "TieredTimestepCache",
     "DatasetSource",

@@ -31,7 +31,7 @@ import time
 
 import numpy as np
 
-from repro.diskio.cache import TIER_SOURCE, TierStats, dataset_key
+from repro.diskio.cache import TIER_SOURCE, TierCounters, dataset_key
 from repro.diskio.loader import TimestepLoader
 from repro.diskio.model import DiskModel
 from repro.dlib.client import DlibClient
@@ -72,7 +72,7 @@ class TimestepBlockServer:
         )
         self.dlib = DlibServer(host, port, registry=registry)
         self.registry = self.dlib.registry
-        self.loader.bind_registry(self.registry)
+        self.registry.adopt(self.loader.registry)
         self.hints_received = self.registry.counter("block.hints_received")
         self.blocks_served = self.registry.counter("block.blocks_served")
         self.dlib.register("block.meta", self._meta)
@@ -160,6 +160,7 @@ class RemoteTimestepSource:
         *,
         timeout: float | None = 10.0,
         clients=None,
+        registry=None,
     ) -> None:
         if clients is None:
             clients = [
@@ -170,8 +171,7 @@ class RemoteTimestepSource:
             raise ValueError("need at least one block server")
         self._clients = [(c, threading.Lock()) for c in clients]
         self.dataset_id = dataset_id
-        self.stats = TierStats(TIER_SOURCE)
-        self.modeled_read_seconds = 0.0  # remote reads carry no local charge
+        self.stats = TierCounters(TIER_SOURCE, registry)
         self.hints_sent = 0
         self.hint_errors = 0
 

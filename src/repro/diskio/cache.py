@@ -21,9 +21,10 @@ grid-velocity timesteps:
 
 :class:`TieredTimestepCache` is the single read API: ``get(t)`` falls
 through L1 → L2 → source, promoting on the way back up, and every tier
-keeps ``cache.{hits,misses,bytes,evictions,stall_seconds}`` counters (a
-:class:`TierStats`) that can be mirrored into a
-:class:`~repro.obs.registry.MetricsRegistry` for ``wt.metrics``.
+records ``cache.<tier>.{hits,misses,bytes,evictions,appends,
+stall_seconds}`` into the :class:`~repro.obs.registry.MetricsRegistry`
+it was built with (a private one when none is passed) — the numbers
+``wt.metrics``, ``wt.pipeline_stats`` and ``block.stats`` all read.
 """
 
 from __future__ import annotations
@@ -39,9 +40,9 @@ import numpy as np
 from repro.diskio.model import DiskModel
 from repro.diskio.residency import plan_residency
 from repro.flow.dataset import UnsteadyDataset
+from repro.obs import MetricsRegistry
 
 __all__ = [
-    "TierStats",
     "TimestepCache",
     "DatasetSource",
     "TieredTimestepCache",
@@ -82,132 +83,46 @@ def dataset_key(dataset: UnsteadyDataset, extra: str = "") -> str:
     return h.hexdigest()
 
 
-class TierStats:
-    """Hit/miss accounting for one cache tier.
+_TIER_COUNTERS = ("hits", "misses", "bytes", "evictions", "appends", "stall_seconds")
 
-    Plain, lock-guarded numbers first (so tests reconcile exactly and the
-    counters work with no registry at all); optionally mirrored into a
-    :class:`~repro.obs.registry.MetricsRegistry` as ``cache.<tier>.*``
-    instruments by :meth:`bind_registry`.  Binding replays the totals
-    accrued so far, so a loader created before its server still reports
-    exact counts through ``wt.metrics``.
 
+class TierCounters:
+    """One tier's ``cache.<tier>.*`` instruments, bound once at construction.
+
+    Holds no numbers of its own: each attribute *is* the registry
+    instrument (read it with ``.value``), so every reply that reports a
+    tier and every ``wt.metrics`` snapshot read the same store.
+
+    ``bytes`` is cumulative bytes served from (or appended to) the tier;
+    ``appends`` counts producer write-throughs (in situ solver output);
     ``stall_seconds`` is the tier's wait cost: for L1 it is time a demand
     load spent blocked on an in-flight prefetch; for L2 the writer-lock /
     copy wait; for the source tier the (modeled) read seconds.
     """
 
-    __slots__ = (
-        "tier",
-        "hits",
-        "misses",
-        "bytes",
-        "evictions",
-        "appends",
-        "stall_seconds",
-        "resident_bytes",
-        "_registry",
-        "_lock",
-    )
-
-    def __init__(self, tier: str) -> None:
+    def __init__(self, tier: str, registry: MetricsRegistry | None = None) -> None:
+        registry = registry if registry is not None else MetricsRegistry()
         self.tier = tier
-        self.hits = 0
-        self.misses = 0
-        self.bytes = 0  # cumulative bytes served from this tier
-        self.evictions = 0
-        self.appends = 0  # producer write-throughs (in situ solver output)
-        self.stall_seconds = 0.0
-        self.resident_bytes = 0  # current bytes held by this tier
-        self._registry = None
-        self._lock = threading.Lock()
-
-    # -- recording -----------------------------------------------------------
-
-    def _emit(self, name: str, n) -> None:
-        if self._registry is not None:
-            self._registry.counter(f"cache.{self.tier}.{name}").inc(n)
+        for name in _TIER_COUNTERS:
+            setattr(self, name, registry.counter(f"cache.{tier}.{name}"))
+        self.resident_bytes = registry.gauge(f"cache.{tier}.resident_bytes")
 
     def hit(self, nbytes: int = 0) -> None:
-        with self._lock:
-            self.hits += 1
-            self.bytes += nbytes
-            self._emit("hits", 1)
-            if nbytes:
-                self._emit("bytes", nbytes)
-
-    def miss(self) -> None:
-        with self._lock:
-            self.misses += 1
-            self._emit("misses", 1)
-
-    def evict(self, n: int = 1) -> None:
-        with self._lock:
-            self.evictions += n
-            self._emit("evictions", n)
+        self.hits.inc()
+        self.bytes.inc(nbytes)
 
     def append(self, nbytes: int = 0) -> None:
-        with self._lock:
-            self.appends += 1
-            self._emit("appends", 1)
-            if nbytes:
-                self.bytes += nbytes
-                self._emit("bytes", nbytes)
+        self.appends.inc()
+        self.bytes.inc(nbytes)
 
     def stall(self, seconds: float) -> None:
-        if seconds < 0:
-            seconds = 0.0
-        with self._lock:
-            self.stall_seconds += seconds
-            self._emit("stall_seconds", seconds)
-
-    def set_resident(self, nbytes: int) -> None:
-        with self._lock:
-            self.resident_bytes = int(nbytes)
-            if self._registry is not None:
-                self._registry.gauge(f"cache.{self.tier}.resident_bytes").set(nbytes)
-
-    # -- registry mirroring --------------------------------------------------
-
-    def bind_registry(self, registry) -> None:
-        """Mirror this tier into ``registry`` (replaying current totals)."""
-        with self._lock:
-            if self._registry is registry:
-                return
-            self._registry = registry
-            registry.counter(f"cache.{self.tier}.hits").inc(self.hits)
-            registry.counter(f"cache.{self.tier}.misses").inc(self.misses)
-            registry.counter(f"cache.{self.tier}.bytes").inc(self.bytes)
-            registry.counter(f"cache.{self.tier}.evictions").inc(self.evictions)
-            registry.counter(f"cache.{self.tier}.appends").inc(self.appends)
-            registry.counter(f"cache.{self.tier}.stall_seconds").inc(
-                self.stall_seconds
-            )
-            registry.gauge(f"cache.{self.tier}.resident_bytes").set(
-                self.resident_bytes
-            )
-
-    @property
-    def accesses(self) -> int:
-        return self.hits + self.misses
-
-    @property
-    def hit_rate(self) -> float:
-        n = self.accesses
-        return self.hits / n if n else 0.0
+        self.stall_seconds.inc(max(0.0, seconds))
 
     def snapshot(self) -> dict:
-        with self._lock:
-            return {
-                "tier": self.tier,
-                "hits": self.hits,
-                "misses": self.misses,
-                "bytes": self.bytes,
-                "evictions": self.evictions,
-                "appends": self.appends,
-                "stall_seconds": self.stall_seconds,
-                "resident_bytes": self.resident_bytes,
-            }
+        out = {name: getattr(self, name).value for name in _TIER_COUNTERS}
+        out["tier"] = self.tier
+        out["resident_bytes"] = self.resident_bytes.value
+        return out
 
 
 class TimestepCache:
@@ -231,7 +146,7 @@ class TimestepCache:
         *,
         capacity_timesteps: int | None = 2,
         capacity_bytes: int | None = None,
-        stats: TierStats | None = None,
+        registry: MetricsRegistry | None = None,
     ) -> None:
         if capacity_timesteps is None and capacity_bytes is None:
             raise ValueError("need a timestep and/or byte budget")
@@ -241,7 +156,7 @@ class TimestepCache:
             raise ValueError("byte budget must be positive")
         self.capacity_timesteps = capacity_timesteps
         self.capacity_bytes = capacity_bytes
-        self.stats = stats if stats is not None else TierStats(TIER_L1)
+        self.stats = TierCounters(TIER_L1, registry)
         self._entries: OrderedDict[int, np.ndarray] = OrderedDict()
         self._nbytes = 0
         self._lock = threading.Lock()
@@ -289,7 +204,7 @@ class TimestepCache:
             if arr is not None:
                 self.stats.hit(arr.nbytes)
             else:
-                self.stats.miss()
+                self.stats.misses.inc()
         return arr
 
     def peek(self, t: int) -> np.ndarray | None:
@@ -313,9 +228,9 @@ class TimestepCache:
                 key, dropped = self._entries.popitem(last=False)
                 self._nbytes -= dropped.nbytes
                 evicted.append((key, dropped))
-            self.stats.set_resident(self._nbytes)
+            self.stats.resident_bytes.set(self._nbytes)
         if evicted:
-            self.stats.evict(len(evicted))
+            self.stats.evictions.inc(len(evicted))
             for key, dropped in evicted:
                 for listener in self._evict_listeners:
                     listener(key, dropped)
@@ -335,13 +250,13 @@ class TimestepCache:
             arr = self._entries.pop(int(t), None)
             if arr is not None:
                 self._nbytes -= arr.nbytes
-            self.stats.set_resident(self._nbytes)
+            self.stats.resident_bytes.set(self._nbytes)
 
     def clear(self) -> None:
         with self._lock:
             self._entries.clear()
             self._nbytes = 0
-            self.stats.set_resident(0)
+            self.stats.resident_bytes.set(0)
 
     # -- introspection ---------------------------------------------------------
 
@@ -370,7 +285,7 @@ class DatasetSource:
     Charges the modeled disk cost of one raw timestep per read through
     the injectable ``sleep`` (a ``VirtualClock.sleep`` or a plain list
     append in tests), exactly as the historical loader did.  The modeled
-    charge — not wall time — feeds ``stats.stall_seconds``, so the
+    charge — not wall time — is ``cache.source.stall_seconds``, so the
     source tier's accounting is deterministic.
     """
 
@@ -380,17 +295,16 @@ class DatasetSource:
         disk_model: DiskModel | None = None,
         *,
         sleep=time.sleep,
+        registry: MetricsRegistry | None = None,
     ) -> None:
         self.dataset = dataset
         self.disk_model = disk_model
         self._sleep = sleep
-        self.stats = TierStats(TIER_SOURCE)
-        self.modeled_read_seconds = 0.0
+        self.stats = TierCounters(TIER_SOURCE, registry)
 
     def read(self, t: int) -> np.ndarray:
         if self.disk_model is not None:
             d = self.disk_model.read_time(self.dataset.timestep_nbytes)
-            self.modeled_read_seconds += d
             self.stats.stall(d)
             self._sleep(d)
         gv = self.dataset.grid_velocity(t)
@@ -419,6 +333,10 @@ class TieredTimestepCache:
     ``close``.  Pass ``owns_l2=True`` when this cache should close the
     tier-2 attachment on :meth:`close` (workers own their attachment;
     a gateway-owned segment outlives its workers).
+
+    Tiers built here record into ``registry`` (a private one when
+    omitted); a pre-built ``l1``/``l2``/``source`` keeps the registry it
+    was built with, so a tier shared between caches is counted once.
     """
 
     def __init__(
@@ -433,15 +351,20 @@ class TieredTimestepCache:
         owns_l2: bool = False,
         source=None,
         sleep=time.sleep,
-        registry=None,
+        registry: MetricsRegistry | None = None,
     ) -> None:
         self.dataset = dataset
+        self.registry = registry if registry is not None else MetricsRegistry()
         if source is None:
-            source = DatasetSource(dataset, disk_model, sleep=sleep)
+            source = DatasetSource(
+                dataset, disk_model, sleep=sleep, registry=self.registry
+            )
         self.source = source
         if l1 is None:
             l1 = TimestepCache(
-                capacity_timesteps=l1_timesteps, capacity_bytes=l1_bytes
+                capacity_timesteps=l1_timesteps,
+                capacity_bytes=l1_bytes,
+                registry=self.registry,
             )
         self.l1 = l1
         self.l2 = l2
@@ -453,8 +376,6 @@ class TieredTimestepCache:
             # shared L1 (the sweep runner's) would otherwise accumulate
             # one dead listener per scenario.
             self.l1.add_evict_listener(self._on_l1_evict)
-        if registry is not None:
-            self.bind_registry(registry)
 
     # -- wiring ----------------------------------------------------------------
 
@@ -466,13 +387,6 @@ class TieredTimestepCache:
                 return
             self._pinned.discard(t)
         self.l2.release(t)
-
-    def bind_registry(self, registry) -> None:
-        """Mirror every tier's counters into ``registry`` (``cache.*``)."""
-        self.l1.stats.bind_registry(registry)
-        if self.l2 is not None:
-            self.l2.stats.bind_registry(registry)
-        self.source.stats.bind_registry(registry)
 
     # -- the read API ----------------------------------------------------------
 

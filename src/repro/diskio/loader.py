@@ -57,9 +57,11 @@ class TimestepLoader:
         A tier-2 cache (:class:`~repro.diskio.shmcache.
         SharedTimestepCache`) for the internally-built tier stack.
     registry
-        Optional :class:`~repro.obs.registry.MetricsRegistry` to mirror
-        the per-tier ``cache.*`` counters into (also see
-        :meth:`bind_registry`).
+        The :class:`~repro.obs.registry.MetricsRegistry` holding the
+        ``loader.*`` counters (and, for the internally-built tier stack,
+        the per-tier ``cache.*`` ones).  Defaults to the cache's own —
+        private unless one was passed — which a server built later
+        adopts (:meth:`~repro.obs.registry.MetricsRegistry.adopt`).
 
     All arrays returned by :meth:`load`/:meth:`peek` are read-only views;
     mutating one raises, so a cached timestep can never be poisoned by a
@@ -87,8 +89,10 @@ class TimestepLoader:
                 l1_bytes=capacity_bytes,
                 l2=shared,
                 sleep=sleep,
+                registry=registry,
             )
         self.cache = cache
+        self.registry = registry if registry is not None else cache.registry
         self.dataset = cache.dataset
         self.disk_model = disk_model
         self.prefetch_enabled = prefetch
@@ -96,13 +100,11 @@ class TimestepLoader:
         self._pending: dict[int, Future] = {}
         self._lock = threading.Lock()
         self._pool = ThreadPoolExecutor(max_workers=1) if prefetch else None
-        # Statistics (loader-level; per-tier counts live on cache.*.stats).
-        self.hits = 0
-        self.misses = 0
-        self.prefetch_issued = 0
-        self.stall_seconds = 0.0
-        if registry is not None:
-            self.bind_registry(registry)
+        # Loader-level counters (per-tier counts live on cache.*.stats).
+        self.hits = self.registry.counter("loader.hits")
+        self.misses = self.registry.counter("loader.misses")
+        self.prefetch_issued = self.registry.counter("loader.prefetch_issued")
+        self.stall_seconds = self.registry.counter("loader.stall_seconds")
 
     # -- internals -------------------------------------------------------------
 
@@ -141,15 +143,12 @@ class TimestepLoader:
             start = time.perf_counter()
             gv = pending.result()
             stall = time.perf_counter() - start
-            self.stall_seconds += stall
+            self.stall_seconds.inc(stall)
             self.cache.l1.stats.stall(stall)
-            self.hits += 1
+            self.hits.inc()
         else:
             gv, tier = self.cache.get(t)
-            if tier == TIER_SOURCE:
-                self.misses += 1
-            else:
-                self.hits += 1
+            (self.misses if tier == TIER_SOURCE else self.hits).inc()
 
         if auto_prefetch:
             self.prefetch(t + (1 if direction >= 0 else -1))
@@ -177,7 +176,7 @@ class TimestepLoader:
             if self.cache.peek(t) is not None or t in self._pending:
                 return False
             self._pending[t] = self._pool.submit(self._prefetch_job, t)
-            self.prefetch_issued += 1
+            self.prefetch_issued.inc()
             return True
 
     def peek(self, t: int) -> np.ndarray | None:
@@ -187,20 +186,6 @@ class TimestepLoader:
     @property
     def buffered_timesteps(self) -> list[int]:
         return self.cache.l1.keys
-
-    @property
-    def modeled_read_seconds(self) -> float:
-        """Total modeled disk seconds charged by the source tier."""
-        return self.cache.source.modeled_read_seconds
-
-    def bind_registry(self, registry) -> None:
-        """Mirror per-tier ``cache.*`` counters into ``registry``.
-
-        Totals accrued before binding are replayed, so a server that
-        adopts a pre-warmed loader still reports exact counts through
-        ``wt.metrics``.
-        """
-        self.cache.bind_registry(registry)
 
     def drain(self) -> None:
         """Wait for every in-flight prefetch (for deterministic tests).

@@ -54,7 +54,7 @@ from multiprocessing import shared_memory
 
 import numpy as np
 
-from repro.diskio.cache import TIER_L2, TierStats, dataset_key
+from repro.diskio.cache import TIER_L2, TierCounters, dataset_key
 
 try:  # POSIX only; on other platforms writers fall back to an in-process lock
     import fcntl
@@ -149,7 +149,7 @@ class SharedTimestepCache:
         self.slot_shape = tuple(int(s) for s in slot_shape)
         self.dtype = np.dtype(dtype)
         self.dataset_id = dataset_id
-        self.stats = TierStats(TIER_L2)
+        self.stats = TierCounters(TIER_L2, registry)
         # Protocol-level event counts beyond the standard tier stats.
         self.bypasses = 0  # puts skipped because every victim was pinned
         self.torn_reads = 0  # copies discarded by seqlock re-validation
@@ -222,8 +222,6 @@ class SharedTimestepCache:
         self._lock_file = open(self._lock_path, "a+b")
         self._fallback_lock = threading.Lock() if fcntl is None else None
         self._row = self._claim_reader_row()
-        if registry is not None:
-            self.stats.bind_registry(registry)
 
     # -- geometry --------------------------------------------------------------
 
@@ -382,7 +380,7 @@ class SharedTimestepCache:
         for _ in range(2):
             slot = self._find_slot(t)
             if slot < 0:
-                self.stats.miss()
+                self.stats.misses.inc()
                 return None
             seq = int(self._meta[slot, _M_SEQ])
             if seq % 2 or int(self._meta[slot, _M_TIMESTEP]) != t:
@@ -402,7 +400,7 @@ class SharedTimestepCache:
             out.flags.writeable = False
             self.stats.hit(out.nbytes)
             return out
-        self.stats.miss()
+        self.stats.misses.inc()
         return None
 
     def _find_slot(self, t: int) -> int:
@@ -449,7 +447,7 @@ class SharedTimestepCache:
             meta[slot, _M_TIMESTEP] = t
             meta[slot, _M_SEQ] = seq + 2  # even: published
             if evicting:
-                self.stats.evict()
+                self.stats.evictions.inc()
             return True
         finally:
             self._release_writer()

@@ -101,6 +101,7 @@ def run_worker(spec: dict, conn: Connection) -> None:
     from repro.diskio.loader import TimestepLoader
     from repro.diskio.shmcache import SharedTimestepCache
     from repro.flow.taperedcylinder import tapered_cylinder_dataset
+    from repro.obs import MetricsRegistry
 
     spec = default_worker_spec(**spec)
     dataset = tapered_cylinder_dataset(
@@ -116,18 +117,23 @@ def run_worker(spec: dict, conn: Connection) -> None:
     loader = None
     cache_spec = spec["timestep_cache"]
     if cache_spec:
+        # One registry for every tier, which the server adopts with the
+        # loader: ``cache.l2.*`` reports through ``wt.metrics`` too.
+        registry = MetricsRegistry()
         try:
             shared = SharedTimestepCache.for_dataset(
                 dataset,
                 name=cache_spec.get("segment"),
                 slots=int(cache_spec.get("slots", 8)),
                 create=str(cache_spec.get("create", "never")),
+                registry=registry,
             )
             tiers = TieredTimestepCache(
                 dataset,
                 l1_timesteps=int(spec["cache_timesteps"]),
                 l2=shared,
                 owns_l2=True,  # the attachment dies with this worker
+                registry=registry,
             )
             loader = TimestepLoader(dataset, cache=tiers, prefetch=False)
         except (OSError, ValueError):

@@ -27,7 +27,7 @@ from repro.netsim.model import (
 )
 from repro.netsim.channel import BandwidthSchedule, ThrottledChannel, VirtualClock
 from repro.netsim.faults import FaultPlan, FaultStats, FaultyChannel
-from repro.netsim.process import ProcessFaultStats, ProcessFaults
+from repro.netsim.process import ProcessFaults
 
 __all__ = [
     "BYTES_PER_POINT",
@@ -37,7 +37,6 @@ __all__ = [
     "FaultStats",
     "FaultyChannel",
     "NetworkModel",
-    "ProcessFaultStats",
     "ProcessFaults",
     "ULTRANET_RATED",
     "ULTRANET_VME",

@@ -27,6 +27,7 @@ import time
 from dataclasses import dataclass, field
 
 from repro.netsim.channel import VirtualClock
+from repro.obs import MetricsRegistry
 
 __all__ = ["FaultPlan", "FaultStats", "FaultyChannel"]
 
@@ -70,7 +71,11 @@ class FaultPlan:
 
 @dataclass
 class FaultStats:
-    """Counters of every fault the channel actually injected."""
+    """Counters of every fault *this channel* actually injected.
+
+    Not a mirror of the ``faults.*`` registry counters: several channels
+    may share one registry, whose counters are then the sums.
+    """
 
     sends: int = 0
     recvs: int = 0
@@ -80,16 +85,6 @@ class FaultStats:
     stalls: int = 0
     disconnects: int = 0
     stalled_seconds: float = field(default=0.0)
-
-    def total_faults(self) -> int:
-        """Injected faults of all kinds (not counting clean traffic)."""
-        return (
-            self.drops
-            + self.duplicates
-            + self.corruptions
-            + self.stalls
-            + self.disconnects
-        )
 
 
 class FaultyChannel:
@@ -115,29 +110,27 @@ class FaultyChannel:
         self._rng = random.Random(plan.seed)
         self._clock = clock
         self._disconnected = False
-        # Optional MetricsRegistry: injected faults land in the same
-        # registry the server reports, so a soak run reconciles observed
+        # Injected faults land in the registry the caller reports (a
+        # private one when omitted), so a soak run reconciles observed
         # losses against scheduled ones from one snapshot.
-        self._counters = (
-            {
-                name: registry.counter(f"faults.{name}")
-                for name in (
-                    "sends",
-                    "recvs",
-                    "drops",
-                    "duplicates",
-                    "corruptions",
-                    "stalls",
-                    "disconnects",
-                )
-            }
-            if registry is not None
-            else None
-        )
+        registry = registry if registry is not None else MetricsRegistry()
+        self._counters = {
+            name: registry.counter(f"faults.{name}")
+            for name in (
+                "sends",
+                "recvs",
+                "drops",
+                "duplicates",
+                "corruptions",
+                "stalls",
+                "disconnects",
+            )
+        }
 
     def _record(self, name: str) -> None:
-        if self._counters is not None:
-            self._counters[name].inc()
+        """Count one event: this channel's share and the registry's sum."""
+        setattr(self.stats, name, getattr(self.stats, name) + 1)
+        self._counters[name].inc()
 
     # -- Stream interface ----------------------------------------------------
 
@@ -163,7 +156,6 @@ class FaultyChannel:
     def send(self, payload: bytes) -> None:
         """Send one framed message, subject to the fault plan."""
         plan, rng = self.plan, self._rng
-        self.stats.sends += 1
         self._record("sends")
         if (
             plan.disconnect_after_sends is not None
@@ -172,11 +164,9 @@ class FaultyChannel:
         ):
             self._inject_disconnect(payload)
         if plan.stall_rate and rng.random() < plan.stall_rate:
-            self.stats.stalls += 1
             self._record("stalls")
             self._stall(plan.stall_seconds)
         if plan.drop_rate and rng.random() < plan.drop_rate:
-            self.stats.drops += 1
             self._record("drops")
             return  # the frame silently vanishes in the network
         data = payload
@@ -184,16 +174,13 @@ class FaultyChannel:
             corrupted = bytearray(payload)
             corrupted[rng.randrange(len(corrupted))] ^= 0xFF
             data = bytes(corrupted)
-            self.stats.corruptions += 1
             self._record("corruptions")
         self._stream.send(data)
         if plan.duplicate_rate and rng.random() < plan.duplicate_rate:
-            self.stats.duplicates += 1
             self._record("duplicates")
             self._stream.send(data)
 
     def recv(self) -> bytes:
-        self.stats.recvs += 1
         self._record("recvs")
         return self._stream.recv()
 
@@ -218,7 +205,6 @@ class FaultyChannel:
     def _inject_disconnect(self, payload: bytes) -> None:
         """Emit a naked prefix of the frame, sever the link, raise."""
         self._disconnected = True
-        self.stats.disconnects += 1
         self._record("disconnects")
         frame = _LEN.pack(len(payload)) + bytes(payload)
         cut = min(self.plan.disconnect_partial_bytes, len(frame))

@@ -14,10 +14,10 @@ Two faults, matching the supervisor's failure model (docs/operations.md):
   a busy one.
 
 Victim choice is seeded (:meth:`ProcessFaults.choose`) so a chaos run
-reproduces from its seed, and injections are counted both locally
-(:attr:`stats`) and in an optional metrics registry (``faults.kills`` /
-``faults.hangs``) so tests reconcile injected faults against the
-gateway's observed ``gateway.*`` recovery counters.
+reproduces from its seed, and injections are counted in a metrics
+registry (``faults.kills`` / ``faults.hangs``) so tests reconcile
+injected faults against the gateway's observed ``gateway.*`` recovery
+counters.
 """
 
 from __future__ import annotations
@@ -25,20 +25,10 @@ from __future__ import annotations
 import os
 import random
 import signal
-from dataclasses import dataclass
 
-__all__ = ["ProcessFaultStats", "ProcessFaults"]
+from repro.obs import MetricsRegistry
 
-
-@dataclass
-class ProcessFaultStats:
-    """What was actually injected."""
-
-    kills: int = 0
-    hangs: int = 0
-
-    def total_faults(self) -> int:
-        return self.kills + self.hangs
+__all__ = ["ProcessFaults"]
 
 
 class ProcessFaults:
@@ -49,25 +39,17 @@ class ProcessFaults:
     seed
         Drives :meth:`choose`; a fixed seed fixes the victim sequence.
     registry
-        Optional :class:`~repro.obs.registry.MetricsRegistry` recording
-        ``faults.kills`` and ``faults.hangs``.
+        The :class:`~repro.obs.registry.MetricsRegistry` recording what
+        was actually injected, as the ``faults.kills`` and
+        ``faults.hangs`` counters (:attr:`kills`, :attr:`hangs`); a
+        private one when omitted.
     """
 
     def __init__(self, seed: int = 0, *, registry=None) -> None:
         self._rng = random.Random(seed)
-        self.stats = ProcessFaultStats()
-        self._counters = (
-            {
-                "kills": registry.counter("faults.kills"),
-                "hangs": registry.counter("faults.hangs"),
-            }
-            if registry is not None
-            else None
-        )
-
-    def _record(self, name: str) -> None:
-        if self._counters is not None:
-            self._counters[name].inc()
+        registry = registry if registry is not None else MetricsRegistry()
+        self.kills = registry.counter("faults.kills")
+        self.hangs = registry.counter("faults.hangs")
 
     def choose(self, victims: list):
         """Pick the next victim from ``victims`` (seeded, uniform)."""
@@ -83,8 +65,7 @@ class ProcessFaults:
         """
         pid = int(getattr(process, "pid", process))
         os.kill(pid, signal.SIGKILL)
-        self.stats.kills += 1
-        self._record("kills")
+        self.kills.inc()
         return pid
 
     def hang(self, address: tuple[str, int], seconds: float) -> None:
@@ -109,5 +90,4 @@ class ProcessFaults:
                 client.close()
             except OSError:
                 pass
-        self.stats.hangs += 1
-        self._record("hangs")
+        self.hangs.inc()

@@ -99,11 +99,10 @@ class Gauge:
 class Histogram:
     """Latency distribution: exact streaming stats + windowed quantiles.
 
-    :attr:`stats` is a plain :class:`~repro.util.timers.TimingStats`, so
-    existing code that kept a private ``TimingStats`` can hold a
-    registry histogram's ``.stats`` instead and keep its API — that is
-    how the frame pipeline's per-stage timings moved into the registry
-    without changing :meth:`FramePipeline.stats`.
+    :attr:`stats` is the histogram's own storage for the full-history
+    numbers (a plain :class:`~repro.util.timers.TimingStats`): read
+    ``hist.stats.mean`` for the lifetime mean, :meth:`quantile` for the
+    recent window.
     """
 
     __slots__ = ("name", "stats", "_ring", "_lock")
@@ -196,6 +195,30 @@ class MetricsRegistry:
             name,
             lambda n: Histogram(n, window),
         )
+
+    def adopt(self, other: "MetricsRegistry") -> None:
+        """Re-home every instrument of ``other`` here, by name.
+
+        Late binding without replay: a component built before its owner
+        (a pre-warmed ``TimestepLoader`` handed to a server) records into
+        a private registry; the owner adopts it and the *same* instrument
+        objects, totals accrued so far included, are reported from here
+        on.  ``other`` becomes an alias of this registry, so no handle
+        goes stale.  A name already present here raises, leaving both
+        registries untouched: one number must not get two stores.
+        """
+        if other._counters is self._counters:
+            return
+        with self._lock, other._lock:
+            mine = (self._counters, self._gauges, self._histograms)
+            theirs = (other._counters, other._gauges, other._histograms)
+            clash = sorted(n for t in theirs for n in t if any(n in m for m in mine))
+            if clash:
+                raise ValueError(f"cannot adopt: {clash} already registered")
+            for m, t in zip(mine, theirs):
+                m.update(t)
+            other._counters, other._gauges, other._histograms = mine
+            other._lock = self._lock
 
     def remove_prefix(self, prefix: str) -> int:
         """Drop every instrument whose name starts with ``prefix``.

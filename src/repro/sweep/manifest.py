@@ -53,7 +53,6 @@ AXIS_KEYS = (
     "seeds_per_rake",
     "backend",
     "workers",
-    "fused",
     "encoding",
     "decimate",
     "quality",
@@ -72,7 +71,6 @@ _DEFAULTS = {
     "seeds_per_rake": 4,
     "backend": "vector",
     "workers": 2,
-    "fused": True,
     "encoding": "v1",
     "decimate": 1,
     "quality": 1.0,
@@ -189,7 +187,6 @@ class Scenario:
     seeds_per_rake: int
     backend: str
     workers: int
-    fused: bool
     encoding: str
     decimate: int
     quality: float
@@ -210,7 +207,6 @@ class Scenario:
             "seeds_per_rake": self.seeds_per_rake,
             "backend": self.backend,
             "workers": self.workers,
-            "fused": self.fused,
             "encoding": self.encoding,
             "decimate": self.decimate,
             "quality": self.quality,
@@ -232,7 +228,7 @@ class Scenario:
         bits = [
             f"{ni}x{nj}x{nk}",
             self.rake_layout,
-            self.backend + ("/fused" if self.fused else ""),
+            self.backend,
             self.encoding + (f"/d{self.decimate}" if self.decimate > 1 else ""),
         ]
         if self.quality < 1.0:
@@ -463,8 +459,6 @@ class SweepManifest:
         _require(
             encoding in _ENCODINGS, keyof("encoding"), f"must be one of {_ENCODINGS}"
         )
-        fused = point["fused"]
-        _require(isinstance(fused, bool), keyof("fused"), "must be a boolean")
         quality = point["quality"]
         _require(
             isinstance(quality, (int, float)) and not isinstance(quality, bool)
@@ -492,7 +486,6 @@ class SweepManifest:
             seeds_per_rake=seeds_per_rake,
             backend=backend,
             workers=workers,
-            fused=fused,
             encoding=encoding,
             decimate=decimate,
             quality=float(quality),

@@ -152,8 +152,8 @@ class DatasetPool:
                 "datasets_built": self.datasets_built,
                 "dataset_reuses": self.reuses,
             }
-        out["l1_hits"] = sum(c.stats.hits for _, c in entries)
-        out["l1_misses"] = sum(c.stats.misses for _, c in entries)
+        out["l1_hits"] = sum(c.stats.hits.value for _, c in entries)
+        out["l1_misses"] = sum(c.stats.misses.value for _, c in entries)
         out["l1_resident_bytes"] = sum(c.resident_bytes for _, c in entries)
         return out
 
@@ -216,7 +216,6 @@ def _run_scenario_scoped(
         settings,
         backend=scenario.backend,
         workers=scenario.workers,
-        fused=scenario.fused,
         registry=registry,
     )
     store = FrameStore(registry=registry)
@@ -230,11 +229,12 @@ def _run_scenario_scoped(
     )
     if timestep_cache is not None:
         # Attach the shared tier-1 cache *after* pipeline construction,
-        # deliberately skipping the pipeline's loader registry binding:
-        # the cache is shared across concurrently-running scenarios, so
-        # per-run hit/miss attribution is scheduling-dependent and would
-        # break the run record's byte-determinism.  Totals surface in
-        # the sweep summary via :meth:`DatasetPool.snapshot`.
+        # deliberately skipping the pipeline's adoption of the loader's
+        # registry: the cache is shared across concurrently-running
+        # scenarios, so per-run hit/miss attribution is
+        # scheduling-dependent and would break the run record's
+        # byte-determinism.  Totals surface in the sweep summary via
+        # :meth:`DatasetPool.snapshot`.
         engine.loader = TimestepLoader(
             dataset,
             cache=TieredTimestepCache(dataset, l1=timestep_cache),

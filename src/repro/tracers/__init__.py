@@ -35,7 +35,6 @@ from repro.tracers.integrate import (
     configure_pools,
     integrate_paths,
     integrate_steady,
-    transport_stats,
 )
 from repro.tracers.rake import GrabPoint, Rake
 from repro.tracers.streamline import compute_streamlines
@@ -57,7 +56,6 @@ __all__ = [
     "configure_pools",
     "integrate_steady",
     "integrate_paths",
-    "transport_stats",
     "Rake",
     "GrabPoint",
     "compute_streamlines",

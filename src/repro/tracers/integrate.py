@@ -47,8 +47,9 @@ Two orthogonal optimizations sit under the backends:
   velocity field resident in workers via ``multiprocessing.shared_memory``
   keyed by a memoized content token, so the field crosses the process
   boundary at most once per timestep instead of once per chunk per frame
-  (the Convex kept its 1 GB dataset resident; our workers do too).  See
-  :func:`configure_pools` / :func:`transport_stats`.
+  (the Convex kept its 1 GB dataset resident; our workers do too).
+  Accounted as ``integrate.*`` counters in the calling thread's
+  :func:`~repro.obs.get_registry`.
 """
 
 from __future__ import annotations
@@ -79,8 +80,6 @@ __all__ = [
     "integrate_paths",
     "configure_pools",
     "pool_start_method",
-    "transport_stats",
-    "reset_transport_stats",
     "shutdown_pools",
 ]
 
@@ -468,15 +467,13 @@ _POOLS: dict[tuple[str, int], "mp.pool.Pool"] = {}
 #: Explicit start-method preference (None = auto; see pool_start_method).
 _START_METHOD_PREF: str | None = None
 
-#: How the field crosses the process boundary: "shm" (shared-memory
-#: residency, ship once per timestep) or "pickle" (legacy, once per chunk).
-_FIELD_TRANSPORT = "shm"
-
 #: Parent-side shared-memory exports kept alive, newest last.  Two covers
 #: the unsteady t/t+1 stencil without re-exporting on alternation.
 _SHM_KEEP = 2
 _SHM_EXPORTS: "OrderedDict[tuple, shared_memory.SharedMemory]" = OrderedDict()
-_SHM_BROKEN = False  # flipped when the platform refuses shared memory
+#: Flipped when the platform refuses a segment: from then on the field
+#: rides pickled in every chunk's arguments instead.
+_SHM_BROKEN = False
 
 # Per-worker field residency: token -> [gv_view, flat_list | None, shm | None].
 # Workers keep at most one field resident (the Convex kept its dataset
@@ -487,43 +484,6 @@ _WORKER_FIELDS: dict = {}
 # checksum nothing (satellite: _field_token used to adler32 the whole
 # field on every parallel call).
 _TOKEN_MEMO: dict[int, tuple] = {}
-
-# Plain-int transport accounting (exact, test-friendly); mirrored into the
-# process-wide obs registry as integrate.* counters.
-_TRANSPORT = {
-    "parallel_calls": 0,
-    "field_checksums": 0,
-    "fields_exported": 0,
-    "field_bytes_shipped": 0,
-}
-
-
-def _count(name: str, n: int = 1) -> None:
-    _TRANSPORT[name] += n
-    get_registry().counter(f"integrate.{name}").inc(n)
-
-
-def transport_stats() -> dict:
-    """Snapshot of the worker-pool transport accounting and configuration.
-
-    ``field_bytes_shipped`` counts bytes of velocity field that crossed a
-    process boundary: once per (field, pool) under shared-memory
-    transport, once per chunk under pickle transport.  The acceptance
-    check for the fused frame path is that this grows by at most one
-    field per timestep, not one per rake per frame.
-    """
-    out = dict(_TRANSPORT)
-    out["start_method"] = pool_start_method()
-    out["field_transport"] = _FIELD_TRANSPORT if not _SHM_BROKEN else "pickle"
-    out["shm_resident_fields"] = len(_SHM_EXPORTS)
-    return out
-
-
-def reset_transport_stats() -> None:
-    """Zero the transport counters (benchmark/test bookkeeping)."""
-    for key in _TRANSPORT:
-        _TRANSPORT[key] = 0
-
 
 def pool_start_method() -> str:
     """The multiprocessing start method the next pool will use.
@@ -542,47 +502,24 @@ def pool_start_method() -> str:
     return "fork" if "fork" in available else "spawn"
 
 
-_UNSET = object()
+def configure_pools(*, start_method: str | None) -> dict:
+    """Set the worker pools' start method; returns the active config.
 
-
-def configure_pools(
-    *, start_method=_UNSET, field_transport=_UNSET
-) -> dict:
-    """Configure the persistent worker pools; returns the active config.
-
-    Parameters
-    ----------
-    start_method
-        ``"fork"``, ``"spawn"``, ``"forkserver"``, or ``None`` to restore
-        the automatic choice.  Existing pools are shut down so the next
-        parallel call rebuilds them under the new method.
-    field_transport
-        ``"shm"`` (default: shared-memory residency, the field ships to
-        the pool once per timestep) or ``"pickle"`` (legacy: the field
-        rides in every chunk's arguments).
+    ``start_method`` is ``"fork"``, ``"spawn"``, ``"forkserver"``, or
+    ``None`` to restore the automatic choice.  On a change, existing
+    pools are shut down so the next parallel call rebuilds them under
+    the new method.
     """
-    global _START_METHOD_PREF, _FIELD_TRANSPORT, _SHM_BROKEN
-    changed = False
-    if start_method is not _UNSET:
-        if start_method is not None and start_method not in mp.get_all_start_methods():
-            raise ValueError(
-                f"start method {start_method!r} not available; "
-                f"expected one of {mp.get_all_start_methods()} or None"
-            )
-        changed = changed or start_method != _START_METHOD_PREF
+    global _START_METHOD_PREF
+    if start_method is not None and start_method not in mp.get_all_start_methods():
+        raise ValueError(
+            f"start method {start_method!r} not available; "
+            f"expected one of {mp.get_all_start_methods()} or None"
+        )
+    if start_method != _START_METHOD_PREF:
         _START_METHOD_PREF = start_method
-    if field_transport is not _UNSET:
-        if field_transport not in ("shm", "pickle"):
-            raise ValueError("field_transport must be 'shm' or 'pickle'")
-        changed = changed or field_transport != _FIELD_TRANSPORT
-        _FIELD_TRANSPORT = field_transport
-        _SHM_BROKEN = False
-    if changed:
         shutdown_pools()
-    return {
-        "start_method": pool_start_method(),
-        "field_transport": _FIELD_TRANSPORT,
-    }
+    return {"start_method": pool_start_method()}
 
 
 def _field_token(gv: np.ndarray) -> tuple:
@@ -600,7 +537,7 @@ def _field_token(gv: np.ndarray) -> tuple:
         return memo[2]
     head = np.ascontiguousarray(gv).view(np.uint8)
     token = (gv.shape, zlib.adler32(head), int(gv.size))
-    _count("field_checksums")
+    get_registry().counter("integrate.field_checksums").inc()
     try:
         ref = weakref.ref(gv, lambda _r, _k=key: _TOKEN_MEMO.pop(_k, None))
     except TypeError:  # pragma: no cover - ndarrays support weakrefs
@@ -612,32 +549,33 @@ def _field_token(gv: np.ndarray) -> tuple:
 def _export_field(gv: np.ndarray, token: tuple):
     """Make ``gv`` reachable by the workers; return the per-chunk reference.
 
-    Shared-memory transport returns a small descriptor dict (name, shape,
-    dtype) — the field's bytes cross the process boundary once, when the
-    segment is created, and workers attach read-only views.  If the
-    platform refuses shared memory, or pickle transport is configured,
-    the array itself is returned and rides in each chunk's args.
+    Returns a small descriptor dict (name, shape, dtype) — the field's
+    bytes cross the process boundary once, when the shared-memory segment
+    is created, and workers attach read-only views.  If the platform
+    refuses a segment, the array itself is returned (now and from then
+    on) and rides pickled in each chunk's args.
     """
     global _SHM_BROKEN
-    if _FIELD_TRANSPORT == "shm" and not _SHM_BROKEN:
-        seg = _SHM_EXPORTS.get(token)
-        if seg is None:
-            try:
-                seg = shared_memory.SharedMemory(create=True, size=int(gv.nbytes))
-            except Exception:
-                _SHM_BROKEN = True
-                return gv
-            np.ndarray(gv.shape, dtype=gv.dtype, buffer=seg.buf)[...] = gv
-            while len(_SHM_EXPORTS) >= _SHM_KEEP:
-                _, old = _SHM_EXPORTS.popitem(last=False)
-                _release_segment(old)
-            _SHM_EXPORTS[token] = seg
-            _count("fields_exported")
-            _count("field_bytes_shipped", int(gv.nbytes))
-        else:
-            _SHM_EXPORTS.move_to_end(token)
-        return {"shm": seg.name, "shape": gv.shape, "dtype": str(gv.dtype)}
-    return gv
+    if _SHM_BROKEN:
+        return gv
+    seg = _SHM_EXPORTS.get(token)
+    if seg is None:
+        try:
+            seg = shared_memory.SharedMemory(create=True, size=int(gv.nbytes))
+        except Exception:
+            _SHM_BROKEN = True
+            return gv
+        np.ndarray(gv.shape, dtype=gv.dtype, buffer=seg.buf)[...] = gv
+        while len(_SHM_EXPORTS) >= _SHM_KEEP:
+            _, old = _SHM_EXPORTS.popitem(last=False)
+            _release_segment(old)
+        _SHM_EXPORTS[token] = seg
+        registry = get_registry()
+        registry.counter("integrate.fields_exported").inc()
+        registry.counter("integrate.field_bytes_shipped").inc(int(gv.nbytes))
+    else:
+        _SHM_EXPORTS.move_to_end(token)
+    return {"shm": seg.name, "shape": gv.shape, "dtype": str(gv.dtype)}
 
 
 def _release_segment(seg: shared_memory.SharedMemory) -> None:
@@ -761,10 +699,10 @@ def _integrate_parallel(
 
     ``kernel='scalar'`` mirrors the Convex's parallelized scalar code;
     ``kernel='vector'`` is the vector-group scheme (parallel across
-    groups, vectorized within).  Under shared-memory transport the field
-    array crosses the process boundary once per timestep — workers attach
-    read-only views keyed by the (memoized) content token — instead of
-    being re-pickled into every chunk.
+    groups, vectorized within).  The field array crosses the process
+    boundary once per timestep — workers attach read-only shared-memory
+    views keyed by the (memoized) content token — instead of being
+    re-pickled into every chunk.
     """
     s = seeds.shape[0]
     workers = max(1, min(workers, s))
@@ -775,10 +713,13 @@ def _integrate_parallel(
     pool = _get_pool(workers)
     token = _field_token(gv)
     field_ref = _export_field(gv, token)
+    registry = get_registry()
     if field_ref is gv:
-        # Pickle transport: a full copy of the field rides in every chunk.
-        _count("field_bytes_shipped", int(gv.nbytes) * len(chunks))
-    _count("parallel_calls")
+        # Pickle fallback: a full copy of the field rides in every chunk.
+        registry.counter("integrate.field_bytes_shipped").inc(
+            int(gv.nbytes) * len(chunks)
+        )
+    registry.counter("integrate.parallel_calls").inc()
     results = pool.map(
         _run_chunk,
         [(field_ref, chunk, n_steps, dt, kernel, token) for chunk in chunks],

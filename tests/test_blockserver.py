@@ -101,7 +101,7 @@ class TestRemoteTimestepSource:
         # t mod N ownership: each server saw exactly its half.
         assert servers[0].blocks_served.value == 2
         assert servers[1].blocks_served.value == 2
-        assert source.stats.hits == TIMESTEPS
+        assert source.stats.hits.value == TIMESTEPS
 
     def test_meta_comes_from_the_first_server(self, dataset, fleet):
         _, source = fleet
@@ -144,10 +144,10 @@ class TestLoaderThroughRemoteSource:
             np.testing.assert_array_equal(gv, dataset.grid_velocity(1))
             # Repeat reads hit the worker's private L1, not the network.
             loader.load(1, auto_prefetch=False)
-            assert tiers.l1.stats.hits == 1
-            assert source.stats.hits == 1
+            assert tiers.l1.stats.hits.value == 1
+            assert source.stats.hits.value == 1
             # Remote reads carry no local modeled-disk charge.
-            assert source.modeled_read_seconds == 0.0
+            assert source.stats.stall_seconds.value == 0
         finally:
             loader.close()
 

@@ -79,9 +79,10 @@ class TestComputeRake:
 
     def test_points_computed_accumulates(self, engine):
         rake = Rake([2, 4, 2], [6, 4, 2], n_seeds=2, rake_id=13)
-        before = engine.points_computed
-        engine.compute_rake(rake, 0)
-        assert engine.points_computed > before
+        points = engine.registry.counter("engine.points_computed")
+        before = points.value
+        result = engine.compute_rake(rake, 0)
+        assert points.value == before + result.n_points > before
 
 
 class TestComputeEnvironment:
@@ -119,7 +120,7 @@ class TestComputeEnvironment:
         env = Environment(dataset.n_timesteps)
         env.add_rake(Rake([2, 4, 2], [6, 4, 2], n_seeds=2))
         engine.compute_environment(env, 0)
-        assert loader.misses == 1
+        assert loader.misses.value == 1
 
 
 class TestToolSettings:

@@ -104,14 +104,14 @@ class TestTimestepLoader:
         with TimestepLoader(ds, prefetch=False) as loader:
             gv = loader.load(0)
             np.testing.assert_allclose(gv, ds.grid_velocity(0))
-            assert loader.misses == 1
+            assert loader.misses.value == 1
 
     def test_buffer_hit(self):
         ds = small_dataset()
         with TimestepLoader(ds, prefetch=False) as loader:
             loader.load(2)
             loader.load(2)
-            assert loader.hits == 1 and loader.misses == 1
+            assert loader.hits.value == 1 and loader.misses.value == 1
 
     def test_prefetch_hides_next_load(self):
         ds = small_dataset()
@@ -120,8 +120,8 @@ class TestTimestepLoader:
             loader.drain()
             assert 1 in loader.buffered_timesteps
             loader.load(1)
-            assert loader.hits == 1
-            assert loader.prefetch_issued >= 1
+            assert loader.hits.value == 1
+            assert loader.prefetch_issued.value >= 1
 
     def test_backward_direction_prefetches_upstream(self):
         ds = small_dataset()
@@ -135,7 +135,7 @@ class TestTimestepLoader:
         with TimestepLoader(ds) as loader:
             loader.load(2)
             loader.drain()
-            assert loader.prefetch_issued == 0
+            assert loader.prefetch_issued.value == 0
 
     def test_modeled_disk_time_accumulates(self):
         ds = small_dataset()
@@ -148,8 +148,9 @@ class TestTimestepLoader:
         ) as loader:
             loader.load(0)
             loader.load(1)
-        assert loader.modeled_read_seconds == pytest.approx(sum(clock_time))
-        assert loader.modeled_read_seconds > 0
+        modeled = loader.cache.source.stats.stall_seconds.value
+        assert modeled == pytest.approx(sum(clock_time))
+        assert modeled > 0
 
     def test_capacity_eviction(self):
         ds = small_dataset()

@@ -3,8 +3,8 @@
 Tier 2's shared-memory protocol has its own suite
 (test_diskio_shmcache.py); the network block server has
 test_blockserver.py.  This file covers the pure-Python pieces — the
-TierStats accounting contract (exact reconciliation, replay-on-bind),
-the L1 LRU's budgets and read-only discipline, the modeled source tier,
+per-tier accounting contract (exact reconciliation, one store per
+number), the L1 LRU's budgets and read-only discipline, the modeled source tier,
 the L1→L2→source fall-through, and the end-to-end guarantee that
 ``wt.metrics`` reports cache counters that reconcile exactly with the
 loads a deterministic session injected.
@@ -19,7 +19,7 @@ from repro.diskio.cache import (
     TIER_L2,
     TIER_SOURCE,
     DatasetSource,
-    TierStats,
+    TierCounters,
     TimestepCache,
     dataset_key,
     decoded_timestep_nbytes,
@@ -38,41 +38,35 @@ def dataset():
 
 class TestTierStats:
     def test_exact_accounting(self):
-        s = TierStats("l1")
+        registry = MetricsRegistry()
+        s = TierCounters("l1", registry)
         s.hit(100)
         s.hit(50)
-        s.miss()
-        s.evict(2)
+        s.misses.inc()
+        s.evictions.inc(2)
+        s.append(6)
         s.stall(0.5)
-        assert (s.hits, s.misses, s.bytes, s.evictions) == (2, 1, 150, 2)
-        assert s.stall_seconds == 0.5
-        assert s.accesses == 3
-        assert s.hit_rate == pytest.approx(2 / 3)
-
-    def test_bind_replays_accrued_totals(self):
-        s = TierStats("l2")
-        s.hit(64)
-        s.miss()
-        s.evict()
-        registry = MetricsRegistry()
-        s.bind_registry(registry)
-        counters = registry.snapshot()["counters"]
-        assert counters["cache.l2.hits"] == 1
-        assert counters["cache.l2.misses"] == 1
-        assert counters["cache.l2.bytes"] == 64
-        assert counters["cache.l2.evictions"] == 1
-        # Post-bind activity flows through live; rebinding the same
-        # registry must not double-count the replay.
-        s.hit(10)
-        s.bind_registry(registry)
-        counters = registry.snapshot()["counters"]
-        assert counters["cache.l2.hits"] == 2
-        assert counters["cache.l2.bytes"] == 74
+        s.resident_bytes.set(156)
+        # The attributes *are* the registry's instruments: the snapshot a
+        # reply carries and the one wt.metrics carries cannot disagree.
+        assert registry.snapshot()["counters"] == {
+            "cache.l1.hits": 2,
+            "cache.l1.misses": 1,
+            "cache.l1.bytes": 156,
+            "cache.l1.evictions": 2,
+            "cache.l1.appends": 1,
+            "cache.l1.stall_seconds": 0.5,
+        }
+        assert s.snapshot() == {
+            "tier": "l1", "hits": 2, "misses": 1, "bytes": 156,
+            "evictions": 2, "appends": 1, "stall_seconds": 0.5,
+            "resident_bytes": 156.0,
+        }
 
     def test_negative_stall_clamped(self):
-        s = TierStats("source")
+        s = TierCounters("source")
         s.stall(-1.0)
-        assert s.stall_seconds == 0.0
+        assert s.stall_seconds.value == 0.0
 
 
 class TestTimestepCache:
@@ -86,7 +80,7 @@ class TestTimestepCache:
         c.get(0)  # refresh 0: next eviction takes 1
         c.put(2, self._arr(2))
         assert c.keys == [0, 2]
-        assert c.stats.evictions == 1
+        assert c.stats.evictions.value == 1
 
     def test_byte_budget_evicts(self):
         one = self._arr(1)
@@ -120,7 +114,7 @@ class TestTimestepCache:
         c.get(1)
         c.peek(0)
         c.peek(1)
-        assert (c.stats.hits, c.stats.misses) == (1, 1)
+        assert (c.stats.hits.value, c.stats.misses.value) == (1, 1)
 
     def test_evict_listener_fires_outside_lock(self):
         c = TimestepCache(capacity_timesteps=1)
@@ -134,7 +128,7 @@ class TestTimestepCache:
         c = TimestepCache(capacity_timesteps=2)
         c.put(0, self._arr(0))
         c.pop(0)
-        assert c.stats.evictions == 0
+        assert c.stats.evictions.value == 0
         assert len(c) == 0 and c.resident_bytes == 0
 
     def test_invalid_budgets(self):
@@ -160,23 +154,22 @@ class TestDatasetSource:
         src.read(0)
         src.read(1)
         expected = 2 * CONVEX_DISK.read_time(dataset.timestep_nbytes)
-        assert src.modeled_read_seconds == pytest.approx(expected)
         assert sum(charges) == pytest.approx(expected)
-        assert src.stats.stall_seconds == pytest.approx(expected)
-        assert src.stats.hits == 2
+        assert src.stats.stall_seconds.value == pytest.approx(expected)
+        assert src.stats.hits.value == 2
 
     def test_no_disk_model_no_charge(self, dataset):
         charges = []
         src = DatasetSource(dataset, None, sleep=charges.append)
         src.read(0)
-        assert charges == [] and src.modeled_read_seconds == 0.0
+        assert charges == [] and src.stats.stall_seconds.value == 0
 
 
 class _FakeL2:
     """Duck-typed tier 2: a plain dict with the shm cache's protocol."""
 
     def __init__(self):
-        self.stats = TierStats(TIER_L2)
+        self.stats = TierCounters(TIER_L2)
         self.entries = {}
         self.released = []
         self.closed = False
@@ -184,7 +177,7 @@ class _FakeL2:
     def get(self, t):
         arr = self.entries.get(t)
         if arr is None:
-            self.stats.miss()
+            self.stats.misses.inc()
             return None
         self.stats.hit(arr.nbytes)
         return arr
@@ -333,8 +326,9 @@ class TestMetricsReconciliation:
 
     def test_registry_counters_reconcile_exactly(self, dataset):
         registry = MetricsRegistry()
-        loader = TimestepLoader(dataset, prefetch=False, capacity=3)
-        loader.bind_registry(registry)
+        loader = TimestepLoader(
+            dataset, prefetch=False, capacity=3, registry=registry
+        )
         try:
             for t in self.SCHEDULE:
                 loader.load(t, auto_prefetch=False)
@@ -345,9 +339,11 @@ class TestMetricsReconciliation:
         assert counters["cache.l1.hits"] == hits
         assert counters["cache.l1.misses"] == misses
         assert counters["cache.source.hits"] == misses  # every miss reads
-        assert loader.hits == hits and loader.misses == misses
-        # The L1 TierStats and the registry tell the same story.
-        assert loader.cache.l1.stats.hits == hits
+        assert counters["loader.hits"] == hits
+        assert counters["loader.misses"] == misses
+        # The attributes are reads of the same instruments.
+        assert loader.hits.value == hits and loader.misses.value == misses
+        assert loader.cache.l1.stats.hits.value == hits
 
     def test_wt_metrics_exposes_cache_tiers(self, dataset):
         from repro.core import WindtunnelClient
@@ -364,8 +360,9 @@ class TestMetricsReconciliation:
                 c.fetch_frame()
                 counters = c.metrics()["registry"]["counters"]
         stats = loader.cache.l1.stats
-        assert counters["cache.l1.hits"] == stats.hits
-        assert counters["cache.l1.misses"] == stats.misses
+        assert counters["cache.l1.hits"] == stats.hits.value
+        assert counters["cache.l1.misses"] == stats.misses.value
         source = loader.cache.source.stats
-        assert counters["cache.source.hits"] == source.hits
-        assert stats.accesses > 0  # the session actually drove the cache
+        assert counters["cache.source.hits"] == source.hits.value
+        # The session actually drove the cache.
+        assert stats.hits.value + stats.misses.value > 0

@@ -114,11 +114,11 @@ class TestSegmentValidation:
 class TestProtocol:
     def test_get_miss_then_put_then_hit(self, seg):
         assert seg.get(0) is None
-        assert seg.stats.misses == 1
+        assert seg.stats.misses.value == 1
         assert seg.put(0, _fill(SHAPE, 0))
         out = seg.get(0)
         np.testing.assert_array_equal(out, _fill(SHAPE, 0))
-        assert seg.stats.hits == 1
+        assert seg.stats.hits.value == 1
 
     def test_reads_are_readonly_private_copies(self, seg):
         seg.put(0, _fill(SHAPE, 0))
@@ -143,7 +143,7 @@ class TestProtocol:
         seg.get(0)  # touch t=0 so t=1 becomes the LRU victim
         seg.put(3, _fill(SHAPE, 3))
         assert seg.resident_timesteps == [0, 2, 3]
-        assert seg.stats.evictions == 1
+        assert seg.stats.evictions.value == 1
 
     def test_torn_slot_is_preferred_victim(self, seg):
         for t in range(3):
@@ -170,7 +170,7 @@ class TestProtocol:
         seg._slot_array = racing_slot_array
         assert seg.get(0) is None  # torn copy never reaches the caller
         assert seg.torn_reads == 1
-        assert seg.stats.misses == 1
+        assert seg.stats.misses.value == 1
 
     def test_every_victim_pinned_means_write_around(self, seg):
         for t in range(3):
@@ -242,8 +242,8 @@ def _hammer_worker(name, seed, q):
                 "misses": misses,
                 "puts": puts,
                 "corrupt": corrupt,
-                "stat_hits": seg.stats.hits,
-                "stat_misses": seg.stats.misses,
+                "stat_hits": seg.stats.hits.value,
+                "stat_misses": seg.stats.misses.value,
                 "torn_reads": seg.torn_reads,
             }
         )
@@ -336,7 +336,7 @@ def test_sigkilled_writer_cannot_wedge_the_segment():
         faults = ProcessFaults(seed=0)
         faults.kill(proc)
         proc.join(timeout=30)
-        assert faults.stats.kills == 1
+        assert faults.kills.value == 1
 
         # The kernel released the dead writer's flock: the sidecar lock
         # is immediately acquirable, non-blocking.

@@ -37,6 +37,24 @@ class TestCheckDocs:
             bad.write_text(f"see `{gone}`\n")
             assert check_docs.main([str(bad)]) == 1, gone
 
+    def test_metric_names_must_exist_in_a_live_session(self, tmp_path, capsys):
+        ok = tmp_path / "ok.md"
+        ok.write_text(
+            "`cache.l1.hits`, `loader.misses`, `engine.points_computed`, "
+            "`integrate.*`, `pipeline.stage.*_seconds`, "
+            "`gateway.worker.<name>.saturation` and "
+            "`net.degradation.<cid>.level` are recorded; `wt.frame` is a "
+            "procedure; `pipeline.integrate_ms` is a benchmark row; "
+            "`repro.obs.MetricsRegistry.adopt` and `server.engine` are not "
+            "metric names at all\n"
+        )
+        assert check_docs.main([str(ok)]) == 0, capsys.readouterr().err
+        bad = tmp_path / "bad.md"
+        for gone in ("cache.l1.hitz", "integrate.bytes*", "wt.no_such_call"):
+            bad.write_text(f"watch `{gone}`\n")
+            assert check_docs.main([str(bad)]) == 1, gone
+            assert f"no such metric -> {gone}" in capsys.readouterr().err
+
     def test_anchor_and_url_links_skipped(self, tmp_path):
         ok = tmp_path / "ok.md"
         ok.write_text(

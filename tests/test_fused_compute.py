@@ -2,9 +2,9 @@
 
 The golden-trajectory contract of the fused frame path: gathering every
 rake's seeds into one integration call and slicing the result back by
-offset must be *bit-identical* to per-rake calls on the ``vector``
-backend and within round-off on ``scalar``/``parallel`` — across mixed
-rake kinds and mid-frame particle death.  Alongside it, the two
+offset must be *bit-identical* to per-rake ``compute_rake`` calls on the
+``vector`` backend and within round-off on ``scalar``/``parallel`` —
+across mixed rake kinds and mid-frame particle death.  Alongside it, the two
 optimizations underneath: the :class:`IntegratorWorkspace` zero-allocation
 kernels and the shared-memory field residency of the process backends.
 """
@@ -16,6 +16,7 @@ import pytest
 
 from repro.core import ComputeEngine, ToolSettings
 from repro.flow import MemoryDataset, RigidRotation, UniformFlow, sample_on_grid
+from repro.obs import scoped_registry
 from repro.grid import cartesian_grid
 from repro.tracers import Rake
 from repro.tracers import integrate as integ
@@ -26,7 +27,6 @@ from repro.tracers.integrate import (
     integrate_paths,
     integrate_steady,
     pool_start_method,
-    transport_stats,
 )
 from repro.tracers.particlepath import compute_particle_paths
 
@@ -64,20 +64,22 @@ def _engines(dataset, backend, workers=2):
         streamline_steps=40, streamline_dt=0.08, particle_path_steps=4,
         streakline_length=8,
     )
-    fused = ComputeEngine(
-        dataset, settings, backend=backend, workers=workers, fused=True
+    return (
+        ComputeEngine(dataset, settings, backend=backend, workers=workers),
+        ComputeEngine(dataset, settings, backend=backend, workers=workers),
     )
-    per_rake = ComputeEngine(
-        dataset, settings, backend=backend, workers=workers, fused=False
-    )
-    return fused, per_rake
+
+
+def _per_rake(engine, rakes, timestep=0):
+    """The reference: one ``compute_rake`` call per rake, no batching."""
+    return {rid: engine.compute_rake(rake, timestep) for rid, rake in rakes.items()}
 
 
 class TestFusedEquivalence:
     def test_vector_bit_identical_mixed_kinds(self, dataset):
         fused, per_rake = _engines(dataset, "vector")
         a = fused.compute_rakes(_mixed_rakes(), 0)
-        b = per_rake.compute_rakes(_mixed_rakes(), 0)
+        b = _per_rake(per_rake, _mixed_rakes())
         assert set(a) == set(b)
         for rid in a:
             assert np.array_equal(a[rid].grid_paths, b[rid].grid_paths), rid
@@ -89,7 +91,7 @@ class TestFusedEquivalence:
         fused, per_rake = _engines(dataset, "vector")
         rakes = _mixed_rakes()
         a = fused.compute_rakes(rakes, 0)
-        b = per_rake.compute_rakes(rakes, 0)
+        b = _per_rake(per_rake, rakes)
         steps = fused.settings.streamline_steps
         died = a[4].lengths < steps + 1
         assert died.any(), "edge rake should lose particles mid-frame"
@@ -102,7 +104,7 @@ class TestFusedEquivalence:
     def test_scalar_and_parallel_within_roundoff(self, dataset, backend):
         fused, per_rake = _engines(dataset, backend)
         a = fused.compute_rakes(_mixed_rakes(), 0)
-        b = per_rake.compute_rakes(_mixed_rakes(), 0)
+        b = _per_rake(per_rake, _mixed_rakes())
         for rid in a:
             np.testing.assert_allclose(
                 a[rid].grid_paths, b[rid].grid_paths, atol=1e-10
@@ -112,13 +114,16 @@ class TestFusedEquivalence:
     def test_fused_metrics_recorded(self, dataset):
         fused, _ = _engines(dataset, "vector")
         rakes = _mixed_rakes()
-        fused.compute_rakes(rakes, 0)
-        # Streaklines stay per-rake; the batch is the 19 stream/path seeds.
-        assert fused.fused_batch_size == 23
-        assert fused.points_per_second > 0
-
-    def test_fused_is_default(self, dataset):
-        assert ComputeEngine(dataset).fused is True
+        out = fused.compute_rakes(rakes, 0)
+        snap = fused.registry.snapshot()
+        # Streaklines stay per-rake; the batch is the 23 stream/path seeds.
+        assert snap["gauges"]["engine.fused_batch_size"] == 23
+        assert snap["gauges"]["engine.points_per_second"] > 0
+        assert snap["counters"]["engine.fused_frames"] == 1
+        # ...but every point the engine produced is counted, theirs too.
+        assert snap["counters"]["engine.points_computed"] == sum(
+            r.n_points for r in out.values()
+        )
 
     def test_empty_rake_set(self, dataset):
         fused, _ = _engines(dataset, "vector")
@@ -131,7 +136,7 @@ class TestFusedEquivalence:
             1: Rake([2, 5, 2], [9, 5, 2], n_seeds=5, rake_id=1),
         }
         a = fused.compute_rakes(rakes, 0)
-        b = per_rake.compute_rakes(rakes, 0)
+        b = _per_rake(per_rake, rakes)
         assert a[9].n_paths == 0 == b[9].n_paths
         assert np.array_equal(a[1].grid_paths, b[1].grid_paths)
 
@@ -242,60 +247,74 @@ class TestWorkspaceKernels:
         )
 
 
-class TestFieldTransport:
-    def setup_method(self):
-        integ.reset_transport_stats()
+@pytest.fixture
+def integrate_counters():
+    """``integrate.*`` of this test alone (the module records into the
+    calling thread's registry), read as ``counters()[name]``."""
+    with scoped_registry() as registry:
+        yield lambda: {
+            name.split(".", 1)[1]: value
+            for name, value in registry.snapshot()["counters"].items()
+            if name.startswith("integrate.")
+        }
 
-    def test_token_memoized_by_identity(self):
+
+class TestFieldTransport:
+    def test_token_memoized_by_identity(self, integrate_counters):
         rng = np.random.default_rng(6)
         gv = np.ascontiguousarray(rng.normal(size=(8, 8, 6, 3)))
-        integ.reset_transport_stats()
         t1 = integ._field_token(gv)
         t2 = integ._field_token(gv)
         assert t1 == t2
-        assert transport_stats()["field_checksums"] == 1
+        assert integrate_counters()["field_checksums"] == 1
         # A distinct array with identical content: new checksum, equal token.
         t3 = integ._field_token(gv.copy())
         assert t3 == t1
-        assert transport_stats()["field_checksums"] == 2
+        assert integrate_counters()["field_checksums"] == 2
 
-    def test_field_ships_once_per_timestep(self):
+    def test_field_ships_once_per_timestep(self, integrate_counters):
         """Acceptance: shm residency ships the field once, not per chunk."""
         rng = np.random.default_rng(7)
         gv = np.ascontiguousarray(rng.normal(0, 0.5, size=(10, 10, 8, 3)))
         seeds = rng.uniform(0, 7, size=(8, 3))
-        integ.reset_transport_stats()
         for _ in range(3):  # three frames over the same timestep
             integrate_steady(gv, seeds, 8, 0.05, backend="parallel", workers=2)
-        stats = transport_stats()
+        stats = integrate_counters()
         assert stats["parallel_calls"] == 3
-        if stats["field_transport"] == "shm":
+        if not integ._SHM_BROKEN:
             assert stats["fields_exported"] == 1
             assert stats["field_bytes_shipped"] == gv.nbytes
         else:  # pragma: no cover - platform without shared memory
             assert stats["field_bytes_shipped"] >= gv.nbytes
 
-    def test_shm_and_pickle_agree(self):
+    def test_shm_and_pickle_agree(self, monkeypatch, integrate_counters):
+        """The pickle fallback is selected by the code, from something it
+        can observe: the platform refusing a shared-memory segment."""
         rng = np.random.default_rng(8)
         gv = np.ascontiguousarray(rng.normal(0, 0.5, size=(10, 10, 8, 3)))
         seeds = rng.uniform(0, 7, size=(6, 3))
         p_shm, l_shm = integrate_steady(
             gv, seeds, 10, 0.05, backend="parallel", workers=2
         )
-        configure_pools(field_transport="pickle")
-        try:
-            integ.reset_transport_stats()
-            p_pkl, l_pkl = integrate_steady(
-                gv, seeds, 10, 0.05, backend="parallel", workers=2
-            )
-            # Pickle transport re-ships the field with every chunk.
-            assert transport_stats()["field_bytes_shipped"] == gv.nbytes * 2
-        finally:
-            configure_pools(field_transport="shm")
+        shipped = integrate_counters()["field_bytes_shipped"]
+
+        def refuse(*args, **kwargs):
+            raise OSError("no shared memory on this platform")
+
+        integ.shutdown_pools()  # drop the export, so a segment is needed
+        monkeypatch.setattr(integ, "_SHM_BROKEN", False)  # restored on exit
+        monkeypatch.setattr(integ.shared_memory, "SharedMemory", refuse)
+        p_pkl, l_pkl = integrate_steady(
+            gv, seeds, 10, 0.05, backend="parallel", workers=2
+        )
+        assert integ._SHM_BROKEN
+        # The fallback re-ships the field with every chunk.
+        after = integrate_counters()["field_bytes_shipped"]
+        assert after - shipped == gv.nbytes * 2
         assert np.array_equal(p_shm, p_pkl)
         assert np.array_equal(l_shm, l_pkl)
 
-    def test_start_method_configurable_with_spawn(self):
+    def test_start_method_configurable_with_spawn(self, integrate_counters):
         if "spawn" not in __import__("multiprocessing").get_all_start_methods():
             pytest.skip("spawn unavailable")  # pragma: no cover
         rng = np.random.default_rng(9)
@@ -305,12 +324,11 @@ class TestFieldTransport:
         cfg = configure_pools(start_method="spawn")
         assert cfg["start_method"] == "spawn"
         try:
-            integ.reset_transport_stats()
             p, l = integrate_steady(
                 gv, seeds, 6, 0.05, backend="parallel", workers=2
             )
-            stats = transport_stats()
-            if stats["field_transport"] == "shm":
+            stats = integrate_counters()
+            if not integ._SHM_BROKEN:
                 # Residency must hold under spawn too.
                 assert stats["fields_exported"] == 1
                 assert stats["field_bytes_shipped"] == gv.nbytes
@@ -322,8 +340,8 @@ class TestFieldTransport:
     def test_configure_rejects_bad_values(self):
         with pytest.raises(ValueError):
             configure_pools(start_method="no-such-method")
-        with pytest.raises(ValueError):
-            configure_pools(field_transport="carrier-pigeon")
+        with pytest.raises(TypeError):  # the selector is gone, not ignored
+            configure_pools(field_transport="pickle")
 
     def test_env_var_selects_start_method(self, monkeypatch):
         configure_pools(start_method=None)
@@ -345,7 +363,7 @@ class TestParticlePathWorkspace:
 
 
 class TestPipelineIntegration:
-    def test_published_frame_carries_batch_provenance(self, dataset):
+    def test_pipeline_reports_the_engines_instruments(self, dataset):
         from repro.core import Environment
         from repro.core.framestore import FrameStore
         from repro.core.pipeline import FramePipeline
@@ -357,15 +375,16 @@ class TestPipelineIntegration:
         store = FrameStore()
         pipe = FramePipeline(engine, env, store)
         frame = pipe.produce_inline()
-        assert frame.batch["fused"] is True
-        assert frame.batch["fused_batch_size"] == 7
-        assert frame.batch["points_per_second"] > 0
-        stats = pipe.stats()
-        assert stats["compute"]["fused_batch_size"] == 7
-        assert stats["compute"]["backend"] == "vector"
-        assert "field_bytes_shipped" in stats["compute"]["transport"]
-        # The pipeline wired its registry into the engine.
-        assert engine.registry is pipe.registry
-        gauges = pipe.registry.snapshot()["gauges"]
-        assert gauges["engine.fused_batch_size"] == 7.0
-        assert gauges["engine.points_per_second"] > 0
+        # The pipeline adopted the engine's registry: one store, read by
+        # the reply and by the snapshot alike.
+        snap = pipe.registry.snapshot()
+        assert snap["gauges"]["engine.fused_batch_size"] == 7.0
+        assert snap["counters"]["engine.points_computed"] == frame.n_points
+        assert engine.registry.snapshot() == pipe.registry.snapshot()
+        compute = pipe.stats()["compute"]
+        assert compute == {
+            "fused_batch_size": 7,
+            "points_per_second": snap["gauges"]["engine.points_per_second"],
+            "backend": "vector",
+        }
+        assert compute["points_per_second"] > 0

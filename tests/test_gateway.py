@@ -173,7 +173,7 @@ class TestProcessFaults:
         proc.join(timeout=10)
         assert not proc.is_alive()
         assert proc.exitcode == -9
-        assert faults.stats.kills == 1
+        assert faults.kills.value == 1
         assert registry.snapshot()["counters"]["faults.kills"] == 1
 
 

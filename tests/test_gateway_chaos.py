@@ -144,7 +144,7 @@ class TestSigkillRecovery:
             assert set(snap["rakes"]) == journal_rakes  # no dupes, no losses
 
             # Reconcile injected faults against observed recoveries.
-            assert faults.stats.kills == 1
+            assert faults.kills.value == 1
             assert counter(gateway, "faults.kills") == 1
             assert (
                 counter(gateway, "gateway.sessions_recovered") - recovered0
@@ -181,7 +181,7 @@ class TestHangRecovery:
             frames = fetch_all_within([c], RECOVER_DEADLINE)
             assert frames[c]["timestep"] >= 0
             assert c.rejoins >= 1
-        assert faults.stats.hangs == 1
+        assert faults.hangs.value == 1
         assert counter(gateway, "gateway.workers_hung") - hung0 == 1
 
 
@@ -231,7 +231,7 @@ class TestKillWhileParked:
                 assert frame["env"]["clock"]["playing"] is False
                 assert set(frame["paths"]) == {str(r) for r in rids}
 
-            assert faults.stats.kills == 1
+            assert faults.kills.value == 1
             assert counter(gw, "gateway.forward_failures") == 1
             assert counter(gw, "gateway.workers_respawned") == 1
             assert counter(gw, "gateway.sessions_recovered") == 1

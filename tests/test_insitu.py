@@ -279,11 +279,11 @@ class TestSolverProducer:
         p = SolverProducer(solver, source, cache=cache, steps_per_timestep=2)
         p.prime()
         p.advance(2)
-        before = cache.l1.stats.snapshot()["misses"]
+        before = cache.l1.stats.misses.value
         for t in range(3):
             cache.get(t)
-        assert cache.l1.stats.snapshot()["misses"] == before
-        assert cache.l1.stats.snapshot()["appends"] == 3
+        assert cache.l1.stats.misses.value == before
+        assert cache.l1.stats.appends.value == 3
 
     def test_obstacle_factory_drives_taper_and_angle(self):
         config = small_config()

@@ -124,3 +124,36 @@ class TestMetricsRegistry:
         a, b = MetricsRegistry(), MetricsRegistry()
         a.counter("n").inc()
         assert b.counter("n").value == 0
+
+    def test_adopt_rehomes_the_instrument_objects(self):
+        owner, part = MetricsRegistry(), MetricsRegistry()
+        owner.counter("owner.n").inc()
+        hits = part.counter("part.hits")
+        hits.inc(3)
+        part.gauge("part.level").set(0.5)
+        part.histogram("part.lat").observe(0.25)
+        owner.adopt(part)
+        assert owner.counter("part.hits") is hits  # moved, not replayed
+        hits.inc()
+        snap = owner.snapshot()
+        assert snap["counters"] == {"owner.n": 1, "part.hits": 4}
+        assert snap["gauges"] == {"part.level": 0.5}
+        assert snap["histograms"]["part.lat"]["count"] == 1
+        # The adopted registry is an alias now: no handle goes stale.
+        part.counter("part.late").inc()
+        assert owner.snapshot() == part.snapshot()
+        assert owner.snapshot()["counters"]["part.late"] == 1
+        owner.adopt(part)  # idempotent
+        owner.adopt(owner)
+        assert owner.counter("part.hits").value == 4
+
+    def test_adopt_refuses_a_name_already_present(self):
+        owner, part = MetricsRegistry(), MetricsRegistry()
+        owner.gauge("shared.name").set(1.0)
+        part.counter("shared.name").inc(2)
+        part.counter("part.only").inc()
+        with pytest.raises(ValueError, match="shared.name"):
+            owner.adopt(part)
+        # Nothing moved: both registries read as before.
+        assert owner.snapshot()["counters"] == {}
+        assert part.snapshot()["counters"] == {"part.only": 1, "shared.name": 2}

@@ -58,6 +58,37 @@ def test_perf_exports_only_the_models_that_predict():
     ]
 
 
+def test_stat_mirrors_and_dead_selectors_stay_unexported():
+    """One store per number: no stats class or accessor beside the
+    registry comes back through a package ``__all__``."""
+    import repro.diskio
+    import repro.netsim
+    import repro.tracers
+
+    assert sorted(repro.diskio.__all__) == [
+        "CONVEX_DISK", "DatasetSource", "DiskModel", "ResidencyPlan",
+        "SharedTimestepCache", "TieredTimestepCache", "TimestepCache",
+        "TimestepLoader", "dataset_key", "decoded_timestep_nbytes",
+        "plan_residency", "required_disk_bandwidth_mbps", "table2_rows",
+        "timesteps_per_gigabyte",
+    ]
+    assert sorted(repro.tracers.__all__) == [
+        "BACKENDS", "FTLEResult", "GrabPoint", "IntegratorWorkspace",
+        "IsosurfaceResult", "MultiZoneTracerResult", "Rake",
+        "StreaklineTracer", "TracerResult", "advance_rk2", "compute_ftle",
+        "compute_particle_paths", "compute_streamlines", "configure_pools",
+        "extract_isosurface", "integrate_paths", "integrate_steady",
+        "multizone_streamlines", "velocity_magnitude",
+    ]
+    assert sorted(repro.netsim.__all__) == [
+        "BYTES_PER_POINT", "BYTES_PER_POINT_QUANTIZED", "BandwidthSchedule",
+        "ETHERNET_10", "FaultPlan", "FaultStats", "FaultyChannel", "HIPPI",
+        "NetworkModel", "ProcessFaults", "ThrottledChannel", "ULTRANET_ACTUAL",
+        "ULTRANET_RATED", "ULTRANET_VME", "VirtualClock", "bytes_per_frame",
+        "max_particles_for_bandwidth", "required_bandwidth_mbps", "table1_rows",
+    ]
+
+
 def test_version():
     import repro
 

@@ -95,7 +95,7 @@ axis_value = st.one_of(
 
 axes_dict = st.dictionaries(
     st.sampled_from(
-        ["shape", "timesteps", "encoding", "backend", "fused", "quality",
+        ["shape", "timesteps", "encoding", "backend", "workers", "quality",
          "decimate", "seeds_per_rake", "streamline_steps", "fault_profile",
          "rakes", "bogus_axis"]
     ),

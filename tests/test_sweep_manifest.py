@@ -17,7 +17,7 @@ def minimal(**over):
 class TestExpansion:
     def test_cartesian_product(self):
         m = SweepManifest.from_dict(
-            minimal(axes={"encoding": ["v1", "q16"], "fused": [True, False],
+            minimal(axes={"encoding": ["v1", "q16"], "decimate": [1, 2],
                           "timesteps": [2, 3]})
         )
         assert len(m.expand()) == 8
@@ -40,10 +40,10 @@ class TestExpansion:
 
     def test_axis_order_does_not_change_ids(self):
         a = SweepManifest.from_dict(
-            minimal(axes={"encoding": ["v1", "q16"], "fused": [True]})
+            minimal(axes={"encoding": ["v1", "q16"], "decimate": [2]})
         )
         b = SweepManifest.from_dict(
-            minimal(axes={"fused": [True], "encoding": ["q16", "v1"]})
+            minimal(axes={"decimate": [2], "encoding": ["q16", "v1"]})
         )
         assert {s.scenario_id for s in a.expand()} == {
             s.scenario_id for s in b.expand()
@@ -185,7 +185,7 @@ class TestLoadManifest:
     def test_json_round_trip(self, tmp_path):
         path = tmp_path / "m.json"
         path.write_text(
-            json.dumps({"name": "j", "axes": {"fused": [True, False]}}),
+            json.dumps({"name": "j", "axes": {"decimate": [1, 2]}}),
             encoding="utf-8",
         )
         assert len(load_manifest(path).expand()) == 2

@@ -42,7 +42,7 @@ _MANIFEST = {
     "base": {"shape": [8, 8, 5], "timesteps": 2, "frames": 2,
              "seeds_per_rake": 2, "streamline_steps": 6,
              "streakline_length": 4},
-    "axes": {"encoding": ["v1", "q16"], "fused": [True, False]},
+    "axes": {"encoding": ["v1", "q16"], "decimate": [1, 2]},
 }
 
 

@@ -164,7 +164,7 @@ class TestSweepRunner:
             assert record["obs"]["counters"]["sweep.frames"] == 2
 
     def test_progress_callback_sees_every_record(self, tmp_path):
-        manifest = tiny_manifest(axes={"fused": [True, False]})
+        manifest = tiny_manifest(axes={"decimate": [1, 2]})
         seen = []
         SweepRunner(manifest, tmp_path / "s", workers=2).run(
             progress=seen.append

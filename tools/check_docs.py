@@ -1,7 +1,7 @@
 #!/usr/bin/env python
-"""Docs CI: check links, names and paths, and run fenced doctest blocks.
+"""Docs CI: check links, names, paths and metric names, and run doctests.
 
-Three classes of documentation rot, all caught mechanically:
+Four classes of documentation rot, all caught mechanically:
 
 * **Dead relative links** — every ``[text](target)`` whose target is not
   an URL or a pure anchor must resolve to a file (or directory) in the
@@ -11,6 +11,13 @@ Three classes of documentation rot, all caught mechanically:
   path (one with a directory part, from the repo root or from
   ``src/repro``) must exist.  ROADMAP.md is exempt: its Recent section
   names deleted things on purpose.
+* **Metric names that no registry holds** — outside the top-level
+  documents, a back-ticked ``<ns>.<name>`` in one of the metric
+  namespaces (``cache.l1.hits``, ``net.*``, ``gateway.worker.<name>.
+  saturation``) must be something a scripted smoke session really
+  leaves behind: an instrument in one of its registries (trailing ``*``
+  is a prefix, ``<placeholder>`` one segment), a procedure one of its
+  servers registered (``wt.frame``), or a ``BENCHMARK.json`` metric.
 * **Stale runnable examples** — a fenced code block opened with
   ```` ```python doctest ```` is executed as a doctest session against
   the real package.  Prose examples (plain ```` ```python ````) are not
@@ -28,9 +35,12 @@ the test suite, and the ``docs`` CI job runs it directly.
 from __future__ import annotations
 
 import doctest
+import functools
+import json
 import pkgutil
 import re
 import sys
+import time
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
@@ -53,6 +63,14 @@ _PY_PATH = re.compile(r"[\w.-]+(?:/[\w.-]+)+\.py\b")
 _PATH_ROOTS = (REPO, REPO / "src" / "repro")
 #: Documents whose prose may name things that no longer exist.
 _NAME_CHECK_EXEMPT = ("ROADMAP.md",)
+#: Namespaces in which a back-ticked dotted name is a metric (or RPC) name.
+_METRIC_NAMESPACES = (
+    "dlib", "wt", "pipeline", "engine", "framestore", "net", "cache", "loader",
+    "governor", "insitu", "gateway", "faults", "integrate", "transport",
+)
+_METRIC_NAME = re.compile(
+    r"^(?:%s)\.[\w.<>*]+$" % "|".join(_METRIC_NAMESPACES)
+)
 
 
 def _rel(path: Path) -> str:
@@ -113,6 +131,131 @@ def check_names(path: Path, text: str) -> list[str]:
     return errors
 
 
+@functools.lru_cache(maxsize=1)
+def smoke_session_names() -> frozenset:
+    """Every metric, procedure and benchmark-metric name that exists.
+
+    Runs the scripted smoke session once per process: a replay server
+    (loader over all three cache tiers, governor, an adaptive q16
+    subscriber behind a fault-injecting, instrumented stream), a live
+    server and a one-worker gateway, plus one process-backend
+    integration — small enough for seconds, wide enough that every
+    subsystem has registered what it records.
+    """
+    import numpy as np
+
+    from repro import SessionGateway, WindtunnelClient, WindtunnelServer
+    from repro.core.governor import FrameBudgetGovernor
+    from repro.diskio import CONVEX_DISK, SharedTimestepCache, TimestepLoader
+    from repro.dlib import DlibClient
+    from repro.dlib.transport import connect_tcp
+    from repro.flow import tapered_cylinder_dataset
+    from repro.flow.solver import SolverConfig
+    from repro.gateway import default_worker_spec
+    from repro.insitu import InsituWindtunnelServer
+    from repro.netsim import FaultPlan, FaultyChannel, ProcessFaults
+    from repro.obs import MetricsRegistry, scoped_registry
+    from repro.tracers import integrate_steady
+
+    shape = (8, 8, 4)
+    dataset = tapered_cylinder_dataset(shape=shape, n_timesteps=3, dt=0.25)
+    names: set[str] = set()
+
+    def collect(registry):
+        for table in registry.snapshot().values():
+            names.update(table)
+
+    # Pool workers are forked before any server thread exists.
+    with scoped_registry() as integrate_registry:
+        integrate_steady(
+            dataset.grid_velocity(0), np.full((4, 3), 2.0), 2, 0.05,
+            backend="parallel", workers=2,
+        )
+    collect(integrate_registry)
+
+    def drive(server, client_registry=None, **subscription):
+        """One client session; names are collected while it is seated
+        (per-client instruments die with their client)."""
+
+        def stream():
+            raw = connect_tcp(*server.address, registry=client_registry)
+            return FaultyChannel(raw, FaultPlan(), registry=client_registry)
+
+        with WindtunnelClient(
+            *server.address, stream_factory=stream, registry=client_registry
+        ) as client:
+            client.add_rake([-1.0, -1.0, 1.0], [-1.0, 1.0, 1.0], n_seeds=2)
+            if subscription:
+                client.subscribe(**subscription)
+            client.fetch_frame()
+            collect(server.registry)
+        with DlibClient(*server.address) as probe:
+            names.update(probe.call("dlib.procedures"))
+
+    client_registry = MetricsRegistry()
+    ProcessFaults(registry=client_registry)
+    replay_registry = MetricsRegistry()
+    shared = SharedTimestepCache.for_dataset(
+        dataset, name=f"wt-docs-{time.monotonic_ns()}", create="always",
+        registry=replay_registry,
+    )
+    loader = TimestepLoader(
+        dataset, CONVEX_DISK, sleep=lambda s: None, shared=shared,
+        registry=replay_registry,
+    )
+    try:
+        with WindtunnelServer(
+            dataset, loader=loader, governor=FrameBudgetGovernor(),
+            allow_chaos=True, registry=replay_registry,
+        ) as replay:
+            drive(replay, client_registry, encoding="q16", adaptive=True)
+    finally:
+        shared.close()
+    collect(client_registry)
+    with InsituWindtunnelServer(
+        solver_config=SolverConfig(nx=24, ny=12), sim_period_seconds=0.01
+    ) as live:
+        drive(live)
+    with SessionGateway(
+        default_worker_spec(shape=shape, n_timesteps=3), n_workers=1,
+        heartbeat_interval=0.05,
+    ) as gateway:
+        drive(gateway)
+        deadline = time.monotonic() + 10.0
+        while (  # the first health probe registers the per-worker gauges
+            "gateway.worker.w0.saturation" not in gateway.registry.snapshot()["gauges"]
+            and time.monotonic() < deadline
+        ):
+            time.sleep(0.02)
+        collect(gateway.registry)
+
+    bench = json.loads((REPO / "BENCHMARK.json").read_text(encoding="utf-8"))
+    names.update(m["name"] for m in bench["end_to_end"] + bench["per_layer"])
+    return frozenset(names)
+
+
+def check_metric_names(path: Path, text: str) -> list[str]:
+    """Back-ticked names in the metric namespaces exist in a live session."""
+    if path.parent == REPO:  # README/DESIGN/EXPERIMENTS/ROADMAP: prose, history
+        return []
+    spans = {
+        span
+        for span in _CODE_SPAN.findall(strip_code_blocks(text))
+        if _METRIC_NAME.match(span)
+    }
+    errors = []
+    for span in sorted(spans):
+        pattern = re.compile(
+            "".join(
+                ".*" if part == "*" else "[^.]+" if part.startswith("<") else re.escape(part)
+                for part in re.split(r"(\*|<[^>]*>)", span)
+            )
+        )
+        if not any(pattern.fullmatch(name) for name in smoke_session_names()):
+            errors.append(f"{_rel(path)}: no such metric -> {span}")
+    return errors
+
+
 def run_doctests(path: Path, text: str) -> tuple[int, list[str]]:
     """Run every opted-in fenced block; returns (n_blocks, errors)."""
     parser = doctest.DocTestParser()
@@ -141,6 +284,7 @@ def main(argv: list[str] | None = None) -> int:
         n_links += len(_LINK.findall(strip_code_blocks(text)))
         errors += link_errors
         errors += check_names(path, text)
+        errors += check_metric_names(path, text)
         blocks, dt_errors = run_doctests(path, text)
         n_blocks += blocks
         errors += dt_errors
