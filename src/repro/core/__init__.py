@@ -8,7 +8,7 @@ This package composes every substrate into the paper's system (section 5):
   (rakes, users, grab locks, clock) that lives on the remote system so
   "several workstations ... can access the same data on the host".
 * :mod:`~repro.core.engine` — the visualization compute engine (rake
-  seeds -> grid coordinates -> tracer tools) with selectable backends.
+  seeds -> grid coordinates -> tracer tools) on the vectorised kernel.
 * :mod:`~repro.core.server` — the remote system: a dlib server exposing
   the windtunnel procedures, computing one shared visualization per
   (environment, timestep) and shipping 12-byte points to every client.

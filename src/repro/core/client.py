@@ -148,12 +148,11 @@ class WindtunnelClient:
         self._net_stop = threading.Event()
         self._state_lock = threading.Lock()
         self._closed = False
-        # v2 frame delivery (docs/network.md): active subscription info,
-        # the reassembled per-rake state deltas are merged into, and the
-        # last publication seq acknowledged back to the server.
-        self.subscription: dict | None = None
-        self._held_paths: dict = {}
-        self._acked_seq = 0
+        # Negotiated delivery (docs/network.md): the server's echo of the
+        # terms (None = the default subscription), the reassembled
+        # per-rake state deltas are merged into, and the last publication
+        # seq acknowledged back to the server.
+        self._adopt_terms(None)
         self._prev_bytes_received = 0
         self._goodput = 0.0
 
@@ -284,7 +283,14 @@ class WindtunnelClient:
         """
         return self._call("wt.isosurface", self.client_id, level_fraction)
 
-    # -- v2 frame delivery (docs/network.md) ---------------------------------
+    # -- negotiated frame delivery (docs/network.md) --------------------------
+
+    def _adopt_terms(self, info: dict | None) -> None:
+        """Start over under new delivery terms: nothing held, nothing
+        acked, so the next frame is a keyframe."""
+        self.subscription = info
+        self._held_paths: dict = {}
+        self._acked_seq = 0
 
     def subscribe(
         self,
@@ -297,13 +303,9 @@ class WindtunnelClient:
         kinds=None,
         push: bool = False,
     ) -> dict:
-        """Negotiate bandwidth-adaptive (v2) frame delivery.
+        """Negotiate bandwidth-adaptive frame delivery.
 
-        Returns the server's echo of the effective settings.  Against a
-        pre-v2 server the ``LookupError`` is swallowed and ``{"enabled":
-        False, "supported": False}`` comes back — the client simply keeps
-        using the v1 path, so new clients run against old servers
-        unchanged.
+        Returns the server's echo of the effective settings.
 
         With ``push=True`` the server also streams frames to this
         connection as it publishes them (PUSH messages), without waiting
@@ -324,31 +326,16 @@ class WindtunnelClient:
             options["rakes"] = [str(r) for r in rakes]
         if kinds is not None:
             options["kinds"] = [str(k) for k in kinds]
-        try:
-            info = self._call("wt.subscribe", self.client_id, options)
-        except DlibRemoteError as exc:
-            if exc.remote_type == "LookupError":
-                with self._state_lock:
-                    self.subscription = None
-                return {"enabled": False, "supported": False}
-            raise
+        info = self._call("wt.subscribe", self.client_id, options)
         with self._state_lock:
-            self.subscription = info
-            self._held_paths = {}
-            self._acked_seq = 0  # next frame is a keyframe under the new terms
+            self._adopt_terms(info)
         return info
 
     def unsubscribe(self) -> None:
-        """Return to plain v1 frame delivery."""
-        try:
-            self._call("wt.subscribe", self.client_id, {"enabled": False})
-        except DlibRemoteError as exc:
-            if exc.remote_type != "LookupError":
-                raise
+        """Return to the default subscription (full ``v1`` keyframes)."""
+        self._call("wt.subscribe", self.client_id, {"enabled": False})
         with self._state_lock:
-            self.subscription = None
-            self._held_paths = {}
-            self._acked_seq = 0
+            self._adopt_terms(None)
 
     def _note_goodput(self) -> None:
         """Update the receive-side throughput estimate from the last call."""

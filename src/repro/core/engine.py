@@ -3,8 +3,9 @@
 The remote system's job each frame (section 5.2): take the current
 environment state, locate every rake's seed points in the grid (once per
 interaction, not per integration step), run the tracer tools in grid
-coordinates with the selected execution backend, and emit physical-space
-float32 path arrays — 12 bytes per point — ready for the network.
+coordinates on the vectorised kernel (section 5.3's production code), and
+emit physical-space float32 path arrays — 12 bytes per point — ready for
+the network.
 """
 
 from __future__ import annotations
@@ -67,15 +68,11 @@ class ComputeEngine:
         dataset: UnsteadyDataset,
         settings: ToolSettings | None = None,
         *,
-        backend: str = "vector",
-        workers: int = 4,
         loader: TimestepLoader | None = None,
         registry: MetricsRegistry | None = None,
     ) -> None:
         self.dataset = dataset
         self.settings = settings or ToolSettings()
-        self.backend = backend
-        self.workers = workers
         self.loader = loader
         self.registry = registry if registry is not None else MetricsRegistry()
         self._points_computed = self.registry.counter("engine.points_computed")
@@ -159,8 +156,7 @@ class ComputeEngine:
         if rake.kind == "streamline":
             gv = self._grid_velocity(timestep, direction)
             paths, lengths = integrate_steady(
-                gv, seeds, s.streamline_steps, s.streamline_dt,
-                backend=self.backend, workers=self.workers,
+                gv, seeds, s.streamline_steps, s.streamline_dt
             )
             result = TracerResult(paths, lengths, self.dataset.grid)
         elif rake.kind == "particle_path":
@@ -220,15 +216,14 @@ class ComputeEngine:
         All streamline rakes' seeds concatenate into one
         :func:`integrate_steady` call (and likewise all particle-path
         rakes into one :func:`compute_particle_paths` call), so the
-        kernel-launch overhead, the per-step trilinear gathers, and — on
-        the process backends — the field transport are paid once per
-        frame instead of once per rake, and active-particle compaction
-        amortizes over the whole environment.  Streaklines stay per-rake:
-        their population state is inherently per-tracer.
+        kernel-launch overhead and the per-step trilinear gathers are
+        paid once per frame instead of once per rake, and active-particle
+        compaction amortizes over the whole environment.  Streaklines
+        stay per-rake: their population state is inherently per-tracer.
 
-        Slicing is exact: every integration backend computes each
-        particle independently (elementwise kernels, per-particle scalar
-        loops), so the union batch is bit-identical to per-rake calls.
+        Slicing is exact: the kernel computes each particle independently
+        (elementwise operations), so the union batch is bit-identical to
+        per-rake calls.
         The sliced ``grid_paths`` are views into the engine workspace's
         rotating buffer pool — valid while the frame pipeline encodes
         them (which copies), overwritten a few frames later.
@@ -271,8 +266,7 @@ class ComputeEngine:
             batch += cat.shape[0]
             paths, lengths = integrate_steady(
                 gv, cat, s.streamline_steps, s.streamline_dt,
-                backend=self.backend, workers=self.workers,
-                workspace=self.workspace if self.backend == "vector" else None,
+                workspace=self.workspace,
             )
             points += self._slice_back(stream_ids, stream_seeds, paths, lengths, out)
         if ppath_ids:

@@ -15,14 +15,15 @@ Invariants (docs/architecture.md, docs/network.md):
   clients share one frame with zero copies and zero risk of cross-client
   corruption — the shared-visualization guarantee of section 5.1,
   enforced by the buffer flags instead of by convention.
-* **Encode-once, per variant.**  The v1 full encoding is produced
-  exactly once, at publish time, as the concatenation of per-rake
-  fragments (the value encoding is compositional).  Every other wire
-  variant a subscribed client can request — float16 or fixed-point
-  quantization, decimation — is produced at most once per
-  ``(rake, encoding, decimate)`` by the frame's :class:`EncodingCache`
-  and shared by all subscribers; ``net.encode_cache_hits`` counts the
-  reuse.
+* **Encode-once, per variant.**  The full-precision (``v1``) per-rake
+  fragments are produced exactly once, at publish time, and seed the
+  frame's :class:`EncodingCache`.  Every other wire variant a client can
+  negotiate — float16 or fixed-point quantization, decimation — is
+  produced at most once per ``(rake, encoding, decimate)`` by that cache
+  and shared by all readers; ``net.encode_cache_hits`` counts the reuse.
+  :meth:`PublishedFrame.compose` is the only place reply bytes are
+  assembled (the value encoding is compositional: a dict's bytes are its
+  entries' bytes behind a count).
 * **Delta identity.**  Each rake entry carries a content digest of its
   vertex/length bytes.  Two frames whose digests match for a rake hold
   bit-identical geometry for it, which is what licenses the v2 delta
@@ -47,14 +48,13 @@ from repro.obs import MetricsRegistry
 
 __all__ = [
     "ENCODINGS",
-    "EncodedPaths",
     "EncodingCache",
     "FrameStore",
     "PublishedFrame",
     "encode_published",
 ]
 
-#: Wire encodings a client can subscribe to (docs/network.md).
+#: Wire encodings a client can negotiate (docs/network.md).
 #: ``v1`` = float32 (12 bytes/point), ``f16`` = IEEE half precision
 #: (6 bytes/point), ``q16`` = per-axis fixed-point int16, packed
 #: losslessly along each polyline (at most 6 bytes/point, typically ~2).
@@ -77,23 +77,6 @@ def _digest(kind: str, vertices: np.ndarray, lengths: np.ndarray) -> bytes:
     return h.digest()
 
 
-@dataclass(frozen=True)
-class EncodedPaths:
-    """One frame's tracer results, encoded once at publish time.
-
-    ``fragments[rid]`` is the wire encoding of the rake's v1 entry dict
-    (``{kind, vertices, lengths}``); ``wire`` is the full v1 paths dict
-    composed from exactly those fragments, so splicing a subset of rakes
-    produces bytes identical to encoding that subset directly.
-    """
-
-    paths: dict
-    wire: PreEncoded
-    n_points: int
-    digests: dict
-    fragments: dict
-
-
 def _compose(entries: dict[str, bytes]) -> PreEncoded:
     """Compose a dict-of-rakes wire value from per-rake entry fragments."""
     parts = [b"M", _U32.pack(len(entries))]
@@ -103,13 +86,17 @@ def _compose(entries: dict[str, bytes]) -> PreEncoded:
     return PreEncoded(b"".join(parts))
 
 
-def encode_published(kinds: dict[int, str], results: dict) -> EncodedPaths:
+def encode_published(
+    kinds: dict[int, str], results: dict, **provenance
+) -> "PublishedFrame":
     """One-shot wire encoding of a frame's tracer results.
 
     This is the *only* place path arrays are serialized at full
-    precision; every ``wt.frame`` response afterwards splices the cached
-    fragments verbatim (whole for v1 clients, per changed rake for v2
-    delta subscribers).
+    precision: the per-rake ``v1`` fragments seed the returned frame's
+    :class:`EncodingCache`, and every ``wt.frame`` response afterwards
+    splices them verbatim through :meth:`PublishedFrame.compose`.
+    ``provenance`` is the rest of the :class:`PublishedFrame` (version,
+    timestep, seq, costs); the frame is built here, unpublished.
     """
     paths: dict[str, dict] = {}
     fragments: dict[str, bytes] = {}
@@ -127,12 +114,12 @@ def encode_published(kinds: dict[int, str], results: dict) -> EncodedPaths:
         fragments[key] = encode_value(entry)
         digests[key] = _digest(kinds[rid], vertices, lengths)
         n_points += int(lengths.sum())
-    return EncodedPaths(
+    return PublishedFrame(
         paths=paths,
-        wire=_compose(fragments),
         n_points=n_points,
         digests=digests,
-        fragments=fragments,
+        enc_cache=EncodingCache(fragments),
+        **provenance,
     )
 
 
@@ -150,32 +137,36 @@ def _decimate_entry(entry: dict, decimate: int) -> dict:
 class EncodingCache:
     """Per-frame cache of wire-variant fragments, built at most once each.
 
-    Keyed by ``(rid, encoding, decimate)``.  The v1/undecimated variant
-    is prebuilt by :func:`encode_published`; everything else is encoded
-    lazily on first request and then shared by every subscriber — the
-    encode-once guarantee, extended to the whole variant space.
+    Keyed by ``(rid, encoding, decimate)``.  ``seed`` is the
+    ``{rid: fragment}`` of v1/undecimated entries :func:`encode_published`
+    built at publish time; everything else is encoded lazily on first
+    request and then shared by every reader — the encode-once guarantee,
+    extended to the whole variant space.  ``hits`` / ``misses`` count the
+    lazy variants only: reading a seeded entry is neither.
 
     ``q16_raw_bytes`` / ``q16_packed_bytes`` total the int16 grid sizes
     and the packed sizes of the q16 variants built here (the server
     surfaces them as ``net.q16_raw_bytes`` / ``net.q16_packed_bytes``).
     """
 
-    def __init__(self) -> None:
+    def __init__(self, seed: dict[str, bytes] | None = None) -> None:
         self._lock = threading.Lock()
-        self._fragments: dict[tuple, bytes] = {}
+        self._fragments: dict[tuple, bytes] = {
+            (rid, "v1", 1): fragment for rid, fragment in (seed or {}).items()
+        }
+        self._seeded = frozenset(self._fragments)
         self.hits = 0
         self.misses = 0
         self.q16_raw_bytes = 0
         self.q16_packed_bytes = 0
 
     def entry(self, frame: "PublishedFrame", rid: str, encoding: str, decimate: int) -> bytes:
-        if encoding == "v1" and decimate == 1:
-            return frame.rake_fragments[rid]
         key = (rid, encoding, decimate)
         with self._lock:
             cached = self._fragments.get(key)
             if cached is not None:
-                self.hits += 1
+                if key not in self._seeded:
+                    self.hits += 1
                 return cached
         fragment = encode_value(self._build(frame.paths[rid], encoding, decimate))
         with self._lock:
@@ -229,9 +220,6 @@ class PublishedFrame:
         seq it integrated, and deltas are expressed against it.
     paths
         ``{rake_id: {kind, vertices, lengths}}`` with read-only arrays.
-    paths_wire
-        The same structure as a pre-encoded dlib fragment; responses
-        splice it without re-serializing.
     compute_seconds
         Production cost (load + locate + integrate) — what the governor
         saw for this frame.
@@ -252,22 +240,20 @@ class PublishedFrame:
         replay datasets and for live frames before any steering).  A
         client that issued ``wt.steer`` watches this field to know when
         the flow it sees includes its change (docs/steering.md).
-    rake_fragments
-        ``{rake_id: wire bytes}`` — the per-rake v1 entry fragments
-        whose concatenation is ``paths_wire``.
+    enc_cache
+        The frame's wire fragments by ``(rake, encoding, decimate)``,
+        seeded with the v1 ones; :meth:`compose` reads through it.
     """
 
     version: int
     timestep: int
     seq: int
     paths: dict
-    paths_wire: PreEncoded
     compute_seconds: float
     stage_seconds: dict = field(default_factory=dict)
     quality: float = 1.0
     n_points: int = 0
     digests: dict = field(default_factory=dict)
-    rake_fragments: dict = field(default_factory=dict)
     steer_epoch: int = 0
     enc_cache: EncodingCache = field(
         default_factory=EncodingCache, compare=False, repr=False
@@ -277,19 +263,16 @@ class PublishedFrame:
     def key(self) -> tuple[int, int]:
         return (self.version, self.timestep)
 
-    @property
-    def wire_bytes(self) -> int:
-        return self.paths_wire.nbytes
-
     def compose(
         self, rids: list[str], encoding: str = "v1", decimate: int = 1
     ) -> PreEncoded:
         """Wire fragment of the paths dict restricted to ``rids``.
 
         For ``encoding="v1", decimate=1`` and the full rake set this is
-        byte-identical to :attr:`paths_wire`.  Variant entries come from
-        the frame's :class:`EncodingCache`, so each is encoded at most
-        once regardless of how many subscribers ask for it.
+        byte-identical to ``encode_value(self.paths)`` — the reply an
+        un-negotiated client has always received.  Entries come from the
+        frame's :class:`EncodingCache`, so each is encoded at most once
+        regardless of how many readers ask for it.
         """
         return _compose(
             {rid: self.enc_cache.entry(self, rid, encoding, decimate) for rid in rids}

@@ -24,12 +24,13 @@ no threads; headless callers (the sweep runner) drive the same stage
 code one frame at a time through :meth:`FramePipeline.produce_inline`.
 
 Production is **demand-gated** so an idle server stays idle and frozen-
-clock tests stay deterministic: the producer computes only when a client
-is actually waiting for a fresh frame, or when the clock has advanced to
-a new timestep while frame demand is live (a ``wt.frame`` arrived within
-the demand window).  Environment mutations *invalidate* (wake) the
-producer immediately via :meth:`Environment.subscribe`, but never cause
-speculative recomputes on their own — the next waiting client does.
+clock tests stay deterministic: the producer computes only while a reader
+holds demand (a parked ``wt.frame``, a push binding), or when the clock
+has advanced to a new timestep shortly after a ``wt.frame`` arrived
+(:data:`ANTICIPATION_SECONDS`).  Environment mutations *invalidate*
+(wake) the producer immediately via :meth:`Environment.subscribe`, but
+never cause speculative recomputes on their own — the next waiting
+client does.
 """
 
 from __future__ import annotations
@@ -51,6 +52,12 @@ __all__ = ["FramePipeline"]
 log = logging.getLogger(__name__)
 
 STAGES = ("load", "locate", "integrate", "encode")
+
+#: Real-time seconds after a ``wt.frame`` arrival during which the clock
+#: ticking to a new timestep triggers anticipatory production.
+ANTICIPATION_SECONDS = 0.5
+#: How long an idle producer sleeps between looks at its key.
+POLL_SECONDS = 0.02
 
 
 @dataclass
@@ -88,10 +95,7 @@ class FramePipeline:
         dilute its feedback signal.
     time_fn
         The environment wall clock (injectable for deterministic tests).
-        Demand-window bookkeeping always uses real ``time.monotonic``.
-    demand_window
-        Seconds (real time) after a ``wt.frame`` request during which the
-        clock ticking to a new timestep triggers anticipatory production.
+        Tick-anticipation bookkeeping always uses real ``time.monotonic``.
     stage_cost
         Optional ``{stage: seconds}`` of modeled extra work charged inside
         the named stages (idiomatic with the repo's disk/network models);
@@ -113,8 +117,6 @@ class FramePipeline:
         *,
         governor: FrameBudgetGovernor | None = None,
         time_fn=time.monotonic,
-        demand_window: float = 0.5,
-        poll_interval: float = 0.02,
         stage_cost: dict | None = None,
         registry: MetricsRegistry | None = None,
     ) -> None:
@@ -123,8 +125,6 @@ class FramePipeline:
         self.store = store
         self.governor = governor
         self._time_fn = time_fn
-        self._demand_window = float(demand_window)
-        self._poll_interval = float(poll_interval)
         self.stage_cost = dict(stage_cost or {})
         # In situ provenance hook: when set, ``epoch_fn(timestep)`` is the
         # steering epoch stamped into the published frame for that
@@ -138,9 +138,8 @@ class FramePipeline:
         self._encode_thread: threading.Thread | None = None
 
         self._state_lock = threading.Lock()
-        self._waiters = 0
-        self._standing = 0
-        self._demand_until = 0.0
+        self._demand = 0
+        self._anticipate_until = 0.0
         self._last_key: tuple[int, int] | None = None
 
         self._stats_lock = threading.Lock()
@@ -255,53 +254,31 @@ class FramePipeline:
 
     def note_demand(self) -> None:
         """A ``wt.frame`` arrived: keep anticipatory production live."""
-        until = time.monotonic() + self._demand_window
+        until = time.monotonic() + ANTICIPATION_SECONDS
         with self._state_lock:
-            if until > self._demand_until:
-                self._demand_until = until
+            if until > self._anticipate_until:
+                self._anticipate_until = until
 
-    def note_waiter(self) -> None:
-        """Register a reader parked on a fresh frame.
+    def add_demand(self) -> None:
+        """A reader now depends on fresh frames; produce on key changes.
 
-        ``wt.frame`` defers its reply and registers a waiter; the
-        publication (or timeout) callback calls :meth:`forget_waiter`.
-        A registered waiter is what authorizes the producer to compute
-        outside the tick-anticipation path, so a frozen clock plus an
-        unchanged environment still yields exactly one compute per
-        distinct ``(version, timestep)``.
+        Held by a parked ``wt.frame`` for the length of its wait and by a
+        push binding for its lifetime (push subscribers never poll), and
+        balanced by :meth:`remove_demand`.  Held demand is what
+        authorizes the producer to compute outside the tick-anticipation
+        path, so a frozen clock plus an unchanged environment still
+        yields exactly one compute per distinct ``(version, timestep)``.
+        ``pipeline.requests`` counts the registrations.
         """
         with self._state_lock:
-            self._waiters += 1
+            self._demand += 1
             self._requests.inc()
         self._work.set()
 
-    def forget_waiter(self) -> None:
-        """Balance a :meth:`note_waiter` once the reader unblocks."""
+    def remove_demand(self) -> None:
+        """Balance an :meth:`add_demand` once its reader is gone."""
         with self._state_lock:
-            self._waiters -= 1
-
-    def add_standing_demand(self) -> None:
-        """A push-mode subscriber appeared: produce on every key change.
-
-        Standing demand is the push topology's substitute for per-call
-        waiters — subscribed clients never poll, so the producer treats
-        any change of ``(version, timestep)`` as demanded while at least
-        one standing subscriber exists.  Idle-key behaviour is unchanged:
-        a frozen clock and an untouched environment still compute
-        nothing.
-        """
-        with self._state_lock:
-            self._standing += 1
-        self._work.set()
-
-    def remove_standing_demand(self) -> None:
-        with self._state_lock:
-            self._standing = max(0, self._standing - 1)
-
-    @property
-    def standing_demand(self) -> int:
-        with self._state_lock:
-            return self._standing
+            self._demand -= 1
 
     def invalidate(self) -> None:
         """Environment changed: wake the producer immediately.
@@ -337,12 +314,12 @@ class FramePipeline:
             last = self._last_key
             if key == last:
                 return None
-            if self._waiters > 0 or self._standing > 0:
+            if self._demand > 0:
                 return "request"
             if (
                 last is not None
                 and key[0] == last[0]
-                and time.monotonic() < self._demand_until
+                and time.monotonic() < self._anticipate_until
             ):
                 # The clock rolled to a new timestep while clients are
                 # actively polling: keep the published frame current so
@@ -355,7 +332,7 @@ class FramePipeline:
             reason = self._should_produce()
             if reason is None:
                 self._idle_cycles.inc()
-                self._work.wait(self._poll_interval)
+                self._work.wait(POLL_SECONDS)
                 self._work.clear()
                 continue
             try:
@@ -365,7 +342,7 @@ class FramePipeline:
                 with self._state_lock:
                     self._last_key = None  # let a waiter retry
                 log.exception("frame production failed")
-                time.sleep(self._poll_interval)
+                time.sleep(POLL_SECONDS)
                 continue
             if reason == "tick":
                 self._frames_anticipated.inc()
@@ -492,28 +469,24 @@ class FramePipeline:
                 log.exception("frame encoding failed")
 
     def _encode_and_publish(self, job: _Job) -> PublishedFrame:
-        with Stopwatch() as sw:
-            enc = encode_published(job.kinds, job.results)
-            self._charge("encode")
         stage_seconds = dict(job.stage_seconds)
-        stage_seconds["encode"] = sw.elapsed
+        with Stopwatch() as sw:
+            frame = encode_published(
+                job.kinds,
+                job.results,
+                version=job.version,
+                timestep=job.timestep,
+                seq=0,  # stamped by the store
+                compute_seconds=job.compute_seconds,
+                stage_seconds=stage_seconds,
+                quality=job.quality,
+                steer_epoch=job.steer_epoch,
+            )
+            self._charge("encode")
+        stage_seconds["encode"] = sw.elapsed  # before anyone can read it
         with self._stats_lock:
             self._stage_hist["encode"].observe(sw.elapsed)
         self._frames_encoded.inc()
-        frame = PublishedFrame(
-            version=job.version,
-            timestep=job.timestep,
-            seq=0,  # stamped by the store
-            paths=enc.paths,
-            paths_wire=enc.wire,
-            compute_seconds=job.compute_seconds,
-            stage_seconds=stage_seconds,
-            quality=job.quality,
-            n_points=enc.n_points,
-            digests=enc.digests,
-            rake_fragments=enc.fragments,
-            steer_epoch=job.steer_epoch,
-        )
         return self.store.publish(frame)
 
     # -- headless production -----------------------------------------------
@@ -549,7 +522,6 @@ class FramePipeline:
             "stages": stages,
             "steady_period_estimate": self.production_period_estimate(),
             "frames_anticipated": self.frames_anticipated,
-            "standing_demand": self.standing_demand,
             "requests": self.requests,
             "invalidations": self.invalidations,
             "produce_errors": self.produce_errors,
@@ -562,7 +534,6 @@ class FramePipeline:
                 "points_per_second": self.registry.gauge(
                     "engine.points_per_second"
                 ).value,
-                "backend": self.engine.backend,
             },
             "cache": self.engine.cache_stats(),
         }

@@ -21,17 +21,21 @@ the pipeline's publication callback — marshalled onto the loop via
 ``call_soon`` — resolves every parked waiter whose acceptance window the
 new frame satisfies.  The same callback drives **push-mode delivery**:
 clients that subscribed with ``push=True`` receive each publication as a
-server-initiated PUSH message, composed through the same v2 delta/
-variant path as pull mode (byte-identical ``paths`` fragments), with the
-per-publication environment snapshot encoded once and spliced into every
-client's frame.  Slow subscribers shed frames at the dlib send-queue
-high-water mark instead of slowing the loop (docs/network.md).
+server-initiated PUSH message, with the per-publication environment
+snapshot encoded once and spliced into every client's frame.  Slow
+subscribers shed frames at the dlib send-queue high-water mark instead of
+slowing the loop (docs/network.md).
+
+Every reply — cache hit, resolved continuation, PUSH — is built by one
+composer from the reader's :class:`Subscription`; a client that never
+called ``wt.subscribe`` holds :data:`DEFAULT_SUBSCRIPTION`.
 """
 
 from __future__ import annotations
 
 import time
 from contextlib import nullcontext
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -43,14 +47,106 @@ from repro.core.pipeline import STAGES, FramePipeline
 from repro.core.session import SessionTable
 from repro.diskio.loader import TimestepLoader
 from repro.dlib.protocol import PreEncoded
-from repro.dlib.server import DlibServer
+from repro.dlib.server import Deferred, DlibServer
 from repro.flow.dataset import UnsteadyDataset
-from repro.obs import MetricsRegistry, current_trace
+from repro.obs import MetricsRegistry, Trace, current_trace
 from repro.tracers.rake import Rake
 
-__all__ = ["WindtunnelServer"]
+__all__ = ["DEFAULT_SUBSCRIPTION", "Subscription", "WindtunnelServer"]
 
 _TIME_OPS = ("pause", "resume", "speed", "scrub", "step", "reverse")
+
+
+@dataclass
+class Subscription:
+    """One reader's delivery terms, plus the live state that serves them.
+
+    The seven option fields are what ``wt.subscribe`` negotiates
+    (docs/network.md), what the gateway journals (:meth:`to_wire`) and
+    what ``wt.restore`` feeds back (:meth:`from_wire`).  They are never
+    assigned after construction — re-negotiating replaces the record —
+    and they alone decide equality.  The live part: ``policy`` (the
+    adaptive degradation ladder), ``conn`` (the connection push delivery
+    is bound to — by ``wt.subscribe`` only, a restored record has no
+    socket to its client yet) and ``push_seq`` (that connection's delta
+    base).
+    """
+
+    encoding: str
+    decimate: int
+    deltas: bool
+    adaptive: bool
+    push: bool
+    rakes: frozenset | None
+    kinds: frozenset | None
+    policy: DegradationPolicy | None = field(default=None, compare=False)
+    conn: object = field(default=None, compare=False)
+    push_seq: int = field(default=0, compare=False)
+
+    @classmethod
+    def from_wire(cls, options: dict) -> "Subscription":
+        """Validate a ``wt.subscribe`` option dict (other keys ignored)."""
+        encoding = str(options.get("encoding", "v1"))
+        if encoding not in ENCODINGS:
+            raise ValueError(
+                f"unknown encoding {encoding!r}; expected one of {ENCODINGS}"
+            )
+        decimate = int(options.get("decimate", 1))
+        if decimate < 1:
+            raise ValueError("decimate must be >= 1")
+        rakes, kinds = options.get("rakes"), options.get("kinds")
+        return cls(
+            encoding=encoding,
+            decimate=decimate,
+            deltas=bool(options.get("deltas", True)),
+            adaptive=bool(options.get("adaptive", False)),
+            push=bool(options.get("push", False)),
+            rakes=None if rakes is None else frozenset(str(r) for r in rakes),
+            kinds=None if kinds is None else frozenset(str(k) for k in kinds),
+        )
+
+    def to_wire(self) -> dict:
+        """The options as plain JSON-safe data; ``from_wire`` inverts it."""
+        return {
+            "encoding": self.encoding,
+            "deltas": self.deltas,
+            "decimate": self.decimate,
+            "adaptive": self.adaptive,
+            "push": self.push,
+            "rakes": None if self.rakes is None else sorted(self.rakes),
+            "kinds": None if self.kinds is None else sorted(self.kinds),
+        }
+
+    def wants(self, rid: str, kind: str) -> bool:
+        """Whether the interest filters admit rake ``rid`` of ``kind``."""
+        return (self.rakes is None or rid in self.rakes) and (
+            self.kinds is None or kind in self.kinds
+        )
+
+
+#: What a client that never called ``wt.subscribe`` holds: full-precision
+#: keyframes of every rake, on request.  One shared record, never mutated,
+#: and the only one whose replies carry no ``"v2"`` envelope — they stay
+#: byte-identical to the pre-subscription protocol.
+DEFAULT_SUBSCRIPTION = Subscription(
+    encoding="v1", decimate=1, deltas=False, adaptive=False, push=False,
+    rakes=None, kinds=None,
+)
+
+
+@dataclass
+class _FrameCall:
+    """One ``wt.frame`` call (dlib-loop owned); the last four fields
+    are set when it parks on the producer."""
+
+    client_id: int
+    ack: int
+    throughput: float
+    trace: Trace | None
+    deferred: Deferred | None = None
+    seq0: int = 0  # newest publication when the call arrived
+    deadline: float = 0.0  # ``time.monotonic()`` past which the wait fails
+    wait_start: float = 0.0  # trace-relative moment the wait began
 
 
 class WindtunnelServer:
@@ -60,8 +156,6 @@ class WindtunnelServer:
     ----------
     dataset
         The unsteady flow to serve.
-    backend, workers
-        Execution backend for the tracer integrations (section 5.3).
     loader
         Optional :class:`~repro.diskio.loader.TimestepLoader` for
         disk-resident datasets with prefetch (figure 8).
@@ -70,9 +164,6 @@ class WindtunnelServer:
         adapts to hold the 1/8 s budget.
     time_fn
         Wall clock (injectable for deterministic tests).
-    demand_window
-        Seconds of anticipatory production after a ``wt.frame`` request
-        (see :class:`~repro.core.pipeline.FramePipeline`).
     stage_cost
         Optional modeled per-stage extra seconds (synthetic workloads).
     frame_wait
@@ -104,14 +195,11 @@ class WindtunnelServer:
         *,
         host: str = "127.0.0.1",
         port: int = 0,
-        backend: str = "vector",
-        workers: int = 4,
         settings: ToolSettings | None = None,
         time_speed: float = 10.0,
         loader: TimestepLoader | None = None,
         governor: FrameBudgetGovernor | None = None,
         time_fn=time.monotonic,
-        demand_window: float = 0.5,
         stage_cost: dict | None = None,
         frame_wait: float = 10.0,
         lease_seconds: float = 30.0,
@@ -124,12 +212,7 @@ class WindtunnelServer:
         self.env = Environment(dataset.n_timesteps, time_speed=time_speed)
         self.registry = registry if registry is not None else MetricsRegistry()
         self.engine = ComputeEngine(
-            dataset,
-            settings,
-            backend=backend,
-            workers=workers,
-            loader=loader,
-            registry=self.registry,
+            dataset, settings, loader=loader, registry=self.registry
         )
         self.governor = governor
         if governor is not None:
@@ -143,7 +226,6 @@ class WindtunnelServer:
             self.store,
             governor=governor,
             time_fn=time_fn,
-            demand_window=demand_window,
             stage_cost=stage_cost,
             registry=self.registry,
         )
@@ -151,10 +233,10 @@ class WindtunnelServer:
         self._points_computed = self.registry.counter("engine.points_computed")
         self._frames_served = self.registry.counter("wt.frames_served")
         self._frame_cache_hits = self.registry.counter("wt.frame_cache_hits")
-        # v2 delivery (docs/network.md): per-client subscription table,
-        # owned by the dlib service thread — its serial dispatch is the
-        # synchronization.
-        self._subs: dict[int, dict] = {}
+        # Negotiated delivery terms (docs/network.md), by client; everyone
+        # else holds DEFAULT_SUBSCRIPTION.  Owned by the dlib service
+        # thread — its serial dispatch is the synchronization.
+        self._subs: dict[int, Subscription] = {}
         self._net_bytes_hist = self.registry.histogram("net.bytes_per_frame")
         self._net_delta_ratio = self.registry.gauge("net.delta_ratio")
         self._net_keyframes = self.registry.counter("net.keyframes")
@@ -183,8 +265,8 @@ class WindtunnelServer:
         self.dlib.add_tick(self._reap_tick, interval=reap_interval)
         # Parked ``wt.frame`` continuations, owned by the dlib loop: the
         # publication callback resolves them, the sweep tick expires them.
-        self._frame_waiters: list[dict] = []
-        self.dlib.add_tick(self._waiter_tick, interval=0.05)
+        self._frame_waiters: list[_FrameCall] = []
+        self.dlib.add_tick(lambda ctx: self._sweep_waiters(), interval=0.05)
         self.store.subscribe(self._publication)
         self._register_procedures()
 
@@ -335,8 +417,7 @@ class WindtunnelServer:
                 restored_sessions += 1
             options = entry.get("subscription")
             if options:
-                self._drop_subscriber(cid)
-                self._subs[cid] = self._make_sub(cid, dict(options))
+                self._negotiate(cid, dict(options))
         for rid, rake_dict in (state.get("rakes") or {}).items():
             rid = int(rid)
             if rid not in self.env.rakes:
@@ -424,19 +505,40 @@ class WindtunnelServer:
         if cid in self.env.users:
             self.env.remove_user(cid)
 
-    def _drop_subscriber(self, cid: int) -> None:
-        """Free every per-client delivery resource for ``cid``.
+    def _negotiate(self, cid: int, options: dict) -> Subscription:
+        """Install ``options`` as ``cid``'s subscription (``wt.subscribe``
+        and ``wt.restore`` replay).  Last-write-wins: the prior record
+        and its resources go — once the new options have validated."""
+        sub = Subscription.from_wire(options)
+        self._drop_subscriber(cid)
+        if sub.adaptive:
+            sub.policy = DegradationPolicy().bind_registry(
+                self.registry, f"net.degradation.{cid}"
+            )
+        self._subs[cid] = sub
+        return sub
 
-        The v2 subscription entry, its adaptive degradation ladder, and
-        the ladder's per-client registry instruments all die with the
-        client — on clean leave and on lease expiry alike — so a churn
-        of short-lived clients costs nothing once they are gone.
+    def _drop_subscriber(self, cid: int) -> None:
+        """Return ``cid`` to the default subscription, freeing the rest.
+
+        The negotiated record, its adaptive degradation ladder, the
+        ladder's per-client registry instruments and its push binding all
+        die with the client — on clean leave and on lease expiry alike —
+        so a churn of short-lived clients costs nothing once they are
+        gone.
         """
         sub = self._subs.pop(cid, None)
-        if sub is not None and sub.get("policy") is not None:
+        if sub is None:
+            return
+        if sub.policy is not None:
             self.registry.remove_prefix(f"net.degradation.{cid}.")
-        if sub is not None and sub.get("conn") is not None:
-            self.pipeline.remove_standing_demand()
+        self._unbind_push(sub)
+
+    def _unbind_push(self, sub: Subscription) -> None:
+        """Stop pushing to ``sub``; gives back the demand its binding held."""
+        if sub.conn is not None:
+            sub.conn = None
+            self.pipeline.remove_demand()
 
     def _reap_tick(self, ctx) -> None:
         """Reaper sweep (runs on the dlib service thread).
@@ -458,14 +560,31 @@ class WindtunnelServer:
                     self.env.remove_user(cid)
 
     def _rpc_update(self, ctx, client_id: int, head, hand, gesture: str) -> dict:
-        self.sessions.touch(int(client_id))
-        self.env.update_user(int(client_id), head, hand, gesture)
-        user = self.env.users[int(client_id)]
-        return {
+        """Apply one input sample; reports what the hand holds.
+
+        The update that lets go of a rake also carries ``released``:
+        the rake's id and final geometry, which is what the gateway
+        journals so crash recovery restores the rake where the drag
+        left it (docs/operations.md).
+        """
+        cid = int(client_id)
+        self.sessions.touch(cid)
+        before = self.env.users.get(cid)
+        held = None if before is None else before.holding
+        self.env.update_user(cid, head, hand, gesture)
+        user = self.env.users[cid]
+        reply = {
             "holding": None if user.holding is None else list(
                 (user.holding[0], user.holding[1].value)
             )
         }
+        if held is not None and user.holding is None:
+            rake_id = held[0]
+            reply["released"] = {
+                "rake_id": rake_id,
+                "rake": self.env.rakes[rake_id].to_dict(),
+            }
+        return reply
 
     def _rpc_add_rake(self, ctx, client_id: int, rake: dict) -> int:
         self.sessions.touch(int(client_id))
@@ -513,12 +632,11 @@ class WindtunnelServer:
     ):
         """Serve the shared visualization from the frame store.
 
-        ``ack`` and ``throughput`` are v2 extensions (defaulted, so v1
-        clients call with one argument and get the pre-subscription
-        response unchanged): the last publication seq this client
-        integrated, and its receive-side goodput estimate in
-        bytes/second (0 = no estimate) feeding the adaptive degradation
-        policy.
+        ``ack`` and ``throughput`` are what a negotiated client adds
+        (defaulted, so an un-negotiated one keeps calling with one
+        argument): the last publication seq this client integrated, and
+        its receive-side goodput estimate in bytes/second (0 = no
+        estimate) feeding the adaptive degradation policy.
 
         Calling this doubles as the session heartbeat (wt.heartbeat
         piggybacks on the frame cycle every client runs anyway).  The
@@ -528,72 +646,53 @@ class WindtunnelServer:
         actually per-request.
 
         A request the store cannot satisfy yet does not block: the call
-        parks as a dlib continuation (registered as a pipeline *waiter*,
-        which authorizes production) and the publication callback
+        parks as a dlib continuation (holding pipeline *demand*, which
+        authorizes production) and the publication callback
         resolves it when a frame at least as new as everything published
         at arrival time lands; a mid-wait environment change simply
         extends the wait until the producer catches up.  The sweep tick
-        expires waiters whose ``frame_wait`` deadline lapsed.
+        expires calls whose ``frame_wait`` deadline lapsed.
 
         A traced call gets production spans grafted under ``frame_wait``:
         the stages ran on the pipeline threads, so their measured
         durations are re-plotted back-to-back inside the wait — a slow
         frame names the stage that made it slow.
         """
-        self.sessions.touch(int(client_id))
-        trace = current_trace()
-        pipeline = self.pipeline
-        pipeline.note_demand()
-        wall = self._time_fn()
-        version = self.env.version
-        timestep = self.env.clock.timestep_index(wall)
-        latest = self.store.latest()
-        if (
-            latest is not None
-            and latest.version == version
-            and latest.timestep == timestep
-        ):
-            return self._frame_reply(
-                latest, True, int(client_id), int(ack), float(throughput), trace
-            )
-        deferred = self.dlib.defer()
-        pipeline.note_waiter()
-        self._frame_waiters.append(
-            {
-                "deferred": deferred,
-                "client_id": int(client_id),
-                "ack": int(ack),
-                "throughput": float(throughput),
-                "seq0": latest.seq if latest is not None else 0,
-                "deadline": time.monotonic() + self._frame_wait,
-                "trace": trace,
-                "wait_start": trace.now() if trace is not None else 0.0,
-            }
+        call = _FrameCall(
+            int(client_id), int(ack), float(throughput), current_trace()
         )
-        return deferred
+        self.sessions.touch(call.client_id)
+        self.pipeline.note_demand()
+        latest = self.store.latest()
+        if latest is not None and latest.key == (
+            self.env.version,
+            self.env.clock.timestep_index(self._time_fn()),
+        ):
+            return self._pull_reply(call, latest, True)
+        call.deferred = self.dlib.defer()
+        call.seq0 = latest.seq if latest is not None else 0
+        call.deadline = time.monotonic() + self._frame_wait
+        if call.trace is not None:
+            call.wait_start = call.trace.now()
+        self.pipeline.add_demand()
+        self._frame_waiters.append(call)
+        return call.deferred
 
-    def _frame_reply(
-        self,
-        frame: PublishedFrame,
-        cached: bool,
-        client_id: int,
-        ack: int,
-        throughput: float,
-        trace,
-        wait_start: float = 0.0,
+    def _pull_reply(
+        self, call: _FrameCall, frame: PublishedFrame, cached: bool
     ) -> dict:
-        """Assemble one client's ``wt.frame`` response for ``frame``.
+        """Answer one ``wt.frame`` call with ``frame``.
 
         Runs on the dlib service thread — synchronously for cache hits,
-        from the publication callback for resolved continuations
-        (``wait_start`` is the trace-relative moment the wait began; the
-        production stages are grafted inside it).
+        from the publication callback for resolved continuations (the
+        production stages are grafted inside the traced wait).
         """
+        trace = call.trace
         if trace is not None and not cached:
             wait_span = trace.mark(
-                "frame_wait", trace.now() - wait_start, start=wait_start
+                "frame_wait", trace.now() - call.wait_start, start=call.wait_start
             )
-            offset = wait_start
+            offset = call.wait_start
             for stage in STAGES:
                 seconds = float(frame.stage_seconds.get(stage, 0.0))
                 wait_span.add_child(stage, offset, seconds)
@@ -603,19 +702,10 @@ class WindtunnelServer:
         self._frames_served.inc()
         if cached:
             self._frame_cache_hits.inc()
-        sub = self._subs.get(client_id)
-        if sub is None:
-            # v1 path: byte-identical to the pre-subscription protocol.
-            self._net_bytes_hist.observe(float(frame.wire_bytes))
-            return {
-                "timestep": frame.timestep,
-                "steer_epoch": frame.steer_epoch,
-                "paths": frame.paths_wire,
-                "compute_seconds": frame.compute_seconds,
-                "env": env,
-                "cached": cached,
-            }
-        return self._frame_v2(frame, cached, env, sub, ack, throughput)
+        sub = self._subs.get(call.client_id, DEFAULT_SUBSCRIPTION)
+        return self._compose_reply(
+            frame, cached, env, sub, call.ack, call.throughput
+        )
 
     # -- publication fan-in/fan-out (dlib loop) -----------------------------
 
@@ -629,43 +719,49 @@ class WindtunnelServer:
 
     def _on_publish(self, frame: PublishedFrame) -> None:
         """A frame was published: wake parked calls, fan out pushes."""
-        if self._frame_waiters:
-            version = self.env.version
-            timestep = self.env.clock.timestep_index(self._time_fn())
-            keep = []
-            for waiter in self._frame_waiters:
-                deferred = waiter["deferred"]
-                if deferred.done:  # connection died while parked
-                    self.pipeline.forget_waiter()
-                    continue
-                accepted = (
-                    frame.version == version and frame.timestep == timestep
-                ) or (
-                    # Production moved past the request: newer than
-                    # anything published when it arrived, at most one
-                    # production period behind the clock.
-                    frame.seq > waiter["seq0"] and frame.version >= version
-                )
-                if not accepted:
-                    keep.append(waiter)
-                    continue
-                self.pipeline.forget_waiter()
+        self._sweep_waiters(frame)
+        self._fan_out(frame)
+
+    def _sweep_waiters(self, frame: PublishedFrame | None = None) -> None:
+        """Settle parked ``wt.frame`` calls (dlib loop).
+
+        Runs per publication — resolving every call ``frame`` satisfies —
+        and, with no frame, on the expiry tick.  A call leaves the list,
+        and gives back its pipeline demand, in exactly one place.
+        """
+        if not self._frame_waiters:
+            return
+        version = self.env.version
+        timestep = self.env.clock.timestep_index(self._time_fn())
+        now = time.monotonic()
+        alive = self.pipeline.alive
+        keep = []
+        for call in self._frame_waiters:
+            deferred = call.deferred
+            if deferred.done:
+                pass  # connection died while parked
+            elif frame is not None and (
+                frame.key == (version, timestep)
+                # Or production moved past the request: newer than
+                # anything published when it arrived, at most one
+                # production period behind the clock.
+                or (frame.seq > call.seq0 and frame.version >= version)
+            ):
                 try:
-                    reply = self._frame_reply(
-                        frame,
-                        False,
-                        waiter["client_id"],
-                        waiter["ack"],
-                        waiter["throughput"],
-                        waiter["trace"],
-                        wait_start=waiter["wait_start"],
-                    )
+                    reply = self._pull_reply(call, frame, False)
                 except Exception as exc:  # noqa: BLE001 - cross the wire
                     deferred.fail(exc)
                 else:
                     deferred.resolve(reply)
-            self._frame_waiters = keep
-        self._fan_out(frame)
+            elif not alive:
+                deferred.fail(RuntimeError("windtunnel server is shutting down"))
+            elif now > call.deadline:
+                deferred.fail(RuntimeError("timed out waiting for a frame"))
+            else:
+                keep.append(call)
+                continue
+            self.pipeline.remove_demand()
+        self._frame_waiters = keep
 
     def _fan_out(self, frame: PublishedFrame) -> None:
         """Push ``frame`` to every push-mode subscriber (dlib loop).
@@ -678,98 +774,66 @@ class WindtunnelServer:
         the number of clients.  A subscriber whose send queue is above
         the high-water mark is shed *before* its payload is built.
         """
-        pushers = [
-            (cid, sub)
-            for cid, sub in self._subs.items()
-            if sub.get("conn") is not None
-        ]
+        pushers = [sub for sub in self._subs.values() if sub.conn is not None]
         if not pushers:
             return
         self._net_publications.inc()
         t0 = time.perf_counter()
         env_wire = None
-        for cid, sub in pushers:
-            conn = sub["conn"]
-            if not self.dlib.is_connected(conn):
-                sub["conn"] = None
-                self.pipeline.remove_standing_demand()
+        for sub in pushers:
+            if not self.dlib.is_connected(sub.conn):
+                self._unbind_push(sub)
                 continue
-            if self.dlib.push_backlogged(conn):
+            if self.dlib.push_backlogged(sub.conn):
                 continue  # shed: the delta base must not advance either
             if env_wire is None:
                 env_wire = PreEncoded.wrap(self.env.snapshot(self._time_fn()))
-            reply = self._frame_v2(
-                frame, False, env_wire, sub, sub.get("push_seq", 0), 0.0
+            reply = self._compose_reply(
+                frame, False, env_wire, sub, sub.push_seq, 0.0
             )
-            if self.dlib.push(conn, reply, shed=False):
+            if self.dlib.push(sub.conn, reply, shed=False):
                 # TCP ordering: a queued frame either arrives or the
                 # connection dies, so the delta base may advance without
                 # waiting for an ack.
-                sub["push_seq"] = frame.seq
+                sub.push_seq = frame.seq
                 self._net_push_frames.inc()
         self._net_push_latency.observe(time.perf_counter() - t0)
 
-    def _waiter_tick(self, ctx=None) -> None:
-        """Expire parked ``wt.frame`` continuations (dlib loop tick)."""
-        if not self._frame_waiters:
-            return
-        now = time.monotonic()
-        alive = self.pipeline.alive
-        keep = []
-        for waiter in self._frame_waiters:
-            deferred = waiter["deferred"]
-            if deferred.done:  # connection died while parked
-                self.pipeline.forget_waiter()
-                continue
-            if not alive:
-                self.pipeline.forget_waiter()
-                deferred.fail(RuntimeError("windtunnel server is shutting down"))
-                continue
-            if now > waiter["deadline"]:
-                self.pipeline.forget_waiter()
-                deferred.fail(RuntimeError("timed out waiting for a frame"))
-                continue
-            keep.append(waiter)
-        self._frame_waiters = keep
-
-    def _interested(self, sub: dict, rid: str, kind: str) -> bool:
-        if sub["rakes"] is not None and rid not in sub["rakes"]:
-            return False
-        if sub["kinds"] is not None and kind not in sub["kinds"]:
-            return False
-        return True
-
-    def _frame_v2(
+    def _compose_reply(
         self,
         frame: PublishedFrame,
         cached: bool,
         env: dict,
-        sub: dict,
+        sub: Subscription,
         ack: int,
         throughput: float,
     ) -> dict:
-        """Assemble a v2 (subscribed) ``wt.frame`` response.
+        """Build the frame reply ``sub`` is owed for ``frame`` — the one
+        composer behind cache hits, resolved continuations and PUSH.
 
         See docs/network.md.  ``ack`` is the last publication seq the
-        client integrated; a delta ships only the interesting rakes whose
+        reader integrated; a delta ships only the interesting rakes whose
         digests changed since then.  An ack outside the store's digest
         history — the client fell behind, or a response was lost — falls
-        back to a keyframe, which is the resync.
+        back to a keyframe, which is the resync.  The ``"v2"`` envelope
+        is attached iff the subscription was negotiated: wire
+        compatibility (an un-negotiated client predates the key), not a
+        second path.
         """
-        policy = sub["policy"]
+        policy = sub.policy
         if policy is not None and throughput > 0:
             policy.note_reported(throughput)
-        encoding, decimate = sub["encoding"], sub["decimate"]
+        encoding, decimate = sub.encoding, sub.decimate
         if policy is not None:
             encoding, decimate = policy.plan(encoding, decimate)
         rids = [
             rid
             for rid, entry in frame.paths.items()
-            if self._interested(sub, rid, entry["kind"])
+            if sub.wants(rid, entry["kind"])
         ]
         mode, base, removed = "keyframe", 0, []
         send = rids
-        if sub["deltas"] and ack > 0:
+        if sub.deltas and ack > 0:
             base_digests = self.store.digests_at(ack)
             if base_digests is not None:
                 mode, base = "delta", ack
@@ -795,22 +859,24 @@ class WindtunnelServer:
         self._net_bytes_hist.observe(float(fragment.nbytes))
         if policy is not None:
             policy.note_send(fragment.nbytes, 0.0)
-        return {
+        reply = {
             "timestep": frame.timestep,
             "steer_epoch": frame.steer_epoch,
             "paths": fragment,
             "compute_seconds": frame.compute_seconds,
             "env": env,
             "cached": cached,
-            "v2": {
+        }
+        if sub is not DEFAULT_SUBSCRIPTION:
+            reply["v2"] = {
                 "seq": frame.seq,
                 "mode": mode,
                 "base": base,
                 "encoding": encoding,
                 "decimate": decimate,
                 "removed": removed,
-            },
-        }
+            }
+        return reply
 
     def _rpc_subscribe(self, ctx, client_id: int, options: dict | None = None) -> dict:
         """Negotiate v2 frame delivery for one client (docs/network.md).
@@ -818,7 +884,7 @@ class WindtunnelServer:
         Idempotent, last-write-wins.  ``options``:
 
         * ``enabled`` (default true) — false tears the subscription down,
-          restoring the byte-identical v1 path;
+          returning the client to the default subscription;
         * ``encoding`` — ``"v1"`` (float32), ``"f16"``, or ``"q16"``;
         * ``deltas`` (default true) — per-rake delta frames against the
           client's acked seq;
@@ -837,78 +903,19 @@ class WindtunnelServer:
         if not options.get("enabled", True):
             self._drop_subscriber(cid)
             return {"enabled": False, "seq": self.store.seq}
-        self._drop_subscriber(cid)  # last-write-wins replaces prior state
-        sub = self._make_sub(cid, options)
-        if sub["options"]["push"]:
-            conn = self.dlib.current_connection()
-            if conn is not None:
-                sub["conn"] = conn
-                # Standing demand: push subscribers never poll, so their
-                # existence is what keeps the producer following the
-                # clock (balanced in ``_drop_subscriber``/``_fan_out``).
-                self.pipeline.add_standing_demand()
-        self._subs[cid] = sub
+        sub = self._negotiate(cid, options)
+        conn = self.dlib.current_connection() if sub.push else None
+        if conn is not None:
+            # Push subscribers never poll, so the binding itself holds
+            # the demand that keeps the producer following the clock
+            # (given back in ``_unbind_push``).
+            sub.conn = conn
+            self.pipeline.add_demand()
         return {
             "enabled": True,
             "seq": self.store.seq,
-            "encoding": sub["encoding"],
-            "deltas": sub["deltas"],
-            "decimate": sub["decimate"],
-            "adaptive": sub["adaptive"],
-            "push": sub.get("conn") is not None,
-            "rakes": None if sub["rakes"] is None else sorted(sub["rakes"]),
-            "kinds": None if sub["kinds"] is None else sorted(sub["kinds"]),
-        }
-
-    def _make_sub(self, cid: int, options: dict) -> dict:
-        """Validate subscription ``options`` into a live sub entry.
-
-        Shared by ``wt.subscribe`` and crash-recovery replay
-        (``wt.restore``), which rebuilds journaled subscriptions on a
-        respawned worker.  The normalized ``options`` are kept on the
-        entry so the subscription itself is journalable.
-        """
-        encoding = str(options.get("encoding", "v1"))
-        if encoding not in ENCODINGS:
-            raise ValueError(
-                f"unknown encoding {encoding!r}; expected one of {ENCODINGS}"
-            )
-        decimate = int(options.get("decimate", 1))
-        if decimate < 1:
-            raise ValueError("decimate must be >= 1")
-        deltas = bool(options.get("deltas", True))
-        adaptive = bool(options.get("adaptive", False))
-        push = bool(options.get("push", False))
-        rakes = options.get("rakes")
-        kinds = options.get("kinds")
-        return {
-            "encoding": encoding,
-            "decimate": decimate,
-            "deltas": deltas,
-            "adaptive": adaptive,
-            # Push state is bound to a live connection by ``wt.subscribe``
-            # (never by restore replay — a respawned worker has no socket
-            # to the client until it re-subscribes).
-            "conn": None,
-            "push_seq": 0,
-            "rakes": None if rakes is None else {str(r) for r in rakes},
-            "kinds": None if kinds is None else {str(k) for k in kinds},
-            "policy": (
-                DegradationPolicy().bind_registry(
-                    self.registry, f"net.degradation.{cid}"
-                )
-                if adaptive
-                else None
-            ),
-            "options": {
-                "encoding": encoding,
-                "decimate": decimate,
-                "deltas": deltas,
-                "adaptive": adaptive,
-                "push": push,
-                "rakes": None if rakes is None else sorted(str(r) for r in rakes),
-                "kinds": None if kinds is None else sorted(str(k) for k in kinds),
-            },
+            **sub.to_wire(),
+            "push": sub.conn is not None,  # armed, not merely asked for
         }
 
     def _on_sent(self, name: str, nbytes: int, seconds: float) -> None:
@@ -1037,7 +1044,7 @@ class WindtunnelServer:
             "protocol_errors": ctx.protocol_errors,
             "v2_subscriptions": len(self._subs),
             "push_subscriptions": sum(
-                1 for sub in self._subs.values() if sub.get("conn") is not None
+                1 for sub in self._subs.values() if sub.conn is not None
             ),
             "push_frames": self._net_push_frames.value,
             "frame_waiters": len(self._frame_waiters),

@@ -26,6 +26,7 @@ import itertools
 import os
 import secrets
 
+from repro.core.server import Subscription
 from repro.diskio.shmcache import SharedTimestepCache
 from repro.dlib.client import RETRYABLE_ERRORS, DlibClient, DlibRemoteError
 from repro.dlib.protocol import RetryAfterError
@@ -65,7 +66,6 @@ class ForwardedError(Exception):
 #: name -> needs an established session (worker loss => rejoin).
 _PLAIN_FORWARDS = {
     "wt.heartbeat": True,
-    "wt.update": True,
     "wt.snapshot": True,
     "wt.pipeline_stats": True,
     "wt.isosurface": True,
@@ -306,6 +306,7 @@ class SessionGateway:
         reg("wt.leave", self._rpc_leave)
         reg("wt.frame", self._rpc_frame)
         reg("wt.subscribe", self._rpc_subscribe)
+        reg("wt.update", self._rpc_update)
         reg("wt.add_rake", self._rpc_add_rake)
         reg("wt.remove_rake", self._rpc_remove_rake)
         reg("wt.time", self._rpc_time)
@@ -388,22 +389,42 @@ class SessionGateway:
         return self._forward(worker, "wt.frame", cid, ack, throughput)
 
     def _rpc_subscribe(self, ctx, client_id: int, options: dict | None = None) -> dict:
+        """Forward ``wt.subscribe`` (pull only) and journal the terms.
+
+        ``push`` is forced off: the worker would bind push delivery to
+        *this* gateway's routing connection, which relays no PUSH, and
+        produce frames for nobody.  The reply says ``"push": False``, so
+        the client pulls (docs/operations.md).
+        """
         cid = int(client_id)
         worker = self._worker_for(cid)
-        result = self._forward(worker, "wt.subscribe", cid, options)
-        if result.get("enabled"):
-            self.journal.record_subscribe(
-                cid,
-                {
-                    key: result[key]
-                    for key in (
-                        "encoding", "deltas", "decimate", "adaptive",
-                        "rakes", "kinds",
-                    )
-                },
+        result = self._forward(
+            worker, "wt.subscribe", cid, {**(options or {}), "push": False}
+        )
+        self.journal.record_subscribe(
+            cid,
+            Subscription.from_wire(result).to_wire()
+            if result.get("enabled")
+            else None,
+        )
+        return result
+
+    def _rpc_update(self, ctx, client_id: int, head, hand, gesture: str) -> dict:
+        """Forward ``wt.update``; journal a rake where its drag let go.
+
+        The update that releases a grab replies ``released`` with the
+        rake's final geometry, which overwrites the journaled one — so
+        recovery restores a dragged rake where the hand left it, not
+        where it was added.
+        """
+        cid = int(client_id)
+        worker = self._worker_for(cid)
+        result = self._forward(worker, "wt.update", cid, head, hand, gesture)
+        released = result.get("released")
+        if released:
+            self.journal.record_add_rake(
+                cid, int(released["rake_id"]), dict(released["rake"])
             )
-        else:
-            self.journal.record_subscribe(cid, None)
         return result
 
     def _rpc_add_rake(self, ctx, client_id: int, rake: dict) -> int:

@@ -33,8 +33,6 @@ DEFAULT_SPEC = {
     "n_timesteps": 4,
     "dt": 0.25,
     "time_speed": 2.0,
-    "backend": "vector",
-    "workers": 2,
     "frame_wait": 5.0,
     "lease_seconds": 30.0,
     "reap_interval": 1.0,
@@ -143,8 +141,6 @@ def run_worker(spec: dict, conn: Connection) -> None:
         host="127.0.0.1",
         port=0,
         loader=loader,
-        backend=str(spec["backend"]),
-        workers=int(spec["workers"]),
         time_speed=float(spec["time_speed"]),
         frame_wait=float(spec["frame_wait"]),
         lease_seconds=float(spec["lease_seconds"]),

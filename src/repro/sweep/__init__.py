@@ -5,7 +5,7 @@ package turns the same fused engine and frame pipeline into a
 *throughput* surface (ROADMAP, "headless parametric sweep lane"):
 
 * :mod:`~repro.sweep.manifest` — the YAML/JSON scenario manifest:
-  dataset/rake/backend/encoding/fault axes expanded into a validated
+  dataset/rake/encoding/fault axes expanded into a validated
   cartesian grid of :class:`Scenario` runs, every bad entry a typed
   :class:`ScenarioError` naming its key.
 * :mod:`~repro.sweep.runner` — the headless session driver (pipeline

@@ -36,9 +36,6 @@ __all__ = [
 #: Tool kinds a manifest rake may request (mirrors repro.tracers.rake).
 _RAKE_KINDS = ("streamline", "streakline", "particle_path")
 
-#: Execution backends a scenario may select (repro.tracers.integrate).
-_BACKENDS = ("vector", "vector-strip", "scalar", "parallel", "vector-group")
-
 #: Wire encodings a scenario may measure (repro.core.framestore.ENCODINGS).
 _ENCODINGS = ("v1", "f16", "q16")
 
@@ -51,8 +48,6 @@ AXIS_KEYS = (
     "timesteps",
     "rakes",
     "seeds_per_rake",
-    "backend",
-    "workers",
     "encoding",
     "decimate",
     "quality",
@@ -69,8 +64,6 @@ _DEFAULTS = {
     "timesteps": 4,
     "rakes": "default",
     "seeds_per_rake": 4,
-    "backend": "vector",
-    "workers": 2,
     "encoding": "v1",
     "decimate": 1,
     "quality": 1.0,
@@ -185,8 +178,6 @@ class Scenario:
     rake_layout: str
     rakes: tuple[RakeSpec, ...]
     seeds_per_rake: int
-    backend: str
-    workers: int
     encoding: str
     decimate: int
     quality: float
@@ -205,8 +196,6 @@ class Scenario:
             "rake_layout": self.rake_layout,
             "rakes": [r.to_dict() for r in self.rakes],
             "seeds_per_rake": self.seeds_per_rake,
-            "backend": self.backend,
-            "workers": self.workers,
             "encoding": self.encoding,
             "decimate": self.decimate,
             "quality": self.quality,
@@ -228,7 +217,6 @@ class Scenario:
         bits = [
             f"{ni}x{nj}x{nk}",
             self.rake_layout,
-            self.backend,
             self.encoding + (f"/d{self.decimate}" if self.decimate > 1 else ""),
         ]
         if self.quality < 1.0:
@@ -432,7 +420,6 @@ class SweepManifest:
 
         timesteps = pos_int("timesteps", 1, 512)
         seeds_per_rake = pos_int("seeds_per_rake", 1, 4096)
-        workers = pos_int("workers", 1, 32)
         decimate = pos_int("decimate", 1, 64)
         streamline_steps = pos_int("streamline_steps", 2, 5000)
         streakline_length = pos_int("streakline_length", 2, 5000)
@@ -451,10 +438,6 @@ class SweepManifest:
                 keyof("rakes"), "must name a layout under `layouts`"
             )
 
-        backend = point["backend"]
-        _require(
-            backend in _BACKENDS, keyof("backend"), f"must be one of {_BACKENDS}"
-        )
         encoding = point["encoding"]
         _require(
             encoding in _ENCODINGS, keyof("encoding"), f"must be one of {_ENCODINGS}"
@@ -484,8 +467,6 @@ class SweepManifest:
             rake_layout=layout_name,
             rakes=rakes,
             seeds_per_rake=seeds_per_rake,
-            backend=backend,
-            workers=workers,
             encoding=encoding,
             decimate=decimate,
             quality=float(quality),

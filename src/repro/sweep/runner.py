@@ -211,13 +211,7 @@ def _run_scenario_scoped(
     )
     if scenario.quality < 1.0:
         settings = settings.scaled(scenario.quality)
-    engine = ComputeEngine(
-        dataset,
-        settings,
-        backend=scenario.backend,
-        workers=scenario.workers,
-        registry=registry,
-    )
+    engine = ComputeEngine(dataset, settings, registry=registry)
     store = FrameStore(registry=registry)
     clock = {"now": 0.0}
     pipeline = FramePipeline(

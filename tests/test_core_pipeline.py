@@ -90,9 +90,7 @@ class TestFrameStore:
         frames = [
             store.publish(
                 PublishedFrame(
-                    version=1, timestep=t, seq=0,
-                    paths={}, paths_wire=PreEncoded.wrap({}),
-                    compute_seconds=0.0,
+                    version=1, timestep=t, seq=0, paths={}, compute_seconds=0.0,
                 )
             )
             for t in range(3)
@@ -331,10 +329,13 @@ class TestEncodePaths:
         rake = Rake([2, 2, 2], [2, 6, 2], n_seeds=3)
         rake.rake_id = 7
         results = engine.compute_rakes({7: rake}, 0)
-        enc = encode_published({7: "streamline"}, results)
+        enc = encode_published(
+            {7: "streamline"}, results,
+            version=1, timestep=0, seq=0, compute_seconds=0.0,
+        )
         assert enc.n_points > 0
         assert not enc.paths["7"]["vertices"].flags.writeable
-        decoded = enc.wire.decode()
+        decoded = enc.compose(["7"]).decode()
         np.testing.assert_array_equal(
             decoded["7"]["vertices"], enc.paths["7"]["vertices"]
         )

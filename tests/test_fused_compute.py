@@ -2,11 +2,12 @@
 
 The golden-trajectory contract of the fused frame path: gathering every
 rake's seeds into one integration call and slicing the result back by
-offset must be *bit-identical* to per-rake ``compute_rake`` calls on the
-``vector`` backend and within round-off on ``scalar``/``parallel`` —
-across mixed rake kinds and mid-frame particle death.  Alongside it, the two
-optimizations underneath: the :class:`IntegratorWorkspace` zero-allocation
-kernels and the shared-memory field residency of the process backends.
+offset must be *bit-identical* to per-rake ``compute_rake`` calls — across
+mixed rake kinds and mid-frame particle death — on the one kernel the
+engine runs (``vector``; the others are compared at kernel level in
+``tests/test_tracers_integrate.py``).  Alongside it, the two optimizations
+underneath: the :class:`IntegratorWorkspace` zero-allocation kernels and
+the shared-memory field residency of the process backends.
 """
 
 import tracemalloc
@@ -59,15 +60,12 @@ def _mixed_rakes():
     }
 
 
-def _engines(dataset, backend, workers=2):
+def _engines(dataset):
     settings = ToolSettings(
         streamline_steps=40, streamline_dt=0.08, particle_path_steps=4,
         streakline_length=8,
     )
-    return (
-        ComputeEngine(dataset, settings, backend=backend, workers=workers),
-        ComputeEngine(dataset, settings, backend=backend, workers=workers),
-    )
+    return ComputeEngine(dataset, settings), ComputeEngine(dataset, settings)
 
 
 def _per_rake(engine, rakes, timestep=0):
@@ -77,7 +75,7 @@ def _per_rake(engine, rakes, timestep=0):
 
 class TestFusedEquivalence:
     def test_vector_bit_identical_mixed_kinds(self, dataset):
-        fused, per_rake = _engines(dataset, "vector")
+        fused, per_rake = _engines(dataset)
         a = fused.compute_rakes(_mixed_rakes(), 0)
         b = _per_rake(per_rake, _mixed_rakes())
         assert set(a) == set(b)
@@ -88,7 +86,7 @@ class TestFusedEquivalence:
     def test_vector_mid_frame_rake_death(self, dataset):
         # The wall-hugging rake: some of its particles must actually die
         # mid-integration for this test to mean anything.
-        fused, per_rake = _engines(dataset, "vector")
+        fused, per_rake = _engines(dataset)
         rakes = _mixed_rakes()
         a = fused.compute_rakes(rakes, 0)
         b = _per_rake(per_rake, rakes)
@@ -100,19 +98,8 @@ class TestFusedEquivalence:
             assert np.array_equal(a[rid].lengths, b[rid].lengths), rid
             assert np.array_equal(a[rid].grid_paths, b[rid].grid_paths), rid
 
-    @pytest.mark.parametrize("backend", ["scalar", "parallel"])
-    def test_scalar_and_parallel_within_roundoff(self, dataset, backend):
-        fused, per_rake = _engines(dataset, backend)
-        a = fused.compute_rakes(_mixed_rakes(), 0)
-        b = _per_rake(per_rake, _mixed_rakes())
-        for rid in a:
-            np.testing.assert_allclose(
-                a[rid].grid_paths, b[rid].grid_paths, atol=1e-10
-            )
-            assert np.array_equal(a[rid].lengths, b[rid].lengths), rid
-
     def test_fused_metrics_recorded(self, dataset):
-        fused, _ = _engines(dataset, "vector")
+        fused, _ = _engines(dataset)
         rakes = _mixed_rakes()
         out = fused.compute_rakes(rakes, 0)
         snap = fused.registry.snapshot()
@@ -126,11 +113,11 @@ class TestFusedEquivalence:
         )
 
     def test_empty_rake_set(self, dataset):
-        fused, _ = _engines(dataset, "vector")
+        fused, _ = _engines(dataset)
         assert fused.compute_rakes({}, 0) == {}
 
     def test_single_rake_all_seeds_out_of_domain(self, dataset):
-        fused, per_rake = _engines(dataset, "vector")
+        fused, per_rake = _engines(dataset)
         rakes = {
             9: Rake([-9, -9, -9], [-5, -5, -5], n_seeds=3, rake_id=9),
             1: Rake([2, 5, 2], [9, 5, 2], n_seeds=5, rake_id=1),
@@ -385,6 +372,5 @@ class TestPipelineIntegration:
         assert compute == {
             "fused_batch_size": 7,
             "points_per_second": snap["gauges"]["engine.points_per_second"],
-            "backend": "vector",
         }
         assert compute["points_per_second"] > 0

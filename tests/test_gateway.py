@@ -286,7 +286,11 @@ class TestClientResilience:
 
 class TestWorkerSpec:
     def test_unknown_key_is_rejected_by_name(self):
-        for stale in ({"pipelined": False}, {"frame_wiat": 2.0}):
+        for stale in (
+            {"pipelined": False}, {"frame_wiat": 2.0},
+            # The engine runs one kernel: no selector to accept and crash on.
+            {"backend": "parallel"}, {"workers": 2},
+        ):
             (key,) = stale
             with pytest.raises(ValueError) as exc:
                 default_worker_spec(**stale)
@@ -392,6 +396,41 @@ class TestGatewayRouting:
             )
             assert entry["subscription"]["encoding"] == "f16"
             assert state["clock"]["playing"] is False
+            c.time_control("resume")
+
+    def test_push_subscription_is_answered_pull_only(self, gateway):
+        """The relay carries no PUSH, so a push subscription through the
+        gateway must not arm one on the worker (bound to the gateway's
+        routing connection it would produce frames for nobody): the
+        reply says ``"push": False`` and the client pulls."""
+        from repro.core import WindtunnelClient
+
+        host, port = gateway.address
+        with WindtunnelClient(host, port, name="pusher") as c:
+            c.time_control("pause")
+            rid = c.add_rake((0, 0, 0), (1, 1, 1), n_seeds=3)
+            info = c.subscribe(encoding="q16", push=True)
+            assert info["enabled"] and info["push"] is False
+            journaled = gateway.journal.session(c.client_id)["subscription"]
+            assert journaled["encoding"] == "q16" and journaled["push"] is False
+            worker = gateway.journal.worker_of(c.client_id)
+            with DlibClient(*gateway.supervisor.address_of(worker)) as direct:
+                assert direct.call("wt.stats")["push_subscriptions"] == 0
+                # ...and holds no demand: a new key with nobody asking
+                # for it is looked at and left alone.
+                before = direct.call("wt.pipeline_stats")
+                c.time_control("step", 1)
+                wait_until(
+                    lambda: direct.call("wt.pipeline_stats")["idle_cycles"]
+                    > before["idle_cycles"] + 1
+                )
+                after = direct.call("wt.pipeline_stats")
+                assert after["frames_produced"] == before["frames_produced"]
+                assert direct.call("wt.stats")["push_frames"] == 0
+            state = c.fetch_frame()  # pulling still delivers the new key
+            assert state["cached"] is False
+            assert state["v2"]["mode"] == "keyframe" and str(rid) in state["paths"]
+            assert c.pushed_frames == 0
             c.time_control("resume")
 
     def test_gateway_stats_shape(self, gateway):

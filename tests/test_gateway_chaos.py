@@ -10,7 +10,8 @@ checks the supervisor's liveness deadline converts the hang into a crash
 it already knows how to recover.  A third kills a worker while a routed
 ``wt.frame`` is *parked* on it as a continuation — workers run the
 figure-8 producer pipeline, so a miss waits on the worker's loop without
-blocking it.
+blocking it.  A fourth kills a worker after a drag and checks the rake
+comes back where the hand let go of it, not where it was added.
 """
 
 import threading
@@ -236,3 +237,34 @@ class TestKillWhileParked:
             assert counter(gw, "gateway.workers_respawned") == 1
             assert counter(gw, "gateway.sessions_recovered") == 1
             assert counter(gw, "gateway.rejoins") == 1
+
+
+class TestDraggedRakeRecovery:
+    def test_released_drag_survives_a_worker_kill(self, gateway):
+        """``wt.update`` journals the geometry when a grab ends, so a
+        respawned worker restores the rake where the drag left it."""
+        head = (0.0, -3.0, 0.5)
+        with WindtunnelClient(*gateway.address, name="dragger") as c:
+            # Well clear of the rakes earlier tests left in the pool.
+            rid = c.add_rake((-2.0, -1.0, 2.5), (-2.0, 1.0, 2.5), n_seeds=3)
+            assert c.send_input(head, (-2.0, 0.0, 2.5), "fist")["holding"] == [
+                rid, "center",
+            ]
+            assert "released" not in c.send_input(head, (-1.0, 0.0, 2.5), "fist")
+            released = c.send_input(head, (-1.0, 0.0, 2.5), "open")["released"]
+            assert released["rake_id"] == rid
+
+            def geometry():
+                rake = c._call("wt.snapshot", c.client_id)["rakes"][str(rid)]
+                return rake["end_a"], rake["end_b"]
+
+            dragged = geometry()
+            assert dragged == ([-1.0, -1.0, 2.5], [-1.0, 1.0, 2.5])
+            assert (released["rake"]["end_a"], released["rake"]["end_b"]) == dragged
+
+            worker = gateway.journal.worker_of(c.client_id)
+            gateway.supervisor.mark_suspect(worker)  # so await_ready waits
+            ProcessFaults(seed=7).kill(gateway.supervisor.handle_of(worker))
+            assert gateway.supervisor.await_ready(worker, RECOVER_DEADLINE)
+            c.rejoin()
+            assert geometry() == dragged

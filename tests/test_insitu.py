@@ -113,6 +113,23 @@ class TestLiveFlowSource:
         with pytest.raises(IndexError, match="retired"):
             source.velocity(0)
 
+    def test_byte_accounting_outlives_timestep_zero(self):
+        """Sizes are recorded at construction, not read off timestep 0 —
+        which is the first thing a bounded ring retires."""
+        from repro.diskio import SharedTimestepCache, dataset_key
+
+        solver, source = make_source(ring_capacity=4)
+        arr = extrude_slice(solver.u, solver.v, 3)
+        per = source.timestep_nbytes
+        assert per == arr.nbytes
+        for t in range(1, 9):
+            source.append(t, arr)
+        assert source.timestep_nbytes == per
+        assert source.total_nbytes == 9 * per
+        assert dataset_key(source)  # used to raise with the property
+        shared = SharedTimestepCache.for_dataset(source, slots=2, create="always")
+        shared.close()
+
 
 class TestSteeringController:
     def test_validate_ranges(self):

@@ -89,6 +89,29 @@ def test_stat_mirrors_and_dead_selectors_stay_unexported():
     ]
 
 
+def test_option_counts_are_pinned():
+    """One frame path: the selector chain (``backend=``/``workers=``, the
+    demand-window knobs, the second copy of the reply bytes) stays gone.
+    Raising a count here means a new option — justify it in the PR."""
+    import dataclasses
+    import inspect
+
+    from repro.core import ComputeEngine, FramePipeline, PublishedFrame
+    from repro.core import WindtunnelServer
+    from repro.gateway.worker import DEFAULT_SPEC
+    from repro.sweep.manifest import AXIS_KEYS
+
+    def options(cls):
+        return len(inspect.signature(cls.__init__).parameters) - 1  # self
+
+    assert options(WindtunnelServer) == 15
+    assert options(ComputeEngine) == 4
+    assert options(FramePipeline) == 7
+    assert len(DEFAULT_SPEC) == 10
+    assert len(AXIS_KEYS) == 10
+    assert len(dataclasses.fields(PublishedFrame)) == 11
+
+
 def test_version():
     import repro
 

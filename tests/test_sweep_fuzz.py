@@ -17,7 +17,7 @@ Two layers, mirroring the lane's own split:
   invariant-consistent metrics snapshot.
 
 Runs derandomized (fixed seed) so CI failures reproduce locally; CI
-executes this file as part of the sweep-smoke job.
+executes this file with the rest of tier-1.
 """
 
 import pytest

@@ -121,6 +121,9 @@ class TestValidationErrors:
             ({"faults": {"f": {"drop_rate": 2.0}}}, "faults.f.drop_rate"),
             ({"faults": {"f": {"bogus": 1}}}, "faults.f.bogus"),
             ({"faults": {"f": {"seed": "x"}}}, "faults.f.seed"),
+            # A *valid* kernel name is just as unknown: the engine runs one.
+            ({"axes": {"backend": ["vector"]}}, "axes.backend"),
+            ({"base": {"workers": 2}}, "base.workers"),
         ],
     )
     def test_rejection_names_the_key(self, raw, key):

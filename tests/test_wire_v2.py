@@ -8,8 +8,9 @@ docs/network.md:
 * decode(encode(frame)) is bit-exact for v1/delta entries and inside the
   advertised error bound for quantized ones;
 * a delta against a lost/forgotten ack resyncs via keyframe;
-* an old-format (v1) client sees byte-identical frames against the v2
-  server, and a new client degrades gracefully against an old server;
+* a client that never subscribed sees the pre-subscription bytes, and
+  every delivery mode — cache hit, parked pull, PUSH — ships the bytes
+  ``PublishedFrame.compose`` produces (the delivery-equivalence matrix);
 * the packed ``q16`` wire form decodes, over real sockets, to exactly
   what the plain int16 form decoded to — keyframe, delta, decimated and
   pushed — and is still built once per ``(rake, encoding, decimate)``.
@@ -29,6 +30,8 @@ from repro.core.framestore import (
     encode_published,
 )
 from repro.core.governor import DEGRADATION_LADDER, DegradationPolicy
+from repro.core.server import DEFAULT_SUBSCRIPTION, Subscription
+from repro.dlib.client import DlibClient
 from repro.dlib.protocol import (
     DlibProtocolError,
     decode_path_entry,
@@ -42,6 +45,7 @@ from repro.dlib.protocol import (
 from repro.flow import MemoryDataset, RigidRotation, UniformFlow, sample_on_grid
 from repro.grid import cartesian_grid
 from repro.netsim import BandwidthSchedule
+from repro.tracers.rake import GrabPoint
 from tests import wait_until
 
 # -- codec properties ---------------------------------------------------------
@@ -131,29 +135,15 @@ class _Result:
 
 def _frame(results: dict, seq: int = 0) -> PublishedFrame:
     kinds = {rid: "streamline" for rid in results}
-    enc = encode_published(kinds, results)
-    return PublishedFrame(
-        version=1,
-        timestep=0,
-        seq=seq,
-        paths=enc.paths,
-        paths_wire=enc.wire,
-        compute_seconds=0.0,
-        n_points=enc.n_points,
-        digests=enc.digests,
-        rake_fragments=enc.fragments,
+    return encode_published(
+        kinds, results, version=1, timestep=0, seq=seq, compute_seconds=0.0
     )
 
 
 def test_composed_wire_is_byte_identical_to_direct_encode():
     """Fragment concatenation == single-shot encode: the v1 compat pin."""
-    results = {1: _Result(1), 2: _Result(2), 7: _Result(7)}
-    kinds = {rid: "streamline" for rid in results}
-    enc = encode_published(kinds, results)
-    assert enc.wire.data == encode_value(enc.paths)
-    frame = _frame(results)
-    full = frame.compose(list(frame.paths))
-    assert full.data == enc.wire.data
+    frame = _frame({1: _Result(1), 2: _Result(2), 7: _Result(7)})
+    assert frame.compose(list(frame.paths)).data == encode_value(frame.paths)
 
 
 def test_compose_subset_matches_direct_subset_encode():
@@ -164,9 +154,7 @@ def test_compose_subset_matches_direct_subset_encode():
 
 
 def test_digests_identify_identical_geometry():
-    a = encode_published({1: "streamline"}, {1: _Result(5)})
-    b = encode_published({1: "streamline"}, {1: _Result(5)})
-    c = encode_published({1: "streamline"}, {1: _Result(6)})
+    a, b, c = _frame({1: _Result(5)}), _frame({1: _Result(5)}), _frame({1: _Result(6)})
     assert a.digests["1"] == b.digests["1"]
     assert a.digests["1"] != c.digests["1"]
 
@@ -178,9 +166,15 @@ def test_encoding_cache_builds_each_variant_once():
     again = cache.entry(frame, "1", "q16", 1)
     assert first == again
     assert cache.misses == 1 and cache.hits == 1
-    # The prebuilt v1 variant is not a cache transaction at all.
+    # The v1 variant seeded at publish time is neither a hit nor a miss.
     cache.entry(frame, "1", "v1", 1)
     assert cache.misses == 1 and cache.hits == 1
+    # A frame built without a seed encodes v1 on demand, like any variant.
+    bare = PublishedFrame(
+        version=1, timestep=0, seq=0, paths=frame.paths, compute_seconds=0.0
+    )
+    assert bare.compose(["1"]).data == frame.compose(["1"]).data
+    assert bare.enc_cache.misses == 1
 
 
 def test_q16_variant_ships_only_the_packed_form():
@@ -325,7 +319,7 @@ class TestInterop:
             assert "v2" not in state
             frame = server.store.latest()
             # The served fragment is exactly the old single-shot encode.
-            assert frame.paths_wire.data == encode_value(frame.paths)
+            assert encode_value(state["paths"]) == encode_value(frame.paths)
             for rid, entry in state["paths"].items():
                 np.testing.assert_array_equal(
                     entry["vertices"], frame.paths[rid]["vertices"]
@@ -428,20 +422,6 @@ class TestInterop:
             state = c.fetch_frame()
             assert "v2" not in state
             assert state["paths"]["1"]["vertices"].dtype == np.float32
-
-    def test_new_client_against_old_server_falls_back(self, server):
-        """A server without wt.subscribe (pre-v2) degrades gracefully."""
-        with WindtunnelClient(*server.address, name="fallback") as c:
-            c.add_rake([1, 1, 1], [1, 7, 3], n_seeds=5)
-            del server.dlib._procedures["wt.subscribe"]
-            try:
-                info = c.subscribe(encoding="q16")
-                assert info == {"enabled": False, "supported": False}
-                assert c.subscription is None
-                state = c.fetch_frame()  # plain v1 cycle keeps working
-                assert "v2" not in state and len(state["paths"]) == 1
-            finally:
-                server.dlib.register("wt.subscribe", server._rpc_subscribe)
 
     def test_leave_clears_subscription(self, server):
         c = WindtunnelClient(*server.address, name="leaver")
@@ -576,8 +556,8 @@ class TestPackedQ16Loopback:
             state = v1.fetch_frame()
             assert "v2" not in state
             frame = server.store.latest()
-            assert frame.paths_wire.data == encode_value(frame.paths)
-            assert frame.compose(list(frame.paths)).data == frame.paths_wire.data
+            assert encode_value(state["paths"]) == encode_value(frame.paths)
+            assert frame.compose(list(frame.paths)).data == encode_value(frame.paths)
             for rid, entry in state["paths"].items():
                 assert set(entry) == {"kind", "vertices", "lengths"}
                 assert entry["vertices"].dtype == np.float32
@@ -646,17 +626,22 @@ class TestPushDelivery:
             srv.stop()
 
     def test_push_subscriber_drives_production_without_polling(self):
-        """Standing demand: the pipeline produces for a push subscriber
-        even though nobody calls wt.frame."""
+        """A push binding holds pipeline demand: the pipeline produces
+        for a push subscriber even though nobody calls wt.frame, and
+        the demand goes when the subscriber does."""
         srv, clock = self._serve()
         try:
             with WindtunnelClient(*srv.address, name="standing") as c:
                 c.subscribe(push=True)
-                assert srv.pipeline.standing_demand == 1
+                assert c.server_stats()["push_subscriptions"] == 1
                 produced_before = srv.pipeline.frames_produced
                 c.add_rake([1, 1, 1], [1, 7, 3], n_seeds=5)
                 wait_until(lambda: srv.pipeline.frames_produced > produced_before)
-            wait_until(lambda: srv.pipeline.standing_demand == 0)
+            wait_until(lambda: not srv._subs)
+            produced, idle = srv.pipeline.frames_produced, srv.pipeline.idle_cycles
+            srv.env.bump()  # a new key, but nobody left to produce it for
+            wait_until(lambda: srv.pipeline.idle_cycles > idle + 1)
+            assert srv.pipeline.frames_produced == produced
         finally:
             srv.stop()
 
@@ -689,45 +674,92 @@ class TestPushDelivery:
                 c.close()
             srv.stop()
 
-    @pytest.mark.parametrize("encoding", ["v1", "q16", "f16"])
-    def test_push_and_pull_sequences_are_bit_identical(self, encoding):
-        """The property the fan-out cache must preserve: a push-mode
-        subscriber and a pull-mode subscriber with the same subscription
-        terms reconstruct bit-identical per-rake state for the same
-        publication sequence."""
+    @pytest.mark.parametrize(
+        "options",
+        [
+            pytest.param(None, id="default"),
+            pytest.param({"encoding": "v1", "deltas": True}, id="v1"),
+            pytest.param({"encoding": "f16", "deltas": False}, id="f16"),
+            pytest.param({"encoding": "q16", "deltas": True}, id="q16"),
+            pytest.param({"encoding": "q16", "decimate": 2}, id="q16-decimate2"),
+            pytest.param({"rakes": ["1", "2"]}, id="rake-filter"),
+        ],
+    )
+    def test_push_and_pull_sequences_are_bit_identical(self, options):
+        """The delivery-equivalence matrix: for every kind of subscription,
+        over two scripted publications (three rakes, then one of them
+        moved), the ``paths`` bytes of the pulled reply, of the PUSH
+        payload, and of ``frame.compose(expected rids, ...)`` are the
+        same bytes.  ``options=None`` is the client that never subscribed
+        (pull only: nothing binds a push to the default subscription)."""
         srv, clock = self._serve()
+        host, port = srv.address
+        pushed: list = []
         try:
-            with WindtunnelClient(*srv.address, name="pull") as pull, \
-                 WindtunnelClient(*srv.address, name="push") as push:
-                pull.subscribe(encoding=encoding, deltas=True, push=False)
-                push.subscribe(encoding=encoding, deltas=True, push=True)
-                rng = np.random.default_rng(7)
-                for step in range(4):
-                    # Mutate the scene: each mutation is one publication.
-                    y = float(rng.uniform(1.0, 7.0))
-                    pull.add_rake([1 + step, 1, 1], [1 + step, y, 3], n_seeds=4)
-                    state = pull.fetch_frame()
-                    seq = state["v2"]["seq"]
+            with WindtunnelClient(host, port, name="admin") as admin, \
+                 DlibClient(host, port) as pull, \
+                 DlibClient(host, port, on_push=pushed.append) as push:
+                admin.time_control("pause")
+                for x in (1, 3, 5):  # no reader yet: nothing is produced
+                    admin.add_rake([x, 1, 1], [x, 7, 3], n_seeds=4)
+                assert sorted(srv.env.rakes) == [1, 2, 3]
+                cid = pull.call("wt.join", "pull")["client_id"]
+                if options is None:
+                    sub = DEFAULT_SUBSCRIPTION
+                else:
+                    pull.call("wt.subscribe", cid, options)
+                    sub = srv._subs[cid]
+                    push_cid = push.call("wt.join", "push")["client_id"]
+                    echo = push.call("wt.subscribe", push_cid, {**options, "push": True})
+                    assert echo["push"] is True
+                assert Subscription.from_wire(sub.to_wire()) == sub
+                wanted = [str(r) for r in (1, 2, 3) if sub.wants(str(r), "streamline")]
+
+                def check(expected_rids, ack):
+                    # Never subscribed: the one-argument v1 request.
+                    args = (cid,) if options is None else (cid, ack, 0.0)
+                    reply = pull.call("wt.frame", *args)
+                    frame = srv.store.latest()
+                    want = frame.compose(expected_rids, sub.encoding, sub.decimate).data
+                    assert encode_value(reply["paths"]) == want
+                    if options is None:
+                        assert "v2" not in reply
+                        assert want == encode_value(frame.paths)
+                        return 0
+                    assert reply["v2"]["seq"] == frame.seq
                     wait_until(
-                        lambda: (
-                            push.drain_pushes(0.05) >= 0
-                            and push.latest_state is not None
-                            and push.latest_state.get("v2", {}).get("seq", -1) >= seq
-                        )
+                        lambda: push.poll_push(0.05) >= 0
+                        and pushed
+                        and pushed[-1]["v2"]["seq"] == frame.seq
                     )
-                    pushed = push.latest_state
-                    assert pushed["v2"]["encoding"] == state["v2"]["encoding"]
-                    assert set(pushed["paths"]) == set(state["paths"])
-                    for rid, entry in state["paths"].items():
-                        other = pushed["paths"][rid]
-                        # Bit-identical reconstruction, not merely close:
-                        # both sides decode the same cached fragments.
-                        np.testing.assert_array_equal(
-                            entry["vertices"], other["vertices"]
-                        )
-                        np.testing.assert_array_equal(
-                            np.asarray(entry["lengths"]), np.asarray(other["lengths"])
-                        )
-                        assert entry["kind"] == other["kind"]
+                    assert encode_value(pushed[-1]["paths"]) == want
+                    assert pushed[-1]["v2"] == reply["v2"]
+                    return frame.seq
+
+                seq = check(wanted, 0)  # first publication: a keyframe
+                with srv.env.lock:  # second: rake 2 moved, one atomic bump
+                    srv.env.rakes[2].move(GrabPoint.CENTER, np.array([3.5, 4.0, 2.0]))
+                    srv.env.bump()
+                check(["2"] if sub.deltas else wanted, seq)
+
+                # wt.restore of the journaled terms rebuilds the same record.
+                entry = {"client_id": 9000, "name": "restored", "token": "t"}
+                if options is not None:
+                    entry["subscription"] = sub.to_wire()
+                admin._rpc.call("wt.restore", {"sessions": [entry]})
+                assert srv._subs.get(9000, DEFAULT_SUBSCRIPTION) == sub
+
+                # enabled=False returns any client to the default row.
+                pull.call("wt.subscribe", cid, {"enabled": False})
+                assert cid not in srv._subs
+                reply = pull.call("wt.frame", cid)
+                assert "v2" not in reply
+                assert encode_value(reply["paths"]) == encode_value(
+                    srv.store.latest().paths
+                )
         finally:
             srv.stop()
+        assert DEFAULT_SUBSCRIPTION == Subscription(
+            "v1", 1, False, False, False, None, None
+        )
+        assert DEFAULT_SUBSCRIPTION.conn is None and DEFAULT_SUBSCRIPTION.push_seq == 0
