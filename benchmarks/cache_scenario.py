@@ -40,7 +40,7 @@ from repro.core.pipeline import FramePipeline  # noqa: E402
 from repro.diskio import CONVEX_DISK, TieredTimestepCache, TimestepLoader  # noqa: E402
 from repro.diskio.shmcache import SharedTimestepCache  # noqa: E402
 from repro.flow import tapered_cylinder_dataset  # noqa: E402
-from repro.obs import MetricsRegistry, scoped_registry  # noqa: E402
+from repro.obs import MetricsRegistry  # noqa: E402
 from repro.tracers import Rake  # noqa: E402
 
 FAST = bool(os.environ.get("WT_BENCH_FAST"))
@@ -86,44 +86,43 @@ def _lockstep_replay(sessions: list[TieredTimestepCache], passes: int) -> None:
 def _produce_frames(dataset, with_cache: bool) -> list[bytes]:
     """Drive the serial pipeline for a few frames; return composed bytes."""
     registry = MetricsRegistry()
-    with scoped_registry(registry):
-        env = Environment(n_timesteps=TIMESTEPS, time_speed=2.0)
-        nodes = dataset.grid.xyz.reshape(-1, 3)
-        lo, span = nodes.min(axis=0), np.ptp(nodes, axis=0)
-        rake = Rake(
-            lo + span * 0.3, lo + span * 0.7, n_seeds=6,
-            kind="streamline", rake_id=1,
-        )
-        with env.lock:
-            env.add_rake(rake, rake_id=1)
-        loader = None
-        if with_cache:
-            loader = TimestepLoader(
-                dataset,
-                cache=TieredTimestepCache(dataset, l1_timesteps=L1_TIMESTEPS),
-                prefetch=False,
-            )
-        engine = ComputeEngine(
+    env = Environment(n_timesteps=TIMESTEPS, time_speed=2.0)
+    nodes = dataset.grid.xyz.reshape(-1, 3)
+    lo, span = nodes.min(axis=0), np.ptp(nodes, axis=0)
+    rake = Rake(
+        lo + span * 0.3, lo + span * 0.7, n_seeds=6,
+        kind="streamline", rake_id=1,
+    )
+    with env.lock:
+        env.add_rake(rake, rake_id=1)
+    loader = None
+    if with_cache:
+        loader = TimestepLoader(
             dataset,
-            ToolSettings(streamline_steps=16),
-            loader=loader,
-            registry=registry,
+            cache=TieredTimestepCache(dataset, l1_timesteps=L1_TIMESTEPS),
+            prefetch=False,
         )
-        store = FrameStore(registry=registry)
-        clock = {"now": 0.0}
-        pipeline = FramePipeline(
-            engine, env, store,
-            time_fn=lambda: clock["now"], registry=registry,
-        )
-        frames = []
-        for _ in range(IDENTITY_FRAMES):
-            frame = pipeline.produce_inline()
-            rids = sorted(frame.paths)
-            frames.append(bytes(frame.compose(rids, "v1", 1).data))
-            clock["now"] += 0.5
-        if loader is not None:
-            loader.close()
-        return frames
+    engine = ComputeEngine(
+        dataset,
+        ToolSettings(streamline_steps=16),
+        loader=loader,
+        registry=registry,
+    )
+    store = FrameStore(registry=registry)
+    clock = {"now": 0.0}
+    pipeline = FramePipeline(
+        engine, env, store,
+        time_fn=lambda: clock["now"], registry=registry,
+    )
+    frames = []
+    for _ in range(IDENTITY_FRAMES):
+        frame = pipeline.produce_inline()
+        rids = sorted(frame.paths)
+        frames.append(bytes(frame.compose(rids, "v1", 1).data))
+        clock["now"] += 0.5
+    if loader is not None:
+        loader.close()
+    return frames
 
 
 def run_cache_scenario() -> dict:

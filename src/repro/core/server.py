@@ -973,6 +973,9 @@ class WindtunnelServer:
             "streakline_length": int,
         }
         s = self.engine.settings
+        # Validate the whole change set before applying any of it: a
+        # rejected call leaves the settings (and the version) untouched.
+        checked = {}
         for key, value in settings.items():
             if key not in allowed:
                 raise ValueError(
@@ -981,6 +984,8 @@ class WindtunnelServer:
             value = allowed[key](value)
             if value <= 0:
                 raise ValueError(f"{key} must be positive")
+            checked[key] = value
+        for key, value in checked.items():
             setattr(s, key, value)
         self.env.bump()  # invalidate the published frame, wake the producer
         return {

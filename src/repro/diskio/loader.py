@@ -98,12 +98,14 @@ class TimestepLoader:
         self.prefetch_enabled = prefetch
         self.capacity = cache.l1.capacity_timesteps
         self._pending: dict[int, Future] = {}
+        self._prefetch_error: Exception | None = None
         self._lock = threading.Lock()
         self._pool = ThreadPoolExecutor(max_workers=1) if prefetch else None
         # Loader-level counters (per-tier counts live on cache.*.stats).
         self.hits = self.registry.counter("loader.hits")
         self.misses = self.registry.counter("loader.misses")
         self.prefetch_issued = self.registry.counter("loader.prefetch_issued")
+        self.prefetch_errors = self.registry.counter("loader.prefetch_errors")
         self.stall_seconds = self.registry.counter("loader.stall_seconds")
 
     # -- internals -------------------------------------------------------------
@@ -113,11 +115,21 @@ class TimestepLoader:
         # starts staging while this read's round trip is in flight, and
         # sibling sessions benefit from the hint even if our own read
         # lands moments later.
-        self.cache.prefetch_hint(t)
-        gv, _tier = self.cache.get(t)
-        with self._lock:
-            self._pending.pop(t, None)
-        return gv
+        try:
+            self.cache.prefetch_hint(t)
+            gv, _tier = self.cache.get(t)
+            return gv
+        except Exception as exc:
+            # Nobody asked for ``t`` yet: the failure is counted and kept
+            # for drain(), never left behind as a failed future — the
+            # next load(t) or prefetch(t) starts clean.
+            self.prefetch_errors.inc()
+            with self._lock:
+                self._prefetch_error = exc
+            raise
+        finally:
+            with self._lock:
+                self._pending.pop(t, None)
 
     # -- public API --------------------------------------------------------------
 
@@ -137,14 +149,22 @@ class TimestepLoader:
         t = int(t)
         with self._lock:
             pending = self._pending.get(t)
+        gv = None
         if pending is not None:
             # The prefetch got there first but hasn't finished: the frame
             # stalls for the remainder — partially hidden latency.
             start = time.perf_counter()
-            gv = pending.result()
+            try:
+                gv = pending.result()
+            except Exception:
+                # The speculative read failed (its job counted it); the
+                # demand read below raises its own error if the fault
+                # persists.
+                pass
             stall = time.perf_counter() - start
             self.stall_seconds.inc(stall)
             self.cache.l1.stats.stall(stall)
+        if gv is not None:
             self.hits.inc()
         else:
             gv, tier = self.cache.get(t)
@@ -192,16 +212,18 @@ class TimestepLoader:
 
         Blocks on the futures themselves rather than re-polling the
         pending map, so draining costs one wait per generation of
-        in-flight work instead of a busy-spin on the lock.
+        in-flight work instead of a busy-spin on the lock.  Raises (once)
+        the latest prefetch failure since the previous drain.
         """
         while True:
             with self._lock:
                 futures = list(self._pending.values())
-            if not futures:
-                return
+                if not futures:
+                    error, self._prefetch_error = self._prefetch_error, None
+                    break
             wait(futures)
-            for f in futures:
-                f.result()  # propagate prefetch errors to the drainer
+        if error is not None:
+            raise error
 
     def close(self) -> None:
         if self._pool is not None:

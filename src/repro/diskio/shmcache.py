@@ -1,9 +1,8 @@
 """Tier 2: a shared-memory timestep cache for co-located sessions.
 
-Extends PR 4's shm *field transport* (one pipeline shipping a field to
-its own worker pool) into a named, crash-safe cache segment that any
-process on the machine can attach: gateway workers serving the same
-dataset no longer hold private copies of each decoded timestep, and N
+The one shared-memory field store: a named, crash-safe cache segment
+that any process on the machine can attach, so gateway workers serving
+the same dataset hold no private copies of each decoded timestep and N
 co-located sessions perform ≈1× aggregate disk reads
 (``benchmarks/test_cache_tiers.py``).
 

@@ -41,7 +41,13 @@ class UnsteadyDataset(ABC):
     """Abstract unsteady flow dataset: grid + T velocity timesteps."""
 
     def __init__(
-        self, grid: CurvilinearGrid, n_timesteps: int, dt: float, cache_timesteps: int = 16
+        self,
+        grid: CurvilinearGrid,
+        n_timesteps: int,
+        dt: float,
+        cache_timesteps: int = 16,
+        *,
+        timestep_nbytes: int,
     ) -> None:
         if n_timesteps < 1:
             raise ValueError("dataset needs at least one timestep")
@@ -53,6 +59,9 @@ class UnsteadyDataset(ABC):
         self.n_timesteps = int(n_timesteps)
         self.dt = float(dt)
         self.cache_timesteps = int(cache_timesteps)
+        #: Bytes of one velocity timestep as stored (Table 2 accounting):
+        #: shape x stored dtype, recorded by the subclass without a read.
+        self.timestep_nbytes = int(timestep_nbytes)
         self._jacobian: np.ndarray | None = None
         self._gv_cache: OrderedDict[int, np.ndarray] = OrderedDict()
         # The cache is shared by the frame pipeline's producer thread, the
@@ -112,11 +121,6 @@ class UnsteadyDataset(ABC):
         """Timesteps currently resident in the grid-velocity cache."""
         with self._gv_lock:
             return list(self._gv_cache.keys())
-
-    @property
-    def timestep_nbytes(self) -> int:
-        """Bytes of one velocity timestep as stored (Table 2 accounting)."""
-        return int(self.velocity(0).nbytes)
 
     @property
     def total_nbytes(self) -> int:
@@ -186,7 +190,11 @@ class MemoryDataset(UnsteadyDataset):
                 f"velocities must have shape (T, ni, nj, nk, 3) matching the "
                 f"grid {grid.shape}; got {velocities.shape}"
             )
-        super().__init__(grid, velocities.shape[0], dt, cache_timesteps)
+        # [:1], not [0]: an empty array must reach the base class's check.
+        super().__init__(
+            grid, velocities.shape[0], dt, cache_timesteps,
+            timestep_nbytes=velocities[:1].nbytes,
+        )
         self.velocities = velocities
 
     def velocity(self, t: int) -> np.ndarray:
@@ -215,7 +223,10 @@ class DiskDataset(UnsteadyDataset):
             )
         if self._mmap.shape[1:] != grid.shape + (3,):
             raise ValueError("velocity file does not match the grid shape")
-        super().__init__(grid, meta["n_timesteps"], meta["dt"], cache_timesteps)
+        super().__init__(
+            grid, meta["n_timesteps"], meta["dt"], cache_timesteps,
+            timestep_nbytes=self._mmap[:1].nbytes,
+        )
         self.path = path
 
     def velocity(self, t: int) -> np.ndarray:

@@ -73,21 +73,16 @@ class LiveFlowSource(UnsteadyDataset):
                 f"initial timestep must have shape {grid.shape + (3,)}, "
                 f"got {initial.shape}"
             )
-        super().__init__(grid, 1, dt, cache_timesteps)
+        super().__init__(
+            grid, 1, dt, cache_timesteps, timestep_nbytes=initial.nbytes
+        )
         self.ring = TimestepRing(ring_capacity)
         self.ring.append(0, initial)
-        self._timestep_nbytes = int(initial.nbytes)
 
     # -- the dataset interface ------------------------------------------------
 
     def velocity(self, t: int) -> np.ndarray:
         return self.ring.get(self._check_timestep(t))
-
-    @property
-    def timestep_nbytes(self) -> int:
-        """Bytes of one timestep, recorded from the initial array — the
-        base class reads timestep 0, which retires from the ring."""
-        return self._timestep_nbytes
 
     # -- the producer interface -----------------------------------------------
 

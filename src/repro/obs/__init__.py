@@ -5,7 +5,7 @@ across compute, encode, network, and render (section 5, Tables 1-3) —
 yet a budget you cannot attribute is a budget you cannot hold.  This
 package gives every layer one place to put its numbers:
 
-* :mod:`~repro.obs.registry` — a process-wide :class:`MetricsRegistry`
+* :mod:`~repro.obs.registry` — a :class:`MetricsRegistry`
   of counters, gauges, and bounded-ring latency histograms (p50/p95/p99
   over a :class:`~repro.util.ringbuffer.RingBuffer` window), snapshotted
   as plain wire-encodable data for the ``wt.metrics`` RPC.
@@ -25,8 +25,6 @@ from repro.obs.registry import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    get_registry,
-    scoped_registry,
 )
 from repro.obs.trace import (
     Span,
@@ -42,8 +40,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "get_registry",
-    "scoped_registry",
     "Span",
     "Trace",
     "TraceCollector",

@@ -1,4 +1,4 @@
-"""The process-wide metrics registry.
+"""The metrics registry.
 
 Three instrument kinds, all thread-safe and all snapshotted to plain
 data (so a snapshot crosses the dlib wire unmodified):
@@ -17,15 +17,16 @@ data (so a snapshot crosses the dlib wire unmodified):
 
 Instruments are created on first use (``registry.counter("dlib.calls")``)
 and shared by name afterwards, so the producing and the reporting side
-never need to agree on setup order.  A module-level default registry
-(:func:`get_registry`) serves code with no better scope; servers create
-their own so tests and co-hosted instances cannot bleed into each other.
+never need to agree on setup order.  There is no ambient default: a
+server, loader or run harness creates its registry and passes it
+(``registry=``) to what it builds, so tests and co-hosted instances
+cannot bleed into each other and a number reaches a snapshot only through
+a registry somebody passed.
 """
 
 from __future__ import annotations
 
 import threading
-from contextlib import contextmanager
 
 import numpy as np
 
@@ -37,8 +38,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "get_registry",
-    "scoped_registry",
 ]
 
 #: Default quantiles reported by a histogram snapshot.
@@ -250,47 +249,3 @@ class MetricsRegistry:
             "histograms": {n: h.snapshot() for n, h in sorted(histograms.items())},
         }
 
-
-_default = MetricsRegistry()
-
-# Per-thread registry override stack (see scoped_registry).  Thread-local
-# so concurrent scopes — the sweep runner's worker pool runs one scope
-# per in-flight scenario — cannot observe each other's registries.
-_scope = threading.local()
-
-
-def get_registry() -> MetricsRegistry:
-    """The calling thread's active registry.
-
-    Inside a :func:`scoped_registry` block this is the scope's registry;
-    otherwise the process-wide default.  Servers still make their own
-    (isolation across tests and co-hosted instances); this backs code
-    with no natural owner — and lets a *run* harness capture that code's
-    metrics without threading a registry through every call site.
-    """
-    stack = getattr(_scope, "stack", None)
-    if stack:
-        return stack[-1]
-    return _default
-
-
-@contextmanager
-def scoped_registry(registry: MetricsRegistry | None = None):
-    """Route this thread's :func:`get_registry` callers into ``registry``.
-
-    The sweep runner wraps each headless scenario run in a scope, so
-    engine gauges, fault counters, and anything else that falls back to
-    the default registry land in that run's snapshot instead of bleeding
-    across concurrently-running scenarios (or into the process registry).
-    Scopes nest; each ``with`` restores the previous registry on exit.
-    Yields the active registry (a fresh one when ``registry`` is None).
-    """
-    registry = registry if registry is not None else MetricsRegistry()
-    stack = getattr(_scope, "stack", None)
-    if stack is None:
-        stack = _scope.stack = []
-    stack.append(registry)
-    try:
-        yield registry
-    finally:
-        stack.pop()

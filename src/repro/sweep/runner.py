@@ -7,10 +7,9 @@ and no workstation: the same :class:`~repro.core.engine.ComputeEngine`,
 identical stage code the live server uses), and
 :class:`~repro.core.framestore.FrameStore` as the interactive path,
 driven by an injected clock one timestep per frame.
-Every run gets its own :class:`~repro.obs.MetricsRegistry` via
-:func:`~repro.obs.scoped_registry`, so concurrently-running scenarios
-cannot bleed counters into each other and a run's snapshot is *its*
-story alone.
+Every run gets its own :class:`~repro.obs.MetricsRegistry`, passed to
+everything the run builds, so concurrently-running scenarios cannot bleed
+counters into each other and a run's snapshot is *its* story alone.
 
 The wire is modeled, not opened: each published frame is composed into
 the scenario's subscribed encoding (the same
@@ -40,7 +39,7 @@ from repro.diskio.loader import TimestepLoader
 from repro.flow import tapered_cylinder_dataset
 from repro.netsim.channel import VirtualClock
 from repro.netsim.faults import FaultPlan, FaultyChannel
-from repro.obs import MetricsRegistry, scoped_registry
+from repro.obs import MetricsRegistry
 from repro.sweep.manifest import Scenario, ScenarioError, SweepManifest
 from repro.sweep.results import ResultsStore
 from repro.tracers.rake import Rake
@@ -179,19 +178,6 @@ def run_scenario(
     engine stack, which is precisely what the scenario-fuzz suite hunts.
     """
     registry = registry if registry is not None else MetricsRegistry()
-    with scoped_registry(registry):
-        return _run_scenario_scoped(
-            scenario, keyframe_path, registry, dataset, timestep_cache
-        )
-
-
-def _run_scenario_scoped(
-    scenario: Scenario,
-    keyframe_path,
-    registry: MetricsRegistry,
-    dataset=None,
-    timestep_cache: TimestepCache | None = None,
-) -> dict:
     started = time.perf_counter()
     if dataset is None:
         dataset = tapered_cylinder_dataset(
@@ -364,8 +350,8 @@ class SweepRunner:
 
     Workers are threads: a headless run spends its time inside NumPy
     kernels (which release the GIL) and the per-run *mutable* state is
-    fully isolated — separate engines, stores, and (via
-    :func:`scoped_registry`) separate metrics registries.  Read-only
+    fully isolated — separate engines, stores, and metrics registries
+    (each passed explicitly to what the run builds).  Read-only
     state is shared: a :class:`DatasetPool` hands scenarios over the
     same geometry one dataset and one tier-1 timestep cache
     (``share_datasets=False`` restores full per-run isolation).

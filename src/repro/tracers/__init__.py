@@ -32,7 +32,6 @@ from repro.tracers.integrate import (
     BACKENDS,
     IntegratorWorkspace,
     advance_rk2,
-    configure_pools,
     integrate_paths,
     integrate_steady,
 )
@@ -53,7 +52,6 @@ __all__ = [
     "BACKENDS",
     "IntegratorWorkspace",
     "advance_rk2",
-    "configure_pools",
     "integrate_steady",
     "integrate_paths",
     "Rake",

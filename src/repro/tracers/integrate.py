@@ -43,25 +43,18 @@ Two orthogonal optimizations sit under the backends:
   array allocations (the Convex did not call ``malloc`` per vector op
   either).  Pass ``workspace=`` to :func:`integrate_steady` /
   :func:`integrate_paths`; results are bit-identical to the plain path.
-* **Shared-memory field residency** — the process backends keep the
-  velocity field resident in workers via ``multiprocessing.shared_memory``
-  keyed by a memoized content token, so the field crosses the process
-  boundary at most once per timestep instead of once per chunk per frame
-  (the Convex kept its 1 GB dataset resident; our workers do too).
-  Accounted as ``integrate.*`` counters in the calling thread's
-  :func:`~repro.obs.get_registry`.
+* **One pool per field** — the process backends run on one persistent
+  pool *built around the field it integrates*: the field reaches each
+  worker once, through the pool initializer, and a call on another
+  field object (or worker count) rebuilds the pool (the Convex kept its
+  1 GB dataset resident; our workers do too).
 """
 
 from __future__ import annotations
 
 import atexit
 import multiprocessing as mp
-import os
-import weakref
-import zlib
-from collections import OrderedDict
 from collections.abc import Callable
-from multiprocessing import shared_memory
 
 import numpy as np
 
@@ -70,7 +63,6 @@ from repro.grid.interpolation import (
     in_domain_mask,
     trilinear_interpolate,
 )
-from repro.obs import get_registry
 
 __all__ = [
     "BACKENDS",
@@ -78,8 +70,6 @@ __all__ = [
     "advance_rk2",
     "integrate_steady",
     "integrate_paths",
-    "configure_pools",
-    "pool_start_method",
     "shutdown_pools",
 ]
 
@@ -87,6 +77,10 @@ BACKENDS = ("vector", "vector-strip", "scalar", "parallel", "vector-group")
 
 #: Convex C3240 vector register length (section 5), the default strip size.
 VECTOR_LENGTH = 128
+
+#: Rotating ``paths`` buffers an :class:`IntegratorWorkspace` keeps per
+#: ``(seeds, steps)`` shape.
+PATHS_POOL = 4
 
 
 # ---------------------------------------------------------------------------
@@ -105,22 +99,19 @@ class IntegratorWorkspace:
     seen and reused across frames.  In steady state (no particle deaths)
     an integration step allocates nothing.
 
-    Output ``paths`` arrays come from a small rotating pool (default 4
-    buffers per ``(seeds, steps)`` shape), so a result stays valid while
-    the frame pipeline's encode stage reads it concurrently with the next
-    frame's production — but is overwritten after ``paths_pool`` further
-    calls of the same shape.  Callers that need longer-lived results copy
-    them (the pipeline converts to wire float32 at publish, which already
-    copies).
+    Output ``paths`` arrays come from a small rotating pool
+    (:data:`PATHS_POOL` buffers per ``(seeds, steps)`` shape), so a result
+    stays valid while the frame pipeline's encode stage reads it
+    concurrently with the next frame's production — but is overwritten
+    after ``PATHS_POOL`` further calls of the same shape.  Callers that
+    need longer-lived results copy them (the pipeline converts to wire
+    float32 at publish, which already copies).
 
     One workspace serves one thread; the compute engine owns one for the
     producer thread.
     """
 
-    def __init__(self, paths_pool: int = 4) -> None:
-        if paths_pool < 1:
-            raise ValueError("paths_pool must be at least 1")
-        self.paths_pool = int(paths_pool)
+    def __init__(self) -> None:
         self.scratch = TrilinearScratch()
         self._cap = 0
         self._coords = None
@@ -189,7 +180,7 @@ class IntegratorWorkspace:
             pool = []
             self._paths_pools[key] = pool
             self._paths_next[key] = 0
-        if len(pool) < self.paths_pool:
+        if len(pool) < PATHS_POOL:
             buf = np.empty((s, cols, 3), dtype=np.float64)
             pool.append(buf)
             return buf
@@ -198,51 +189,17 @@ class IntegratorWorkspace:
         return pool[i]
 
 
-def advance_rk2(
-    gv: np.ndarray,
-    coords: np.ndarray,
-    dt: float,
-    *,
-    out: np.ndarray | None = None,
-    workspace: IntegratorWorkspace | None = None,
-) -> np.ndarray:
+def advance_rk2(gv: np.ndarray, coords: np.ndarray, dt: float) -> np.ndarray:
     """One RK2 (Heun) step for all ``coords`` in a frozen field ``gv``.
 
     ``gv`` is grid-coordinate velocity ``(ni, nj, nk, 3)``; ``coords`` is
     ``(N, 3)`` fractional grid coordinates.  Out-of-domain samples clamp to
     the boundary; callers decide particle death via
     :func:`~repro.grid.interpolation.in_domain_mask`.
-
-    With ``workspace`` (and ``out``), the stage samples and the midpoint
-    live in preallocated scratch and the step allocates nothing; results
-    are bit-identical to the plain path.
     """
-    if workspace is not None and out is not None:
-        if (
-            isinstance(coords, np.ndarray)
-            and coords.ndim == 2
-            and coords.shape[1] == 3
-            and coords.dtype == np.float64
-        ):
-            meta = workspace.scratch.bind_field(gv)
-            if meta is not None:
-                n = coords.shape[0]
-                _, mid, k1, k2, _, _, _, _ = workspace.bind_active(n)
-                workspace.scratch.sample(meta, coords, k1)
-                np.multiply(k1, dt, out=mid)
-                np.add(mid, coords, out=mid)
-                workspace.scratch.sample(meta, mid, k2)
-                np.add(k1, k2, out=k2)
-                np.multiply(k2, 0.5 * dt, out=k2)
-                np.add(coords, k2, out=out)
-                return out
     k1 = trilinear_interpolate(gv, coords)
     k2 = trilinear_interpolate(gv, coords + dt * k1)
-    result = coords + (0.5 * dt) * (k1 + k2)
-    if out is not None:
-        out[...] = result
-        return out
-    return result
+    return coords + (0.5 * dt) * (k1 + k2)
 
 
 # ---------------------------------------------------------------------------
@@ -459,229 +416,50 @@ def _integrate_scalar(
 # process-parallel backends
 # ---------------------------------------------------------------------------
 
-# Worker pools persist across calls (the Convex's processors did not
-# reboot between frames); one pool per (start method, worker count),
-# created lazily.
-_POOLS: dict[tuple[str, int], "mp.pool.Pool"] = {}
+# One worker pool persists across calls (the Convex's processors did not
+# reboot between frames), built around the field it integrates:
+# ``(workers, field, pool)``.  Holding the field keeps its ``id`` from
+# being recycled, so ``is`` identifies it; a field is assumed not to be
+# mutated in place between calls, which holds for the loader/dataset
+# caches (cache entries are read-only views).
+_POOL: tuple | None = None
 
-#: Explicit start-method preference (None = auto; see pool_start_method).
-_START_METHOD_PREF: str | None = None
-
-#: Parent-side shared-memory exports kept alive, newest last.  Two covers
-#: the unsteady t/t+1 stencil without re-exporting on alternation.
-_SHM_KEEP = 2
-_SHM_EXPORTS: "OrderedDict[tuple, shared_memory.SharedMemory]" = OrderedDict()
-#: Flipped when the platform refuses a segment: from then on the field
-#: rides pickled in every chunk's arguments instead.
-_SHM_BROKEN = False
-
-# Per-worker field residency: token -> [gv_view, flat_list | None, shm | None].
-# Workers keep at most one field resident (the Convex kept its dataset
-# resident too); a new token evicts the old mapping.
-_WORKER_FIELDS: dict = {}
-
-# Memoized content tokens keyed by array identity, so steady-state frames
-# checksum nothing (satellite: _field_token used to adler32 the whole
-# field on every parallel call).
-_TOKEN_MEMO: dict[int, tuple] = {}
-
-def pool_start_method() -> str:
-    """The multiprocessing start method the next pool will use.
-
-    Resolution order: :func:`configure_pools` preference, the
-    ``REPRO_POOL_START_METHOD`` environment variable, then ``fork`` where
-    available with a ``spawn`` fallback (fork is missing on some
-    platforms and deprecated as a default in newer CPython).
-    """
-    if _START_METHOD_PREF is not None:
-        return _START_METHOD_PREF
-    available = mp.get_all_start_methods()
-    env = os.environ.get("REPRO_POOL_START_METHOD", "").strip()
-    if env and env in available:
-        return env
-    return "fork" if "fork" in available else "spawn"
+# Worker side: the pool's field, and the scalar kernel's flattening of it
+# (made on the first scalar chunk, kept for every later one).
+_FIELD: np.ndarray | None = None
+_FLAT: list | None = None
 
 
-def configure_pools(*, start_method: str | None) -> dict:
-    """Set the worker pools' start method; returns the active config.
-
-    ``start_method`` is ``"fork"``, ``"spawn"``, ``"forkserver"``, or
-    ``None`` to restore the automatic choice.  On a change, existing
-    pools are shut down so the next parallel call rebuilds them under
-    the new method.
-    """
-    global _START_METHOD_PREF
-    if start_method is not None and start_method not in mp.get_all_start_methods():
-        raise ValueError(
-            f"start method {start_method!r} not available; "
-            f"expected one of {mp.get_all_start_methods()} or None"
-        )
-    if start_method != _START_METHOD_PREF:
-        _START_METHOD_PREF = start_method
-        shutdown_pools()
-    return {"start_method": pool_start_method()}
-
-
-def _field_token(gv: np.ndarray) -> tuple:
-    """Content token for worker-side field residency, memoized by identity.
-
-    The token itself is content-based (shape + adler32) so equal fields
-    share residency; computing it is memoized on the array *object* so a
-    steady-state frame — same field array every call — checksums nothing.
-    The memo assumes fields are not mutated in place between calls, which
-    holds for the loader/dataset caches (published frames are read-only).
-    """
-    key = id(gv)
-    memo = _TOKEN_MEMO.get(key)
-    if memo is not None and memo[0]() is gv and memo[1] == gv.shape:
-        return memo[2]
-    head = np.ascontiguousarray(gv).view(np.uint8)
-    token = (gv.shape, zlib.adler32(head), int(gv.size))
-    get_registry().counter("integrate.field_checksums").inc()
-    try:
-        ref = weakref.ref(gv, lambda _r, _k=key: _TOKEN_MEMO.pop(_k, None))
-    except TypeError:  # pragma: no cover - ndarrays support weakrefs
-        return token
-    _TOKEN_MEMO[key] = (ref, gv.shape, token)
-    return token
-
-
-def _export_field(gv: np.ndarray, token: tuple):
-    """Make ``gv`` reachable by the workers; return the per-chunk reference.
-
-    Returns a small descriptor dict (name, shape, dtype) — the field's
-    bytes cross the process boundary once, when the shared-memory segment
-    is created, and workers attach read-only views.  If the platform
-    refuses a segment, the array itself is returned (now and from then
-    on) and rides pickled in each chunk's args.
-    """
-    global _SHM_BROKEN
-    if _SHM_BROKEN:
-        return gv
-    seg = _SHM_EXPORTS.get(token)
-    if seg is None:
-        try:
-            seg = shared_memory.SharedMemory(create=True, size=int(gv.nbytes))
-        except Exception:
-            _SHM_BROKEN = True
-            return gv
-        np.ndarray(gv.shape, dtype=gv.dtype, buffer=seg.buf)[...] = gv
-        while len(_SHM_EXPORTS) >= _SHM_KEEP:
-            _, old = _SHM_EXPORTS.popitem(last=False)
-            _release_segment(old)
-        _SHM_EXPORTS[token] = seg
-        registry = get_registry()
-        registry.counter("integrate.fields_exported").inc()
-        registry.counter("integrate.field_bytes_shipped").inc(int(gv.nbytes))
-    else:
-        _SHM_EXPORTS.move_to_end(token)
-    return {"shm": seg.name, "shape": gv.shape, "dtype": str(gv.dtype)}
-
-
-def _release_segment(seg: shared_memory.SharedMemory) -> None:
-    try:
-        seg.close()
-    except BufferError:  # pragma: no cover - exported view still alive
-        pass
-    try:
-        seg.unlink()
-    except FileNotFoundError:  # pragma: no cover - already gone
-        pass
-
-
-def _resolve_field(field_ref, token: tuple) -> np.ndarray:  # pragma: no cover
-    """Worker side: turn a chunk's field reference into the resident array.
-
-    Executes in pool workers (subprocesses), invisible to coverage.
-    """
-    if isinstance(field_ref, np.ndarray):
-        return field_ref
-    entry = _WORKER_FIELDS.get(token)
-    if entry is not None:
-        return entry[0]
-    # New field: evict the previous residency, then attach read-only.
-    for old in list(_WORKER_FIELDS.values()):
-        shm = old[2]
-        old[0] = old[1] = None
-        if shm is not None:
-            try:
-                shm.close()
-            except BufferError:  # pragma: no cover
-                pass
-    _WORKER_FIELDS.clear()
-    # The parent owns the segment's lifetime; attaching must not enroll
-    # it with this process's resource tracker (which would unlink it at
-    # worker exit and spam KeyErrors when several workers attach).
-    # Python 3.13 has SharedMemory(track=False); until then, suppress the
-    # registration around the attach.
-    from multiprocessing import resource_tracker
-
-    orig_register = resource_tracker.register
-
-    def _no_shm_register(name, rtype):  # pragma: no cover - trivial shim
-        if rtype != "shared_memory":
-            orig_register(name, rtype)
-
-    resource_tracker.register = _no_shm_register
-    try:
-        shm = shared_memory.SharedMemory(name=field_ref["shm"])
-    finally:
-        resource_tracker.register = orig_register
-    gv = np.ndarray(
-        tuple(field_ref["shape"]), dtype=np.dtype(field_ref["dtype"]), buffer=shm.buf
-    )
-    gv.flags.writeable = False
-    _WORKER_FIELDS[token] = [gv, None, shm]
-    return gv
-
-
-def _worker_flat(gv: np.ndarray, token: tuple) -> list:  # pragma: no cover
-    """Per-worker cache of the scalar kernel's flattened field.
-
-    Executes in pool workers (subprocesses), invisible to coverage.
-    Repeated frames over the same timestep do not re-pay the flattening
-    (the Convex kept its converted data resident too).
-    """
-    entry = _WORKER_FIELDS.get(token)
-    if entry is None:
-        entry = [gv, None, None]
-        _WORKER_FIELDS.clear()  # keep at most one field resident per worker
-        _WORKER_FIELDS[token] = entry
-    if entry[1] is None:
-        entry[1] = np.ascontiguousarray(gv, dtype=np.float64).ravel().tolist()
-    return entry[1]
+def _init_worker(gv: np.ndarray) -> None:  # pragma: no cover - subprocess
+    global _FIELD
+    _FIELD = gv
 
 
 def _run_chunk(args):  # pragma: no cover - executes in subprocess
-    field_ref, seeds_chunk, n_steps, dt, kernel, token = args
-    gv = _resolve_field(field_ref, token)
+    global _FLAT
+    seeds_chunk, n_steps, dt, kernel = args
     if kernel != "scalar":
-        return _integrate_vector(gv, seeds_chunk, n_steps, dt)
-    return _integrate_scalar(
-        gv, seeds_chunk, n_steps, dt, flat=_worker_flat(gv, token)
-    )
+        return _integrate_vector(_FIELD, seeds_chunk, n_steps, dt)
+    if _FLAT is None:
+        _FLAT = np.ascontiguousarray(_FIELD, dtype=np.float64).ravel().tolist()
+    return _integrate_scalar(_FIELD, seeds_chunk, n_steps, dt, flat=_FLAT)
 
 
-def _get_pool(workers: int):
-    method = pool_start_method()
-    key = (method, workers)
-    pool = _POOLS.get(key)
-    if pool is None:
-        ctx = mp.get_context(method)
-        pool = ctx.Pool(workers)
-        _POOLS[key] = pool
-    return pool
+def _get_pool(workers: int, gv: np.ndarray):
+    global _POOL
+    if _POOL is None or _POOL[0] != workers or _POOL[1] is not gv:
+        shutdown_pools()
+        _POOL = (workers, gv, mp.get_context().Pool(workers, _init_worker, (gv,)))
+    return _POOL[2]
 
 
 def shutdown_pools() -> None:
-    """Terminate persistent pools and release shared-memory exports."""
-    for pool in _POOLS.values():
-        pool.terminate()
-        pool.join()
-    _POOLS.clear()
-    while _SHM_EXPORTS:
-        _, seg = _SHM_EXPORTS.popitem()
-        _release_segment(seg)
+    """Terminate the persistent worker pool (the next call rebuilds it)."""
+    global _POOL
+    if _POOL is not None:
+        _POOL[2].terminate()
+        _POOL[2].join()
+        _POOL = None
 
 
 atexit.register(shutdown_pools)
@@ -699,10 +477,8 @@ def _integrate_parallel(
 
     ``kernel='scalar'`` mirrors the Convex's parallelized scalar code;
     ``kernel='vector'`` is the vector-group scheme (parallel across
-    groups, vectorized within).  The field array crosses the process
-    boundary once per timestep — workers attach read-only shared-memory
-    views keyed by the (memoized) content token — instead of being
-    re-pickled into every chunk.
+    groups, vectorized within).  The field reached the workers when their
+    pool was built; a chunk carries only its seeds.
     """
     s = seeds.shape[0]
     workers = max(1, min(workers, s))
@@ -710,19 +486,8 @@ def _integrate_parallel(
         kern = _integrate_scalar if kernel == "scalar" else _integrate_vector
         return kern(gv, seeds, n_steps, dt)
     chunks = np.array_split(np.asarray(seeds, dtype=np.float64), workers)
-    pool = _get_pool(workers)
-    token = _field_token(gv)
-    field_ref = _export_field(gv, token)
-    registry = get_registry()
-    if field_ref is gv:
-        # Pickle fallback: a full copy of the field rides in every chunk.
-        registry.counter("integrate.field_bytes_shipped").inc(
-            int(gv.nbytes) * len(chunks)
-        )
-    registry.counter("integrate.parallel_calls").inc()
-    results = pool.map(
-        _run_chunk,
-        [(field_ref, chunk, n_steps, dt, kernel, token) for chunk in chunks],
+    results = _get_pool(workers, gv).map(
+        _run_chunk, [(chunk, n_steps, dt, kernel) for chunk in chunks]
     )
     paths = np.concatenate([r[0] for r in results], axis=0)
     lengths = np.concatenate([r[1] for r in results], axis=0)

@@ -1,5 +1,7 @@
 """Tests for the extension RPCs: runtime tool settings and isosurfaces."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -58,6 +60,25 @@ class TestToolSettingsRPC:
         with WindtunnelClient(*server.address) as c:
             with pytest.raises(DlibRemoteError):
                 c.set_tool_settings(streamline_steps=0)
+
+    def test_rejected_change_set_applies_nothing(self, server):
+        """A bad key anywhere rejects the whole call: no setting moves,
+        no version bump, no new frame."""
+        with WindtunnelClient(*server.address) as c:
+            c.fetch_frame()  # the join's frame is out: the store is quiet
+            before = dataclasses.replace(server.engine.settings)
+            version, seq = server.env.version, server.store.seq
+            with pytest.raises(DlibRemoteError, match="streamline_dt"):
+                c.set_tool_settings(streamline_steps=7, streamline_dt=-1.0)
+            assert server.engine.settings == before
+            assert (server.env.version, server.store.seq) == (version, seq)
+            out = c.set_tool_settings(streamline_steps=7, streamline_dt=0.04)
+            assert (out["streamline_steps"], out["streamline_dt"]) == (7, 0.04)
+            assert server.env.version > version
+            c.set_tool_settings(
+                streamline_steps=before.streamline_steps,
+                streamline_dt=before.streamline_dt,
+            )
 
 
 class TestIsosurfaceRPC:

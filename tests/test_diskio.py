@@ -5,8 +5,10 @@ import pytest
 
 from repro.diskio import (
     CONVEX_DISK,
+    DatasetSource,
     DiskModel,
     ResidencyPlan,
+    TieredTimestepCache,
     TimestepLoader,
     plan_residency,
     required_disk_bandwidth_mbps,
@@ -163,6 +165,39 @@ class TestTimestepLoader:
     def test_invalid_capacity(self):
         with pytest.raises(ValueError):
             TimestepLoader(small_dataset(), capacity=0)
+
+    def test_failed_prefetch_does_not_poison_its_timestep(self):
+        """A speculative read that fails is counted and forgotten: the
+        next load of that timestep reads on demand."""
+        ds = small_dataset()
+        faults = [ConnectionError("transient")]
+
+        class FlakySource(DatasetSource):
+            def read(self, t):
+                if t == 1 and faults:
+                    raise faults.pop()
+                return super().read(t)
+
+        cache = TieredTimestepCache(ds, source=FlakySource(ds))
+        with TimestepLoader(ds, cache=cache) as loader:
+            loader.load(0)  # prefetches 1, which fails
+            with pytest.raises(ConnectionError, match="transient"):
+                loader.drain()
+            loader.drain()  # reported once, not forever
+            assert loader.prefetch_errors.value == 1
+            np.testing.assert_allclose(
+                loader.load(1, auto_prefetch=False), ds.grid_velocity(1)
+            )
+            assert loader.misses.value == 2
+            # A persisting fault is the demand read's own error, and the
+            # timestep can be staged again once it clears.
+            faults.append(ConnectionError("still down"))
+            cache.l1.clear()
+            with pytest.raises(ConnectionError, match="still down"):
+                loader.load(1, auto_prefetch=False)
+            assert loader.prefetch(1)
+            loader.drain()
+            assert 1 in loader.buffered_timesteps
 
 
 class TestResidency:

@@ -41,7 +41,7 @@ class TestCheckDocs:
         ok = tmp_path / "ok.md"
         ok.write_text(
             "`cache.l1.hits`, `loader.misses`, `engine.points_computed`, "
-            "`integrate.*`, `pipeline.stage.*_seconds`, "
+            "`loader.*`, `pipeline.stage.*_seconds`, "
             "`gateway.worker.<name>.saturation` and "
             "`net.degradation.<cid>.level` are recorded; `wt.frame` is a "
             "procedure; `pipeline.integrate_ms` is a benchmark row; "
@@ -50,7 +50,7 @@ class TestCheckDocs:
         )
         assert check_docs.main([str(ok)]) == 0, capsys.readouterr().err
         bad = tmp_path / "bad.md"
-        for gone in ("cache.l1.hitz", "integrate.bytes*", "wt.no_such_call"):
+        for gone in ("cache.l1.hitz", "loader.bytes*", "wt.no_such_call"):
             bad.write_text(f"watch `{gone}`\n")
             assert check_docs.main([str(bad)]) == 1, gone
             assert f"no such metric -> {gone}" in capsys.readouterr().err

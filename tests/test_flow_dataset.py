@@ -80,6 +80,33 @@ class TestMemoryDataset:
         assert small_dataset.max_particle_path_steps(per - 1) == 0
 
 
+class TestTimestepNbytes:
+    """``timestep_nbytes`` is the stored size (shape x stored dtype),
+    recorded at construction: asking for it reads no data."""
+
+    @pytest.mark.parametrize("kind", ["memory32", "memory64", "disk", "live"])
+    def test_equals_stored_size_without_a_read(self, kind, tmp_path, monkeypatch):
+        from repro.insitu import LiveFlowSource
+
+        grid = cartesian_grid((4, 5, 6))
+        dtype = np.float64 if kind == "memory64" else np.float32
+        vel = sample_on_grid(UniformFlow(), grid, np.arange(3) * 0.1, dtype=dtype)
+        ds = MemoryDataset(grid, vel, dt=0.1)
+        if kind == "disk":
+            ds = DiskDataset(ds.save(tmp_path / "ds"))
+        elif kind == "live":
+            ds = LiveFlowSource(grid, vel[0], dt=0.1)
+        expected = ds.velocity(0).nbytes
+        assert expected == 4 * 5 * 6 * 3 * np.dtype(dtype).itemsize
+
+        def no_read(t):
+            raise AssertionError("timestep_nbytes must not read a timestep")
+
+        monkeypatch.setattr(ds, "velocity", no_read)
+        assert ds.timestep_nbytes == expected
+        assert ds.total_nbytes == expected * ds.n_timesteps
+
+
 class TestDiskDataset:
     def test_save_load_roundtrip(self, small_dataset, tmp_path):
         path = small_dataset.save(tmp_path / "ds")

@@ -1,13 +1,12 @@
-"""Fused megabatch compute: equivalence, zero-allocation, field transport.
+"""Fused megabatch compute: equivalence and zero-allocation.
 
 The golden-trajectory contract of the fused frame path: gathering every
 rake's seeds into one integration call and slicing the result back by
 offset must be *bit-identical* to per-rake ``compute_rake`` calls — across
 mixed rake kinds and mid-frame particle death — on the one kernel the
 engine runs (``vector``; the others are compared at kernel level in
-``tests/test_tracers_integrate.py``).  Alongside it, the two optimizations
-underneath: the :class:`IntegratorWorkspace` zero-allocation kernels and
-the shared-memory field residency of the process backends.
+``tests/test_tracers_integrate.py``).  Alongside it, the optimization
+underneath: the :class:`IntegratorWorkspace` zero-allocation kernels.
 """
 
 import tracemalloc
@@ -17,17 +16,13 @@ import pytest
 
 from repro.core import ComputeEngine, ToolSettings
 from repro.flow import MemoryDataset, RigidRotation, UniformFlow, sample_on_grid
-from repro.obs import scoped_registry
 from repro.grid import cartesian_grid
 from repro.tracers import Rake
-from repro.tracers import integrate as integ
 from repro.tracers.integrate import (
+    PATHS_POOL,
     IntegratorWorkspace,
-    advance_rk2,
-    configure_pools,
     integrate_paths,
     integrate_steady,
-    pool_start_method,
 )
 from repro.tracers.particlepath import compute_particle_paths
 
@@ -158,16 +153,6 @@ class TestWorkspaceKernels:
         assert np.array_equal(p0, p1)
         assert np.array_equal(l0, l1)
 
-    def test_advance_rk2_out_bit_identical(self, field):
-        rng = np.random.default_rng(3)
-        coords = rng.uniform(0, 14, size=(50, 3))
-        plain = advance_rk2(field, coords, 0.05)
-        ws = IntegratorWorkspace()
-        out = np.empty_like(coords)
-        got = advance_rk2(field, coords, 0.05, out=out, workspace=ws)
-        assert got is out
-        assert np.array_equal(plain, out)
-
     def test_ineligible_field_falls_back(self):
         # float32 fields bypass the fast path but must stay correct.
         rng = np.random.default_rng(4)
@@ -187,16 +172,14 @@ class TestWorkspaceKernels:
         assert l.tolist() == [1, 1]
 
     def test_paths_buffer_pool_rotates(self):
-        ws = IntegratorWorkspace(paths_pool=2)
+        ws = IntegratorWorkspace()
         a = ws.paths_buffer(8, 5)
         b = ws.paths_buffer(8, 5)
         assert a is not b
-        assert ws.paths_buffer(8, 5) is a  # pool of 2 wraps around
+        for _ in range(PATHS_POOL - 2):
+            ws.paths_buffer(8, 5)
+        assert ws.paths_buffer(8, 5) is a  # the pool wraps around
         assert ws.paths_buffer(8, 6) is not a  # different shape, new pool
-
-    def test_paths_pool_validation(self):
-        with pytest.raises(ValueError):
-            IntegratorWorkspace(paths_pool=0)
 
     def test_zero_allocation_steady_state(self, field):
         """The acceptance criterion: no per-step allocations in the loop.
@@ -211,7 +194,7 @@ class TestWorkspaceKernels:
         seeds = rng.uniform(4, 12, size=(512, 3))
         n_steps = 200
         ws = IntegratorWorkspace()
-        for _ in range(ws.paths_pool + 1):  # warm every pooled buffer
+        for _ in range(PATHS_POOL + 1):  # warm every pooled buffer
             integrate_steady(field, seeds, n_steps, 0.01, workspace=ws)
         tracemalloc.start()
         base, _ = tracemalloc.get_traced_memory()
@@ -232,110 +215,6 @@ class TestWorkspaceKernels:
             workspace_overhead,
             naive_overhead,
         )
-
-
-@pytest.fixture
-def integrate_counters():
-    """``integrate.*`` of this test alone (the module records into the
-    calling thread's registry), read as ``counters()[name]``."""
-    with scoped_registry() as registry:
-        yield lambda: {
-            name.split(".", 1)[1]: value
-            for name, value in registry.snapshot()["counters"].items()
-            if name.startswith("integrate.")
-        }
-
-
-class TestFieldTransport:
-    def test_token_memoized_by_identity(self, integrate_counters):
-        rng = np.random.default_rng(6)
-        gv = np.ascontiguousarray(rng.normal(size=(8, 8, 6, 3)))
-        t1 = integ._field_token(gv)
-        t2 = integ._field_token(gv)
-        assert t1 == t2
-        assert integrate_counters()["field_checksums"] == 1
-        # A distinct array with identical content: new checksum, equal token.
-        t3 = integ._field_token(gv.copy())
-        assert t3 == t1
-        assert integrate_counters()["field_checksums"] == 2
-
-    def test_field_ships_once_per_timestep(self, integrate_counters):
-        """Acceptance: shm residency ships the field once, not per chunk."""
-        rng = np.random.default_rng(7)
-        gv = np.ascontiguousarray(rng.normal(0, 0.5, size=(10, 10, 8, 3)))
-        seeds = rng.uniform(0, 7, size=(8, 3))
-        for _ in range(3):  # three frames over the same timestep
-            integrate_steady(gv, seeds, 8, 0.05, backend="parallel", workers=2)
-        stats = integrate_counters()
-        assert stats["parallel_calls"] == 3
-        if not integ._SHM_BROKEN:
-            assert stats["fields_exported"] == 1
-            assert stats["field_bytes_shipped"] == gv.nbytes
-        else:  # pragma: no cover - platform without shared memory
-            assert stats["field_bytes_shipped"] >= gv.nbytes
-
-    def test_shm_and_pickle_agree(self, monkeypatch, integrate_counters):
-        """The pickle fallback is selected by the code, from something it
-        can observe: the platform refusing a shared-memory segment."""
-        rng = np.random.default_rng(8)
-        gv = np.ascontiguousarray(rng.normal(0, 0.5, size=(10, 10, 8, 3)))
-        seeds = rng.uniform(0, 7, size=(6, 3))
-        p_shm, l_shm = integrate_steady(
-            gv, seeds, 10, 0.05, backend="parallel", workers=2
-        )
-        shipped = integrate_counters()["field_bytes_shipped"]
-
-        def refuse(*args, **kwargs):
-            raise OSError("no shared memory on this platform")
-
-        integ.shutdown_pools()  # drop the export, so a segment is needed
-        monkeypatch.setattr(integ, "_SHM_BROKEN", False)  # restored on exit
-        monkeypatch.setattr(integ.shared_memory, "SharedMemory", refuse)
-        p_pkl, l_pkl = integrate_steady(
-            gv, seeds, 10, 0.05, backend="parallel", workers=2
-        )
-        assert integ._SHM_BROKEN
-        # The fallback re-ships the field with every chunk.
-        after = integrate_counters()["field_bytes_shipped"]
-        assert after - shipped == gv.nbytes * 2
-        assert np.array_equal(p_shm, p_pkl)
-        assert np.array_equal(l_shm, l_pkl)
-
-    def test_start_method_configurable_with_spawn(self, integrate_counters):
-        if "spawn" not in __import__("multiprocessing").get_all_start_methods():
-            pytest.skip("spawn unavailable")  # pragma: no cover
-        rng = np.random.default_rng(9)
-        gv = np.ascontiguousarray(rng.normal(0, 0.5, size=(8, 8, 6, 3)))
-        seeds = rng.uniform(0, 5, size=(4, 3))
-        baseline, lb = integrate_steady(gv, seeds, 6, 0.05, backend="scalar")
-        cfg = configure_pools(start_method="spawn")
-        assert cfg["start_method"] == "spawn"
-        try:
-            p, l = integrate_steady(
-                gv, seeds, 6, 0.05, backend="parallel", workers=2
-            )
-            stats = integrate_counters()
-            if not integ._SHM_BROKEN:
-                # Residency must hold under spawn too.
-                assert stats["fields_exported"] == 1
-                assert stats["field_bytes_shipped"] == gv.nbytes
-        finally:
-            configure_pools(start_method=None)
-        assert np.array_equal(p, baseline)
-        assert np.array_equal(l, lb)
-
-    def test_configure_rejects_bad_values(self):
-        with pytest.raises(ValueError):
-            configure_pools(start_method="no-such-method")
-        with pytest.raises(TypeError):  # the selector is gone, not ignored
-            configure_pools(field_transport="pickle")
-
-    def test_env_var_selects_start_method(self, monkeypatch):
-        configure_pools(start_method=None)
-        monkeypatch.setenv("REPRO_POOL_START_METHOD", "spawn")
-        assert pool_start_method() == "spawn"
-        monkeypatch.setenv("REPRO_POOL_START_METHOD", "bogus")
-        assert pool_start_method() in ("fork", "spawn")  # ignored if unknown
 
 
 class TestParticlePathWorkspace:

@@ -4,7 +4,7 @@ import threading
 
 import pytest
 
-from repro.obs import Counter, Gauge, Histogram, MetricsRegistry, get_registry
+from repro.obs import Counter, Gauge, Histogram, MetricsRegistry
 
 
 class TestCounter:
@@ -116,9 +116,6 @@ class TestMetricsRegistry:
         r.histogram("h").observe(0.25)
         snap = r.snapshot()
         assert decode_value(encode_value(snap)) == snap
-
-    def test_default_registry_is_a_singleton(self):
-        assert get_registry() is get_registry()
 
     def test_registries_are_isolated(self):
         a, b = MetricsRegistry(), MetricsRegistry()

@@ -63,8 +63,13 @@ def test_stat_mirrors_and_dead_selectors_stay_unexported():
     registry comes back through a package ``__all__``."""
     import repro.diskio
     import repro.netsim
+    import repro.obs
     import repro.tracers
 
+    assert sorted(repro.obs.__all__) == [
+        "Counter", "Gauge", "Histogram", "MetricsRegistry", "Span", "Trace",
+        "TraceCollector", "current_trace", "format_trace", "use_trace",
+    ]
     assert sorted(repro.diskio.__all__) == [
         "CONVEX_DISK", "DatasetSource", "DiskModel", "ResidencyPlan",
         "SharedTimestepCache", "TieredTimestepCache", "TimestepCache",
@@ -76,9 +81,9 @@ def test_stat_mirrors_and_dead_selectors_stay_unexported():
         "BACKENDS", "FTLEResult", "GrabPoint", "IntegratorWorkspace",
         "IsosurfaceResult", "MultiZoneTracerResult", "Rake",
         "StreaklineTracer", "TracerResult", "advance_rk2", "compute_ftle",
-        "compute_particle_paths", "compute_streamlines", "configure_pools",
-        "extract_isosurface", "integrate_paths", "integrate_steady",
-        "multizone_streamlines", "velocity_magnitude",
+        "compute_particle_paths", "compute_streamlines", "extract_isosurface",
+        "integrate_paths", "integrate_steady", "multizone_streamlines",
+        "velocity_magnitude",
     ]
     assert sorted(repro.netsim.__all__) == [
         "BYTES_PER_POINT", "BYTES_PER_POINT_QUANTIZED", "BandwidthSchedule",
@@ -95,11 +100,14 @@ def test_option_counts_are_pinned():
     Raising a count here means a new option — justify it in the PR."""
     import dataclasses
     import inspect
+    from pathlib import Path
 
+    import repro
     from repro.core import ComputeEngine, FramePipeline, PublishedFrame
     from repro.core import WindtunnelServer
     from repro.gateway.worker import DEFAULT_SPEC
     from repro.sweep.manifest import AXIS_KEYS
+    from repro.tracers import IntegratorWorkspace, advance_rk2
 
     def options(cls):
         return len(inspect.signature(cls.__init__).parameters) - 1  # self
@@ -107,6 +115,11 @@ def test_option_counts_are_pinned():
     assert options(WindtunnelServer) == 15
     assert options(ComputeEngine) == 4
     assert options(FramePipeline) == 7
+    assert options(IntegratorWorkspace) == 0
+    assert len(inspect.signature(advance_rk2).parameters) == 3
+    # An environment variable is an option too: the package reads none.
+    sources = Path(repro.__file__).parent.rglob("*.py")
+    assert not [str(p) for p in sources if "os.environ" in p.read_text()]
     assert len(DEFAULT_SPEC) == 10
     assert len(AXIS_KEYS) == 10
     assert len(dataclasses.fields(PublishedFrame)) == 11

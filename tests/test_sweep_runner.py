@@ -1,12 +1,7 @@
-"""Tests for the headless sweep runner (repro.sweep.runner) and the
-per-run metrics-registry scoping it depends on (repro.obs.scoped_registry).
-"""
-
-import threading
+"""Tests for the headless sweep runner (repro.sweep.runner)."""
 
 import pytest
 
-from repro.obs import MetricsRegistry, get_registry, scoped_registry
 from repro.sweep import ResultsStore, SweepManifest, SweepRunner, run_scenario
 from repro.sweep.manifest import ScenarioError
 from repro.sweep.runner import RUN_METRICS
@@ -26,47 +21,6 @@ def tiny_manifest(**over):
     }
     raw.update(over)
     return SweepManifest.from_dict(raw)
-
-
-class TestScopedRegistry:
-    def test_scope_overrides_default(self):
-        mine = MetricsRegistry()
-        before = get_registry()
-        with scoped_registry(mine):
-            assert get_registry() is mine
-        assert get_registry() is before
-
-    def test_scope_creates_registry_when_omitted(self):
-        with scoped_registry() as reg:
-            assert get_registry() is reg
-            assert isinstance(reg, MetricsRegistry)
-
-    def test_scopes_nest(self):
-        a, b = MetricsRegistry(), MetricsRegistry()
-        with scoped_registry(a):
-            with scoped_registry(b):
-                assert get_registry() is b
-            assert get_registry() is a
-
-    def test_scope_is_thread_local(self):
-        mine = MetricsRegistry()
-        seen = {}
-
-        def worker():
-            seen["other"] = get_registry()
-
-        with scoped_registry(mine):
-            t = threading.Thread(target=worker)
-            t.start()
-            t.join()
-        assert seen["other"] is not mine
-
-    def test_scope_pops_on_exception(self):
-        before = get_registry()
-        with pytest.raises(RuntimeError):
-            with scoped_registry(MetricsRegistry()):
-                raise RuntimeError("boom")
-        assert get_registry() is before
 
 
 class TestRunScenario:
@@ -125,13 +79,6 @@ class TestRunScenario:
         full_m = run_scenario(full)["metrics"]
         dec_m = run_scenario(dec)["metrics"]
         assert dec_m["bytes_per_frame"] < full_m["bytes_per_frame"]
-
-    def test_runs_do_not_bleed_into_default_registry(self):
-        (scenario,) = tiny_manifest().expand()
-        default_before = set(get_registry().snapshot()["counters"])
-        run_scenario(scenario)
-        default_after = set(get_registry().snapshot()["counters"])
-        assert "sweep.frames" not in default_after - default_before
 
     def test_keyframe_written(self, tmp_path):
         (scenario,) = tiny_manifest().expand()

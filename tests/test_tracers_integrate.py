@@ -6,6 +6,7 @@ import pytest
 from repro.flow import MemoryDataset, RigidRotation, UniformFlow, sample_on_grid
 from repro.grid import cartesian_grid
 from repro.tracers import BACKENDS, advance_rk2, integrate_paths, integrate_steady
+from repro.tracers import integrate as integ
 
 
 def make_dataset(field, shape=(9, 9, 5), lo=(-2, -2, 0), hi=(2, 2, 1), times=(0.0,)):
@@ -118,6 +119,33 @@ class TestIntegrateSteady:
         np.testing.assert_array_equal(seeds, original)
 
 
+def check_pool_follows_its_field(backend, atol):
+    """The process pool is built around one field: every call must
+    integrate the field it was *given*, whatever the pool held before."""
+    seeds = np.random.default_rng(11).uniform([2, 2, 1], [6, 6, 3], size=(9, 3))
+
+    def field(seed):  # a fresh array object per call, same shape
+        return np.random.default_rng(seed).normal(0, 0.5, size=(9, 9, 5, 3))
+
+    def check(gv, workers, seeds=seeds):
+        ref_paths, ref_len = integrate_steady(gv, seeds, 12, 0.03)
+        paths, lengths = integrate_steady(
+            gv, seeds, 12, 0.03, backend=backend, workers=workers
+        )
+        np.testing.assert_array_equal(lengths, ref_len)
+        np.testing.assert_allclose(paths, ref_paths, atol=atol)
+
+    check(field(1), 2)  # field A, dropped on return
+    check(field(2), 2)  # B, allocated after A was dropped (id recycling)
+    check(field(1), 3)  # A again, another worker count
+    integ.shutdown_pools()
+    check(field(2), 2)  # one call after shutdown rebuilds the pool
+    integ.shutdown_pools()
+    check(field(1), 1)  # one worker: in process
+    check(field(1), 4, seeds[:1])  # more workers than seeds: in process
+    assert integ._POOL is None
+
+
 class TestBackendEquivalence:
     @pytest.fixture(scope="class")
     def scenario(self):
@@ -154,6 +182,7 @@ class TestBackendEquivalence:
         )
         np.testing.assert_array_equal(lengths, ref_len)
         np.testing.assert_allclose(paths, ref_paths, atol=1e-10)
+        check_pool_follows_its_field("parallel", atol=1e-10)
 
     def test_vector_group_matches_vector(self, scenario):
         gv, seeds, (ref_paths, ref_len) = scenario
@@ -162,6 +191,7 @@ class TestBackendEquivalence:
         )
         np.testing.assert_array_equal(lengths, ref_len)
         np.testing.assert_allclose(paths, ref_paths, atol=1e-12)
+        check_pool_follows_its_field("vector-group", atol=0.0)
 
     def test_all_backends_listed(self):
         assert set(BACKENDS) == {

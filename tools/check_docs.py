@@ -138,12 +138,9 @@ def smoke_session_names() -> frozenset:
     Runs the scripted smoke session once per process: a replay server
     (loader over all three cache tiers, governor, an adaptive q16
     subscriber behind a fault-injecting, instrumented stream), a live
-    server and a one-worker gateway, plus one process-backend
-    integration — small enough for seconds, wide enough that every
-    subsystem has registered what it records.
+    server and a one-worker gateway — small enough for seconds, wide
+    enough that every subsystem has registered what it records.
     """
-    import numpy as np
-
     from repro import SessionGateway, WindtunnelClient, WindtunnelServer
     from repro.core.governor import FrameBudgetGovernor
     from repro.diskio import CONVEX_DISK, SharedTimestepCache, TimestepLoader
@@ -154,8 +151,7 @@ def smoke_session_names() -> frozenset:
     from repro.gateway import default_worker_spec
     from repro.insitu import InsituWindtunnelServer
     from repro.netsim import FaultPlan, FaultyChannel, ProcessFaults
-    from repro.obs import MetricsRegistry, scoped_registry
-    from repro.tracers import integrate_steady
+    from repro.obs import MetricsRegistry
 
     shape = (8, 8, 4)
     dataset = tapered_cylinder_dataset(shape=shape, n_timesteps=3, dt=0.25)
@@ -164,14 +160,6 @@ def smoke_session_names() -> frozenset:
     def collect(registry):
         for table in registry.snapshot().values():
             names.update(table)
-
-    # Pool workers are forked before any server thread exists.
-    with scoped_registry() as integrate_registry:
-        integrate_steady(
-            dataset.grid_velocity(0), np.full((4, 3), 2.0), 2, 0.05,
-            backend="parallel", workers=2,
-        )
-    collect(integrate_registry)
 
     def drive(server, client_registry=None, **subscription):
         """One client session; names are collected while it is seated
