@@ -28,18 +28,12 @@ from repro.dlib.protocol import DlibError, DlibTimeoutError, decode_path_entry
 from repro.dlib.transport import Stream
 from repro.render.camera import Camera
 from repro.render.framebuffer import Framebuffer
-from repro.render.scene import HandGlyph, HeadGlyph, PathBundle, RakeGlyph, Scene
+from repro.render.keyframe import frame_scene
+from repro.render.scene import HandGlyph, HeadGlyph, RakeGlyph, Scene
 from repro.render.stereo import render_anaglyph
 from repro.util.timers import FrameTimer
 
 __all__ = ["WindtunnelClient"]
-
-#: Path colors per tool kind (streaklines get the smoke fade).
-_TOOL_COLORS = {
-    "streamline": (255, 255, 255),
-    "particle_path": (120, 220, 255),
-    "streakline": (230, 230, 230),
-}
 
 #: Windtunnel procedures safe to re-issue after a transport failure.
 #: ``wt.update`` is last-write-wins, the reads are pure, ``wt.rejoin``
@@ -143,6 +137,8 @@ class WindtunnelClient:
         self.fov_y = fov_y
         self.head_pose = np.eye(4)
         self.latest_state: dict | None = None
+        #: The scene :meth:`render` last built, and the state it came from.
+        self._scene, self._scene_state = Scene(), None
         self.timer = FrameTimer()
         self._net_thread: threading.Thread | None = None
         self._net_stop = threading.Event()
@@ -470,19 +466,9 @@ class WindtunnelClient:
         if state is None:
             with self._state_lock:
                 state = self.latest_state
-        scene = Scene()
         if state is None:
-            return scene
-        for rid, path in state.get("paths", {}).items():
-            kind = path["kind"]
-            scene.add(
-                PathBundle(
-                    paths=path["vertices"].astype(np.float64),
-                    lengths=np.asarray(path["lengths"]),
-                    color=_TOOL_COLORS.get(kind, (255, 255, 255)),
-                    fade=kind == "streakline",
-                )
-            )
+            return Scene()
+        scene = frame_scene(state.get("paths", {}))
         env = state.get("env", {})
         for rid, rake in env.get("rakes", {}).items():
             scene.add(
@@ -510,12 +496,18 @@ class WindtunnelClient:
         if head_pose is not None:
             self.head_pose = np.asarray(head_pose, dtype=np.float64)
         camera = Camera(self.head_pose, fov_y=self.fov_y)
-        scene = self.build_scene()
+        with self._state_lock:
+            state = self.latest_state
+        # States are replaced, never mutated: while the same one is the
+        # latest, a new head pose redraws the scene (and its display
+        # list) already built from it.
+        if state is not self._scene_state:
+            self._scene, self._scene_state = self.build_scene(state), state
         if self.stereo:
-            render_anaglyph(scene, camera, self.fb, self.ipd)
+            render_anaglyph(self._scene, camera, self.fb, self.ipd)
         else:
             self.fb.clear()
-            scene.draw(self.fb, camera)
+            self._scene.draw(self.fb, camera)
         return self.fb
 
     # -- the full cycle -------------------------------------------------------------

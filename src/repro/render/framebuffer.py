@@ -8,6 +8,7 @@ the red image."
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -84,23 +85,22 @@ class Framebuffer:
         if colors.ndim == 1:
             colors = np.broadcast_to(colors, (len(xs), 3))
         inb = (xs >= 0) & (xs < self.width) & (ys >= 0) & (ys < self.height)
-        inb &= np.isfinite(zs)
-        if not inb.any():
+        keep = np.flatnonzero(inb & np.isfinite(zs))
+        if len(keep) == 0:
             return 0
-        xs, ys, zs, colors = xs[inb], ys[inb], zs[inb], colors[inb]
-        flat = ys * self.width + xs
+        flat = ys.take(keep) * self.width + xs.take(keep)
+        zs = zs.take(keep)
         depth = self.depth.ravel()
         # One fused min pass decides every pixel's winning depth...
         np.minimum.at(depth, flat, zs)
-        winners = zs <= depth[flat]
+        won = np.flatnonzero(zs <= depth.take(flat))
         # ...then winning samples write color through the mask.  Ties at
         # identical depth resolve to the last writer, as on real hardware.
-        wflat = flat[winners]
-        wcol = colors[winners]
+        wflat, source = flat.take(won), keep.take(won)
         cflat = self.color.reshape(-1, 3)
         for c in mask.channels():
-            cflat[wflat, c] = wcol[:, c]
-        return int(winners.sum())
+            cflat[wflat, c] = colors[:, c].take(source)
+        return len(won)
 
     # -- inspection / output -------------------------------------------------
 
@@ -125,18 +125,16 @@ class Framebuffer:
     def load_ppm(cls, path: str | Path) -> "Framebuffer":
         """Read a binary PPM written by :meth:`save_ppm`."""
         raw = Path(path).read_bytes()
-        if not raw.startswith(b"P6"):
+        # Header: magic, width, height, maxval, ONE whitespace byte, pixels.
+        header = re.match(rb"P6\s+(\d+)\s+(\d+)\s+(\d+)\s", raw)
+        if header is None:
             raise ValueError("not a binary PPM file")
-        # Header: magic, width, height, maxval, single whitespace, pixels.
-        parts = raw.split(maxsplit=4)
-        width, height, maxval = int(parts[1]), int(parts[2]), int(parts[3])
+        width, height, maxval = map(int, header.groups())
         if maxval != 255:
             raise ValueError("only 8-bit PPM supported")
-        pixels = parts[4]
+        n, held = width * height * 3, len(raw) - header.end()
+        if held < n:
+            raise ValueError(f"{width}x{height} PPM needs {n} pixel bytes, file holds {held}")
         fb = cls(width, height)
-        fb.color = (
-            np.frombuffer(pixels[: width * height * 3], dtype=np.uint8)
-            .reshape(height, width, 3)
-            .copy()
-        )
+        fb.color = np.frombuffer(raw, np.uint8, n, header.end()).reshape(height, width, 3).copy()
         return fb

@@ -21,11 +21,12 @@ from repro.util.transforms import look_at
 
 __all__ = ["frame_scene", "capture_keyframe"]
 
-#: Tool colors, matching the interactive client's palette.
+#: Path colors per tool kind, shared with the interactive client:
+#: near-white, so a path lights both the red and the blue eye.
 _TOOL_COLORS = {
-    "streamline": (80, 200, 255),
-    "streakline": (255, 200, 80),
-    "particle_path": (160, 255, 120),
+    "streamline": (255, 255, 255),
+    "particle_path": (120, 220, 255),
+    "streakline": (230, 230, 230),
 }
 
 
@@ -38,12 +39,9 @@ def frame_scene(paths: dict, rakes: dict | None = None) -> Scene:
     """
     scene = Scene()
     for entry in paths.values():
-        vertices = np.asarray(entry["vertices"], dtype=np.float64)
-        if vertices.size == 0:
-            continue
         scene.add(
             PathBundle(
-                paths=vertices,
+                paths=entry["vertices"],
                 lengths=np.asarray(entry["lengths"]),
                 color=_TOOL_COLORS.get(entry["kind"], (255, 255, 255)),
                 fade=entry["kind"] == "streakline",

@@ -1,11 +1,13 @@
-"""Vectorized z-buffered point and line rasterization.
+"""Retained display list and the one vectorized rasterize pass.
 
 The VGX could push ~800,000 triangles/second; our unit of work is the
 path *segment* (the tools ship polylines, "rendered as individual points
-or connected in a way to simulate smoke", section 2.1).  All segments of
-all paths are expanded to pixel samples in one NumPy pass and committed
-through one depth-tested scatter — the renderer's analogue of
-vectorizing across streamlines.
+or connected in a way to simulate smoke", section 2.1).  A frame's
+drawables contribute their primitives to one :class:`DisplayList`, built
+once; :func:`rasterize` then projects it for one eye, expands every
+segment and splat of the scene to pixel samples in one NumPy pass and
+commits them through one depth-tested scatter — the renderer's analogue
+of vectorizing across streamlines.
 """
 
 from __future__ import annotations
@@ -15,19 +17,175 @@ import numpy as np
 from repro.render.camera import Camera
 from repro.render.framebuffer import ALL_CHANNELS, Framebuffer, WriteMask
 
-__all__ = ["draw_points", "draw_polyline", "draw_polylines"]
+__all__ = ["DisplayList", "rasterize", "draw_points", "draw_polyline", "draw_polylines"]
 
 #: Safety cap on samples per segment (a segment crossing the whole screen).
 _MAX_STEPS = 4096
 
 
-def _as_vertex_colors(color, n: int) -> np.ndarray:
-    color = np.asarray(color, dtype=np.float64)
-    if color.ndim == 1:
-        return np.broadcast_to(color, (n, 3))
-    if color.shape != (n, 3):
-        raise ValueError(f"per-vertex colors must have shape ({n}, 3)")
-    return color
+class DisplayList:
+    """One frame's primitives in scene order, drawable from any eye.
+
+    Everything lands in one block: world vertices, per-vertex colours
+    (float64, clipped to 0..255 only when a sample is written) and one
+    ``(a, b, dx, dy)`` row per primitive: the segment from vertex ``a`` to
+    vertex ``b``, or, where ``a == b``, one pixel of a splat, ``(dx, dy)``
+    from the vertex's own.  Every polyline owns its vertices, so a segment
+    continues into the next row exactly when that row starts at its end.
+    """
+
+    def __init__(self) -> None:
+        self._vertices = [np.zeros((0, 3))]
+        self._colors = [np.zeros((3, 0))]
+        self._rows = [np.zeros((4, 0), dtype=np.intp)]
+        self._n_vertices = 0
+        #: Per channel: may some segment's end colours differ?
+        self._fades = np.zeros(3, dtype=bool)
+
+    def _add(self, vertices, colors, rows) -> "DisplayList":
+        rows[:2] += self._n_vertices
+        self._n_vertices += len(vertices)
+        self._vertices.append(vertices)
+        self._colors.append(colors)
+        self._rows.append(rows)
+        return self
+
+    def add_points(self, points, color=(255, 255, 255), size: int = 1) -> "DisplayList":
+        """``(N, 3)`` points as ``size x size`` splats; one RGB or ``(N, 3)``."""
+        points = np.asarray(points)
+        if points.ndim != 2 or points.shape[1] != 3:
+            raise ValueError(f"points must have shape (N, 3), got {points.shape}")
+        if size < 1:
+            raise ValueError("size must be at least 1")
+        n = len(points)
+        color = np.asarray(color, dtype=np.float64)
+        if color.ndim != 1 and color.shape != (n, 3):
+            raise ValueError(f"per-vertex colors must have shape ({n}, 3)")
+        # Pixel-offset-major, as a loop of one-pixel scatters would run.
+        dy, dx = np.divmod(np.arange(size * size), size)
+        rows = np.empty((4, size * size, n), dtype=np.intp)
+        rows[:2] = np.arange(n)
+        rows[2] = dx[:, None] - (size - 1) // 2
+        rows[3] = dy[:, None] - (size - 1) // 2
+        return self._add(points, np.broadcast_to(color, (n, 3)).T, rows.reshape(4, -1))
+
+    def add_polylines(self, paths, lengths=None, color=(255, 255, 255)) -> "DisplayList":
+        """A ``(S, L, 3)`` vertex block as ``S`` polylines.
+
+        ``lengths`` gives valid vertices per path (default: all ``L``);
+        ``color`` is one RGB, per-path ``(S, 3)`` or per-vertex
+        ``(S, L, 3)``.  A path of fewer than two vertices draws nothing.
+        """
+        paths = np.asarray(paths)
+        if paths.ndim != 3 or paths.shape[2] != 3:
+            raise ValueError(f"paths must have shape (S, L, 3), got {paths.shape}")
+        s, l, _ = paths.shape
+        if lengths is None:
+            lengths = np.full(s, l, dtype=np.intp)
+        else:
+            lengths = np.asarray(lengths, dtype=np.intp)
+            if lengths.shape != (s,):
+                raise ValueError("lengths must have shape (S,)")
+            if lengths.max(initial=0) > l or lengths.min(initial=0) < 0:
+                raise ValueError("lengths out of range")
+        color = np.asarray(color, dtype=np.float64)
+        if color.shape == (s, 3):
+            color = color[:, None, :]
+        elif color.ndim != 1 and color.shape != (s, l, 3):
+            raise ValueError(f"unsupported color shape {color.shape}")
+        if color.ndim == 3:
+            self._fades |= (color[:, 1:] != color[:, :-1]).any(axis=(0, 1))
+        # Segment (s, j) -> (s, j+1) exists when j + 1 < lengths[s].
+        start = np.flatnonzero(np.arange(1, l + 1) < lengths[:, None])
+        rows = np.zeros((4, len(start)), dtype=np.intp)
+        rows[0] = start
+        rows[1] = start + 1
+        color = np.broadcast_to(color, (s, l, 3)).reshape(-1, 3).T
+        return self._add(paths.reshape(-1, 3), color, rows)
+
+    def packed(self) -> tuple:
+        """``(vertices (V, 3), colors (3, V), rows (4, R), fades)``, joined once."""
+        if len(self._rows) > 1:
+            self._vertices = [np.concatenate(self._vertices, dtype=np.float64)]
+            self._colors = [np.concatenate(self._colors, axis=1)]
+            self._rows = [np.concatenate(self._rows, axis=1)]
+        return self._vertices[0], self._colors[0], self._rows[0], self._fades
+
+
+def _segment_table(attrs: list, a: np.ndarray, b: np.ndarray) -> tuple:
+    """One column per drawn row, for a single ``np.repeat``.
+
+    Rows of the table: the row's first sample index, its step count, then
+    every interpolated attribute (x, y, depth, fading colour channels) at
+    the start vertex, then its change along the segment.  Filled in place
+    and handed over whole: a frame's worth of fresh megabyte temporaries
+    costs more in page faults and resident memory than in arithmetic.
+    """
+    n = len(attrs)
+    table = np.empty((2 + 2 * n, len(a)))
+    first, steps, start, delta = table[0], table[1], table[2:2 + n], table[2 + n:]
+    for i, attr in enumerate(attrs):
+        attr.take(a, out=start[i], mode="clip")  # "raise" would buffer ``out``
+        attr.take(b, out=delta[i], mode="clip")
+    delta -= start
+    np.maximum(np.abs(delta[0]), np.abs(delta[1]), out=steps)
+    np.clip(np.ceil(steps, out=steps), 1, _MAX_STEPS, out=steps)
+    # Half-open: the end vertex only where the next row does not start there.
+    counts = steps.astype(np.intp) + 1
+    counts[:-1] -= a[1:] == b[:-1]
+    splat = np.flatnonzero(a == b)
+    counts[splat] = 1
+    np.cumsum(counts, out=first)
+    first -= counts
+    return table, counts, splat, first[splat].astype(np.intp)
+
+
+def rasterize(
+    dlist: DisplayList, fb: Framebuffer, camera: Camera, mask: WriteMask = ALL_CHANNELS
+) -> int:
+    """Draw ``dlist`` from ``camera`` into ``fb``; returns samples that won.
+
+    A segment with an end outside the near/far planes is dropped whole.
+    Segments are expanded half-open: samples ``t`` in ``[0, 1)``, and the
+    end vertex only where the polyline does not continue into the next
+    drawn row (its last segment, or one whose successor was culled) — the
+    dropped sample is the twin of the successor's ``t = 0`` and earlier in
+    scatter order, so it could never show.  Colour is interpolated only on
+    the channels ``mask`` passes, and only where some segment fades.
+    """
+    vertices, colors, rows, fades = dlist.packed()
+    if rows.shape[1] == 0:
+        return 0
+    xy, depth, valid = camera.project(vertices, fb.width, fb.height)
+    keep = valid.take(rows[0]) & valid.take(rows[1])
+    if not keep.all():
+        rows = rows[:, keep]
+        if rows.shape[1] == 0:
+            return 0
+    a, b, dx, dy = rows
+    channels = mask.channels()
+    fading = channels if fades[channels].any() else []
+    attrs = [xy[:, 0], xy[:, 1], depth, *colors[fading]]
+    table, counts, splat, at = _segment_table(attrs, a, b)
+
+    # Sample k of a row sits at start + (k / steps) * delta, every attribute.
+    table = np.repeat(table, counts, axis=1)
+    total, n = table.shape[1], len(attrs)
+    t = (np.arange(total) - table[0]) / table[1]
+    samples, delta = table[2:2 + n], table[2 + n:]
+    delta *= t
+    samples += delta
+    xs = np.round(samples[0]).astype(np.intp)
+    ys = np.round(samples[1]).astype(np.intp)
+    xs[at] += dx[splat]
+    ys[at] += dy[splat]
+    cols = np.zeros((total, 3), dtype=np.uint8)
+    for i, c in enumerate(channels):
+        if fading:
+            cols[:, c] = np.clip(samples[3 + i], 0, 255)
+        else:
+            cols[:, c] = np.repeat(np.clip(colors[c].take(a), 0, 255).astype(np.uint8), counts)
+    return fb.scatter(xs, ys, samples[2], cols, mask)
 
 
 def draw_points(
@@ -38,56 +196,8 @@ def draw_points(
     mask: WriteMask = ALL_CHANNELS,
     size: int = 1,
 ) -> int:
-    """Render points as ``size x size`` pixel splats.  Returns pixels won."""
-    points = np.asarray(points, dtype=np.float64)
-    if points.ndim != 2 or points.shape[1] != 3:
-        raise ValueError(f"points must have shape (N, 3), got {points.shape}")
-    if size < 1:
-        raise ValueError("size must be at least 1")
-    if len(points) == 0:
-        return 0
-    xy, depth, valid = camera.project(points, fb.width, fb.height)
-    colors = _as_vertex_colors(color, len(points))[valid]
-    xy, depth = xy[valid], depth[valid]
-    if len(xy) == 0:
-        return 0
-    xs = np.round(xy[:, 0]).astype(np.intp)
-    ys = np.round(xy[:, 1]).astype(np.intp)
-    written = 0
-    half = (size - 1) // 2
-    for dy in range(-half, size - half):
-        for dx in range(-half, size - half):
-            written += fb.scatter(
-                xs + dx, ys + dy, depth, colors.astype(np.uint8), mask
-            )
-    return written
-
-
-def _expand_segments(p0, p1, z0, z1, c0, c1):
-    """Expand line segments into interpolated pixel samples.
-
-    All inputs are per-segment arrays; output is flat sample arrays
-    ``(xs, ys, zs, colors)``.
-    """
-    d = p1 - p0
-    steps = np.ceil(np.maximum(np.abs(d[:, 0]), np.abs(d[:, 1]))).astype(np.intp)
-    steps = np.clip(steps, 1, _MAX_STEPS)
-    counts = steps + 1
-    offsets = np.concatenate([[0], np.cumsum(counts)])
-    total = int(offsets[-1])
-    seg = np.repeat(np.arange(len(p0), dtype=np.intp), counts)
-    local = np.arange(total, dtype=np.float64) - offsets[seg]
-    t = local / steps[seg]
-    xs = p0[seg, 0] + t * d[seg, 0]
-    ys = p0[seg, 1] + t * d[seg, 1]
-    zs = z0[seg] + t * (z1[seg] - z0[seg])
-    cols = c0[seg] + t[:, None] * (c1[seg] - c0[seg])
-    return (
-        np.round(xs).astype(np.intp),
-        np.round(ys).astype(np.intp),
-        zs.astype(np.float32),
-        np.clip(cols, 0, 255).astype(np.uint8),
-    )
+    """Render points as ``size x size`` pixel splats.  Returns samples won."""
+    return rasterize(DisplayList().add_points(points, color, size), fb, camera, mask)
 
 
 def draw_polyline(
@@ -97,25 +207,18 @@ def draw_polyline(
     color=(255, 255, 255),
     mask: WriteMask = ALL_CHANNELS,
 ) -> int:
-    """Render one polyline (``(N, 3)`` world vertices).  Returns pixels won."""
-    vertices = np.asarray(vertices, dtype=np.float64)
+    """Render one polyline (``(N, 3)`` world vertices; one is a point).
+
+    Returns samples that won the depth test; interior vertices count once.
+    """
+    vertices = np.asarray(vertices)
     if vertices.ndim != 2 or vertices.shape[1] != 3:
         raise ValueError(f"vertices must have shape (N, 3), got {vertices.shape}")
-    n = len(vertices)
-    if n == 0:
-        return 0
-    colors = _as_vertex_colors(color, n)
-    if n == 1:
-        return draw_points(fb, camera, vertices, colors, mask)
-    xy, depth, valid = camera.project(vertices, fb.width, fb.height)
-    seg_ok = valid[:-1] & valid[1:]
-    if not seg_ok.any():
-        return 0
-    i0 = np.nonzero(seg_ok)[0]
-    xs, ys, zs, cols = _expand_segments(
-        xy[i0], xy[i0 + 1], depth[i0], depth[i0 + 1], colors[i0], colors[i0 + 1]
-    )
-    return fb.scatter(xs, ys, zs, cols, mask)
+    if len(vertices) == 1:
+        return draw_points(fb, camera, vertices, color, mask)
+    color = np.asarray(color, dtype=np.float64)
+    color = color if color.ndim == 1 else color[None]
+    return draw_polylines(fb, camera, vertices[None], color=color, mask=mask)
 
 
 def draw_polylines(
@@ -126,54 +229,8 @@ def draw_polylines(
     color=(255, 255, 255),
     mask: WriteMask = ALL_CHANNELS,
 ) -> int:
-    """Render a batch of polylines in one pass.
+    """Render a batch of polylines (see :meth:`DisplayList.add_polylines`).
 
-    ``paths`` is ``(S, L, 3)`` (a tracer result's vertex block); ``lengths``
-    gives valid vertices per path (default: all ``L``).  ``color`` may be a
-    single RGB, per-path ``(S, 3)``, or per-vertex ``(S, L, 3)``.  This is
-    the hot path: one projection and one scatter for the whole frame's
-    tens of thousands of points.
+    Returns samples that won the depth test; interior vertices count once.
     """
-    paths = np.asarray(paths, dtype=np.float64)
-    if paths.ndim != 3 or paths.shape[2] != 3:
-        raise ValueError(f"paths must have shape (S, L, 3), got {paths.shape}")
-    s, l, _ = paths.shape
-    if s == 0 or l == 0:
-        return 0
-    if lengths is None:
-        lengths = np.full(s, l, dtype=np.intp)
-    else:
-        lengths = np.asarray(lengths, dtype=np.intp)
-        if lengths.shape != (s,):
-            raise ValueError("lengths must have shape (S,)")
-        if lengths.max(initial=0) > l or lengths.min(initial=0) < 0:
-            raise ValueError("lengths out of range")
-    color = np.asarray(color, dtype=np.float64)
-    if color.ndim == 1:
-        vcolors = np.broadcast_to(color, (s, l, 3))
-    elif color.shape == (s, 3):
-        vcolors = np.broadcast_to(color[:, None, :], (s, l, 3))
-    elif color.shape == (s, l, 3):
-        vcolors = color
-    else:
-        raise ValueError(f"unsupported color shape {color.shape}")
-
-    flat = paths.reshape(-1, 3)
-    xy, depth, valid = camera.project(flat, fb.width, fb.height)
-    # Segment (s, j)->(s, j+1) exists when j+1 < lengths[s] and both ends
-    # are in front of the camera.
-    j = np.arange(l - 1)
-    exists = j[None, :] + 1 < lengths[:, None]  # (S, L-1)
-    v2 = valid.reshape(s, l)
-    seg_ok = exists & v2[:, :-1] & v2[:, 1:]
-    idx = np.nonzero(seg_ok.ravel())[0]
-    if len(idx) == 0:
-        return 0
-    row, col = np.divmod(idx, l - 1)
-    a = row * l + col
-    b = a + 1
-    cflat = np.ascontiguousarray(vcolors).reshape(-1, 3)
-    xs, ys, zs, cols = _expand_segments(
-        xy[a], xy[b], depth[a], depth[b], cflat[a], cflat[b]
-    )
-    return fb.scatter(xs, ys, zs, cols, mask)
+    return rasterize(DisplayList().add_polylines(paths, lengths, color), fb, camera, mask)

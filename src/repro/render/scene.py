@@ -16,7 +16,7 @@ import numpy as np
 
 from repro.render.camera import Camera
 from repro.render.framebuffer import ALL_CHANNELS, Framebuffer, WriteMask
-from repro.render.rasterizer import draw_points, draw_polyline, draw_polylines
+from repro.render.rasterizer import DisplayList, rasterize
 
 __all__ = [
     "PathBundle",
@@ -29,8 +29,15 @@ __all__ = [
 ]
 
 
+class _Drawable:
+    """A scene item ``emit``s its primitives; ``draw`` is a one-item scene."""
+
+    def draw(self, fb: Framebuffer, camera: Camera, mask: WriteMask = ALL_CHANNELS) -> int:
+        return Scene([self]).draw(fb, camera, mask)
+
+
 @dataclass
-class PathBundle:
+class PathBundle(_Drawable):
     """A batch of tracer polylines (one tool result).
 
     ``fade`` dims vertices toward the old end of each path, the smoke
@@ -42,8 +49,8 @@ class PathBundle:
     color: tuple = (255, 255, 255)
     fade: bool = False
 
-    def draw(self, fb: Framebuffer, camera: Camera, mask: WriteMask) -> int:
-        paths = np.asarray(self.paths, dtype=np.float64)
+    def emit(self, dlist: DisplayList) -> None:
+        paths = np.asarray(self.paths)
         if paths.ndim != 3:
             raise ValueError("PathBundle.paths must be (S, L, 3)")
         s, l, _ = paths.shape
@@ -51,23 +58,23 @@ class PathBundle:
         if self.fade and l > 1:
             ramp = np.linspace(1.0, 0.15, l)
             color = np.broadcast_to(color, (s, l, 3)) * ramp[None, :, None]
-        return draw_polylines(fb, camera, paths, self.lengths, color, mask)
+        dlist.add_polylines(paths, self.lengths, color)
 
 
 @dataclass
-class PointCloud:
+class PointCloud(_Drawable):
     """Particles rendered 'as individual points' (section 2.1)."""
 
     points: np.ndarray  # (N, 3)
     color: tuple = (255, 255, 255)
     size: int = 1
 
-    def draw(self, fb: Framebuffer, camera: Camera, mask: WriteMask) -> int:
-        return draw_points(fb, camera, self.points, self.color, mask, self.size)
+    def emit(self, dlist: DisplayList) -> None:
+        dlist.add_points(self.points, self.color, self.size)
 
 
 @dataclass
-class RakeGlyph:
+class RakeGlyph(_Drawable):
     """A rake: its line plus markers at the three grab points."""
 
     end_a: np.ndarray
@@ -75,43 +82,37 @@ class RakeGlyph:
     color: tuple = (255, 255, 0)
     held: bool = False
 
-    def draw(self, fb: Framebuffer, camera: Camera, mask: WriteMask) -> int:
+    def emit(self, dlist: DisplayList) -> None:
         a = np.asarray(self.end_a, dtype=np.float64)
         b = np.asarray(self.end_b, dtype=np.float64)
-        written = draw_polyline(fb, camera, np.stack([a, b]), self.color, mask)
+        dlist.add_polylines(np.stack([a, b])[None], color=self.color)
         marker = np.stack([a, 0.5 * (a + b), b])
-        size = 5 if self.held else 3
-        written += draw_points(fb, camera, marker, self.color, mask, size=size)
-        return written
+        dlist.add_points(marker, self.color, size=5 if self.held else 3)
 
 
 @dataclass
-class HandGlyph:
+class HandGlyph(_Drawable):
     """The user's hand: a small 3-axis cross at the hand position."""
 
     position: np.ndarray
     scale: float = 0.05
     color: tuple = (0, 255, 0)
 
-    def draw(self, fb: Framebuffer, camera: Camera, mask: WriteMask) -> int:
+    def emit(self, dlist: DisplayList) -> None:
         p = np.asarray(self.position, dtype=np.float64)
-        written = 0
-        for axis in np.eye(3) * self.scale:
-            written += draw_polyline(
-                fb, camera, np.stack([p - axis, p + axis]), self.color, mask
-            )
-        return written
+        axes = np.eye(3) * self.scale
+        dlist.add_polylines(np.stack([p - axes, p + axes], axis=1), color=self.color)
 
 
 @dataclass
-class HeadGlyph:
+class HeadGlyph(_Drawable):
     """Another user's head: a wireframe diamond at their head position."""
 
     position: np.ndarray
     scale: float = 0.12
     color: tuple = (255, 0, 255)
 
-    def draw(self, fb: Framebuffer, camera: Camera, mask: WriteMask) -> int:
+    def emit(self, dlist: DisplayList) -> None:
         p = np.asarray(self.position, dtype=np.float64)
         s = self.scale
         tips = [
@@ -119,20 +120,15 @@ class HeadGlyph:
             p + [0, s, 0], p - [0, s, 0],
             p + [0, 0, s], p - [0, 0, s],
         ]
-        written = 0
         # Connect the equator and the poles into a diamond wireframe.
         equator = [tips[0], tips[2], tips[1], tips[3], tips[0]]
-        written += draw_polyline(fb, camera, np.stack(equator), self.color, mask)
-        for pole in (tips[4], tips[5]):
-            for t in (tips[0], tips[1], tips[2], tips[3]):
-                written += draw_polyline(
-                    fb, camera, np.stack([pole, t]), self.color, mask
-                )
-        return written
+        dlist.add_polylines(np.stack(equator)[None], color=self.color)
+        spokes = [[pole, t] for pole in tips[4:] for t in tips[:4]]
+        dlist.add_polylines(np.array(spokes), color=self.color)
 
 
 @dataclass
-class TriangleMesh:
+class TriangleMesh(_Drawable):
     """A triangle mesh (e.g. an isosurface), rendered as wireframe.
 
     ``triangles`` has shape ``(T, 3, 3)``: T triangles of three physical
@@ -144,34 +140,43 @@ class TriangleMesh:
     triangles: np.ndarray
     color: tuple = (180, 120, 255)
 
-    def draw(self, fb: Framebuffer, camera: Camera, mask: WriteMask) -> int:
-        tris = np.asarray(self.triangles, dtype=np.float64)
+    def emit(self, dlist: DisplayList) -> None:
+        tris = np.asarray(self.triangles)
         if tris.ndim != 3 or tris.shape[1:] != (3, 3):
-            raise ValueError(
-                f"triangles must have shape (T, 3, 3), got {tris.shape}"
-            )
-        if tris.shape[0] == 0:
-            return 0
+            raise ValueError(f"triangles must have shape (T, 3, 3), got {tris.shape}")
         closed = np.concatenate([tris, tris[:, :1]], axis=1)  # (T, 4, 3)
-        return draw_polylines(fb, camera, closed, color=self.color, mask=mask)
+        dlist.add_polylines(closed, color=self.color)
 
 
 class Scene:
-    """An ordered collection of drawables."""
+    """An ordered collection of drawables behind one display list.
+
+    The list is built at the first draw and kept — both eyes of a stereo
+    pair, and every redraw from a new head pose, reuse it — until
+    :meth:`add` or :meth:`clear` changes the items.
+    """
 
     def __init__(self, items: list | None = None) -> None:
         self.items = list(items) if items else []
+        self._dlist: DisplayList | None = None
 
     def add(self, item) -> None:
-        if not hasattr(item, "draw"):
+        if not hasattr(item, "emit"):
             raise TypeError(f"{type(item).__name__} is not drawable")
         self.items.append(item)
+        self._dlist = None
 
     def clear(self) -> None:
         self.items.clear()
+        self._dlist = None
 
     def draw(
         self, fb: Framebuffer, camera: Camera, mask: WriteMask = ALL_CHANNELS
     ) -> int:
-        """Draw every item; returns total pixels written."""
-        return sum(item.draw(fb, camera, mask) for item in self.items)
+        """Draw every item; returns the samples that won the depth test."""
+        if self._dlist is None:
+            dlist = DisplayList()
+            for item in self.items:
+                item.emit(dlist)
+            self._dlist = dlist
+        return rasterize(self._dlist, fb, camera, mask)

@@ -1,7 +1,12 @@
 """Tests for the software renderer: framebuffer, camera, rasterizer, stereo."""
 
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from repro.render import (
     Camera,
@@ -21,6 +26,7 @@ from repro.render import (
     render_anaglyph,
 )
 from repro.util import look_at
+from tests.render_golden import GOLDEN_PATH, golden_digests
 
 
 @pytest.fixture()
@@ -88,6 +94,32 @@ class TestFramebuffer:
         p.write_bytes(b"P3 garbage")
         with pytest.raises(ValueError):
             Framebuffer.load_ppm(p)
+
+    def test_ppm_roundtrip_keeps_pixel_bytes_that_look_like_whitespace(self, tmp_path):
+        fb = Framebuffer(4, 2)
+        fb.color[0, 0] = (32, 10, 7)  # space, newline: not part of the header
+        back = Framebuffer.load_ppm(fb.save_ppm(tmp_path / "ws.ppm"))
+        np.testing.assert_array_equal(back.color, fb.color)
+
+    def test_load_ppm_rejects_short_payload(self, tmp_path):
+        path = Framebuffer(4, 2).save_ppm(tmp_path / "short.ppm")
+        path.write_bytes(path.read_bytes()[:-5])
+        with pytest.raises(ValueError, match="needs 24 pixel bytes, file holds 19"):
+            Framebuffer.load_ppm(path)
+
+    @given(
+        arrays(
+            np.uint8,
+            st.tuples(st.integers(1, 6), st.integers(1, 6), st.just(3)),
+            elements=st.sampled_from([9, 10, 11, 12, 13, 32]) | st.integers(0, 255),
+        )
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_ppm_roundtrip_any_colors(self, tmp_path_factory, color):
+        fb = Framebuffer(color.shape[1], color.shape[0])
+        fb.color = color
+        path = fb.save_ppm(tmp_path_factory.mktemp("ppm") / "img.ppm")
+        np.testing.assert_array_equal(Framebuffer.load_ppm(path).color, color)
 
     def test_channel_view_readonly(self, fb):
         ch = fb.channel(0)
@@ -193,6 +225,15 @@ class TestRasterizer:
         draw_polylines(fb, cam, paths, lengths=np.array([2]))
         assert fb.nonblack_pixels() < full.nonblack_pixels()
 
+    def test_out_of_range_colors_saturate_for_every_primitive(self, fb, cam):
+        draw_points(fb, cam, np.array([[0.0, 0.0, 1.0]]), (300, -20, 255.9))
+        draw_polyline(
+            fb, cam, np.array([[-1.0, 0.0, 0.0], [1.0, 0.0, 0.0]]), (300, -20, 255.9)
+        )
+        lit = fb.color[np.any(fb.color > 0, axis=-1)]
+        assert len(lit) > 10
+        assert np.all(lit == [255, 0, 255])
+
     def test_depth_occlusion_between_lines(self, fb, cam):
         # Near line (y=2 -> depth 3) drawn first, far line (y=-2 -> depth 7)
         # crossing it second: crossing pixel keeps the near color.
@@ -206,6 +247,14 @@ class TestRasterizer:
         assert len(red_rows) >= 1 and len(green_cols) >= 1
         cross = fb.color[red_rows[0], green_cols[0]]
         np.testing.assert_array_equal(cross, [255, 0, 0])
+
+
+class TestGoldenImages:
+    def test_images_match_digests_recorded_before_the_display_list(self):
+        """The image is the contract: see tests/render_golden.py."""
+        recorded = json.loads(GOLDEN_PATH.read_text())
+        assert len(recorded) >= 24
+        assert golden_digests() == recorded
 
 
 class TestSceneAndStereo:
