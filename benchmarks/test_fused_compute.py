@@ -11,6 +11,13 @@ the results back by offset.
 Asserted here: the fused path is **>= 2x faster** at **bit-identical**
 output on the ``vector`` backend.
 
+Recorded beside it, not gated: the launch-vs-particle curve of the
+workspace kernel — ms per 200-step frame and calls per RK2 step at 8, 128
+and 512 seeds.  The call count does not move with the seed count and the
+time barely does: the kernel is launch-bound, which is why fusing pays
+and why the call budget (``tests/test_fused_compute.py::TestLaunchBudget``)
+is the regression guard a wall clock on a 2-CPU host cannot be.
+
 Set ``WT_BENCH_FAST=1`` for the CI smoke variant (fewer rounds, shorter
 paths, and a relaxed 1.3x floor — CI machines are noisy; the tracked
 compute number is ``pipeline.integrate_ms`` in ``benchmarks/e2e``).
@@ -22,7 +29,8 @@ import time
 import numpy as np
 
 from repro.core import ComputeEngine, ToolSettings
-from repro.tracers import Rake
+from repro.tracers import IntegratorWorkspace, Rake, integrate_steady
+from tests.launches import calls_per_step
 
 FAST = bool(os.environ.get("WT_BENCH_FAST"))
 N_RAKES = 8
@@ -64,6 +72,31 @@ def measure(frame, engine, rakes, rounds=ROUNDS):
     return min(times)
 
 
+def launch_curve(dataset, seed_counts=(8, 128, 512), rounds=ROUNDS):
+    """One line per seed count: best 200-step frame time, calls per step."""
+    gv = dataset.grid_velocity(0)
+    hi = np.array(gv.shape[:3]) - 1.0
+    lines = []
+    for n_seeds in seed_counts:
+        seeds = np.random.default_rng(n_seeds).uniform(0.3 * hi, 0.7 * hi, (n_seeds, 3))
+        ws = IntegratorWorkspace()
+
+        def run(n_steps):
+            integrate_steady(gv, seeds, n_steps, 0.05, workspace=ws)
+
+        calls = calls_per_step(run)
+        times = []
+        for _ in range(rounds):
+            start = time.perf_counter()
+            run(200)
+            times.append(time.perf_counter() - start)
+        lines.append(
+            f"kernel {n_seeds:4d} seeds  {min(times) * 1e3:6.2f} ms/200 steps"
+            f"  {calls:5.1f} calls/step"
+        )
+    return lines
+
+
 def test_fused_vs_per_rake_speedup(cylinder_dataset, record, benchmark):
     ds = cylinder_dataset
     ds.grid_velocity(0)  # pre-convert, as every backend bench does
@@ -95,6 +128,7 @@ def test_fused_vs_per_rake_speedup(cylinder_dataset, record, benchmark):
             f"fused frame     {t_fused * 1e3:8.2f} ms",
             f"speedup         {speedup:8.2f}x  (floor {MIN_SPEEDUP}x)",
             f"points/second   {points / t_fused:,.0f}",
+            *launch_curve(ds),
         ],
     )
     assert speedup >= MIN_SPEEDUP, (t_base, t_fused)

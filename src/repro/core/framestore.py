@@ -44,7 +44,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from repro.dlib.protocol import PreEncoded, encode_value, pack_q16, quantize_points
+from repro.grid.interpolation import TrilinearScratch
 from repro.obs import MetricsRegistry
+from repro.tracers.result import wire_arrays_batch
 
 __all__ = [
     "ENCODINGS",
@@ -87,7 +89,10 @@ def _compose(entries: dict[str, bytes]) -> PreEncoded:
 
 
 def encode_published(
-    kinds: dict[int, str], results: dict, **provenance
+    kinds: dict[int, str],
+    results: dict,
+    scratch: TrilinearScratch | None = None,
+    **provenance,
 ) -> "PublishedFrame":
     """One-shot wire encoding of a frame's tracer results.
 
@@ -95,6 +100,9 @@ def encode_published(
     precision: the per-rake ``v1`` fragments seed the returned frame's
     :class:`EncodingCache`, and every ``wt.frame`` response afterwards
     splices them verbatim through :meth:`PublishedFrame.compose`.
+    The frame's rakes are converted grid -> physical in one batch
+    (:func:`~repro.tracers.result.wire_arrays_batch`) on ``scratch`` —
+    the calling thread's sampler storage; a one-off caller omits it.
     ``provenance`` is the rest of the :class:`PublishedFrame` (version,
     timestep, seq, costs); the frame is built here, unpublished.
     """
@@ -102,8 +110,8 @@ def encode_published(
     fragments: dict[str, bytes] = {}
     digests: dict[str, bytes] = {}
     n_points = 0
-    for rid, res in results.items():
-        vertices, lengths = res.wire_arrays()
+    wire = wire_arrays_batch(results, scratch or TrilinearScratch())
+    for rid, (vertices, lengths) in wire.items():
         key = str(rid)
         entry = {
             "kind": kinds[rid],

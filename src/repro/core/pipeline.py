@@ -44,6 +44,7 @@ from dataclasses import dataclass, field, replace
 from repro.core.environment import Environment
 from repro.core.framestore import FrameStore, PublishedFrame, encode_published
 from repro.core.governor import FrameBudgetGovernor
+from repro.grid.interpolation import TrilinearScratch
 from repro.obs import MetricsRegistry
 from repro.util.timers import Stopwatch
 
@@ -136,6 +137,10 @@ class FramePipeline:
         self._queue: queue.Queue = queue.Queue(maxsize=1)
         self._compute_thread: threading.Thread | None = None
         self._encode_thread: threading.Thread | None = None
+        # Sampler storage for the grid -> physical conversion; owned by
+        # whichever single thread encodes (the encode thread once started,
+        # else the caller of produce_inline).
+        self._encode_scratch = TrilinearScratch()
 
         self._state_lock = threading.Lock()
         self._demand = 0
@@ -474,6 +479,7 @@ class FramePipeline:
             frame = encode_published(
                 job.kinds,
                 job.results,
+                self._encode_scratch,
                 version=job.version,
                 timestep=job.timestep,
                 seq=0,  # stamped by the store

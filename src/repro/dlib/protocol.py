@@ -348,7 +348,7 @@ def _decode(r: _Reader, depth: int):
         return r.take(n)
     if tag == b"A":
         (tlen,) = r.unpack("<B")
-        dtype_str = r.take(tlen).decode()
+        dtype_str = r.take(tlen).decode("ascii", "replace")
         if dtype_str not in _ALLOWED_DTYPES:
             raise DlibProtocolError(f"array dtype {dtype_str!r} not allowed")
         (ndim,) = r.unpack("<B")

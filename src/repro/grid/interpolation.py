@@ -9,19 +9,23 @@ streamlines.
 Two execution paths share the same arithmetic (and therefore produce
 bit-identical results):
 
-* the plain path — every call allocates its own corner/blend temporaries;
-  simple, safe, what casual callers get;
-* the scratch path — a :class:`TrilinearScratch` preallocates the clamp,
-  cell-index, fractional-offset, corner-gather, and blend buffers once per
-  (capacity, channel-count) and every subsequent sample reuses them, so
-  the RK2 inner loop of :mod:`repro.tracers.integrate` performs no
-  per-step array allocations.  The scratch also caches the flattened
-  field view and the ``[:n]`` buffer bindings, rebuilding them only when
-  the field object or the active-point count changes — in steady state
-  (no particle deaths) a sample call touches no allocator at all.
+* the plain path — point-major, every call allocates its own corner and
+  blend temporaries; simple, safe, what casual callers get, and the
+  readable oracle the other path is tested against;
+* the scratch path — :class:`TrilinearScratch`, component-major
+  (``(3, n)`` in, ``(C, n)`` out): all eight corners of every component
+  come from **one** gather and each blend level is three calls, 18 NumPy
+  calls a sample instead of the plain path's several dozen, every one
+  ``out=``-threaded through storage allocated once.  At a few hundred
+  points a NumPy call costs more to launch than to run, so the call count
+  *is* the cost: the RK2 inner loop of :mod:`repro.tracers.integrate` and
+  the encode stage's grid -> physical conversion both run on it.
 """
 
 from __future__ import annotations
+
+import itertools
+import math
 
 import numpy as np
 
@@ -39,106 +43,101 @@ def in_domain_mask(coords: np.ndarray, dims: tuple[int, int, int]) -> np.ndarray
     return np.all((coords >= 0.0) & (coords <= hi), axis=-1)
 
 
+def _carve(store: np.ndarray, *shapes: tuple) -> list[np.ndarray]:
+    """Consecutive contiguous blocks of the flat ``store``, one per shape."""
+    blocks, at = [], 0
+    for shape in shapes:
+        size = math.prod(shape)
+        blocks.append(store[at : at + size].reshape(shape))
+        at += size
+    return blocks
+
+
 class TrilinearScratch:
     """Preallocated scratch buffers for repeated trilinear sampling.
 
-    One scratch serves one thread.  Buffers grow to the largest point
-    count ever requested and are reused thereafter; the eight corner
-    gathers and the blend tree run entirely ``out=``-threaded through
-    them.  Results are bit-identical to the plain
-    :func:`trilinear_interpolate` path — the expression tree is the same,
-    only the storage is reused.
+    The sampler is **component-major**: coordinates arrive as ``(3, n)``,
+    values leave as ``(C, n)``, and every intermediate keeps the point
+    axis last, so each NumPy call runs one long contiguous inner loop and
+    the whole sample is 18 calls whatever ``n`` is — two for the clamp,
+    the cast, the cell clamp, the fraction, an integer ``dot`` for the
+    base index, a tile and an add for the ``(8 C, n)`` corner indices,
+    **one** ``take`` of all eight corners of every component from the
+    flat field, and three calls for each of the z / y / x blends.  The
+    blend is term for term the plain :func:`trilinear_interpolate`
+    expression ``c0 + (c1 - c0) * f``, so results are bit-identical to
+    it; only the layout and the storage differ.
 
-    The fast path requires a C-contiguous float64 field of shape
+    One scratch serves one thread.  Buffers grow to the largest point
+    count ever requested and are reused thereafter; the exact-size views
+    the calls run on are rebuilt only when ``n`` changes, so in steady
+    state a sample touches no allocator at all.
+
+    The sampler requires a C-contiguous float64 field of shape
     ``(ni, nj, nk, C)``; :meth:`bind_field` returns ``None`` for anything
-    else and callers fall back to the allocating path.
+    else and callers fall back to the allocating path.  The field is read
+    through a flat *view* — binding a new field (every frame, for an
+    unsteady or live dataset) copies nothing.
     """
 
-    #: Flattened-field cache entries kept before the cache is cleared
-    #: (the unsteady Heun stencil alternates between a t / t+1 pair).
-    FIELD_CACHE = 4
+    #: Field shapes whose constants are kept before the cache is cleared.
+    SHAPE_CACHE = 4
+    #: Points per :meth:`sample` call inside :meth:`sample_blocks`.  The
+    #: sampler's own storage is ~80 words a point; a frame-sized batch
+    #: sampled whole would hold 16 MB of it for nothing — past a few
+    #: thousand points a sample is memory-bound, not launch-bound.
+    BLOCK = 4096
 
     def __init__(self) -> None:
         self._cap = 0
         self._nc = 0
-        # Capacity-sized backing buffers (allocated by _grow).
-        self._clamped = None
-        self._cell = None
-        self._frac = None
-        self._base = None
-        self._idx = None
-        self._g = None  # corner-gather temp
-        self._c00 = None
-        self._c01 = None
-        self._c10 = None
-        self._c11 = None
-        # Bound [:n] views (rebuilt only when n changes).
-        self._bound_n = -1
+        # Flat capacity-sized stores; ``_bind`` carves exact-size,
+        # contiguous ``(…, n)`` views out of them (``take`` copies a
+        # non-contiguous index or output block behind our back).
+        self._f8 = None  # float64: clamped, frac, corners, three blends
+        self._i8 = None  # intp: cell, base, corner indices
+        self._bound: tuple[int, int] = (-1, -1)
         self._views: tuple | None = None
-        # Flattened-field cache: id(field) -> (field, meta).
-        self._fields: dict[int, tuple] = {}
+        self._staged = np.empty(0)  # sample_blocks' (3 + nc, n) staging
+        # Per-shape sampler constants: field.shape -> (hi, ..., nc).
+        self._shapes: dict[tuple, tuple] = {}
 
     # -- buffers ------------------------------------------------------------
 
-    def _grow(self, n: int, nc: int) -> None:
-        cap = max(n, self._cap)
-        self._clamped = np.empty((cap, 3), dtype=np.float64)
-        self._cell = np.empty((cap, 3), dtype=np.intp)
-        self._frac = np.empty((cap, 3), dtype=np.float64)
-        self._base = np.empty(cap, dtype=np.intp)
-        self._idx = np.empty(cap, dtype=np.intp)
-        self._g = np.empty((cap, nc), dtype=np.float64)
-        self._c00 = np.empty((cap, nc), dtype=np.float64)
-        self._c01 = np.empty((cap, nc), dtype=np.float64)
-        self._c10 = np.empty((cap, nc), dtype=np.float64)
-        self._c11 = np.empty((cap, nc), dtype=np.float64)
-        self._cap = cap
-        self._nc = nc
-        self._bound_n = -1
-
-    def bind(self, n: int, nc: int) -> tuple:
-        """``[:n]`` views over the scratch buffers (cached per ``n``)."""
-        if n > self._cap or nc != self._nc:
-            self._grow(n, nc)
-        if n != self._bound_n:
-            frac = self._frac[:n]
-            self._views = (
-                self._clamped[:n],
-                self._cell[:n],
-                frac,
-                self._base[:n],
-                self._idx[:n],
-                self._g[:n],
-                self._c00[:n],
-                self._c01[:n],
-                self._c10[:n],
-                self._c11[:n],
-                # fx/fy/fz column views, created once per bind.
-                frac[:, 0:1],
-                frac[:, 1:2],
-                frac[:, 2:3],
-                # cell column views for the base-index arithmetic.
-                self._cell[:n, 0],
-                self._cell[:n, 1],
-                self._cell[:n, 2],
-            )
-            self._bound_n = n
-        return self._views
+    def _bind(self, n: int, nc: int) -> None:
+        """Rebuild the exact-size views over the scratch stores."""
+        if n > self._cap or nc > self._nc:
+            cap, cnc = max(n, self._cap), max(nc, self._nc)
+            self._f8 = np.empty((6 + 15 * cnc) * cap, dtype=np.float64)
+            self._i8 = np.empty((4 + 8 * cnc) * cap, dtype=np.intp)
+            self._cap, self._nc = cap, cnc
+        clamped, frac, corners, bz, by, bx = _carve(
+            self._f8, (3, n), (3, n), (2, 4 * nc, n), (2, 2 * nc, n), (2, nc, n),
+            (nc, n),
+        )
+        cell, base, idx = _carve(self._i8, (3, n), (n,), (8 * nc, n))
+        # Corner rows run (dk, dj, di, component), dk slowest, so the lower
+        # and upper operand of every blend level is one contiguous half.
+        self._views = (
+            clamped, cell, frac, base, idx, corners.reshape(8 * nc, n),
+            corners[0], corners[1], bz.reshape(4 * nc, n), frac[2],
+            bz[0], bz[1], by.reshape(2 * nc, n), frac[1],
+            by[0], by[1], bx, frac[0],
+        )
+        self._bound = (n, nc)
 
     # -- field cache --------------------------------------------------------
 
     def bind_field(self, field: np.ndarray) -> tuple | None:
-        """Cache-and-return the flattened view + constants for ``field``.
+        """The flat view of ``field`` plus the constants of its shape.
 
-        Returns ``(flat, hi, maxcell, sj, si, nc)`` or ``None`` when the
-        field is not eligible for the fast path (wrong dtype/layout/shape).
-        The cache is keyed by object identity: sampling the same field
-        array across thousands of RK2 steps binds it exactly once.
+        Returns ``(flat, hi, maxcell, strides, offsets, nc)`` or ``None``
+        when the field is not eligible for the sampler (wrong
+        dtype/layout/shape).  The constants are cached per field *shape*,
+        so binding the next timestep of a dataset costs one ``reshape``
+        view; a caller sampling one field many times binds it once and
+        keeps the tuple.
         """
-        key = id(field)
-        entry = self._fields.get(key)
-        if entry is not None and entry[0] is field:
-            return entry[1]
         if (
             not isinstance(field, np.ndarray)
             or field.ndim != 4
@@ -146,17 +145,24 @@ class TrilinearScratch:
             or not field.flags.c_contiguous
         ):
             return None
-        ni, nj, nk, nc = field.shape
-        if min(ni, nj, nk) < 2:
-            return None
-        flat = field.reshape(-1, nc)
-        hi = np.array([ni - 1.0, nj - 1.0, nk - 1.0])
-        maxcell = np.array([ni - 2, nj - 2, nk - 2], dtype=np.intp)
-        meta = (flat, hi, maxcell, nk, nj * nk, nc)
-        if len(self._fields) >= self.FIELD_CACHE:
-            self._fields.clear()
-        self._fields[key] = (field, meta)
-        return meta
+        consts = self._shapes.get(field.shape)
+        if consts is None:
+            ni, nj, nk, nc = field.shape
+            if min(ni, nj, nk) < 2:
+                return None
+            hi = np.array([[ni - 1.0], [nj - 1.0], [nk - 1.0]])
+            maxcell = np.array([[ni - 2], [nj - 2], [nk - 2]], dtype=np.intp)
+            # Element strides of the flat field, and the offset from a
+            # cell's base element of each corner row (dk, dj, di, component).
+            strides = np.array([nj * nk * nc, nk * nc, nc], dtype=np.intp)
+            dk, dj, di = np.indices((2, 2, 2), dtype=np.intp).reshape(3, 8)
+            corner = di * strides[0] + dj * strides[1] + dk * strides[2]
+            offsets = (corner[:, None] + np.arange(nc, dtype=np.intp)).reshape(-1, 1)
+            consts = (hi, maxcell, strides, offsets, nc)
+            if len(self._shapes) >= self.SHAPE_CACHE:
+                self._shapes.clear()
+            self._shapes[field.shape] = consts
+        return (field.reshape(-1), *consts)
 
     # -- the sampler --------------------------------------------------------
 
@@ -166,79 +172,86 @@ class TrilinearScratch:
         """Zero-allocation trilinear sample of ``coords`` into ``out``.
 
         ``field_meta`` comes from :meth:`bind_field`; ``coords`` is
-        ``(n, 3)`` float64 and ``out`` is ``(n, nc)`` float64.  Coordinates
-        are clamped to the domain (the integrator's contract).  All
-        temporaries live in the scratch; once the ``n``-binding is warm,
-        nothing is allocated.
+        ``(3, n)`` float64 and ``out`` is ``(nc, n)`` float64 (neither
+        need be contiguous — transposed views of point-major arrays are
+        fine).  Coordinates are clamped to the domain (the integrator's
+        contract).  All temporaries live in the scratch; once the
+        ``n``-binding is warm, nothing is allocated.
         """
-        flat, hi, maxcell, sj, si, nc = field_meta
-        n = coords.shape[0]
+        flat, hi, maxcell, strides, offsets, nc = field_meta
+        n = coords.shape[1]
+        if (n, nc) != self._bound:
+            self._bind(n, nc)
         (
-            clamped, cell, frac, base, idx, g,
-            c00, c01, c10, c11, fx, fy, fz, cell0, cell1, cell2,
-        ) = self.bind(n, nc)
+            clamped, cell, frac, base, idx, corners,
+            z0, z1, bz, fz, y0, y1, by, fy, x0, x1, bx, fx,
+        ) = self._views
 
-        np.clip(coords, 0.0, hi, out=clamped)
+        np.maximum(coords, 0.0, out=clamped)
+        np.minimum(clamped, hi, out=clamped)
         # Int-cast assignment truncates toward zero — same values the
         # plain path's astype(intp) produces for these non-negative coords.
         cell[...] = clamped
         np.minimum(cell, maxcell, out=cell)
-        np.maximum(cell, 0, out=cell)
         np.subtract(clamped, cell, out=frac)
 
-        # base = cell_i * si + cell_j * sj + cell_k  (row index into flat)
-        np.multiply(cell0, si, out=base)
-        np.multiply(cell1, sj, out=idx)
-        np.add(base, idx, out=base)
-        np.add(base, cell2, out=base)
+        # The 'eight floating point loads', for every component of every
+        # point, as one gather.  (Tiling the base first keeps the add to
+        # one broadcast operand, which halves NumPy's transient iterator
+        # buffer.)  mode="clip" selects take's unbuffered path; the
+        # clamped cells keep every index in range already (a NaN
+        # coordinate casts to garbage, is clipped, and blends to NaN).
+        np.dot(strides, cell, out=base)
+        idx[...] = base
+        np.add(idx, offsets, out=idx)
+        flat.take(idx, out=corners, mode="clip")
 
-        # The eight corner loads, gathered with out= into scratch, blended
-        # in place along z in the plain path's exact expression order:
-        #   cXY = cXY0 + (cXY1 - cXY0) * fz
-        flat.take(base, axis=0, out=c00, mode="clip")           # c000
-        np.add(base, 1, out=idx)
-        flat.take(idx, axis=0, out=g, mode="clip")              # c001
-        np.subtract(g, c00, out=g)
-        np.multiply(g, fz, out=g)
-        np.add(c00, g, out=c00)                    # -> c00
-
-        np.add(base, sj, out=idx)
-        flat.take(idx, axis=0, out=c01, mode="clip")            # c010
-        np.add(idx, 1, out=idx)
-        flat.take(idx, axis=0, out=g, mode="clip")              # c011
-        np.subtract(g, c01, out=g)
-        np.multiply(g, fz, out=g)
-        np.add(c01, g, out=c01)                    # -> c01
-
-        np.add(base, si, out=idx)
-        flat.take(idx, axis=0, out=c10, mode="clip")            # c100
-        np.add(idx, 1, out=idx)
-        flat.take(idx, axis=0, out=g, mode="clip")              # c101
-        np.subtract(g, c10, out=g)
-        np.multiply(g, fz, out=g)
-        np.add(c10, g, out=c10)                    # -> c10
-
-        np.add(base, si + sj, out=idx)
-        flat.take(idx, axis=0, out=c11, mode="clip")            # c110
-        np.add(idx, 1, out=idx)
-        flat.take(idx, axis=0, out=g, mode="clip")              # c111
-        np.subtract(g, c11, out=g)
-        np.multiply(g, fz, out=g)
-        np.add(c11, g, out=c11)                    # -> c11
-
-        # Blend along y:  c0 = c00 + (c01 - c00) * fy ; likewise c1.
-        np.subtract(c01, c00, out=c01)
-        np.multiply(c01, fy, out=c01)
-        np.add(c00, c01, out=c00)                  # -> c0
-        np.subtract(c11, c10, out=c11)
-        np.multiply(c11, fy, out=c11)
-        np.add(c10, c11, out=c10)                  # -> c1
-
-        # Blend along x into the caller's output buffer.
-        np.subtract(c10, c00, out=c10)
-        np.multiply(c10, fx, out=c10)
-        np.add(c00, c10, out=out)
+        # c0 + (c1 - c0) * f along z, then y, then x.
+        np.subtract(z1, z0, out=bz)
+        np.multiply(bz, fz, out=bz)
+        np.add(z0, bz, out=bz)
+        np.subtract(y1, y0, out=by)
+        np.multiply(by, fy, out=by)
+        np.add(y0, by, out=by)
+        np.subtract(x1, x0, out=bx)
+        np.multiply(bx, fx, out=bx)
+        np.add(x0, bx, out=out)
         return out
+
+    def sample_blocks(self, field: np.ndarray, blocks: list, outs: list) -> None:
+        """Sample many point-major blocks as **one** batch.
+
+        ``blocks[i]`` is any ``(..., 3)`` float array of coordinates (any
+        strides) and ``outs[i]`` the matching ``(..., nc)`` array the
+        values are cast into (any dtype — the encode stage hands float32
+        wire arrays).  The blocks are staged side by side into one
+        component-major ``(3, n)`` block, sampled :data:`BLOCK` points a
+        call, and scattered back; the staging store (six words a point)
+        is the scratch's own, so a warmed call allocates nothing.
+        """
+        meta = self.bind_field(field)
+        if meta is None:
+            raise ValueError(
+                "sample_blocks needs a C-contiguous float64 (ni, nj, nk, C) field"
+            )
+        nc = meta[-1]
+        ends = list(itertools.accumulate(block.size // 3 for block in blocks))
+        n = ends[-1] if ends else 0
+        if n == 0:
+            return
+        if self._staged.size < (3 + nc) * n:
+            self._staged = np.empty((3 + nc) * n, dtype=np.float64)
+        coords, values = _carve(self._staged, (3, n), (nc, n))
+        spans = list(zip([0, *ends], ends))
+        for block, (a, b) in zip(blocks, spans):
+            staged = coords[:, a:b].reshape(3, *block.shape[:-1])
+            staged[...] = block.transpose(-1, *range(block.ndim - 1))
+        for a in range(0, n, self.BLOCK):
+            b = a + self.BLOCK
+            self.sample(meta, coords[:, a:b], values[:, a:b])
+        for out, (a, b) in zip(outs, spans):
+            sampled = values[:, a:b].reshape(nc, *out.shape[:-1])
+            out.transpose(-1, *range(out.ndim - 1))[...] = sampled
 
 
 def trilinear_interpolate(
@@ -291,7 +304,8 @@ def trilinear_interpolate(
     ):
         meta = scratch.bind_field(field)
         if meta is not None and out.shape == (coords.shape[0], field.shape[3]):
-            return scratch.sample(meta, coords, out)
+            scratch.sample(meta, coords.T, out.T)
+            return out
 
     field = np.asarray(field)
     coords = np.asarray(coords, dtype=np.float64)

@@ -5,7 +5,11 @@ integration algorithm for the computation is second-order Runge-Kutta,
 which requires two accesses of the vector field data from memory each
 involving eight floating point loads to set up for trilinear
 interpolation, two trilinear interpolations, and two simple computations
-per component per point integrated."  That is exactly the inner loop here.
+per component per point integrated."  That is exactly the inner loop here
+— on the workspace kernel literally so: each access is *one* gather of
+the eight corners of every component of every particle, each
+interpolation nine calls, and the whole step under fifty NumPy calls
+whatever the particle count.
 
 Backends reproduce the paper's optimization trade space:
 
@@ -36,13 +40,15 @@ point round-off (operation order differs slightly).
 
 Two orthogonal optimizations sit under the backends:
 
-* **Zero-allocation kernels** — an :class:`IntegratorWorkspace`
-  preallocates the coords/paths/corner-gather/blend scratch once per
-  (field shape, seed count) and the ``vector`` kernel threads ``out=``
-  through every step, so the steady-state RK2 loop performs no per-step
-  array allocations (the Convex did not call ``malloc`` per vector op
-  either).  Pass ``workspace=`` to :func:`integrate_steady` /
-  :func:`integrate_paths`; results are bit-identical to the plain path.
+* **The workspace kernel** — with an :class:`IntegratorWorkspace` the
+  ``vector`` kernel and the particle-path kernel are one component-major
+  stepping loop (:func:`_integrate_ws`) that threads ``out=`` through
+  every call: no per-step array allocations (the Convex did not call
+  ``malloc`` per vector op either) and, because a NumPy call costs more
+  to launch than to run at interactive particle counts, as few calls as
+  the arithmetic allows.  Pass ``workspace=`` to :func:`integrate_steady`
+  / :func:`integrate_paths`; results are bit-identical to the plain
+  path, which stays as the readable oracle.
 * **One pool per field** — the process backends run on one persistent
   pool *built around the field it integrates*: the field reaches each
   worker once, through the pool initializer, and a call on another
@@ -78,8 +84,8 @@ BACKENDS = ("vector", "vector-strip", "scalar", "parallel", "vector-group")
 #: Convex C3240 vector register length (section 5), the default strip size.
 VECTOR_LENGTH = 128
 
-#: Rotating ``paths`` buffers an :class:`IntegratorWorkspace` keeps per
-#: ``(seeds, steps)`` shape.
+#: Rotating output buffers an :class:`IntegratorWorkspace` keeps per
+#: kernel and ``(seeds, steps)`` shape.
 PATHS_POOL = 4
 
 
@@ -91,21 +97,27 @@ PATHS_POOL = 4
 class IntegratorWorkspace:
     """Preallocated scratch for the vectorized RK2 kernels.
 
-    Holds every buffer the ``vector`` kernel touches per step — current
-    coordinates, the two RK2 stage samples, the midpoint, the candidate
-    positions, the active-particle index prefix, the in-domain masks, and
-    (via an embedded :class:`~repro.grid.interpolation.TrilinearScratch`)
-    the corner-gather/blend scratch — sized to the largest seed count
-    seen and reused across frames.  In steady state (no particle deaths)
-    an integration step allocates nothing.
+    Holds every buffer the workspace kernel touches per step — the two
+    RK2 stage samples, the midpoint, the in-domain masks, the gather and
+    candidate blocks and the active-particle index prefix used once
+    somebody has died, and (via an embedded
+    :class:`~repro.grid.interpolation.TrilinearScratch`) the corner
+    gather and blend scratch — all component-major ``(3, n)``, sized to
+    the largest seed count seen and reused across frames.  In steady
+    state (no particle deaths) an integration step allocates nothing.
 
-    Output ``paths`` arrays come from a small rotating pool
-    (:data:`PATHS_POOL` buffers per ``(seeds, steps)`` shape), so a result
-    stays valid while the frame pipeline's encode stage reads it
-    concurrently with the next frame's production — but is overwritten
-    after ``PATHS_POOL`` further calls of the same shape.  Callers that
-    need longer-lived results copy them (the pipeline converts to wire
-    float32 at publish, which already copies).
+    The kernel writes **step-major**: one ``(steps, 3, seeds)`` buffer in
+    which step *k* reads row *k* - 1 and writes row *k* in place, and the
+    ``(seeds, steps, 3)`` array it returns is a transposed view of that
+    buffer.  The buffers rotate, :data:`PATHS_POOL` per kernel
+    (streamline, particle path) and shape, so **a result outlives the**
+    ``PATHS_POOL - 1`` **calls of the same kernel that follow it** — and
+    the engine calls each kernel once per frame, so a frame's results
+    survive the three productions after it however many kernels a frame
+    runs, which covers the frame in the encode queue plus the one the
+    encoder still holds.  Callers that need longer-lived results copy
+    them (the pipeline converts to wire float32 at publish, which
+    already copies).
 
     One workspace serves one thread; the compute engine owns one for the
     producer thread.
@@ -114,63 +126,41 @@ class IntegratorWorkspace:
     def __init__(self) -> None:
         self.scratch = TrilinearScratch()
         self._cap = 0
-        self._coords = None
-        self._cur = None
-        self._mid = None
-        self._k1 = None
-        self._k2 = None
-        self._new = None
+        self._f8 = None
+        self._b1 = None
         self._active = None
-        self._inside = None
-        self._b3a = None
-        self._b3b = None
         self._bound_n = -1
         self._views: tuple | None = None
-        self._paths_pools: dict[tuple[int, int], list] = {}
-        self._paths_next: dict[tuple[int, int], int] = {}
+        self._paths_pools: dict[tuple, list] = {}
+        self._paths_next: dict[tuple, int] = {}
 
-    def _grow(self, n: int) -> None:
-        cap = max(n, self._cap)
-        self._coords = np.empty((cap, 3), dtype=np.float64)
-        self._cur = np.empty((cap, 3), dtype=np.float64)
-        self._mid = np.empty((cap, 3), dtype=np.float64)
-        self._k1 = np.empty((cap, 3), dtype=np.float64)
-        self._k2 = np.empty((cap, 3), dtype=np.float64)
-        self._new = np.empty((cap, 3), dtype=np.float64)
-        self._active = np.empty(cap, dtype=np.intp)
-        self._inside = np.empty(cap, dtype=bool)
-        self._b3a = np.empty((cap, 3), dtype=bool)
-        self._b3b = np.empty((cap, 3), dtype=bool)
-        self._cap = cap
-        self._bound_n = -1
-
-    def bind_seeds(self, s: int) -> tuple[np.ndarray, np.ndarray]:
-        """Per-call views sized by the total seed count: (coords, active)."""
-        if s > self._cap or self._coords is None:
-            self._grow(s)
-        return self._coords[:s], self._active[:s]
+    def bind_seeds(self, s: int) -> np.ndarray:
+        """The live-particle index buffer, sized by the total seed count."""
+        if s > self._cap or self._f8 is None:
+            self._cap = max(s, self._cap)
+            self._f8 = np.empty((5, 3, self._cap), dtype=np.float64)
+            self._b1 = np.empty((7, self._cap), dtype=bool)
+            self._active = np.empty(self._cap, dtype=np.intp)
+            self._bound_n = -1
+        return self._active[:s]
 
     def bind_active(self, n: int) -> tuple:
-        """Per-step views sized by the live-particle count (cached per n)."""
-        if n > self._cap or self._coords is None:
-            self._grow(n)
+        """Per-step views sized by the live-particle count (cached per n).
+
+        ``(k1, k2, mid, cur, new, ok, ok2, inside)``: float64 ``(3, n)``
+        blocks, two ``(3, n)`` masks and one ``(n,)`` mask.
+        """
         if n != self._bound_n:
+            masks = self._b1[:, :n]
             self._views = (
-                self._cur[:n],
-                self._mid[:n],
-                self._k1[:n],
-                self._k2[:n],
-                self._new[:n],
-                self._inside[:n],
-                self._b3a[:n],
-                self._b3b[:n],
+                *self._f8[:, :, :n], masks[0:3], masks[3:6], masks[6]
             )
             self._bound_n = n
         return self._views
 
-    def paths_buffer(self, s: int, cols: int) -> np.ndarray:
-        """A ``(s, cols, 3)`` output buffer from the rotating pool."""
-        key = (s, cols)
+    def paths_buffer(self, s: int, cols: int, kernel: str = "steady") -> np.ndarray:
+        """A step-major ``(cols, 3, s)`` buffer from ``kernel``'s rotating pool."""
+        key = (kernel, s, cols)
         pool = self._paths_pools.get(key)
         if pool is None:
             if len(self._paths_pools) > 8:
@@ -181,7 +171,7 @@ class IntegratorWorkspace:
             self._paths_pools[key] = pool
             self._paths_next[key] = 0
         if len(pool) < PATHS_POOL:
-            buf = np.empty((s, cols, 3), dtype=np.float64)
+            buf = np.empty((cols, 3, s), dtype=np.float64)
             pool.append(buf)
             return buf
         i = self._paths_next[key]
@@ -234,72 +224,92 @@ def _integrate_vector(
     return paths, lengths
 
 
-def _integrate_vector_ws(
-    gv: np.ndarray,
+def _integrate_ws(
+    field_at: Callable[[int], np.ndarray],
     seeds: np.ndarray,
+    t0: int,
     n_steps: int,
     dt: float,
     ws: IntegratorWorkspace,
+    kernel: str,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The vector kernel on preallocated workspace storage.
+    """The one RK2 stepping loop on workspace storage, steady and unsteady.
 
-    Bit-identical to :func:`_integrate_vector` — same expression tree,
-    same compaction semantics — but every per-step temporary lives in
-    ``ws``.  The live particles occupy the prefix of an index buffer;
-    a step with no deaths (the steady state) allocates nothing.
+    Step ``n`` takes its two stages from ``field_at(t0 + n - 1)`` and
+    ``field_at(t0 + n)``; the streamline kernel is the case where both
+    are the same frozen field.  Bit-identical to :func:`_integrate_vector`
+    and to the plain loop of :func:`integrate_paths` — same expression
+    per element, same death semantics — on component-major storage:
+    while nobody has died, step ``n`` samples row ``n - 1`` of the
+    step-major buffer and writes row ``n`` in place (no gather, no
+    scatter, no allocation); after a death the live particles are the
+    prefix of an index buffer and are gathered and scattered per step.
+    Every field must satisfy :meth:`TrilinearScratch.bind_field`.
     """
-    meta = ws.scratch.bind_field(gv)
-    if meta is None:
-        # Ineligible field layout: the plain kernel handles it.
-        return _integrate_vector(gv, seeds, n_steps, dt)
-    hi = meta[1]
-    dims = gv.shape[:3]
+    bind_field, sample = ws.scratch.bind_field, ws.scratch.sample
+    gv = field_at(t0)
+    now = nxt = bind_field(gv)
+    hi = now[1]
     s = seeds.shape[0]
-    coords, active = ws.bind_seeds(s)
-    coords[...] = seeds
-    paths = ws.paths_buffer(s, n_steps + 1)
-    paths[:, 0] = coords
+    active = ws.bind_seeds(s)
+    steps = ws.paths_buffer(s, n_steps + 1, kernel)
+    here = steps[0]
+    here[...] = seeds.T
     lengths = np.ones(s, dtype=np.intp)
-    idx0 = np.nonzero(in_domain_mask(coords, dims))[0]
-    n = idx0.size
-    active[:n] = idx0
+    alive = np.nonzero(in_domain_mask(seeds, gv.shape[:3]))[0]
+    n = alive.size
+    active[:n] = alive
+    k1, k2, mid, cur, new, ok, ok2, inside = ws.bind_active(n)
     for step in range(1, n_steps + 1):
+        gv_next = field_at(t0 + step)
+        if gv_next is not gv:
+            gv, nxt = gv_next, bind_field(gv_next)
+            if nxt is None:
+                raise ValueError(f"field at timestep {t0 + step} changed layout")
+        prev, here = here, steps[step]
         if n == 0:
-            paths[:, step:] = coords[:, None, :]
+            # Everyone is dead: freeze the remaining rows and stop.
+            steps[step:] = prev
             break
-        act = active[:n]
-        cur, mid, k1, k2, new, inside, b3a, b3b = ws.bind_active(n)
-        np.take(coords, act, axis=0, out=cur, mode="clip")
+        if n == s:
+            cur, new = prev, here
+        else:
+            np.take(prev, active[:n], axis=1, out=cur, mode="clip")
         # RK2, the plain kernel's exact expression tree:
         #   new = cur + (0.5*dt) * (k1 + k2)
-        ws.scratch.sample(meta, cur, k1)
+        sample(now, cur, k1)
         np.multiply(k1, dt, out=mid)
         np.add(mid, cur, out=mid)  # cur + dt*k1
-        ws.scratch.sample(meta, mid, k2)
+        sample(nxt, mid, k2)
         np.add(k1, k2, out=k2)
         np.multiply(k2, 0.5 * dt, out=k2)
         np.add(cur, k2, out=new)
-        # In-domain test, out=-threaded: (new >= 0) & (new <= hi) all-axis.
-        np.greater_equal(new, 0.0, out=b3a)
-        np.less_equal(new, hi, out=b3b)
-        np.logical_and(b3a, b3b, out=b3a)
-        np.all(b3a, axis=1, out=inside)
-        if inside.all():
-            # Steady state: scatter every particle back, no allocation.
-            coords[act] = new
+        # In-domain test: (new >= 0) & (new <= hi) on every axis.
+        np.greater_equal(new, 0.0, out=ok)
+        np.less_equal(new, hi, out=ok2)
+        np.logical_and(ok, ok2, out=ok)
+        if n < s:
+            here[...] = prev  # the dead stay frozen
+        if ok.all():
+            if n < s:
+                here[:, active[:n]] = new
         else:
-            good = act[inside]
-            coords[good] = new[inside]
-            # A particle that failed at `step` kept lengths == step:
+            np.all(ok, axis=0, out=inside)
+            act = active[:n]
+            good, lost = act[inside], act[~inside]
+            if n == s:
+                here[:, lost] = prev[:, lost]
+            else:
+                here[:, good] = new[:, inside]
+            # A particle that failed at `step` keeps lengths == step:
             # the seed plus the step-1 steps it survived.
-            lengths[act[~inside]] = step
-            k = good.size
-            active[:k] = good
-            n = k
-        paths[:, step] = coords
-    if n > 0:
-        lengths[active[:n]] = n_steps + 1
-    return paths, lengths
+            lengths[lost] = step
+            n = good.size
+            active[:n] = good
+            k1, k2, mid, cur, new, ok, ok2, inside = ws.bind_active(n)
+        now = nxt
+    lengths[active[:n]] = n_steps + 1
+    return steps.transpose(2, 0, 1), lengths
 
 
 def _integrate_vector_strip(
@@ -529,9 +539,9 @@ def integrate_steady(
     workspace
         Optional :class:`IntegratorWorkspace`.  Honored by the ``vector``
         backend: the kernel runs on preallocated scratch with zero
-        per-step allocations and the returned ``paths`` array comes from
-        the workspace's rotating buffer pool (see the class docstring for
-        the reuse contract).  Other backends ignore it.
+        per-step allocations and the returned ``paths`` array is a view
+        of one of the workspace's rotating buffers (see the class
+        docstring for the reuse contract).  Other backends ignore it.
     """
     seeds = np.asarray(seeds, dtype=np.float64)
     if seeds.ndim != 2 or seeds.shape[1] != 3:
@@ -540,8 +550,10 @@ def integrate_steady(
         raise ValueError("n_steps must be non-negative")
     gv = np.asarray(gv, dtype=np.float64)
     if backend == "vector":
-        if workspace is not None:
-            return _integrate_vector_ws(gv, seeds, n_steps, dt, workspace)
+        if workspace is not None and workspace.scratch.bind_field(gv) is not None:
+            return _integrate_ws(
+                lambda t: gv, seeds, 0, n_steps, dt, workspace, "steady"
+            )
         return _integrate_vector(gv, seeds, n_steps, dt)
     if backend == "vector-strip":
         if strip < 1:
@@ -595,8 +607,13 @@ def integrate_paths(
     if not (0 <= t0 < n_timesteps):
         raise IndexError(f"t0 {t0} out of range [0, {n_timesteps})")
     usable_steps = min(n_steps, n_timesteps - t0 - 1)
-    if workspace is not None:
-        return _integrate_paths_ws(field_at, seeds, t0, usable_steps, dt, workspace)
+    if (
+        workspace is not None
+        and workspace.scratch.bind_field(field_at(t0)) is not None
+    ):
+        return _integrate_ws(
+            field_at, seeds, t0, usable_steps, dt, workspace, "paths"
+        )
     s = seeds.shape[0]
     coords = np.array(seeds, copy=True)
     paths = np.empty((s, usable_steps + 1, 3), dtype=np.float64)
@@ -620,75 +637,4 @@ def integrate_paths(
             alive[sel[~inside]] = False
         paths[:, step] = coords
         gv_now = gv_next
-    return paths, lengths
-
-
-def _integrate_paths_ws(
-    field_at: Callable[[int], np.ndarray],
-    seeds: np.ndarray,
-    t0: int,
-    usable_steps: int,
-    dt: float,
-    ws: IntegratorWorkspace,
-) -> tuple[np.ndarray, np.ndarray]:
-    """The unsteady (particle-path) kernel on workspace storage.
-
-    Bit-identical to the plain loop in :func:`integrate_paths`.  The Heun
-    stencil reads two fields per step (t and t+1); the embedded scratch
-    caches both flattened views, so alternating between them costs no
-    rebinding in steady playback.
-    """
-    gv_now = field_at(t0)
-    meta_now = ws.scratch.bind_field(gv_now)
-    dims = gv_now.shape[:3]
-    s = seeds.shape[0]
-    coords, active = ws.bind_seeds(s)
-    coords[...] = seeds
-    paths = ws.paths_buffer(s, usable_steps + 1)
-    paths[:, 0] = coords
-    lengths = np.ones(s, dtype=np.intp)
-    idx0 = np.nonzero(in_domain_mask(coords, dims))[0]
-    n = idx0.size
-    active[:n] = idx0
-    hi = None if meta_now is None else meta_now[1]
-    for step in range(1, usable_steps + 1):
-        gv_next = field_at(t0 + step)
-        meta_next = ws.scratch.bind_field(gv_next)
-        if n > 0:
-            act = active[:n]
-            cur, mid, k1, k2, new, inside, b3a, b3b = ws.bind_active(n)
-            np.take(coords, act, axis=0, out=cur, mode="clip")
-            #   new = cur + (0.5*dt) * (k1 + k2), stages from t and t+1
-            if meta_now is not None:
-                ws.scratch.sample(meta_now, cur, k1)
-            else:  # ineligible layout: correct, allocating sample
-                trilinear_interpolate(gv_now, cur, out=k1)
-            np.multiply(k1, dt, out=mid)
-            np.add(mid, cur, out=mid)
-            if meta_next is not None:
-                ws.scratch.sample(meta_next, mid, k2)
-            else:
-                trilinear_interpolate(gv_next, mid, out=k2)
-            np.add(k1, k2, out=k2)
-            np.multiply(k2, 0.5 * dt, out=k2)
-            np.add(cur, k2, out=new)
-            if hi is None:
-                hi = np.asarray(dims, dtype=np.float64) - 1.0
-            np.greater_equal(new, 0.0, out=b3a)
-            np.less_equal(new, hi, out=b3b)
-            np.logical_and(b3a, b3b, out=b3a)
-            np.all(b3a, axis=1, out=inside)
-            if inside.all():
-                coords[act] = new
-            else:
-                good = act[inside]
-                coords[good] = new[inside]
-                lengths[act[~inside]] = step
-                k = good.size
-                active[:k] = good
-                n = k
-        paths[:, step] = coords
-        gv_now, meta_now = gv_next, meta_next
-    if n > 0:
-        lengths[active[:n]] = usable_steps + 1
     return paths, lengths

@@ -7,6 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.grid.curvilinear import CurvilinearGrid
+from repro.grid.interpolation import TrilinearScratch
 
 __all__ = ["TracerResult"]
 
@@ -63,10 +64,14 @@ class TracerResult:
         The grid->physical conversion and the dtype narrowing run exactly
         once here; both arrays come back contiguous and *read-only*, so a
         published frame can hand the same buffers to every consumer
-        without risking cross-client corruption.  The frame pipeline calls
-        this at publish time and never touches the tracer result again.
+        without risking cross-client corruption.  This is the plain,
+        per-result path; the frame pipeline's encode stage converts a
+        whole frame at once through :func:`wire_arrays_batch`.
         """
-        vertices = np.ascontiguousarray(self.physical(dtype))
+        return self._frozen(np.ascontiguousarray(self.physical(dtype)))
+
+    def _frozen(self, vertices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(vertices, int64 lengths)``, both read-only."""
         lengths = np.ascontiguousarray(self.lengths.astype(np.int64))
         vertices.setflags(write=False)
         lengths.setflags(write=False)
@@ -76,3 +81,31 @@ class TracerResult:
     def nbytes_wire(self) -> int:
         """Bytes this result occupies on the wire at 12 bytes/point."""
         return self.n_points * 12
+
+
+def wire_arrays_batch(results: dict, scratch: TrilinearScratch) -> dict:
+    """:meth:`TracerResult.wire_arrays` for a whole frame, converted at once.
+
+    ``{rid: (vertices, lengths)}`` in the order of ``results``.  Every
+    :class:`TracerResult` on the frame's grid goes grid -> physical
+    through **one** component-major sample on ``scratch`` (the encode
+    thread's), cast straight into its float32 wire array — bit-identical
+    to converting each result alone, without the per-rake launches and
+    temporaries.  Anything else (a result on another grid, a stand-in
+    that only knows ``wire_arrays``) converts itself.
+    """
+    batch = {rid: r for rid, r in results.items() if isinstance(r, TracerResult)}
+    grid = next(iter(batch.values())).grid if batch else None
+    wire = {
+        rid: np.empty(r.grid_paths.shape, dtype=np.float32)
+        for rid, r in batch.items()
+        if r.grid is grid
+    }
+    if wire:
+        scratch.sample_blocks(
+            grid.xyz, [batch[rid].grid_paths for rid in wire], list(wire.values())
+        )
+    return {
+        rid: r._frozen(wire[rid]) if rid in wire else r.wire_arrays()
+        for rid, r in results.items()
+    }

@@ -35,6 +35,11 @@ class TestDecoderFuzz:
         except DlibProtocolError:
             pass
 
+    def test_non_utf8_array_dtype_is_a_protocol_error(self):
+        """Found by the fuzz above: the dtype tag was decoded unguarded."""
+        with pytest.raises(DlibProtocolError):
+            decode_value(b"A\x04\x00\x00\x00\x80")
+
     @given(st.binary(max_size=100))
     @settings(max_examples=150)
     def test_random_messages_never_crash(self, data):

@@ -25,6 +25,7 @@ from repro.tracers.integrate import (
     integrate_steady,
 )
 from repro.tracers.particlepath import compute_particle_paths
+from tests.launches import calls_per_step
 
 
 @pytest.fixture(scope="module")
@@ -215,6 +216,133 @@ class TestWorkspaceKernels:
             workspace_overhead,
             naive_overhead,
         )
+
+    def test_zero_allocation_unsteady(self):
+        """The same bound on the particle-path kernel: a new field bound
+        every step, and still nothing proportional to the step count."""
+        rng = np.random.default_rng(6)
+        fields = [
+            np.ascontiguousarray(rng.normal(0, 0.8, size=(24, 20, 16, 3)))
+            for _ in range(201)
+        ]
+        seeds = rng.uniform(4, 12, size=(512, 3))
+        ws = IntegratorWorkspace()
+
+        def run(workspace):
+            return integrate_paths(
+                fields.__getitem__, seeds, 0, 200, 201, 0.01, workspace=workspace
+            )
+
+        for _ in range(PATHS_POOL + 1):
+            _, lengths = run(ws)
+        assert lengths.min() == 201  # nobody died: the in-place path
+        tracemalloc.start()
+        base, _ = tracemalloc.get_traced_memory()
+        run(ws)
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        assert peak - base < 128 * 1024, peak - base
+
+    def test_zero_allocation_encode(self, field):
+        """Encoding a warmed second frame allocates its float32 wire
+        arrays and nothing else of size: the grid -> physical conversion
+        runs on the encode scratch."""
+        from repro.grid import CurvilinearGrid
+        from repro.grid.interpolation import TrilinearScratch
+        from repro.tracers.result import TracerResult, wire_arrays_batch
+
+        rng = np.random.default_rng(7)
+        grid = CurvilinearGrid(field)
+        ws = IntegratorWorkspace()
+        scratch = TrilinearScratch()
+
+        def frame():
+            out = {}
+            for rid, n_seeds in enumerate((256, 128, 128)):
+                seeds = rng.uniform(4, 12, size=(n_seeds, 3))
+                paths, lengths = integrate_steady(field, seeds, 200, 0.01, workspace=ws)
+                out[rid] = TracerResult(paths, lengths, grid)
+            return out
+
+        wire_arrays_batch(frame(), scratch)
+        second = frame()
+        tracemalloc.start()
+        base, _ = tracemalloc.get_traced_memory()
+        wire = wire_arrays_batch(second, scratch)
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        wire_bytes = sum(v.nbytes + l.nbytes for v, l in wire.values())
+        assert peak - base - wire_bytes < 128 * 1024, (peak - base, wire_bytes)
+        for rid, res in second.items():
+            assert np.array_equal(wire[rid][0], res.wire_arrays()[0])
+
+    def test_results_outlive_the_two_frames_that_follow(self, field):
+        """A frame that runs the streamline *and* the particle-path kernel
+        at one (S, L) shape takes two buffers; frame k must still be
+        intact after frames k+1 and k+2 (queue depth 1 plus the frame in
+        the encoder), which one shared rotation of four did not give."""
+        rng = np.random.default_rng(8)
+        fields = [
+            np.ascontiguousarray(rng.normal(0, 0.5, size=field.shape))
+            for _ in range(8)
+        ]
+        ws = IntegratorWorkspace()
+
+        def frame(k):
+            seeds = rng.uniform(4, 12, size=(16, 3))
+            stream = integrate_steady(field, seeds, 6, 0.05, workspace=ws)
+            ppath = integrate_paths(
+                fields.__getitem__, seeds, 0, 6, 8, 0.05, workspace=ws
+            )
+            assert stream[0].shape == ppath[0].shape
+            return stream[0], ppath[0]
+
+        frames, copies = [], []
+        for k in range(7):
+            frames.append(frame(k))
+            copies.append([paths.copy() for paths in frames[k]])
+            if k >= 2:
+                for live, kept in zip(frames[k - 2], copies[k - 2]):
+                    assert np.array_equal(live, kept), k - 2
+
+
+class TestLaunchBudget:
+    """Calls per RK2 step: the regression guard no wall clock can be.
+
+    The workspace kernel is launch-bound at interactive seed counts, so
+    the per-step call count (``tests/launches.py``) is its cost; it was
+    104 (streamlines) and 114 (particle paths) before the component-major
+    sampler, and must not depend on the seed count at all.
+    """
+
+    BUDGET = 50
+
+    @pytest.fixture(scope="class")
+    def fields(self):
+        rng = np.random.default_rng(9)
+        return [
+            np.ascontiguousarray(rng.normal(0, 0.8, size=(12, 10, 8, 3)))
+            for _ in range(152)
+        ]
+
+    @pytest.mark.parametrize("kernel", ["steady", "paths"])
+    def test_calls_per_step(self, fields, kernel):
+        slopes = []
+        for n_seeds in (8, 512):
+            seeds = np.random.default_rng(n_seeds).uniform(4, 6, size=(n_seeds, 3))
+            ws = IntegratorWorkspace()
+            if kernel == "steady":
+                def run(n_steps):
+                    integrate_steady(fields[0], seeds, n_steps, 1e-4, workspace=ws)
+            else:
+                def run(n_steps):
+                    integrate_paths(
+                        fields.__getitem__, seeds, 0, n_steps, len(fields), 1e-4,
+                        workspace=ws,
+                    )
+            slopes.append(calls_per_step(run))
+        assert slopes[0] == slopes[1], slopes
+        assert slopes[0] <= self.BUDGET, slopes
 
 
 class TestParticlePathWorkspace:

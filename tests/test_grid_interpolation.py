@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.grid import in_domain_mask, trilinear_interpolate
+from repro.grid.interpolation import TrilinearScratch
 
 
 def affine_field(shape, coeffs, const):
@@ -123,3 +124,97 @@ class TestClamping:
             (3, 3, 3),
         )
         np.testing.assert_array_equal(mask, [True, True, False, False])
+
+
+# Per axis: inside, exactly on a node or face, outside either way (clamped),
+# and the negative zero a clamp can hand the cast.
+_axis_position = st.one_of(
+    st.floats(0.0, 1.0, allow_nan=False),
+    st.sampled_from([0.0, -0.0, 1.0, 0.5]),
+    st.floats(-2.0, -0.0, allow_nan=False),
+    st.floats(1.0, 3.0, allow_nan=False),
+)
+
+
+class TestComponentMajorSampler:
+    """The scratch sampler against the plain path it must reproduce."""
+
+    @given(
+        st.tuples(st.integers(2, 7), st.integers(2, 7), st.integers(2, 7)),
+        st.sampled_from([1, 3, 4]),
+        st.lists(st.tuples(_axis_position, _axis_position, _axis_position),
+                 min_size=1, max_size=24),
+        st.integers(0, 2**16),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_bit_identical_to_plain(self, shape, nc, unit, seed):
+        field = np.random.default_rng(seed).normal(size=(*shape, nc))
+        # Unit positions scale to [0, n-1]: 1.0 lands exactly on the face.
+        coords = np.array(unit) * (np.array(shape) - 1.0)
+        want = trilinear_interpolate(field, coords)
+        scratch = TrilinearScratch()
+        got = trilinear_interpolate(
+            field, coords, out=np.empty((len(unit), nc)), scratch=scratch
+        )
+        assert np.array_equal(got, want)
+        # Component-major in, component-major out: the integrator's call.
+        out = np.empty((nc, len(unit)))
+        scratch.sample(scratch.bind_field(field), np.ascontiguousarray(coords.T), out)
+        assert np.array_equal(out.T, want)
+
+    def test_sample_blocks_matches_per_block(self):
+        rng = np.random.default_rng(3)
+        field = rng.normal(size=(6, 5, 4, 3))
+        blocks = [rng.uniform(-1, 6, size=shape) for shape in
+                  [(4, 7, 3), (0, 7, 3), (5, 3), (2, 9, 3)]]
+        # A transposed view, as the workspace kernels hand back.
+        blocks.append(rng.uniform(0, 3, size=(9, 3, 2)).transpose(2, 0, 1))
+        outs = [np.empty(block.shape, dtype=np.float32) for block in blocks]
+        scratch = TrilinearScratch()
+        scratch.sample_blocks(field, blocks, outs)
+        for block, out in zip(blocks, outs):
+            want = trilinear_interpolate(field, block.reshape(-1, 3))
+            assert np.array_equal(out, want.reshape(block.shape).astype(np.float32))
+        scratch.sample_blocks(field, [], [])  # an empty frame is a no-op
+
+    def test_ineligible_fields_are_refused(self):
+        scratch = TrilinearScratch()
+        assert scratch.bind_field(np.zeros((3, 3, 3, 3), dtype=np.float32)) is None
+        assert scratch.bind_field(np.zeros((3, 3, 6, 3))[:, :, ::2]) is None
+        assert scratch.bind_field(np.zeros((1, 3, 3, 3))) is None
+        with pytest.raises(ValueError):
+            scratch.sample_blocks(np.zeros((3, 3, 3)), [np.zeros((1, 3))], [np.zeros((1, 3))])
+
+
+class TestConvergence:
+    def test_second_order_on_the_tapered_cylinder_grid(self):
+        """Interpolation error against an analytic field falls as h^2.
+
+        On the tapered O-grid (curvilinear: cells stretch radially and
+        shrink up the taper), the node samples of a smooth field,
+        interpolated at a fractional grid coordinate, are compared with
+        the field evaluated at the physical point that coordinate maps
+        to.  Halving h twice must quarter the error each time.
+        """
+        from repro.flow import LambOseenVortex, TaperedCylinderFlow
+        from repro.grid import cylindrical_grid
+
+        body = TaperedCylinderFlow()
+        vortex = LambOseenVortex(10.0, center=(3.0, 2.0, 0.0), core_radius=4.0)
+        unit = np.random.default_rng(11).uniform(0.0, 1.0, size=(3, 4000))
+        scratch = TrilinearScratch()
+        errors = []
+        for n in (17, 33, 65):
+            shape = (n, n, (n - 1) // 2 + 1)
+            grid = cylindrical_grid(
+                shape, r_inner=body.r_base, r_outer=12.0, height=body.height,
+                taper=body.taper,
+            )
+            nodes = vortex(grid.xyz.reshape(-1, 3), 0.0).reshape(*shape, 3)
+            coords = unit * (np.array(shape)[:, None] - 1.0)
+            where, got = np.empty((3, 4000)), np.empty((3, 4000))
+            scratch.sample(scratch.bind_field(grid.xyz), coords, where)
+            scratch.sample(scratch.bind_field(nodes), coords, got)
+            errors.append(np.abs(got - vortex(where.T, 0.0).T).max())
+        orders = np.log2(np.array(errors[:-1]) / np.array(errors[1:]))
+        assert (orders >= 1.8).all(), (errors, orders)
