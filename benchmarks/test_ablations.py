@@ -170,6 +170,7 @@ def test_ablation_prefetch(small_dataset, benchmark, prefetch):
         ) as loader:
             for t in range(ds.n_timesteps):
                 loader.load(t)
+                loader.prefetch(t + 1)  # a no-op on the serial arm
                 _t.sleep(0.004)  # stand-in for the frame's compute time
             loader.drain()
             return loader

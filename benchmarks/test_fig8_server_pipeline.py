@@ -66,6 +66,7 @@ def test_fig8_live_prefetch_overlap(cylinder_dataset, tmp_path_factory, record, 
 
             for t in range(ds.n_timesteps):
                 engine.compute_environment(env, t)
+                loader.prefetch(t + 1)  # figure 8: stage the next one
                 _t.sleep(0.002)  # brief think time lets prefetch land
             loader.drain()
             return loader.hits.value, loader.misses.value

@@ -20,8 +20,12 @@ from repro.diskio.loader import TimestepLoader
 from repro.flow.dataset import UnsteadyDataset
 from repro.grid.search import GridLocator
 from repro.obs import MetricsRegistry
-from repro.tracers.integrate import IntegratorWorkspace, integrate_steady
-from repro.tracers.particlepath import compute_particle_paths
+from repro.tracers.integrate import (
+    IntegratorWorkspace,
+    integrate_paths,
+    integrate_steady,
+)
+from repro.tracers.particlepath import window_steps
 from repro.tracers.rake import Rake
 from repro.tracers.result import TracerResult
 from repro.tracers.streakline import StreaklineTracer
@@ -79,9 +83,6 @@ class ComputeEngine:
         self._fused_frames = self.registry.counter("engine.fused_frames")
         self._batch_size = self.registry.gauge("engine.fused_batch_size")
         self._points_per_second = self.registry.gauge("engine.points_per_second")
-        # The frame pipeline flips this off when it takes over prefetch
-        # prediction (its clock-lookahead guess beats blind t+direction).
-        self.auto_prefetch = True
         self._locator = GridLocator(dataset.grid)
         self._streaks: dict[int, StreaklineTracer] = {}
         self._streak_last: dict[int, int] = {}
@@ -134,16 +135,28 @@ class ComputeEngine:
         }
         return out
 
-    def _grid_velocity(self, timestep: int, direction: int = 1) -> np.ndarray:
+    def _field_at(self, timestep: int) -> np.ndarray:
+        """The one way any tool reads a field: through the loader when
+        there is one — so a particle path's whole window is charged,
+        counted and served by the same tiers as a streamline's field —
+        else straight from the dataset."""
         if self.loader is not None:
-            return self.loader.load(
-                timestep, direction, auto_prefetch=self.auto_prefetch
-            )
+            return self.loader.load(timestep)
         return self.dataset.grid_velocity(timestep)
 
+    def _particle_paths(
+        self, seeds: np.ndarray, timestep: int, s: ToolSettings,
+        workspace: IntegratorWorkspace | None = None,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Particle paths from ``timestep``, at most ``s.max_window`` wide."""
+        return integrate_paths(
+            self._field_at, seeds, timestep,
+            window_steps(s.particle_path_steps, s.max_window),
+            self.dataset.n_timesteps, self.dataset.dt, workspace=workspace,
+        )
+
     def compute_rake(
-        self, rake: Rake, timestep: int, *, direction: int = 1,
-        settings: ToolSettings | None = None,
+        self, rake: Rake, timestep: int, *, settings: ToolSettings | None = None
     ) -> TracerResult:
         """Run one rake's tool at ``timestep``; returns its paths.
 
@@ -153,28 +166,24 @@ class ComputeEngine:
         s = settings or self.settings
         seeds = self.rake_seeds_grid(rake)
         rid = rake.rake_id if rake.rake_id is not None else id(rake)
+        grid = self.dataset.grid
         if rake.kind == "streamline":
-            gv = self._grid_velocity(timestep, direction)
             paths, lengths = integrate_steady(
-                gv, seeds, s.streamline_steps, s.streamline_dt
+                self._field_at(timestep), seeds,
+                s.streamline_steps, s.streamline_dt,
             )
-            result = TracerResult(paths, lengths, self.dataset.grid)
+            result = TracerResult(paths, lengths, grid)
         elif rake.kind == "particle_path":
-            result = compute_particle_paths(
-                self.dataset, timestep, seeds,
-                n_steps=s.particle_path_steps, max_window=s.max_window,
-            )
+            result = TracerResult(*self._particle_paths(seeds, timestep, s), grid)
         elif rake.kind == "streakline":
             tracer = self._streaks.get(rid)
             if tracer is None or tracer.max_length != s.streakline_length:
                 tracer = StreaklineTracer(max_length=s.streakline_length)
                 self._streaks[rid] = tracer
             if self._streak_last.get(rid) != timestep:
-                # Ensure the field is resident (charges the loader).
-                self._grid_velocity(timestep, direction)
-                tracer.advance(self.dataset, timestep, seeds)
+                tracer.advance(self._field_at(timestep), seeds, self.dataset.dt)
                 self._streak_last[rid] = timestep
-            result = tracer.result(self.dataset.grid)
+            result = tracer.result(grid)
         else:  # pragma: no cover - Rake validates kinds
             raise ValueError(f"unknown tool kind {rake.kind!r}")
         self._points_computed.inc(result.n_points)
@@ -197,16 +206,13 @@ class ComputeEngine:
         self, env: Environment, timestep: int, *, quality: float = 1.0
     ) -> dict[int, TracerResult]:
         """Compute every rake in the environment.  Returns id -> result."""
-        return self.compute_rakes(
-            env.rakes, timestep, direction=env.clock.direction, quality=quality
-        )
+        return self.compute_rakes(env.rakes, timestep, quality=quality)
 
     def compute_rakes(
         self,
         rakes: dict[int, Rake],
         timestep: int,
         *,
-        direction: int = 1,
         quality: float = 1.0,
         settings: ToolSettings | None = None,
     ) -> dict[int, TracerResult]:
@@ -215,7 +221,7 @@ class ComputeEngine:
         One megabatch integration per rake kind, sliced back by offset.
         All streamline rakes' seeds concatenate into one
         :func:`integrate_steady` call (and likewise all particle-path
-        rakes into one :func:`compute_particle_paths` call), so the
+        rakes into one :func:`integrate_paths` call), so the
         kernel-launch overhead and the per-step trilinear gathers are
         paid once per frame instead of once per rake, and active-particle
         compaction amortizes over the whole environment.  Streaklines
@@ -250,14 +256,12 @@ class ComputeEngine:
                 ppath_ids.append(rid)
                 ppath_seeds.append(self.rake_seeds_grid(rake))
             else:
-                out[rid] = self.compute_rake(
-                    rake, timestep, direction=direction, settings=s
-                )
+                out[rid] = self.compute_rake(rake, timestep, settings=s)
         batch = 0
         points = 0
         start = time.perf_counter()
         if stream_ids:
-            gv = self._grid_velocity(timestep, direction)
+            gv = self._field_at(timestep)
             cat = (
                 np.concatenate(stream_seeds, axis=0)
                 if len(stream_seeds) > 1
@@ -276,14 +280,8 @@ class ComputeEngine:
                 else ppath_seeds[0]
             )
             batch += cat.shape[0]
-            merged = compute_particle_paths(
-                self.dataset, timestep, cat,
-                n_steps=s.particle_path_steps, max_window=s.max_window,
-                workspace=self.workspace,
-            )
-            points += self._slice_back(
-                ppath_ids, ppath_seeds, merged.grid_paths, merged.lengths, out
-            )
+            paths, lengths = self._particle_paths(cat, timestep, s, self.workspace)
+            points += self._slice_back(ppath_ids, ppath_seeds, paths, lengths, out)
         elapsed = time.perf_counter() - start
         self._points_computed.inc(points)
         self._fused_frames.inc()

@@ -174,10 +174,6 @@ class FramePipeline:
         self.registry.adopt(engine.registry)
         if engine.loader is not None:
             self.registry.adopt(engine.loader.registry)
-            # Prefetch prediction is the pipeline's job now — see
-            # ``_predict_next``.  This also covers the engine's internal
-            # loads during the integrate stage.
-            engine.auto_prefetch = False
 
         env.subscribe(self.invalidate)
 
@@ -390,16 +386,15 @@ class FramePipeline:
         loader = self.engine.loader
         with Stopwatch() as sw:
             if loader is not None:
-                loader.load(timestep, direction, auto_prefetch=False)
+                loader.load(timestep)
                 # Aim the prefetch where the clock is actually going: the
                 # timestep one production period ahead (which is not t+1
                 # when the clock outruns production).  Issued *now*, at
                 # the top of the cycle, so the background read overlaps
                 # this frame's integration and is resident when the next
-                # cycle starts.  The pipeline owns prefetch policy
-                # outright (``auto_prefetch=False`` above): the naive
-                # t+direction guess would waste the single background
-                # worker on reads nobody will consume.
+                # cycle starts.  This is the loader's only prefetch
+                # policy: a blind t+direction guess would waste the single
+                # background worker on reads nobody will consume.
                 loader.prefetch(self._predict_next(timestep, direction))
             self._charge("load")
         stage_seconds["load"] = sw.elapsed
@@ -414,7 +409,6 @@ class FramePipeline:
             results = self.engine.compute_rakes(
                 rakes,
                 timestep,
-                direction=direction,
                 quality=quality,
                 settings=settings,
             )

@@ -99,7 +99,7 @@ class TimestepBlockServer:
 
     def _read(self, ctx, dataset_id: str, t: int) -> np.ndarray:
         self._check_id(dataset_id)
-        gv = self.loader.load(int(t), auto_prefetch=False)
+        gv = self.loader.load(int(t))
         self.blocks_served.inc()
         return np.asarray(gv)
 

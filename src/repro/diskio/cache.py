@@ -390,17 +390,12 @@ class TieredTimestepCache:
 
     # -- the read API ----------------------------------------------------------
 
-    def get(self, t: int, *, l1_probe: bool = True) -> tuple[np.ndarray, str]:
-        """Read timestep ``t``, falling through the tiers.
-
-        ``l1_probe=False`` skips the (counted) tier-1 probe — for callers
-        that already probed and missed, so one access is one probe.
-        """
+    def get(self, t: int) -> tuple[np.ndarray, str]:
+        """Read timestep ``t``, falling through the tiers."""
         t = int(t)
-        if l1_probe:
-            arr = self.l1.get(t)
-            if arr is not None:
-                return arr, TIER_L1
+        arr = self.l1.get(t)
+        if arr is not None:
+            return arr, TIER_L1
         if self.l2 is not None:
             arr = self.l2.get(t)
             if arr is not None:

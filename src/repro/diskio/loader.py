@@ -31,6 +31,11 @@ __all__ = ["TimestepLoader"]
 class TimestepLoader:
     """Loads grid-coordinate velocity timesteps with modeled disk timing.
 
+    :meth:`load` reads, :meth:`prefetch` stages, and the loader guesses
+    nothing: each driver owns its one prefetch policy — the pipeline aims
+    where the clock is going, the block server stages what clients hint,
+    a playback loop says ``loader.prefetch(t + 1)`` (Figure 8 read aloud).
+
     Parameters
     ----------
     dataset
@@ -41,7 +46,8 @@ class TimestepLoader:
         Optional bandwidth model; each *source* load sleeps for the
         modeled read time of one raw timestep, emulating the Convex disk.
     prefetch
-        Whether to speculatively load the next timestep in the background.
+        Whether :meth:`prefetch` stages timesteps on the background
+        worker; ``False`` builds no worker and makes it a no-op.
     capacity
         Timesteps retained in the tier-1 buffer (2 = classic double
         buffering).  ``capacity_bytes`` adds a byte budget (see
@@ -95,7 +101,6 @@ class TimestepLoader:
         self.registry = registry if registry is not None else cache.registry
         self.dataset = cache.dataset
         self.disk_model = disk_model
-        self.prefetch_enabled = prefetch
         self.capacity = cache.l1.capacity_timesteps
         self._pending: dict[int, Future] = {}
         self._prefetch_error: Exception | None = None
@@ -133,19 +138,9 @@ class TimestepLoader:
 
     # -- public API --------------------------------------------------------------
 
-    def load(
-        self, t: int, direction: int = 1, *, auto_prefetch: bool = True
-    ) -> np.ndarray:
-        """Load timestep ``t``; schedule a prefetch of ``t + direction``.
-
-        Direction follows the user's time control — the windtunnel can run
-        time backwards (section 2), in which case the loader prefetches
-        upstream.  Pass ``auto_prefetch=False`` when a caller (the frame
-        pipeline) manages its own prefetch prediction — the naive
-        ``t + direction`` guess wastes the single background worker when
-        the clock outruns production and the next needed timestep is
-        further ahead.
-        """
+    def load(self, t: int) -> np.ndarray:
+        """Load timestep ``t`` — from an in-flight prefetch, else the
+        tiers — and nothing else: the driver calls :meth:`prefetch`."""
         t = int(t)
         with self._lock:
             pending = self._pending.get(t)
@@ -169,16 +164,13 @@ class TimestepLoader:
         else:
             gv, tier = self.cache.get(t)
             (self.misses if tier == TIER_SOURCE else self.hits).inc()
-
-        if auto_prefetch:
-            self.prefetch(t + (1 if direction >= 0 else -1))
         return gv
 
     def prefetch(self, t: int) -> bool:
         """Hint: stage timestep ``t`` in the background.
 
-        The pipeline's prefetch hook — the producer calls this with its
-        *predicted* next timestep (which may not be ``t ± 1`` when the
+        The driver calls this with the timestep it will need next (for
+        the pipeline a *prediction*, which may not be ``t ± 1`` when the
         clock outruns the compute), so the background read overlaps the
         current frame's integration.  The prediction is also forwarded
         downstream (:meth:`TieredTimestepCache.prefetch_hint`) so a
@@ -187,7 +179,7 @@ class TimestepLoader:
         already-buffered, already-pending, or out-of-range timesteps are
         a cheap no-op.
         """
-        if not self.prefetch_enabled or self._pool is None:
+        if self._pool is None:
             return False
         t = int(t)
         if not (0 <= t < self.dataset.n_timesteps):

@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.grid.curvilinear import CurvilinearGrid
-from repro.grid.jacobian import grid_jacobian, physical_to_grid_velocity
+from repro.grid.jacobian import physical_to_grid_velocity
 
 __all__ = ["UnsteadyDataset", "MemoryDataset", "DiskDataset"]
 
@@ -62,7 +62,6 @@ class UnsteadyDataset(ABC):
         #: Bytes of one velocity timestep as stored (Table 2 accounting):
         #: shape x stored dtype, recorded by the subclass without a read.
         self.timestep_nbytes = int(timestep_nbytes)
-        self._jacobian: np.ndarray | None = None
         self._gv_cache: OrderedDict[int, np.ndarray] = OrderedDict()
         # The cache is shared by the frame pipeline's producer thread, the
         # loader's prefetch worker, and the dlib service thread (isosurface
@@ -85,13 +84,6 @@ class UnsteadyDataset(ABC):
             )
         return t
 
-    @property
-    def jacobian(self) -> np.ndarray:
-        """Grid Jacobian, computed once — the grid is static across time."""
-        if self._jacobian is None:
-            self._jacobian = grid_jacobian(self.grid.xyz)
-        return self._jacobian
-
     def grid_velocity(self, t: int) -> np.ndarray:
         """Velocity for timestep ``t`` in *grid* coordinates (LRU cached).
 
@@ -105,10 +97,7 @@ class UnsteadyDataset(ABC):
             if cached is not None:
                 self._gv_cache.move_to_end(t)
                 return cached
-        gv = physical_to_grid_velocity(
-            self.grid.xyz, np.asarray(self.velocity(t), dtype=np.float64),
-            jac=self.jacobian,
-        )
+        gv = physical_to_grid_velocity(self.grid, self.velocity(t))
         gv.setflags(write=False)
         with self._gv_lock:
             self._gv_cache[t] = gv
@@ -125,15 +114,6 @@ class UnsteadyDataset(ABC):
     @property
     def total_nbytes(self) -> int:
         return self.timestep_nbytes * self.n_timesteps
-
-    def max_particle_path_steps(self, memory_bytes: int) -> int:
-        """How many timesteps fit in ``memory_bytes`` of residence memory.
-
-        Section 5.2: "the number of timesteps that can fit in physical
-        memory places a limit on the length of the particle paths".
-        """
-        per = self.grid.n_points * 3 * 8  # grid-coordinate copies are float64
-        return max(0, int(memory_bytes // per))
 
     def times(self) -> np.ndarray:
         """Physical time of every timestep."""

@@ -12,7 +12,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.flow.dataset import UnsteadyDataset
-from repro.grid.jacobian import grid_jacobian
 
 __all__ = [
     "speed",
@@ -29,32 +28,25 @@ def speed(dataset: UnsteadyDataset, timestep: int) -> np.ndarray:
     return np.linalg.norm(v, axis=-1)
 
 
-def velocity_gradient(
-    dataset: UnsteadyDataset, timestep: int, *, jac: np.ndarray | None = None
-) -> np.ndarray:
+def velocity_gradient(dataset: UnsteadyDataset, timestep: int) -> np.ndarray:
     """The physical velocity-gradient tensor ``dv_a/dx_b`` at every node.
 
     Computed as ``(dv/dxi) @ (dxi/dx)`` — central differences along the
-    grid indices, then the inverse grid Jacobian.  Shape
-    ``(ni, nj, nk, 3, 3)``.
+    grid indices, then the grid's inverse Jacobian (built once per grid).
+    Shape ``(ni, nj, nk, 3, 3)``.
     """
     v = np.asarray(dataset.velocity(timestep), dtype=np.float64)
-    if jac is None:
-        jac = grid_jacobian(dataset.grid.xyz)
     # dv/dxi: gradient of each velocity component along each grid axis.
     dv_dxi = np.empty(v.shape[:3] + (3, 3))
     for b in range(3):
         dv_dxi[..., :, b] = np.gradient(v, axis=b)
-    # dxi/dx = J^{-1}: solve J^T X^T = (dv/dxi)^T  =>  X = dv/dxi @ J^{-1}.
-    inv_jac = np.linalg.inv(jac.reshape(-1, 3, 3)).reshape(jac.shape)
+    inv_jac = dataset.grid.inverse_jacobian  # dxi/dx, built once per grid
     return np.einsum("...ab,...bc->...ac", dv_dxi, inv_jac)
 
 
-def vorticity(
-    dataset: UnsteadyDataset, timestep: int, *, jac: np.ndarray | None = None
-) -> np.ndarray:
+def vorticity(dataset: UnsteadyDataset, timestep: int) -> np.ndarray:
     """The vorticity vector ``curl v`` at every node, ``(ni, nj, nk, 3)``."""
-    g = velocity_gradient(dataset, timestep, jac=jac)
+    g = velocity_gradient(dataset, timestep)
     out = np.empty(g.shape[:3] + (3,))
     out[..., 0] = g[..., 2, 1] - g[..., 1, 2]
     out[..., 1] = g[..., 0, 2] - g[..., 2, 0]
@@ -62,23 +54,19 @@ def vorticity(
     return out
 
 
-def vorticity_magnitude(
-    dataset: UnsteadyDataset, timestep: int, *, jac: np.ndarray | None = None
-) -> np.ndarray:
+def vorticity_magnitude(dataset: UnsteadyDataset, timestep: int) -> np.ndarray:
     """|curl v| — the scalar most often contoured to show shed vortices."""
-    return np.linalg.norm(vorticity(dataset, timestep, jac=jac), axis=-1)
+    return np.linalg.norm(vorticity(dataset, timestep), axis=-1)
 
 
-def q_criterion(
-    dataset: UnsteadyDataset, timestep: int, *, jac: np.ndarray | None = None
-) -> np.ndarray:
+def q_criterion(dataset: UnsteadyDataset, timestep: int) -> np.ndarray:
     """Hunt's Q: ``(|Omega|^2 - |S|^2) / 2`` from the gradient tensor.
 
     Positive Q marks rotation-dominated regions — vortex cores.  Q > 0
     isosurfaces of the tapered-cylinder dataset show the shed vortex
     tubes the paper's streaklines trace.
     """
-    g = velocity_gradient(dataset, timestep, jac=jac)
+    g = velocity_gradient(dataset, timestep)
     s = 0.5 * (g + np.swapaxes(g, -1, -2))
     w = 0.5 * (g - np.swapaxes(g, -1, -2))
     s2 = np.einsum("...ab,...ab->...", s, s)

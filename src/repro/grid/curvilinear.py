@@ -13,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.grid.interpolation import in_domain_mask, trilinear_interpolate
+from repro.grid.jacobian import degenerate_grid_error, grid_jacobian
 
 __all__ = ["CurvilinearGrid", "cartesian_grid", "cylindrical_grid"]
 
@@ -25,7 +26,9 @@ class CurvilinearGrid:
     xyz
         Node positions of shape ``(ni, nj, nk, 3)``.  Stored C-contiguous
         float64 (converted if needed) so the interpolation gathers stride
-        predictably.
+        predictably, and as a read-only *view* (the caller's own array
+        stays writable) so the metric terms built from it on first use
+        — :attr:`jacobian`, :attr:`inverse_jacobian` — cannot go stale.
     """
 
     def __init__(self, xyz: np.ndarray) -> None:
@@ -36,7 +39,10 @@ class CurvilinearGrid:
             )
         if min(xyz.shape[:3]) < 2:
             raise ValueError("grid must have at least 2 nodes along each axis")
-        self.xyz = xyz
+        self.xyz = xyz.view()
+        self.xyz.flags.writeable = False
+        self._jacobian: np.ndarray | None = None
+        self._inverse_jacobian: np.ndarray | None = None
 
     @property
     def shape(self) -> tuple[int, int, int]:
@@ -57,6 +63,29 @@ class CurvilinearGrid:
         1,572,864 bytes).
         """
         return self.n_points * 3 * 4
+
+    @property
+    def jacobian(self) -> np.ndarray:
+        """``dX/dxi`` at every node, ``(ni, nj, nk, 3, 3)`` — see
+        :func:`~repro.grid.jacobian.grid_jacobian`."""
+        if self._jacobian is None:
+            jac = grid_jacobian(self.xyz)
+            jac.flags.writeable = False
+            self._jacobian = jac
+        return self._jacobian
+
+    @property
+    def inverse_jacobian(self) -> np.ndarray:
+        """``dxi/dx`` at every node — the chain-rule factor of
+        :mod:`repro.flow.scalars`.  ``ValueError`` on a degenerate grid."""
+        if self._inverse_jacobian is None:
+            try:
+                inv = np.linalg.inv(self.jacobian)
+            except np.linalg.LinAlgError:
+                raise degenerate_grid_error(self.jacobian) from None
+            inv.flags.writeable = False
+            self._inverse_jacobian = inv
+        return self._inverse_jacobian
 
     def to_physical(self, grid_coords: np.ndarray) -> np.ndarray:
         """Map fractional grid coordinates to physical positions.

@@ -5,13 +5,18 @@ velocity data to grid coordinates and performing all integrations in grid
 coordinates" (section 2.1).  If ``X(xi)`` maps grid coordinates to physical
 space, a particle moving with physical velocity ``v`` has grid-coordinate
 velocity ``J^{-1} v`` where ``J = dX/dxi`` — so the conversion is one
-batched 3x3 solve per node, done once per timestep (or once per dataset for
-static grids).
+batched 3x3 solve per node, done once per timestep, against a Jacobian
+the (static) grid builds once.
 """
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
+
+if TYPE_CHECKING:
+    from repro.grid.curvilinear import CurvilinearGrid
 
 __all__ = ["grid_jacobian", "physical_to_grid_velocity", "jacobian_at"]
 
@@ -40,21 +45,29 @@ def grid_jacobian(xyz: np.ndarray) -> np.ndarray:
     return jac
 
 
+def degenerate_grid_error(jac: np.ndarray) -> ValueError:
+    """The typed rejection of an exactly singular node (e.g. coincident
+    boundary planes in a grid file): else a bare ``LinAlgError`` from
+    whichever thread decodes a timestep first."""
+    singular = int(np.count_nonzero(np.linalg.det(jac) == 0.0))
+    return ValueError(
+        f"degenerate grid: the Jacobian is singular at {singular} "
+        f"of {jac[..., 0, 0].size} nodes"
+    )
+
+
 def physical_to_grid_velocity(
-    xyz: np.ndarray, velocity: np.ndarray, *, jac: np.ndarray | None = None
+    grid: "CurvilinearGrid", velocity: np.ndarray
 ) -> np.ndarray:
     """Convert node velocities from physical to grid coordinates.
 
     Parameters
     ----------
-    xyz
-        Node positions, ``(ni, nj, nk, 3)``.
+    grid
+        The (static) grid, whose once-built ``jacobian`` every timestep —
+        the paper's 800 — is solved against.
     velocity
         Physical velocities at the nodes, ``(ni, nj, nk, 3)``.
-    jac
-        Optional precomputed :func:`grid_jacobian` result.  For unsteady
-        data on a *static* grid (the paper's case) pass it in once and
-        reuse it for all 800 timesteps.
 
     Returns
     -------
@@ -62,8 +75,7 @@ def physical_to_grid_velocity(
     the fractional grid index of a fluid element.
     """
     velocity = np.asarray(velocity, dtype=np.float64)
-    if jac is None:
-        jac = grid_jacobian(xyz)
+    jac = grid.jacobian
     if velocity.shape != jac.shape[:3] + (3,):
         raise ValueError(
             f"velocity shape {velocity.shape} does not match grid {jac.shape[:3]}"
@@ -71,7 +83,10 @@ def physical_to_grid_velocity(
     # Batched 3x3 solve: J @ v_grid = v_phys at every node.
     flat_j = jac.reshape(-1, 3, 3)
     flat_v = velocity.reshape(-1, 3, 1)
-    out = np.linalg.solve(flat_j, flat_v)
+    try:
+        out = np.linalg.solve(flat_j, flat_v)
+    except np.linalg.LinAlgError:
+        raise degenerate_grid_error(jac) from None
     return np.ascontiguousarray(out.reshape(velocity.shape))
 
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.grid.curvilinear import CurvilinearGrid
-from repro.grid.jacobian import grid_jacobian
 
 __all__ = [
     "jacobian_determinant",
@@ -23,25 +22,22 @@ __all__ = [
 ]
 
 
-def jacobian_determinant(grid: CurvilinearGrid, *, jac: np.ndarray | None = None) -> np.ndarray:
+def jacobian_determinant(grid: CurvilinearGrid) -> np.ndarray:
     """det(dX/dxi) at every node — the local cell volume per unit index.
 
     Uniformly positive means the grid is right-handed and nowhere
     inverted; a sign change marks tangled cells.
     """
-    if jac is None:
-        jac = grid_jacobian(grid.xyz)
-    return np.linalg.det(jac)
+    return np.linalg.det(grid.jacobian)
 
 
-def orthogonality(grid: CurvilinearGrid, *, jac: np.ndarray | None = None) -> np.ndarray:
+def orthogonality(grid: CurvilinearGrid) -> np.ndarray:
     """Worst |cos(angle)| between grid-line directions at every node.
 
     0 is perfectly orthogonal; values near 1 mean nearly collinear grid
     lines (degenerate cells).
     """
-    if jac is None:
-        jac = grid_jacobian(grid.xyz)
+    jac = grid.jacobian
     cols = jac / np.maximum(
         np.linalg.norm(jac, axis=-2, keepdims=True), 1e-300
     )
@@ -53,11 +49,9 @@ def orthogonality(grid: CurvilinearGrid, *, jac: np.ndarray | None = None) -> np
     return worst
 
 
-def aspect_ratio(grid: CurvilinearGrid, *, jac: np.ndarray | None = None) -> np.ndarray:
+def aspect_ratio(grid: CurvilinearGrid) -> np.ndarray:
     """Ratio of longest to shortest grid-line spacing at every node."""
-    if jac is None:
-        jac = grid_jacobian(grid.xyz)
-    lengths = np.linalg.norm(jac, axis=-2)  # (ni, nj, nk, 3): |dX/dxi_b|
+    lengths = np.linalg.norm(grid.jacobian, axis=-2)  # (..., 3): |dX/dxi_b|
     return lengths.max(axis=-1) / np.maximum(lengths.min(axis=-1), 1e-300)
 
 
@@ -67,10 +61,9 @@ def grid_report(grid: CurvilinearGrid) -> dict:
     Keys: ``min_det`` / ``max_det`` (sign check), ``inverted_nodes``,
     ``worst_orthogonality`` (cos), ``max_aspect_ratio``, ``n_points``.
     """
-    jac = grid_jacobian(grid.xyz)
-    det = jacobian_determinant(grid, jac=jac)
-    orth = orthogonality(grid, jac=jac)
-    aspect = aspect_ratio(grid, jac=jac)
+    det = jacobian_determinant(grid)
+    orth = orthogonality(grid)
+    aspect = aspect_ratio(grid)
     return {
         "n_points": grid.n_points,
         "min_det": float(det.min()),

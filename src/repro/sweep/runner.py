@@ -220,7 +220,6 @@ def run_scenario(
             cache=TieredTimestepCache(dataset, l1=timestep_cache),
             prefetch=False,  # serial runs; background staging buys nothing
         )
-        engine.auto_prefetch = False
 
     plan = None
     channel = None

@@ -19,6 +19,15 @@ from repro.tracers.result import TracerResult
 __all__ = ["compute_particle_paths"]
 
 
+def window_steps(n_steps: int, max_window: int | None) -> int:
+    """``n_steps`` clamped to a window of ``max_window`` timesteps."""
+    if max_window is None:
+        return n_steps
+    if max_window < 1:
+        raise ValueError("max_window must be at least 1 timestep")
+    return min(n_steps, max_window - 1)
+
+
 def compute_particle_paths(
     dataset: UnsteadyDataset,
     timestep: int,
@@ -53,15 +62,11 @@ def compute_particle_paths(
         workspace's rotating buffer pool — see that class for the reuse
         contract.
     """
-    if max_window is not None:
-        if max_window < 1:
-            raise ValueError("max_window must be at least 1 timestep")
-        n_steps = min(n_steps, max_window - 1)
     paths, lengths = integrate_paths(
         dataset.grid_velocity,
         np.asarray(seeds, dtype=np.float64),
         timestep,
-        n_steps,
+        window_steps(n_steps, max_window),
         dataset.n_timesteps,
         dataset.dt * time_scale,
         workspace=workspace,

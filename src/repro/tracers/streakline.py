@@ -63,15 +63,13 @@ class StreaklineTracer:
         self.filled = 0
 
     def advance(
-        self,
-        dataset: UnsteadyDataset,
-        timestep: int,
-        seeds: np.ndarray,
-        dt: float | None = None,
-        substeps: int = 1,
+        self, gv: np.ndarray, seeds: np.ndarray, dt: float, substeps: int = 1
     ) -> None:
         """Advance one frame: move all particles, inject new ones.
 
+        ``gv`` is the current timestep's grid-coordinate field, read once
+        by the caller (the engine, through its loader), and ``dt`` the
+        frame's time increment (the dataset's ``dt`` in real-time play).
         ``seeds`` are grid-coordinate seed positions ``(S, 3)``.  If the
         seed count differs from the existing population's, the population
         is reset (the user rebuilt the rake).  Seed *positions* may change
@@ -92,10 +90,7 @@ class StreaklineTracer:
             self.filled = 0
         if substeps < 1:
             raise ValueError("substeps must be at least 1")
-        gv = dataset.grid_velocity(timestep)
         dims = gv.shape[:3]
-        if dt is None:
-            dt = dataset.dt
         sub_dt = dt / substeps
 
         # 1. Move every live particle through the frame's time increment.

@@ -140,10 +140,10 @@ class TestLoaderThroughRemoteSource:
         tiers = TieredTimestepCache(dataset, l1_timesteps=2, source=source)
         loader = TimestepLoader(dataset, cache=tiers, prefetch=False)
         try:
-            gv = loader.load(1, auto_prefetch=False)
+            gv = loader.load(1)
             np.testing.assert_array_equal(gv, dataset.grid_velocity(1))
             # Repeat reads hit the worker's private L1, not the network.
-            loader.load(1, auto_prefetch=False)
+            loader.load(1)
             assert tiers.l1.stats.hits.value == 1
             assert source.stats.hits.value == 1
             # Remote reads carry no local modeled-disk charge.

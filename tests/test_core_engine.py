@@ -4,10 +4,15 @@ import numpy as np
 import pytest
 
 from repro.core import ComputeEngine, Environment, FrameBudgetGovernor, ToolSettings
-from repro.diskio import TimestepLoader
+from repro.diskio import (
+    CONVEX_DISK,
+    DatasetSource,
+    TieredTimestepCache,
+    TimestepLoader,
+)
 from repro.flow import MemoryDataset, RigidRotation, UniformFlow, sample_on_grid
 from repro.grid import cartesian_grid
-from repro.tracers import Rake
+from repro.tracers import Rake, integrate_paths
 
 
 @pytest.fixture(scope="module")
@@ -121,6 +126,80 @@ class TestComputeEnvironment:
         env.add_rake(Rake([2, 4, 2], [6, 4, 2], n_seeds=2))
         engine.compute_environment(env, 0)
         assert loader.misses.value == 1
+
+
+class TestEveryToolReadsThroughTheLoader:
+    """Particle paths and streaklines used to call ``dataset.grid_velocity``
+    behind the loader's back: uncharged, uncounted, and local even when
+    the loader's source was remote."""
+
+    T0, STEPS = 1, 3  # a particle path over timesteps 1..4
+    WINDOW = [1, 2, 3, 4]
+    SETTINGS = ToolSettings(particle_path_steps=STEPS, streakline_length=4)
+
+    def rakes(self):
+        return {
+            1: Rake([2, 4, 2], [6, 4, 2], n_seeds=3, kind="particle_path", rake_id=1),
+            2: Rake([2, 3, 2], [6, 3, 2], n_seeds=2, kind="streakline", rake_id=2),
+        }
+
+    def drive(self, engine, monkeypatch):
+        """One frame at T0; returns (results, timesteps the tools read)."""
+        reads = []
+        load = engine.loader.load
+        monkeypatch.setattr(
+            engine.loader, "load", lambda t: (reads.append(t), load(t))[1]
+        )
+        return engine.compute_rakes(self.rakes(), self.T0), reads
+
+    def reference(self, dataset, engine):
+        seeds = engine.rake_seeds_grid(self.rakes()[1])
+        return integrate_paths(
+            dataset.grid_velocity, seeds, self.T0, self.STEPS,
+            dataset.n_timesteps, dataset.dt,
+        )
+
+    def test_every_read_is_charged_and_counted(self, dataset, monkeypatch):
+        charged = []
+        loader = TimestepLoader(
+            dataset, CONVEX_DISK, prefetch=False, capacity=len(self.WINDOW),
+            sleep=charged.append,
+        )
+        engine = ComputeEngine(dataset, self.SETTINGS, loader=loader)
+        out, reads = self.drive(engine, monkeypatch)
+        # Exactly the window is paid for, once each, on the modeled disk …
+        assert loader.buffered_timesteps == self.WINDOW
+        assert len(charged) == len(self.WINDOW)
+        assert loader.misses.value == len(self.WINDOW)
+        # … and every read of the frame went through the counted ladder.
+        assert set(reads) == set(self.WINDOW)
+        assert loader.hits.value + loader.misses.value == len(reads)
+        paths, lengths = self.reference(dataset, engine)
+        np.testing.assert_array_equal(out[1].grid_paths, paths)
+        np.testing.assert_array_equal(out[1].lengths, lengths)
+        assert out[2].n_points == 2  # the streakline's first particles
+
+    def test_no_read_reaches_the_local_dataset(self, dataset, monkeypatch):
+        """With a (stub) remote source the local dataset is never decoded."""
+        local = MemoryDataset(dataset.grid, dataset.velocities, dt=dataset.dt)
+
+        def bypass(t):
+            raise AssertionError(f"timestep {t} read behind the loader's back")
+
+        monkeypatch.setattr(local, "grid_velocity", bypass)
+        cache = TieredTimestepCache(
+            local, source=DatasetSource(dataset), l1_timesteps=len(self.WINDOW)
+        )
+        loader = TimestepLoader(local, cache=cache, prefetch=False)
+        engine = ComputeEngine(local, self.SETTINGS, loader=loader)
+        out, reads = self.drive(engine, monkeypatch)
+        assert cache.source.stats.hits.value == len(self.WINDOW)
+        paths, _ = self.reference(dataset, engine)
+        np.testing.assert_array_equal(out[1].grid_paths, paths)
+        # The next frame's streakline step is one more counted read.
+        engine.compute_rakes({2: self.rakes()[2]}, self.T0 + 1)
+        assert reads[-1] == self.T0 + 1
+        assert loader.hits.value + loader.misses.value == len(reads)
 
 
 class TestToolSettings:

@@ -119,16 +119,27 @@ class TestTimestepLoader:
         ds = small_dataset()
         with TimestepLoader(ds) as loader:
             loader.load(0)
+            assert loader.prefetch(1)
             loader.drain()
             assert 1 in loader.buffered_timesteps
             loader.load(1)
             assert loader.hits.value == 1
-            assert loader.prefetch_issued.value >= 1
+            assert loader.prefetch_issued.value == 1
 
-    def test_backward_direction_prefetches_upstream(self):
+    def test_load_issues_no_prefetch_of_its_own(self):
         ds = small_dataset()
         with TimestepLoader(ds) as loader:
-            loader.load(3, direction=-1)
+            loader.load(0)
+            loader.drain()
+            assert loader.prefetch_issued.value == 0
+            assert loader.buffered_timesteps == [0]
+
+    def test_backward_direction_prefetches_upstream(self):
+        """Time can run backwards (section 2): the driver stages t - 1."""
+        ds = small_dataset()
+        with TimestepLoader(ds) as loader:
+            loader.load(3)
+            assert loader.prefetch(3 - 1)
             loader.drain()
             assert 2 in loader.buffered_timesteps
 
@@ -136,6 +147,8 @@ class TestTimestepLoader:
         ds = small_dataset(n_times=3)
         with TimestepLoader(ds) as loader:
             loader.load(2)
+            assert not loader.prefetch(3)
+            assert not loader.prefetch(-1)
             loader.drain()
             assert loader.prefetch_issued.value == 0
 
@@ -180,13 +193,14 @@ class TestTimestepLoader:
 
         cache = TieredTimestepCache(ds, source=FlakySource(ds))
         with TimestepLoader(ds, cache=cache) as loader:
-            loader.load(0)  # prefetches 1, which fails
+            loader.load(0)
+            assert loader.prefetch(1)  # which fails
             with pytest.raises(ConnectionError, match="transient"):
                 loader.drain()
             loader.drain()  # reported once, not forever
             assert loader.prefetch_errors.value == 1
             np.testing.assert_allclose(
-                loader.load(1, auto_prefetch=False), ds.grid_velocity(1)
+                loader.load(1), ds.grid_velocity(1)
             )
             assert loader.misses.value == 2
             # A persisting fault is the demand read's own error, and the
@@ -194,7 +208,7 @@ class TestTimestepLoader:
             faults.append(ConnectionError("still down"))
             cache.l1.clear()
             with pytest.raises(ConnectionError, match="still down"):
-                loader.load(1, auto_prefetch=False)
+                loader.load(1)
             assert loader.prefetch(1)
             loader.drain()
             assert 1 in loader.buffered_timesteps

@@ -331,7 +331,7 @@ class TestMetricsReconciliation:
         )
         try:
             for t in self.SCHEDULE:
-                loader.load(t, auto_prefetch=False)
+                loader.load(t)
         finally:
             loader.close()
         hits, misses = self._expected(3)

@@ -74,11 +74,6 @@ class TestMemoryDataset:
         with pytest.raises(ValueError):
             gv[0, 0, 0, 0] = 1.0
 
-    def test_max_particle_path_steps(self, small_dataset):
-        per = 4 * 4 * 4 * 3 * 8
-        assert small_dataset.max_particle_path_steps(per * 3) == 3
-        assert small_dataset.max_particle_path_steps(per - 1) == 0
-
 
 class TestTimestepNbytes:
     """``timestep_nbytes`` is the stored size (shape x stored dtype),
@@ -132,3 +127,15 @@ class TestDiskDataset:
         meta.write_text(meta.read_text().replace('"n_timesteps": 5', '"n_timesteps": 9'))
         with pytest.raises(ValueError):
             DiskDataset(path)
+
+    def test_degenerate_grid_file_is_a_typed_rejection(self, small_dataset, tmp_path):
+        """Coincident planes in ``grid.npy`` used to surface as
+        ``LinAlgError`` from whichever thread decoded first."""
+        path = small_dataset.save(tmp_path / "ds")
+        nodes = np.load(path / "grid.npy")
+        nodes[:, :, -1] = nodes[:, :, -2]
+        np.save(path / "grid.npy", nodes)
+        disk = DiskDataset(path)
+        with pytest.raises(ValueError, match="singular at 16 of 64 nodes"):
+            disk.grid_velocity(0)
+        assert disk.cached_timesteps == []

@@ -114,10 +114,14 @@ class TestQCriterion:
         assert q.min() < 0  # strain regions too
 
     def test_jacobian_reuse(self):
+        """Every call chains through the grid's one inverse Jacobian."""
         from repro.grid.jacobian import grid_jacobian
 
         ds = make_dataset(RigidRotation())
-        jac = grid_jacobian(ds.grid.xyz)
-        a = q_criterion(ds, 0)
-        b = q_criterion(ds, 0, jac=jac)
-        np.testing.assert_allclose(a, b)
+        inv = ds.grid.inverse_jacobian
+        g = velocity_gradient(ds, 0)
+        assert ds.grid.inverse_jacobian is inv  # built once, not per call
+        v = np.asarray(ds.velocity(0), dtype=np.float64)
+        dv_dxi = np.stack([np.gradient(v, axis=b) for b in range(3)], axis=-1)
+        expected = dv_dxi @ np.linalg.inv(grid_jacobian(ds.grid.xyz))
+        np.testing.assert_allclose(g, expected, atol=1e-12)

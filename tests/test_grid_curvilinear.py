@@ -11,6 +11,7 @@ from repro.grid import (
     cartesian_grid,
     cylindrical_grid,
     grid_jacobian,
+    grid_report,
     physical_to_grid_velocity,
 )
 from repro.grid.jacobian import jacobian_at
@@ -94,21 +95,23 @@ class TestJacobian:
     def test_velocity_transform_cartesian(self):
         g = cartesian_grid((4, 4, 4), hi=(3.0, 6.0, 9.0))
         v = np.ones(g.shape + (3,))
-        vg = physical_to_grid_velocity(g.xyz, v)
+        vg = physical_to_grid_velocity(g, v)
         np.testing.assert_allclose(vg, np.broadcast_to([1.0, 0.5, 1 / 3], vg.shape))
 
     def test_velocity_transform_reuses_jacobian(self):
-        g = cartesian_grid((4, 4, 4))
-        jac = grid_jacobian(g.xyz)
+        """The transform solves against the grid's own, once-built Jacobian."""
+        g = cylindrical_grid((6, 9, 5))
+        jac = g.jacobian
+        np.testing.assert_array_equal(jac, grid_jacobian(g.xyz))
         v = np.random.default_rng(1).normal(size=g.shape + (3,))
-        a = physical_to_grid_velocity(g.xyz, v)
-        b = physical_to_grid_velocity(g.xyz, v, jac=jac)
-        np.testing.assert_allclose(a, b)
+        vg = physical_to_grid_velocity(g, v)
+        assert g.jacobian is jac
+        np.testing.assert_allclose(np.einsum("...ab,...b->...a", jac, vg), v)
 
     def test_shape_mismatch(self):
         g = cartesian_grid((4, 4, 4))
         with pytest.raises(ValueError):
-            physical_to_grid_velocity(g.xyz, np.zeros((3, 3, 3, 3)))
+            physical_to_grid_velocity(g, np.zeros((3, 3, 3, 3)))
 
     def test_jacobian_at_matches_finite_difference(self):
         g = cylindrical_grid((6, 9, 5))
@@ -124,6 +127,42 @@ class TestJacobian:
     def test_jacobian_at_single_point_shape(self):
         g = cartesian_grid((3, 3, 3))
         assert jacobian_at(g.xyz, np.array([0.5, 0.5, 0.5])).shape == (3, 3)
+
+
+class TestMetricTerms:
+    """The grid owns its metric terms: built once from a frozen ``xyz``."""
+
+    def test_xyz_is_a_read_only_view_of_the_callers_array(self):
+        nodes = cartesian_grid((4, 4, 4)).xyz.copy()
+        g = CurvilinearGrid(nodes)
+        with pytest.raises(ValueError):
+            g.xyz[0, 0, 0, 0] = 9.0
+        nodes[0, 0, 0, 0] = nodes[0, 0, 0, 0]  # the caller's stays writable
+        assert nodes.flags.writeable and not g.xyz.flags.writeable
+
+    def test_metric_terms_are_cached_and_read_only(self):
+        g = cylindrical_grid((6, 9, 5))
+        assert g.jacobian is g.jacobian
+        assert g.inverse_jacobian is g.inverse_jacobian
+        for term in (g.jacobian, g.inverse_jacobian):
+            with pytest.raises(ValueError):
+                term[0, 0, 0, 0, 0] = 1.0
+        np.testing.assert_allclose(
+            g.inverse_jacobian @ g.jacobian,
+            np.broadcast_to(np.eye(3), g.jacobian.shape),
+            atol=1e-12,
+        )
+
+    def test_degenerate_grid_is_a_typed_rejection(self):
+        nodes = cartesian_grid((5, 4, 3)).xyz.copy()
+        nodes[0] = nodes[1]  # two coincident boundary planes
+        g = CurvilinearGrid(nodes)
+        with pytest.raises(ValueError, match=r"singular at 12 of 60 nodes"):
+            physical_to_grid_velocity(g, np.ones(g.shape + (3,)))
+        with pytest.raises(ValueError, match="degenerate grid"):
+            g.inverse_jacobian
+        # The diagnostics are for exactly such grids and still report.
+        assert grid_report(g)["min_det"] == 0.0
 
 
 class TestGridLocator:

@@ -164,7 +164,7 @@ class TestLateBinding:
         """The frozen ``replay_paper`` order: loader first, server second."""
         loader = TimestepLoader(dataset, prefetch=False, capacity=4)
         for t in range(3):
-            loader.load(t, auto_prefetch=False)
+            loader.load(t)
         with WindtunnelServer(dataset, loader=loader) as srv:
             with WindtunnelClient(*srv.address) as c:
                 counters = c.metrics()["registry"]["counters"]
@@ -172,7 +172,7 @@ class TestLateBinding:
                 assert counters["cache.l1.misses"] == 3
                 assert counters["loader.misses"] == 3
                 # ...and what happens next lands in the same instruments.
-                loader.load(0, auto_prefetch=False)
+                loader.load(0)
                 counters = c.metrics()["registry"]["counters"]
                 assert counters["cache.l1.hits"] == 1 == counters["loader.hits"]
                 assert counters["cache.source.hits"] == 3

@@ -105,6 +105,7 @@ def test_option_counts_are_pinned():
     import repro
     from repro.core import ComputeEngine, FramePipeline, PublishedFrame
     from repro.core import WindtunnelServer
+    from repro.diskio import TieredTimestepCache, TimestepLoader
     from repro.gateway.worker import DEFAULT_SPEC
     from repro.sweep.manifest import AXIS_KEYS
     from repro.tracers import IntegratorWorkspace, advance_rk2
@@ -112,11 +113,29 @@ def test_option_counts_are_pinned():
     def options(cls):
         return len(inspect.signature(cls.__init__).parameters) - 1  # self
 
+    def parameters(method):
+        return list(inspect.signature(method).parameters)[1:]  # self
+
     assert options(WindtunnelServer) == 15
     assert options(ComputeEngine) == 4
     assert options(FramePipeline) == 7
     assert options(IntegratorWorkspace) == 0
     assert len(inspect.signature(advance_rk2).parameters) == 3
+    # One way to a velocity field: a load loads (whoever drives a loader
+    # calls ``prefetch``), and the engine has no prefetch policy to flip.
+    assert parameters(TimestepLoader.load) == ["t"]
+    assert parameters(TieredTimestepCache.get) == ["t"]
+    assert parameters(ComputeEngine.compute_rakes) == [
+        "rakes", "timestep", "quality", "settings",
+    ]
+    tiny = repro.tapered_cylinder_dataset(shape=(4, 4, 4), n_timesteps=1)
+    assert not hasattr(ComputeEngine(tiny), "auto_prefetch")
+    # The grid owns its metric terms: nobody is handed a Jacobian.
+    for package in (repro.grid, repro.flow):
+        for name in package.__all__:
+            entry = getattr(package, name)
+            if callable(entry):
+                assert "jac" not in inspect.signature(entry).parameters, name
     # An environment variable is an option too: the package reads none.
     sources = Path(repro.__file__).parent.rglob("*.py")
     assert not [str(p) for p in sources if "os.environ" in p.read_text()]

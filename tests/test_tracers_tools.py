@@ -114,7 +114,7 @@ class TestStreaklineTracer:
         tr = StreaklineTracer(max_length=3)
         seeds = np.array([[1.0, 4.0, 2.0], [1.0, 5.0, 2.0]])
         for i in range(5):
-            tr.advance(uniform_ds, min(i, 3), seeds)
+            tr.advance(uniform_ds.grid_velocity(min(i, 3)), seeds, uniform_ds.dt)
             assert tr.filled == min(i + 1, 3)
         assert tr.n_seeds == 2
         assert tr.n_particles <= 6
@@ -122,8 +122,8 @@ class TestStreaklineTracer:
     def test_newest_particle_at_seed(self, uniform_ds):
         tr = StreaklineTracer(max_length=5)
         seeds = np.array([[1.0, 4.0, 2.0]])
-        tr.advance(uniform_ds, 0, seeds)
-        tr.advance(uniform_ds, 1, seeds)
+        tr.advance(uniform_ds.grid_velocity(0), seeds, uniform_ds.dt)
+        tr.advance(uniform_ds.grid_velocity(1), seeds, uniform_ds.dt)
         res = tr.result(uniform_ds.grid)
         np.testing.assert_allclose(res.grid_paths[0, 0], seeds[0])
 
@@ -131,7 +131,7 @@ class TestStreaklineTracer:
         tr = StreaklineTracer(max_length=10)
         seeds = np.array([[1.0, 4.0, 2.0]])
         for i in range(4):
-            tr.advance(uniform_ds, 0, seeds, dt=0.25)
+            tr.advance(uniform_ds.grid_velocity(0), seeds, 0.25)
         res = tr.result(uniform_ds.grid)
         line = res.grid_paths[0, : res.lengths[0]]
         # Older particles have advected further downstream (+x).
@@ -142,7 +142,7 @@ class TestStreaklineTracer:
         tr = StreaklineTracer(max_length=50)
         seeds = np.array([[6.0, 4.0, 2.0]])
         for i in range(10):
-            tr.advance(uniform_ds, 0, seeds, dt=1.0)
+            tr.advance(uniform_ds.grid_velocity(0), seeds, 1.0)
         # Physical speed 1 = grid speed 1 (spacing 1); particles exit at
         # i=8 after 2 steps, so only ~3 live particles trail the seed.
         assert tr.n_particles <= 3 * 1 + 1
@@ -151,14 +151,17 @@ class TestStreaklineTracer:
 
     def test_reset_on_seed_count_change(self, uniform_ds):
         tr = StreaklineTracer(max_length=5)
-        tr.advance(uniform_ds, 0, np.array([[1.0, 4.0, 2.0]]))
-        tr.advance(uniform_ds, 0, np.array([[1.0, 4.0, 2.0], [1.0, 5.0, 2.0]]))
+        gv, dt = uniform_ds.grid_velocity(0), uniform_ds.dt
+        tr.advance(gv, np.array([[1.0, 4.0, 2.0]]), dt)
+        tr.advance(gv, np.array([[1.0, 4.0, 2.0], [1.0, 5.0, 2.0]]), dt)
         assert tr.filled == 1  # population was rebuilt
         assert tr.n_seeds == 2
 
     def test_explicit_reset(self, uniform_ds):
         tr = StreaklineTracer(max_length=5)
-        tr.advance(uniform_ds, 0, np.array([[1.0, 4.0, 2.0]]))
+        tr.advance(
+            uniform_ds.grid_velocity(0), np.array([[1.0, 4.0, 2.0]]), uniform_ds.dt
+        )
         tr.reset()
         assert tr.filled == 0 and tr.n_particles == 0
 
@@ -176,8 +179,9 @@ class TestStreaklineTracer:
 
     def test_moving_seed_emits_from_new_position(self, uniform_ds):
         tr = StreaklineTracer(max_length=5)
-        tr.advance(uniform_ds, 0, np.array([[1.0, 4.0, 2.0]]))
-        tr.advance(uniform_ds, 0, np.array([[1.0, 6.0, 2.0]]))
+        gv, dt = uniform_ds.grid_velocity(0), uniform_ds.dt
+        tr.advance(gv, np.array([[1.0, 4.0, 2.0]]), dt)
+        tr.advance(gv, np.array([[1.0, 6.0, 2.0]]), dt)
         res = tr.result(uniform_ds.grid)
         np.testing.assert_allclose(res.grid_paths[0, 0], [1.0, 6.0, 2.0])
 
@@ -188,7 +192,7 @@ class TestStreaklineTracer:
     def test_invalid_seeds(self, uniform_ds):
         tr = StreaklineTracer()
         with pytest.raises(ValueError):
-            tr.advance(uniform_ds, 0, np.zeros((2, 2)))
+            tr.advance(uniform_ds.grid_velocity(0), np.zeros((2, 2)), uniform_ds.dt)
 
 
 class TestStreaklineSubsteps:
@@ -208,9 +212,9 @@ class TestStreaklineSubsteps:
         radii = {}
         for substeps in (1, 8):
             tr = StreaklineTracer(max_length=10)
-            tr.advance(ds, 0, seeds, dt=1.0, substeps=substeps)
+            tr.advance(ds.grid_velocity(0), seeds, 1.0, substeps=substeps)
             for _ in range(3):
-                tr.advance(ds, 0, seeds, dt=1.0, substeps=substeps)
+                tr.advance(ds.grid_velocity(0), seeds, 1.0, substeps=substeps)
             res = tr.result(ds.grid)
             oldest = res.grid_paths[0, res.lengths[0] - 1]
             radii[substeps] = abs(
@@ -222,14 +226,16 @@ class TestStreaklineSubsteps:
         ds = self._rotation_ds()
         tr = StreaklineTracer()
         with pytest.raises(ValueError):
-            tr.advance(ds, 0, np.array([[4.0, 4.0, 2.0]]), substeps=0)
+            tr.advance(
+                ds.grid_velocity(0), np.array([[4.0, 4.0, 2.0]]), ds.dt, substeps=0
+            )
 
     def test_single_substep_unchanged_behavior(self):
         ds = self._rotation_ds()
         seeds = np.array([[6.0, 4.0, 2.0]])
         a, b = StreaklineTracer(max_length=5), StreaklineTracer(max_length=5)
-        a.advance(ds, 0, seeds, dt=0.3)
-        b.advance(ds, 0, seeds, dt=0.3, substeps=1)
+        a.advance(ds.grid_velocity(0), seeds, 0.3)
+        b.advance(ds.grid_velocity(0), seeds, 0.3, substeps=1)
         np.testing.assert_array_equal(
             a.result(ds.grid).grid_paths, b.result(ds.grid).grid_paths
         )
