@@ -65,7 +65,7 @@ def test_fig8_live_prefetch_overlap(cylinder_dataset, tmp_path_factory, record, 
             import time as _t
 
             for t in range(ds.n_timesteps):
-                engine.compute_environment(env, t)
+                engine.compute_rakes(env.rakes, t)
                 loader.prefetch(t + 1)  # figure 8: stage the next one
                 _t.sleep(0.002)  # brief think time lets prefetch land
             loader.drain()

@@ -25,7 +25,6 @@ paper-vs-measured record of every table and figure.
 from repro.core import (
     ComputeEngine,
     Environment,
-    FrameBudgetGovernor,
     TimeControl,
     ToolSettings,
     WindtunnelClient,
@@ -61,7 +60,6 @@ __all__ = [
     "ComputeEngine",
     "ToolSettings",
     "TimeControl",
-    "FrameBudgetGovernor",
     "UnsteadyDataset",
     "MemoryDataset",
     "DiskDataset",

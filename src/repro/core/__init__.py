@@ -15,8 +15,6 @@ This package composes every substrate into the paper's system (section 5):
 * :mod:`~repro.core.client` — the workstation: devices in, commands out,
   path arrays in, head-tracked stereo frames out, with the rendering loop
   decoupled from network traffic (figure 9).
-* :mod:`~repro.core.governor` — the frame-budget feedback loop trading
-  "a rich environment" against frame rate (section 1.2).
 * :mod:`~repro.core.pipeline` / :mod:`~repro.core.framestore` — figure 8
   made real: the staged load -> compute -> publish producer pipeline and
   the immutable, pre-encoded frame store it publishes into.
@@ -30,7 +28,6 @@ from repro.core.framestore import FrameStore, PublishedFrame
 from repro.core.pipeline import FramePipeline
 from repro.core.server import WindtunnelServer
 from repro.core.client import WindtunnelClient
-from repro.core.governor import DegradationPolicy, FrameBudgetGovernor
 from repro.core.recording import SessionPlayer, SessionRecorder, attach_recorder
 
 __all__ = [
@@ -50,6 +47,4 @@ __all__ = [
     "ToolSettings",
     "WindtunnelServer",
     "WindtunnelClient",
-    "DegradationPolicy",
-    "FrameBudgetGovernor",
 ]

@@ -149,8 +149,6 @@ class WindtunnelClient:
         # per-rake state deltas are merged into, and the last publication
         # seq acknowledged back to the server.
         self._adopt_terms(None)
-        self._prev_bytes_received = 0
-        self._goodput = 0.0
 
     # -- resilience ----------------------------------------------------------
 
@@ -294,7 +292,6 @@ class WindtunnelClient:
         encoding: str = "v1",
         deltas: bool = True,
         decimate: int = 1,
-        adaptive: bool = False,
         rakes=None,
         kinds=None,
         push: bool = False,
@@ -315,13 +312,13 @@ class WindtunnelClient:
             "encoding": encoding,
             "deltas": deltas,
             "decimate": decimate,
-            "adaptive": adaptive,
             "push": push,
         }
-        if rakes is not None:
-            options["rakes"] = [str(r) for r in rakes]
-        if kinds is not None:
-            options["kinds"] = [str(k) for k in kinds]
+        for key, value in (("rakes", rakes), ("kinds", kinds)):
+            if isinstance(value, str):  # would iterate into its characters
+                raise ValueError(f"{key} must be a list, not a string")
+            if value is not None:
+                options[key] = [str(v) for v in value]
         info = self._call("wt.subscribe", self.client_id, options)
         with self._state_lock:
             self._adopt_terms(info)
@@ -332,18 +329,6 @@ class WindtunnelClient:
         self._call("wt.subscribe", self.client_id, {"enabled": False})
         with self._state_lock:
             self._adopt_terms(None)
-
-    def _note_goodput(self) -> None:
-        """Update the receive-side throughput estimate from the last call."""
-        received = getattr(self._rpc.stream, "bytes_received", 0)
-        delta = received - self._prev_bytes_received
-        self._prev_bytes_received = received
-        latency = self._rpc.last_latency
-        if delta > 0 and latency > 0:
-            sample = delta / latency
-            self._goodput = (
-                sample if self._goodput == 0 else 0.7 * self._goodput + 0.3 * sample
-            )
 
     def _integrate_v2(self, state: dict) -> dict:
         """Merge a v2 response into held per-rake state; ack the seq.
@@ -412,8 +397,7 @@ class WindtunnelClient:
         else:
             with self._state_lock:
                 ack = self._acked_seq
-            state = self._call("wt.frame", self.client_id, ack, self._goodput)
-            self._note_goodput()
+            state = self._call("wt.frame", self.client_id, ack)
             if "v2" in state:
                 state = self._integrate_v2(state)
         with self._state_lock:

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.environment import Environment
 from repro.diskio.loader import TimestepLoader
 from repro.flow.dataset import UnsteadyDataset
 from repro.grid.search import GridLocator
@@ -44,7 +43,7 @@ class ToolSettings:
     max_window: int | None = None  # particle-path timestep window (sec 5.2)
 
     def scaled(self, quality: float) -> "ToolSettings":
-        """Settings scaled by a quality factor in (0, 1] (see governor)."""
+        """Settings scaled by a quality factor in (0, 1] (the sweep axis)."""
         if not (0.0 < quality <= 1.0):
             raise ValueError("quality must be in (0, 1]")
         return ToolSettings(
@@ -202,18 +201,11 @@ class ComputeEngine:
             points += out[rid].n_points
         return points
 
-    def compute_environment(
-        self, env: Environment, timestep: int, *, quality: float = 1.0
-    ) -> dict[int, TracerResult]:
-        """Compute every rake in the environment.  Returns id -> result."""
-        return self.compute_rakes(env.rakes, timestep, quality=quality)
-
     def compute_rakes(
         self,
         rakes: dict[int, Rake],
         timestep: int,
         *,
-        quality: float = 1.0,
         settings: ToolSettings | None = None,
     ) -> dict[int, TracerResult]:
         """Compute a rake set (usually an environment snapshot).
@@ -241,8 +233,7 @@ class ComputeEngine:
         rakes absent from ``rakes`` is garbage-collected here — rake ids
         are never reused, so a later snapshot can't resurrect stale state.
         """
-        base = settings or self.settings
-        s = base if quality >= 1.0 else base.scaled(quality)
+        s = settings or self.settings
         out: dict[int, TracerResult] = {}
         stream_ids: list[int] = []
         stream_seeds: list[np.ndarray] = []

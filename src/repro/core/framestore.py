@@ -132,7 +132,7 @@ def encode_published(
 
 
 def _decimate_entry(entry: dict, decimate: int) -> dict:
-    """Keep every ``decimate``-th path point (degradation ladder)."""
+    """Keep every ``decimate``-th path point."""
     vertices = np.ascontiguousarray(entry["vertices"][:, ::decimate, :])
     lengths = (np.asarray(entry["lengths"]) + decimate - 1) // decimate
     return {
@@ -229,14 +229,11 @@ class PublishedFrame:
     paths
         ``{rake_id: {kind, vertices, lengths}}`` with read-only arrays.
     compute_seconds
-        Production cost (load + locate + integrate) — what the governor
-        saw for this frame.
+        Production cost (load + locate + integrate).
     stage_seconds
         Per-stage wall times: ``load``, ``locate``, ``integrate``,
         ``encode`` (encode is stamped by the encode stage just before
         publication).
-    quality
-        Governor quality the frame was computed at.
     n_points
         Total valid path points (the paper's particle count).
     digests
@@ -259,7 +256,6 @@ class PublishedFrame:
     paths: dict
     compute_seconds: float
     stage_seconds: dict = field(default_factory=dict)
-    quality: float = 1.0
     n_points: int = 0
     digests: dict = field(default_factory=dict)
     steer_epoch: int = 0

@@ -43,7 +43,6 @@ from dataclasses import dataclass, field, replace
 
 from repro.core.environment import Environment
 from repro.core.framestore import FrameStore, PublishedFrame, encode_published
-from repro.core.governor import FrameBudgetGovernor
 from repro.grid.interpolation import TrilinearScratch
 from repro.obs import MetricsRegistry
 from repro.util.timers import Stopwatch
@@ -71,7 +70,6 @@ class _Job:
     results: dict
     compute_seconds: float
     stage_seconds: dict = field(default_factory=dict)
-    quality: float = 1.0
     steer_epoch: int = 0
 
 
@@ -89,11 +87,6 @@ class FramePipeline:
         bumps for immediate invalidation wake-ups.
     store
         Publication point read by the RPC layer.
-    governor
-        Optional frame-budget governor.  It lives here, on the producer:
-        it is fed the *production* cost (load + locate + integrate) of
-        every frame actually computed, so cheap cached reads cannot
-        dilute its feedback signal.
     time_fn
         The environment wall clock (injectable for deterministic tests).
         Tick-anticipation bookkeeping always uses real ``time.monotonic``.
@@ -116,7 +109,6 @@ class FramePipeline:
         env: Environment,
         store: FrameStore,
         *,
-        governor: FrameBudgetGovernor | None = None,
         time_fn=time.monotonic,
         stage_cost: dict | None = None,
         registry: MetricsRegistry | None = None,
@@ -124,7 +116,6 @@ class FramePipeline:
         self.engine = engine
         self.env = env
         self.store = store
-        self.governor = governor
         self._time_fn = time_fn
         self.stage_cost = dict(stage_cost or {})
         # In situ provenance hook: when set, ``epoch_fn(timestep)`` is the
@@ -155,8 +146,6 @@ class FramePipeline:
         }
         # load + locate + integrate
         self._compute_hist = self.registry.histogram("pipeline.compute_seconds")
-        self._quality_gauge = self.registry.gauge("pipeline.quality")
-        self._quality_gauge.set(governor.quality if governor else 1.0)
         self._frames_produced = self.registry.counter("pipeline.frames_produced")
         self._frames_encoded = self.registry.counter("pipeline.frames_encoded")
         self._frames_anticipated = self.registry.counter(
@@ -379,7 +368,6 @@ class FramePipeline:
         clock = self.env.clock
         timestep = clock.timestep_index(wall)
         direction = clock.direction
-        quality = self.governor.quality if self.governor else 1.0
         settings = replace(self.engine.settings)
         stage_seconds: dict[str, float] = {}
 
@@ -407,10 +395,7 @@ class FramePipeline:
 
         with Stopwatch() as sw:
             results = self.engine.compute_rakes(
-                rakes,
-                timestep,
-                quality=quality,
-                settings=settings,
+                rakes, timestep, settings=settings
             )
             self._charge("integrate")
         stage_seconds["integrate"] = sw.elapsed
@@ -421,9 +406,6 @@ class FramePipeline:
                 self._stage_hist[name].observe(stage_seconds[name])
             self._compute_hist.observe(compute_seconds)
         self._frames_produced.inc()
-        if self.governor is not None:
-            self.governor.record(compute_seconds)
-            self._quality_gauge.set(self.governor.quality)
         with self._state_lock:
             self._last_key = (version, timestep)
 
@@ -435,7 +417,6 @@ class FramePipeline:
             results=results,
             compute_seconds=compute_seconds,
             stage_seconds=stage_seconds,
-            quality=quality,
             steer_epoch=int(epoch_fn(timestep)) if epoch_fn is not None else 0,
         )
 
@@ -479,7 +460,6 @@ class FramePipeline:
                 seq=0,  # stamped by the store
                 compute_seconds=job.compute_seconds,
                 stage_seconds=stage_seconds,
-                quality=job.quality,
                 steer_epoch=job.steer_epoch,
             )
             self._charge("encode")
@@ -526,7 +506,6 @@ class FramePipeline:
             "invalidations": self.invalidations,
             "produce_errors": self.produce_errors,
             "idle_cycles": self.idle_cycles,
-            "governor": self.governor.to_wire() if self.governor else None,
             "compute": {
                 "fused_batch_size": int(
                     self.registry.gauge("engine.fused_batch_size").value

@@ -33,6 +33,7 @@ called ``wt.subscribe`` holds :data:`DEFAULT_SUBSCRIPTION`.
 
 from __future__ import annotations
 
+import math
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass, field
@@ -42,7 +43,6 @@ import numpy as np
 from repro.core.engine import ComputeEngine, ToolSettings
 from repro.core.environment import Environment
 from repro.core.framestore import ENCODINGS, FrameStore, PublishedFrame
-from repro.core.governor import DegradationPolicy, FrameBudgetGovernor
 from repro.core.pipeline import STAGES, FramePipeline
 from repro.core.session import SessionTable
 from repro.diskio.loader import TimestepLoader
@@ -61,25 +61,22 @@ _TIME_OPS = ("pause", "resume", "speed", "scrub", "step", "reverse")
 class Subscription:
     """One reader's delivery terms, plus the live state that serves them.
 
-    The seven option fields are what ``wt.subscribe`` negotiates
+    The six option fields are what ``wt.subscribe`` negotiates
     (docs/network.md), what the gateway journals (:meth:`to_wire`) and
     what ``wt.restore`` feeds back (:meth:`from_wire`).  They are never
     assigned after construction — re-negotiating replaces the record —
-    and they alone decide equality.  The live part: ``policy`` (the
-    adaptive degradation ladder), ``conn`` (the connection push delivery
-    is bound to — by ``wt.subscribe`` only, a restored record has no
-    socket to its client yet) and ``push_seq`` (that connection's delta
-    base).
+    and they alone decide equality.  The live part: ``conn`` (the
+    connection push delivery is bound to — by ``wt.subscribe`` only, a
+    restored record has no socket to its client yet) and ``push_seq``
+    (that connection's delta base).
     """
 
     encoding: str
     decimate: int
     deltas: bool
-    adaptive: bool
     push: bool
     rakes: frozenset | None
     kinds: frozenset | None
-    policy: DegradationPolicy | None = field(default=None, compare=False)
     conn: object = field(default=None, compare=False)
     push_seq: int = field(default=0, compare=False)
 
@@ -95,11 +92,14 @@ class Subscription:
         if decimate < 1:
             raise ValueError("decimate must be >= 1")
         rakes, kinds = options.get("rakes"), options.get("kinds")
+        for key, value in (("rakes", rakes), ("kinds", kinds)):
+            # A bare string would iterate into its characters.
+            if value is not None and not isinstance(value, (list, tuple)):
+                raise ValueError(f"{key} must be a list (or absent)")
         return cls(
             encoding=encoding,
             decimate=decimate,
             deltas=bool(options.get("deltas", True)),
-            adaptive=bool(options.get("adaptive", False)),
             push=bool(options.get("push", False)),
             rakes=None if rakes is None else frozenset(str(r) for r in rakes),
             kinds=None if kinds is None else frozenset(str(k) for k in kinds),
@@ -111,7 +111,6 @@ class Subscription:
             "encoding": self.encoding,
             "deltas": self.deltas,
             "decimate": self.decimate,
-            "adaptive": self.adaptive,
             "push": self.push,
             "rakes": None if self.rakes is None else sorted(self.rakes),
             "kinds": None if self.kinds is None else sorted(self.kinds),
@@ -129,8 +128,7 @@ class Subscription:
 #: and the only one whose replies carry no ``"v2"`` envelope — they stay
 #: byte-identical to the pre-subscription protocol.
 DEFAULT_SUBSCRIPTION = Subscription(
-    encoding="v1", decimate=1, deltas=False, adaptive=False, push=False,
-    rakes=None, kinds=None,
+    encoding="v1", decimate=1, deltas=False, push=False, rakes=None, kinds=None,
 )
 
 
@@ -141,7 +139,6 @@ class _FrameCall:
 
     client_id: int
     ack: int
-    throughput: float
     trace: Trace | None
     deferred: Deferred | None = None
     seq0: int = 0  # newest publication when the call arrived
@@ -159,9 +156,6 @@ class WindtunnelServer:
     loader
         Optional :class:`~repro.diskio.loader.TimestepLoader` for
         disk-resident datasets with prefetch (figure 8).
-    governor
-        Optional frame-budget governor; when present, compute quality
-        adapts to hold the 1/8 s budget.
     time_fn
         Wall clock (injectable for deterministic tests).
     stage_cost
@@ -185,7 +179,7 @@ class WindtunnelServer:
         supervisors can be shown to detect hung workers).
     registry
         The :class:`~repro.obs.registry.MetricsRegistry` every subsystem
-        (dlib server, pipeline, frame store, governor) records into; a
+        (dlib server, pipeline, frame store) records into; a
         fresh one is created when omitted.  Exposed over ``wt.metrics``.
     """
 
@@ -198,7 +192,6 @@ class WindtunnelServer:
         settings: ToolSettings | None = None,
         time_speed: float = 10.0,
         loader: TimestepLoader | None = None,
-        governor: FrameBudgetGovernor | None = None,
         time_fn=time.monotonic,
         stage_cost: dict | None = None,
         frame_wait: float = 10.0,
@@ -214,9 +207,6 @@ class WindtunnelServer:
         self.engine = ComputeEngine(
             dataset, settings, loader=loader, registry=self.registry
         )
-        self.governor = governor
-        if governor is not None:
-            governor.bind_registry(self.registry)
         self._time_fn = time_fn
         self._frame_wait = float(frame_wait)
         self.store = FrameStore(registry=self.registry)
@@ -224,7 +214,6 @@ class WindtunnelServer:
             self.engine,
             self.env,
             self.store,
-            governor=governor,
             time_fn=time_fn,
             stage_cost=stage_cost,
             registry=self.registry,
@@ -245,7 +234,6 @@ class WindtunnelServer:
         self._net_enc_misses = self.registry.counter("net.encode_cache_misses")
         self._net_q16_raw = self.registry.counter("net.q16_raw_bytes")
         self._net_q16_packed = self.registry.counter("net.q16_packed_bytes")
-        self._net_send_gauge = self.registry.gauge("net.send_throughput")
         # Push-mode fan-out (docs/network.md, "Push-mode delivery").
         self._net_push_frames = self.registry.counter("net.push_frames")
         self._net_push_latency = self.registry.histogram(
@@ -261,7 +249,6 @@ class WindtunnelServer:
         self.allow_chaos = bool(allow_chaos)
         self._frame_budget = 0.125  # section 1.2's 1/8 s interaction budget
         self.dlib = DlibServer(host, port, registry=self.registry)
-        self.dlib.on_sent = self._on_sent
         self.dlib.add_tick(self._reap_tick, interval=reap_interval)
         # Parked ``wt.frame`` continuations, owned by the dlib loop: the
         # publication callback resolves them, the sweep tick expires them.
@@ -456,9 +443,7 @@ class WindtunnelServer:
         sample's bookkeeping).  ``saturation`` is the median frame-compute
         cost over the histogram's recent window — the last 512 frames, so
         onset and recovery both show within minutes, not hours — divided
-        by the 1/8 s interaction budget, clipped to [0, 1]; the
-        governor's quality (< 1 when the budget loop is already
-        degrading) is the second signal the admission ladder feeds on.
+        by the 1/8 s interaction budget, clipped to [0, 1].
         """
         return {
             "sessions": self.sessions.active,
@@ -468,9 +453,7 @@ class WindtunnelServer:
             "frames_served": self.frames_served,
             "publish_seq": self.store.seq,
             "pipeline_alive": self.pipeline.alive,
-            "quality": self.governor.quality if self.governor else 1.0,
             "compute_mean_seconds": self._compute_hist.stats.mean,
-            "send_throughput": self._net_send_gauge.value,
             "saturation": max(
                 0.0,
                 min(1.0, self._compute_hist.quantile(0.5) / self._frame_budget),
@@ -511,28 +494,19 @@ class WindtunnelServer:
         and its resources go — once the new options have validated."""
         sub = Subscription.from_wire(options)
         self._drop_subscriber(cid)
-        if sub.adaptive:
-            sub.policy = DegradationPolicy().bind_registry(
-                self.registry, f"net.degradation.{cid}"
-            )
         self._subs[cid] = sub
         return sub
 
     def _drop_subscriber(self, cid: int) -> None:
         """Return ``cid`` to the default subscription, freeing the rest.
 
-        The negotiated record, its adaptive degradation ladder, the
-        ladder's per-client registry instruments and its push binding all
-        die with the client — on clean leave and on lease expiry alike —
-        so a churn of short-lived clients costs nothing once they are
-        gone.
+        The negotiated record and its push binding die with the client
+        — on clean leave and on lease expiry alike — so a churn of
+        short-lived clients costs nothing once they are gone.
         """
         sub = self._subs.pop(cid, None)
-        if sub is None:
-            return
-        if sub.policy is not None:
-            self.registry.remove_prefix(f"net.degradation.{cid}.")
-        self._unbind_push(sub)
+        if sub is not None:
+            self._unbind_push(sub)
 
     def _unbind_push(self, sub: Subscription) -> None:
         """Stop pushing to ``sub``; gives back the demand its binding held."""
@@ -627,16 +601,12 @@ class WindtunnelServer:
         self.sessions.touch(int(client_id))
         return self.env.snapshot(self._time_fn())
 
-    def _rpc_frame(
-        self, ctx, client_id: int = 0, ack: int = 0, throughput: float = 0.0
-    ):
+    def _rpc_frame(self, ctx, client_id: int = 0, ack: int = 0):
         """Serve the shared visualization from the frame store.
 
-        ``ack`` and ``throughput`` are what a negotiated client adds
-        (defaulted, so an un-negotiated one keeps calling with one
-        argument): the last publication seq this client integrated, and
-        its receive-side goodput estimate in bytes/second (0 = no
-        estimate) feeding the adaptive degradation policy.
+        ``ack`` is what a negotiated client adds (defaulted, so an
+        un-negotiated one keeps calling with one argument): the last
+        publication seq this client integrated.
 
         Calling this doubles as the session heartbeat (wt.heartbeat
         piggybacks on the frame cycle every client runs anyway).  The
@@ -658,9 +628,7 @@ class WindtunnelServer:
         durations are re-plotted back-to-back inside the wait — a slow
         frame names the stage that made it slow.
         """
-        call = _FrameCall(
-            int(client_id), int(ack), float(throughput), current_trace()
-        )
+        call = _FrameCall(int(client_id), int(ack), current_trace())
         self.sessions.touch(call.client_id)
         self.pipeline.note_demand()
         latest = self.store.latest()
@@ -703,9 +671,7 @@ class WindtunnelServer:
         if cached:
             self._frame_cache_hits.inc()
         sub = self._subs.get(call.client_id, DEFAULT_SUBSCRIPTION)
-        return self._compose_reply(
-            frame, cached, env, sub, call.ack, call.throughput
-        )
+        return self._compose_reply(frame, cached, env, sub, call.ack)
 
     # -- publication fan-in/fan-out (dlib loop) -----------------------------
 
@@ -788,9 +754,7 @@ class WindtunnelServer:
                 continue  # shed: the delta base must not advance either
             if env_wire is None:
                 env_wire = PreEncoded.wrap(self.env.snapshot(self._time_fn()))
-            reply = self._compose_reply(
-                frame, False, env_wire, sub, sub.push_seq, 0.0
-            )
+            reply = self._compose_reply(frame, False, env_wire, sub, sub.push_seq)
             if self.dlib.push(sub.conn, reply, shed=False):
                 # TCP ordering: a queued frame either arrives or the
                 # connection dies, so the delta base may advance without
@@ -806,7 +770,6 @@ class WindtunnelServer:
         env: dict,
         sub: Subscription,
         ack: int,
-        throughput: float,
     ) -> dict:
         """Build the frame reply ``sub`` is owed for ``frame`` — the one
         composer behind cache hits, resolved continuations and PUSH.
@@ -820,12 +783,6 @@ class WindtunnelServer:
         compatibility (an un-negotiated client predates the key), not a
         second path.
         """
-        policy = sub.policy
-        if policy is not None and throughput > 0:
-            policy.note_reported(throughput)
-        encoding, decimate = sub.encoding, sub.decimate
-        if policy is not None:
-            encoding, decimate = policy.plan(encoding, decimate)
         rids = [
             rid
             for rid, entry in frame.paths.items()
@@ -848,7 +805,9 @@ class WindtunnelServer:
         cache = frame.enc_cache
         hits0, misses0 = cache.hits, cache.misses
         raw0, packed0 = cache.q16_raw_bytes, cache.q16_packed_bytes
-        fragment = frame.compose(send, encoding=encoding, decimate=decimate)
+        fragment = frame.compose(
+            send, encoding=sub.encoding, decimate=sub.decimate
+        )
         self._net_enc_hits.inc(cache.hits - hits0)
         self._net_enc_misses.inc(cache.misses - misses0)
         self._net_q16_raw.inc(cache.q16_raw_bytes - raw0)
@@ -857,8 +816,6 @@ class WindtunnelServer:
         total = self._net_delta_frames.value + self._net_keyframes.value
         self._net_delta_ratio.set(self._net_delta_frames.value / total)
         self._net_bytes_hist.observe(float(fragment.nbytes))
-        if policy is not None:
-            policy.note_send(fragment.nbytes, 0.0)
         reply = {
             "timestep": frame.timestep,
             "steer_epoch": frame.steer_epoch,
@@ -872,8 +829,8 @@ class WindtunnelServer:
                 "seq": frame.seq,
                 "mode": mode,
                 "base": base,
-                "encoding": encoding,
-                "decimate": decimate,
+                "encoding": sub.encoding,
+                "decimate": sub.decimate,
                 "removed": removed,
             }
         return reply
@@ -889,8 +846,6 @@ class WindtunnelServer:
         * ``deltas`` (default true) — per-rake delta frames against the
           client's acked seq;
         * ``decimate`` (default 1) — keep every n-th path point;
-        * ``adaptive`` (default false) — server-side degradation ladder
-          driven by measured throughput;
         * ``rakes`` / ``kinds`` — interest filters (lists; absent = all);
         * ``push`` (default false) — push-mode delivery: the server sends
           every publication as a PUSH message on *this* connection
@@ -917,19 +872,6 @@ class WindtunnelServer:
             **sub.to_wire(),
             "push": sub.conn is not None,  # armed, not merely asked for
         }
-
-    def _on_sent(self, name: str, nbytes: int, seconds: float) -> None:
-        """Post-send hook from the dlib server (service thread).
-
-        Loopback sends rarely block, so this gauge is an upper bound on
-        the wire; the authoritative degradation signal is the client's
-        own reported goodput (``wt.frame``'s ``throughput`` argument).
-        """
-        if name != "wt.frame" or seconds <= 0:
-            return
-        bps = nbytes / seconds
-        prev = self._net_send_gauge.value
-        self._net_send_gauge.set(bps if prev == 0 else 0.7 * prev + 0.3 * bps)
 
     def _rpc_pipeline_stats(self, ctx, client_id: int = 0) -> dict:
         """Stage-resolved pipeline statistics (see docs/protocol.md)."""
@@ -981,6 +923,8 @@ class WindtunnelServer:
                 raise ValueError(
                     f"unknown tool setting {key!r}; allowed: {sorted(allowed)}"
                 )
+            if not math.isfinite(float(value)):  # NaN passes ``<= 0``
+                raise ValueError(f"{key} must be finite")
             value = allowed[key](value)
             if value <= 0:
                 raise ValueError(f"{key} must be positive")
@@ -1037,7 +981,6 @@ class WindtunnelServer:
             "publish_seq": self.store.seq,
             "compute_mean_seconds": self._compute_hist.stats.mean,
             "points_computed": self._points_computed.value,
-            "quality": self.governor.quality if self.governor else 1.0,
             "n_rakes": len(self.env.rakes),
             "n_users": len(self.env.users),
             "active_sessions": self.sessions.active,

@@ -425,12 +425,6 @@ class DlibServer:
         self._sendmsg_batches = self.registry.counter("net.sendmsg_batches")
         self._pushes_sent = self.registry.counter("dlib.pushes_sent")
         self._procedures: dict[str, Callable] = {}
-        #: Optional post-send hook ``fn(procedure, nbytes, seconds)`` fired
-        #: after every response write — the windtunnel server feeds its
-        #: bandwidth observability (``net.*``) from here.  Runs on the
-        #: service thread; exceptions are swallowed (telemetry must never
-        #: drop a connection).
-        self.on_sent: Callable | None = None
         self._ticks: list[list] = []  # [fn, interval, next_due]
         self._listener: socket.socket | None = None
         self._thread: threading.Thread | None = None
@@ -679,7 +673,7 @@ class DlibServer:
             self.context._errors.inc()
             response = self._encode_error(d._request_id, d._trace_id, err)
         try:
-            self._finish_send(conn, response, d._name, trace)
+            self._finish_send(conn, response, trace)
         except (ConnectionError, OSError):
             self._drop(conn.sock)
 
@@ -907,15 +901,10 @@ class DlibServer:
         return time.perf_counter() - t0
 
     def _finish_send(
-        self, conn: _Connection, response: bytes, name: str, trace: Trace | None
+        self, conn: _Connection, response: bytes, trace: Trace | None
     ) -> None:
         send_seconds = self._send_reply(conn, response)
         self._send_hist.observe(send_seconds)
-        if self.on_sent is not None:
-            try:
-                self.on_sent(name, len(response), send_seconds)
-            except Exception:  # noqa: BLE001 - telemetry must not kill the link
-                pass
         if trace is not None:
             trace.mark("send", send_seconds)
             trace.root.duration = trace.now()
@@ -1022,4 +1011,4 @@ class DlibServer:
                 response = self._encode_result(request_id, trace_id, trace, result)
         finally:
             self._current = None
-        self._finish_send(conn, response, name, trace)
+        self._finish_send(conn, response, trace)

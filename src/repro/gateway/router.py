@@ -380,13 +380,11 @@ class SessionGateway:
         self.admission.note_leave(cid)
         self._active.set(self.journal.total_sessions)
 
-    def _rpc_frame(
-        self, ctx, client_id: int = 0, ack: int = 0, throughput: float = 0.0
-    ) -> dict:
+    def _rpc_frame(self, ctx, client_id: int = 0, ack: int = 0) -> dict:
         cid = int(client_id)
         worker = self._worker_for(cid)
         self.admission.admit_frame(cid)
-        return self._forward(worker, "wt.frame", cid, ack, throughput)
+        return self._forward(worker, "wt.frame", cid, ack)
 
     def _rpc_subscribe(self, ctx, client_id: int, options: dict | None = None) -> dict:
         """Forward ``wt.subscribe`` (pull only) and journal the terms.

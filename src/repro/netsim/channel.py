@@ -28,8 +28,7 @@ class BandwidthSchedule:
     the bandwidth in force at time ``t`` is the last step whose start is
     ``<= t``.  Wrapped around a :class:`ThrottledChannel` this *shapes*
     the link — e.g. a healthy 13 MB/s UltraNet degrading to its measured
-    1 MB/s mid-session — which is what drives the server's adaptive
-    degradation ladder in tests and benchmarks (docs/network.md).
+    1 MB/s mid-session (docs/network.md).
     """
 
     def __init__(self, steps) -> None:

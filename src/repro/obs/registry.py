@@ -5,8 +5,8 @@ data (so a snapshot crosses the dlib wire unmodified):
 
 * :class:`Counter` — a monotone event count (``calls_served``, fault
   injections, frames produced).
-* :class:`Gauge` — a settable level (``clients_connected``, governor
-  quality).
+* :class:`Gauge` — a settable level (``clients_connected``, the fused
+  batch size).
 * :class:`Histogram` — a latency distribution: streaming
   :class:`~repro.util.timers.TimingStats` (exact count/mean/min/max over
   the full history) plus a bounded :class:`~repro.util.ringbuffer.
@@ -218,24 +218,6 @@ class MetricsRegistry:
                 m.update(t)
             other._counters, other._gauges, other._histograms = mine
             other._lock = self._lock
-
-    def remove_prefix(self, prefix: str) -> int:
-        """Drop every instrument whose name starts with ``prefix``.
-
-        Per-client instruments (``net.degradation.<cid>.*``) must die
-        with their client, or a server seeing connection churn grows its
-        registry without bound.  Returns how many instruments were
-        removed.  Holders of a removed instrument keep a working (but
-        orphaned) object; it simply stops appearing in snapshots.
-        """
-        removed = 0
-        with self._lock:
-            for table in (self._counters, self._gauges, self._histograms):
-                stale = [name for name in table if name.startswith(prefix)]
-                for name in stale:
-                    del table[name]
-                removed += len(stale)
-        return removed
 
     def snapshot(self) -> dict:
         """``{"counters": {...}, "gauges": {...}, "histograms": {...}}``."""

@@ -1,9 +1,9 @@
-"""Tests for the ComputeEngine and the frame-budget governor."""
+"""Tests for the ComputeEngine and its tool settings."""
 
 import numpy as np
 import pytest
 
-from repro.core import ComputeEngine, Environment, FrameBudgetGovernor, ToolSettings
+from repro.core import ComputeEngine, Environment, ToolSettings
 from repro.diskio import (
     CONVEX_DISK,
     DatasetSource,
@@ -96,25 +96,27 @@ class TestComputeEnvironment:
         env = Environment(dataset.n_timesteps)
         id1 = env.add_rake(Rake([2, 4, 2], [6, 4, 2], n_seeds=3))
         id2 = env.add_rake(Rake([4, 2, 2], [4, 6, 2], n_seeds=4, kind="streakline"))
-        results = engine.compute_environment(env, 0)
+        results = engine.compute_rakes(env.rakes, 0)
         assert set(results) == {id1, id2}
 
     def test_removed_rake_state_gc(self, dataset):
         engine = ComputeEngine(dataset, ToolSettings(streakline_length=4))
         env = Environment(dataset.n_timesteps)
         rid = env.add_rake(Rake([2, 4, 2], [6, 4, 2], n_seeds=3, kind="streakline"))
-        engine.compute_environment(env, 0)
+        engine.compute_rakes(env.rakes, 0)
         assert rid in engine._streaks
         env.remove_rake(rid)
-        engine.compute_environment(env, 1)
+        engine.compute_rakes(env.rakes, 1)
         assert rid not in engine._streaks
 
     def test_quality_scales_path_length(self, dataset):
         engine = ComputeEngine(dataset, ToolSettings(streamline_steps=100))
         env = Environment(dataset.n_timesteps)
         rid = env.add_rake(Rake([2, 4, 2], [6, 4, 2], n_seeds=2))
-        full = engine.compute_environment(env, 0)[rid]
-        low = engine.compute_environment(env, 0, quality=0.25)[rid]
+        full = engine.compute_rakes(env.rakes, 0)[rid]
+        low = engine.compute_rakes(
+            env.rakes, 0, settings=engine.settings.scaled(0.25)
+        )[rid]
         assert low.grid_paths.shape[1] < full.grid_paths.shape[1]
 
     def test_engine_with_loader(self, dataset):
@@ -124,7 +126,7 @@ class TestComputeEnvironment:
         )
         env = Environment(dataset.n_timesteps)
         env.add_rake(Rake([2, 4, 2], [6, 4, 2], n_seeds=2))
-        engine.compute_environment(env, 0)
+        engine.compute_rakes(env.rakes, 0)
         assert loader.misses.value == 1
 
 
@@ -219,59 +221,3 @@ class TestToolSettings:
             ToolSettings().scaled(0.0)
         with pytest.raises(ValueError):
             ToolSettings().scaled(1.5)
-
-
-class TestGovernor:
-    def test_over_budget_cuts_quality(self):
-        g = FrameBudgetGovernor(budget=0.125)
-        q = g.record(0.5)
-        assert q < 1.0
-
-    def test_headroom_restores_quality(self):
-        g = FrameBudgetGovernor(budget=0.125)
-        g.record(0.5)
-        low = g.quality
-        for _ in range(50):
-            g.record(0.01)
-        assert g.quality > low
-
-    def test_quality_bounded(self):
-        g = FrameBudgetGovernor(budget=0.125, min_quality=0.1)
-        for _ in range(100):
-            g.record(10.0)
-        assert g.quality == pytest.approx(0.1)
-        for _ in range(500):
-            g.record(0.0)
-        assert g.quality == 1.0
-
-    def test_over_budget_fraction(self):
-        g = FrameBudgetGovernor(budget=0.125)
-        g.record(0.2)
-        g.record(0.05)
-        assert g.over_budget_fraction == pytest.approx(0.5)
-
-    def test_converges_near_target_for_linear_workload(self):
-        """With compute ~ quality, the governor settles inside the budget."""
-        g = FrameBudgetGovernor(budget=0.125)
-        base = 0.4  # a workload 3.2x over budget at quality 1
-        for _ in range(60):
-            g.record(base * g.quality)
-        assert base * g.quality <= 0.125
-
-    def test_reset(self):
-        g = FrameBudgetGovernor()
-        g.record(10.0)
-        g.reset()
-        assert g.quality == 1.0 and g.frames_recorded == 0
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            FrameBudgetGovernor(budget=0)
-        with pytest.raises(ValueError):
-            FrameBudgetGovernor(target_fraction=2.0)
-        with pytest.raises(ValueError):
-            FrameBudgetGovernor(min_quality=0)
-        with pytest.raises(ValueError):
-            FrameBudgetGovernor(decrease=1.5)
-        with pytest.raises(ValueError):
-            FrameBudgetGovernor().record(-1.0)

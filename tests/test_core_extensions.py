@@ -80,6 +80,26 @@ class TestToolSettingsRPC:
                 streamline_dt=before.streamline_dt,
             )
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"streamline_dt": float("nan")},
+            {"streamline_dt": float("inf")},
+            {"streamline_steps": float("inf")},
+            {"streamline_steps": 7, "streamline_dt": float("nan")},
+        ],
+    )
+    def test_non_finite_rejected_and_applies_nothing(self, server, bad):
+        """NaN passes ``value <= 0``: it used to be applied, bump the
+        version and turn every user's streamlines to NaN."""
+        with WindtunnelClient(*server.address) as c:
+            before = dataclasses.replace(server.engine.settings)
+            version = server.env.version
+            with pytest.raises(DlibRemoteError, match="must be finite"):
+                c.set_tool_settings(**bad)
+            assert server.engine.settings == before
+            assert server.env.version == version
+
 
 class TestIsosurfaceRPC:
     def test_returns_triangles(self, server):

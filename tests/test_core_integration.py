@@ -8,7 +8,7 @@ visualization compute -> path arrays back -> head-tracked stereo render.
 import numpy as np
 import pytest
 
-from repro.core import FrameBudgetGovernor, ToolSettings, WindtunnelClient, WindtunnelServer
+from repro.core import ToolSettings, WindtunnelClient, WindtunnelServer
 from repro.dlib import DlibRemoteError
 from repro.flow import MemoryDataset, RigidRotation, UniformFlow, sample_on_grid
 from repro.grid import cartesian_grid
@@ -190,24 +190,6 @@ class TestTimeAdvance:
             p0 = list(s0["paths"].values())[0]["vertices"]
             p1 = list(s1["paths"].values())[0]["vertices"]
             assert p1.shape[1] == p0.shape[1] + 1
-
-
-class TestGovernorIntegration:
-    def test_governor_reports_quality(self, dataset):
-        gov = FrameBudgetGovernor(budget=1e-7)  # impossible budget
-        with WindtunnelServer(
-            dataset,
-            settings=ToolSettings(streamline_steps=50),
-            governor=gov,
-            time_fn=lambda: 0.0,
-        ) as srv:
-            with WindtunnelClient(*srv.address) as c:
-                c.add_rake([2, 2, 2], [2, 6, 2], n_seeds=5)
-                c.fetch_frame()
-                c.time_control("step", 1)  # bump version to force recompute
-                c.fetch_frame()
-                stats = c.server_stats()
-                assert stats["quality"] < 1.0
 
 
 class TestNetworkLoop:

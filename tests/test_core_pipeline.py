@@ -6,22 +6,26 @@ Covers the guarantees the refactor introduced:
   corrupt another client's response (the shallow-copy bug regression);
 * vertices are encoded exactly once per produced frame, however many
   clients read it;
-* the governor, now fed on the producer thread, still converges under a
-  slow engine;
 * environment mutations invalidate and republish promptly (bounded
   staleness);
 * headless ``produce_inline()`` on an un-started pipeline runs the
   identical stage code (encode-once, read-only arrays);
+* a published frame is a function of its key: over any edit sequence it
+  equals a fresh engine's ``compute_rakes`` on the same snapshot;
 * a dead producer thread reads dead: parked calls fail promptly.
 """
 
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import (
-    FrameBudgetGovernor,
+    ComputeEngine,
+    Environment,
     FramePipeline,
     FrameStore,
     PublishedFrame,
@@ -33,6 +37,9 @@ from repro.core.framestore import encode_published
 from repro.dlib.protocol import PreEncoded, decode_value, encode_value
 from repro.flow import MemoryDataset, RigidRotation, UniformFlow, sample_on_grid
 from repro.grid import cartesian_grid
+from repro.grid.interpolation import TrilinearScratch
+from repro.tracers.rake import GrabPoint, Rake
+from repro.tracers.result import wire_arrays_batch
 
 from tests import wait_until
 
@@ -162,30 +169,6 @@ class TestEncodeOnce:
             c.fetch_frame()
             assert server.pipeline.frames_encoded == encoded_one + 1
 
-
-class TestGovernorUnderPipeline:
-    def test_quality_converges_with_slow_engine(self, dataset):
-        """A modeled-slow integrate stage must drive quality down to fit
-        the budget — the governor's feedback now runs on the producer."""
-        gov = FrameBudgetGovernor(budget=0.01)
-        clock = {"now": 0.0}
-        with WindtunnelServer(
-            dataset,
-            settings=ToolSettings(streamline_steps=30),
-            governor=gov,
-            time_fn=lambda: clock["now"],
-            stage_cost={"integrate": 0.03},  # 3x the budget, every frame
-        ) as srv:
-            with WindtunnelClient(*srv.address) as c:
-                c.add_rake([2, 2, 2], [2, 6, 2], n_seeds=5)
-                for i in range(6):
-                    c.fetch_frame()
-                    clock["now"] += 1.0  # force a fresh frame each round
-                stats = c.pipeline_stats()
-                assert stats["governor"]["quality"] < 0.5
-                assert stats["governor"]["frames_recorded"] >= 6
-                assert stats["governor"]["over_budget_fraction"] == 1.0
-
     def test_pipeline_stats_consistent_with_serving(self, server):
         with WindtunnelClient(*server.address) as c:
             c.add_rake([2, 2, 2], [2, 6, 2], n_seeds=4)
@@ -255,9 +238,6 @@ class TestHeadlessProduction:
     def test_produce_inline_on_unstarted_pipeline(self, dataset):
         """The library call the sweep runner drives: no threads, the
         identical stage code — encode-once and read-only arrays hold."""
-        from repro.core import ComputeEngine, Environment
-        from repro.tracers.rake import Rake
-
         env = Environment(dataset.n_timesteps)
         env.add_rake(Rake([2, 2, 2], [2, 6, 2], n_seeds=4))
         store = FrameStore()
@@ -277,6 +257,69 @@ class TestHeadlessProduction:
         entry = next(iter(frame.paths.values()))
         assert not entry["vertices"].flags.writeable
         assert not entry["lengths"].flags.writeable
+
+
+_inside = st.tuples(st.floats(2.0, 6.0), st.floats(2.0, 6.0), st.floats(1.0, 3.0))
+_kinds = st.sampled_from(["streamline", "particle_path"])
+_edits = st.one_of(
+    st.tuples(st.just("add"), _kinds, _inside),
+    st.tuples(st.just("move"), st.integers(0, 7), _inside),
+    st.tuples(st.just("remove"), st.integers(0, 7)),
+    st.tuples(st.just("settings"), st.integers(2, 24), st.sampled_from([0.02, 0.1])),
+    st.tuples(st.just("step"), st.integers(-3, 3)),
+)
+
+
+class TestFrameIsAFunctionOfItsKey:
+    """Nothing but ``(env.version, timestep)`` — and the rakes, clock and
+    settings that key names — decides what is published: the tier-1 seed
+    of the differential oracle (ROADMAP 6(a))."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(edits=st.lists(_edits, min_size=1, max_size=8))
+    def test_every_frame_equals_a_fresh_engine_on_its_snapshot(self, dataset, edits):
+        env = Environment(dataset.n_timesteps)
+        engine = ComputeEngine(dataset, ToolSettings(streamline_steps=12))
+        pipeline = FramePipeline(engine, env, FrameStore(), time_fn=lambda: 0.0)
+        env.clock.pause(0.0)
+        for op, *args in edits:
+            rids = sorted(env.rakes)
+            if op == "add":
+                kind, at = args
+                end_b = np.add(at, [0.0, 1.5, 0.5])
+                env.add_rake(Rake(at, end_b, n_seeds=3, kind=kind))
+            elif op == "move" and rids:
+                with env.lock:
+                    env.rakes[rids[args[0] % len(rids)]].move(
+                        GrabPoint.CENTER, np.array(args[1])
+                    )
+                    env.bump()
+            elif op == "remove" and rids:
+                env.remove_rake(rids[args[0] % len(rids)])
+            elif op == "settings":  # what ``wt.set_tool_settings`` applies
+                engine.settings.streamline_steps = args[0]
+                engine.settings.particle_path_steps = args[0]
+                engine.settings.streamline_dt = args[1]
+                env.bump()
+            elif op == "step":  # what ``wt.time`` applies
+                env.clock.step(args[0], 0.0)
+                env.bump()
+
+            frame = pipeline.produce_inline()
+            version, rakes = env.rakes_snapshot()
+            assert frame.key == (version, env.clock.timestep_index(0.0))
+            fresh = ComputeEngine(dataset, replace(engine.settings))
+            reference = wire_arrays_batch(
+                fresh.compute_rakes(rakes, frame.timestep), TrilinearScratch()
+            )
+            assert set(frame.paths) == {str(rid) for rid in reference}
+            for rid, (vertices, lengths) in reference.items():
+                entry = frame.paths[str(rid)]
+                assert entry["kind"] == rakes[rid].kind
+                np.testing.assert_array_equal(entry["vertices"], vertices)
+                np.testing.assert_array_equal(entry["lengths"], lengths)
+            again = pipeline.produce_inline()  # the same key, produced twice
+            assert again.key == frame.key and again.digests == frame.digests
 
 
 class TestProducerDeath:

@@ -42,15 +42,19 @@ class TestCheckDocs:
         ok.write_text(
             "`cache.l1.hits`, `loader.misses`, `engine.points_computed`, "
             "`loader.*`, `pipeline.stage.*_seconds`, "
-            "`gateway.worker.<name>.saturation` and "
-            "`net.degradation.<cid>.level` are recorded; `wt.frame` is a "
+            "`gateway.worker.<name>.saturation` are recorded; `wt.frame` is a "
             "procedure; `pipeline.integrate_ms` is a benchmark row; "
             "`repro.obs.MetricsRegistry.adopt` and `server.engine` are not "
             "metric names at all\n"
         )
         assert check_docs.main([str(ok)]) == 0, capsys.readouterr().err
         bad = tmp_path / "bad.md"
-        for gone in ("cache.l1.hitz", "loader.bytes*", "wt.no_such_call"):
+        for gone in (
+            "cache.l1.hitz", "loader.bytes*", "wt.no_such_call",
+            # Deleted with the budget controllers: stale, not misspelt.
+            "governor.quality", "pipeline.quality", "net.send_throughput",
+            "net.degradation.<cid>.level",
+        ):
             bad.write_text(f"watch `{gone}`\n")
             assert check_docs.main([str(bad)]) == 1, gone
             assert f"no such metric -> {gone}" in capsys.readouterr().err

@@ -74,7 +74,6 @@ class TestRepliesAreProjections:
                 "frames_computed": "pipeline.frames_produced",
                 "frames_published": "framestore.frames_published",
                 "points_computed": "engine.points_computed",
-                "quality": "pipeline.quality",
                 "push_frames": "net.push_frames",
                 "disconnects": "dlib.disconnects",
                 "protocol_errors": "dlib.protocol_errors",

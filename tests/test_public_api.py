@@ -116,18 +116,16 @@ def test_option_counts_are_pinned():
     def parameters(method):
         return list(inspect.signature(method).parameters)[1:]  # self
 
-    assert options(WindtunnelServer) == 15
+    assert options(WindtunnelServer) == 14
     assert options(ComputeEngine) == 4
-    assert options(FramePipeline) == 7
+    assert options(FramePipeline) == 6
     assert options(IntegratorWorkspace) == 0
     assert len(inspect.signature(advance_rk2).parameters) == 3
     # One way to a velocity field: a load loads (whoever drives a loader
     # calls ``prefetch``), and the engine has no prefetch policy to flip.
     assert parameters(TimestepLoader.load) == ["t"]
     assert parameters(TieredTimestepCache.get) == ["t"]
-    assert parameters(ComputeEngine.compute_rakes) == [
-        "rakes", "timestep", "quality", "settings",
-    ]
+    assert parameters(ComputeEngine.compute_rakes) == ["rakes", "timestep", "settings"]
     tiny = repro.tapered_cylinder_dataset(shape=(4, 4, 4), n_timesteps=1)
     assert not hasattr(ComputeEngine(tiny), "auto_prefetch")
     # The grid owns its metric terms: nobody is handed a Jacobian.
@@ -141,7 +139,11 @@ def test_option_counts_are_pinned():
     assert not [str(p) for p in sources if "os.environ" in p.read_text()]
     assert len(DEFAULT_SPEC) == 10
     assert len(AXIS_KEYS) == 10
-    assert len(dataclasses.fields(PublishedFrame)) == 11
+    assert len(dataclasses.fields(PublishedFrame)) == 10
+    # A frame is a function of its key: no budget controller to export.
+    assert not {"FrameBudgetGovernor", "DegradationPolicy"} & {
+        *repro.__all__, *repro.core.__all__
+    }
 
 
 def test_version():

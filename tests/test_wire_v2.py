@@ -1,9 +1,8 @@
 """The v2 frame-delivery layer: quantization, deltas, subscriptions.
 
 Property tests (hypothesis) for the codecs, unit tests for the frame
-store's encode-variant cache and digest history and for the degradation
-ladder, and socket-level interop tests pinning the compat contract of
-docs/network.md:
+store's encode-variant cache and digest history, and socket-level
+interop tests pinning the compat contract of docs/network.md:
 
 * decode(encode(frame)) is bit-exact for v1/delta entries and inside the
   advertised error bound for quantized ones;
@@ -29,9 +28,8 @@ from repro.core.framestore import (
     PublishedFrame,
     encode_published,
 )
-from repro.core.governor import DEGRADATION_LADDER, DegradationPolicy
 from repro.core.server import DEFAULT_SUBSCRIPTION, Subscription
-from repro.dlib.client import DlibClient
+from repro.dlib.client import DlibClient, DlibRemoteError
 from repro.dlib.protocol import (
     DlibProtocolError,
     decode_path_entry,
@@ -224,46 +222,6 @@ def test_framestore_digest_history_is_bounded():
     assert store.digests_at(99) is None
 
 
-# -- degradation ladder -------------------------------------------------------
-
-
-def test_degradation_escalates_and_recovers_with_hysteresis():
-    p = DegradationPolicy(target_fps=8.0, alpha=1.0, hold_frames=0)
-    p.note_send(100_000, 0.0)  # 100 kB frames -> needs 800 kB/s
-    p.note_reported(200_000.0)  # quarter of what is needed
-    assert p.level == 1
-    for _ in range(10):
-        p.note_reported(200_000.0)
-    assert p.level == len(DEGRADATION_LADDER) - 1  # clamped at the bottom
-    for _ in range(10):
-        p.note_reported(50e6)  # link recovers
-    assert p.level == 0
-    assert p.escalations >= 1 and p.recoveries >= 1
-
-
-def test_degradation_hold_frames_prevent_flapping():
-    p = DegradationPolicy(target_fps=8.0, alpha=1.0, hold_frames=3)
-    p.note_send(100_000, 0.0)
-    p.note_reported(100_000.0)
-    assert p.level == 1
-    # Within the hold-down window nothing moves, however bad the signal.
-    p.note_reported(1_000.0)
-    p.note_reported(1_000.0)
-    p.note_reported(1_000.0)
-    assert p.level == 1
-    p.note_reported(1_000.0)
-    assert p.level == 2
-
-
-def test_degradation_plan_never_upgrades_client_choice():
-    p = DegradationPolicy()
-    assert p.plan("q16", 2) == ("q16", 2)  # rung 0 keeps negotiated settings
-    p.level = 2  # q16 + decimate 2
-    assert p.plan("v1", 1) == ("q16", 2)
-    assert p.plan("f16", 4) == ("f16", 4)  # client encoding and coarser
-    assert p.plan("q16", 1) == ("q16", 2)  # decimation stack
-
-
 def test_bandwidth_schedule_steps():
     sched = BandwidthSchedule([(0.0, 13e6), (2.0, 1e6)])
     assert sched.bandwidth_at(0.0) == 13e6
@@ -413,6 +371,57 @@ class TestInterop:
                 full = c2.fetch_frame()
                 assert len(full["paths"]) == 2
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("rakes", "12"), ("kinds", "streamline"), ("rakes", 12)],
+        ids=["rakes-str", "kinds-str", "rakes-int"],
+    )
+    def test_filter_that_is_not_a_list_is_refused(self, server, key, value):
+        """``"12"`` used to explode into rakes ``{"1", "2"}`` and
+        ``"streamline"`` into nine letters — the wrong rakes, or an empty
+        frame, forever.  Refused by name, through ``wt.subscribe`` and
+        ``wt.restore`` alike, before the old terms are dropped."""
+        with pytest.raises(ValueError, match=key):
+            Subscription.from_wire({key: value})
+        with WindtunnelClient(*server.address, name="typo") as c:
+            if isinstance(value, str):
+                with pytest.raises(ValueError, match=key):
+                    c.subscribe(**{key: value})
+            c.subscribe(encoding="f16", rakes=[1], kinds=("streamline",))
+            held = server._subs[c.client_id]
+            assert held.rakes == {"1"} and held.kinds == {"streamline"}
+            with pytest.raises(DlibRemoteError, match=f"{key} must be a list"):
+                c._rpc.call("wt.subscribe", c.client_id, {key: value})
+            entry = {"client_id": c.client_id, "subscription": {key: value}}
+            with pytest.raises(DlibRemoteError, match=f"{key} must be a list"):
+                c._rpc.call("wt.restore", {"sessions": [entry]})
+            assert server._subs[c.client_id] is held
+
+    def test_journal_written_before_the_controllers_went_restores(self, server):
+        """The literal shape the previous commit's gateway journaled —
+        ``adaptive`` still among the terms — restores: ``from_wire``
+        ignores keys it does not know."""
+        state = {
+            "sessions": [{
+                "client_id": 9100, "name": "old", "token": "t",
+                "subscription": {
+                    "encoding": "q16", "deltas": True, "decimate": 2,
+                    "adaptive": True, "push": False, "rakes": None,
+                    "kinds": ["streamline"],
+                },
+            }],
+            "tool_settings": {
+                "streamline_steps": 9, "streamline_dt": 0.04,
+                "particle_path_steps": 7, "streakline_length": 5,
+            },
+        }
+        with DlibClient(*server.address) as admin:
+            assert admin.call("wt.restore", state) == {"sessions": 1, "rakes": 0}
+        assert server._subs[9100] == Subscription(
+            "q16", 2, True, False, None, frozenset({"streamline"})
+        )
+        assert server.engine.settings == ToolSettings(9, 0.04, 7, 5)
+
     def test_unsubscribe_restores_v1_path(self, server):
         with WindtunnelClient(*server.address, name="undo") as c:
             c.add_rake([1, 1, 1], [1, 7, 3], n_seeds=5)
@@ -434,7 +443,7 @@ class TestInterop:
     def test_net_metrics_surface_through_obs(self, server):
         with WindtunnelClient(*server.address, name="metrics") as c:
             c.add_rake([1, 1, 1], [1, 7, 3], n_seeds=5)
-            c.subscribe(encoding="q16", adaptive=True)
+            c.subscribe(encoding="q16")
             c.fetch_frame()
             c.fetch_frame()
             snap = c.metrics()["registry"]
@@ -443,7 +452,6 @@ class TestInterop:
             assert 0.0 < snap["gauges"]["net.delta_ratio"] < 1.0
             assert snap["histograms"]["net.bytes_per_frame"]["count"] >= 2
             assert "net.encode_cache_hits" in snap["counters"]
-            assert f"net.degradation.{c.client_id}.level" in snap["gauges"]
 
 
 # -- the packed q16 form over real sockets ---------------------------------------
@@ -717,7 +725,7 @@ class TestPushDelivery:
 
                 def check(expected_rids, ack):
                     # Never subscribed: the one-argument v1 request.
-                    args = (cid,) if options is None else (cid, ack, 0.0)
+                    args = (cid,) if options is None else (cid, ack)
                     reply = pull.call("wt.frame", *args)
                     frame = srv.store.latest()
                     want = frame.compose(expected_rids, sub.encoding, sub.decimate).data
@@ -759,7 +767,5 @@ class TestPushDelivery:
                 )
         finally:
             srv.stop()
-        assert DEFAULT_SUBSCRIPTION == Subscription(
-            "v1", 1, False, False, False, None, None
-        )
+        assert DEFAULT_SUBSCRIPTION == Subscription("v1", 1, False, False, None, None)
         assert DEFAULT_SUBSCRIPTION.conn is None and DEFAULT_SUBSCRIPTION.push_seq == 0
