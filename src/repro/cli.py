@@ -15,10 +15,6 @@ Commands:
 ``replay``
     Replay a recorded session (see :mod:`repro.core.recording`) against a
     fresh server and report the resulting environment.
-``sweep run`` / ``sweep report``
-    The batch windtunnel: expand a scenario manifest into a grid of
-    headless runs (``run``), then diff two results stores under
-    per-metric tolerances (``report``, exits nonzero on regression).
 """
 
 from __future__ import annotations
@@ -64,32 +60,6 @@ def build_parser() -> argparse.ArgumentParser:
     replay.add_argument("--realtime", action="store_true")
     replay.add_argument("--shape", type=int, nargs=3, default=(24, 24, 12))
     replay.add_argument("--timesteps", type=int, default=12)
-
-    sweep = sub.add_parser(
-        "sweep", help="batch windtunnel: parametric sweeps + comparison reports"
-    )
-    sweep_sub = sweep.add_subparsers(dest="sweep_command", required=True)
-
-    run = sweep_sub.add_parser("run", help="run a scenario manifest headlessly")
-    run.add_argument("manifest", help="YAML/JSON sweep manifest")
-    run.add_argument("--store", required=True, metavar="DIR",
-                     help="results store directory to write")
-    run.add_argument("--workers", type=int, default=4,
-                     help="bounded worker pool size")
-    run.add_argument("--keyframes", action="store_true",
-                     help="render one keyframe per scenario into the store")
-
-    rep = sweep_sub.add_parser(
-        "report", help="diff two sweep stores; exit 1 on regression"
-    )
-    rep.add_argument("old", metavar="BASELINE", help="baseline results store")
-    rep.add_argument("new", metavar="CANDIDATE", help="candidate results store")
-    rep.add_argument("--tolerance", action="append", default=[],
-                     metavar="METRIC=REL",
-                     help="override one metric's relative tolerance "
-                          "(repeatable), e.g. frame_seconds_p50=2.5")
-    rep.add_argument("--verbose", action="store_true",
-                     help="print healthy metrics too, not just regressions")
     return parser
 
 
@@ -210,70 +180,12 @@ def _cmd_replay(args, out) -> int:
     return 0
 
 
-def _cmd_sweep(args, out) -> int:
-    from repro.sweep import ScenarioError
-
-    try:
-        if args.sweep_command == "run":
-            return _sweep_run(args, out)
-        return _sweep_report(args, out)
-    except ScenarioError as exc:
-        print(f"error: {exc}", file=out)
-        return 2
-
-
-def _sweep_run(args, out) -> int:
-    from repro.sweep import ResultsStore, SweepRunner, load_manifest
-
-    manifest = load_manifest(args.manifest)
-    scenarios = manifest.expand()
-    print(f"manifest {manifest.digest}: {len(scenarios)} scenario(s), "
-          f"{args.workers} worker(s)", file=out)
-    runner = SweepRunner(
-        manifest,
-        ResultsStore(args.store),
-        workers=args.workers,
-        keyframes=args.keyframes,
-    )
-
-    def progress(record: dict) -> None:
-        status = record["status"]
-        print(f"  [{status:>8}] {record['scenario_id']}  {record['label']}",
-              file=out)
-
-    outcome = runner.run(progress=progress)
-    summary = outcome.store.header()["summary"]
-    print(f"store {args.store}: {summary['ok']} ok, "
-          f"{summary['rejected']} rejected, {summary['errors']} error(s) "
-          f"in {summary['wall_seconds']:.2f} s", file=out)
-    return 0 if outcome.succeeded else 1
-
-
-def _sweep_report(args, out) -> int:
-    from repro.perf import DEFAULT_SWEEP_TOLERANCES
-    from repro.sweep import ScenarioError, compare_stores, render_report
-
-    tolerances = DEFAULT_SWEEP_TOLERANCES
-    for spec in args.tolerance:
-        name, sep, value = spec.partition("=")
-        if not sep:
-            raise ScenarioError("tolerance", f"expected METRIC=REL, got {spec!r}")
-        try:
-            tolerances = tolerances.override(name, float(value))
-        except (KeyError, ValueError) as exc:
-            raise ScenarioError("tolerance", str(exc)) from exc
-    report = compare_stores(args.old, args.new, tolerances=tolerances)
-    print(render_report(report, verbose=args.verbose), end="", file=out)
-    return 1 if report.failed else 0
-
-
 _COMMANDS = {
     "info": _cmd_info,
     "tables": _cmd_tables,
     "demo": _cmd_demo,
     "serve": _cmd_serve,
     "replay": _cmd_replay,
-    "sweep": _cmd_sweep,
 }
 
 

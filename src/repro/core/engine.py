@@ -42,18 +42,6 @@ class ToolSettings:
     streakline_length: int = 64
     max_window: int | None = None  # particle-path timestep window (sec 5.2)
 
-    def scaled(self, quality: float) -> "ToolSettings":
-        """Settings scaled by a quality factor in (0, 1] (the sweep axis)."""
-        if not (0.0 < quality <= 1.0):
-            raise ValueError("quality must be in (0, 1]")
-        return ToolSettings(
-            streamline_steps=max(2, int(self.streamline_steps * quality)),
-            streamline_dt=self.streamline_dt,
-            particle_path_steps=max(2, int(self.particle_path_steps * quality)),
-            streakline_length=self.streakline_length,
-            max_window=self.max_window,
-        )
-
 
 class ComputeEngine:
     """Computes every rake's tool for a given timestep.

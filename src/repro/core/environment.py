@@ -19,6 +19,7 @@ the dlib service thread keeps applying user commands.
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass, field
 
@@ -31,6 +32,14 @@ __all__ = ["UserState", "Environment"]
 
 #: How close (physical units) a hand must be to a grab point to take it.
 DEFAULT_GRAB_RADIUS = 0.5
+
+
+def _position(value, what: str) -> np.ndarray:
+    """``value`` as a finite float64 3-vector, or ``ValueError``."""
+    v = np.asarray(value, dtype=np.float64)
+    if v.shape != (3,) or not all(map(math.isfinite, v)):
+        raise ValueError(f"{what} must be a finite 3-vector")
+    return v
 
 
 @dataclass
@@ -274,12 +283,16 @@ class Environment:
 
         A FIST gesture grabs (or keeps dragging) the nearest grab point;
         OPEN releases.  Dragging while holding moves the rake with the
-        hand, honoring the grab-point semantics (center vs end).
+        hand, honoring the grab-point semantics (center vs end).  A head
+        or hand that is not a finite 3-vector is refused before the user
+        is touched: a held rake would carry it into every user's frame.
         """
+        head = _position(head_position, "head position")
+        hand = _position(hand_position, "hand position")
         with self.lock:
             user = self._user(client_id)
-            user.head_position = np.asarray(head_position, dtype=np.float64)
-            user.hand_position = np.asarray(hand_position, dtype=np.float64)
+            user.head_position = head
+            user.hand_position = hand
             user.gesture = str(gesture)
             if gesture == "fist":
                 if user.holding is None:

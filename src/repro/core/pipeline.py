@@ -20,8 +20,9 @@ Steady state, the publish period approaches ``max(t_load, t_integrate,
 t_encode)`` instead of their sum (the ``benchmarks/test_fig8_live_pipeline``
 benchmark measures exactly this against the analytic model in
 :mod:`repro.perf.pipeline`).  A pipeline that is never ``start()``ed has
-no threads; headless callers (the sweep runner) drive the same stage
-code one frame at a time through :meth:`FramePipeline.produce_inline`.
+no threads; headless callers (the sum-of-stages baseline of that
+benchmark, ``benchmarks/cache_scenario.py``) drive the same stage code
+one frame at a time through :meth:`FramePipeline.produce_inline`.
 
 Production is **demand-gated** so an idle server stays idle and frozen-
 clock tests stay deterministic: the producer computes only while a reader

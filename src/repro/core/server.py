@@ -587,11 +587,11 @@ class WindtunnelServer:
         elif op == "resume":
             clock.resume(wall)
         elif op == "speed":
-            clock.set_speed(float(value), wall)
+            clock.set_speed(value, wall)
         elif op == "scrub":
-            clock.scrub(float(value), wall)
+            clock.scrub(value, wall)
         elif op == "step":
-            clock.step(int(value), wall)
+            clock.step(value, wall)
         elif op == "reverse":
             clock.reverse(wall)
         self.env.bump()  # invalidates the published frame, wakes the producer

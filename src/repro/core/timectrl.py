@@ -8,7 +8,21 @@ sees the same flow time; scrubbing, pausing, or changing speed re-anchors.
 
 from __future__ import annotations
 
+import math
+
 __all__ = ["TimeControl"]
+
+
+def _finite(value, what: str) -> float:
+    """``value`` as a float, or ``ValueError`` when it is NaN or infinite.
+
+    Every control op checks before it assigns: one non-finite command
+    must not leave the shared clock unable to name a timestep.
+    """
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValueError(f"{what} must be finite, got {value!r}")
+    return value
 
 
 class TimeControl:
@@ -134,8 +148,9 @@ class TimeControl:
 
     def set_speed(self, speed: float, wall: float) -> None:
         self._forbid_live("set the speed of")
+        speed = _finite(speed, "speed")
         self._reanchor(wall)
-        self._speed = float(speed)
+        self._speed = speed
 
     def pause(self, wall: float) -> None:
         self._reanchor(wall)
@@ -157,12 +172,13 @@ class TimeControl:
     def scrub(self, position: float, wall: float) -> None:
         """Jump to an absolute (fractional) timestep position."""
         self._forbid_live("scrub")
-        self._anchor_pos = float(position)
+        self._anchor_pos = _finite(position, "position")
         self._anchor_wall = wall
 
     def step(self, delta: int, wall: float) -> None:
         """Single-step while paused (frame-by-frame examination)."""
         self._forbid_live("step")
+        delta = int(_finite(delta, "step"))
         self._reanchor(wall)
         self._anchor_pos += delta
 
@@ -180,10 +196,12 @@ class TimeControl:
             self._playing = bool(snapshot.get("playing", self._playing))
             self._reanchor(wall)
             return
-        self._speed = float(snapshot.get("speed", self._speed))
+        speed = _finite(snapshot.get("speed", self._speed), "speed")
+        position = _finite(snapshot.get("position", 0.0), "position")
+        self._speed = speed
         self._playing = bool(snapshot.get("playing", self._playing))
         self.wrap = bool(snapshot.get("wrap", self.wrap))
-        self._anchor_pos = float(snapshot.get("position", 0.0))
+        self._anchor_pos = position
         self._anchor_wall = wall
 
     # -- wire ------------------------------------------------------------------

@@ -335,8 +335,8 @@ class TieredTimestepCache:
     a gateway-owned segment outlives its workers).
 
     Tiers built here record into ``registry`` (a private one when
-    omitted); a pre-built ``l1``/``l2``/``source`` keeps the registry it
-    was built with, so a tier shared between caches is counted once.
+    omitted); a pre-built ``l2``/``source`` keeps the registry it was
+    built with, so a tier shared between caches is counted once.
     """
 
     def __init__(
@@ -344,7 +344,6 @@ class TieredTimestepCache:
         dataset: UnsteadyDataset,
         *,
         disk_model: DiskModel | None = None,
-        l1: TimestepCache | None = None,
         l1_timesteps: int | None = 2,
         l1_bytes: int | None = None,
         l2=None,
@@ -360,21 +359,17 @@ class TieredTimestepCache:
                 dataset, disk_model, sleep=sleep, registry=self.registry
             )
         self.source = source
-        if l1 is None:
-            l1 = TimestepCache(
-                capacity_timesteps=l1_timesteps,
-                capacity_bytes=l1_bytes,
-                registry=self.registry,
-            )
-        self.l1 = l1
+        self.l1 = TimestepCache(
+            capacity_timesteps=l1_timesteps,
+            capacity_bytes=l1_bytes,
+            registry=self.registry,
+        )
         self.l2 = l2
         self._owns_l2 = owns_l2
         self._pinned: set[int] = set()
         self._pin_lock = threading.Lock()
         if l2 is not None:
-            # Only a tier-2-backed stack needs eviction notifications; a
-            # shared L1 (the sweep runner's) would otherwise accumulate
-            # one dead listener per scenario.
+            # Only a tier-2-backed stack needs eviction notifications.
             self.l1.add_evict_listener(self._on_l1_evict)
 
     # -- wiring ----------------------------------------------------------------

@@ -56,9 +56,9 @@ class TimestepLoader:
         Injectable sleep function (e.g. a ``VirtualClock.sleep``) so tests
         and analytic benchmarks don't spend real wall-clock time.
     cache
-        A pre-built :class:`TieredTimestepCache` — the pipeline, gateway
-        workers, and the sweep runner pass one to share tiers; when
-        omitted one is built from ``capacity``/``shared``.
+        A pre-built :class:`TieredTimestepCache` (gateway workers and
+        the live tunnel pass one); when omitted one is built from
+        ``capacity``/``shared``.
     shared
         A tier-2 cache (:class:`~repro.diskio.shmcache.
         SharedTimestepCache`) for the internally-built tier stack.

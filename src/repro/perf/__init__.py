@@ -8,12 +8,10 @@
 * :mod:`~repro.perf.wire` — the v2 wire-efficiency model: what deltas,
   quantization, and decimation buy against Table 1's 12 bytes/point
   (docs/network.md).
-* :mod:`~repro.perf.regression` — per-metric tolerances the sweep lane
-  holds a run to against a stored baseline (docs/sweeps.md).
 
 Everything else about where a frame's time goes is measured, not
 modelled: ``benchmarks/e2e`` (see its README) times every layer of four
-whole sessions.
+whole sessions, and is the one regression gate.
 """
 
 from repro.perf.scenario import (
@@ -30,17 +28,9 @@ from repro.perf.pipeline import (
     compare_to_model,
     simulate_pipeline,
 )
-from repro.perf.regression import (
-    DEFAULT_SWEEP_TOLERANCES,
-    MetricTolerance,
-    SweepTolerances,
-)
 from repro.perf.wire import SessionWireModel, frame_payload_bytes
 
 __all__ = [
-    "DEFAULT_SWEEP_TOLERANCES",
-    "MetricTolerance",
-    "SweepTolerances",
     "SessionWireModel",
     "frame_payload_bytes",
     "BENCHMARK_POINTS",

@@ -25,7 +25,7 @@ from repro.render.scene import (
     TriangleMesh,
 )
 from repro.render.color import BLUE_RED, GRAYSCALE, HEAT, Colormap, speed_colors
-from repro.render.keyframe import capture_keyframe, frame_scene
+from repro.render.keyframe import frame_scene
 from repro.render.stereo import STEREO_LEFT_MASK, STEREO_RIGHT_MASK, render_anaglyph
 
 __all__ = [
@@ -47,7 +47,6 @@ __all__ = [
     "HEAT",
     "BLUE_RED",
     "speed_colors",
-    "capture_keyframe",
     "frame_scene",
     "render_anaglyph",
     "STEREO_LEFT_MASK",

@@ -10,6 +10,7 @@ user-selectable, and several rakes may be active at once.
 
 from __future__ import annotations
 
+import math
 from enum import Enum
 
 import numpy as np
@@ -60,6 +61,8 @@ class Rake:
         self.end_b = np.asarray(end_b, dtype=np.float64).copy()
         if self.end_a.shape != (3,) or self.end_b.shape != (3,):
             raise ValueError("rake endpoints must be 3-vectors")
+        if not all(map(math.isfinite, (*self.end_a, *self.end_b))):
+            raise ValueError("rake endpoints must be finite")
         self.n_seeds = int(n_seeds)
         self.kind = kind
         self.rake_id = rake_id

@@ -19,8 +19,9 @@ class TestParser:
             build_parser().parse_args([])
 
     def test_unknown_command(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["frobnicate"])
+        for command in ("frobnicate", "sweep"):  # sweep: benchmarks/e2e gates
+            with pytest.raises(SystemExit):
+                build_parser().parse_args([command])
 
     def test_demo_defaults(self):
         args = build_parser().parse_args(["demo"])

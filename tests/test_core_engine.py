@@ -1,5 +1,7 @@
 """Tests for the ComputeEngine and its tool settings."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -115,7 +117,7 @@ class TestComputeEnvironment:
         rid = env.add_rake(Rake([2, 4, 2], [6, 4, 2], n_seeds=2))
         full = engine.compute_rakes(env.rakes, 0)[rid]
         low = engine.compute_rakes(
-            env.rakes, 0, settings=engine.settings.scaled(0.25)
+            env.rakes, 0, settings=replace(engine.settings, streamline_steps=25)
         )[rid]
         assert low.grid_paths.shape[1] < full.grid_paths.shape[1]
 
@@ -202,22 +204,3 @@ class TestEveryToolReadsThroughTheLoader:
         engine.compute_rakes({2: self.rakes()[2]}, self.T0 + 1)
         assert reads[-1] == self.T0 + 1
         assert loader.hits.value + loader.misses.value == len(reads)
-
-
-class TestToolSettings:
-    def test_scaled(self):
-        s = ToolSettings(streamline_steps=200, particle_path_steps=100)
-        half = s.scaled(0.5)
-        assert half.streamline_steps == 100
-        assert half.particle_path_steps == 50
-
-    def test_scaled_floor(self):
-        s = ToolSettings(streamline_steps=200)
-        tiny = s.scaled(0.001)
-        assert tiny.streamline_steps >= 2
-
-    def test_scaled_validation(self):
-        with pytest.raises(ValueError):
-            ToolSettings().scaled(0.0)
-        with pytest.raises(ValueError):
-            ToolSettings().scaled(1.5)

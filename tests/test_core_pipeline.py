@@ -9,7 +9,9 @@ Covers the guarantees the refactor introduced:
 * environment mutations invalidate and republish promptly (bounded
   staleness);
 * headless ``produce_inline()`` on an un-started pipeline runs the
-  identical stage code (encode-once, read-only arrays);
+  identical stage code (encode-once, read-only arrays), and every wire
+  encoding of its frame decodes within bound, degenerate grids and
+  zero-length rakes included;
 * a published frame is a function of its key: over any edit sequence it
   equals a fresh engine's ``compute_rakes`` on the same snapshot;
 * a dead producer thread reads dead: parked calls fail promptly.
@@ -34,11 +36,23 @@ from repro.core import (
     WindtunnelServer,
 )
 from repro.core.framestore import encode_published
-from repro.dlib.protocol import PreEncoded, decode_value, encode_value
-from repro.flow import MemoryDataset, RigidRotation, UniformFlow, sample_on_grid
+from repro.dlib.protocol import (
+    PreEncoded,
+    decode_path_entry,
+    decode_value,
+    encode_value,
+    quantization_error_bound,
+)
+from repro.flow import (
+    MemoryDataset,
+    RigidRotation,
+    UniformFlow,
+    sample_on_grid,
+    tapered_cylinder_dataset,
+)
 from repro.grid import cartesian_grid
 from repro.grid.interpolation import TrilinearScratch
-from repro.tracers.rake import GrabPoint, Rake
+from repro.tracers.rake import TOOL_KINDS, GrabPoint, Rake
 from repro.tracers.result import wire_arrays_batch
 
 from tests import wait_until
@@ -234,29 +248,78 @@ class TestInvalidationRepublish:
             assert server.pipeline.frames_produced == produced
 
 
+def _hostile_corners():
+    """Minimal and prime-sided grids, each seeded with one zero-length,
+    one-seed rake of every tool kind at its bounding-box center."""
+    for shape in [(2, 2, 2), (3, 5, 7), (7, 3, 2)]:
+        corner = tapered_cylinder_dataset(shape=shape, n_timesteps=3, dt=0.25)
+        nodes = corner.grid.xyz.reshape(-1, 3)
+        center = 0.5 * (nodes.min(axis=0) + nodes.max(axis=0))
+        rakes = [Rake(center, center, n_seeds=1, kind=kind) for kind in TOOL_KINDS]
+        yield corner, rakes
+
+
+def _wire_tolerance(wire: dict, published: np.ndarray) -> float:
+    """How far a decoded vertex may sit from the one published."""
+    if "qpack" in wire:
+        return quantization_error_bound(wire)
+    if np.asarray(wire["vertices"]).dtype == np.float16:
+        return float(np.abs(published).max(initial=0.0)) * np.finfo(np.float16).eps
+    return 0.0
+
+
 class TestHeadlessProduction:
     def test_produce_inline_on_unstarted_pipeline(self, dataset):
-        """The library call the sweep runner drives: no threads, the
-        identical stage code — encode-once and read-only arrays hold."""
-        env = Environment(dataset.n_timesteps)
-        env.add_rake(Rake([2, 2, 2], [2, 6, 2], n_seeds=4))
-        store = FrameStore()
-        pipeline = FramePipeline(
-            ComputeEngine(dataset, ToolSettings(streamline_steps=20)),
-            env,
-            store,
-            time_fn=lambda: 0.0,
-        )
-        assert not pipeline.alive  # never started: nothing will publish
-        frame = pipeline.produce_inline()
-        assert store.latest() is frame and frame.seq == 1
-        assert pipeline.frames_encoded == pipeline.frames_produced == 1
-        stats = pipeline.stats()
-        assert stats["stages"]["encode"]["count"] == 1
-        assert stats["frames_published"] == 1
-        entry = next(iter(frame.paths.values()))
-        assert not entry["vertices"].flags.writeable
-        assert not entry["lengths"].flags.writeable
+        """The library call benchmarks drive: no threads, the identical
+        stage code — encode-once and read-only arrays hold, and every
+        encoding × decimation decodes to finite vertices within its error
+        bound of the published ones, down to the hostile corners."""
+        plain = (dataset, [Rake([2, 2, 2], [2, 6, 2], n_seeds=4)])
+        for data, rakes in [plain, *_hostile_corners()]:
+            env = Environment(data.n_timesteps)
+            for rake in rakes:
+                env.add_rake(rake)
+            store = FrameStore()
+            pipeline = FramePipeline(
+                ComputeEngine(
+                    data,
+                    ToolSettings(
+                        streamline_steps=20, particle_path_steps=4, streakline_length=3
+                    ),
+                ),
+                env,
+                store,
+                time_fn=lambda: 0.0,
+            )
+            assert not pipeline.alive  # never started: nothing will publish
+            frame = pipeline.produce_inline()
+            assert store.latest() is frame and frame.seq == 1
+            assert pipeline.frames_encoded == pipeline.frames_produced == 1
+            stats = pipeline.stats()
+            assert stats["stages"]["encode"]["count"] == 1
+            assert stats["frames_published"] == 1
+            assert set(frame.paths) == {str(rid) for rid in env.rakes}
+            for entry in frame.paths.values():
+                assert not entry["vertices"].flags.writeable
+                assert not entry["lengths"].flags.writeable
+            for encoding in ("v1", "f16", "q16"):
+                for decimate in (1, 2, 64):
+                    composed = frame.compose(sorted(frame.paths), encoding, decimate)
+                    wires = decode_value(composed.data)
+                    assert set(wires) == set(frame.paths)
+                    for rid, wire in wires.items():
+                        got = decode_path_entry(wire)
+                        entry = frame.paths[rid]
+                        published = entry["vertices"][:, ::decimate]
+                        assert got["vertices"].shape == published.shape
+                        np.testing.assert_array_equal(
+                            got["lengths"], -(-entry["lengths"] // decimate)
+                        )
+                        assert np.isfinite(got["vertices"]).all()
+                        np.testing.assert_allclose(
+                            got["vertices"], published, rtol=0,
+                            atol=_wire_tolerance(wire, published),
+                        )
 
 
 _inside = st.tuples(st.floats(2.0, 6.0), st.floats(2.0, 6.0), st.floats(1.0, 3.0))

@@ -505,3 +505,114 @@ class TestSubscriberChurn:
         assert srv.sessions.reaped_total == 150
         assert srv.sessions.evicted_total == 150
         assert instruments() == before  # nothing is recorded per client
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.fixture()
+def shared_session():
+    """A fresh server and two users on it: ``a`` misbehaves, ``b`` watches."""
+    srv = WindtunnelServer(
+        make_dataset(), settings=ToolSettings(streamline_steps=8),
+        time_fn=lambda: 0.0, frame_wait=2.0,
+    )
+    with srv, WindtunnelClient(*srv.address) as a, WindtunnelClient(*srv.address) as b:
+        a.add_rake([2, 2, 2], [2, 6, 2], n_seeds=4)
+        a.time_control("pause")
+        b.fetch_frame()
+        yield srv, a, b
+
+
+def _still_serving(srv, viewer):
+    """Another user's next frame arrives and the producer is alive."""
+    srv.env.bump()  # the published frame is stale: the next one is produced
+    state = viewer.fetch_frame()
+    assert state["cached"] is False
+    assert all(
+        np.isfinite(p["vertices"]).all() for p in state["paths"].values()
+    )
+    assert srv.pipeline.alive
+
+
+class TestNonFiniteClock:
+    """One non-finite ``wt.time`` used to set the clock, then fail: the
+    producer died on ``int(nan)`` and every user's frames with it."""
+
+    @pytest.mark.parametrize(
+        "op,value", [("scrub", NAN), ("speed", INF), ("speed", NAN), ("step", INF)]
+    )
+    def test_rejected_and_the_session_lives_on(self, shared_session, op, value):
+        srv, a, b = shared_session
+        with pytest.raises(DlibRemoteError, match="finite") as info:
+            a.time_control(op, value)
+        assert info.value.remote_type == "ValueError"
+        _still_serving(srv, b)
+        assert a.time_control("scrub", 1.0)["timestep"] == 1
+
+
+class TestNonFiniteGeometry:
+    """A NaN rake endpoint or hand used to reach the grid search and fail
+    every production after it, for every user."""
+
+    BAD_RAKE = {
+        "end_a": [NAN, 0.0, 0.0], "end_b": [1.0, 0.0, 0.0],
+        "n_seeds": 3, "kind": "streamline", "rake_id": None,
+    }
+
+    @pytest.mark.parametrize("end", [[NAN, 0, 0], [0, INF, 0], [0, 0, -INF]])
+    def test_rake_rejects_non_finite_endpoints(self, end):
+        from repro.tracers import Rake
+
+        with pytest.raises(ValueError, match="finite"):
+            Rake(end, [1, 1, 1])
+        with pytest.raises(ValueError, match="finite"):
+            Rake.from_dict({**self.BAD_RAKE, "end_a": [1, 1, 1], "end_b": end})
+
+    def test_add_rake_rejected(self, shared_session):
+        srv, a, b = shared_session
+        with pytest.raises(ValueError, match="finite"):
+            a.add_rake([NAN, 0, 0], [1, 0, 0])  # client side, as for a bad kind
+        rakes = set(srv.env.rakes)
+        with pytest.raises(DlibRemoteError, match="finite"):
+            a._rpc.call("wt.add_rake", a.client_id, self.BAD_RAKE)
+        assert set(srv.env.rakes) == rakes
+        _still_serving(srv, b)
+
+    @pytest.mark.parametrize(
+        "head,hand",
+        [
+            ([0, 0, 0], [NAN, 2.0, 2.0]),
+            ([0, 0, 0], [2.0, INF, 2.0]),
+            ([NAN, 0, 0], [2.0, 2.0, 2.0]),
+            ([0, 0, 0], [2.0, 2.0]),
+        ],
+    )
+    def test_update_rejected_while_holding(self, shared_session, head, hand):
+        srv, a, b = shared_session
+        assert a.send_input([0, 0, 0], [2.0, 2.0, 2.0], "fist")["holding"]
+        (rid,) = srv.env.rakes
+        geometry = srv.env.rakes[rid].to_dict()
+        user = srv.env.users[a.client_id]
+        hand_before = user.hand_position.copy()
+        with pytest.raises(DlibRemoteError, match="finite 3-vector"):
+            a._rpc.call("wt.update", a.client_id, head, hand, "fist")
+        assert srv.env.rakes[rid].to_dict() == geometry
+        np.testing.assert_array_equal(user.hand_position, hand_before)
+        assert user.holding is not None and srv.env.rake_owner(rid) == a.client_id
+        _still_serving(srv, b)
+
+    def test_gateway_journals_no_such_rake(self):
+        from repro.gateway import SessionGateway, default_worker_spec
+
+        spec = default_worker_spec(shape=(8, 8, 4), n_timesteps=3)
+        with SessionGateway(spec, n_workers=1) as gw:
+            with WindtunnelClient(*gw.address) as c:
+                worker = gw.journal.worker_of(c.client_id)
+                with pytest.raises(DlibRemoteError, match="finite"):
+                    c._rpc.call("wt.add_rake", c.client_id, self.BAD_RAKE)
+                assert gw.journal.recovery_state(worker)["rakes"] == {}
+                rid = c.add_rake([-1.0, -1.0, 1.0], [-1.0, 1.0, 1.0], n_seeds=2)
+                journaled = gw.journal.recovery_state(worker)["rakes"]
+                assert list(journaled) == [str(rid)]
+                assert str(rid) in c.fetch_frame()["paths"]

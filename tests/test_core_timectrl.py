@@ -92,3 +92,37 @@ class TestControls:
         assert snap["speed"] == 5.0
         assert snap["playing"] is True
         assert snap["n_timesteps"] == 50
+
+
+BAD = [float("nan"), float("inf"), float("-inf")]
+
+
+class TestNonFiniteRejected:
+    """A non-finite speed, position or step is refused before anything is
+    assigned: one bad ``wt.time`` must not leave the shared clock reading
+    NaN (every ``timestep_index`` after it would raise)."""
+
+    def apply(self, tc, op, value):
+        if op == "speed":
+            tc.set_speed(value, wall=1.0)
+        elif op == "scrub":
+            tc.scrub(value, wall=1.0)
+        elif op == "step":
+            tc.step(value, wall=1.0)
+        else:  # "restore.<key>": one bad entry in a journaled snapshot
+            key = op.split(".", 1)[1]
+            tc.restore({"speed": 5.0, "position": 3.0, key: value}, wall=1.0)
+
+    @pytest.mark.parametrize("value", BAD)
+    @pytest.mark.parametrize(
+        "op", ["speed", "scrub", "step", "restore.speed", "restore.position"]
+    )
+    def test_clock_unchanged_and_usable(self, op, value):
+        tc = TimeControl(50, speed=5.0)
+        tc.pause(wall=2.0)
+        before = tc.snapshot(2.0)
+        with pytest.raises(ValueError, match="finite"):
+            self.apply(tc, op, value)
+        assert tc.snapshot(2.0) == before
+        tc.scrub(0.0, wall=2.0)  # and it can still be driven
+        assert tc.timestep_index(2.0) == 0

@@ -27,7 +27,7 @@ class TestCheckDocs:
     def test_deleted_name_and_path_detected(self, tmp_path, capsys):
         ok = tmp_path / "ok.md"
         ok.write_text(
-            "`repro.perf.SweepTolerances`, `repro.perf.wire` and "
+            "`repro.perf.SessionWireModel`, `repro.perf.wire` and "
             "`python tools/check_docs.py docs/x.md` all exist; "
             "`perf/wire.py` is rooted at the package\n"
         )

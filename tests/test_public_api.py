@@ -36,18 +36,16 @@ def test_all_entries_resolve(name):
 
 
 def test_perf_exports_only_the_models_that_predict():
-    """Table 3, the Fig 8 stage model, the wire bound, sweep tolerances."""
+    """Table 3, the Fig 8 stage model, the wire bound; no second
+    regression gate beside ``benchmarks/e2e``."""
     import repro.perf
 
     assert sorted(repro.perf.__all__) == [
         "BENCHMARK_POINTS",
         "BenchmarkResult",
-        "DEFAULT_SWEEP_TOLERANCES",
-        "MetricTolerance",
         "PAPER_TIMINGS",
         "PipelineResult",
         "SessionWireModel",
-        "SweepTolerances",
         "benchmark_seeds",
         "compare_to_model",
         "frame_payload_bytes",
@@ -107,7 +105,6 @@ def test_option_counts_are_pinned():
     from repro.core import WindtunnelServer
     from repro.diskio import TieredTimestepCache, TimestepLoader
     from repro.gateway.worker import DEFAULT_SPEC
-    from repro.sweep.manifest import AXIS_KEYS
     from repro.tracers import IntegratorWorkspace, advance_rk2
 
     def options(cls):
@@ -119,6 +116,7 @@ def test_option_counts_are_pinned():
     assert options(WindtunnelServer) == 14
     assert options(ComputeEngine) == 4
     assert options(FramePipeline) == 6
+    assert options(TieredTimestepCache) == 9  # no caller-supplied shared L1
     assert options(IntegratorWorkspace) == 0
     assert len(inspect.signature(advance_rk2).parameters) == 3
     # One way to a velocity field: a load loads (whoever drives a loader
@@ -138,7 +136,6 @@ def test_option_counts_are_pinned():
     sources = Path(repro.__file__).parent.rglob("*.py")
     assert not [str(p) for p in sources if "os.environ" in p.read_text()]
     assert len(DEFAULT_SPEC) == 10
-    assert len(AXIS_KEYS) == 10
     assert len(dataclasses.fields(PublishedFrame)) == 10
     # A frame is a function of its key: no budget controller to export.
     assert not {"FrameBudgetGovernor", "DegradationPolicy"} & {
