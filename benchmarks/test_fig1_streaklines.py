@@ -2,10 +2,12 @@
 
 The paper's figure shows streaklines released behind the tapered cylinder
 curling into the shed vortices.  We regenerate it: a streakline rake just
-downstream of the body, advanced through the unsteady flow, rendered with
+downstream of the body, released through the unsteady flow, rendered with
 the smoke fade in writemask anaglyph stereo, and written to
 ``benchmarks/output/fig1_streaklines.ppm``.
 """
+
+import itertools
 
 import numpy as np
 import pytest
@@ -47,17 +49,18 @@ def advance_and_render(engine, rake, dataset, fb, n_frames=12, start=0):
 def test_fig1_smoke_image(smoke_setup, cylinder_dataset, output_dir, record, benchmark):
     engine, rake = smoke_setup
     fb = Framebuffer(480, 360)
+    clock = itertools.count(cylinder_dataset.n_timesteps)
 
     def frame():
         return advance_and_render(engine, rake, cylinder_dataset, fb, n_frames=1,
-                                  start=engine._streak_last.get(1, -1) + 1)
+                                  start=next(clock))
 
-    # Fill the streak history, then benchmark single-frame advance+render.
+    # Play 0 -> 15, then benchmark the next timestep's compute + render
+    # (one advance, or a rebuild from timestep 0 where the clock wraps).
     result = advance_and_render(engine, rake, cylinder_dataset, fb, n_frames=16)
     benchmark(frame)
-    # pytest-benchmark chooses how many rounds ran, so the streak state the
-    # last one left is not reproducible; the saved image is the 16-advance
-    # state recorded below.
+    # The saved image is the frame at timestep 15: the same frame however
+    # the clock reached it, and whatever rounds the benchmark ran.
     render_smoke(result, fb)
     path = fb.save_ppm(output_dir / "fig1_streaklines.ppm")
 
@@ -84,7 +87,7 @@ def test_fig1_streaklines_respond_to_flow(smoke_setup, cylinder_dataset, benchma
     engine, rake = smoke_setup
 
     def compute():
-        return engine.compute_rake(rake, 0)
+        return engine.compute_rake(rake, cylinder_dataset.n_timesteps - 1)
 
     result = benchmark(compute)
     polys = [p for p in result.physical_polylines() if len(p) >= 6]

@@ -43,9 +43,9 @@ from repro.flow import (
 from repro.tracers import (
     GrabPoint,
     Rake,
-    StreaklineTracer,
     TracerResult,
     compute_particle_paths,
+    compute_streaklines,
     compute_streamlines,
 )
 from repro.render import Camera, Framebuffer, Scene, render_anaglyph
@@ -72,7 +72,7 @@ __all__ = [
     "TracerResult",
     "compute_streamlines",
     "compute_particle_paths",
-    "StreaklineTracer",
+    "compute_streaklines",
     "Camera",
     "Framebuffer",
     "Scene",

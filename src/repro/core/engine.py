@@ -27,7 +27,7 @@ from repro.tracers.integrate import (
 from repro.tracers.particlepath import window_steps
 from repro.tracers.rake import Rake
 from repro.tracers.result import TracerResult
-from repro.tracers.streakline import StreaklineTracer
+from repro.tracers.streakline import compute_streaklines
 
 __all__ = ["ToolSettings", "ComputeEngine"]
 
@@ -46,9 +46,11 @@ class ToolSettings:
 class ComputeEngine:
     """Computes every rake's tool for a given timestep.
 
-    Holds the per-rake persistent state (streakline populations, warm-start
-    grid coordinates for rake seeds) that must survive across frames, and
-    records ``engine.*`` into ``registry`` (a private one when omitted;
+    Every result is a function of its rake, timestep and settings.  Two
+    per-rake memos only make that function cheap: the grid coordinates of
+    each rake's seeds, and each streakline rake's last filament, keyed on
+    its arguments so the next timestep costs one field read.  Records
+    ``engine.*`` into ``registry`` (a private one when omitted;
     the frame pipeline adopts it): ``engine.points_computed`` counts every
     point produced, and the last megabatch's size and rate are the
     ``engine.fused_batch_size`` / ``engine.points_per_second`` gauges.
@@ -71,8 +73,7 @@ class ComputeEngine:
         self._batch_size = self.registry.gauge("engine.fused_batch_size")
         self._points_per_second = self.registry.gauge("engine.points_per_second")
         self._locator = GridLocator(dataset.grid)
-        self._streaks: dict[int, StreaklineTracer] = {}
-        self._streak_last: dict[int, int] = {}
+        self._streaks: dict[int, tuple[tuple, TracerResult]] = {}
         self._seed_cache: dict[int, tuple[bytes, np.ndarray]] = {}
         # Zero-allocation scratch for the fused vector kernels.  Owned by
         # whichever single thread calls the compute methods (the producer
@@ -142,6 +143,30 @@ class ComputeEngine:
             self.dataset.n_timesteps, self.dataset.dt, workspace=workspace,
         )
 
+    def _streakline(
+        self, rid: int, seeds: np.ndarray, timestep: int, length: int
+    ) -> TracerResult:
+        """The streakline at ``timestep``, memoized per rake on the
+        function's arguments: the same key reuses the filament, the same
+        seeds, ``dt`` and length one timestep on advance it once, and
+        anything else (scrub, reverse step, moved rake, new length, a
+        fresh engine) rebuilds it.  All three give the same result."""
+        key = (seeds.tobytes(), self.dataset.dt, length, timestep)
+        memo_key, memo = self._streaks.get(rid, (None, None))
+        if memo_key == key:
+            return memo
+        resumable = (
+            memo_key is not None
+            and memo_key[:3] == key[:3]
+            and memo_key[3] == timestep - 1
+        )
+        result = compute_streaklines(
+            self.dataset, timestep, seeds, length,
+            field_at=self._field_at, previous=memo if resumable else None,
+        )
+        self._streaks[rid] = (key, result)
+        return result
+
     def compute_rake(
         self, rake: Rake, timestep: int, *, settings: ToolSettings | None = None
     ) -> TracerResult:
@@ -163,14 +188,7 @@ class ComputeEngine:
         elif rake.kind == "particle_path":
             result = TracerResult(*self._particle_paths(seeds, timestep, s), grid)
         elif rake.kind == "streakline":
-            tracer = self._streaks.get(rid)
-            if tracer is None or tracer.max_length != s.streakline_length:
-                tracer = StreaklineTracer(max_length=s.streakline_length)
-                self._streaks[rid] = tracer
-            if self._streak_last.get(rid) != timestep:
-                tracer.advance(self._field_at(timestep), seeds, self.dataset.dt)
-                self._streak_last[rid] = timestep
-            result = tracer.result(grid)
+            result = self._streakline(rid, seeds, timestep, s.streakline_length)
         else:  # pragma: no cover - Rake validates kinds
             raise ValueError(f"unknown tool kind {rake.kind!r}")
         self._points_computed.inc(result.n_points)
@@ -205,7 +223,7 @@ class ComputeEngine:
         kernel-launch overhead and the per-step trilinear gathers are
         paid once per frame instead of once per rake, and active-particle
         compaction amortizes over the whole environment.  Streaklines
-        stay per-rake: their population state is inherently per-tracer.
+        stay per-rake, each advancing its own memoized filament.
 
         Slicing is exact: the kernel computes each particle independently
         (elementwise operations), so the union batch is bit-identical to
@@ -216,10 +234,8 @@ class ComputeEngine:
 
         The frame pipeline's producer thread calls this with a *copied*
         rake dict taken under the environment lock, so the service thread
-        can keep mutating the live environment mid-compute.  Per-rake
-        persistent state (streakline populations, seed warm starts) for
-        rakes absent from ``rakes`` is garbage-collected here — rake ids
-        are never reused, so a later snapshot can't resurrect stale state.
+        can keep mutating the live environment mid-compute.  The per-rake
+        memos of rakes absent from ``rakes`` are dropped here.
         """
         s = settings or self.settings
         out: dict[int, TracerResult] = {}
@@ -266,11 +282,9 @@ class ComputeEngine:
         self._fused_frames.inc()
         self._batch_size.set(batch)
         self._points_per_second.set(points / elapsed if elapsed > 0 else 0.0)
-        # Garbage-collect state for rakes that no longer exist.
+        # Drop the memos of rakes that no longer exist.
         live = set(rakes)
-        for rid in set(self._streaks) - live:
-            del self._streaks[rid]
-            self._streak_last.pop(rid, None)
-        for rid in set(self._seed_cache) - live:
-            del self._seed_cache[rid]
+        for memo in (self._streaks, self._seed_cache):
+            for rid in set(memo) - live:
+                del memo[rid]
         return out

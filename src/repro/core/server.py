@@ -55,6 +55,10 @@ from repro.tracers.rake import Rake
 __all__ = ["DEFAULT_SUBSCRIPTION", "Subscription", "WindtunnelServer"]
 
 _TIME_OPS = ("pause", "resume", "speed", "scrub", "step", "reverse")
+#: The longest streamline ``wt.set_tool_settings`` accepts (50x the
+#: default): a frame's buffers grow with it, and one absurd value must
+#: not leave the producer failing every frame for every session.
+MAX_STREAMLINE_STEPS = 10_000
 
 
 @dataclass
@@ -928,6 +932,10 @@ class WindtunnelServer:
             value = allowed[key](value)
             if value <= 0:
                 raise ValueError(f"{key} must be positive")
+            if key == "streamline_steps" and value > MAX_STREAMLINE_STEPS:
+                raise ValueError(
+                    f"streamline_steps must be at most {MAX_STREAMLINE_STEPS}"
+                )
             checked[key] = value
         for key, value in checked.items():
             setattr(s, key, value)

@@ -106,6 +106,12 @@ class UnsteadyDataset(ABC):
         return gv
 
     @property
+    def oldest_timestep(self) -> int:
+        """The oldest timestep still readable: 0, unless a live source
+        has retired its early history."""
+        return 0
+
+    @property
     def cached_timesteps(self) -> list[int]:
         """Timesteps currently resident in the grid-velocity cache."""
         with self._gv_lock:

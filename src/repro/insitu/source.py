@@ -11,7 +11,8 @@ differences from a replay dataset:
   that frontier instead of a wall-anchored schedule.
 * ``velocity(t)`` reads the producer's bounded
   :class:`~repro.insitu.ring.TimestepRing`; a timestep that has retired
-  from the ring raises ``IndexError`` with a message saying so.
+  from the ring raises ``IndexError`` with a message saying so, and
+  ``oldest_timestep`` names the oldest one still held.
 """
 
 from __future__ import annotations
@@ -101,6 +102,11 @@ class LiveFlowSource(UnsteadyDataset):
     def latest(self) -> int:
         """Newest produced timestep (the solver frontier)."""
         return self.ring.latest
+
+    @property
+    def oldest_timestep(self) -> int:
+        """The oldest timestep the ring still holds."""
+        return max(self.ring.oldest, 0)
 
     @property
     def ring_evictions(self) -> int:

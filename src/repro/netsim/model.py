@@ -67,9 +67,9 @@ class NetworkModel:
         t = self.transfer_time(nbytes_per_frame)
         return 1.0 / t if t > 0 else float("inf")
 
-    def supports(self, n_particles: int, fps: float = 10.0) -> bool:
-        """Can this network carry ``n_particles`` at ``fps``? (Table 1 test)"""
-        return self.sustainable_fps(bytes_per_frame(n_particles)) >= fps
+    def supports(self, particles: int, fps: float = 10.0) -> bool:
+        """Can this network carry ``particles`` at ``fps``? (Table 1 test)"""
+        return self.sustainable_fps(bytes_per_frame(particles)) >= fps
 
 
 # The paper's network tiers (section 5.1).
@@ -80,23 +80,23 @@ HIPPI = NetworkModel("HIPPI", 100.0 * MB)
 ETHERNET_10 = NetworkModel("10 Mb/s Ethernet", 10e6 / 8.0)
 
 
-def bytes_per_frame(n_particles: int, bytes_per_point: int = BYTES_PER_POINT) -> int:
-    """Bytes transferred per visualization update for ``n_particles``."""
-    if n_particles < 0:
+def bytes_per_frame(particles: int, bytes_per_point: int = BYTES_PER_POINT) -> int:
+    """Bytes transferred per visualization update for ``particles``."""
+    if particles < 0:
         raise ValueError("particle count must be non-negative")
-    return n_particles * bytes_per_point
+    return particles * bytes_per_point
 
 
 def required_bandwidth_mbps(
-    n_particles: int, fps: float = 10.0, bytes_per_point: int = BYTES_PER_POINT
+    particles: int, fps: float = 10.0, bytes_per_point: int = BYTES_PER_POINT
 ) -> float:
-    """Bandwidth (binary MB/s) needed for ``n_particles`` at ``fps``.
+    """Bandwidth (binary MB/s) needed for ``particles`` at ``fps``.
 
     Table 1's third column: 10,000 particles at 10 fps -> 1.144 MB/s.
     """
     if fps <= 0:
         raise ValueError("fps must be positive")
-    return bytes_per_frame(n_particles, bytes_per_point) * fps / MB
+    return bytes_per_frame(particles, bytes_per_point) * fps / MB
 
 
 def max_particles_for_bandwidth(

@@ -9,9 +9,10 @@ increments are interleaved:
   never incrementing time;
 * **particle path** — integrate while incrementing the timestep with each
   integration;
-* **streakline** — keep a population of particles, moving every particle
-  one step per frame in the current timestep's field while injecting new
-  particles at the seed points.
+* **streakline** — release one particle per seed at every timestep and
+  move each through the fields from its release to the current
+  timestep: a pure function of the seeds, the timestep and the filament
+  length, like the other two.
 
 All integration happens in grid coordinates with second-order Runge-Kutta
 (section 5.3), and results are converted to physical coordinates by
@@ -38,7 +39,7 @@ from repro.tracers.integrate import (
 from repro.tracers.rake import GrabPoint, Rake
 from repro.tracers.streamline import compute_streamlines
 from repro.tracers.particlepath import compute_particle_paths
-from repro.tracers.streakline import StreaklineTracer
+from repro.tracers.streakline import compute_streaklines
 from repro.tracers.result import TracerResult
 from repro.tracers.isosurface import (
     IsosurfaceResult,
@@ -58,7 +59,7 @@ __all__ = [
     "GrabPoint",
     "compute_streamlines",
     "compute_particle_paths",
-    "StreaklineTracer",
+    "compute_streaklines",
     "TracerResult",
     "IsosurfaceResult",
     "extract_isosurface",

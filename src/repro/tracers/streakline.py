@@ -2,15 +2,18 @@
 
 "A streakline is formally defined as the locus of infinitesimal fluid
 elements that have previously passed through a given fixed point in space
-... analogous to smoke or collections of bubbles" (section 2.1).  Each
-frame, every live particle is moved by one RK2 step in the *current*
-timestep's field, and fresh particles are injected at the seed points.
-Unlike the other tools the streakline is stateful — its particle
-population persists across frames — so it is a class rather than a
-function.
+... analogous to smoke or collections of bubbles" (section 2.1).  That
+locus is a pure function of the seeds, the timestep, the filament length
+and ``dt``: the particle of age *a* at timestep *t* was released at the
+seeds at *t − a* and moved by one RK2 step in each field from *t − a + 1*
+to *t*.  Like the other two tools it is therefore a function, not a
+stateful tracer — and a frame reached by play, scrub or reverse step is
+the same frame.
 """
 
 from __future__ import annotations
+
+from collections.abc import Callable
 
 import numpy as np
 
@@ -19,127 +22,85 @@ from repro.grid.interpolation import in_domain_mask
 from repro.tracers.integrate import advance_rk2
 from repro.tracers.result import TracerResult
 
-__all__ = ["StreaklineTracer"]
+__all__ = ["compute_streaklines"]
 
 
-class StreaklineTracer:
-    """Persistent particle population forming streaklines.
+def _advance(
+    previous: TracerResult | None, gv: np.ndarray, seeds: np.ndarray,
+    dt: float, keep: int, grid,
+) -> TracerResult:
+    """One timestep on: every visible particle of ``previous`` moves one
+    RK2 step in ``gv`` and a fresh particle is released at each seed;
+    the ``keep`` youngest are kept.
 
-    Particle history is stored age-major: ``history[0]`` holds the newest
-    particles (one per seed, just injected), ``history[age]`` the particles
-    injected ``age`` frames ago.  Connecting a seed's column through
-    increasing age renders the smoke filament; the buffer length is the
-    particle budget per seed.
+    A filament ends at its first dead particle, and everything older
+    stays hidden for good (death is permanent, ageing keeps order), so
+    only the visible run is carried: ``previous`` *is* the population.
+    """
+    dims = gv.shape[:3]
+    s = seeds.shape[0]
+    n = 0 if previous is None else min(previous.grid_paths.shape[1], keep - 1)
+    width = n + 1
+    positions = np.empty((s, width, 3), dtype=np.float64)
+    alive = np.zeros((s, width), dtype=bool)
+    positions[:, 0] = seeds
+    alive[:, 0] = in_domain_mask(seeds, dims)
+    if n:
+        live = np.arange(n) < previous.lengths[:, None]
+        moved = advance_rk2(gv, previous.grid_paths[:, :n][live], dt)
+        positions[:, 1:][live] = moved
+        alive[:, 1:][live] = in_domain_mask(moved, dims)
+    # Length = leading run of live particles from the newest end; the
+    # vertices past it freeze at the last live one.
+    dead = ~alive
+    lengths = np.where(dead.any(axis=1), dead.argmax(axis=1), width).astype(np.intp)
+    last = np.minimum(np.arange(width), np.maximum(lengths, 1)[:, None] - 1)
+    return TracerResult(positions[np.arange(s)[:, None], last], lengths, grid)
+
+
+def compute_streaklines(
+    dataset: UnsteadyDataset,
+    timestep: int,
+    seeds: np.ndarray,
+    length: int = 64,
+    *,
+    field_at: Callable[[int], np.ndarray] | None = None,
+    previous: TracerResult | None = None,
+) -> TracerResult:
+    """Compute the streaklines from grid-coordinate ``seeds`` at ``timestep``.
+
+    Returns a :class:`TracerResult` whose path ``s`` runs from the newest
+    particle (at the seed) back through older ones, one per timestep from
+    ``max(0, timestep - length + 1, dataset.oldest_timestep)`` on —
+    history does not cross the clock's wrap, nor reach before what a
+    live source still holds — truncated at the first particle that left
+    the domain.
 
     Parameters
     ----------
-    max_length
-        Maximum particles retained per seed (filament length in frames).
+    seeds
+        Seed positions in grid coordinates, shape ``(S, 3)``: the rake's
+        *current* seeds release every particle of the filament.
+    length
+        Particles per seed at most (filament length in timesteps).
+    field_at
+        Maps a timestep to its grid-coordinate field; the dataset's
+        ``grid_velocity`` by default (the engine passes its loader's).
+    previous
+        The streakline from the same seeds and ``length`` at
+        ``timestep - 1``: the result is the same, from one field read
+        instead of a window's.
     """
-
-    def __init__(self, max_length: int = 100) -> None:
-        if max_length < 1:
-            raise ValueError("max_length must be positive")
-        self.max_length = int(max_length)
-        self._history: np.ndarray | None = None  # (L, S, 3) grid coords
-        self._alive: np.ndarray | None = None  # (L, S) bool
-        self.filled = 0
-
-    @property
-    def n_seeds(self) -> int:
-        return 0 if self._history is None else self._history.shape[1]
-
-    @property
-    def n_particles(self) -> int:
-        """Live particle count (the paper's particle budget currency)."""
-        if self._alive is None or self.filled == 0:
-            return 0
-        return int(self._alive[: self.filled].sum())
-
-    def reset(self) -> None:
-        """Drop all particles (e.g. when the rake's seed count changes)."""
-        self._history = None
-        self._alive = None
-        self.filled = 0
-
-    def advance(
-        self, gv: np.ndarray, seeds: np.ndarray, dt: float, substeps: int = 1
-    ) -> None:
-        """Advance one frame: move all particles, inject new ones.
-
-        ``gv`` is the current timestep's grid-coordinate field, read once
-        by the caller (the engine, through its loader), and ``dt`` the
-        frame's time increment (the dataset's ``dt`` in real-time play).
-        ``seeds`` are grid-coordinate seed positions ``(S, 3)``.  If the
-        seed count differs from the existing population's, the population
-        is reset (the user rebuilt the rake).  Seed *positions* may change
-        freely — a moving rake emits from wherever it currently is.
-
-        ``substeps`` splits the frame's time increment into that many RK2
-        steps — the accuracy knob when dataset timesteps are coarse
-        relative to the flow's turnover time (each substep still uses the
-        current timestep's field, per the paper's streakline definition).
-        """
-        seeds = np.asarray(seeds, dtype=np.float64)
-        if seeds.ndim != 2 or seeds.shape[1] != 3:
-            raise ValueError(f"seeds must have shape (S, 3), got {seeds.shape}")
-        s = seeds.shape[0]
-        if self._history is None or self._history.shape[1] != s:
-            self._history = np.zeros((self.max_length, s, 3), dtype=np.float64)
-            self._alive = np.zeros((self.max_length, s), dtype=bool)
-            self.filled = 0
-        if substeps < 1:
-            raise ValueError("substeps must be at least 1")
-        dims = gv.shape[:3]
-        sub_dt = dt / substeps
-
-        # 1. Move every live particle through the frame's time increment.
-        if self.filled:
-            hist = self._history[: self.filled].reshape(-1, 3)
-            alive = self._alive[: self.filled].reshape(-1)
-            for _ in range(substeps):
-                if not alive.any():
-                    break
-                sel = np.nonzero(alive)[0]
-                new = advance_rk2(gv, hist[sel], sub_dt)
-                inside = in_domain_mask(new, dims)
-                hist[sel[inside]] = new[inside]
-                alive[sel[~inside]] = False
-
-        # 2. Age the population and inject fresh particles at the seeds.
-        self._history = np.roll(self._history, 1, axis=0)
-        self._alive = np.roll(self._alive, 1, axis=0)
-        self._history[0] = seeds
-        self._alive[0] = in_domain_mask(seeds, dims)
-        self.filled = min(self.filled + 1, self.max_length)
-
-    def result(self, grid=None, dataset: UnsteadyDataset | None = None) -> TracerResult:
-        """Package the current population as per-seed filaments.
-
-        Returns a :class:`TracerResult` whose path ``s`` runs from the
-        newest particle (at the seed) back through its predecessors; the
-        filament is truncated at the first dead particle, since everything
-        older has convected out of the domain.
-        """
-        if grid is None:
-            if dataset is None:
-                raise ValueError("provide grid or dataset")
-            grid = dataset.grid
-        if self._history is None or self.filled == 0:
-            return TracerResult(
-                np.zeros((0, 1, 3)), np.zeros(0, dtype=np.intp), grid
-            )
-        s = self._history.shape[1]
-        paths = np.transpose(self._history[: self.filled], (1, 0, 2)).copy()
-        alive = np.transpose(self._alive[: self.filled], (1, 0))  # (S, filled)
-        # Length = leading run of live particles from the newest end.
-        dead = ~alive
-        lengths = np.where(
-            dead.any(axis=1), dead.argmax(axis=1), self.filled
-        ).astype(np.intp)
-        # Freeze vertices beyond the valid run at the last valid position.
-        for i in range(s):
-            li = lengths[i]
-            if 0 < li < self.filled:
-                paths[i, li:] = paths[i, li - 1]
-        return TracerResult(paths, lengths, grid)
+    seeds = np.asarray(seeds, dtype=np.float64)
+    if seeds.ndim != 2 or seeds.shape[1] != 3:
+        raise ValueError(f"seeds must have shape (S, 3), got {seeds.shape}")
+    if length < 1:
+        raise ValueError("streakline length must be at least 1")
+    field_at = dataset.grid_velocity if field_at is None else field_at
+    start = max(0, timestep - length + 1, dataset.oldest_timestep)
+    result = previous
+    for t in range(start, timestep + 1) if previous is None else (timestep,):
+        result = _advance(
+            result, field_at(t), seeds, dataset.dt, t - start + 1, dataset.grid
+        )
+    return result

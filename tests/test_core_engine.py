@@ -76,13 +76,19 @@ class TestComputeRake:
         assert res.grid_paths.shape[1] <= 6  # clamped by dataset length
 
     def test_streakline_persists_across_frames(self, engine):
+        """The filament at a timestep is the same however the clock got
+        there: played, scrubbed, or stepped back."""
         rake = Rake([2, 4, 2], [6, 4, 2], n_seeds=3, kind="streakline", rake_id=12)
-        r1 = engine.compute_rake(rake, 0)
-        r2 = engine.compute_rake(rake, 1)
-        assert r2.grid_paths.shape[1] == 2  # two frames of particles
-        # Same timestep twice does not double-advance.
-        r3 = engine.compute_rake(rake, 1)
-        assert r3.grid_paths.shape[1] == 2
+        played = [engine.compute_rake(rake, t) for t in range(4)]
+        assert [r.grid_paths.shape[1] for r in played] == [1, 2, 3, 4]
+        # The same timestep twice reuses the filament.
+        assert engine.compute_rake(rake, 3) is played[3]
+        for path in ([1], [3, 2, 1]):  # a fresh scrub, a reverse step
+            fresh = ComputeEngine(engine.dataset, engine.settings)
+            for t in path:
+                got = fresh.compute_rake(rake, t)
+            np.testing.assert_array_equal(got.grid_paths, played[1].grid_paths)
+            np.testing.assert_array_equal(got.lengths, played[1].lengths)
 
     def test_points_computed_accumulates(self, engine):
         rake = Rake([2, 4, 2], [6, 4, 2], n_seeds=2, rake_id=13)
@@ -106,10 +112,10 @@ class TestComputeEnvironment:
         env = Environment(dataset.n_timesteps)
         rid = env.add_rake(Rake([2, 4, 2], [6, 4, 2], n_seeds=3, kind="streakline"))
         engine.compute_rakes(env.rakes, 0)
-        assert rid in engine._streaks
+        assert rid in engine._streaks and rid in engine._seed_cache
         env.remove_rake(rid)
         engine.compute_rakes(env.rakes, 1)
-        assert rid not in engine._streaks
+        assert rid not in engine._streaks and rid not in engine._seed_cache
 
     def test_quality_scales_path_length(self, dataset):
         engine = ComputeEngine(dataset, ToolSettings(streamline_steps=100))
@@ -138,7 +144,8 @@ class TestEveryToolReadsThroughTheLoader:
     the loader's source was remote."""
 
     T0, STEPS = 1, 3  # a particle path over timesteps 1..4
-    WINDOW = [1, 2, 3, 4]
+    # … and a streakline over 0..1: a particle released at each.
+    WINDOW = [0, 1, 2, 3, 4]
     SETTINGS = ToolSettings(particle_path_steps=STEPS, streakline_length=4)
 
     def rakes(self):
@@ -171,8 +178,8 @@ class TestEveryToolReadsThroughTheLoader:
         )
         engine = ComputeEngine(dataset, self.SETTINGS, loader=loader)
         out, reads = self.drive(engine, monkeypatch)
-        # Exactly the window is paid for, once each, on the modeled disk …
-        assert loader.buffered_timesteps == self.WINDOW
+        # Exactly the windows are paid for, once each, on the modeled disk …
+        assert sorted(loader.buffered_timesteps) == self.WINDOW
         assert len(charged) == len(self.WINDOW)
         assert loader.misses.value == len(self.WINDOW)
         # … and every read of the frame went through the counted ladder.
@@ -181,7 +188,7 @@ class TestEveryToolReadsThroughTheLoader:
         paths, lengths = self.reference(dataset, engine)
         np.testing.assert_array_equal(out[1].grid_paths, paths)
         np.testing.assert_array_equal(out[1].lengths, lengths)
-        assert out[2].n_points == 2  # the streakline's first particles
+        assert out[2].n_points == 4  # two particles for each of two seeds
 
     def test_no_read_reaches_the_local_dataset(self, dataset, monkeypatch):
         """With a (stub) remote source the local dataset is never decoded."""
@@ -201,6 +208,7 @@ class TestEveryToolReadsThroughTheLoader:
         paths, _ = self.reference(dataset, engine)
         np.testing.assert_array_equal(out[1].grid_paths, paths)
         # The next frame's streakline step is one more counted read.
+        n_reads = len(reads)
         engine.compute_rakes({2: self.rakes()[2]}, self.T0 + 1)
-        assert reads[-1] == self.T0 + 1
+        assert reads[n_reads:] == [self.T0 + 1]
         assert loader.hits.value + loader.misses.value == len(reads)

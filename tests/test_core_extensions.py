@@ -101,6 +101,45 @@ class TestToolSettingsRPC:
             assert server.env.version == version
 
 
+class TestOneSettingCannotWedgeTheServer:
+    """One absurd ``wt.set_tool_settings`` used to make every production
+    raise ``MemoryError``, retried every poll tick, so every session's
+    parked frame timed out (and a respawned worker replayed the value
+    from the journal)."""
+
+    def test_streamline_steps_above_the_bound_rejected(self, server):
+        with WindtunnelClient(*server.address) as a, WindtunnelClient(
+            *server.address
+        ) as b:
+            rid = a.add_rake([-1, 0, 0.5], [1, 0, 0.5], n_seeds=3)
+            with pytest.raises(DlibRemoteError, match="at most"):
+                a.set_tool_settings(streamline_steps=10**9)
+            assert server.engine.settings.streamline_steps == 30
+            frame = b.fetch_frame()
+            assert frame["paths"][str(rid)]["vertices"].shape[1] == 31
+            assert server.pipeline.alive
+            a.remove_rake(rid)
+
+    def test_streakline_length_is_bounded_by_the_window(self, server):
+        with WindtunnelClient(*server.address) as a, WindtunnelClient(
+            *server.address
+        ) as b:
+            rid = a.add_rake([-1, 0, 0.5], [1, 0, 0.5], n_seeds=3, kind="streakline")
+            a.time_control("pause")
+            a.time_control("step", 3)
+            try:
+                a.set_tool_settings(streakline_length=10**9)
+                frame = b.fetch_frame()
+                # Four timesteps released a particle each: 0, 1, 2 and 3.
+                assert frame["paths"][str(rid)]["vertices"].shape[1] == 4
+                assert server.pipeline.alive
+            finally:
+                a.set_tool_settings(streakline_length=64)
+                a.time_control("step", -3)
+                a.time_control("resume")
+                a.remove_rake(rid)
+
+
 class TestIsosurfaceRPC:
     def test_returns_triangles(self, server):
         with WindtunnelClient(*server.address) as c:

@@ -12,7 +12,8 @@ Covers the guarantees the refactor introduced:
   identical stage code (encode-once, read-only arrays), and every wire
   encoding of its frame decodes within bound, degenerate grids and
   zero-length rakes included;
-* a published frame is a function of its key: over any edit sequence it
+* a published frame is a function of its key: over any edit sequence —
+  clock scrubs and reverse steps included, for all three tools — it
   equals a fresh engine's ``compute_rakes`` on the same snapshot;
 * a dead producer thread reads dead: parked calls fail promptly.
 """
@@ -22,7 +23,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import (
@@ -323,28 +324,58 @@ class TestHeadlessProduction:
 
 
 _inside = st.tuples(st.floats(2.0, 6.0), st.floats(2.0, 6.0), st.floats(1.0, 3.0))
-_kinds = st.sampled_from(["streamline", "particle_path"])
+_kinds = st.sampled_from(["streamline", "particle_path", "streakline"])
 _edits = st.one_of(
     st.tuples(st.just("add"), _kinds, _inside),
     st.tuples(st.just("move"), st.integers(0, 7), _inside),
     st.tuples(st.just("remove"), st.integers(0, 7)),
     st.tuples(st.just("settings"), st.integers(2, 24), st.sampled_from([0.02, 0.1])),
     st.tuples(st.just("step"), st.integers(-3, 3)),
+    st.tuples(st.just("scrub"), st.integers(0, 7)),
+    st.tuples(st.just("reverse")),
 )
 
 
 class TestFrameIsAFunctionOfItsKey:
     """Nothing but ``(env.version, timestep)`` — and the rakes, clock and
     settings that key names — decides what is published: the tier-1 seed
-    of the differential oracle (ROADMAP 6(a))."""
+    of the differential oracle (ROADMAP 6(a)), for all three tools."""
+
+    _smoke = ("add", "streakline", (3.0, 3.0, 2.0))
 
     @settings(max_examples=30, deadline=None)
     @given(edits=st.lists(_edits, min_size=1, max_size=8))
+    # The three clock paths to timestep 5: played, scrubbed, stepped back.
+    @example(edits=[_smoke, *[("step", 1)] * 5])
+    @example(edits=[_smoke, ("scrub", 5)])
+    @example(edits=[_smoke, ("step", 3), ("step", 2), ("reverse",)])
     def test_every_frame_equals_a_fresh_engine_on_its_snapshot(self, dataset, edits):
         env = Environment(dataset.n_timesteps)
         engine = ComputeEngine(dataset, ToolSettings(streamline_steps=12))
         pipeline = FramePipeline(engine, env, FrameStore(), time_fn=lambda: 0.0)
         env.clock.pause(0.0)
+
+        def step(delta):  # what ``wt.time`` applies
+            env.clock.step(delta, 0.0)
+            env.bump()
+
+        def check_next_frame():
+            frame = pipeline.produce_inline()
+            version, rakes = env.rakes_snapshot()
+            assert frame.key == (version, env.clock.timestep_index(0.0))
+            fresh = ComputeEngine(dataset, replace(engine.settings))
+            reference = wire_arrays_batch(
+                fresh.compute_rakes(rakes, frame.timestep), TrilinearScratch()
+            )
+            assert set(frame.paths) == {str(rid) for rid in reference}
+            for rid, (vertices, lengths) in reference.items():
+                entry = frame.paths[str(rid)]
+                assert entry["kind"] == rakes[rid].kind
+                np.testing.assert_array_equal(entry["vertices"], vertices)
+                np.testing.assert_array_equal(entry["lengths"], lengths)
+            again = pipeline.produce_inline()  # the same key, produced twice
+            assert again.key == frame.key and again.digests == frame.digests
+
         for op, *args in edits:
             rids = sorted(env.rakes)
             if op == "add":
@@ -362,27 +393,19 @@ class TestFrameIsAFunctionOfItsKey:
             elif op == "settings":  # what ``wt.set_tool_settings`` applies
                 engine.settings.streamline_steps = args[0]
                 engine.settings.particle_path_steps = args[0]
+                engine.settings.streakline_length = args[0]
                 engine.settings.streamline_dt = args[1]
                 env.bump()
-            elif op == "step":  # what ``wt.time`` applies
-                env.clock.step(args[0], 0.0)
+            elif op == "step":
+                step(args[0])
+            elif op == "scrub":
+                env.clock.scrub(args[0], 0.0)
                 env.bump()
-
-            frame = pipeline.produce_inline()
-            version, rakes = env.rakes_snapshot()
-            assert frame.key == (version, env.clock.timestep_index(0.0))
-            fresh = ComputeEngine(dataset, replace(engine.settings))
-            reference = wire_arrays_batch(
-                fresh.compute_rakes(rakes, frame.timestep), TrilinearScratch()
-            )
-            assert set(frame.paths) == {str(rid) for rid in reference}
-            for rid, (vertices, lengths) in reference.items():
-                entry = frame.paths[str(rid)]
-                assert entry["kind"] == rakes[rid].kind
-                np.testing.assert_array_equal(entry["vertices"], vertices)
-                np.testing.assert_array_equal(entry["lengths"], lengths)
-            again = pipeline.produce_inline()  # the same key, produced twice
-            assert again.key == frame.key and again.digests == frame.digests
+            elif op == "reverse":  # one step on and back, as in 0 -> 6 -> 5
+                step(1)
+                check_next_frame()
+                step(-1)
+            check_next_frame()
 
 
 class TestProducerDeath:

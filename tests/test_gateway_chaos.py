@@ -17,6 +17,7 @@ comes back where the hand let go of it, not where it was added.
 import threading
 import time
 
+import numpy as np
 import pytest
 
 from repro.core import WindtunnelClient
@@ -268,3 +269,36 @@ class TestDraggedRakeRecovery:
             assert gateway.supervisor.await_ready(worker, RECOVER_DEADLINE)
             c.rejoin()
             assert geometry() == dragged
+
+
+class TestStreaklineFailover:
+    def test_adopting_worker_serves_the_same_streakline_frame(self):
+        """A streakline is a function of its key: the respawned worker,
+        which never saw the timesteps played before the kill, serves the
+        frame the dead one did."""
+        gw = SessionGateway(
+            default_worker_spec(), n_workers=1, heartbeat_interval=0.2,
+            recovery_wait=20.0,
+        )
+        with gw, WindtunnelClient(*gw.address, name="smoke") as c:
+            rid = str(c.add_rake(
+                (-1.0, -1.0, 0.5), (-1.0, 1.0, 0.5), n_seeds=4, kind="streakline"
+            ))
+            c.time_control("pause")
+            c.time_control("scrub", 0)
+            for _ in range(3):  # play 0 -> 3, a frame at each timestep
+                c.time_control("step", 1)
+                before = c.fetch_frame()
+            assert before["timestep"] == 3
+            assert before["paths"][rid]["vertices"].shape[1] == 4
+
+            gw.supervisor.mark_suspect("w0")  # so await_ready waits
+            ProcessFaults(seed=13).kill(gw.supervisor.handle_of("w0"))
+            assert gw.supervisor.await_ready("w0", RECOVER_DEADLINE)
+            c.rejoin()
+            after = c.fetch_frame()
+            assert after["timestep"] == before["timestep"]
+            for field in ("vertices", "lengths"):
+                np.testing.assert_array_equal(
+                    after["paths"][rid][field], before["paths"][rid][field]
+                )

@@ -137,6 +137,25 @@ class TestLiveSession:
             assert c.time_control("pause")["playing"] is False
             assert c.time_control("resume")["playing"] is True
 
+    def test_moved_streakline_rake_past_the_ring_is_served(self, server):
+        """A streakline's window stops at the ring's oldest timestep: the
+        default 64-timestep filament must not read the history a 16-slot
+        ring has retired when a drag makes it rebuild."""
+        with WindtunnelClient(*server.address, name="smoke") as c:
+            wait_until(lambda: server.producer.available > 32, timeout=30.0)
+            rid = c.add_rake((3.0, 1.5, 0.5), (3.0, 2.5, 0.5), n_seeds=4,
+                             kind="streakline")
+            head = (3.0, -3.0, 0.5)
+            assert c.send_input(head, (3.0, 2.0, 0.5), "fist")["holding"] == [
+                rid, "center",
+            ]
+            c.send_input(head, (3.5, 2.0, 0.5), "fist")
+            frame = c.fetch_frame()
+            c.send_input(head, (3.5, 2.0, 0.5), "open")
+            assert frame["timestep"] > 32
+            assert 1 < frame["paths"][str(rid)]["vertices"].shape[1] <= 16
+            assert server.pipeline.alive
+
     def test_state_snapshot_carries_steering_section(self, server):
         with WindtunnelClient(*server.address, name="s") as c:
             c.steer(taper=0.4, angle=15.0)

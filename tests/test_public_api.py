@@ -59,6 +59,7 @@ def test_perf_exports_only_the_models_that_predict():
 def test_stat_mirrors_and_dead_selectors_stay_unexported():
     """One store per number: no stats class or accessor beside the
     registry comes back through a package ``__all__``."""
+    import repro
     import repro.diskio
     import repro.netsim
     import repro.obs
@@ -77,12 +78,15 @@ def test_stat_mirrors_and_dead_selectors_stay_unexported():
     ]
     assert sorted(repro.tracers.__all__) == [
         "BACKENDS", "FTLEResult", "GrabPoint", "IntegratorWorkspace",
-        "IsosurfaceResult", "MultiZoneTracerResult", "Rake",
-        "StreaklineTracer", "TracerResult", "advance_rk2", "compute_ftle",
-        "compute_particle_paths", "compute_streamlines", "extract_isosurface",
+        "IsosurfaceResult", "MultiZoneTracerResult", "Rake", "TracerResult",
+        "advance_rk2", "compute_ftle", "compute_particle_paths",
+        "compute_streaklines", "compute_streamlines", "extract_isosurface",
         "integrate_paths", "integrate_steady", "multizone_streamlines",
         "velocity_magnitude",
     ]
+    # The three tools are three functions; none of them keeps state.
+    tools = {"compute_streamlines", "compute_particle_paths", "compute_streaklines"}
+    assert tools <= set(repro.__all__) and len(repro.__all__) == 25
     assert sorted(repro.netsim.__all__) == [
         "BYTES_PER_POINT", "BYTES_PER_POINT_QUANTIZED", "BandwidthSchedule",
         "ETHERNET_10", "FaultPlan", "FaultStats", "FaultyChannel", "HIPPI",

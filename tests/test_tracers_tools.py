@@ -6,9 +6,9 @@ import pytest
 from repro.flow import MemoryDataset, RigidRotation, UniformFlow, sample_on_grid
 from repro.grid import cartesian_grid
 from repro.tracers import (
-    StreaklineTracer,
     TracerResult,
     compute_particle_paths,
+    compute_streaklines,
     compute_streamlines,
 )
 
@@ -109,133 +109,86 @@ class TestComputeParticlePaths:
         np.testing.assert_allclose(phys[0, 1, 0] - phys[0, 0, 0], 0.5, atol=1e-9)
 
 
-class TestStreaklineTracer:
+
+
+class TestComputeStreaklines:
     def test_population_grows_then_saturates(self, uniform_ds):
-        tr = StreaklineTracer(max_length=3)
         seeds = np.array([[1.0, 4.0, 2.0], [1.0, 5.0, 2.0]])
-        for i in range(5):
-            tr.advance(uniform_ds.grid_velocity(min(i, 3)), seeds, uniform_ds.dt)
-            assert tr.filled == min(i + 1, 3)
-        assert tr.n_seeds == 2
-        assert tr.n_particles <= 6
+        for t in range(uniform_ds.n_timesteps):
+            res = compute_streaklines(uniform_ds, t, seeds, length=3)
+            assert res.grid_paths.shape == (2, min(t + 1, 3), 3)
+            assert res.n_points <= 6
 
     def test_newest_particle_at_seed(self, uniform_ds):
-        tr = StreaklineTracer(max_length=5)
         seeds = np.array([[1.0, 4.0, 2.0]])
-        tr.advance(uniform_ds.grid_velocity(0), seeds, uniform_ds.dt)
-        tr.advance(uniform_ds.grid_velocity(1), seeds, uniform_ds.dt)
-        res = tr.result(uniform_ds.grid)
+        res = compute_streaklines(uniform_ds, 1, seeds, length=5)
         np.testing.assert_allclose(res.grid_paths[0, 0], seeds[0])
 
     def test_filament_trails_upstream_history(self, uniform_ds):
-        tr = StreaklineTracer(max_length=10)
         seeds = np.array([[1.0, 4.0, 2.0]])
-        for i in range(4):
-            tr.advance(uniform_ds.grid_velocity(0), seeds, 0.25)
-        res = tr.result(uniform_ds.grid)
+        res = compute_streaklines(uniform_ds, 3, seeds, length=10)
         line = res.grid_paths[0, : res.lengths[0]]
         # Older particles have advected further downstream (+x).
         assert np.all(np.diff(line[:, 0]) > 0)
         assert res.lengths[0] == 4
 
-    def test_particles_die_leaving_domain(self, uniform_ds):
-        tr = StreaklineTracer(max_length=50)
-        seeds = np.array([[6.0, 4.0, 2.0]])
-        for i in range(10):
-            tr.advance(uniform_ds.grid_velocity(0), seeds, 1.0)
-        # Physical speed 1 = grid speed 1 (spacing 1); particles exit at
-        # i=8 after 2 steps, so only ~3 live particles trail the seed.
-        assert tr.n_particles <= 3 * 1 + 1
-        res = tr.result(uniform_ds.grid)
-        assert res.lengths[0] <= 4
-
-    def test_reset_on_seed_count_change(self, uniform_ds):
-        tr = StreaklineTracer(max_length=5)
-        gv, dt = uniform_ds.grid_velocity(0), uniform_ds.dt
-        tr.advance(gv, np.array([[1.0, 4.0, 2.0]]), dt)
-        tr.advance(gv, np.array([[1.0, 4.0, 2.0], [1.0, 5.0, 2.0]]), dt)
-        assert tr.filled == 1  # population was rebuilt
-        assert tr.n_seeds == 2
-
-    def test_explicit_reset(self, uniform_ds):
-        tr = StreaklineTracer(max_length=5)
-        tr.advance(
-            uniform_ds.grid_velocity(0), np.array([[1.0, 4.0, 2.0]]), uniform_ds.dt
-        )
-        tr.reset()
-        assert tr.filled == 0 and tr.n_particles == 0
+    def test_particles_die_leaving_domain(self):
+        ds = make_dataset(UniformFlow([1.0, 0.0, 0.0]), n_times=10, dt=1.0)
+        # Physical speed 1 = grid speed 1 (spacing 1): the particle of age
+        # a sits at x = 6 + a, so ages 0-2 are inside and age 3 is out.
+        res = compute_streaklines(ds, 9, np.array([[6.0, 4.0, 2.0]]), length=50)
+        assert res.grid_paths.shape[1] == 10
+        assert res.lengths.tolist() == [3]
+        # Vertices past the filament's end freeze at its last particle.
+        tail = res.grid_paths[0, 3:]
+        np.testing.assert_array_equal(tail, np.broadcast_to(res.grid_paths[0, 2], tail.shape))
 
     def test_empty_result(self, uniform_ds):
-        tr = StreaklineTracer()
-        res = tr.result(uniform_ds.grid)
+        res = compute_streaklines(uniform_ds, 2, np.zeros((0, 3)))
         assert res.n_paths == 0
         assert res.n_points == 0
 
-    def test_result_requires_grid_or_dataset(self, uniform_ds):
-        tr = StreaklineTracer()
-        with pytest.raises(ValueError):
-            tr.result()
-        assert tr.result(dataset=uniform_ds).n_paths == 0
-
     def test_moving_seed_emits_from_new_position(self, uniform_ds):
-        tr = StreaklineTracer(max_length=5)
-        gv, dt = uniform_ds.grid_velocity(0), uniform_ds.dt
-        tr.advance(gv, np.array([[1.0, 4.0, 2.0]]), dt)
-        tr.advance(gv, np.array([[1.0, 6.0, 2.0]]), dt)
-        res = tr.result(uniform_ds.grid)
+        """The whole filament is released from the rake's current seeds:
+        section 2.1's 'given fixed point'."""
+        res = compute_streaklines(uniform_ds, 3, np.array([[1.0, 6.0, 2.0]]), length=5)
         np.testing.assert_allclose(res.grid_paths[0, 0], [1.0, 6.0, 2.0])
+        np.testing.assert_allclose(res.grid_paths[0, :, 1], 6.0)
 
-    def test_invalid_max_length(self):
+    def test_invalid_length(self, uniform_ds):
         with pytest.raises(ValueError):
-            StreaklineTracer(max_length=0)
+            compute_streaklines(uniform_ds, 0, np.zeros((1, 3)), length=0)
 
     def test_invalid_seeds(self, uniform_ds):
-        tr = StreaklineTracer()
         with pytest.raises(ValueError):
-            tr.advance(uniform_ds.grid_velocity(0), np.zeros((2, 2)), uniform_ds.dt)
+            compute_streaklines(uniform_ds, 0, np.zeros((2, 2)))
 
-
-class TestStreaklineSubsteps:
-    def _rotation_ds(self):
-        from repro.flow import RigidRotation
-
-        return make_dataset(
-            RigidRotation(omega=[0, 0, 1.0], center=[4.0, 4.0, 0.0]),
-            n_times=2,
-            dt=1.0,
+    def test_one_advance_equals_a_rebuild(self):
+        """``previous`` is an economy, never a different answer — also
+        while the window slides and particles leave the domain."""
+        ds = make_dataset(
+            RigidRotation(omega=[0, 0, 1.0], center=[4.0, 4.0, 0.0])
+            + UniformFlow([0.6, 0.0, 0.0]),
+            n_times=8, dt=0.5,
         )
+        seeds = np.array([[2.0, 4.0, 2.0], [7.5, 4.5, 2.0], [0.5, 1.5, 1.0]])
+        previous = None
+        for t in range(ds.n_timesteps):
+            rebuilt = compute_streaklines(ds, t, seeds, length=4)
+            previous = compute_streaklines(ds, t, seeds, length=4, previous=previous)
+            np.testing.assert_array_equal(previous.grid_paths, rebuilt.grid_paths)
+            np.testing.assert_array_equal(previous.lengths, rebuilt.lengths)
+        assert previous.lengths.min() < 4, "some filament should be cut short"
 
-    def test_substeps_improve_accuracy(self):
-        """With a coarse frame dt, substeps keep particles on their circle."""
-        ds = self._rotation_ds()
-        seeds = np.array([[6.0, 4.0, 2.0]])  # radius 2 about (4, 4)
-        radii = {}
-        for substeps in (1, 8):
-            tr = StreaklineTracer(max_length=10)
-            tr.advance(ds.grid_velocity(0), seeds, 1.0, substeps=substeps)
-            for _ in range(3):
-                tr.advance(ds.grid_velocity(0), seeds, 1.0, substeps=substeps)
-            res = tr.result(ds.grid)
-            oldest = res.grid_paths[0, res.lengths[0] - 1]
-            radii[substeps] = abs(
-                np.linalg.norm(oldest[:2] - [4.0, 4.0]) - 2.0
-            )
-        assert radii[8] < radii[1]
+    def test_history_starts_at_the_oldest_readable_timestep(self, uniform_ds):
+        class Retired(MemoryDataset):
+            oldest_timestep = 2
 
-    def test_substeps_validation(self):
-        ds = self._rotation_ds()
-        tr = StreaklineTracer()
-        with pytest.raises(ValueError):
-            tr.advance(
-                ds.grid_velocity(0), np.array([[4.0, 4.0, 2.0]]), ds.dt, substeps=0
-            )
-
-    def test_single_substep_unchanged_behavior(self):
-        ds = self._rotation_ds()
-        seeds = np.array([[6.0, 4.0, 2.0]])
-        a, b = StreaklineTracer(max_length=5), StreaklineTracer(max_length=5)
-        a.advance(ds.grid_velocity(0), seeds, 0.3)
-        b.advance(ds.grid_velocity(0), seeds, 0.3, substeps=1)
-        np.testing.assert_array_equal(
-            a.result(ds.grid).grid_paths, b.result(ds.grid).grid_paths
+        ds = Retired(uniform_ds.grid, uniform_ds.velocities, dt=uniform_ds.dt)
+        reads = []
+        res = compute_streaklines(
+            ds, 3, np.array([[1.0, 4.0, 2.0]]), length=64,
+            field_at=lambda t: (reads.append(t), ds.grid_velocity(t))[1],
         )
+        assert reads == [2, 3]
+        assert res.grid_paths.shape[1] == 2
