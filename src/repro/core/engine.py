@@ -75,6 +75,9 @@ class ComputeEngine:
         self._locator = GridLocator(dataset.grid)
         self._streaks: dict[int, tuple[tuple, TracerResult]] = {}
         self._seed_cache: dict[int, tuple[bytes, np.ndarray]] = {}
+        # Rakes located since the last compute_rakes: the ones whose memos
+        # that call keeps.
+        self._located: set[int] = set()
         # Zero-allocation scratch for the fused vector kernels.  Owned by
         # whichever single thread calls the compute methods (the producer
         # thread under the frame pipeline) — not thread-safe.
@@ -92,6 +95,7 @@ class ComputeEngine:
         seeds_phys = rake.seeds()
         key = seeds_phys.tobytes()
         rid = rake.rake_id if rake.rake_id is not None else id(rake)
+        self._located.add(rid)
         cached = self._seed_cache.get(rid)
         if cached is not None and cached[0] == key:
             return cached[1]
@@ -214,7 +218,8 @@ class ComputeEngine:
         *,
         settings: ToolSettings | None = None,
     ) -> dict[int, TracerResult]:
-        """Compute a rake set (usually an environment snapshot).
+        """Compute a rake set (usually an environment snapshot, or the
+        part of one the frame pipeline's entry memo lacks).
 
         One megabatch integration per rake kind, sliced back by offset.
         All streamline rakes' seeds concatenate into one
@@ -235,7 +240,10 @@ class ComputeEngine:
         The frame pipeline's producer thread calls this with a *copied*
         rake dict taken under the environment lock, so the service thread
         can keep mutating the live environment mid-compute.  The per-rake
-        memos of rakes absent from ``rakes`` are dropped here.
+        memos of rakes neither in ``rakes`` nor located
+        (:meth:`rake_seeds_grid`) since the previous call are dropped here:
+        the pipeline locates its whole snapshot, then computes only the
+        rakes its entry memo lacks.
         """
         s = settings or self.settings
         out: dict[int, TracerResult] = {}
@@ -283,7 +291,7 @@ class ComputeEngine:
         self._batch_size.set(batch)
         self._points_per_second.set(points / elapsed if elapsed > 0 else 0.0)
         # Drop the memos of rakes that no longer exist.
-        live = set(rakes)
+        live, self._located = self._located, set()
         for memo in (self._streaks, self._seed_cache):
             for rid in set(memo) - live:
                 del memo[rid]

@@ -15,12 +15,14 @@ Invariants (docs/architecture.md, docs/network.md):
   clients share one frame with zero copies and zero risk of cross-client
   corruption — the shared-visualization guarantee of section 5.1,
   enforced by the buffer flags instead of by convention.
-* **Encode-once, per variant.**  The full-precision (``v1``) per-rake
-  fragments are produced exactly once, at publish time, and seed the
-  frame's :class:`EncodingCache`.  Every other wire variant a client can
-  negotiate — float16 or fixed-point quantization, decimation — is
-  produced at most once per ``(rake, encoding, decimate)`` by that cache
-  and shared by all readers; ``net.encode_cache_hits`` counts the reuse.
+* **Encode-once, per variant.**  A frame is a dict of
+  :class:`RakeEntry` objects, and an entry outlives the frame: every
+  frame whose rake has the same content holds the same entry.  Its
+  full-precision (``v1``) fragment is produced exactly once, when the
+  entry is built.  Every other wire variant a client can negotiate —
+  float16 or fixed-point quantization, decimation — is produced at most
+  once per ``(entry, encoding, decimate)`` and shared by all readers of
+  all those frames; ``net.encode_cache_hits`` counts the reuse.
   :meth:`PublishedFrame.compose` is the only place reply bytes are
   assembled (the value encoding is compositional: a dict's bytes are its
   entries' bytes behind a count).
@@ -50,10 +52,11 @@ from repro.tracers.result import wire_arrays_batch
 
 __all__ = [
     "ENCODINGS",
-    "EncodingCache",
     "FrameStore",
     "PublishedFrame",
-    "encode_published",
+    "RakeEntry",
+    "VariantCounters",
+    "encode_entries",
 ]
 
 #: Wire encodings a client can negotiate (docs/network.md).
@@ -88,49 +91,6 @@ def _compose(entries: dict[str, bytes]) -> PreEncoded:
     return PreEncoded(b"".join(parts))
 
 
-def encode_published(
-    kinds: dict[int, str],
-    results: dict,
-    scratch: TrilinearScratch | None = None,
-    **provenance,
-) -> "PublishedFrame":
-    """One-shot wire encoding of a frame's tracer results.
-
-    This is the *only* place path arrays are serialized at full
-    precision: the per-rake ``v1`` fragments seed the returned frame's
-    :class:`EncodingCache`, and every ``wt.frame`` response afterwards
-    splices them verbatim through :meth:`PublishedFrame.compose`.
-    The frame's rakes are converted grid -> physical in one batch
-    (:func:`~repro.tracers.result.wire_arrays_batch`) on ``scratch`` —
-    the calling thread's sampler storage; a one-off caller omits it.
-    ``provenance`` is the rest of the :class:`PublishedFrame` (version,
-    timestep, seq, costs); the frame is built here, unpublished.
-    """
-    paths: dict[str, dict] = {}
-    fragments: dict[str, bytes] = {}
-    digests: dict[str, bytes] = {}
-    n_points = 0
-    wire = wire_arrays_batch(results, scratch or TrilinearScratch())
-    for rid, (vertices, lengths) in wire.items():
-        key = str(rid)
-        entry = {
-            "kind": kinds[rid],
-            "vertices": vertices,  # float32: 12 bytes/point
-            "lengths": lengths,
-        }
-        paths[key] = entry
-        fragments[key] = encode_value(entry)
-        digests[key] = _digest(kinds[rid], vertices, lengths)
-        n_points += int(lengths.sum())
-    return PublishedFrame(
-        paths=paths,
-        n_points=n_points,
-        digests=digests,
-        enc_cache=EncodingCache(fragments),
-        **provenance,
-    )
-
-
 def _decimate_entry(entry: dict, decimate: int) -> dict:
     """Keep every ``decimate``-th path point."""
     vertices = np.ascontiguousarray(entry["vertices"][:, ::decimate, :])
@@ -142,51 +102,76 @@ def _decimate_entry(entry: dict, decimate: int) -> dict:
     }
 
 
-class EncodingCache:
-    """Per-frame cache of wire-variant fragments, built at most once each.
+class VariantCounters:
+    """The ``net.*`` counters the entries of one registry record into.
 
-    Keyed by ``(rid, encoding, decimate)``.  ``seed`` is the
-    ``{rid: fragment}`` of v1/undecimated entries :func:`encode_published`
-    built at publish time; everything else is encoded lazily on first
-    request and then shared by every reader — the encode-once guarantee,
-    extended to the whole variant space.  ``hits`` / ``misses`` count the
-    lazy variants only: reading a seeded entry is neither.
-
-    ``q16_raw_bytes`` / ``q16_packed_bytes`` total the int16 grid sizes
-    and the packed sizes of the q16 variants built here (the server
-    surfaces them as ``net.q16_raw_bytes`` / ``net.q16_packed_bytes``).
+    ``hits`` / ``misses`` count lookups of lazily built variants (reading
+    an entry's ``v1`` fragment is neither); ``q16_raw_bytes`` /
+    ``q16_packed_bytes`` total the int16 grid sizes and the packed sizes
+    of the q16 variants built.  ``registry`` defaults to a private one.
     """
 
-    def __init__(self, seed: dict[str, bytes] | None = None) -> None:
-        self._lock = threading.Lock()
-        self._fragments: dict[tuple, bytes] = {
-            (rid, "v1", 1): fragment for rid, fragment in (seed or {}).items()
-        }
-        self._seeded = frozenset(self._fragments)
-        self.hits = 0
-        self.misses = 0
-        self.q16_raw_bytes = 0
-        self.q16_packed_bytes = 0
+    __slots__ = ("hits", "misses", "q16_raw_bytes", "q16_packed_bytes")
 
-    def entry(self, frame: "PublishedFrame", rid: str, encoding: str, decimate: int) -> bytes:
-        key = (rid, encoding, decimate)
+    def __init__(self, registry: MetricsRegistry | None = None) -> None:
+        registry = registry if registry is not None else MetricsRegistry()
+        self.hits = registry.counter("net.encode_cache_hits")
+        self.misses = registry.counter("net.encode_cache_misses")
+        self.q16_raw_bytes = registry.counter("net.q16_raw_bytes")
+        self.q16_packed_bytes = registry.counter("net.q16_packed_bytes")
+
+
+class RakeEntry:
+    """One rake's published geometry and every wire fragment built of it.
+
+    ``path`` is the ``{kind, vertices, lengths}`` dict a reply carries,
+    its arrays read-only; ``digest`` its content digest.  The ``v1``
+    fragment is encoded here, once.  Any other ``(encoding, decimate)``
+    variant is built on first request by :meth:`fragment` and then
+    shared by every frame holding this entry and every reader of those
+    frames — the encode-once guarantee, extended to the whole variant
+    space and across frames.
+    """
+
+    def __init__(
+        self, kind: str, vertices: np.ndarray, lengths: np.ndarray,
+        counters: VariantCounters,
+    ) -> None:
+        self.kind = kind
+        self.path = {"kind": kind, "vertices": vertices, "lengths": lengths}
+        self.digest = _digest(kind, vertices, lengths)
+        self.n_points = int(lengths.sum())
+        self._counters = counters
+        self._lock = threading.Lock()
+        self._fragments = {("v1", 1): encode_value(self.path)}
+
+    @property
+    def variants(self) -> list[tuple[str, int]]:
+        """The ``(encoding, decimate)`` variants built so far."""
+        with self._lock:
+            return list(self._fragments)
+
+    def fragment(self, encoding: str = "v1", decimate: int = 1) -> bytes:
+        """The wire fragment of this entry in one variant."""
+        key = (encoding, decimate)
         with self._lock:
             cached = self._fragments.get(key)
-            if cached is not None:
-                if key not in self._seeded:
-                    self.hits += 1
-                return cached
-        fragment = encode_value(self._build(frame.paths[rid], encoding, decimate))
+        if cached is not None:
+            if key != ("v1", 1):
+                self._counters.hits.inc()
+            return cached
+        fragment = encode_value(self._build(encoding, decimate))
         with self._lock:
-            self._fragments.setdefault(key, fragment)
-            self.misses += 1
+            fragment = self._fragments.setdefault(key, fragment)
+        self._counters.misses.inc()
         return fragment
 
-    def _build(self, entry: dict, encoding: str, decimate: int) -> dict:
+    def _build(self, encoding: str, decimate: int) -> dict:
         if encoding not in ENCODINGS:
             raise ValueError(f"unknown wire encoding {encoding!r}")
         if decimate < 1:
             raise ValueError("decimate must be >= 1")
+        entry = self.path
         if decimate > 1:
             entry = _decimate_entry(entry, decimate)
         if encoding == "f16":
@@ -200,9 +185,8 @@ class EncodingCache:
         if encoding == "q16":
             q = quantize_points(entry["vertices"])
             packed = pack_q16(q["q"])
-            with self._lock:
-                self.q16_raw_bytes += q["q"].nbytes
-                self.q16_packed_bytes += len(packed["qpack"])
+            self._counters.q16_raw_bytes.inc(q["q"].nbytes)
+            self._counters.q16_packed_bytes.inc(len(packed["qpack"]))
             return {
                 "kind": entry["kind"],
                 **packed,
@@ -211,6 +195,29 @@ class EncodingCache:
                 "lengths": entry["lengths"],
             }
         return entry  # "v1", decimated
+
+
+def encode_entries(
+    kinds: dict,
+    results: dict,
+    scratch: TrilinearScratch | None = None,
+    counters: VariantCounters | None = None,
+) -> dict:
+    """One-shot wire encoding of tracer results: ``{key: RakeEntry}``.
+
+    This is the *only* place path arrays are serialized at full
+    precision.  ``kinds`` and ``results`` share their keys (rake ids, or
+    the frame pipeline's memo keys).  The results are converted grid ->
+    physical in one batch (:func:`~repro.tracers.result.wire_arrays_batch`)
+    on ``scratch`` — the calling thread's sampler storage; a one-off
+    caller omits it, and ``counters`` too.
+    """
+    counters = counters if counters is not None else VariantCounters()
+    wire = wire_arrays_batch(results, scratch or TrilinearScratch())
+    return {
+        key: RakeEntry(kinds[key], vertices, lengths, counters)
+        for key, (vertices, lengths) in wire.items()
+    }
 
 
 @dataclass(frozen=True)
@@ -226,46 +233,50 @@ class PublishedFrame:
         Monotonic publication number (assigned by the store).  Also the
         v2 delivery ack token: a subscribed client acknowledges the last
         seq it integrated, and deltas are expressed against it.
-    paths
-        ``{rake_id: {kind, vertices, lengths}}`` with read-only arrays.
+    entries
+        ``{rake_id: RakeEntry}`` — each rake's geometry and fragments,
+        shared with every other frame in which the rake has that content.
     compute_seconds
         Production cost (load + locate + integrate).
     stage_seconds
         Per-stage wall times: ``load``, ``locate``, ``integrate``,
         ``encode`` (encode is stamped by the encode stage just before
         publication).
-    n_points
-        Total valid path points (the paper's particle count).
-    digests
-        ``{rake_id: content digest}`` — bit-exact geometry identity per
-        rake, the basis of delta frames (docs/network.md).
     steer_epoch
         Steering provenance: the last applied steering epoch the solver
         state reflected when this frame's timestep was produced (0 for
         replay datasets and for live frames before any steering).  A
         client that issued ``wt.steer`` watches this field to know when
         the flow it sees includes its change (docs/steering.md).
-    enc_cache
-        The frame's wire fragments by ``(rake, encoding, decimate)``,
-        seeded with the v1 ones; :meth:`compose` reads through it.
     """
 
     version: int
     timestep: int
     seq: int
-    paths: dict
+    entries: dict
     compute_seconds: float
     stage_seconds: dict = field(default_factory=dict)
-    n_points: int = 0
-    digests: dict = field(default_factory=dict)
     steer_epoch: int = 0
-    enc_cache: EncodingCache = field(
-        default_factory=EncodingCache, compare=False, repr=False
-    )
 
     @property
     def key(self) -> tuple[int, int]:
         return (self.version, self.timestep)
+
+    @property
+    def paths(self) -> dict:
+        """``{rake_id: {kind, vertices, lengths}}`` with read-only arrays."""
+        return {rid: entry.path for rid, entry in self.entries.items()}
+
+    @property
+    def digests(self) -> dict:
+        """``{rake_id: content digest}`` — bit-exact geometry identity per
+        rake, the basis of delta frames (docs/network.md)."""
+        return {rid: entry.digest for rid, entry in self.entries.items()}
+
+    @property
+    def n_points(self) -> int:
+        """Total valid path points (the paper's particle count)."""
+        return sum(entry.n_points for entry in self.entries.values())
 
     def compose(
         self, rids: list[str], encoding: str = "v1", decimate: int = 1
@@ -274,12 +285,11 @@ class PublishedFrame:
 
         For ``encoding="v1", decimate=1`` and the full rake set this is
         byte-identical to ``encode_value(self.paths)`` — the reply an
-        un-negotiated client has always received.  Entries come from the
-        frame's :class:`EncodingCache`, so each is encoded at most once
-        regardless of how many readers ask for it.
+        un-negotiated client has always received.  Each entry builds a
+        variant at most once, however many readers and frames ask for it.
         """
         return _compose(
-            {rid: self.enc_cache.entry(self, rid, encoding, decimate) for rid in rids}
+            {rid: self.entries[rid].fragment(encoding, decimate) for rid in rids}
         )
 
 

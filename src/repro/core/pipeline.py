@@ -6,11 +6,11 @@ finished frames stream to the workstation.  :class:`FramePipeline` is
 that overlap, and the only way a server — bare or a gateway worker —
 produces frames:
 
-* a **producer thread** follows the environment clock, loads the needed
-  timestep (prefetching where the clock is *going*, one production period
-  ahead), locates rake seeds, and integrates the tracers;
+* a **producer thread** follows the environment clock, locates rake
+  seeds, loads the needed timestep (prefetching where the clock is
+  *going*, one production period ahead), and integrates the tracers;
 * an **encode stage** (its own thread) serializes the finished results
-  once into a wire-ready fragment and publishes an immutable
+  once into wire-ready entries and publishes an immutable
   :class:`~repro.core.framestore.PublishedFrame` into the shared
   :class:`~repro.core.framestore.FrameStore`;
 * the dlib service thread's ``wt.frame`` handler becomes a cheap read of
@@ -24,14 +24,41 @@ no threads; headless callers (the sum-of-stages baseline of that
 benchmark, ``benchmarks/cache_scenario.py``) drive the same stage code
 one frame at a time through :meth:`FramePipeline.produce_inline`.
 
-Production is **demand-gated** so an idle server stays idle and frozen-
-clock tests stay deterministic: the producer computes only while a reader
-holds demand (a parked ``wt.frame``, a push binding), or when the clock
-has advanced to a new timestep shortly after a ``wt.frame`` arrived
-(:data:`ANTICIPATION_SECONDS`).  Environment mutations *invalidate*
-(wake) the producer immediately via :meth:`Environment.subscribe`, but
-never cause speculative recomputes on their own — the next waiting
-client does.
+**The entry memo.**  A rake's published entry (its read-only vertices,
+digest and wire fragments) is a function of ``(kind, grid seeds,
+tool settings, timestep)``, so the pipeline memoizes entries on that
+key: a frame integrates and encodes only the rakes whose key misses —
+still one megabatch per kind — and assembles the rest from hits.  The
+memo holds the entries of the last produced frame plus one speculative
+timestep; production evicts everything else.
+
+**Demand-gated publication, speculative production.**  The producer
+publishes only while a reader holds demand (a parked ``wt.frame``, a
+push binding) and the key ``(env.version, timestep)`` has moved, so an
+idle server publishes nothing and a frozen clock yields exactly one
+publication per key.  Between requests it may *speculate*: fill the
+memo for the timestep :meth:`FramePipeline._predict_next` names, with
+the rakes and settings just produced, and build for those entries the
+wire variants the latest frame was asked for.  It does so only when
+all four of these observable conditions hold:
+
+(a) the last two productions had the same rakes (kinds and grid seeds)
+    and settings, and differed in timestep;
+(b) no ``wt.frame`` was answered as a cache hit between the last two
+    productions (:meth:`FramePipeline.note_cache_hit`): the frame before
+    the last one was never re-read — a session that re-reads frames
+    keeps the worker for its reads;
+(c) the predicted timestep is one the source already has — a live
+    clock never speculates past its frontier;
+(d) the clock is paused, so only a command moves it (a ``step``): a
+    playing clock names the next key itself, and demand-gated
+    production with the loader's prefetch already follows it — a
+    speculation there races the clock and costs a production.
+
+Speculation never publishes: when the step it predicted lands, the
+production is all hits.  A request whose entries are still being
+speculated waits for them (the producer thread finishes the speculation
+and the encode queue keeps order) instead of computing them twice.
 """
 
 from __future__ import annotations
@@ -40,10 +67,16 @@ import logging
 import queue
 import threading
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import astuple, dataclass, field, replace
 
 from repro.core.environment import Environment
-from repro.core.framestore import FrameStore, PublishedFrame, encode_published
+from repro.core.framestore import (
+    FrameStore,
+    PublishedFrame,
+    RakeEntry,
+    VariantCounters,
+    encode_entries,
+)
 from repro.grid.interpolation import TrilinearScratch
 from repro.obs import MetricsRegistry
 from repro.util.timers import Stopwatch
@@ -54,22 +87,34 @@ log = logging.getLogger(__name__)
 
 STAGES = ("load", "locate", "integrate", "encode")
 
-#: Real-time seconds after a ``wt.frame`` arrival during which the clock
-#: ticking to a new timestep triggers anticipatory production.
-ANTICIPATION_SECONDS = 0.5
 #: How long an idle producer sleeps between looks at its key.
 POLL_SECONDS = 0.02
 
 
+@dataclass(eq=False)
+class _Slot:
+    """One memo entry: created by the producer with its tracer result,
+    filled with the encoded :class:`RakeEntry` by the encode stage."""
+
+    key: tuple
+    kind: str
+    speculative: bool
+    result: object = None
+    entry: RakeEntry | None = None
+
+
 @dataclass
 class _Job:
-    """A computed-but-not-yet-encoded frame, handed producer -> encoder."""
+    """Producer -> encoder hand-off: a frame to publish, or a speculation
+    (``publish=False``) whose entries only go into the memo."""
 
     version: int
     timestep: int
-    kinds: dict[int, str]
-    results: dict
-    compute_seconds: float
+    slots: dict[int, _Slot]
+    rakes: dict
+    settings: object
+    publish: bool = True
+    compute_seconds: float = 0.0
     stage_seconds: dict = field(default_factory=dict)
     steer_epoch: int = 0
 
@@ -90,7 +135,6 @@ class FramePipeline:
         Publication point read by the RPC layer.
     time_fn
         The environment wall clock (injectable for deterministic tests).
-        Tick-anticipation bookkeeping always uses real ``time.monotonic``.
     stage_cost
         Optional ``{stage: seconds}`` of modeled extra work charged inside
         the named stages (idiomatic with the repo's disk/network models);
@@ -98,8 +142,9 @@ class FramePipeline:
         three-stage workload of the acceptance criteria.
     registry
         The :class:`~repro.obs.registry.MetricsRegistry` the pipeline
-        records into (``pipeline.*`` metrics; a private one when
-        omitted).  It adopts the engine's and the loader's registries, so
+        records into (``pipeline.*`` metrics, and the ``net.*`` variant
+        counters of the entries it builds; a private one when omitted).
+        It adopts the engine's and the loader's registries, so
         ``engine.*``, ``loader.*`` and ``cache.*`` — totals accrued
         before the pipeline existed included — report from the same one.
     """
@@ -136,11 +181,20 @@ class FramePipeline:
 
         self._state_lock = threading.Lock()
         self._demand = 0
-        self._anticipate_until = 0.0
         self._last_key: tuple[int, int] | None = None
+        # The entry memo, by content key; the encode stage removes the
+        # slots of a job it failed to encode.  Guarded by _state_lock.
+        self._memo: dict[tuple, _Slot] = {}
+        # Speculation bookkeeping: the last production's rakes/settings
+        # and timestep, whether a cache hit was served since, and the
+        # speculation planned after it (producer thread only).
+        self._last_shape: tuple | None = None
+        self._reread = False
+        self._speculation: tuple | None = None
 
         self._stats_lock = threading.Lock()
         self.registry = registry if registry is not None else MetricsRegistry()
+        self._variant_counters = VariantCounters(self.registry)
         self._stage_hist = {
             name: self.registry.histogram(f"pipeline.stage.{name}_seconds")
             for name in STAGES
@@ -179,6 +233,7 @@ class FramePipeline:
 
     @property
     def frames_anticipated(self) -> int:
+        """Publications whose every entry came from speculation."""
         return self._frames_anticipated.value
 
     @property
@@ -199,7 +254,8 @@ class FramePipeline:
 
         Event-driven tests wait for this to advance instead of sleeping:
         once it ticks past a remembered value, the producer has completed
-        a full look at the current key and decided against producing.
+        a full look at the current key, found no speculation to run, and
+        decided against producing.
         """
         return self._idle_cycles.value
 
@@ -243,12 +299,14 @@ class FramePipeline:
 
     # -- demand signalling (called from the dlib service thread) -----------
 
-    def note_demand(self) -> None:
-        """A ``wt.frame`` arrived: keep anticipatory production live."""
-        until = time.monotonic() + ANTICIPATION_SECONDS
+    def note_cache_hit(self) -> None:
+        """A ``wt.frame`` was answered from the published frame.
+
+        The session re-reads frames, so the next production does not
+        speculate (condition (b) of the module docstring).
+        """
         with self._state_lock:
-            if until > self._anticipate_until:
-                self._anticipate_until = until
+            self._reread = True
 
     def add_demand(self) -> None:
         """A reader now depends on fresh frames; produce on key changes.
@@ -256,10 +314,10 @@ class FramePipeline:
         Held by a parked ``wt.frame`` for the length of its wait and by a
         push binding for its lifetime (push subscribers never poll), and
         balanced by :meth:`remove_demand`.  Held demand is what
-        authorizes the producer to compute outside the tick-anticipation
-        path, so a frozen clock plus an unchanged environment still
-        yields exactly one compute per distinct ``(version, timestep)``.
-        ``pipeline.requests`` counts the registrations.
+        authorizes the producer to publish, so a frozen clock plus an
+        unchanged environment still yields exactly one publication per
+        distinct ``(version, timestep)``.  ``pipeline.requests`` counts
+        the registrations.
         """
         with self._state_lock:
             self._demand += 1
@@ -298,46 +356,42 @@ class FramePipeline:
             self.env.clock.timestep_index(self._time_fn()),
         )
 
-    def _should_produce(self) -> str | None:
-        """Reason to produce now: ``"request"``, ``"tick"``, or ``None``."""
+    def _should_produce(self) -> bool:
         key = self._current_key()
         with self._state_lock:
-            last = self._last_key
-            if key == last:
-                return None
-            if self._demand > 0:
-                return "request"
-            if (
-                last is not None
-                and key[0] == last[0]
-                and time.monotonic() < self._anticipate_until
-            ):
-                # The clock rolled to a new timestep while clients are
-                # actively polling: keep the published frame current so
-                # their next read is a cache hit.
-                return "tick"
-        return None
+            return key != self._last_key and self._demand > 0
 
     def _compute_loop(self) -> None:
         while self._running:
-            reason = self._should_produce()
-            if reason is None:
-                self._idle_cycles.inc()
-                self._work.wait(POLL_SECONDS)
-                self._work.clear()
-                continue
+            # Outside the ``try``: a clock that cannot name the key kills
+            # the thread, and ``alive`` says so to every parked call.
+            produce = self._should_produce()
             try:
-                job = self._produce()
+                if produce:
+                    job = self._produce()
+                    self._plan_speculation(job)
+                else:
+                    job = self._speculate()
             except Exception:  # pragma: no cover - defensive
                 self._produce_errors.inc()
+                self._speculation = None
                 with self._state_lock:
                     self._last_key = None  # let a waiter retry
                 log.exception("frame production failed")
                 time.sleep(POLL_SECONDS)
                 continue
-            if reason == "tick":
-                self._frames_anticipated.inc()
+            if job is None:
+                self._idle_cycles.inc()
+                self._work.wait(POLL_SECONDS)
+                self._work.clear()
+                continue
             self._submit(job)
+
+    def _neighbour(self, timestep: int, direction: int) -> int:
+        """The timestep one step from ``timestep`` in the direction of play."""
+        clock = self.env.clock
+        step = timestep + (1 if direction >= 0 else -1)
+        return step % clock.n_timesteps if clock.wrap else step
 
     def _predict_next(self, timestep: int, direction: int) -> int:
         """The timestep production will need next.
@@ -347,14 +401,12 @@ class FramePipeline:
         timestep, in which case fall back to classic double buffering:
         the immediate neighbour in the direction of play.
         """
-        clock = self.env.clock
         lead = self.production_period_estimate()
-        predicted = clock.lookahead(self._time_fn(), lead) if lead > 0 else timestep
+        predicted = (
+            self.env.clock.lookahead(self._time_fn(), lead) if lead > 0 else timestep
+        )
         if predicted == timestep:
-            step = 1 if direction >= 0 else -1
-            predicted = timestep + step
-            if clock.wrap:
-                predicted %= clock.n_timesteps
+            return self._neighbour(timestep, direction)
         return predicted
 
     def _charge(self, stage: str) -> None:
@@ -362,45 +414,88 @@ class FramePipeline:
         if cost > 0.0:
             time.sleep(cost)
 
-    def _produce(self) -> _Job:
-        """Run the load / locate / integrate stages for the current key."""
-        wall = self._time_fn()
-        version, rakes = self.env.rakes_snapshot()
-        clock = self.env.clock
-        timestep = clock.timestep_index(wall)
-        direction = clock.direction
-        settings = replace(self.engine.settings)
+    def _fill(
+        self, rakes: dict, timestep: int, settings, prefetch, speculative: bool
+    ) -> tuple[dict[int, _Slot], list[_Slot], dict]:
+        """Locate, load and integrate what the memo lacks for ``timestep``.
+
+        Returns ``({rid: slot}, fresh slots, stage seconds)``.  Fresh
+        slots carry their tracer results for the encode stage and enter
+        the memo here: a production's slots replace it, a speculation's
+        join it.  ``prefetch()`` names the timestep the loader stages
+        next; it is asked once ``timestep`` is loaded, so a prediction
+        read off a playing clock accounts for the time the load took.
+        """
         stage_seconds: dict[str, float] = {}
+        with Stopwatch() as sw:
+            settings_key = astuple(settings)
+            keys = {
+                rid: (
+                    rake.kind,
+                    self.engine.rake_seeds_grid(rake).tobytes(),
+                    settings_key,
+                    timestep,
+                )
+                for rid, rake in rakes.items()
+            }
+            self._charge("locate")
+        stage_seconds["locate"] = sw.elapsed
+
+        with self._state_lock:
+            slots = {rid: self._memo.get(key) for rid, key in keys.items()}
+        misses = {keys[rid]: rid for rid, slot in slots.items() if slot is None}
 
         loader = self.engine.loader
         with Stopwatch() as sw:
             if loader is not None:
-                loader.load(timestep)
-                # Aim the prefetch where the clock is actually going: the
-                # timestep one production period ahead (which is not t+1
-                # when the clock outruns production).  Issued *now*, at
-                # the top of the cycle, so the background read overlaps
-                # this frame's integration and is resident when the next
-                # cycle starts.  This is the loader's only prefetch
-                # policy: a blind t+direction guess would waste the single
-                # background worker on reads nobody will consume.
-                loader.prefetch(self._predict_next(timestep, direction))
+                if misses:
+                    loader.load(timestep)
+                # Aim the prefetch where the clock is actually going
+                # (which is not t+1 when the clock outruns production).
+                # Issued *now*, so the background read overlaps this
+                # integration and is resident when the next one starts.
+                # This is the loader's only prefetch policy: a blind
+                # guess would waste the single background worker.
+                loader.prefetch(prefetch())
             self._charge("load")
         stage_seconds["load"] = sw.elapsed
 
         with Stopwatch() as sw:
-            for rake in rakes.values():
-                self.engine.rake_seeds_grid(rake)
-            self._charge("locate")
-        stage_seconds["locate"] = sw.elapsed
-
-        with Stopwatch() as sw:
-            results = self.engine.compute_rakes(
-                rakes, timestep, settings=settings
-            )
+            results = {}
+            if misses:
+                results = self.engine.compute_rakes(
+                    {rid: rakes[rid] for rid in misses.values()},
+                    timestep, settings=settings,
+                )
             self._charge("integrate")
         stage_seconds["integrate"] = sw.elapsed
 
+        fresh = {
+            key: _Slot(key, rakes[rid].kind, speculative, results[rid])
+            for key, rid in misses.items()
+        }
+        for rid, slot in slots.items():
+            if slot is None:
+                slots[rid] = fresh[keys[rid]]
+        with self._state_lock:
+            if speculative:
+                self._memo.update(fresh)
+            else:
+                self._memo = {slot.key: slot for slot in slots.values()}
+        return slots, list(fresh.values()), stage_seconds
+
+    def _produce(self) -> _Job:
+        """Run the locate / load / integrate stages for the current key."""
+        wall = self._time_fn()
+        version, rakes = self.env.rakes_snapshot()
+        clock = self.env.clock
+        timestep = clock.timestep_index(wall)
+        settings = replace(self.engine.settings)
+        slots, _fresh, stage_seconds = self._fill(
+            rakes, timestep, settings,
+            prefetch=lambda: self._predict_next(timestep, clock.direction),
+            speculative=False,
+        )
         compute_seconds = sum(stage_seconds.values())
         with self._stats_lock:
             for name in ("load", "locate", "integrate"):
@@ -414,11 +509,52 @@ class FramePipeline:
         return _Job(
             version=version,
             timestep=timestep,
-            kinds={rid: rake.kind for rid, rake in rakes.items()},
-            results=results,
+            slots=slots,
+            rakes=rakes,
+            settings=settings,
             compute_seconds=compute_seconds,
             stage_seconds=stage_seconds,
             steer_epoch=int(epoch_fn(timestep)) if epoch_fn is not None else 0,
+        )
+
+    def _plan_speculation(self, job: _Job) -> None:
+        """Decide whether the producer speculates after ``job``: the
+        four conditions of the module docstring, in order."""
+        self._speculation = None
+        shape = {rid: slot.key[:3] for rid, slot in job.slots.items()}
+        with self._state_lock:
+            previous, self._last_shape = self._last_shape, (shape, job.timestep)
+            reread, self._reread = self._reread, False
+        clock = self.env.clock
+        if (
+            previous is None
+            or previous[0] != shape
+            or previous[1] == job.timestep
+            or reread
+            or clock.playing
+        ):
+            return
+        target = self._predict_next(job.timestep, clock.direction)
+        # ``n_timesteps`` of a live clock is its frontier + 1.
+        if target != job.timestep and 0 <= target < clock.n_timesteps:
+            self._speculation = (job.rakes, job.settings, target, clock.direction)
+
+    def _speculate(self) -> _Job | None:
+        """Fill the memo for the planned timestep (``None``: nothing to do)."""
+        plan, self._speculation = self._speculation, None
+        if plan is None:
+            return None
+        rakes, settings, timestep, direction = plan
+        slots, fresh, _ = self._fill(
+            rakes, timestep, settings,
+            prefetch=lambda: self._neighbour(timestep, direction),
+            speculative=True,
+        )
+        if not fresh:
+            return None
+        return _Job(
+            version=0, timestep=timestep, slots=slots, rakes=rakes,
+            settings=settings, publish=False,
         )
 
     def _submit(self, job: _Job) -> None:
@@ -426,7 +562,8 @@ class FramePipeline:
 
         ``maxsize=1`` is the pipeline's backpressure: a producer that
         outruns the encoder blocks here, so at most one frame is ever
-        in flight between the stages.
+        in flight between the stages.  The queue keeps order, so a
+        frame counting on a speculation's entries is encoded after them.
         """
         while self._running:
             try:
@@ -445,30 +582,82 @@ class FramePipeline:
                 continue
             try:
                 self._encode_and_publish(job)
-            except Exception:  # pragma: no cover - defensive
+            except Exception:
                 self._produce_errors.inc()
                 log.exception("frame encoding failed")
 
-    def _encode_and_publish(self, job: _Job) -> PublishedFrame:
+    def _encode_slots(self, slots) -> list[_Slot]:
+        """Encode the job's unfilled slots in one batch; returns them.
+
+        Every slot a job holds was created by it or by an earlier job;
+        one still empty without a result belongs to a job whose encode
+        failed, so this one fails too.
+        """
+        todo = {slot.key: slot for slot in slots if slot.entry is None}
+        if any(slot.result is None for slot in todo.values()):
+            raise RuntimeError("a memo entry this frame holds was never encoded")
+        entries = encode_entries(
+            {key: slot.kind for key, slot in todo.items()},
+            {key: slot.result for key, slot in todo.items()},
+            self._encode_scratch,
+            self._variant_counters,
+        )
+        for key, slot in todo.items():
+            slot.entry, slot.result = entries[key], None
+        return list(todo.values())
+
+    def _warm(self, slots: list[_Slot]) -> None:
+        """Build for ``slots`` the variants the latest frame was asked for."""
+        latest = self.store.latest()
+        if latest is None:
+            return
+        asked = {
+            variant
+            for entry in latest.entries.values()
+            for variant in entry.variants
+        } - {("v1", 1)}
+        for slot in slots:
+            for encoding, decimate in asked:
+                slot.entry.fragment(encoding, decimate)
+
+    def _encode_and_publish(self, job: _Job) -> PublishedFrame | None:
         stage_seconds = dict(job.stage_seconds)
-        with Stopwatch() as sw:
-            frame = encode_published(
-                job.kinds,
-                job.results,
-                self._encode_scratch,
-                version=job.version,
-                timestep=job.timestep,
-                seq=0,  # stamped by the store
-                compute_seconds=job.compute_seconds,
-                stage_seconds=stage_seconds,
-                steer_epoch=job.steer_epoch,
-            )
-            self._charge("encode")
+        try:
+            with Stopwatch() as sw:
+                encoded = self._encode_slots(job.slots.values())
+                self._charge("encode")
+        except BaseException:
+            # Nothing is published: forget the key so a parked call's
+            # next look produces it again, and leave no empty slot behind.
+            with self._state_lock:
+                self._last_key = None
+                for slot in job.slots.values():
+                    if slot.entry is None:
+                        slot.result = None
+                        if self._memo.get(slot.key) is slot:
+                            del self._memo[slot.key]
+            raise
+        if not job.publish:
+            self._warm(encoded)
+            return None
         stage_seconds["encode"] = sw.elapsed  # before anyone can read it
         with self._stats_lock:
             self._stage_hist["encode"].observe(sw.elapsed)
         self._frames_encoded.inc()
-        return self.store.publish(frame)
+        slots = job.slots.values()
+        if slots and all(slot.speculative for slot in slots):
+            self._frames_anticipated.inc()
+        return self.store.publish(
+            PublishedFrame(
+                version=job.version,
+                timestep=job.timestep,
+                seq=0,  # stamped by the store
+                entries={str(rid): slot.entry for rid, slot in job.slots.items()},
+                compute_seconds=job.compute_seconds,
+                stage_seconds=stage_seconds,
+                steer_epoch=job.steer_epoch,
+            )
+        )
 
     # -- headless production -----------------------------------------------
 
@@ -477,8 +666,9 @@ class FramePipeline:
 
         The headless library call for a pipeline that was never started
         (a started one's producer thread owns the engine) — no server
-        path reaches it.  It runs the identical stage code, so the
-        immutability and encode-once guarantees hold.
+        path reaches it.  It runs the identical stage code over the same
+        entry memo, so the immutability and encode-once guarantees hold;
+        it never speculates.
         """
         return self._encode_and_publish(self._produce())
 

@@ -234,10 +234,6 @@ class WindtunnelServer:
         self._net_delta_ratio = self.registry.gauge("net.delta_ratio")
         self._net_keyframes = self.registry.counter("net.keyframes")
         self._net_delta_frames = self.registry.counter("net.delta_frames")
-        self._net_enc_hits = self.registry.counter("net.encode_cache_hits")
-        self._net_enc_misses = self.registry.counter("net.encode_cache_misses")
-        self._net_q16_raw = self.registry.counter("net.q16_raw_bytes")
-        self._net_q16_packed = self.registry.counter("net.q16_packed_bytes")
         # Push-mode fan-out (docs/network.md, "Push-mode delivery").
         self._net_push_frames = self.registry.counter("net.push_frames")
         self._net_push_latency = self.registry.histogram(
@@ -634,12 +630,12 @@ class WindtunnelServer:
         """
         call = _FrameCall(int(client_id), int(ack), current_trace())
         self.sessions.touch(call.client_id)
-        self.pipeline.note_demand()
         latest = self.store.latest()
         if latest is not None and latest.key == (
             self.env.version,
             self.env.clock.timestep_index(self._time_fn()),
         ):
+            self.pipeline.note_cache_hit()
             return self._pull_reply(call, latest, True)
         call.deferred = self.dlib.defer()
         call.seq0 = latest.seq if latest is not None else 0
@@ -739,10 +735,11 @@ class WindtunnelServer:
         The environment snapshot is taken and encoded exactly once per
         publication and spliced into every client's push; the per-rake
         path variants are deduplicated by the frame's
-        :class:`~repro.core.framestore.EncodingCache`, so the encode
-        count per publication is the number of *distinct variants*, not
-        the number of clients.  A subscriber whose send queue is above
-        the high-water mark is shed *before* its payload is built.
+        :class:`~repro.core.framestore.RakeEntry` objects, so the encode
+        count per publication is at most the number of *distinct
+        variants*, not the number of clients.  A subscriber whose send
+        queue is above the high-water mark is shed *before* its payload
+        is built.
         """
         pushers = [sub for sub in self._subs.values() if sub.conn is not None]
         if not pushers:
@@ -789,8 +786,8 @@ class WindtunnelServer:
         """
         rids = [
             rid
-            for rid, entry in frame.paths.items()
-            if sub.wants(rid, entry["kind"])
+            for rid, entry in frame.entries.items()
+            if sub.wants(rid, entry.kind)
         ]
         mode, base, removed = "keyframe", 0, []
         send = rids
@@ -801,21 +798,14 @@ class WindtunnelServer:
                 send = [
                     rid
                     for rid in rids
-                    if base_digests.get(rid) != frame.digests.get(rid)
+                    if base_digests.get(rid) != frame.entries[rid].digest
                 ]
                 removed = [
-                    rid for rid in base_digests if rid not in frame.paths
+                    rid for rid in base_digests if rid not in frame.entries
                 ]
-        cache = frame.enc_cache
-        hits0, misses0 = cache.hits, cache.misses
-        raw0, packed0 = cache.q16_raw_bytes, cache.q16_packed_bytes
         fragment = frame.compose(
             send, encoding=sub.encoding, decimate=sub.decimate
         )
-        self._net_enc_hits.inc(cache.hits - hits0)
-        self._net_enc_misses.inc(cache.misses - misses0)
-        self._net_q16_raw.inc(cache.q16_raw_bytes - raw0)
-        self._net_q16_packed.inc(cache.q16_packed_bytes - packed0)
         (self._net_delta_frames if mode == "delta" else self._net_keyframes).inc()
         total = self._net_delta_frames.value + self._net_keyframes.value
         self._net_delta_ratio.set(self._net_delta_frames.value / total)

@@ -13,11 +13,17 @@ Covers the guarantees the refactor introduced:
   encoding of its frame decodes within bound, degenerate grids and
   zero-length rakes included;
 * a published frame is a function of its key: over any edit sequence —
-  clock scrubs and reverse steps included, for all three tools — it
-  equals a fresh engine's ``compute_rakes`` on the same snapshot;
-* a dead producer thread reads dead: parked calls fail promptly.
+  clock scrubs and reverse steps included, for all three tools, frames
+  mixing memo hits and misses and frames speculated ahead of the step —
+  it equals a fresh engine's ``compute_rakes`` on the same snapshot;
+* the producer speculates only where its rule says it should, and the
+  memo stays within one published and one speculative timestep;
+* a failed encode does not strand parked calls, and a dead producer
+  thread reads dead: parked calls fail promptly.
 """
 
+import sys
+import threading
 import time
 from dataclasses import replace
 
@@ -36,7 +42,7 @@ from repro.core import (
     WindtunnelClient,
     WindtunnelServer,
 )
-from repro.core.framestore import encode_published
+from repro.core.framestore import encode_entries
 from repro.dlib.protocol import (
     PreEncoded,
     decode_path_entry,
@@ -112,7 +118,7 @@ class TestFrameStore:
         frames = [
             store.publish(
                 PublishedFrame(
-                    version=1, timestep=t, seq=0, paths={}, compute_seconds=0.0,
+                    version=1, timestep=t, seq=0, entries={}, compute_seconds=0.0,
                 )
             )
             for t in range(3)
@@ -336,12 +342,40 @@ _edits = st.one_of(
 )
 
 
+def _assert_equals_fresh_engine(dataset, settings, frame, rakes):
+    """``frame`` is what a fresh engine computes for ``rakes`` at its timestep."""
+    fresh = ComputeEngine(dataset, replace(settings))
+    reference = wire_arrays_batch(
+        fresh.compute_rakes(rakes, frame.timestep), TrilinearScratch()
+    )
+    assert set(frame.paths) == {str(rid) for rid in reference}
+    for rid, (vertices, lengths) in reference.items():
+        entry = frame.paths[str(rid)]
+        assert entry["kind"] == rakes[rid].kind
+        np.testing.assert_array_equal(entry["vertices"], vertices)
+        np.testing.assert_array_equal(entry["lengths"], lengths)
+
+
+def _one_rake_of_each_kind(env):
+    return [
+        env.add_rake(Rake([2.0 + i, 2.0, 2.0], [2.0 + i, 5.0, 2.5], n_seeds=3, kind=kind))
+        for i, kind in enumerate(TOOL_KINDS)
+    ]
+
+
 class TestFrameIsAFunctionOfItsKey:
     """Nothing but ``(env.version, timestep)`` — and the rakes, clock and
     settings that key names — decides what is published: the tier-1 seed
-    of the differential oracle (ROADMAP 6(a)), for all three tools."""
+    of the differential oracle (ROADMAP 6(a)), for all three tools, over
+    frames assembled from memo hits and misses and frames speculated
+    before they were asked for."""
 
     _smoke = ("add", "streakline", (3.0, 3.0, 2.0))
+    _three = [
+        ("add", "streamline", (2.5, 2.5, 2.0)),
+        ("add", "particle_path", (3.5, 3.0, 1.5)),
+        _smoke,
+    ]
 
     @settings(max_examples=30, deadline=None)
     @given(edits=st.lists(_edits, min_size=1, max_size=8))
@@ -349,6 +383,9 @@ class TestFrameIsAFunctionOfItsKey:
     @example(edits=[_smoke, *[("step", 1)] * 5])
     @example(edits=[_smoke, ("scrub", 5)])
     @example(edits=[_smoke, ("step", 3), ("step", 2), ("reverse",)])
+    # One rake of several moves: its frame mixes memo hits and misses.
+    @example(edits=[*_three, ("move", 0, (4.0, 4.5, 2.0)), ("step", 1)])
+    @example(edits=[*_three, ("move", 2, (5.0, 3.0, 2.5)), ("move", 1, (2.5, 5.0, 2.0))])
     def test_every_frame_equals_a_fresh_engine_on_its_snapshot(self, dataset, edits):
         env = Environment(dataset.n_timesteps)
         engine = ComputeEngine(dataset, ToolSettings(streamline_steps=12))
@@ -363,18 +400,9 @@ class TestFrameIsAFunctionOfItsKey:
             frame = pipeline.produce_inline()
             version, rakes = env.rakes_snapshot()
             assert frame.key == (version, env.clock.timestep_index(0.0))
-            fresh = ComputeEngine(dataset, replace(engine.settings))
-            reference = wire_arrays_batch(
-                fresh.compute_rakes(rakes, frame.timestep), TrilinearScratch()
-            )
-            assert set(frame.paths) == {str(rid) for rid in reference}
-            for rid, (vertices, lengths) in reference.items():
-                entry = frame.paths[str(rid)]
-                assert entry["kind"] == rakes[rid].kind
-                np.testing.assert_array_equal(entry["vertices"], vertices)
-                np.testing.assert_array_equal(entry["lengths"], lengths)
+            _assert_equals_fresh_engine(dataset, engine.settings, frame, rakes)
             again = pipeline.produce_inline()  # the same key, produced twice
-            assert again.key == frame.key and again.digests == frame.digests
+            assert again.key == frame.key and again.entries == frame.entries
 
         for op, *args in edits:
             rids = sorted(env.rakes)
@@ -406,6 +434,276 @@ class TestFrameIsAFunctionOfItsKey:
                 check_next_frame()
                 step(-1)
             check_next_frame()
+
+    def test_moving_one_rake_of_several_recomputes_only_it(self, dataset):
+        env = Environment(dataset.n_timesteps)
+        engine = ComputeEngine(dataset, ToolSettings(streamline_steps=12))
+        pipeline = FramePipeline(engine, env, FrameStore(), time_fn=lambda: 0.0)
+        rids = _one_rake_of_each_kind(env)
+        first = pipeline.produce_inline()
+        with env.lock:
+            env.rakes[rids[1]].move(GrabPoint.CENTER, np.array([4.0, 4.5, 2.0]))
+            env.bump()
+        frame = pipeline.produce_inline()
+        for rid, entry in frame.entries.items():
+            assert (entry is first.entries[rid]) == (rid != str(rids[1]))
+        _assert_equals_fresh_engine(
+            dataset, engine.settings, frame, env.rakes_snapshot()[1]
+        )
+
+    def test_speculated_frames_equal_a_fresh_engine(self, dataset):
+        """Clock steps on a started pipeline: from the third step on every
+        frame is assembled from speculated entries, and each one is still
+        what a fresh engine computes on its snapshot."""
+        env = Environment(dataset.n_timesteps)
+        engine = ComputeEngine(
+            dataset,
+            ToolSettings(streamline_steps=12, particle_path_steps=4, streakline_length=5),
+        )
+        store = FrameStore()
+        pipeline = FramePipeline(engine, env, store, time_fn=lambda: 0.0).start()
+        try:
+            env.clock.pause(0.0)
+            _one_rake_of_each_kind(env)
+            for k in range(1, 8):
+                env.clock.step(1, 0.0)
+                env.bump()
+                frame = _demand_frame(pipeline, store, env)
+                assert pipeline.frames_anticipated == max(0, k - 2)
+                _assert_equals_fresh_engine(
+                    dataset, engine.settings, frame, env.rakes_snapshot()[1]
+                )
+        finally:
+            pipeline.stop()
+
+
+def _settle(pipeline):
+    """Wait until the producer has looked at its key and found nothing to
+    do: any speculation it planned has run."""
+    idle = pipeline.idle_cycles
+    wait_until(lambda: pipeline.idle_cycles > idle)
+
+
+def _demand_frame(pipeline, store, env):
+    """What a parked ``wt.frame`` does: hold demand until the current key
+    is published; then let the producer settle."""
+    key = (env.version, env.clock.timestep_index(0.0))
+    pipeline.add_demand()
+    try:
+        wait_until(lambda: (latest := store.latest()) is not None and latest.key == key)
+    finally:
+        pipeline.remove_demand()
+    _settle(pipeline)
+    return store.latest()
+
+
+def _speculative(pipeline):
+    with pipeline._state_lock:
+        return [slot for slot in pipeline._memo.values() if slot.speculative]
+
+
+class TestSpeculation:
+    """When the producer fills the entry memo before a request: only
+    after lock-step productions, never for a session that re-reads or
+    moves rakes, never past a live frontier (tests/test_insitu_server.py),
+    and never at the cost of publishing a stale frame."""
+
+    def test_moving_a_rake_each_frame_never_speculates(self, server):
+        with WindtunnelClient(*server.address) as c:
+            c.time_control("pause")
+            rid = c.add_rake([2, 2, 2], [2, 6, 2], n_seeds=4)
+            c.add_rake([4, 2, 2], [4, 6, 2], n_seeds=4)
+            for k in range(5):
+                with server.env.lock:
+                    server.env.rakes[rid].move(
+                        GrabPoint.CENTER, np.array([2.0 + 0.3 * k, 4.0, 2.0])
+                    )
+                    server.env.bump()
+                c.fetch_frame()
+                _settle(server.pipeline)
+                assert not _speculative(server.pipeline)
+                assert len(server.pipeline._memo) == 2
+        assert server.pipeline.frames_anticipated == 0
+
+    def test_lock_step_steps_speculate_from_the_third_on(self, server):
+        pipeline = server.pipeline
+        with WindtunnelClient(*server.address) as c:
+            c.time_control("pause")
+            for i in range(3):
+                c.add_rake([2 + i, 2, 2], [2 + i, 6, 2], n_seeds=4)
+            for k in range(1, 8):
+                c.time_control("step", 1)
+                assert c.fetch_frame()["timestep"] == k
+                _settle(pipeline)
+                assert pipeline.frames_anticipated == max(0, k - 2)
+                # The published frame's entries plus one speculative timestep.
+                assert len(pipeline._memo) == (3 if k == 1 else 6)
+
+    def test_rake_edit_during_speculation_publishes_the_edited_frame(
+        self, server, dataset, monkeypatch
+    ):
+        speculating, release = threading.Event(), threading.Event()
+        compute = server.engine.compute_rakes
+
+        def gated(rakes, timestep, **kwargs):
+            if timestep == 3:  # what the producer speculates after step 2
+                speculating.set()
+                assert release.wait(10.0)
+            return compute(rakes, timestep, **kwargs)
+
+        monkeypatch.setattr(server.engine, "compute_rakes", gated)
+        with WindtunnelClient(*server.address) as c:
+            c.time_control("pause")
+            rids = [c.add_rake([2 + i, 2, 2], [2 + i, 6, 2], n_seeds=4) for i in (0, 2)]
+            for _ in range(2):
+                c.time_control("step", 1)
+                c.fetch_frame()
+            assert speculating.wait(10.0)
+            with server.env.lock:  # the drag lands mid-speculation
+                server.env.rakes[rids[0]].move(
+                    GrabPoint.CENTER, np.array([3.0, 4.5, 2.0])
+                )
+                server.env.bump()
+            c.time_control("step", 1)
+            release.set()
+            state = c.fetch_frame()
+            frame = server.store.latest()
+            version, rakes = server.env.rakes_snapshot()
+        assert frame.key == (version, 3) and state["timestep"] == 3
+        _assert_equals_fresh_engine(dataset, server.engine.settings, frame, rakes)
+        np.testing.assert_array_equal(
+            state["paths"][str(rids[0])]["vertices"],
+            frame.paths[str(rids[0])]["vertices"],
+        )
+        # The unmoved rake came from the speculation, the moved one did not.
+        _settle(server.pipeline)
+        (speculated,) = _speculative(server.pipeline)
+        assert speculated.entry is frame.entries[str(rids[1])]
+        assert server.pipeline.frames_anticipated == 0
+
+    def test_a_playing_clock_never_speculates(self, server):
+        """Frames that follow a playing clock differ only in timestep and
+        are never re-read, yet the producer does not race the clock."""
+        with WindtunnelClient(*server.address) as c:
+            for i in range(2):
+                c.add_rake([2 + i, 2, 2], [2 + i, 6, 2], n_seeds=4)
+            for k in range(1, 6):
+                server._test_clock["now"] = float(k)  # one timestep a second
+                assert c.fetch_frame()["timestep"] == k
+                _settle(server.pipeline)
+                assert not _speculative(server.pipeline)
+        assert server.pipeline.frames_anticipated == 0
+
+    def test_a_session_that_rereads_frames_never_speculates(self, server):
+        with WindtunnelClient(*server.address) as c:
+            c.time_control("pause")
+            for i in range(2):
+                c.add_rake([2 + i, 2, 2], [2 + i, 6, 2], n_seeds=4)
+            for _ in range(5):
+                c.time_control("step", 1)
+                assert not c.fetch_frame()["cached"]
+                assert c.fetch_frame()["cached"]
+                _settle(server.pipeline)
+                assert not _speculative(server.pipeline)
+        assert server.pipeline.frames_anticipated == 0
+
+
+class TestMemoUnderContention:
+    def test_every_frame_matches_its_snapshot_under_racing_edits(self, dataset):
+        """Two editing threads race the producer and the encoder (four
+        threads, a 10 µs switch interval): every published frame is still
+        a fresh engine's frame on the snapshot its version names, and the
+        memo settles bounded, with no entry left empty."""
+        env = Environment(dataset.n_timesteps)
+        engine = ComputeEngine(
+            dataset,
+            ToolSettings(streamline_steps=12, particle_path_steps=4, streakline_length=5),
+        )
+        store = FrameStore()
+        published = []
+        store.subscribe(published.append)
+        pipeline = FramePipeline(engine, env, store, time_fn=lambda: 0.0)
+        env.clock.pause(0.0)
+        rids = _one_rake_of_each_kind(env)
+        snapshots = {env.version: env.rakes_snapshot()[1]}
+
+        def edit(seed):
+            rng = np.random.default_rng(seed)
+            for _ in range(40):
+                with env.lock:
+                    if rng.random() < 0.5:
+                        env.clock.step(1, 0.0)
+                    else:
+                        env.rakes[rids[rng.integers(3)]].move(
+                            GrabPoint.CENTER, rng.uniform([2, 2, 1.5], [6, 6, 2.5])
+                        )
+                    env.bump()
+                    snapshots[env.version] = env.rakes_snapshot()[1]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        pipeline.start()
+        try:
+            pipeline.add_demand()
+            editors = [threading.Thread(target=edit, args=(s,)) for s in (1, 2)]
+            for t in editors:
+                t.start()
+            for t in editors:
+                t.join(timeout=30.0)
+                assert not t.is_alive()
+            key = (env.version, env.clock.timestep_index(0.0))
+            wait_until(
+                lambda: (latest := store.latest()) is not None and latest.key == key,
+                timeout=30.0,
+            )
+            pipeline.remove_demand()
+            _settle(pipeline)
+        finally:
+            pipeline.stop()
+            sys.setswitchinterval(interval)
+        assert pipeline.produce_errors == 0
+        with pipeline._state_lock:
+            memo = list(pipeline._memo.values())
+        assert len(memo) <= 2 * len(rids)
+        assert all(slot.entry is not None for slot in memo)
+        for frame in published:
+            _assert_equals_fresh_engine(
+                dataset, engine.settings, frame, snapshots[frame.version]
+            )
+
+
+class TestEncodeFailure:
+    def test_encode_failure_does_not_strand_the_parked_call(
+        self, dataset, monkeypatch
+    ):
+        """The encode stage raising once publishes nothing: the key is
+        forgotten, so the parked call is answered by the next production
+        instead of waiting out ``frame_wait``, and the memo keeps no
+        entry the failed encode left empty."""
+        from repro.core import pipeline as pipeline_module
+
+        encode, failures = pipeline_module.encode_entries, []
+
+        def flaky(*args, **kwargs):
+            if not failures:
+                failures.append("injected")
+                raise RuntimeError("injected encode fault")
+            return encode(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline_module, "encode_entries", flaky)
+        with WindtunnelServer(
+            dataset,
+            settings=ToolSettings(streamline_steps=10),
+            time_fn=lambda: 0.0,
+            frame_wait=10.0,
+        ) as srv:
+            with WindtunnelClient(*srv.address) as c:
+                rid = c.add_rake([2, 2, 2], [2, 6, 2], n_seeds=3)
+                state = c.fetch_frame()
+            assert str(rid) in state["paths"]
+            assert failures == ["injected"]
+            assert srv.pipeline.produce_errors == 1
+            assert all(slot.entry is not None for slot in srv.pipeline._memo.values())
 
 
 class TestProducerDeath:
@@ -458,9 +756,10 @@ class TestEncodePaths:
         rake = Rake([2, 2, 2], [2, 6, 2], n_seeds=3)
         rake.rake_id = 7
         results = engine.compute_rakes({7: rake}, 0)
-        enc = encode_published(
-            {7: "streamline"}, results,
+        entries = encode_entries({7: "streamline"}, results)
+        enc = PublishedFrame(
             version=1, timestep=0, seq=0, compute_seconds=0.0,
+            entries={str(rid): entry for rid, entry in entries.items()},
         )
         assert enc.n_points > 0
         assert not enc.paths["7"]["vertices"].flags.writeable

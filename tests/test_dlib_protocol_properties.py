@@ -225,7 +225,7 @@ polylines = arrays(
 
 
 def packed_entry(vertices: np.ndarray) -> dict:
-    """A q16 rake entry as the server builds it (``EncodingCache._build``)."""
+    """A q16 rake entry as the server builds it (``RakeEntry._build``)."""
     payload = quantize_points(vertices)
     return {
         "kind": "streamline",

@@ -168,6 +168,35 @@ class TestLiveSession:
             assert steering["available"] >= 0
 
 
+class TestLiveSpeculation:
+    def test_live_clock_never_speculates_past_available(self):
+        """Productions one frontier apart satisfy every other condition of
+        the speculation rule; the next timestep is not in the source yet,
+        so the memo never holds an entry past ``available``."""
+        srv = InsituWindtunnelServer(
+            solver_config=SolverConfig(nx=32, ny=16), steps_per_timestep=1
+        )
+        # The solver thread stays parked: the test advances the frontier.
+        srv.dlib.start()
+        srv.pipeline.start()
+        pipeline = srv.pipeline
+        try:
+            with WindtunnelClient(*srv.address, name="viewer") as c:
+                c.add_rake((3.0, 1.5, 0.5), (3.0, 2.5, 0.5), n_seeds=4)
+                for _ in range(5):
+                    available = srv.producer.advance(1)
+                    assert c.fetch_frame()["timestep"] == available
+                    idle = pipeline.idle_cycles
+                    wait_until(lambda: pipeline.idle_cycles > idle)
+                    with pipeline._state_lock:
+                        held = [slot.key[3] for slot in pipeline._memo.values()]
+                    assert held and max(held) <= srv.producer.available
+            assert pipeline.frames_produced == 5
+            assert pipeline.frames_anticipated == 0
+        finally:
+            srv.stop()
+
+
 class TestRestore:
     def test_restore_reapplies_journaled_steering(self):
         srv = InsituWindtunnelServer(

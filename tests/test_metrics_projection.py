@@ -192,7 +192,10 @@ class TestLateBinding:
 class TestPointsAgree:
     def test_wt_stats_and_wt_metrics_count_the_same_points(self, dataset):
         """Streaklines are computed per rake, outside the megabatch; they
-        are still points the engine produced (the counter used to miss them)."""
+        are still points the engine produced (the counter used to miss them).
+
+        Each frame is read twice: a session that re-reads frames never
+        has the next one speculated, so every point computed is served."""
         clock = {"now": 0.0}
         with WindtunnelServer(
             dataset, time_fn=lambda: clock["now"], time_speed=1.0
@@ -206,6 +209,7 @@ class TestPointsAgree:
                 served = 0
                 for _ in range(3):
                     state = c.fetch_frame()
+                    assert c.fetch_frame()["cached"]
                     served += sum(
                         int(np.sum(path["lengths"]))
                         for path in state["paths"].values()
@@ -214,6 +218,7 @@ class TestPointsAgree:
                 stats = c.server_stats()
                 counters = c.metrics()["registry"]["counters"]
         assert stats["frames_computed"] == 3
+        assert counters["pipeline.frames_anticipated"] == 0
         assert served > 0
         assert stats["points_computed"] == counters["engine.points_computed"] == served
 

@@ -23,10 +23,10 @@ from hypothesis.extra.numpy import arrays
 
 from repro.core import ToolSettings, WindtunnelClient, WindtunnelServer
 from repro.core.framestore import (
-    EncodingCache,
     FrameStore,
     PublishedFrame,
-    encode_published,
+    VariantCounters,
+    encode_entries,
 )
 from repro.core.server import DEFAULT_SUBSCRIPTION, Subscription
 from repro.dlib.client import DlibClient, DlibRemoteError
@@ -131,10 +131,12 @@ class _Result:
         return self._v, self._l
 
 
-def _frame(results: dict, seq: int = 0) -> PublishedFrame:
+def _frame(results: dict, seq: int = 0, counters=None) -> PublishedFrame:
     kinds = {rid: "streamline" for rid in results}
-    return encode_published(
-        kinds, results, version=1, timestep=0, seq=seq, compute_seconds=0.0
+    entries = encode_entries(kinds, results, counters=counters)
+    return PublishedFrame(
+        version=1, timestep=0, seq=seq, compute_seconds=0.0,
+        entries={str(rid): entry for rid, entry in entries.items()},
     )
 
 
@@ -158,38 +160,40 @@ def test_digests_identify_identical_geometry():
 
 
 def test_encoding_cache_builds_each_variant_once():
-    frame = _frame({1: _Result(1)})
-    cache = frame.enc_cache
-    first = cache.entry(frame, "1", "q16", 1)
-    again = cache.entry(frame, "1", "q16", 1)
+    counters = VariantCounters()
+    frame = _frame({1: _Result(1)}, counters=counters)
+    entry = frame.entries["1"]
+    first = entry.fragment("q16", 1)
+    again = entry.fragment("q16", 1)
     assert first == again
-    assert cache.misses == 1 and cache.hits == 1
-    # The v1 variant seeded at publish time is neither a hit nor a miss.
-    cache.entry(frame, "1", "v1", 1)
-    assert cache.misses == 1 and cache.hits == 1
-    # A frame built without a seed encodes v1 on demand, like any variant.
-    bare = PublishedFrame(
-        version=1, timestep=0, seq=0, paths=frame.paths, compute_seconds=0.0
+    assert counters.misses.value == 1 and counters.hits.value == 1
+    # The v1 fragment built with the entry is neither a hit nor a miss.
+    entry.fragment("v1", 1)
+    assert counters.misses.value == 1 and counters.hits.value == 1
+    # A later frame holding the same entry shares its variants.
+    later = PublishedFrame(
+        version=2, timestep=1, seq=0, entries=frame.entries, compute_seconds=0.0
     )
-    assert bare.compose(["1"]).data == frame.compose(["1"]).data
-    assert bare.enc_cache.misses == 1
+    assert later.compose(["1"], "q16").data == frame.compose(["1"], "q16").data
+    assert counters.misses.value == 1 and counters.hits.value == 3
+    assert sorted(entry.variants) == [("q16", 1), ("v1", 1)]
 
 
 def test_q16_variant_ships_only_the_packed_form():
     """One q16 form on the wire: packed bytes, no plain ``q`` array, and
     the int16 grid inside is exactly what ``quantize_points`` produces."""
-    frame = _frame({1: _Result(1, n_seeds=4, length=30)})
+    counters = VariantCounters()
+    frame = _frame({1: _Result(1, n_seeds=4, length=30)}, counters=counters)
     entry = decode_value(frame.compose(["1"], encoding="q16").data)["1"]
     assert set(entry) == {"kind", "qpack", "qshape", "scale", "offset", "lengths"}
     plain = quantize_points(frame.paths["1"]["vertices"])
     np.testing.assert_array_equal(unpack_q16(entry), plain["q"])
     np.testing.assert_array_equal(entry["scale"], plain["scale"])
     np.testing.assert_array_equal(entry["offset"], plain["offset"])
-    cache = frame.enc_cache
-    assert cache.q16_raw_bytes == plain["q"].nbytes == 4 * 30 * 6
-    assert cache.q16_packed_bytes == len(entry["qpack"])
+    assert counters.q16_raw_bytes.value == plain["q"].nbytes == 4 * 30 * 6
+    assert counters.q16_packed_bytes.value == len(entry["qpack"])
     frame.compose(["1"], encoding="q16")  # a hit builds (and counts) nothing
-    assert cache.q16_raw_bytes == plain["q"].nbytes
+    assert counters.q16_raw_bytes.value == plain["q"].nbytes
 
 
 def test_decimated_entry_keeps_every_nth_point():
@@ -205,9 +209,9 @@ def test_decimated_entry_keeps_every_nth_point():
 def test_cache_rejects_unknown_variant():
     frame = _frame({1: _Result(1)})
     with pytest.raises(ValueError):
-        frame.enc_cache.entry(frame, "1", "zstd", 1)
+        frame.entries["1"].fragment("zstd", 1)
     with pytest.raises(ValueError):
-        frame.enc_cache.entry(frame, "1", "v1", 0)
+        frame.entries["1"].fragment("v1", 0)
 
 
 def test_framestore_digest_history_is_bounded():
