@@ -13,22 +13,20 @@ compute.
 import numpy as np
 import pytest
 
+from table3_scenario import run_benchmark
+
 from repro.core import ComputeEngine, Environment, ToolSettings
 from repro.diskio import CONVEX_DISK, TimestepLoader
 from repro.netsim import ULTRANET_VME
-from repro.perf import run_benchmark, simulate_pipeline
+from repro.perf import BENCHMARK_POINTS, simulate_pipeline
 from repro.tracers import Rake
 
 
 def test_fig8_pipeline_schedule(cylinder_dataset, record, benchmark):
     """Serial vs overlapped frame period from measured + modeled stages."""
-    res = run_benchmark(
-        cylinder_dataset, "vector", n_streamlines=100, points_per_line=200,
-        repeats=3,
-    )
-    compute_s = res.seconds
+    compute_s = run_benchmark(cylinder_dataset, "vector", repeats=3)
     load_s = CONVEX_DISK.read_time(cylinder_dataset.timestep_nbytes)
-    send_s = ULTRANET_VME.transfer_time(res.n_points * 12)
+    send_s = ULTRANET_VME.transfer_time(BENCHMARK_POINTS * 12)
     stages = {"disk load": load_s, "compute": compute_s, "network send": send_s}
 
     sched = benchmark(simulate_pipeline, stages, 100)

@@ -17,10 +17,8 @@ whole sessions, and is the one regression gate.
 from repro.perf.scenario import (
     BENCHMARK_POINTS,
     PAPER_TIMINGS,
-    BenchmarkResult,
     benchmark_seeds,
     max_particles_at_fps,
-    run_benchmark,
     table3_rows,
 )
 from repro.perf.pipeline import (
@@ -35,9 +33,7 @@ __all__ = [
     "frame_payload_bytes",
     "BENCHMARK_POINTS",
     "PAPER_TIMINGS",
-    "BenchmarkResult",
     "benchmark_seeds",
-    "run_benchmark",
     "max_particles_at_fps",
     "table3_rows",
     "PipelineResult",

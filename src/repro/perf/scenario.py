@@ -10,24 +10,22 @@ processors, 0.24 s; vectorized across streamlines on 3 processors,
 Table 3 then extrapolates, "assuming that the performance scales with the
 number of particles": a benchmark time of ``t`` seconds for 20,000 points
 sustains ``20,000 * (0.1 / t)`` particles at ten frames per second.
+
+This module holds the scenario (its constants and seeds) and the
+extrapolation.  The kernels the paper timed on it, and the timing loop,
+are benchmark code beside the Table 3 bench (``benchmarks/``).
 """
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass
-
 import numpy as np
 
 from repro.flow.dataset import UnsteadyDataset
-from repro.tracers.integrate import integrate_steady
 
 __all__ = [
     "BENCHMARK_POINTS",
     "PAPER_TIMINGS",
-    "BenchmarkResult",
     "benchmark_seeds",
-    "run_benchmark",
     "max_particles_at_fps",
     "table3_rows",
 ]
@@ -44,28 +42,6 @@ PAPER_TIMINGS = {
     "convex vectorized across streamlines": 0.19,
     "sgi 8-processor workstation": 0.135,  # "0.13 to 0.14 seconds"
 }
-
-
-@dataclass(frozen=True)
-class BenchmarkResult:
-    """One backend's benchmark measurement."""
-
-    backend: str
-    seconds: float
-    n_points: int
-
-    @property
-    def points_per_second(self) -> float:
-        return self.n_points / self.seconds if self.seconds > 0 else float("inf")
-
-    @property
-    def max_particles_10fps(self) -> int:
-        return max_particles_at_fps(self.seconds, n_points=self.n_points)
-
-    @property
-    def streamlines_of_200(self) -> int:
-        """Table 3's last column: whole 200-point streamlines at 10 fps."""
-        return self.max_particles_10fps // POINTS_PER_LINE
 
 
 def max_particles_at_fps(
@@ -107,31 +83,3 @@ def benchmark_seeds(
     hi = np.array([0.85 * (ni - 1), 0.85 * (nj - 1), 0.85 * (nk - 1)])
     return rng.uniform(lo, hi, size=(n, 3))
 
-
-def run_benchmark(
-    dataset: UnsteadyDataset,
-    backend: str,
-    *,
-    timestep: int = 0,
-    n_streamlines: int = N_STREAMLINES,
-    points_per_line: int = POINTS_PER_LINE,
-    dt: float = 0.05,
-    workers: int = 4,
-    repeats: int = 1,
-) -> BenchmarkResult:
-    """Run the section 5.3 benchmark on one backend.
-
-    Returns the best-of-``repeats`` time.  The grid-velocity conversion is
-    excluded (charged once, as on the Convex where data is pre-converted).
-    """
-    gv = dataset.grid_velocity(timestep)  # warm: excluded from timing
-    seeds = benchmark_seeds(dataset, n_streamlines)
-    n_steps = points_per_line - 1
-    best = float("inf")
-    for _ in range(max(1, repeats)):
-        start = time.perf_counter()
-        integrate_steady(gv, seeds, n_steps, dt, backend=backend, workers=workers)
-        best = min(best, time.perf_counter() - start)
-    return BenchmarkResult(
-        backend=backend, seconds=best, n_points=n_streamlines * points_per_line
-    )

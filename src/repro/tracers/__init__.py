@@ -19,18 +19,14 @@ All integration happens in grid coordinates with second-order Runge-Kutta
 trilinear lookup.  Seed points come in lines called **rakes**, grabbed at
 the center or either end (section 2.1).
 
-The integration core has multiple execution backends mirroring the
-paper's optimization study (section 5.3): ``scalar`` (per-point loop, the
-optimized-scalar-C analogue), ``vector`` (NumPy batch across streamlines,
-the Convex vectorization), ``vector-strip`` (128-lane strip mining, the
-Convex vector register length), ``parallel`` (processes across
-streamlines, the 4-CPU parallelization), and ``vector-group`` (processes
-across groups, vectorized within a group — the paper's proposed further
-optimization).
+The integration core is one kernel, the paper's production choice
+(section 5.3): RK2 vectorized across streamlines, shared by streamlines
+and particle paths.  The other arrangements section 5.3 compares it with
+(scalar, strip-mined, process-parallel) are benchmark code beside the
+Table 3 bench, not library options.
 """
 
 from repro.tracers.integrate import (
-    BACKENDS,
     IntegratorWorkspace,
     advance_rk2,
     integrate_paths,
@@ -50,7 +46,6 @@ from repro.tracers.multizone import MultiZoneTracerResult, multizone_streamlines
 from repro.tracers.ftle import FTLEResult, compute_ftle
 
 __all__ = [
-    "BACKENDS",
     "IntegratorWorkspace",
     "advance_rk2",
     "integrate_steady",

@@ -1,4 +1,4 @@
-"""Second-order Runge-Kutta particle integration with multiple backends.
+"""Second-order Runge-Kutta particle integration: the one kernel.
 
 The computational core of the windtunnel.  The paper (section 5.3): "The
 integration algorithm for the computation is second-order Runge-Kutta,
@@ -11,55 +11,31 @@ the eight corners of every component of every particle, each
 interpolation nine calls, and the whole step under fifty NumPy calls
 whatever the particle count.
 
-Backends reproduce the paper's optimization trade space:
+The kernel vectorizes across streamlines, as the Convex did ("This is
+the only possibility, as the computation of an individual streamline is
+an iterative process"), and it is the only one the library has.
+Streamlines (:func:`integrate_steady`) and particle paths
+(:func:`integrate_paths`) share it: a streamline is a particle path
+through a field that does not change with time.  It runs in two forms,
+bit-identical to each other:
 
-``vector``
-    One NumPy batch across *all* streamlines — vectorizing across
-    streamlines, the approach the Convex used ("This is the only
-    possibility, as the computation of an individual streamline is an
-    iterative process").
-``vector-strip``
-    The same, strip-mined into chunks of 128 seeds — the Convex C3240's
-    vector registers "can process vector arrays of up to 128 entries in
-    length".
-``scalar``
-    A pure-Python per-point loop: the analogue of the optimized scalar C
-    code "using pointer manipulation and striding" that defeats
-    vectorization.
-``parallel``
-    The scalar kernel distributed across worker processes, one chunk of
-    streamlines each — the paper's 4-CPU parallelization of the
-    non-vectorized code.
-``vector-group``
-    Processes across groups of streamlines, NumPy-vectorized within each
-    group — the further optimization the paper leaves "under study".
+* **The plain loop** (:func:`_integrate_plain`) — the readable oracle,
+  taken when no workspace is passed.
+* **The workspace kernel** (:func:`_integrate_ws`) — with an
+  :class:`IntegratorWorkspace` the stepping loop is component-major and
+  threads ``out=`` through every call: no per-step array allocations
+  (the Convex did not call ``malloc`` per vector op either) and, because
+  a NumPy call costs more to launch than to run at interactive particle
+  counts, as few calls as the arithmetic allows.
 
-All backends produce bit-identical trajectories for the same inputs
-except ``scalar``/``parallel``, which agree with ``vector`` to floating-
-point round-off (operation order differs slightly).
-
-Two orthogonal optimizations sit under the backends:
-
-* **The workspace kernel** — with an :class:`IntegratorWorkspace` the
-  ``vector`` kernel and the particle-path kernel are one component-major
-  stepping loop (:func:`_integrate_ws`) that threads ``out=`` through
-  every call: no per-step array allocations (the Convex did not call
-  ``malloc`` per vector op either) and, because a NumPy call costs more
-  to launch than to run at interactive particle counts, as few calls as
-  the arithmetic allows.  Pass ``workspace=`` to :func:`integrate_steady`
-  / :func:`integrate_paths`; results are bit-identical to the plain
-  path, which stays as the readable oracle.
-* **One pool per field** — the process backends run on one persistent
-  pool *built around the field it integrates*: the field reaches each
-  worker once, through the pool initializer, and a call on another
-  field object (or worker count) rebuilds the pool (the Convex kept its
-  1 GB dataset resident; our workers do too).
+The paper's other arrangements of the same arithmetic — scalar C, strip
+mining to 128-lane vector registers, the 4-CPU parallel scalar code and
+the proposed parallel-across-groups scheme — are Table 3's comparison,
+not a frame path, and live with the Table 3 benchmark.
 """
 
 from __future__ import annotations
 
-import atexit
-import multiprocessing as mp
 from collections.abc import Callable
 
 import numpy as np
@@ -71,18 +47,11 @@ from repro.grid.interpolation import (
 )
 
 __all__ = [
-    "BACKENDS",
     "IntegratorWorkspace",
     "advance_rk2",
     "integrate_steady",
     "integrate_paths",
-    "shutdown_pools",
 ]
-
-BACKENDS = ("vector", "vector-strip", "scalar", "parallel", "vector-group")
-
-#: Convex C3240 vector register length (section 5), the default strip size.
-VECTOR_LENGTH = 128
 
 #: Rotating output buffers an :class:`IntegratorWorkspace` keeps per
 #: kernel and ``(seeds, steps)`` shape.
@@ -95,7 +64,7 @@ PATHS_POOL = 4
 
 
 class IntegratorWorkspace:
-    """Preallocated scratch for the vectorized RK2 kernels.
+    """Preallocated scratch for the workspace RK2 kernel.
 
     Holds every buffer the workspace kernel touches per step — the two
     RK2 stage samples, the midpoint, the in-domain masks, the gather and
@@ -193,34 +162,51 @@ def advance_rk2(gv: np.ndarray, coords: np.ndarray, dt: float) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# vector backends
+# the stepping loop, plain and on a workspace
 # ---------------------------------------------------------------------------
 
 
-def _integrate_vector(
-    gv: np.ndarray, seeds: np.ndarray, n_steps: int, dt: float
+def _integrate_plain(
+    field_at: Callable[[int], np.ndarray],
+    seeds: np.ndarray,
+    t0: int,
+    n_steps: int,
+    dt: float,
 ) -> tuple[np.ndarray, np.ndarray]:
-    dims = gv.shape[:3]
+    """The readable RK2 stepping loop, steady and unsteady.
+
+    Step ``n`` takes its two stages from ``field_at(t0 + n - 1)`` and
+    ``field_at(t0 + n)``; a streamline is the case where both are the
+    same frozen field.  A particle that leaves the domain freezes at its
+    last inside vertex.
+    """
     s = seeds.shape[0]
-    coords = np.array(seeds, dtype=np.float64, copy=True)
+    coords = seeds.copy()
     paths = np.empty((s, n_steps + 1, 3), dtype=np.float64)
     paths[:, 0] = coords
-    alive = in_domain_mask(coords, dims)
     lengths = np.ones(s, dtype=np.intp)
+    gv_now = field_at(t0)
+    dims = gv_now.shape[:3]
+    alive = in_domain_mask(coords, dims)
     for step in range(1, n_steps + 1):
-        if alive.any():
-            sel = np.nonzero(alive)[0]
-            new = advance_rk2(gv, coords[sel], dt)
-            inside = in_domain_mask(new, dims)
-            good = sel[inside]
-            coords[good] = new[inside]
-            lengths[good] += 1
-            alive[sel[~inside]] = False
-            paths[:, step] = coords
-        else:
+        # Read before the death check: the fields the workspace kernel reads.
+        gv_next = field_at(t0 + step)
+        if not alive.any():
             # Everyone is dead: freeze the remaining columns and stop.
             paths[:, step:] = coords[:, None, :]
             break
+        sel = np.nonzero(alive)[0]
+        cur = coords[sel]
+        k1 = trilinear_interpolate(gv_now, cur)
+        k2 = trilinear_interpolate(gv_next, cur + dt * k1)
+        new = cur + (0.5 * dt) * (k1 + k2)
+        inside = in_domain_mask(new, dims)
+        good = sel[inside]
+        coords[good] = new[inside]
+        lengths[good] += 1
+        alive[sel[~inside]] = False
+        paths[:, step] = coords
+        gv_now = gv_next
     return paths, lengths
 
 
@@ -237,9 +223,9 @@ def _integrate_ws(
 
     Step ``n`` takes its two stages from ``field_at(t0 + n - 1)`` and
     ``field_at(t0 + n)``; the streamline kernel is the case where both
-    are the same frozen field.  Bit-identical to :func:`_integrate_vector`
-    and to the plain loop of :func:`integrate_paths` — same expression
-    per element, same death semantics — on component-major storage:
+    are the same frozen field.  Bit-identical to :func:`_integrate_plain`
+    — same expression per element, same death semantics, same fields
+    read — on component-major storage:
     while nobody has died, step ``n`` samples row ``n - 1`` of the
     step-major buffer and writes row ``n`` in place (no gather, no
     scatter, no allocation); after a death the live particles are the
@@ -312,196 +298,28 @@ def _integrate_ws(
     return steps.transpose(2, 0, 1), lengths
 
 
-def _integrate_vector_strip(
-    gv: np.ndarray, seeds: np.ndarray, n_steps: int, dt: float, strip: int
-) -> tuple[np.ndarray, np.ndarray]:
-    s = seeds.shape[0]
-    paths = np.empty((s, n_steps + 1, 3), dtype=np.float64)
-    lengths = np.empty(s, dtype=np.intp)
-    for start in range(0, s, strip):
-        stop = min(start + strip, s)
-        p, l = _integrate_vector(gv, seeds[start:stop], n_steps, dt)
-        paths[start:stop] = p
-        lengths[start:stop] = l
-    return paths, lengths
-
-
-# ---------------------------------------------------------------------------
-# scalar backend (pure-Python kernel)
-# ---------------------------------------------------------------------------
-
-
-def _integrate_scalar(
-    gv: np.ndarray,
+def _integrate(
+    field_at: Callable[[int], np.ndarray],
     seeds: np.ndarray,
+    t0: int,
     n_steps: int,
     dt: float,
-    flat: list | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-point, per-step loop with scalar arithmetic throughout.
-
-    The field is flattened to a Python list once so the inner loop performs
-    honest scalar loads (the analogue of the paper's pointer-striding C).
-    ``flat`` lets callers (the parallel workers) reuse a cached flattening.
-    """
-    ni, nj, nk = gv.shape[:3]
-    if flat is None:
-        flat = np.ascontiguousarray(gv, dtype=np.float64).ravel().tolist()
-    sj = nk * 3
-    si = nj * sj
-    hi_i, hi_j, hi_k = ni - 1.0, nj - 1.0, nk - 1.0
-
-    def sample(x: float, y: float, z: float) -> tuple[float, float, float]:
-        # Clamp, split into cell + fraction (matches the vector kernel).
-        if x < 0.0:
-            x = 0.0
-        elif x > hi_i:
-            x = hi_i
-        if y < 0.0:
-            y = 0.0
-        elif y > hi_j:
-            y = hi_j
-        if z < 0.0:
-            z = 0.0
-        elif z > hi_k:
-            z = hi_k
-        i = int(x)
-        if i > ni - 2:
-            i = ni - 2
-        j = int(y)
-        if j > nj - 2:
-            j = nj - 2
-        k = int(z)
-        if k > nk - 2:
-            k = nk - 2
-        fx, fy, fz = x - i, y - j, z - k
-        base = i * si + j * sj + k * 3
-        out = []
-        for c in range(3):
-            b = base + c
-            c000 = flat[b]
-            c001 = flat[b + 3]
-            c010 = flat[b + sj]
-            c011 = flat[b + sj + 3]
-            c100 = flat[b + si]
-            c101 = flat[b + si + 3]
-            c110 = flat[b + si + sj]
-            c111 = flat[b + si + sj + 3]
-            c00 = c000 + (c001 - c000) * fz
-            c01 = c010 + (c011 - c010) * fz
-            c10 = c100 + (c101 - c100) * fz
-            c11 = c110 + (c111 - c110) * fz
-            c0 = c00 + (c01 - c00) * fy
-            c1 = c10 + (c11 - c10) * fy
-            out.append(c0 + (c1 - c0) * fx)
-        return out[0], out[1], out[2]
-
-    s = seeds.shape[0]
-    paths = np.empty((s, n_steps + 1, 3), dtype=np.float64)
-    lengths = np.empty(s, dtype=np.intp)
-    half_dt = 0.5 * dt
-    for p in range(s):
-        x, y, z = float(seeds[p, 0]), float(seeds[p, 1]), float(seeds[p, 2])
-        paths[p, 0] = (x, y, z)
-        length = 1
-        alive = 0.0 <= x <= hi_i and 0.0 <= y <= hi_j and 0.0 <= z <= hi_k
-        for step in range(1, n_steps + 1):
-            if alive:
-                u1, v1, w1 = sample(x, y, z)
-                u2, v2, w2 = sample(x + dt * u1, y + dt * v1, z + dt * w1)
-                nx = x + half_dt * (u1 + u2)
-                ny = y + half_dt * (v1 + v2)
-                nz = z + half_dt * (w1 + w2)
-                if 0.0 <= nx <= hi_i and 0.0 <= ny <= hi_j and 0.0 <= nz <= hi_k:
-                    x, y, z = nx, ny, nz
-                    length += 1
-                else:
-                    alive = False
-            paths[p, step] = (x, y, z)
-        lengths[p] = length
-    return paths, lengths
-
-
-# ---------------------------------------------------------------------------
-# process-parallel backends
-# ---------------------------------------------------------------------------
-
-# One worker pool persists across calls (the Convex's processors did not
-# reboot between frames), built around the field it integrates:
-# ``(workers, field, pool)``.  Holding the field keeps its ``id`` from
-# being recycled, so ``is`` identifies it; a field is assumed not to be
-# mutated in place between calls, which holds for the loader/dataset
-# caches (cache entries are read-only views).
-_POOL: tuple | None = None
-
-# Worker side: the pool's field, and the scalar kernel's flattening of it
-# (made on the first scalar chunk, kept for every later one).
-_FIELD: np.ndarray | None = None
-_FLAT: list | None = None
-
-
-def _init_worker(gv: np.ndarray) -> None:  # pragma: no cover - subprocess
-    global _FIELD
-    _FIELD = gv
-
-
-def _run_chunk(args):  # pragma: no cover - executes in subprocess
-    global _FLAT
-    seeds_chunk, n_steps, dt, kernel = args
-    if kernel != "scalar":
-        return _integrate_vector(_FIELD, seeds_chunk, n_steps, dt)
-    if _FLAT is None:
-        _FLAT = np.ascontiguousarray(_FIELD, dtype=np.float64).ravel().tolist()
-    return _integrate_scalar(_FIELD, seeds_chunk, n_steps, dt, flat=_FLAT)
-
-
-def _get_pool(workers: int, gv: np.ndarray):
-    global _POOL
-    if _POOL is None or _POOL[0] != workers or _POOL[1] is not gv:
-        shutdown_pools()
-        _POOL = (workers, gv, mp.get_context().Pool(workers, _init_worker, (gv,)))
-    return _POOL[2]
-
-
-def shutdown_pools() -> None:
-    """Terminate the persistent worker pool (the next call rebuilds it)."""
-    global _POOL
-    if _POOL is not None:
-        _POOL[2].terminate()
-        _POOL[2].join()
-        _POOL = None
-
-
-atexit.register(shutdown_pools)
-
-
-def _integrate_parallel(
-    gv: np.ndarray,
-    seeds: np.ndarray,
-    n_steps: int,
-    dt: float,
-    workers: int,
+    workspace: IntegratorWorkspace | None,
     kernel: str,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Distribute streamline chunks across ``workers`` processes.
-
-    ``kernel='scalar'`` mirrors the Convex's parallelized scalar code;
-    ``kernel='vector'`` is the vector-group scheme (parallel across
-    groups, vectorized within).  The field reached the workers when their
-    pool was built; a chunk carries only its seeds.
-    """
-    s = seeds.shape[0]
-    workers = max(1, min(workers, s))
-    if workers == 1:
-        kern = _integrate_scalar if kernel == "scalar" else _integrate_vector
-        return kern(gv, seeds, n_steps, dt)
-    chunks = np.array_split(np.asarray(seeds, dtype=np.float64), workers)
-    results = _get_pool(workers, gv).map(
-        _run_chunk, [(chunk, n_steps, dt, kernel) for chunk in chunks]
-    )
-    paths = np.concatenate([r[0] for r in results], axis=0)
-    lengths = np.concatenate([r[1] for r in results], axis=0)
-    return paths, lengths
+    """Validate, then step on ``workspace`` when it can take the field at
+    ``t0`` and in the plain loop otherwise."""
+    seeds = np.asarray(seeds, dtype=np.float64)
+    if seeds.ndim != 2 or seeds.shape[1] != 3:
+        raise ValueError(f"seeds must have shape (S, 3), got {seeds.shape}")
+    if n_steps < 0:
+        raise ValueError("n_steps must be non-negative")
+    if (
+        workspace is not None
+        and workspace.scratch.bind_field(field_at(t0)) is not None
+    ):
+        return _integrate_ws(field_at, seeds, t0, n_steps, dt, workspace, kernel)
+    return _integrate_plain(field_at, seeds, t0, n_steps, dt)
 
 
 # ---------------------------------------------------------------------------
@@ -515,9 +333,6 @@ def integrate_steady(
     n_steps: int,
     dt: float,
     *,
-    backend: str = "vector",
-    workers: int = 4,
-    strip: int = VECTOR_LENGTH,
     workspace: IntegratorWorkspace | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Integrate seeds through a frozen (single-timestep) field.
@@ -529,43 +344,15 @@ def integrate_steady(
 
     Parameters
     ----------
-    backend
-        One of :data:`BACKENDS`; see module docstring.
-    workers
-        Process count for the ``parallel``/``vector-group`` backends
-        (the Convex had 4 CPUs, the SGI 8).
-    strip
-        Strip length for ``vector-strip`` (Convex vector length, 128).
     workspace
-        Optional :class:`IntegratorWorkspace`.  Honored by the ``vector``
-        backend: the kernel runs on preallocated scratch with zero
-        per-step allocations and the returned ``paths`` array is a view
-        of one of the workspace's rotating buffers (see the class
-        docstring for the reuse contract).  Other backends ignore it.
+        Optional :class:`IntegratorWorkspace`: the kernel runs on
+        preallocated scratch with zero per-step allocations and the
+        returned ``paths`` array is a view of one of the workspace's
+        rotating buffers (see the class docstring for the reuse
+        contract).  Results are bit-identical either way.
     """
-    seeds = np.asarray(seeds, dtype=np.float64)
-    if seeds.ndim != 2 or seeds.shape[1] != 3:
-        raise ValueError(f"seeds must have shape (S, 3), got {seeds.shape}")
-    if n_steps < 0:
-        raise ValueError("n_steps must be non-negative")
     gv = np.asarray(gv, dtype=np.float64)
-    if backend == "vector":
-        if workspace is not None and workspace.scratch.bind_field(gv) is not None:
-            return _integrate_ws(
-                lambda t: gv, seeds, 0, n_steps, dt, workspace, "steady"
-            )
-        return _integrate_vector(gv, seeds, n_steps, dt)
-    if backend == "vector-strip":
-        if strip < 1:
-            raise ValueError("strip must be positive")
-        return _integrate_vector_strip(gv, seeds, n_steps, dt, strip)
-    if backend == "scalar":
-        return _integrate_scalar(gv, seeds, n_steps, dt)
-    if backend == "parallel":
-        return _integrate_parallel(gv, seeds, n_steps, dt, workers, "scalar")
-    if backend == "vector-group":
-        return _integrate_parallel(gv, seeds, n_steps, dt, workers, "vector")
-    raise ValueError(f"unknown backend {backend!r}; expected one of {BACKENDS}")
+    return _integrate(lambda t: gv, seeds, 0, n_steps, dt, workspace, "steady")
 
 
 def integrate_paths(
@@ -601,40 +388,7 @@ def integrate_paths(
         Optional :class:`IntegratorWorkspace`; same zero-allocation and
         buffer-pool semantics as :func:`integrate_steady`.
     """
-    seeds = np.asarray(seeds, dtype=np.float64)
-    if seeds.ndim != 2 or seeds.shape[1] != 3:
-        raise ValueError(f"seeds must have shape (S, 3), got {seeds.shape}")
     if not (0 <= t0 < n_timesteps):
         raise IndexError(f"t0 {t0} out of range [0, {n_timesteps})")
     usable_steps = min(n_steps, n_timesteps - t0 - 1)
-    if (
-        workspace is not None
-        and workspace.scratch.bind_field(field_at(t0)) is not None
-    ):
-        return _integrate_ws(
-            field_at, seeds, t0, usable_steps, dt, workspace, "paths"
-        )
-    s = seeds.shape[0]
-    coords = np.array(seeds, copy=True)
-    paths = np.empty((s, usable_steps + 1, 3), dtype=np.float64)
-    paths[:, 0] = coords
-    lengths = np.ones(s, dtype=np.intp)
-    gv_now = field_at(t0)
-    dims = gv_now.shape[:3]
-    alive = in_domain_mask(coords, dims)
-    for step in range(1, usable_steps + 1):
-        gv_next = field_at(t0 + step)
-        if alive.any():
-            sel = np.nonzero(alive)[0]
-            cur = coords[sel]
-            k1 = trilinear_interpolate(gv_now, cur)
-            k2 = trilinear_interpolate(gv_next, cur + dt * k1)
-            new = cur + (0.5 * dt) * (k1 + k2)
-            inside = in_domain_mask(new, dims)
-            good = sel[inside]
-            coords[good] = new[inside]
-            lengths[good] += 1
-            alive[sel[~inside]] = False
-        paths[:, step] = coords
-        gv_now = gv_next
-    return paths, lengths
+    return _integrate(field_at, seeds, t0, usable_steps, dt, workspace, "paths")

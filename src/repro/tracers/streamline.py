@@ -26,8 +26,6 @@ def compute_streamlines(
     dt: float = 0.05,
     *,
     bidirectional: bool = False,
-    backend: str = "vector",
-    workers: int = 4,
 ) -> TracerResult:
     """Compute streamlines from grid-coordinate ``seeds`` at one timestep.
 
@@ -45,19 +43,13 @@ def compute_streamlines(
     bidirectional
         Also integrate upstream (negative dt) and join the halves, so the
         curve extends both ways from the rake.
-    backend, workers
-        Execution backend, see :mod:`repro.tracers.integrate`.
     """
     gv = dataset.grid_velocity(timestep)
-    fwd_paths, fwd_len = integrate_steady(
-        gv, seeds, n_steps, dt, backend=backend, workers=workers
-    )
+    fwd_paths, fwd_len = integrate_steady(gv, seeds, n_steps, dt)
     if not bidirectional:
         return TracerResult(fwd_paths, fwd_len, dataset.grid)
 
-    bwd_paths, bwd_len = integrate_steady(
-        gv, seeds, n_steps, -dt, backend=backend, workers=workers
-    )
+    bwd_paths, bwd_len = integrate_steady(gv, seeds, n_steps, -dt)
     s = seeds.shape[0]
     total = fwd_paths.shape[1] + bwd_paths.shape[1] - 1
     joined = np.empty((s, total, 3), dtype=np.float64)

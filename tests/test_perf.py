@@ -10,7 +10,6 @@ from repro.perf import (
     PAPER_TIMINGS,
     benchmark_seeds,
     max_particles_at_fps,
-    run_benchmark,
     simulate_pipeline,
     table3_rows,
 )
@@ -57,39 +56,11 @@ class TestTable3Accounting:
         with pytest.raises(ValueError):
             max_particles_at_fps(0.1, fps=0)
 
-
-class TestRunBenchmark:
-    def test_vector_runs_and_scales(self, dataset):
-        res = run_benchmark(
-            dataset, "vector", n_streamlines=10, points_per_line=20
-        )
-        assert res.n_points == 200
-        assert res.seconds > 0
-        assert res.max_particles_10fps == int(200 / (res.seconds * 10))
-
     def test_seeds_deterministic(self, dataset):
         a = benchmark_seeds(dataset, 10)
         b = benchmark_seeds(dataset, 10)
         np.testing.assert_array_equal(a, b)
         assert dataset.grid.contains(a).all()
-
-    def test_vector_beats_scalar(self, dataset):
-        """The reproduction's analogue of the paper's vectorization win.
-
-        The win needs enough streamlines to amortize per-batch overhead —
-        the same reason the Convex needed 128-long vectors.
-        """
-        vec = run_benchmark(
-            dataset, "vector", n_streamlines=100, points_per_line=100, repeats=2
-        )
-        sca = run_benchmark(
-            dataset, "scalar", n_streamlines=100, points_per_line=100, repeats=2
-        )
-        assert vec.seconds < sca.seconds
-
-    def test_streamlines_of_200_column(self, dataset):
-        res = run_benchmark(dataset, "vector", n_streamlines=5, points_per_line=10)
-        assert res.streamlines_of_200 == res.max_particles_10fps // 200
 
 
 class TestPipelineModel:

@@ -42,7 +42,6 @@ def test_perf_exports_only_the_models_that_predict():
 
     assert sorted(repro.perf.__all__) == [
         "BENCHMARK_POINTS",
-        "BenchmarkResult",
         "PAPER_TIMINGS",
         "PipelineResult",
         "SessionWireModel",
@@ -50,7 +49,6 @@ def test_perf_exports_only_the_models_that_predict():
         "compare_to_model",
         "frame_payload_bytes",
         "max_particles_at_fps",
-        "run_benchmark",
         "simulate_pipeline",
         "table3_rows",
     ]
@@ -77,7 +75,7 @@ def test_stat_mirrors_and_dead_selectors_stay_unexported():
         "timesteps_per_gigabyte",
     ]
     assert sorted(repro.tracers.__all__) == [
-        "BACKENDS", "FTLEResult", "GrabPoint", "IntegratorWorkspace",
+        "FTLEResult", "GrabPoint", "IntegratorWorkspace",
         "IsosurfaceResult", "MultiZoneTracerResult", "Rake", "TracerResult",
         "advance_rk2", "compute_ftle", "compute_particle_paths",
         "compute_streaklines", "compute_streamlines", "extract_isosurface",
@@ -109,7 +107,12 @@ def test_option_counts_are_pinned():
     from repro.core import WindtunnelServer
     from repro.diskio import TieredTimestepCache, TimestepLoader
     from repro.gateway.worker import DEFAULT_SPEC
-    from repro.tracers import IntegratorWorkspace, advance_rk2
+    from repro.tracers import (
+        IntegratorWorkspace,
+        advance_rk2,
+        compute_streamlines,
+        integrate_steady,
+    )
 
     def options(cls):
         return len(inspect.signature(cls.__init__).parameters) - 1  # self
@@ -123,6 +126,13 @@ def test_option_counts_are_pinned():
     assert options(TieredTimestepCache) == 9  # no caller-supplied shared L1
     assert options(IntegratorWorkspace) == 0
     assert len(inspect.signature(advance_rk2).parameters) == 3
+    # One integration kernel: Table 3's other four are benchmark code.
+    assert list(inspect.signature(integrate_steady).parameters) == [
+        "gv", "seeds", "n_steps", "dt", "workspace",
+    ]
+    assert not {"backend", "workers"} & set(
+        inspect.signature(compute_streamlines).parameters
+    )
     # One way to a velocity field: a load loads (whoever drives a loader
     # calls ``prefetch``), and the engine has no prefetch policy to flip.
     assert parameters(TimestepLoader.load) == ["t"]
@@ -139,6 +149,12 @@ def test_option_counts_are_pinned():
     # An environment variable is an option too: the package reads none.
     sources = Path(repro.__file__).parent.rglob("*.py")
     assert not [str(p) for p in sources if "os.environ" in p.read_text()]
+    # Nor does the integrator keep a process pool alive between calls.
+    tracers = (Path(repro.__file__).parent / "tracers").rglob("*.py")
+    assert not [
+        str(p) for p in tracers
+        if "multiprocessing" in p.read_text() or "atexit" in p.read_text()
+    ]
     assert len(DEFAULT_SPEC) == 10
     # Paths, digests and the point count are read off the per-rake entries.
     assert len(dataclasses.fields(PublishedFrame)) == 7

@@ -1,12 +1,16 @@
-"""Tests for the RK2 integration core and its backends."""
+"""Tests for the RK2 integration core."""
 
 import numpy as np
 import pytest
 
 from repro.flow import MemoryDataset, RigidRotation, UniformFlow, sample_on_grid
 from repro.grid import cartesian_grid
-from repro.tracers import BACKENDS, advance_rk2, integrate_paths, integrate_steady
-from repro.tracers import integrate as integ
+from repro.tracers import (
+    IntegratorWorkspace,
+    advance_rk2,
+    integrate_paths,
+    integrate_steady,
+)
 
 
 def make_dataset(field, shape=(9, 9, 5), lo=(-2, -2, 0), hi=(2, 2, 1), times=(0.0,)):
@@ -108,8 +112,6 @@ class TestIntegrateSteady:
             integrate_steady(gv, np.zeros((2, 2)), 5, 0.1)
         with pytest.raises(ValueError):
             integrate_steady(gv, np.zeros((2, 3)), -1, 0.1)
-        with pytest.raises(ValueError):
-            integrate_steady(gv, np.zeros((2, 3)), 5, 0.1, backend="cuda")
 
     def test_seeds_not_mutated(self, rotation_gv):
         _, gv = rotation_gv
@@ -117,97 +119,6 @@ class TestIntegrateSteady:
         original = seeds.copy()
         integrate_steady(gv, seeds, 10, 0.1)
         np.testing.assert_array_equal(seeds, original)
-
-
-def check_pool_follows_its_field(backend, atol):
-    """The process pool is built around one field: every call must
-    integrate the field it was *given*, whatever the pool held before."""
-    seeds = np.random.default_rng(11).uniform([2, 2, 1], [6, 6, 3], size=(9, 3))
-
-    def field(seed):  # a fresh array object per call, same shape
-        return np.random.default_rng(seed).normal(0, 0.5, size=(9, 9, 5, 3))
-
-    def check(gv, workers, seeds=seeds):
-        ref_paths, ref_len = integrate_steady(gv, seeds, 12, 0.03)
-        paths, lengths = integrate_steady(
-            gv, seeds, 12, 0.03, backend=backend, workers=workers
-        )
-        np.testing.assert_array_equal(lengths, ref_len)
-        np.testing.assert_allclose(paths, ref_paths, atol=atol)
-
-    check(field(1), 2)  # field A, dropped on return
-    check(field(2), 2)  # B, allocated after A was dropped (id recycling)
-    check(field(1), 3)  # A again, another worker count
-    integ.shutdown_pools()
-    check(field(2), 2)  # one call after shutdown rebuilds the pool
-    integ.shutdown_pools()
-    check(field(1), 1)  # one worker: in process
-    check(field(1), 4, seeds[:1])  # more workers than seeds: in process
-    assert integ._POOL is None
-
-
-class TestBackendEquivalence:
-    @pytest.fixture(scope="class")
-    def scenario(self):
-        ds = make_dataset(
-            RigidRotation(omega=[0, 0, 1.0]) + UniformFlow([0.1, 0.0, 0.05]),
-            shape=(17, 17, 9),
-            lo=(-2, -2, -1),
-            hi=(2, 2, 1),
-        )
-        gv = ds.grid_velocity(0)
-        rng = np.random.default_rng(5)
-        seeds = rng.uniform([4, 4, 2], [12, 12, 6], size=(37, 3))
-        ref = integrate_steady(gv, seeds, 40, 0.03, backend="vector")
-        return gv, seeds, ref
-
-    def test_vector_strip_bit_identical(self, scenario):
-        gv, seeds, (ref_paths, ref_len) = scenario
-        paths, lengths = integrate_steady(
-            gv, seeds, 40, 0.03, backend="vector-strip", strip=8
-        )
-        np.testing.assert_array_equal(paths, ref_paths)
-        np.testing.assert_array_equal(lengths, ref_len)
-
-    def test_scalar_matches_vector(self, scenario):
-        gv, seeds, (ref_paths, ref_len) = scenario
-        paths, lengths = integrate_steady(gv, seeds, 40, 0.03, backend="scalar")
-        np.testing.assert_array_equal(lengths, ref_len)
-        np.testing.assert_allclose(paths, ref_paths, atol=1e-10)
-
-    def test_parallel_matches_vector(self, scenario):
-        gv, seeds, (ref_paths, ref_len) = scenario
-        paths, lengths = integrate_steady(
-            gv, seeds, 40, 0.03, backend="parallel", workers=2
-        )
-        np.testing.assert_array_equal(lengths, ref_len)
-        np.testing.assert_allclose(paths, ref_paths, atol=1e-10)
-        check_pool_follows_its_field("parallel", atol=1e-10)
-
-    def test_vector_group_matches_vector(self, scenario):
-        gv, seeds, (ref_paths, ref_len) = scenario
-        paths, lengths = integrate_steady(
-            gv, seeds, 40, 0.03, backend="vector-group", workers=2
-        )
-        np.testing.assert_array_equal(lengths, ref_len)
-        np.testing.assert_allclose(paths, ref_paths, atol=1e-12)
-        check_pool_follows_its_field("vector-group", atol=0.0)
-
-    def test_all_backends_listed(self):
-        assert set(BACKENDS) == {
-            "vector",
-            "vector-strip",
-            "scalar",
-            "parallel",
-            "vector-group",
-        }
-
-    def test_single_worker_parallel_degenerates(self, scenario):
-        gv, seeds, (ref_paths, _) = scenario
-        paths, _ = integrate_steady(
-            gv, seeds[:3], 10, 0.03, backend="parallel", workers=1
-        )
-        np.testing.assert_allclose(paths, ref_paths[:3, :11], atol=1e-10)
 
 
 class TestIntegratePaths:
@@ -251,6 +162,18 @@ class TestIntegratePaths:
         ds = make_dataset(UniformFlow(), times=np.arange(3) * 1.0)
         with pytest.raises(ValueError):
             integrate_paths(ds.grid_velocity, np.zeros((1, 2)), 0, 1, 3, 1.0)
+
+    @pytest.mark.parametrize("workspace", [False, True], ids=["plain", "workspace"])
+    @pytest.mark.parametrize("n_steps", [-1, -3])
+    def test_negative_steps_rejected(self, n_steps, workspace):
+        """The same typed error as :func:`integrate_steady`, not an
+        IndexError or a NumPy shape error from inside the loop."""
+        ds = make_dataset(UniformFlow(), times=np.arange(3) * 1.0)
+        ws = IntegratorWorkspace() if workspace else None
+        with pytest.raises(ValueError, match="n_steps must be non-negative"):
+            integrate_paths(
+                ds.grid_velocity, np.ones((1, 3)), 0, n_steps, 3, 1.0, workspace=ws
+            )
 
     def test_steady_field_path_matches_streamline(self):
         """In a steady dataset, particle paths equal streamlines."""
