@@ -14,6 +14,9 @@ the renderer keeps drawing the last good frame (flagged
 :attr:`state_stale`) while the network half retries: idempotent calls
 back off, reconnect through the stream factory, and resume the session
 with ``wt.rejoin`` — so a transient stall costs staleness, not a crash.
+A resume re-sends the delivery terms last negotiated: a reaped seat lost
+them, and a new connection has no push binding.  Merging v2 replies
+into the held scene is :class:`~repro.core.delivery.HeldScene`'s.
 """
 
 from __future__ import annotations
@@ -23,8 +26,9 @@ import time
 
 import numpy as np
 
+from repro.core.delivery import HeldScene, Subscription
 from repro.dlib.client import DlibClient, DlibRemoteError, RetryPolicy
-from repro.dlib.protocol import DlibError, DlibTimeoutError, decode_path_entry
+from repro.dlib.protocol import DlibError, DlibTimeoutError
 from repro.dlib.transport import Stream
 from repro.render.camera import Camera
 from repro.render.framebuffer import Framebuffer
@@ -124,7 +128,7 @@ class WindtunnelClient:
             on_reconnect=self._on_reconnect,
             trace=trace,
             registry=registry,
-            on_push=self._on_push_frame,
+            on_push=self._integrate,
         )
         info = self._rpc.call("wt.join", name)
         self.client_id: int = info["client_id"]
@@ -144,10 +148,8 @@ class WindtunnelClient:
         self._net_stop = threading.Event()
         self._state_lock = threading.Lock()
         self._closed = False
-        # Negotiated delivery (docs/network.md): the server's echo of the
-        # terms (None = the default subscription), the reassembled
-        # per-rake state deltas are merged into, and the last publication
-        # seq acknowledged back to the server.
+        # Negotiated delivery (docs/network.md): the terms last sent
+        # (None = the default subscription) and the scene deltas merge into.
         self._adopt_terms(None)
 
     # -- resilience ----------------------------------------------------------
@@ -161,8 +163,15 @@ class WindtunnelClient:
         """After every reconnect, resume the session before anything else."""
         if self._session_token is None:
             return  # initial connect: wt.join has not happened yet
-        rpc.call_once("wt.rejoin", self.client_id, self._session_token)
+        self._resume(rpc.call_once)
+
+    def _resume(self, call) -> dict:
+        """``wt.rejoin``, then re-send the terms last negotiated."""
+        info = call("wt.rejoin", self.client_id, self._session_token)
         self.rejoins += 1
+        if self._terms is not None:
+            self._negotiate(call, self._terms)
+        return info
 
     def _call(self, procedure: str, *args):
         """RPC with failure bookkeeping and transparent session resume.
@@ -183,17 +192,14 @@ class WindtunnelClient:
         except DlibRemoteError as exc:
             if exc.remote_type != "SessionExpiredError" or self._session_token is None:
                 raise
-            self._rpc.call_once("wt.rejoin", self.client_id, self._session_token)
-            self.rejoins += 1
+            self._resume(self._rpc.call_once)
             return self._rpc.call(procedure, *args)
 
     def rejoin(self) -> dict:
         """Explicitly resume this session (normally automatic)."""
         if self._session_token is None:
             raise RuntimeError("no session token; cannot rejoin")
-        info = self._rpc.call_once("wt.rejoin", self.client_id, self._session_token)
-        self.rejoins += 1
-        return info
+        return self._resume(self._rpc.call_once)
 
     def heartbeat(self) -> dict:
         """Tell the server this client is alive (piggybacked on every
@@ -279,12 +285,16 @@ class WindtunnelClient:
 
     # -- negotiated frame delivery (docs/network.md) --------------------------
 
-    def _adopt_terms(self, info: dict | None) -> None:
+    def _adopt_terms(self, terms: dict | None) -> None:
         """Start over under new delivery terms: nothing held, nothing
         acked, so the next frame is a keyframe."""
-        self.subscription = info
-        self._held_paths: dict = {}
-        self._acked_seq = 0
+        self._terms, self._held = terms, HeldScene()
+
+    def _negotiate(self, call, terms: dict) -> dict:
+        info = call("wt.subscribe", self.client_id, terms)
+        with self._state_lock:
+            self._adopt_terms(terms)
+        return info
 
     def subscribe(
         self,
@@ -306,23 +316,19 @@ class WindtunnelClient:
         :attr:`latest_state` exactly like pulled ones; they surface
         whenever the stream is read — during any RPC, or via
         :meth:`drain_pushes` while idle.  The reply's ``"push"`` key
-        confirms whether the server actually armed push delivery.
+        confirms whether the server actually armed push delivery.  The
+        terms are validated by the server's own ``Subscription.from_wire``
+        before they are sent, and re-sent after every resume.
         """
-        options: dict = {
+        terms = Subscription.from_wire({
             "encoding": encoding,
             "deltas": deltas,
             "decimate": decimate,
             "push": push,
-        }
-        for key, value in (("rakes", rakes), ("kinds", kinds)):
-            if isinstance(value, str):  # would iterate into its characters
-                raise ValueError(f"{key} must be a list, not a string")
-            if value is not None:
-                options[key] = [str(v) for v in value]
-        info = self._call("wt.subscribe", self.client_id, options)
-        with self._state_lock:
-            self._adopt_terms(info)
-        return info
+            "rakes": rakes,
+            "kinds": kinds,
+        }).to_wire()
+        return self._negotiate(self._call, terms)
 
     def unsubscribe(self) -> None:
         """Return to the default subscription (full ``v1`` keyframes)."""
@@ -330,33 +336,21 @@ class WindtunnelClient:
         with self._state_lock:
             self._adopt_terms(None)
 
-    def _integrate_v2(self, state: dict) -> dict:
-        """Merge a v2 response into held per-rake state; ack the seq.
+    def _integrate(self, state: dict) -> dict:
+        """Merge a v2 reply into the held scene and show it; return the
+        state now shown — the previous one when the reply is a delta
+        against a base we do not hold (the next pull resyncs).
 
-        A delta overlays the changed rakes onto what we hold and drops the
-        removed ones; a keyframe replaces everything.  If a delta arrives
-        against a base we do not hold (lost state), the ack resets to 0 so
-        the next request resyncs with a keyframe.
+        Also the PUSH handler, run by whichever thread reads the stream;
+        a push that is not an envelope raises, which the dlib client
+        counts (``push_errors``) and otherwise ignores.
         """
-        v2 = state["v2"]
-        decoded = {
-            rid: decode_path_entry(entry)
-            for rid, entry in state.get("paths", {}).items()
-        }
+        merged = self._held.integrate(state)
         with self._state_lock:
-            if v2["mode"] == "delta":
-                if int(v2["base"]) != self._acked_seq:
-                    self._acked_seq = 0  # resync on the next fetch
-                    return dict(state, paths=dict(self._held_paths))
-                held = dict(self._held_paths)
-                for rid in v2.get("removed", []):
-                    held.pop(rid, None)
-                held.update(decoded)
-            else:
-                held = decoded
-            self._held_paths = held
-            self._acked_seq = int(v2["seq"])
-        return dict(state, paths=held)
+            if merged is not None:
+                self.latest_state = merged
+            self.state_stale = False
+            return self.latest_state
 
     # -- push-mode delivery ----------------------------------------------------
 
@@ -364,20 +358,6 @@ class WindtunnelClient:
     def pushed_frames(self) -> int:
         """How many server-pushed frames this client has received."""
         return self._rpc.pushes_received
-
-    def _on_push_frame(self, state) -> None:
-        """Integrate one server-pushed frame (same shape as a v2 pull).
-
-        Runs from whichever thread is reading the stream.  Frames that
-        are not v2 envelopes are ignored — the server never sends them,
-        but a defensive client outlives a confused one.
-        """
-        if not isinstance(state, dict) or "v2" not in state:
-            return
-        state = self._integrate_v2(state)
-        with self._state_lock:
-            self.latest_state = state
-            self.state_stale = False
 
     def drain_pushes(self, timeout: float = 0.0) -> int:
         """Deliver any buffered server-pushed frames while idle.
@@ -392,14 +372,12 @@ class WindtunnelClient:
 
     def fetch_frame(self) -> dict:
         """Pull the current shared visualization from the server."""
-        if self.subscription is None:
+        if self._terms is None:
             state = self._call("wt.frame", self.client_id)
         else:
-            with self._state_lock:
-                ack = self._acked_seq
-            state = self._call("wt.frame", self.client_id, ack)
+            state = self._call("wt.frame", self.client_id, self._held.seq)
             if "v2" in state:
-                state = self._integrate_v2(state)
+                return self._integrate(state)
         with self._state_lock:
             self.latest_state = state
             self.state_stale = False

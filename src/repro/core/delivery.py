@@ -1,0 +1,445 @@
+"""Frame delivery: both halves of the v2 contract (docs/network.md).
+
+The ``"v2"`` envelope (``seq``, ``mode``, ``base``, ``encoding``,
+``decimate``, ``removed``) is written and read here and nowhere else.
+:class:`Delivery`, on the dlib event loop, holds every reader's
+:class:`Subscription`, parks ``wt.frame`` calls, binds push connections
+and builds every reply with one composer, as a delta against a frame it
+remembers composing (only a composed frame can be acked) when it can.
+:class:`HeldScene` is the client's half: the scene it holds, its ack.
+
+One delta base per connection: every frame message queued on a
+push-bound connection, pulled or pushed, is a delta against the one
+queued just before it, and no publication is pushed to it twice.
+"""
+
+from __future__ import annotations
+
+import threading
+import time
+from collections import OrderedDict
+from contextlib import nullcontext
+from dataclasses import dataclass, field
+
+from repro.core.framestore import ENCODINGS, PublishedFrame
+from repro.core.pipeline import STAGES
+from repro.dlib.protocol import PreEncoded, decode_path_entry
+from repro.dlib.server import Deferred
+from repro.obs import Trace, current_trace
+
+__all__ = [
+    "DEFAULT_SUBSCRIPTION", "SENT_DIGESTS", "Delivery", "HeldScene", "Subscription",
+]
+
+#: How many composed frames' digest maps delivery remembers — the window
+#: inside which a reader's ack can still anchor a delta.
+SENT_DIGESTS = 64
+
+
+@dataclass
+class Subscription:
+    """One reader's delivery terms, plus the live state that serves them.
+
+    The six option fields are what ``wt.subscribe`` negotiates
+    (docs/network.md), what the gateway journals (:meth:`to_wire`) and
+    what ``wt.restore`` feeds back (:meth:`from_wire`).  They are never
+    assigned after construction — re-negotiating replaces the record —
+    and they alone decide equality.  The live part: ``conn`` (the
+    connection push delivery is bound to — by ``wt.subscribe`` only, a
+    restored record has no socket to its client yet) and ``seq`` (the
+    last frame composed under these terms: on a bound connection the
+    delta base; 0 until then, and an ack is trusted only after it).
+    """
+
+    encoding: str
+    decimate: int
+    deltas: bool
+    push: bool
+    rakes: frozenset | None
+    kinds: frozenset | None
+    conn: object = field(default=None, compare=False)
+    seq: int = field(default=0, compare=False)
+
+    @classmethod
+    def from_wire(cls, options: dict) -> "Subscription":
+        """Validate a ``wt.subscribe`` option dict (other keys ignored)."""
+        encoding = str(options.get("encoding", "v1"))
+        if encoding not in ENCODINGS:
+            raise ValueError(
+                f"unknown encoding {encoding!r}; expected one of {ENCODINGS}"
+            )
+        decimate = int(options.get("decimate", 1))
+        if decimate < 1:
+            raise ValueError("decimate must be >= 1")
+        rakes, kinds = options.get("rakes"), options.get("kinds")
+        for key, value in (("rakes", rakes), ("kinds", kinds)):
+            # A bare string would iterate into its characters.
+            if value is not None and not isinstance(value, (list, tuple)):
+                raise ValueError(f"{key} must be a list (or absent)")
+        return cls(
+            encoding=encoding,
+            decimate=decimate,
+            deltas=bool(options.get("deltas", True)),
+            push=bool(options.get("push", False)),
+            rakes=None if rakes is None else frozenset(str(r) for r in rakes),
+            kinds=None if kinds is None else frozenset(str(k) for k in kinds),
+        )
+
+    def to_wire(self) -> dict:
+        """The options as plain JSON-safe data; ``from_wire`` inverts it."""
+        return {
+            "encoding": self.encoding,
+            "deltas": self.deltas,
+            "decimate": self.decimate,
+            "push": self.push,
+            "rakes": None if self.rakes is None else sorted(self.rakes),
+            "kinds": None if self.kinds is None else sorted(self.kinds),
+        }
+
+    def wants(self, rid: str, kind: str) -> bool:
+        """Whether the interest filters admit rake ``rid`` of ``kind``."""
+        return (self.rakes is None or rid in self.rakes) and (
+            self.kinds is None or kind in self.kinds
+        )
+
+
+#: What a client that never called ``wt.subscribe`` holds: full-precision
+#: keyframes of every rake, on request.  One shared record, never mutated,
+#: and the only one whose replies carry no ``"v2"`` envelope — they stay
+#: byte-identical to the pre-subscription protocol.
+DEFAULT_SUBSCRIPTION = Subscription(
+    encoding="v1", decimate=1, deltas=False, push=False, rakes=None, kinds=None,
+)
+
+
+@dataclass
+class _FrameCall:
+    """One ``wt.frame`` call (dlib-loop owned); the last four fields
+    are set when it parks on the producer."""
+
+    client_id: int
+    ack: int
+    conn: object  # the connection it arrived on
+    trace: Trace | None
+    deferred: Deferred | None = None
+    seq0: int = 0  # newest publication when the call arrived
+    deadline: float = 0.0  # ``time.monotonic()`` past which the wait fails
+    wait_start: float = 0.0  # trace-relative moment the wait began
+
+
+class Delivery:
+    """The server half: subscriptions, parked pulls, push bindings and
+    the one composer, all owned by the dlib event loop.
+
+    The server reaches it through :meth:`frame`, :meth:`subscribe`,
+    :meth:`restore`, :meth:`drop` and :meth:`stats`; publications arrive
+    from the store's listener, marshalled onto the loop.
+    """
+
+    def __init__(self, dlib, pipeline, *, time_fn, frame_wait: float, registry) -> None:
+        self.dlib, self.pipeline = dlib, pipeline
+        self.store, self.env = pipeline.store, pipeline.env
+        self._time_fn = time_fn
+        self._frame_wait = float(frame_wait)
+        self._subs: dict[int, Subscription] = {}
+        # Parked ``wt.frame`` calls: a publication resolves them, the
+        # sweep tick expires them.
+        self._waiters: list[_FrameCall] = []
+        self._sent: OrderedDict[int, dict] = OrderedDict()  # seq -> digests
+        self._frames_served = registry.counter("wt.frames_served")
+        self._frame_cache_hits = registry.counter("wt.frame_cache_hits")
+        self._bytes_hist = registry.histogram("net.bytes_per_frame")
+        self._keyframes = registry.counter("net.keyframes")
+        self._delta_frames = registry.counter("net.delta_frames")
+        self._push_frames = registry.counter("net.push_frames")
+        self._push_latency = registry.histogram("net.push_latency_seconds")
+        self._publications = registry.counter("net.publications_fanned_out")
+        dlib.add_tick(lambda ctx: self._sweep(), interval=0.05)
+        # Listeners run on the encoder thread; all delivery state is
+        # loop-owned, so the publication crosses over first.
+        self.store.subscribe(
+            lambda frame: dlib.call_soon(lambda: self._on_publish(frame))
+        )
+
+    def stats(self) -> dict:
+        """Delivery's rows of ``wt.stats``."""
+        return {
+            "v2_subscriptions": len(self._subs),
+            "push_subscriptions": sum(
+                1 for sub in self._subs.values() if sub.conn is not None
+            ),
+            "push_frames": self._push_frames.value,
+            "frame_waiters": len(self._waiters),
+        }
+
+    # -- terms ---------------------------------------------------------------
+
+    def subscribe(self, cid: int, options: dict) -> dict:
+        """``wt.subscribe``: negotiate (or, ``enabled=False``, drop) terms
+        and bind push delivery to the calling connection."""
+        if not options.get("enabled", True):
+            self.drop(cid)
+            return {"enabled": False, "seq": self.store.seq}
+        sub = self.restore(cid, options)
+        conn = self.dlib.current_connection() if sub.push else None
+        if conn is not None:
+            # Push subscribers never poll, so the binding itself holds
+            # the demand that keeps the producer following the clock
+            # (given back in ``_unbind``).
+            sub.conn = conn
+            self.pipeline.add_demand()
+        return {
+            "enabled": True,
+            "seq": self.store.seq,
+            **sub.to_wire(),
+            "push": sub.conn is not None,  # armed, not merely asked for
+        }
+
+    def restore(self, cid: int, options: dict) -> Subscription:
+        """Install ``options`` as ``cid``'s subscription (``wt.restore``
+        replays the journal through here).  Last-write-wins: the prior
+        record and its binding go — once the new options have validated."""
+        sub = Subscription.from_wire(options)
+        self.drop(cid)
+        self._subs[cid] = sub
+        return sub
+
+    def drop(self, cid: int) -> None:
+        """Return ``cid`` to the default subscription (leave, reap).
+
+        The record and its push binding die with the client, so a churn
+        of short-lived clients costs nothing once they are gone.
+        """
+        sub = self._subs.pop(cid, None)
+        if sub is not None:
+            self._unbind(sub)
+
+    def _unbind(self, sub: Subscription) -> None:
+        """Stop pushing to ``sub``; gives back the demand its binding held."""
+        if sub.conn is not None:
+            sub.conn = None
+            self.pipeline.remove_demand()
+
+    # -- pull ----------------------------------------------------------------
+
+    def frame(self, cid: int, ack: int):
+        """``wt.frame``: answer from the latest publication, or park.
+
+        A request the store cannot satisfy yet parks as a dlib
+        continuation holding pipeline demand; the publication that is at
+        least as new as everything published at arrival resolves it (a
+        mid-wait environment change extends the wait), and the sweep
+        tick expires it after ``frame_wait``.
+        """
+        call = _FrameCall(cid, ack, self.dlib.current_connection(), current_trace())
+        latest = self.store.latest()
+        if latest is not None and latest.key == self.pipeline.current_key():
+            self.pipeline.note_cache_hit()
+            return self._pull_reply(call, latest, True)
+        call.deferred = self.dlib.defer()
+        call.seq0 = latest.seq if latest is not None else 0
+        call.deadline = time.monotonic() + self._frame_wait
+        if call.trace is not None:
+            call.wait_start = call.trace.now()
+        self.pipeline.add_demand()
+        self._waiters.append(call)
+        return call.deferred
+
+    def _pull_reply(
+        self, call: _FrameCall, frame: PublishedFrame, cached: bool
+    ) -> dict:
+        """Answer one ``wt.frame`` call with ``frame``.
+
+        A traced call that waited gets the production stages grafted
+        under ``frame_wait``: they ran on the pipeline threads, so their
+        measured durations are re-plotted back-to-back inside the wait.
+        """
+        trace = call.trace
+        if trace is not None and not cached:
+            wait_span = trace.mark(
+                "frame_wait", trace.now() - call.wait_start, start=call.wait_start
+            )
+            offset = call.wait_start
+            for stage in STAGES:
+                seconds = float(frame.stage_seconds.get(stage, 0.0))
+                wait_span.add_child(stage, offset, seconds)
+                offset += seconds
+        with trace.span("snapshot") if trace else nullcontext():
+            env = self.env.snapshot(self._time_fn())
+        self._frames_served.inc()
+        if cached:
+            self._frame_cache_hits.inc()
+        sub = self._subs.get(call.client_id, DEFAULT_SUBSCRIPTION)
+        bound = sub.conn is not None and sub.conn is call.conn
+        return self._compose(frame, cached, env, sub, sub.seq if bound else call.ack)
+
+    def _sweep(self, frame: PublishedFrame | None = None) -> None:
+        """Settle parked calls: resolve those ``frame`` satisfies, or (no
+        frame, the tick) fail the expired ones.  A call leaves the list,
+        and gives back its pipeline demand, in exactly one place."""
+        if not self._waiters:
+            return
+        key = self.pipeline.current_key()
+        now = time.monotonic()
+        alive = self.pipeline.alive
+        keep = []
+        for call in self._waiters:
+            deferred = call.deferred
+            if deferred.done:
+                pass  # connection died while parked
+            elif frame is not None and (
+                frame.key == key
+                # Or production moved past the request: newer than
+                # anything published when it arrived, at most one
+                # production period behind the clock.
+                or (frame.seq > call.seq0 and frame.version >= key[0])
+            ):
+                try:
+                    reply = self._pull_reply(call, frame, False)
+                except Exception as exc:  # noqa: BLE001 - cross the wire
+                    deferred.fail(exc)
+                else:
+                    deferred.resolve(reply)
+            elif not alive:
+                deferred.fail(RuntimeError("windtunnel server is shutting down"))
+            elif now > call.deadline:
+                deferred.fail(RuntimeError("timed out waiting for a frame"))
+            else:
+                keep.append(call)
+                continue
+            self.pipeline.remove_demand()
+        self._waiters = keep
+
+    # -- push ----------------------------------------------------------------
+
+    def _on_publish(self, frame: PublishedFrame) -> None:
+        """Wake parked calls, then fan out: a ``Deferred`` queues its reply
+        by loop callback, so the fan-out is one too, scheduled after it —
+        no push of this publication or a later one overtakes that reply."""
+        self._sweep(frame)
+        if any(sub.conn is not None for sub in self._subs.values()):
+            self.dlib.call_soon(lambda: self._fan_out(frame))
+
+    def _fan_out(self, frame: PublishedFrame) -> None:
+        """Push ``frame`` to every bound connection that lacks it: one env
+        snapshot encoded for all, path variants shared through the frame's
+        entries, a backlogged subscriber shed before its payload is built."""
+        pushers = [sub for sub in self._subs.values() if sub.conn is not None]
+        if not pushers:
+            return
+        self._publications.inc()
+        t0 = time.perf_counter()
+        env_wire = None
+        for sub in pushers:
+            if not self.dlib.is_connected(sub.conn):
+                self._unbind(sub)
+                continue
+            if sub.seq >= frame.seq:
+                continue  # a pull already queued it (or a newer frame) here
+            if self.dlib.push_backlogged(sub.conn):
+                continue  # shed: the delta base must not advance either
+            if env_wire is None:
+                env_wire = PreEncoded.wrap(self.env.snapshot(self._time_fn()))
+            # TCP ordering: a queued frame either arrives or the
+            # connection dies, so the base advances without an ack.
+            reply = self._compose(frame, False, env_wire, sub, sub.seq)
+            if self.dlib.push(sub.conn, reply, shed=False):
+                self._push_frames.inc()
+        self._push_latency.observe(time.perf_counter() - t0)
+
+    # -- the composer ----------------------------------------------------------
+
+    def _compose(
+        self, frame: PublishedFrame, cached: bool, env, sub: Subscription, base: int
+    ) -> dict:
+        """Build the reply ``sub`` is owed for ``frame`` — the one composer
+        behind cache hits, resolved continuations and PUSH.
+
+        A delta ships only the interesting rakes whose digests changed
+        since publication ``base``.  A base delivery cannot vouch for —
+        never composed under these terms, or out of the digest map —
+        falls back to a keyframe, which is the resync.  The ``"v2"``
+        envelope is attached iff the subscription was negotiated: wire
+        compatibility (an un-negotiated client predates the key), not a
+        second path.
+        """
+        rids = [
+            rid for rid, entry in frame.entries.items() if sub.wants(rid, entry.kind)
+        ]
+        base_digests = self._sent.get(base) if sub.deltas and sub.seq else None
+        if base_digests is None:
+            mode, base, send, removed = "keyframe", 0, rids, []
+        else:
+            mode = "delta"
+            send = [
+                rid for rid in rids
+                if base_digests.get(rid) != frame.entries[rid].digest
+            ]
+            removed = [rid for rid in base_digests if rid not in frame.entries]
+        fragment = frame.compose(send, encoding=sub.encoding, decimate=sub.decimate)
+        (self._delta_frames if mode == "delta" else self._keyframes).inc()
+        self._bytes_hist.observe(float(fragment.nbytes))
+        reply = {
+            "timestep": frame.timestep,
+            "steer_epoch": frame.steer_epoch,
+            "paths": fragment,
+            "compute_seconds": frame.compute_seconds,
+            "env": env,
+            "cached": cached,
+        }
+        if sub is not DEFAULT_SUBSCRIPTION:
+            sub.seq = frame.seq
+            if frame.seq not in self._sent:
+                self._sent[frame.seq] = frame.digests
+                if len(self._sent) > SENT_DIGESTS:
+                    self._sent.popitem(last=False)
+            reply["v2"] = {
+                "seq": frame.seq,
+                "mode": mode,
+                "base": base,
+                "encoding": sub.encoding,
+                "decimate": sub.decimate,
+                "removed": removed,
+            }
+        return reply
+
+
+class HeldScene:
+    """The client half: the per-rake scene a reader holds and the
+    publication ``seq`` it describes — the ack its next pull sends.
+
+    Start a fresh one whenever the terms change (subscribe, resume): it
+    holds nothing and acks 0, so the next frame is a keyframe.
+    """
+
+    def __init__(self) -> None:
+        self.paths: dict = {}
+        self.seq = 0
+        self._lock = threading.Lock()  # pushes merge on the reading thread
+
+    def integrate(self, state: dict) -> dict | None:
+        """Merge one enveloped reply; return the state to show.
+
+        A keyframe replaces the scene; a delta overlays its rakes and
+        drops ``removed``.  A delta against a base this scene does not
+        hold returns ``None`` — the caller keeps showing what it showed —
+        and resets the ack to 0 so the next pull resyncs with a keyframe.
+        """
+        v2 = state["v2"]
+        decoded = {
+            rid: decode_path_entry(entry)
+            for rid, entry in state.get("paths", {}).items()
+        }
+        with self._lock:
+            if v2["mode"] == "delta":
+                if int(v2["base"]) != self.seq:
+                    self.seq = 0
+                    return None
+                held = dict(self.paths)
+                for rid in v2.get("removed", []):
+                    held.pop(rid, None)
+                held.update(decoded)
+            else:
+                held = decoded
+            self.paths, self.seq = held, int(v2["seq"])
+        return dict(state, paths=held)

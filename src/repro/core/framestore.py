@@ -29,9 +29,9 @@ Invariants (docs/architecture.md, docs/network.md):
 * **Delta identity.**  Each rake entry carries a content digest of its
   vertex/length bytes.  Two frames whose digests match for a rake hold
   bit-identical geometry for it, which is what licenses the v2 delta
-  path to omit the rake entirely (docs/network.md, "Delta frames").
-  The store keeps a bounded history of per-frame digest maps so the
-  server can delta against any frame a client recently acknowledged.
+  path to omit the rake entirely (docs/network.md, "Delta frames");
+  which frames a reader holds is delivery's business
+  (:mod:`repro.core.delivery`), not the store's.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ import hashlib
 import struct
 import threading
 import time
-from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -64,10 +63,6 @@ __all__ = [
 #: (6 bytes/point), ``q16`` = per-axis fixed-point int16, packed
 #: losslessly along each polyline (at most 6 bytes/point, typically ~2).
 ENCODINGS = ("v1", "f16", "q16")
-
-#: How many published frames' digest maps the store remembers — the
-#: window inside which a client's acked frame can still anchor a delta.
-DIGEST_HISTORY = 64
 
 _U32 = struct.Struct("<I")
 
@@ -303,14 +298,12 @@ class FrameStore:
     ``framestore.*`` in ``registry`` (a private one when omitted).
     """
 
-    def __init__(self, *, registry=None, digest_history: int = DIGEST_HISTORY) -> None:
+    def __init__(self, *, registry=None) -> None:
         self._lock = threading.Lock()
         self._listeners: list = []
         self._front: PublishedFrame | None = None
         self._seq = 0
         self._last_publish_mono: float | None = None
-        self._digest_history_cap = int(digest_history)
-        self._digest_history: OrderedDict[int, dict] = OrderedDict()
         registry = registry if registry is not None else MetricsRegistry()
         self._published = registry.counter("framestore.frames_published")
         self._gap_hist = registry.histogram("framestore.publish_gap_seconds")
@@ -325,15 +318,6 @@ class FrameStore:
         with self._lock:
             return self._front
 
-    def digests_at(self, seq: int) -> dict | None:
-        """Per-rake digest map of publication ``seq``, if still remembered.
-
-        ``None`` means the seq left the bounded history (or never existed)
-        — the caller must fall back to a keyframe (delta resync).
-        """
-        with self._lock:
-            return self._digest_history.get(int(seq))
-
     def subscribe(self, listener) -> None:
         """Call ``listener(frame)`` after every publication.
 
@@ -345,13 +329,6 @@ class FrameStore:
         """
         with self._lock:
             self._listeners.append(listener)
-
-    def unsubscribe(self, listener) -> None:
-        with self._lock:
-            try:
-                self._listeners.remove(listener)
-            except ValueError:
-                pass
 
     @property
     def published_total(self) -> int:
@@ -372,9 +349,6 @@ class FrameStore:
             self._seq += 1
             stamped = replace(frame, seq=self._seq)
             self._front = stamped
-            self._digest_history[self._seq] = stamped.digests
-            while len(self._digest_history) > self._digest_history_cap:
-                self._digest_history.popitem(last=False)
             now = time.monotonic()
             if self._last_publish_mono is not None:
                 self._gap_hist.observe(now - self._last_publish_mono)

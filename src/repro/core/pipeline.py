@@ -350,14 +350,15 @@ class FramePipeline:
 
     # -- the producer ------------------------------------------------------
 
-    def _current_key(self) -> tuple[int, int]:
+    def current_key(self) -> tuple[int, int]:
+        """``(env.version, timestep)`` now: what a production is for."""
         return (
             self.env.version,
             self.env.clock.timestep_index(self._time_fn()),
         )
 
     def _should_produce(self) -> bool:
-        key = self._current_key()
+        key = self.current_key()
         with self._state_lock:
             return key != self._last_key and self._demand > 0
 

@@ -8,146 +8,44 @@ resolve first-come-first-served with no further machinery (section 5.1)
 :class:`~repro.core.pipeline.FramePipeline` produces frames (load ->
 locate -> integrate -> encode) on its own threads and publishes them,
 immutable and pre-encoded, into a :class:`~repro.core.framestore.FrameStore`;
-``wt.frame`` is a cheap read of the latest publication plus a per-client
-environment snapshot.  One compute and one encode serve N clients, and
-the steady-state frame period approaches the slowest *stage* rather than
-the sum of all of them (figure 8's concurrency, measured by
-``benchmarks/test_fig8_live_pipeline``).
+one compute and one encode serve N clients, and the steady-state frame
+period approaches the slowest *stage* rather than the sum of all of them
+(figure 8's concurrency, measured by ``benchmarks/test_fig8_live_pipeline``).
 
-Since the event-loop refactor, a ``wt.frame`` that needs a *fresh* frame
-no longer blocks the service thread either: the handler parks the call
-as a dlib continuation (:meth:`~repro.dlib.server.DlibServer.defer`) and
-the pipeline's publication callback — marshalled onto the loop via
-``call_soon`` — resolves every parked waiter whose acceptance window the
-new frame satisfies.  The same callback drives **push-mode delivery**:
-clients that subscribed with ``push=True`` receive each publication as a
-server-initiated PUSH message, with the per-publication environment
-snapshot encoded once and spliced into every client's frame.  Slow
-subscribers shed frames at the dlib send-queue high-water mark instead of
-slowing the loop (docs/network.md).
-
-Every reply — cache hit, resolved continuation, PUSH — is built by one
-composer from the reader's :class:`Subscription`; a client that never
-called ``wt.subscribe`` holds :data:`DEFAULT_SUBSCRIPTION`.
+Getting frames to readers — ``wt.frame`` pulls that park until a fresh
+publication, push-mode fan-out, subscriptions and the one reply
+composer — is :class:`~repro.core.delivery.Delivery`'s (docs/network.md).
+This module keeps construction, procedure registration, the session,
+edit and introspection RPCs, and reaches delivery through its frame,
+subscribe, restore, drop and stats calls.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from contextlib import nullcontext
-from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.core.delivery import Delivery
 from repro.core.engine import ComputeEngine, ToolSettings
 from repro.core.environment import Environment
-from repro.core.framestore import ENCODINGS, FrameStore, PublishedFrame
-from repro.core.pipeline import STAGES, FramePipeline
+from repro.core.framestore import FrameStore
+from repro.core.pipeline import FramePipeline
 from repro.core.session import SessionTable
 from repro.diskio.loader import TimestepLoader
-from repro.dlib.protocol import PreEncoded
-from repro.dlib.server import Deferred, DlibServer
+from repro.dlib.server import DlibServer
 from repro.flow.dataset import UnsteadyDataset
-from repro.obs import MetricsRegistry, Trace, current_trace
+from repro.obs import MetricsRegistry
 from repro.tracers.rake import Rake
 
-__all__ = ["DEFAULT_SUBSCRIPTION", "Subscription", "WindtunnelServer"]
+__all__ = ["WindtunnelServer"]
 
 _TIME_OPS = ("pause", "resume", "speed", "scrub", "step", "reverse")
 #: The longest streamline ``wt.set_tool_settings`` accepts (50x the
 #: default): a frame's buffers grow with it, and one absurd value must
 #: not leave the producer failing every frame for every session.
 MAX_STREAMLINE_STEPS = 10_000
-
-
-@dataclass
-class Subscription:
-    """One reader's delivery terms, plus the live state that serves them.
-
-    The six option fields are what ``wt.subscribe`` negotiates
-    (docs/network.md), what the gateway journals (:meth:`to_wire`) and
-    what ``wt.restore`` feeds back (:meth:`from_wire`).  They are never
-    assigned after construction — re-negotiating replaces the record —
-    and they alone decide equality.  The live part: ``conn`` (the
-    connection push delivery is bound to — by ``wt.subscribe`` only, a
-    restored record has no socket to its client yet) and ``push_seq``
-    (that connection's delta base).
-    """
-
-    encoding: str
-    decimate: int
-    deltas: bool
-    push: bool
-    rakes: frozenset | None
-    kinds: frozenset | None
-    conn: object = field(default=None, compare=False)
-    push_seq: int = field(default=0, compare=False)
-
-    @classmethod
-    def from_wire(cls, options: dict) -> "Subscription":
-        """Validate a ``wt.subscribe`` option dict (other keys ignored)."""
-        encoding = str(options.get("encoding", "v1"))
-        if encoding not in ENCODINGS:
-            raise ValueError(
-                f"unknown encoding {encoding!r}; expected one of {ENCODINGS}"
-            )
-        decimate = int(options.get("decimate", 1))
-        if decimate < 1:
-            raise ValueError("decimate must be >= 1")
-        rakes, kinds = options.get("rakes"), options.get("kinds")
-        for key, value in (("rakes", rakes), ("kinds", kinds)):
-            # A bare string would iterate into its characters.
-            if value is not None and not isinstance(value, (list, tuple)):
-                raise ValueError(f"{key} must be a list (or absent)")
-        return cls(
-            encoding=encoding,
-            decimate=decimate,
-            deltas=bool(options.get("deltas", True)),
-            push=bool(options.get("push", False)),
-            rakes=None if rakes is None else frozenset(str(r) for r in rakes),
-            kinds=None if kinds is None else frozenset(str(k) for k in kinds),
-        )
-
-    def to_wire(self) -> dict:
-        """The options as plain JSON-safe data; ``from_wire`` inverts it."""
-        return {
-            "encoding": self.encoding,
-            "deltas": self.deltas,
-            "decimate": self.decimate,
-            "push": self.push,
-            "rakes": None if self.rakes is None else sorted(self.rakes),
-            "kinds": None if self.kinds is None else sorted(self.kinds),
-        }
-
-    def wants(self, rid: str, kind: str) -> bool:
-        """Whether the interest filters admit rake ``rid`` of ``kind``."""
-        return (self.rakes is None or rid in self.rakes) and (
-            self.kinds is None or kind in self.kinds
-        )
-
-
-#: What a client that never called ``wt.subscribe`` holds: full-precision
-#: keyframes of every rake, on request.  One shared record, never mutated,
-#: and the only one whose replies carry no ``"v2"`` envelope — they stay
-#: byte-identical to the pre-subscription protocol.
-DEFAULT_SUBSCRIPTION = Subscription(
-    encoding="v1", decimate=1, deltas=False, push=False, rakes=None, kinds=None,
-)
-
-
-@dataclass
-class _FrameCall:
-    """One ``wt.frame`` call (dlib-loop owned); the last four fields
-    are set when it parks on the producer."""
-
-    client_id: int
-    ack: int
-    trace: Trace | None
-    deferred: Deferred | None = None
-    seq0: int = 0  # newest publication when the call arrived
-    deadline: float = 0.0  # ``time.monotonic()`` past which the wait fails
-    wait_start: float = 0.0  # trace-relative moment the wait began
 
 
 class WindtunnelServer:
@@ -212,7 +110,6 @@ class WindtunnelServer:
             dataset, settings, loader=loader, registry=self.registry
         )
         self._time_fn = time_fn
-        self._frame_wait = float(frame_wait)
         self.store = FrameStore(registry=self.registry)
         self.pipeline = FramePipeline(
             self.engine,
@@ -224,22 +121,6 @@ class WindtunnelServer:
         )
         self._compute_hist = self.registry.histogram("pipeline.compute_seconds")
         self._points_computed = self.registry.counter("engine.points_computed")
-        self._frames_served = self.registry.counter("wt.frames_served")
-        self._frame_cache_hits = self.registry.counter("wt.frame_cache_hits")
-        # Negotiated delivery terms (docs/network.md), by client; everyone
-        # else holds DEFAULT_SUBSCRIPTION.  Owned by the dlib service
-        # thread — its serial dispatch is the synchronization.
-        self._subs: dict[int, Subscription] = {}
-        self._net_bytes_hist = self.registry.histogram("net.bytes_per_frame")
-        self._net_delta_ratio = self.registry.gauge("net.delta_ratio")
-        self._net_keyframes = self.registry.counter("net.keyframes")
-        self._net_delta_frames = self.registry.counter("net.delta_frames")
-        # Push-mode fan-out (docs/network.md, "Push-mode delivery").
-        self._net_push_frames = self.registry.counter("net.push_frames")
-        self._net_push_latency = self.registry.histogram(
-            "net.push_latency_seconds"
-        )
-        self._net_publications = self.registry.counter("net.publications_fanned_out")
         self._iso_cache_key: tuple | None = None
         self._iso_cache: dict | None = None
         self.sessions = SessionTable(
@@ -250,17 +131,19 @@ class WindtunnelServer:
         self._frame_budget = 0.125  # section 1.2's 1/8 s interaction budget
         self.dlib = DlibServer(host, port, registry=self.registry)
         self.dlib.add_tick(self._reap_tick, interval=reap_interval)
-        # Parked ``wt.frame`` continuations, owned by the dlib loop: the
-        # publication callback resolves them, the sweep tick expires them.
-        self._frame_waiters: list[_FrameCall] = []
-        self.dlib.add_tick(lambda ctx: self._sweep_waiters(), interval=0.05)
-        self.store.subscribe(self._publication)
+        self.delivery = Delivery(
+            self.dlib,
+            self.pipeline,
+            time_fn=time_fn,
+            frame_wait=frame_wait,
+            registry=self.registry,
+        )
         self._register_procedures()
 
     @property
     def frames_served(self) -> int:
         """``wt.frame`` responses sent (cache hits included)."""
-        return self._frames_served.value
+        return self.registry.counter("wt.frames_served").value
 
     @property
     def frames_computed(self) -> int:
@@ -404,7 +287,7 @@ class WindtunnelServer:
                 restored_sessions += 1
             options = entry.get("subscription")
             if options:
-                self._negotiate(cid, dict(options))
+                self.delivery.restore(cid, dict(options))
         for rid, rake_dict in (state.get("rakes") or {}).items():
             rid = int(rid)
             if rid not in self.env.rakes:
@@ -484,35 +367,9 @@ class WindtunnelServer:
         # leave) and a parting client must not be punished for that.
         cid = int(client_id)
         self.sessions.close(cid)
-        self._drop_subscriber(cid)
+        self.delivery.drop(cid)
         if cid in self.env.users:
             self.env.remove_user(cid)
-
-    def _negotiate(self, cid: int, options: dict) -> Subscription:
-        """Install ``options`` as ``cid``'s subscription (``wt.subscribe``
-        and ``wt.restore`` replay).  Last-write-wins: the prior record
-        and its resources go — once the new options have validated."""
-        sub = Subscription.from_wire(options)
-        self._drop_subscriber(cid)
-        self._subs[cid] = sub
-        return sub
-
-    def _drop_subscriber(self, cid: int) -> None:
-        """Return ``cid`` to the default subscription, freeing the rest.
-
-        The negotiated record and its push binding die with the client
-        — on clean leave and on lease expiry alike — so a churn of
-        short-lived clients costs nothing once they are gone.
-        """
-        sub = self._subs.pop(cid, None)
-        if sub is not None:
-            self._unbind_push(sub)
-
-    def _unbind_push(self, sub: Subscription) -> None:
-        """Stop pushing to ``sub``; gives back the demand its binding held."""
-        if sub.conn is not None:
-            sub.conn = None
-            self.pipeline.remove_demand()
 
     def _reap_tick(self, ctx) -> None:
         """Reaper sweep (runs on the dlib service thread).
@@ -525,7 +382,7 @@ class WindtunnelServer:
         """
         for lease in self.sessions.sweep():
             cid = lease.client_id
-            self._drop_subscriber(cid)
+            self.delivery.drop(cid)
             with self.env.lock:
                 if cid in self.env.users:
                     self.reaped_rake_locks += sum(
@@ -602,270 +459,17 @@ class WindtunnelServer:
         return self.env.snapshot(self._time_fn())
 
     def _rpc_frame(self, ctx, client_id: int = 0, ack: int = 0):
-        """Serve the shared visualization from the frame store.
-
-        ``ack`` is what a negotiated client adds (defaulted, so an
-        un-negotiated one keeps calling with one argument): the last
-        publication seq this client integrated.
-
-        Calling this doubles as the session heartbeat (wt.heartbeat
-        piggybacks on the frame cycle every client runs anyway).  The
-        heavy lifting happened on the pipeline's threads; here we splice
-        the frame's pre-encoded path fragment next to a fresh per-client
-        environment snapshot — the only part of the response that is
-        actually per-request.
-
-        A request the store cannot satisfy yet does not block: the call
-        parks as a dlib continuation (holding pipeline *demand*, which
-        authorizes production) and the publication callback
-        resolves it when a frame at least as new as everything published
-        at arrival time lands; a mid-wait environment change simply
-        extends the wait until the producer catches up.  The sweep tick
-        expires calls whose ``frame_wait`` deadline lapsed.
-
-        A traced call gets production spans grafted under ``frame_wait``:
-        the stages ran on the pipeline threads, so their measured
-        durations are re-plotted back-to-back inside the wait — a slow
-        frame names the stage that made it slow.
-        """
-        call = _FrameCall(int(client_id), int(ack), current_trace())
-        self.sessions.touch(call.client_id)
-        latest = self.store.latest()
-        if latest is not None and latest.key == (
-            self.env.version,
-            self.env.clock.timestep_index(self._time_fn()),
-        ):
-            self.pipeline.note_cache_hit()
-            return self._pull_reply(call, latest, True)
-        call.deferred = self.dlib.defer()
-        call.seq0 = latest.seq if latest is not None else 0
-        call.deadline = time.monotonic() + self._frame_wait
-        if call.trace is not None:
-            call.wait_start = call.trace.now()
-        self.pipeline.add_demand()
-        self._frame_waiters.append(call)
-        return call.deferred
-
-    def _pull_reply(
-        self, call: _FrameCall, frame: PublishedFrame, cached: bool
-    ) -> dict:
-        """Answer one ``wt.frame`` call with ``frame``.
-
-        Runs on the dlib service thread — synchronously for cache hits,
-        from the publication callback for resolved continuations (the
-        production stages are grafted inside the traced wait).
-        """
-        trace = call.trace
-        if trace is not None and not cached:
-            wait_span = trace.mark(
-                "frame_wait", trace.now() - call.wait_start, start=call.wait_start
-            )
-            offset = call.wait_start
-            for stage in STAGES:
-                seconds = float(frame.stage_seconds.get(stage, 0.0))
-                wait_span.add_child(stage, offset, seconds)
-                offset += seconds
-        with trace.span("snapshot") if trace else nullcontext():
-            env = self.env.snapshot(self._time_fn())
-        self._frames_served.inc()
-        if cached:
-            self._frame_cache_hits.inc()
-        sub = self._subs.get(call.client_id, DEFAULT_SUBSCRIPTION)
-        return self._compose_reply(frame, cached, env, sub, call.ack)
-
-    # -- publication fan-in/fan-out (dlib loop) -----------------------------
-
-    def _publication(self, frame: PublishedFrame) -> None:
-        """FrameStore listener: runs on the pipeline's encoder thread.
-
-        Marshals onto the dlib event loop — all waiter and subscription
-        state is loop-owned, so no further locking is needed there.
-        """
-        self.dlib.call_soon(lambda: self._on_publish(frame))
-
-    def _on_publish(self, frame: PublishedFrame) -> None:
-        """A frame was published: wake parked calls, fan out pushes."""
-        self._sweep_waiters(frame)
-        self._fan_out(frame)
-
-    def _sweep_waiters(self, frame: PublishedFrame | None = None) -> None:
-        """Settle parked ``wt.frame`` calls (dlib loop).
-
-        Runs per publication — resolving every call ``frame`` satisfies —
-        and, with no frame, on the expiry tick.  A call leaves the list,
-        and gives back its pipeline demand, in exactly one place.
-        """
-        if not self._frame_waiters:
-            return
-        version = self.env.version
-        timestep = self.env.clock.timestep_index(self._time_fn())
-        now = time.monotonic()
-        alive = self.pipeline.alive
-        keep = []
-        for call in self._frame_waiters:
-            deferred = call.deferred
-            if deferred.done:
-                pass  # connection died while parked
-            elif frame is not None and (
-                frame.key == (version, timestep)
-                # Or production moved past the request: newer than
-                # anything published when it arrived, at most one
-                # production period behind the clock.
-                or (frame.seq > call.seq0 and frame.version >= version)
-            ):
-                try:
-                    reply = self._pull_reply(call, frame, False)
-                except Exception as exc:  # noqa: BLE001 - cross the wire
-                    deferred.fail(exc)
-                else:
-                    deferred.resolve(reply)
-            elif not alive:
-                deferred.fail(RuntimeError("windtunnel server is shutting down"))
-            elif now > call.deadline:
-                deferred.fail(RuntimeError("timed out waiting for a frame"))
-            else:
-                keep.append(call)
-                continue
-            self.pipeline.remove_demand()
-        self._frame_waiters = keep
-
-    def _fan_out(self, frame: PublishedFrame) -> None:
-        """Push ``frame`` to every push-mode subscriber (dlib loop).
-
-        The environment snapshot is taken and encoded exactly once per
-        publication and spliced into every client's push; the per-rake
-        path variants are deduplicated by the frame's
-        :class:`~repro.core.framestore.RakeEntry` objects, so the encode
-        count per publication is at most the number of *distinct
-        variants*, not the number of clients.  A subscriber whose send
-        queue is above the high-water mark is shed *before* its payload
-        is built.
-        """
-        pushers = [sub for sub in self._subs.values() if sub.conn is not None]
-        if not pushers:
-            return
-        self._net_publications.inc()
-        t0 = time.perf_counter()
-        env_wire = None
-        for sub in pushers:
-            if not self.dlib.is_connected(sub.conn):
-                self._unbind_push(sub)
-                continue
-            if self.dlib.push_backlogged(sub.conn):
-                continue  # shed: the delta base must not advance either
-            if env_wire is None:
-                env_wire = PreEncoded.wrap(self.env.snapshot(self._time_fn()))
-            reply = self._compose_reply(frame, False, env_wire, sub, sub.push_seq)
-            if self.dlib.push(sub.conn, reply, shed=False):
-                # TCP ordering: a queued frame either arrives or the
-                # connection dies, so the delta base may advance without
-                # waiting for an ack.
-                sub.push_seq = frame.seq
-                self._net_push_frames.inc()
-        self._net_push_latency.observe(time.perf_counter() - t0)
-
-    def _compose_reply(
-        self,
-        frame: PublishedFrame,
-        cached: bool,
-        env: dict,
-        sub: Subscription,
-        ack: int,
-    ) -> dict:
-        """Build the frame reply ``sub`` is owed for ``frame`` — the one
-        composer behind cache hits, resolved continuations and PUSH.
-
-        See docs/network.md.  ``ack`` is the last publication seq the
-        reader integrated; a delta ships only the interesting rakes whose
-        digests changed since then.  An ack outside the store's digest
-        history — the client fell behind, or a response was lost — falls
-        back to a keyframe, which is the resync.  The ``"v2"`` envelope
-        is attached iff the subscription was negotiated: wire
-        compatibility (an un-negotiated client predates the key), not a
-        second path.
-        """
-        rids = [
-            rid
-            for rid, entry in frame.entries.items()
-            if sub.wants(rid, entry.kind)
-        ]
-        mode, base, removed = "keyframe", 0, []
-        send = rids
-        if sub.deltas and ack > 0:
-            base_digests = self.store.digests_at(ack)
-            if base_digests is not None:
-                mode, base = "delta", ack
-                send = [
-                    rid
-                    for rid in rids
-                    if base_digests.get(rid) != frame.entries[rid].digest
-                ]
-                removed = [
-                    rid for rid in base_digests if rid not in frame.entries
-                ]
-        fragment = frame.compose(
-            send, encoding=sub.encoding, decimate=sub.decimate
-        )
-        (self._net_delta_frames if mode == "delta" else self._net_keyframes).inc()
-        total = self._net_delta_frames.value + self._net_keyframes.value
-        self._net_delta_ratio.set(self._net_delta_frames.value / total)
-        self._net_bytes_hist.observe(float(fragment.nbytes))
-        reply = {
-            "timestep": frame.timestep,
-            "steer_epoch": frame.steer_epoch,
-            "paths": fragment,
-            "compute_seconds": frame.compute_seconds,
-            "env": env,
-            "cached": cached,
-        }
-        if sub is not DEFAULT_SUBSCRIPTION:
-            reply["v2"] = {
-                "seq": frame.seq,
-                "mode": mode,
-                "base": base,
-                "encoding": sub.encoding,
-                "decimate": sub.decimate,
-                "removed": removed,
-            }
-        return reply
+        """Serve the shared visualization; doubles as the heartbeat.
+        ``ack`` (negotiated clients only) is the last seq integrated."""
+        self.sessions.touch(int(client_id))
+        return self.delivery.frame(int(client_id), int(ack))
 
     def _rpc_subscribe(self, ctx, client_id: int, options: dict | None = None) -> dict:
-        """Negotiate v2 frame delivery for one client (docs/network.md).
+        """Negotiate v2 frame delivery for one client: idempotent,
+        last-write-wins (the options: docs/network.md)."""
+        self.sessions.touch(int(client_id))
+        return self.delivery.subscribe(int(client_id), dict(options or {}))
 
-        Idempotent, last-write-wins.  ``options``:
-
-        * ``enabled`` (default true) — false tears the subscription down,
-          returning the client to the default subscription;
-        * ``encoding`` — ``"v1"`` (float32), ``"f16"``, or ``"q16"``;
-        * ``deltas`` (default true) — per-rake delta frames against the
-          client's acked seq;
-        * ``decimate`` (default 1) — keep every n-th path point;
-        * ``rakes`` / ``kinds`` — interest filters (lists; absent = all);
-        * ``push`` (default false) — push-mode delivery: the server sends
-          every publication as a PUSH message on *this* connection
-          (docs/network.md, "Push-mode delivery").  Pull-mode
-          ``wt.frame`` keeps working alongside.
-        """
-        cid = int(client_id)
-        self.sessions.touch(cid)
-        options = dict(options or {})
-        if not options.get("enabled", True):
-            self._drop_subscriber(cid)
-            return {"enabled": False, "seq": self.store.seq}
-        sub = self._negotiate(cid, options)
-        conn = self.dlib.current_connection() if sub.push else None
-        if conn is not None:
-            # Push subscribers never poll, so the binding itself holds
-            # the demand that keeps the producer following the clock
-            # (given back in ``_unbind_push``).
-            sub.conn = conn
-            self.pipeline.add_demand()
-        return {
-            "enabled": True,
-            "seq": self.store.seq,
-            **sub.to_wire(),
-            "push": sub.conn is not None,  # armed, not merely asked for
-        }
 
     def _rpc_pipeline_stats(self, ctx, client_id: int = 0) -> dict:
         """Stage-resolved pipeline statistics (see docs/protocol.md)."""
@@ -988,10 +592,5 @@ class WindtunnelServer:
             "released_rake_locks": self.reaped_rake_locks,
             "disconnects": ctx.disconnects,
             "protocol_errors": ctx.protocol_errors,
-            "v2_subscriptions": len(self._subs),
-            "push_subscriptions": sum(
-                1 for sub in self._subs.values() if sub.conn is not None
-            ),
-            "push_frames": self._net_push_frames.value,
-            "frame_waiters": len(self._frame_waiters),
+            **self.delivery.stats(),
         }

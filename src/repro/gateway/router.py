@@ -26,7 +26,7 @@ import itertools
 import os
 import secrets
 
-from repro.core.server import Subscription
+from repro.core.delivery import Subscription
 from repro.diskio.shmcache import SharedTimestepCache
 from repro.dlib.client import RETRYABLE_ERRORS, DlibClient, DlibRemoteError
 from repro.dlib.protocol import RetryAfterError

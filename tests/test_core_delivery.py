@@ -1,0 +1,377 @@
+"""The v2 delivery contract, socket-free.
+
+``repro.core.delivery`` owns both halves of the envelope: the server's
+composer (:class:`Delivery`) and the client's held scene
+(:class:`HeldScene`).  Here they meet with no socket and no
+``DlibServer`` in between: frames are built with ``encode_entries`` from
+stand-in tracer results and published into a real ``FrameStore``, a
+stand-in event loop records what would be queued on each connection,
+and replies cross a wire that is ``encode_value`` / ``decode_value``.
+``socket.socket`` raises for the whole module.
+"""
+
+import socket
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core import delivery as delivery_module
+from repro.core.delivery import (
+    DEFAULT_SUBSCRIPTION,
+    SENT_DIGESTS,
+    Delivery,
+    HeldScene,
+    Subscription,
+)
+from repro.core.framestore import ENCODINGS, FrameStore, PublishedFrame, encode_entries
+from repro.dlib.protocol import decode_path_entry, decode_value, encode_value
+from repro.obs import MetricsRegistry
+
+
+@pytest.fixture(autouse=True, scope="module")
+def no_sockets():
+    def refuse(*args, **kwargs):
+        raise AssertionError("delivery is tested without sockets")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(socket, "socket", refuse)
+        yield
+
+
+def test_no_socket_can_be_opened():
+    with pytest.raises(AssertionError, match="without sockets"):
+        socket.socket()
+
+
+# -- stand-ins -----------------------------------------------------------------
+
+
+class _Result:
+    """Tracer-result stand-in with the ``wire_arrays()`` contract."""
+
+    def __init__(self, content: int, n_seeds: int = 3, length: int = 7) -> None:
+        rng = np.random.default_rng(content)
+        self._v = rng.uniform(-5, 5, (n_seeds, length, 3)).astype(np.float32)
+        self._l = rng.integers(1, length + 1, n_seeds).astype(np.int64)
+        self._v.setflags(write=False)
+        self._l.setflags(write=False)
+
+    def wire_arrays(self):
+        return self._v, self._l
+
+
+#: Rake ids and their (fixed) tool kinds.
+KINDS = {
+    "1": "streamline", "2": "streakline", "3": "streamline", "4": "particle_path",
+}
+
+
+def _frame(scene: dict, timestep: int) -> PublishedFrame:
+    """A frame of ``{rid: content}``; equal content, equal digest."""
+    results = {rid: _Result(content) for rid, content in scene.items()}
+    entries = encode_entries({rid: KINDS[rid] for rid in scene}, results)
+    return PublishedFrame(
+        version=1, timestep=timestep, seq=0, entries=entries, compute_seconds=0.0
+    )
+
+
+class _Deferred:
+    """Like dlib's: the reply is queued by a loop callback."""
+
+    def __init__(self, loop: "_Loop") -> None:
+        self.loop, self.done = loop, False
+
+    def resolve(self, value) -> bool:
+        self.done = True
+        self.loop.call_soon(lambda: self.loop.queued.append(value))
+        return True
+
+    def fail(self, exc) -> bool:
+        return self.resolve(exc)
+
+
+class _Loop:
+    """The dlib server, minus the sockets: callbacks wait for :meth:`run`,
+    and everything queued on the one connection lands in ``queued``."""
+
+    def __init__(self) -> None:
+        self.conn = object()
+        self.queued: list = []
+        self.callbacks: list = []
+        self.dispatching = False  # inside the connection's CALL?
+
+    def add_tick(self, fn, interval) -> None:
+        pass
+
+    def call_soon(self, fn) -> None:
+        self.callbacks.append(fn)
+
+    def run(self) -> None:
+        while self.callbacks:
+            self.callbacks.pop(0)()
+
+    def current_connection(self):
+        return self.conn if self.dispatching else None
+
+    def defer(self) -> _Deferred:
+        return _Deferred(self)
+
+    def is_connected(self, conn) -> bool:
+        return True
+
+    def push_backlogged(self, conn) -> bool:
+        return False
+
+    def push(self, conn, value, *, shed=True) -> bool:
+        self.queued.append(value)
+        return True
+
+    def call(self, fn, *args):
+        """Dispatch one CALL from the connection; queue its reply."""
+        self.dispatching = True
+        try:
+            reply = fn(*args)
+        finally:
+            self.dispatching = False
+        if not isinstance(reply, _Deferred):
+            self.queued.append(reply)
+        return reply
+
+
+class _Env:
+    def snapshot(self, wall) -> dict:
+        return {"wall": wall}
+
+
+class _Pipeline:
+    def __init__(self, store: FrameStore) -> None:
+        self.store, self.env = store, _Env()
+        self.key = (1, 0)  # what the clock names now
+        self.alive, self.demand = True, 0
+
+    def current_key(self):
+        return self.key
+
+    def note_cache_hit(self) -> None:
+        pass
+
+    def add_demand(self) -> None:
+        self.demand += 1
+
+    def remove_demand(self) -> None:
+        self.demand -= 1
+
+
+def _delivery():
+    loop, store = _Loop(), FrameStore()
+    pipeline = _Pipeline(store)
+    delivery = Delivery(
+        loop, pipeline, time_fn=lambda: 0.0, frame_wait=1.0, registry=MetricsRegistry()
+    )
+    return delivery, loop, pipeline
+
+
+def _publish(delivery, loop, pipeline, frame: PublishedFrame) -> PublishedFrame:
+    stamped = delivery.store.publish(frame)
+    pipeline.key = stamped.key
+    loop.run()
+    return stamped
+
+
+def _wire(reply: dict) -> dict:
+    """What a reader decodes off the wire."""
+    return decode_value(encode_value(reply))
+
+
+def _expected(frame: PublishedFrame, sub: Subscription) -> dict:
+    """decode(frame.compose(wanted, ...)): the scene ``sub`` asked for."""
+    wanted = [rid for rid, e in frame.entries.items() if sub.wants(rid, e.kind)]
+    fragment = frame.compose(wanted, encoding=sub.encoding, decimate=sub.decimate)
+    return {
+        rid: decode_path_entry(entry)
+        for rid, entry in decode_value(fragment.data).items()
+    }
+
+
+def _assert_same_scene(held: dict, expected: dict) -> None:
+    assert set(held) == set(expected)
+    for rid, entry in expected.items():
+        assert held[rid]["kind"] == entry["kind"]
+        np.testing.assert_array_equal(held[rid]["vertices"], entry["vertices"])
+        np.testing.assert_array_equal(held[rid]["lengths"], entry["lengths"])
+
+
+# -- the composer and the held scene -------------------------------------------------
+
+
+def test_unknown_base_keyframes():
+    delivery, loop, pipeline = _delivery()
+    delivery.subscribe(7, {"encoding": "q16"})
+    frame = _publish(delivery, loop, pipeline, _frame({"1": 1, "2": 2}, 0))
+    first = delivery.frame(7, 0)
+    assert first["v2"]["mode"] == "keyframe" and first["v2"]["base"] == 0
+    again = delivery.frame(7, frame.seq)
+    assert again["v2"]["mode"] == "delta" and again["v2"]["base"] == frame.seq
+    unknown = delivery.frame(7, frame.seq + 10_000)
+    assert unknown["v2"]["mode"] == "keyframe" and unknown["v2"]["base"] == 0
+    assert set(_wire(unknown)["paths"]) == {"1", "2"}
+
+
+def test_first_reply_under_new_terms_keyframes_whatever_the_ack():
+    """An ack from before a (re)subscribe names a frame the new terms
+    never described: the first reply under them is a keyframe."""
+    delivery, loop, pipeline = _delivery()
+    delivery.subscribe(7, {"encoding": "v1"})
+    frame = _publish(delivery, loop, pipeline, _frame({"1": 1}, 0))
+    assert delivery.frame(7, 0)["v2"]["mode"] == "keyframe"
+    delivery.subscribe(7, {"encoding": "f16"})
+    assert delivery.frame(7, frame.seq)["v2"]["mode"] == "keyframe"
+    assert delivery.frame(7, frame.seq)["v2"]["mode"] == "delta"
+
+
+def test_removed_rake_is_dropped():
+    delivery, loop, pipeline = _delivery()
+    delivery.subscribe(7, {"deltas": True})
+    scene = HeldScene()
+    _publish(delivery, loop, pipeline, _frame({"1": 1, "2": 2}, 0))
+    scene.integrate(_wire(delivery.frame(7, scene.seq)))
+    assert set(scene.paths) == {"1", "2"}
+    frame = _publish(delivery, loop, pipeline, _frame({"1": 1}, 1))
+    reply = _wire(delivery.frame(7, scene.seq))
+    assert reply["v2"]["mode"] == "delta" and reply["v2"]["removed"] == ["2"]
+    assert reply["paths"] == {}  # rake 1 did not change
+    merged = scene.integrate(reply)
+    assert set(merged["paths"]) == {"1"} and scene.seq == frame.seq
+
+
+def test_mismatched_base_is_refused_and_resets_the_ack():
+    delivery, loop, pipeline = _delivery()
+    delivery.subscribe(7, {})
+    _publish(delivery, loop, pipeline, _frame({"1": 1}, 0))
+    scene = HeldScene()
+    scene.integrate(_wire(delivery.frame(7, 0)))
+    held = scene.paths
+    stray = _wire(delivery.frame(7, scene.seq))
+    stray["v2"]["base"] += 1
+    assert scene.integrate(stray) is None
+    assert scene.seq == 0 and scene.paths is held  # nothing merged
+
+
+def test_sent_digest_map_stays_bounded():
+    delivery, loop, pipeline = _delivery()
+    delivery.subscribe(7, {})
+    seqs = []
+    for t in range(SENT_DIGESTS + 5):
+        frame = _publish(delivery, loop, pipeline, _frame({"1": t % 3, "2": 9}, t))
+        delivery.frame(7, 0)
+        seqs.append(frame.seq)
+    assert len(delivery._sent) == SENT_DIGESTS
+    assert list(delivery._sent) == seqs[-SENT_DIGESTS:]
+    assert delivery.frame(7, seqs[0])["v2"]["mode"] == "keyframe"  # evicted
+    assert delivery.frame(7, seqs[-SENT_DIGESTS])["v2"]["mode"] == "delta"
+
+
+def test_default_subscription_replies_carry_no_envelope_and_record_nothing():
+    delivery, loop, pipeline = _delivery()
+    frame = _publish(delivery, loop, pipeline, _frame({"1": 1, "3": 3}, 0))
+    reply = delivery.frame(5, 0)
+    assert "v2" not in reply and reply["cached"] is True
+    assert reply["paths"].data == encode_value(frame.paths)
+    assert not delivery._sent and DEFAULT_SUBSCRIPTION.seq == 0
+
+
+# -- the property: every step shows the scene the subscription asked for ----------
+
+
+subscriptions = st.fixed_dictionaries(
+    {
+        "encoding": st.sampled_from(ENCODINGS),
+        "decimate": st.integers(1, 3),
+        "deltas": st.booleans(),
+        "rakes": st.none() | st.lists(st.sampled_from(sorted(KINDS)), unique=True),
+        "kinds": st.none() | st.lists(
+            st.sampled_from(sorted(set(KINDS.values()))), unique=True
+        ),
+    }
+)
+#: One publication: the rakes present and their content (three variants
+#: each, so unchanged rakes — equal digests — are common), and what
+#: becomes of the reply or of the ack the reader sends for it.
+steps = st.tuples(
+    st.dictionaries(st.sampled_from(sorted(KINDS)), st.integers(0, 2)),
+    st.sampled_from(["ok", "lost", "stale", "unknown"]),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(subscriptions, st.lists(steps, min_size=1, max_size=12), st.integers(2, 4))
+def test_merged_scene_is_what_the_subscription_asked_for(options, script, window):
+    """Over random publications with lost replies (the ack stays behind),
+    stale acks (one behind the scene held), unknown acks and a digest map
+    only ``window`` frames deep, every reply the client accepts leaves it
+    holding exactly ``decode(frame.compose(wanted, ...))``, and the only
+    reply it refuses is a delta against a base it does not hold."""
+    original = delivery_module.SENT_DIGESTS
+    delivery_module.SENT_DIGESTS = window
+    try:
+        delivery, loop, pipeline = _delivery()
+        delivery.subscribe(7, options)
+        sub = delivery._subs[7]
+        scene = HeldScene()
+        for t, (content, fate) in enumerate(script):
+            frame = _publish(delivery, loop, pipeline, _frame(content, t))
+            held = scene.seq
+            ack = {"unknown": held + 10_000, "stale": max(held - 1, 0)}.get(fate, held)
+            reply = _wire(delivery.frame(7, ack))
+            assert reply["v2"]["seq"] == frame.seq
+            if fate == "lost":
+                continue  # never integrated: the next ack is behind
+            merged = scene.integrate(reply)
+            if merged is None:
+                assert reply["v2"]["mode"] == "delta" and reply["v2"]["base"] != held
+                assert scene.seq == 0  # the next pull keyframes
+            else:
+                _assert_same_scene(merged["paths"], _expected(frame, sub))
+            assert len(delivery._sent) <= window
+    finally:
+        delivery_module.SENT_DIGESTS = original
+
+
+# -- one delta base per connection ----------------------------------------------
+
+
+def test_a_pull_on_a_push_bound_connection_takes_the_bindings_base():
+    delivery, loop, pipeline = _delivery()
+    echo = loop.call(delivery.subscribe, 7, {"push": True})
+    assert echo["push"] is True and pipeline.demand == 1
+    _publish(delivery, loop, pipeline, _frame({"1": 0, "2": 0}, 0))  # pushed
+    # The client's ack lags (the push is still in flight): ignored here.
+    loop.call(delivery.frame, 7, 0)
+    # A cache hit that runs ahead of the publication's own fan-out ...
+    stamped = delivery.store.publish(_frame({"1": 1, "2": 0}, 1))
+    pipeline.key = stamped.key
+    loop.call(delivery.frame, 7, 0)
+    loop.run()  # ... and the fan-out then skips the connection.
+    # A pull that parks is answered before the same publication, or the
+    # next one already waiting on the loop, is pushed.
+    pipeline.key = (1, 2)
+    assert isinstance(loop.call(delivery.frame, 7, 0), _Deferred)
+    delivery.store.publish(_frame({"1": 2, "2": 0}, 2))
+    _publish(delivery, loop, pipeline, _frame({"1": 2, "2": 1}, 3))  # pushed
+    echo_reply, *queued = loop.queued
+    assert echo_reply is echo
+    assert [m["v2"]["seq"] for m in queued] == [1, 1, 2, 3, 4]
+    assert [m["v2"]["mode"] for m in queued] == ["keyframe"] + ["delta"] * 4
+    # Every frame queued is a delta against the frame queued before it.
+    for before, message in zip(queued, queued[1:]):
+        assert message["v2"]["base"] == before["v2"]["seq"]
+    scene = HeldScene()
+    for message in queued:
+        assert scene.integrate(_wire(message)) is not None
+    latest = delivery.store.latest()
+    _assert_same_scene(scene.paths, _expected(latest, DEFAULT_SUBSCRIPTION))
+    assert delivery.stats()["push_subscriptions"] == 1
+    delivery.drop(7)
+    assert pipeline.demand == 0 and delivery.stats()["v2_subscriptions"] == 0

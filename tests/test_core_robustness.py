@@ -491,7 +491,7 @@ class TestSubscriberChurn:
             ]
             for cid in cids:
                 srv._rpc_subscribe(None, cid, {"encoding": "f16"})
-            assert len(srv._subs) == 100
+            assert len(srv.delivery._subs) == 100
             # Half leave politely; half just vanish mid-session.
             for cid in cids[:50]:
                 srv._rpc_leave(None, cid)
@@ -499,7 +499,7 @@ class TestSubscriberChurn:
             srv._reap_tick(None)
             fake["t"] += 4.0  # reaped leases age past retention
             srv._reap_tick(None)
-            assert srv._subs == {}
+            assert srv.delivery._subs == {}
             assert srv.env.users == {}
         assert srv.sessions.active == 0
         assert srv.sessions.reaped_total == 150

@@ -1,8 +1,8 @@
 """The v2 frame-delivery layer: quantization, deltas, subscriptions.
 
 Property tests (hypothesis) for the codecs, unit tests for the frame
-store's encode-variant cache and digest history, and socket-level
-interop tests pinning the compat contract of docs/network.md:
+store's encode-variant cache, and socket-level interop tests pinning
+the compat contract of docs/network.md:
 
 * decode(encode(frame)) is bit-exact for v1/delta entries and inside the
   advertised error bound for quantized ones;
@@ -12,7 +12,12 @@ interop tests pinning the compat contract of docs/network.md:
   ``PublishedFrame.compose`` produces (the delivery-equivalence matrix);
 * the packed ``q16`` wire form decodes, over real sockets, to exactly
   what the plain int16 form decoded to — keyframe, delta, decimated and
-  pushed — and is still built once per ``(rake, encoding, decimate)``.
+  pushed — and is still built once per ``(rake, encoding, decimate)``;
+* a push subscriber that also pulls keeps one delta base, and negotiated
+  terms survive a reconnect and a reap.
+
+The composer and the client's held scene are tested socket-free in
+``tests/test_core_delivery.py``.
 """
 
 import numpy as np
@@ -23,12 +28,11 @@ from hypothesis.extra.numpy import arrays
 
 from repro.core import ToolSettings, WindtunnelClient, WindtunnelServer
 from repro.core.framestore import (
-    FrameStore,
     PublishedFrame,
     VariantCounters,
     encode_entries,
 )
-from repro.core.server import DEFAULT_SUBSCRIPTION, Subscription
+from repro.core.delivery import DEFAULT_SUBSCRIPTION, Subscription
 from repro.dlib.client import DlibClient, DlibRemoteError
 from repro.dlib.protocol import (
     DlibProtocolError,
@@ -40,7 +44,13 @@ from repro.dlib.protocol import (
     quantize_points,
     unpack_q16,
 )
-from repro.flow import MemoryDataset, RigidRotation, UniformFlow, sample_on_grid
+from repro.flow import (
+    MemoryDataset,
+    OscillatingShearLayer,
+    RigidRotation,
+    UniformFlow,
+    sample_on_grid,
+)
 from repro.grid import cartesian_grid
 from repro.netsim import BandwidthSchedule
 from repro.tracers.rake import GrabPoint
@@ -214,18 +224,6 @@ def test_cache_rejects_unknown_variant():
         frame.entries["1"].fragment("v1", 0)
 
 
-def test_framestore_digest_history_is_bounded():
-    store = FrameStore(digest_history=3)
-    frames = [_frame({1: _Result(i)}) for i in range(5)]
-    stamped = [store.publish(f) for f in frames]
-    assert [f.seq for f in stamped] == [1, 2, 3, 4, 5]
-    assert store.digests_at(1) is None  # evicted
-    assert store.digests_at(2) is None
-    for f in stamped[2:]:
-        assert store.digests_at(f.seq) == f.digests
-    assert store.digests_at(99) is None
-
-
 def test_bandwidth_schedule_steps():
     sched = BandwidthSchedule([(0.0, 13e6), (2.0, 1e6)])
     assert sched.bandwidth_at(0.0) == 13e6
@@ -331,17 +329,18 @@ class TestInterop:
             # Simulate a client whose ack refers to a frame the server no
             # longer remembers (dropped response / long partition).
             with c._state_lock:
-                c._acked_seq = 10_000
+                c._held.seq = 10_000
             state = c.fetch_frame()
             assert state["v2"]["mode"] == "keyframe"
-            assert c._acked_seq == state["v2"]["seq"]
+            assert c._held.seq == state["v2"]["seq"]
 
     def test_client_base_mismatch_resets_ack(self, server):
         with WindtunnelClient(*server.address, name="mismatch") as c:
             c.add_rake([1, 1, 1], [1, 7, 3], n_seeds=5)
             c.subscribe(deltas=True)
             c.fetch_frame()
-            held = dict(c._held_paths)
+            held = dict(c._held.paths)
+            previous = c.latest_state
             # A delta against a base we do not hold must not be merged.
             bogus = {
                 "timestep": 0,
@@ -357,9 +356,10 @@ class TestInterop:
                     "removed": [],
                 },
             }
-            out = c._integrate_v2(bogus)
-            assert c._acked_seq == 0  # next fetch resyncs
+            out = c._integrate(bogus)
+            assert c._held.seq == 0  # next fetch resyncs
             assert set(out["paths"]) == set(held)
+            assert out is previous is c.latest_state  # nothing merged, nothing shown
             state = c.fetch_frame()
             assert state["v2"]["mode"] == "keyframe"
 
@@ -392,14 +392,14 @@ class TestInterop:
                 with pytest.raises(ValueError, match=key):
                     c.subscribe(**{key: value})
             c.subscribe(encoding="f16", rakes=[1], kinds=("streamline",))
-            held = server._subs[c.client_id]
+            held = server.delivery._subs[c.client_id]
             assert held.rakes == {"1"} and held.kinds == {"streamline"}
             with pytest.raises(DlibRemoteError, match=f"{key} must be a list"):
                 c._rpc.call("wt.subscribe", c.client_id, {key: value})
             entry = {"client_id": c.client_id, "subscription": {key: value}}
             with pytest.raises(DlibRemoteError, match=f"{key} must be a list"):
                 c._rpc.call("wt.restore", {"sessions": [entry]})
-            assert server._subs[c.client_id] is held
+            assert server.delivery._subs[c.client_id] is held
 
     def test_journal_written_before_the_controllers_went_restores(self, server):
         """The literal shape the previous commit's gateway journaled —
@@ -421,7 +421,7 @@ class TestInterop:
         }
         with DlibClient(*server.address) as admin:
             assert admin.call("wt.restore", state) == {"sessions": 1, "rakes": 0}
-        assert server._subs[9100] == Subscription(
+        assert server.delivery._subs[9100] == Subscription(
             "q16", 2, True, False, None, frozenset({"streamline"})
         )
         assert server.engine.settings == ToolSettings(9, 0.04, 7, 5)
@@ -440,9 +440,9 @@ class TestInterop:
         c = WindtunnelClient(*server.address, name="leaver")
         c.subscribe()
         cid = c.client_id
-        assert cid in server._subs
+        assert cid in server.delivery._subs
         c.close()
-        wait_until(lambda: cid not in server._subs)
+        wait_until(lambda: cid not in server.delivery._subs)
 
     def test_net_metrics_surface_through_obs(self, server):
         with WindtunnelClient(*server.address, name="metrics") as c:
@@ -453,7 +453,9 @@ class TestInterop:
             snap = c.metrics()["registry"]
             assert snap["counters"]["net.keyframes"] >= 1
             assert snap["counters"]["net.delta_frames"] >= 1
-            assert 0.0 < snap["gauges"]["net.delta_ratio"] < 1.0
+            counters = snap["counters"]
+            delta, key = counters["net.delta_frames"], counters["net.keyframes"]
+            assert 0.0 < delta / (delta + key) < 1.0
             assert snap["histograms"]["net.bytes_per_frame"]["count"] >= 2
             assert "net.encode_cache_hits" in snap["counters"]
 
@@ -649,7 +651,7 @@ class TestPushDelivery:
                 produced_before = srv.pipeline.frames_produced
                 c.add_rake([1, 1, 1], [1, 7, 3], n_seeds=5)
                 wait_until(lambda: srv.pipeline.frames_produced > produced_before)
-            wait_until(lambda: not srv._subs)
+            wait_until(lambda: not srv.delivery._subs)
             produced, idle = srv.pipeline.frames_produced, srv.pipeline.idle_cycles
             srv.env.bump()  # a new key, but nobody left to produce it for
             wait_until(lambda: srv.pipeline.idle_cycles > idle + 1)
@@ -720,7 +722,7 @@ class TestPushDelivery:
                     sub = DEFAULT_SUBSCRIPTION
                 else:
                     pull.call("wt.subscribe", cid, options)
-                    sub = srv._subs[cid]
+                    sub = srv.delivery._subs[cid]
                     push_cid = push.call("wt.join", "push")["client_id"]
                     echo = push.call("wt.subscribe", push_cid, {**options, "push": True})
                     assert echo["push"] is True
@@ -759,11 +761,11 @@ class TestPushDelivery:
                 if options is not None:
                     entry["subscription"] = sub.to_wire()
                 admin._rpc.call("wt.restore", {"sessions": [entry]})
-                assert srv._subs.get(9000, DEFAULT_SUBSCRIPTION) == sub
+                assert srv.delivery._subs.get(9000, DEFAULT_SUBSCRIPTION) == sub
 
                 # enabled=False returns any client to the default row.
                 pull.call("wt.subscribe", cid, {"enabled": False})
-                assert cid not in srv._subs
+                assert cid not in srv.delivery._subs
                 reply = pull.call("wt.frame", cid)
                 assert "v2" not in reply
                 assert encode_value(reply["paths"]) == encode_value(
@@ -772,4 +774,126 @@ class TestPushDelivery:
         finally:
             srv.stop()
         assert DEFAULT_SUBSCRIPTION == Subscription("v1", 1, False, False, None, None)
-        assert DEFAULT_SUBSCRIPTION.conn is None and DEFAULT_SUBSCRIPTION.push_seq == 0
+        assert DEFAULT_SUBSCRIPTION.conn is None and DEFAULT_SUBSCRIPTION.seq == 0
+
+
+# -- one delta base per connection, terms that survive a resume -------------------
+
+
+def _unsteady_dataset(n_times=6):
+    """A flow whose streamlines differ at every timestep, so a frame
+    shown with another timestep's paths is visibly wrong."""
+    grid = cartesian_grid((9, 9, 5), lo=(0, 0, 0), hi=(8, 8, 4))
+    field = OscillatingShearLayer(eps=0.6, omega=2.5)
+    vel = sample_on_grid(field, grid, np.arange(n_times) * 0.2, dtype=np.float64)
+    return MemoryDataset(grid, vel, dt=0.2)
+
+
+class TestDeliveryKeepsItsTerms:
+    """A push subscriber that also pulls, reconnects or is reaped still
+    gets, every time, exactly the frame its reply names."""
+
+    def _serve(self, **kwargs):
+        clock = {"now": 0.0}
+        srv = WindtunnelServer(
+            _unsteady_dataset(),
+            settings=ToolSettings(streamline_steps=16, streakline_length=6),
+            time_speed=1.0,
+            time_fn=lambda: clock["now"],
+            **kwargs,
+        )
+        frames = {}  # every publication, by seq
+        srv.store.subscribe(lambda frame: frames.__setitem__(frame.seq, frame))
+        return srv.start(), clock, frames
+
+    @staticmethod
+    def _assert_is_frame(state, frames):
+        frame = wait_until(lambda: frames.get(state["v2"]["seq"]))
+        assert state["timestep"] == frame.timestep
+        assert set(state["paths"]) == set(frame.paths)
+        for rid, entry in state["paths"].items():
+            np.testing.assert_array_equal(
+                entry["vertices"], frame.paths[rid]["vertices"]
+            )
+
+    @staticmethod
+    def _await_push(c, srv, clock):
+        """Drain pushes until the client shows the clock's timestep."""
+        timestep = srv.env.clock.timestep_index(clock["now"])
+        wait_until(
+            lambda: c.drain_pushes(0.05) >= 0
+            and c.latest_state is not None
+            and c.latest_state.get("paths")
+            and c.latest_state["timestep"] == timestep
+        )
+
+    def test_push_subscriber_that_pulls_keeps_one_delta_base(self):
+        srv, clock, frames = self._serve()
+        try:
+            with WindtunnelClient(*srv.address, name="mixed") as c:
+                exposed = []
+                on_push = c._rpc.on_push
+
+                def record(value):
+                    on_push(value)
+                    exposed.append(c.latest_state)
+
+                c._rpc.on_push = record
+                c.time_control("pause")
+                assert c.subscribe(push=True)["push"] is True
+                c.add_rake([1, 1, 1], [1, 7, 3], n_seeds=5)
+                self._await_push(c, srv, clock)
+                # The step's frame is being produced (and pushed) while
+                # the pull is in flight: both name the same publication.
+                c.time_control("step", 1)
+                exposed.append(c.fetch_frame())
+                for _ in range(3):
+                    c.time_control("step", 1)
+                    self._await_push(c, srv, clock)
+                assert len(exposed) >= 5
+                for state in exposed:
+                    self._assert_is_frame(state, frames)
+        finally:
+            srv.stop()
+
+    def test_push_survives_a_reconnect(self):
+        srv, clock, frames = self._serve()
+        try:
+            with WindtunnelClient(*srv.address, name="redial") as c:
+                c.time_control("pause")
+                c.add_rake([1, 1, 1], [1, 7, 3], n_seeds=5)
+                assert c.subscribe(encoding="q16", push=True)["push"] is True
+                self._await_push(c, srv, clock)
+                c._rpc.reconnect()
+                assert c.rejoins == 1
+                pushed = c.pushed_frames
+                c.time_control("step", 1)
+                self._await_push(c, srv, clock)
+                assert c.pushed_frames > pushed
+                assert c.latest_state["v2"]["encoding"] == "q16"
+                assert c.server_stats()["push_subscriptions"] == 1
+        finally:
+            srv.stop()
+
+    def test_q16_survives_a_reap(self):
+        srv, clock, frames = self._serve(
+            lease_seconds=1.0, lease_retain_seconds=60.0, reap_interval=0.02
+        )
+        try:
+            with WindtunnelClient(*srv.address, name="reaped") as c:
+                c.time_control("pause")
+                c.add_rake([1, 1, 1], [1, 7, 3], n_seeds=5)
+                c.subscribe(encoding="q16", deltas=True)
+                before = c.fetch_frame()
+                assert before["v2"]["encoding"] == "q16"
+                clock["now"] += 2.0  # the lease lapses, well inside retention
+                wait_until(lambda: srv.sessions.reaped_total == 1)
+                state = c.fetch_frame()
+                assert c.rejoins == 1
+                assert state is not before  # a reply merged, not the old one kept
+                assert state["v2"]["encoding"] == "q16"
+                assert state["v2"]["mode"] == "keyframe"  # nothing held after resume
+                assert c._held.seq == state["v2"]["seq"]
+                assert set(state["paths"]) == {"1"}
+        finally:
+            srv.stop()
