@@ -118,7 +118,7 @@ def _produce_frames(dataset, with_cache: bool) -> list[bytes]:
     for _ in range(IDENTITY_FRAMES):
         frame = pipeline.produce_inline()
         rids = sorted(frame.paths)
-        frames.append(bytes(frame.compose(rids, "v1", 1).data))
+        frames.append(bytes(frame.compose(rids, "v1").data))
         clock["now"] += 0.5
     if loader is not None:
         loader.close()
@@ -154,7 +154,6 @@ def run_cache_scenario() -> dict:
             l2=SharedTimestepCache.for_dataset(
                 dataset, name=seg_name, slots=SLOTS, create="never"
             ),
-            owns_l2=True,
         )
         for _ in range(N_SESSIONS)
     ]

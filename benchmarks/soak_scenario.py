@@ -2,12 +2,12 @@
 
 The scenario behind ``benchmarks/test_server_soak.py``: stand up a
 single :class:`repro.core.WindtunnelServer`, connect a ladder of
-raw-socket push subscribers spread across the encoding variants, drive
-the simulation clock at a fixed tick rate, and measure — per subscriber
+raw-socket push subscribers spread across the two encodings, drive the
+simulation clock at a fixed tick rate, and measure — per subscriber
 level — delivered frame throughput, the server's fan-out latency and
-loop lag (from ``repro.obs``), and the encode-dedup ratio (variant
-encodes per publication, which must track the number of *distinct*
-variants, not the number of clients).
+loop lag (from ``repro.obs``), and the encode-dedup ratio (encodes per
+publication, which must track the number of *distinct* lazily built
+encodings, not the number of clients).
 
 Subscribers are deliberately raw sockets, not ``WindtunnelClient``s: a
 thousand full clients cost more test-harness CPU than server CPU, which
@@ -36,10 +36,10 @@ WINDOW_SECONDS = 2.0 if FAST else 10.0
 #: Simulation-clock tick: one timestep per tick, TICK_HZ ticks/second —
 #: the publication rate the pipeline is asked to sustain.
 TICK_HZ = 20.0
-#: Subscription variants, assigned round-robin.  ("v1", 1) is the
-#: prebuilt default (zero cache misses); the other rungs each cost one
-#: encode per rake per publication — *regardless of subscriber count*.
-VARIANTS = (("v1", 1), ("q16", 1), ("q16", 2))
+#: Subscription encodings, assigned round-robin.  "v1" is built with the
+#: entry (zero cache misses); "q16" costs one encode per rake per
+#: publication — *regardless of subscriber count*.
+VARIANTS = ("v1", "q16")
 N_RAKES = 2
 
 _LEN = struct.Struct("<I")
@@ -152,7 +152,7 @@ def _call(stream, rid: int, proc: str, *args):
 def _connect_subscriber(address, index: int) -> _Subscriber:
     from repro.dlib.transport import Stream
 
-    encoding, decimate = VARIANTS[index % len(VARIANTS)]
+    encoding = VARIANTS[index % len(VARIANTS)]
     sock = socket.create_connection(address)
     stream = Stream(sock)
     info = _call(stream, 1, "wt.join", f"soak{index}")
@@ -162,7 +162,7 @@ def _connect_subscriber(address, index: int) -> _Subscriber:
         2,
         "wt.subscribe",
         client_id,
-        {"encoding": encoding, "decimate": decimate, "deltas": True, "push": True},
+        {"encoding": encoding, "deltas": True, "push": True},
     )
     if not sub.get("push"):
         raise RuntimeError("server did not arm push delivery")
@@ -285,7 +285,7 @@ def run_soak_scenario() -> dict:
 
             return {
                 "distinct_encoded_variants": sum(
-                    1 for enc, dec in VARIANTS if not (enc == "v1" and dec == 1)
+                    1 for encoding in VARIANTS if encoding != "v1"
                 ),
                 "subscribers_dropped": reader.dropped,
                 "levels": levels,

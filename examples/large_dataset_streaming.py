@@ -62,7 +62,7 @@ with tempfile.TemporaryDirectory() as tmp:
               f"({frames / 3.0:.1f} fps) with modeled Convex disk timing")
         print(f"loader: hits={loader.hits.value} misses={loader.misses.value} "
               f"prefetches={loader.prefetch_issued.value} "
-              f"stall={loader.stall_seconds.value * 1e3:.1f} ms "
+              f"stall={loader.cache.l1.stats.stall_seconds.value * 1e3:.1f} ms "
               f"modeled read time="
               f"{loader.cache.source.stats.stall_seconds.value:.2f} s")
         client.close()

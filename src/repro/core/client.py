@@ -301,7 +301,6 @@ class WindtunnelClient:
         *,
         encoding: str = "v1",
         deltas: bool = True,
-        decimate: int = 1,
         rakes=None,
         kinds=None,
         push: bool = False,
@@ -323,7 +322,6 @@ class WindtunnelClient:
         terms = Subscription.from_wire({
             "encoding": encoding,
             "deltas": deltas,
-            "decimate": decimate,
             "push": push,
             "rakes": rakes,
             "kinds": kinds,

@@ -1,7 +1,7 @@
 """Frame delivery: both halves of the v2 contract (docs/network.md).
 
 The ``"v2"`` envelope (``seq``, ``mode``, ``base``, ``encoding``,
-``decimate``, ``removed``) is written and read here and nowhere else.
+``removed``) is written and read here and nowhere else.
 :class:`Delivery`, on the dlib event loop, holds every reader's
 :class:`Subscription`, parks ``wt.frame`` calls, binds push connections
 and builds every reply with one composer, as a delta against a frame it
@@ -40,7 +40,7 @@ SENT_DIGESTS = 64
 class Subscription:
     """One reader's delivery terms, plus the live state that serves them.
 
-    The six option fields are what ``wt.subscribe`` negotiates
+    The five option fields are what ``wt.subscribe`` negotiates
     (docs/network.md), what the gateway journals (:meth:`to_wire`) and
     what ``wt.restore`` feeds back (:meth:`from_wire`).  They are never
     assigned after construction — re-negotiating replaces the record —
@@ -52,7 +52,6 @@ class Subscription:
     """
 
     encoding: str
-    decimate: int
     deltas: bool
     push: bool
     rakes: frozenset | None
@@ -68,9 +67,6 @@ class Subscription:
             raise ValueError(
                 f"unknown encoding {encoding!r}; expected one of {ENCODINGS}"
             )
-        decimate = int(options.get("decimate", 1))
-        if decimate < 1:
-            raise ValueError("decimate must be >= 1")
         rakes, kinds = options.get("rakes"), options.get("kinds")
         for key, value in (("rakes", rakes), ("kinds", kinds)):
             # A bare string would iterate into its characters.
@@ -78,7 +74,6 @@ class Subscription:
                 raise ValueError(f"{key} must be a list (or absent)")
         return cls(
             encoding=encoding,
-            decimate=decimate,
             deltas=bool(options.get("deltas", True)),
             push=bool(options.get("push", False)),
             rakes=None if rakes is None else frozenset(str(r) for r in rakes),
@@ -90,7 +85,6 @@ class Subscription:
         return {
             "encoding": self.encoding,
             "deltas": self.deltas,
-            "decimate": self.decimate,
             "push": self.push,
             "rakes": None if self.rakes is None else sorted(self.rakes),
             "kinds": None if self.kinds is None else sorted(self.kinds),
@@ -108,7 +102,7 @@ class Subscription:
 #: and the only one whose replies carry no ``"v2"`` envelope — they stay
 #: byte-identical to the pre-subscription protocol.
 DEFAULT_SUBSCRIPTION = Subscription(
-    encoding="v1", decimate=1, deltas=False, push=False, rakes=None, kinds=None,
+    encoding="v1", deltas=False, push=False, rakes=None, kinds=None,
 )
 
 
@@ -322,7 +316,7 @@ class Delivery:
 
     def _fan_out(self, frame: PublishedFrame) -> None:
         """Push ``frame`` to every bound connection that lacks it: one env
-        snapshot encoded for all, path variants shared through the frame's
+        snapshot encoded for all, path fragments shared through the frame's
         entries, a backlogged subscriber shed before its payload is built."""
         pushers = [sub for sub in self._subs.values() if sub.conn is not None]
         if not pushers:
@@ -376,7 +370,7 @@ class Delivery:
                 if base_digests.get(rid) != frame.entries[rid].digest
             ]
             removed = [rid for rid in base_digests if rid not in frame.entries]
-        fragment = frame.compose(send, encoding=sub.encoding, decimate=sub.decimate)
+        fragment = frame.compose(send, encoding=sub.encoding)
         (self._delta_frames if mode == "delta" else self._keyframes).inc()
         self._bytes_hist.observe(float(fragment.nbytes))
         reply = {
@@ -398,7 +392,6 @@ class Delivery:
                 "mode": mode,
                 "base": base,
                 "encoding": sub.encoding,
-                "decimate": sub.decimate,
                 "removed": removed,
             }
         return reply

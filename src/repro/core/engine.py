@@ -122,7 +122,7 @@ class ComputeEngine:
             "hits": self.loader.hits.value,
             "misses": self.loader.misses.value,
             "prefetch_issued": self.loader.prefetch_issued.value,
-            "stall_seconds": self.loader.stall_seconds.value,
+            "stall_seconds": out["l1"]["stall_seconds"],
             "modeled_read_seconds": out["source"]["stall_seconds"],
         }
         return out

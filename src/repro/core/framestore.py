@@ -15,13 +15,12 @@ Invariants (docs/architecture.md, docs/network.md):
   clients share one frame with zero copies and zero risk of cross-client
   corruption — the shared-visualization guarantee of section 5.1,
   enforced by the buffer flags instead of by convention.
-* **Encode-once, per variant.**  A frame is a dict of
+* **Encode-once, per encoding.**  A frame is a dict of
   :class:`RakeEntry` objects, and an entry outlives the frame: every
   frame whose rake has the same content holds the same entry.  Its
   full-precision (``v1``) fragment is produced exactly once, when the
-  entry is built.  Every other wire variant a client can negotiate —
-  float16 or fixed-point quantization, decimation — is produced at most
-  once per ``(entry, encoding, decimate)`` and shared by all readers of
+  entry is built.  Its fixed-point (``q16``) fragment is produced at
+  most once per entry, on first request, and shared by all readers of
   all those frames; ``net.encode_cache_hits`` counts the reuse.
   :meth:`PublishedFrame.compose` is the only place reply bytes are
   assembled (the value encoding is compositional: a dict's bytes are its
@@ -59,10 +58,10 @@ __all__ = [
 ]
 
 #: Wire encodings a client can negotiate (docs/network.md).
-#: ``v1`` = float32 (12 bytes/point), ``f16`` = IEEE half precision
-#: (6 bytes/point), ``q16`` = per-axis fixed-point int16, packed
-#: losslessly along each polyline (at most 6 bytes/point, typically ~2).
-ENCODINGS = ("v1", "f16", "q16")
+#: ``v1`` = float32 (12 bytes/point), ``q16`` = per-axis fixed-point
+#: int16, packed losslessly along each polyline (at most 6 bytes/point,
+#: typically ~2).
+ENCODINGS = ("v1", "q16")
 
 _U32 = struct.Struct("<I")
 
@@ -86,24 +85,14 @@ def _compose(entries: dict[str, bytes]) -> PreEncoded:
     return PreEncoded(b"".join(parts))
 
 
-def _decimate_entry(entry: dict, decimate: int) -> dict:
-    """Keep every ``decimate``-th path point."""
-    vertices = np.ascontiguousarray(entry["vertices"][:, ::decimate, :])
-    lengths = (np.asarray(entry["lengths"]) + decimate - 1) // decimate
-    return {
-        "kind": entry["kind"],
-        "vertices": vertices,
-        "lengths": np.ascontiguousarray(lengths.astype(np.int64)),
-    }
-
-
 class VariantCounters:
     """The ``net.*`` counters the entries of one registry record into.
 
-    ``hits`` / ``misses`` count lookups of lazily built variants (reading
-    an entry's ``v1`` fragment is neither); ``q16_raw_bytes`` /
-    ``q16_packed_bytes`` total the int16 grid sizes and the packed sizes
-    of the q16 variants built.  ``registry`` defaults to a private one.
+    ``hits`` / ``misses`` count lookups of the lazily built ``q16``
+    fragment (reading an entry's ``v1`` fragment is neither);
+    ``q16_raw_bytes`` / ``q16_packed_bytes`` total the int16 grid sizes
+    and the packed sizes of the q16 fragments built.  ``registry``
+    defaults to a private one.
     """
 
     __slots__ = ("hits", "misses", "q16_raw_bytes", "q16_packed_bytes")
@@ -117,15 +106,14 @@ class VariantCounters:
 
 
 class RakeEntry:
-    """One rake's published geometry and every wire fragment built of it.
+    """One rake's published geometry and both wire fragments of it.
 
     ``path`` is the ``{kind, vertices, lengths}`` dict a reply carries,
     its arrays read-only; ``digest`` its content digest.  The ``v1``
-    fragment is encoded here, once.  Any other ``(encoding, decimate)``
-    variant is built on first request by :meth:`fragment` and then
-    shared by every frame holding this entry and every reader of those
-    frames — the encode-once guarantee, extended to the whole variant
-    space and across frames.
+    fragment is encoded here, once.  The ``q16`` fragment is built on
+    first request by :meth:`fragment` and then shared by every frame
+    holding this entry and every reader of those frames — the
+    encode-once guarantee, extended to both encodings and across frames.
     """
 
     def __init__(
@@ -138,58 +126,42 @@ class RakeEntry:
         self.n_points = int(lengths.sum())
         self._counters = counters
         self._lock = threading.Lock()
-        self._fragments = {("v1", 1): encode_value(self.path)}
+        self._fragments = {"v1": encode_value(self.path)}
 
     @property
-    def variants(self) -> list[tuple[str, int]]:
-        """The ``(encoding, decimate)`` variants built so far."""
+    def variants(self) -> list[str]:
+        """The encodings built so far."""
         with self._lock:
             return list(self._fragments)
 
-    def fragment(self, encoding: str = "v1", decimate: int = 1) -> bytes:
-        """The wire fragment of this entry in one variant."""
-        key = (encoding, decimate)
+    def fragment(self, encoding: str = "v1") -> bytes:
+        """The wire fragment of this entry in one encoding."""
         with self._lock:
-            cached = self._fragments.get(key)
+            cached = self._fragments.get(encoding)
         if cached is not None:
-            if key != ("v1", 1):
+            if encoding != "v1":
                 self._counters.hits.inc()
             return cached
-        fragment = encode_value(self._build(encoding, decimate))
+        if encoding not in ENCODINGS:
+            raise ValueError(f"unknown wire encoding {encoding!r}")
+        fragment = encode_value(self._build_q16())
         with self._lock:
-            fragment = self._fragments.setdefault(key, fragment)
+            fragment = self._fragments.setdefault(encoding, fragment)
         self._counters.misses.inc()
         return fragment
 
-    def _build(self, encoding: str, decimate: int) -> dict:
-        if encoding not in ENCODINGS:
-            raise ValueError(f"unknown wire encoding {encoding!r}")
-        if decimate < 1:
-            raise ValueError("decimate must be >= 1")
-        entry = self.path
-        if decimate > 1:
-            entry = _decimate_entry(entry, decimate)
-        if encoding == "f16":
-            return {
-                "kind": entry["kind"],
-                "vertices": np.ascontiguousarray(
-                    entry["vertices"], dtype=np.float16
-                ),
-                "lengths": entry["lengths"],
-            }
-        if encoding == "q16":
-            q = quantize_points(entry["vertices"])
-            packed = pack_q16(q["q"])
-            self._counters.q16_raw_bytes.inc(q["q"].nbytes)
-            self._counters.q16_packed_bytes.inc(len(packed["qpack"]))
-            return {
-                "kind": entry["kind"],
-                **packed,
-                "scale": q["scale"],
-                "offset": q["offset"],
-                "lengths": entry["lengths"],
-            }
-        return entry  # "v1", decimated
+    def _build_q16(self) -> dict:
+        q = quantize_points(self.path["vertices"])
+        packed = pack_q16(q["q"])
+        self._counters.q16_raw_bytes.inc(q["q"].nbytes)
+        self._counters.q16_packed_bytes.inc(len(packed["qpack"]))
+        return {
+            "kind": self.kind,
+            **packed,
+            "scale": q["scale"],
+            "offset": q["offset"],
+            "lengths": self.path["lengths"],
+        }
 
 
 def encode_entries(
@@ -273,19 +245,15 @@ class PublishedFrame:
         """Total valid path points (the paper's particle count)."""
         return sum(entry.n_points for entry in self.entries.values())
 
-    def compose(
-        self, rids: list[str], encoding: str = "v1", decimate: int = 1
-    ) -> PreEncoded:
+    def compose(self, rids: list[str], encoding: str = "v1") -> PreEncoded:
         """Wire fragment of the paths dict restricted to ``rids``.
 
-        For ``encoding="v1", decimate=1`` and the full rake set this is
-        byte-identical to ``encode_value(self.paths)`` — the reply an
-        un-negotiated client has always received.  Each entry builds a
-        variant at most once, however many readers and frames ask for it.
+        For ``encoding="v1"`` and the full rake set this is byte-identical
+        to ``encode_value(self.paths)`` — the reply an un-negotiated
+        client has always received.  Each entry builds its ``q16``
+        fragment at most once, however many readers and frames ask for it.
         """
-        return _compose(
-            {rid: self.entries[rid].fragment(encoding, decimate) for rid in rids}
-        )
+        return _compose({rid: self.entries[rid].fragment(encoding) for rid in rids})
 
 
 class FrameStore:

@@ -39,7 +39,7 @@ idle server publishes nothing and a frozen clock yields exactly one
 publication per key.  Between requests it may *speculate*: fill the
 memo for the timestep :meth:`FramePipeline._predict_next` names, with
 the rakes and settings just produced, and build for those entries the
-wire variants the latest frame was asked for.  It does so only when
+wire encodings the latest frame was asked for.  It does so only when
 all four of these observable conditions hold:
 
 (a) the last two productions had the same rakes (kinds and grid seeds)
@@ -608,18 +608,18 @@ class FramePipeline:
         return list(todo.values())
 
     def _warm(self, slots: list[_Slot]) -> None:
-        """Build for ``slots`` the variants the latest frame was asked for."""
+        """Build for ``slots`` the encodings the latest frame was asked for."""
         latest = self.store.latest()
         if latest is None:
             return
         asked = {
-            variant
+            encoding
             for entry in latest.entries.values()
-            for variant in entry.variants
-        } - {("v1", 1)}
+            for encoding in entry.variants
+        } - {"v1"}
         for slot in slots:
-            for encoding, decimate in asked:
-                slot.entry.fragment(encoding, decimate)
+            for encoding in asked:
+                slot.entry.fragment(encoding)
 
     def _encode_and_publish(self, job: _Job) -> PublishedFrame | None:
         stage_seconds = dict(job.stage_seconds)

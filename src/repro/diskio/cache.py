@@ -9,9 +9,8 @@ from progressively closer tiers.  This module is that ladder for decoded
 grid-velocity timesteps:
 
 * **Tier 1** (:class:`TimestepCache`) — a per-process LRU of decoded
-  arrays, budgeted in timesteps and/or bytes (the byte budget comes from
-  :func:`~repro.diskio.residency.plan_residency`).  Entries are read-only
-  views; a caller can never poison a cached timestep.
+  arrays, budgeted in timesteps.  Entries are read-only views; a caller
+  can never poison a cached timestep.
 * **Tier 2** — a :class:`~repro.diskio.shmcache.SharedTimestepCache`
   segment that co-located sessions attach read-only, so N workers on one
   dataset hold one copy and perform ≈1× aggregate disk reads.
@@ -33,12 +32,10 @@ import hashlib
 import threading
 import time
 from collections import OrderedDict
-from typing import Callable
 
 import numpy as np
 
 from repro.diskio.model import DiskModel
-from repro.diskio.residency import plan_residency
 from repro.flow.dataset import UnsteadyDataset
 from repro.obs import MetricsRegistry
 
@@ -129,11 +126,8 @@ class TimestepCache:
     """Tier 1: a thread-safe LRU of decoded grid-velocity timesteps.
 
     The generalization of :class:`~repro.diskio.loader.TimestepLoader`'s
-    historical 2-slot double buffer.  Budgeted in timesteps
-    (``capacity_timesteps``), bytes (``capacity_bytes``), or both —
-    whichever is exceeded first evicts the least-recently-used entry
-    (the most recent insert always stays resident, even over-budget, so
-    a single oversized timestep still flows through).
+    historical 2-slot double buffer: holding more than
+    ``capacity_timesteps`` evicts the least-recently-used entry.
 
     Every stored array is kept (and returned) as a read-only view:
     mutating a cached timestep raises, so the cache can hand the same
@@ -144,52 +138,16 @@ class TimestepCache:
     def __init__(
         self,
         *,
-        capacity_timesteps: int | None = 2,
-        capacity_bytes: int | None = None,
+        capacity_timesteps: int = 2,
         registry: MetricsRegistry | None = None,
     ) -> None:
-        if capacity_timesteps is None and capacity_bytes is None:
-            raise ValueError("need a timestep and/or byte budget")
-        if capacity_timesteps is not None and capacity_timesteps < 1:
+        if capacity_timesteps < 1:
             raise ValueError("capacity must be at least 1")
-        if capacity_bytes is not None and capacity_bytes < 1:
-            raise ValueError("byte budget must be positive")
         self.capacity_timesteps = capacity_timesteps
-        self.capacity_bytes = capacity_bytes
         self.stats = TierCounters(TIER_L1, registry)
         self._entries: OrderedDict[int, np.ndarray] = OrderedDict()
         self._nbytes = 0
         self._lock = threading.Lock()
-        self._evict_listeners: list[Callable[[int, np.ndarray], None]] = []
-
-    @classmethod
-    def from_residency(
-        cls,
-        dataset: UnsteadyDataset,
-        memory_bytes: int,
-        fps: float = 10.0,
-        **kwargs,
-    ) -> "TimestepCache":
-        """Budget a cache from a :func:`plan_residency` memory window.
-
-        The residency plan bounds how many *raw* timesteps fit in
-        ``memory_bytes``; the cache holds the decoded (float64)
-        grid-velocity form, so the byte budget is the window times the
-        decoded size.
-        """
-        plan = plan_residency(dataset, memory_bytes, fps)
-        per = decoded_timestep_nbytes(dataset)
-        return cls(
-            capacity_timesteps=plan.window_timesteps,
-            capacity_bytes=plan.window_timesteps * per,
-            **kwargs,
-        )
-
-    def add_evict_listener(
-        self, listener: Callable[[int, np.ndarray], None]
-    ) -> None:
-        """Call ``listener(t, arr)`` after ``t`` leaves the cache."""
-        self._evict_listeners.append(listener)
 
     # -- access ----------------------------------------------------------------
 
@@ -217,32 +175,21 @@ class TimestepCache:
         t = int(t)
         view = np.asarray(arr).view()
         view.flags.writeable = False
-        evicted: list[tuple[int, np.ndarray]] = []
+        evicted = 0
         with self._lock:
             old = self._entries.pop(t, None)
             if old is not None:
                 self._nbytes -= old.nbytes
             self._entries[t] = view
             self._nbytes += view.nbytes
-            while len(self._entries) > 1 and self._over_budget():
-                key, dropped = self._entries.popitem(last=False)
+            while len(self._entries) > self.capacity_timesteps:
+                _, dropped = self._entries.popitem(last=False)
                 self._nbytes -= dropped.nbytes
-                evicted.append((key, dropped))
+                evicted += 1
             self.stats.resident_bytes.set(self._nbytes)
         if evicted:
-            self.stats.evictions.inc(len(evicted))
-            for key, dropped in evicted:
-                for listener in self._evict_listeners:
-                    listener(key, dropped)
+            self.stats.evictions.inc(evicted)
         return view
-
-    def _over_budget(self) -> bool:
-        if (
-            self.capacity_timesteps is not None
-            and len(self._entries) > self.capacity_timesteps
-        ):
-            return True
-        return self.capacity_bytes is not None and self._nbytes > self.capacity_bytes
 
     def pop(self, t: int) -> None:
         """Drop ``t`` without counting an eviction (explicit invalidation)."""
@@ -323,16 +270,17 @@ class TieredTimestepCache:
 
     ``get(t)`` returns ``(array, tier)`` where ``tier`` names the level
     that satisfied the read; the array is always a read-only view.  A
-    tier-2 hit is promoted into tier 1 with its shm slot *pinned* — the
-    reader protocol of :class:`~repro.diskio.shmcache.SharedTimestepCache`
-    guarantees the segment never evicts a slot under the mapped view —
-    and the pin is released when tier 1 evicts the entry.
+    tier-2 hit is a private copy
+    (:meth:`~repro.diskio.shmcache.SharedTimestepCache.get` copies out),
+    promoted into tier 1 like any other read: tier 1 holds nothing that
+    tier 2 must keep alive.
 
-    The ``l2`` object is duck-typed (``get``/``put``/``release``/
-    ``stats``/``close``); ``source`` needs ``read``/``hint``/``stats``/
-    ``close``.  Pass ``owns_l2=True`` when this cache should close the
-    tier-2 attachment on :meth:`close` (workers own their attachment;
-    a gateway-owned segment outlives its workers).
+    ``l1_timesteps`` is tier 1's budget, in timesteps.  The ``l2``
+    object is duck-typed (``get``/``put``/``stats``/``close``);
+    ``source`` needs ``read``/``hint``/``stats``/``close``.  This cache
+    owns its tier-2 attachment — :meth:`close` closes it — while the
+    segment itself outlives the attachment when another process created
+    it (a gateway's segment outlives its workers).
 
     Tiers built here record into ``registry`` (a private one when
     omitted); a pre-built ``l2``/``source`` keeps the registry it was
@@ -344,10 +292,8 @@ class TieredTimestepCache:
         dataset: UnsteadyDataset,
         *,
         disk_model: DiskModel | None = None,
-        l1_timesteps: int | None = 2,
-        l1_bytes: int | None = None,
+        l1_timesteps: int = 2,
         l2=None,
-        owns_l2: bool = False,
         source=None,
         sleep=time.sleep,
         registry: MetricsRegistry | None = None,
@@ -360,28 +306,9 @@ class TieredTimestepCache:
             )
         self.source = source
         self.l1 = TimestepCache(
-            capacity_timesteps=l1_timesteps,
-            capacity_bytes=l1_bytes,
-            registry=self.registry,
+            capacity_timesteps=l1_timesteps, registry=self.registry
         )
         self.l2 = l2
-        self._owns_l2 = owns_l2
-        self._pinned: set[int] = set()
-        self._pin_lock = threading.Lock()
-        if l2 is not None:
-            # Only a tier-2-backed stack needs eviction notifications.
-            self.l1.add_evict_listener(self._on_l1_evict)
-
-    # -- wiring ----------------------------------------------------------------
-
-    def _on_l1_evict(self, t: int, arr: np.ndarray) -> None:
-        if self.l2 is None:
-            return
-        with self._pin_lock:
-            if t not in self._pinned:
-                return
-            self._pinned.discard(t)
-        self.l2.release(t)
 
     # -- the read API ----------------------------------------------------------
 
@@ -394,11 +321,6 @@ class TieredTimestepCache:
         if self.l2 is not None:
             arr = self.l2.get(t)
             if arr is not None:
-                with self._pin_lock:
-                    already = t in self._pinned
-                    self._pinned.add(t)
-                if already:  # racing promotion: keep a single pin per t
-                    self.l2.release(t)
                 return self.l1.put(t, arr), TIER_L2
         gv = self.source.read(t)
         if self.l2 is not None:
@@ -472,12 +394,6 @@ class TieredTimestepCache:
         return out
 
     def close(self) -> None:
-        with self._pin_lock:
-            pinned = list(self._pinned)
-            self._pinned.clear()
         if self.l2 is not None:
-            for t in pinned:
-                self.l2.release(t)
-            if self._owns_l2:
-                self.l2.close()
+            self.l2.close()
         self.source.close()

@@ -50,18 +50,15 @@ class TimestepLoader:
         worker; ``False`` builds no worker and makes it a no-op.
     capacity
         Timesteps retained in the tier-1 buffer (2 = classic double
-        buffering).  ``capacity_bytes`` adds a byte budget (see
-        :meth:`TimestepCache.from_residency`).
+        buffering).
     sleep
         Injectable sleep function (e.g. a ``VirtualClock.sleep``) so tests
         and analytic benchmarks don't spend real wall-clock time.
     cache
         A pre-built :class:`TieredTimestepCache` (gateway workers and
-        the live tunnel pass one); when omitted one is built from
-        ``capacity``/``shared``.
-    shared
-        A tier-2 cache (:class:`~repro.diskio.shmcache.
-        SharedTimestepCache`) for the internally-built tier stack.
+        the live tunnel pass one, as does anyone attaching a tier-2
+        segment); when omitted a tier-1-only stack of ``capacity``
+        timesteps is built.
     registry
         The :class:`~repro.obs.registry.MetricsRegistry` holding the
         ``loader.*`` counters (and, for the internally-built tier stack,
@@ -81,10 +78,8 @@ class TimestepLoader:
         *,
         prefetch: bool = True,
         capacity: int = 2,
-        capacity_bytes: int | None = None,
         sleep=time.sleep,
         cache: TieredTimestepCache | None = None,
-        shared=None,
         registry=None,
     ) -> None:
         if cache is None:
@@ -92,8 +87,6 @@ class TimestepLoader:
                 dataset,
                 disk_model=disk_model,
                 l1_timesteps=capacity,
-                l1_bytes=capacity_bytes,
-                l2=shared,
                 sleep=sleep,
                 registry=registry,
             )
@@ -111,7 +104,6 @@ class TimestepLoader:
         self.misses = self.registry.counter("loader.misses")
         self.prefetch_issued = self.registry.counter("loader.prefetch_issued")
         self.prefetch_errors = self.registry.counter("loader.prefetch_errors")
-        self.stall_seconds = self.registry.counter("loader.stall_seconds")
 
     # -- internals -------------------------------------------------------------
 
@@ -156,9 +148,7 @@ class TimestepLoader:
                 # demand read below raises its own error if the fault
                 # persists.
                 pass
-            stall = time.perf_counter() - start
-            self.stall_seconds.inc(stall)
-            self.cache.l1.stats.stall(stall)
+            self.cache.l1.stats.stall(time.perf_counter() - start)
         if gv is not None:
             self.hits.inc()
         else:

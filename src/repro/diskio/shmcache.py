@@ -473,13 +473,6 @@ class SharedTimestepCache:
                 best, best_tick = slot, tick
         return best
 
-    def release(self, t: int) -> None:
-        """Reads are copy-out, so there is nothing to release.
-
-        Kept so tier-2 implementations with view-lending semantics slot
-        into :class:`~repro.diskio.cache.TieredTimestepCache` unchanged.
-        """
-
     # -- introspection / lifecycle ---------------------------------------------
 
     @property

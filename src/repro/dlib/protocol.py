@@ -21,10 +21,10 @@ Invariants this module guarantees (docs/protocol.md, docs/network.md):
   (:data:`TRACE_FLAG`); a message that does not use an extension is
   byte-identical to the pre-extension format, so old decoders read new
   default-mode traffic unchanged and new decoders read old traffic with
-  the extension fields zeroed.  New *value* capabilities (the ``<f2``
-  dtype, the fixed-point point codec below) are only ever sent to peers
-  that negotiated them (``wt.subscribe``) — a v1 peer never receives
-  bytes its decoder cannot parse.
+  the extension fields zeroed.  New *value* capabilities (the
+  fixed-point point codec below) are only ever sent to peers that
+  negotiated them (``wt.subscribe``) — a v1 peer never receives bytes
+  its decoder cannot parse.
 * **Bounded decode.**  Dtypes are whitelisted, byte counts are checked
   against shapes before allocation, nesting depth is capped: hostile
   wire data raises :class:`DlibProtocolError`, never executes.
@@ -39,10 +39,10 @@ old traffic as ``trace_id=0``.  See docs/protocol.md, "Traced messages".
 Quantized points (v2 frame encoding, docs/network.md): the paper ships
 12 bytes per path point (three float32s, section 5.1 / Table 1).
 :func:`quantize_points` / :func:`dequantize_points` implement the
-6-byte/point alternatives — IEEE float16 components, or per-axis
-fixed-point int16 with an explicit error bound — used by the
-bandwidth-adaptive frame delivery layer.  :func:`pack_q16` /
-:func:`unpack_q16` are the lossless wire form of that int16 grid:
+6-byte/point alternative — per-axis fixed-point int16 with an explicit
+error bound — used by the negotiated frame delivery layer.
+:func:`pack_q16` / :func:`unpack_q16` are the lossless wire form of that
+int16 grid:
 differences along each polyline, byte-shuffled and deflated, because a
 smooth streamline's neighbouring vertices differ by a few levels, not by
 sixteen bits.
@@ -50,6 +50,7 @@ sixteen bits.
 
 from __future__ import annotations
 
+import math
 import struct
 import zlib
 from enum import IntEnum
@@ -81,11 +82,9 @@ __all__ = [
 _MAX_DEPTH = 32
 
 # Supported array dtypes, whitelisted so a hostile peer cannot request
-# object arrays or other dtypes with side effects.  ``<f2`` (IEEE
-# float16) is a v2 extension: the server only ships it to clients that
-# negotiated a half-precision encoding via ``wt.subscribe``.
+# object arrays or other dtypes with side effects.
 _ALLOWED_DTYPES = {
-    "<f2", "<f4", "<f8", "<i2", "<i4", "<i8", "<u2", "<u4", "<u8",
+    "<f4", "<f8", "<i2", "<i4", "<i8", "<u2", "<u4", "<u8",
     "|i1", "|u1", "|b1",  # single-byte dtypes carry no byte order
 }
 
@@ -357,7 +356,9 @@ def _decode(r: _Reader, depth: int):
             raise DlibProtocolError("negative array dimension")
         (nbytes,) = r.unpack("<Q")
         dt = np.dtype(dtype_str)
-        count = int(np.prod(shape, dtype=np.int64)) if ndim else 1
+        # Python ints: an int64 product of hostile dimensions can wrap
+        # to a count that matches ``nbytes``.
+        count = math.prod(shape)
         if nbytes != count * dt.itemsize:
             raise DlibProtocolError("array byte count does not match shape")
         raw = r.take(nbytes)
@@ -602,24 +603,21 @@ def unpack_q16(payload: dict) -> np.ndarray:
 def decode_path_entry(entry: dict) -> dict:
     """Normalize one wire path entry to the v1 in-memory shape.
 
-    A v2 frame may carry a rake entry in any negotiated encoding:
-    float32 (``vertices``), float16 (``vertices`` with dtype ``<f2``), or
-    fixed point — packed as the server ships it
-    (``qpack``/``qshape``/``scale``/``offset``, see :func:`pack_q16`) or
-    as :func:`quantize_points`' plain ``q`` array.  This returns the
-    common ``{"kind", "vertices" (float32), "lengths"}`` form the render
-    path consumes, so everything above the decoder is encoding-agnostic.
+    A v2 frame carries a rake entry in its negotiated encoding: float32
+    (``vertices``) or packed fixed point
+    (``qpack``/``qshape``/``scale``/``offset``, see :func:`pack_q16`).
+    This returns the common ``{"kind", "vertices" (float32), "lengths"}``
+    form the render path consumes, so everything above the decoder is
+    encoding-agnostic.
     """
     if not isinstance(entry, dict) or "kind" not in entry or "lengths" not in entry:
         raise DlibProtocolError("malformed path entry")
     if "qpack" in entry:
         vertices = dequantize_points(dict(entry, q=unpack_q16(entry)))
-    elif "q" in entry:
-        vertices = dequantize_points(entry)
     elif "vertices" in entry:
         vertices = np.asarray(entry["vertices"], dtype=np.float32)
     else:
-        raise DlibProtocolError("path entry has neither vertices nor q")
+        raise DlibProtocolError("path entry has neither vertices nor qpack")
     return {
         "kind": entry["kind"],
         "vertices": vertices,

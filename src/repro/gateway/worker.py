@@ -37,11 +37,9 @@ DEFAULT_SPEC = {
     "lease_seconds": 30.0,
     "reap_interval": 1.0,
     "allow_chaos": False,
-    # Tier-1 timesteps each worker's loader retains; ``timestep_cache``
-    # (set by the gateway) names a tier-2 shared-memory segment workers
-    # attach so co-located sessions share decoded timesteps:
+    # Set by the gateway: the tier-2 shared-memory segment workers attach
+    # so co-located sessions share decoded timesteps:
     # {"segment": str, "slots": int, "create": "never"}.
-    "cache_timesteps": 2,
     "timestep_cache": None,
 }
 
@@ -126,13 +124,8 @@ def run_worker(spec: dict, conn: Connection) -> None:
                 create=str(cache_spec.get("create", "never")),
                 registry=registry,
             )
-            tiers = TieredTimestepCache(
-                dataset,
-                l1_timesteps=int(spec["cache_timesteps"]),
-                l2=shared,
-                owns_l2=True,  # the attachment dies with this worker
-                registry=registry,
-            )
+            # The attachment dies with this worker's cache.
+            tiers = TieredTimestepCache(dataset, l2=shared, registry=registry)
             loader = TimestepLoader(dataset, cache=tiers, prefetch=False)
         except (OSError, ValueError):
             loader = None

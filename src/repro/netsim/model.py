@@ -37,14 +37,13 @@ BYTES_PER_POINT = 12
 #: rejects.
 BYTES_PER_POINT_STEREO_PROJECTED = 16
 
-#: Bytes per point under the v2 quantized encodings (three IEEE float16,
-#: or three int16 fixed-point components) — half the paper's 12
-#: (docs/network.md).  Exact for ``f16``; an *upper bound* for ``q16``,
-#: whose int16 grid ships losslessly packed and lands well below it on
-#: smooth paths (about 2 bytes/point at paper scale).  How far below
-#: depends on the data, so no packed constant is fitted here.  The q16
-#: per-rake scale/offset header (24 bytes) is amortized across the
-#: rake's points and ignored here.
+#: Bytes per point under the v2 quantized encoding (three int16
+#: fixed-point components) — half the paper's 12 (docs/network.md).  An
+#: *upper bound* for ``q16``, whose int16 grid ships losslessly packed
+#: and lands well below it on smooth paths (about 2 bytes/point at paper
+#: scale).  How far below depends on the data, so no packed constant is
+#: fitted here.  The q16 per-rake scale/offset header (24 bytes) is
+#: amortized across the rake's points and ignored here.
 BYTES_PER_POINT_QUANTIZED = 6
 
 

@@ -5,8 +5,8 @@
 * :mod:`~repro.perf.pipeline` — the figure 8/9 pipeline-overlap model:
   what overlapping disk load, computation, and network send buys over
   running them serially.
-* :mod:`~repro.perf.wire` — the v2 wire-efficiency model: what deltas,
-  quantization, and decimation buy against Table 1's 12 bytes/point
+* :mod:`~repro.perf.wire` — the v2 wire-efficiency model: what deltas
+  and quantization buy against Table 1's 12 bytes/point
   (docs/network.md).
 
 Everything else about where a frame's time goes is measured, not

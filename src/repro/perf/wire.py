@@ -1,11 +1,11 @@
 """Analytic wire model for v2 frame delivery (docs/network.md).
 
 Table 1 priced the paper's delivery at 12 bytes per point per frame,
-every frame, to every client.  The v2 layer cuts that three ways —
-quantization (6 bytes/point), decimation (1/n of the points), and deltas
-(only rakes whose geometry changed ship at all) — and this module prices
-the combination, so benchmarks can check the measured reduction against
-what the encoding arithmetic predicts.
+every frame, to every client.  The v2 layer cuts that two ways —
+quantization (6 bytes/point) and deltas (only rakes whose geometry
+changed ship at all) — and this module prices the combination, so
+benchmarks can check the measured reduction against what the encoding
+arithmetic predicts.
 
 For ``q16`` the prediction is an upper bound: the wire form packs the
 int16 grid losslessly (``repro.dlib.pack_q16``) by an amount that
@@ -32,23 +32,19 @@ def frame_payload_bytes(
     n_points: int,
     *,
     encoding: str = "v1",
-    decimate: int = 1,
     n_rakes: int = 1,
 ) -> int:
     """Predicted ``paths`` payload bytes for one full (keyframe) frame.
 
-    Exact arithmetic for ``v1`` and ``f16``.  For ``q16`` it is the
+    Exact arithmetic for ``v1``.  For ``q16`` it is the
     unpacked 6 bytes/point: the packed form undercuts it on any smooth
     path, and on incompressible input exceeds it only by deflate's
     stored-block framing (tens of bytes per entry).
     """
     if n_points < 0:
         raise ValueError("n_points must be non-negative")
-    if decimate < 1:
-        raise ValueError("decimate must be >= 1")
     per_point = BYTES_PER_POINT if encoding == "v1" else BYTES_PER_POINT_QUANTIZED
-    shipped = -(-n_points // decimate)  # ceil division
-    return shipped * per_point + n_rakes * RAKE_OVERHEAD_BYTES
+    return n_points * per_point + n_rakes * RAKE_OVERHEAD_BYTES
 
 
 @dataclass(frozen=True)
@@ -72,7 +68,7 @@ class SessionWireModel:
         per_frame = frame_payload_bytes(self.n_points, n_rakes=self.n_rakes)
         return self.n_frames * per_frame
 
-    def v2_bytes(self, *, encoding: str = "q16", decimate: int = 1) -> int:
+    def v2_bytes(self, *, encoding: str = "q16") -> int:
         """Total ``paths`` bytes with deltas plus the given encoding.
 
         Frame one is a keyframe; every later frame ships only the
@@ -81,7 +77,6 @@ class SessionWireModel:
         key = frame_payload_bytes(
             self.n_points,
             encoding=encoding,
-            decimate=decimate,
             n_rakes=self.n_rakes,
         )
         changed_points = int(self.n_points * self.changed_fraction)
@@ -89,12 +84,11 @@ class SessionWireModel:
         delta = frame_payload_bytes(
             changed_points,
             encoding=encoding,
-            decimate=decimate,
             n_rakes=changed_rakes,
         )
         return key + (self.n_frames - 1) * delta
 
-    def reduction(self, *, encoding: str = "q16", decimate: int = 1) -> float:
+    def reduction(self, *, encoding: str = "q16") -> float:
         """v1 bytes over v2 bytes — the wire bench's headline ratio."""
-        v2 = self.v2_bytes(encoding=encoding, decimate=decimate)
+        v2 = self.v2_bytes(encoding=encoding)
         return self.v1_bytes() / v2 if v2 else float("inf")

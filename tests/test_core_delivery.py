@@ -188,7 +188,7 @@ def _wire(reply: dict) -> dict:
 def _expected(frame: PublishedFrame, sub: Subscription) -> dict:
     """decode(frame.compose(wanted, ...)): the scene ``sub`` asked for."""
     wanted = [rid for rid, e in frame.entries.items() if sub.wants(rid, e.kind)]
-    fragment = frame.compose(wanted, encoding=sub.encoding, decimate=sub.decimate)
+    fragment = frame.compose(wanted, encoding=sub.encoding)
     return {
         rid: decode_path_entry(entry)
         for rid, entry in decode_value(fragment.data).items()
@@ -226,9 +226,22 @@ def test_first_reply_under_new_terms_keyframes_whatever_the_ack():
     delivery.subscribe(7, {"encoding": "v1"})
     frame = _publish(delivery, loop, pipeline, _frame({"1": 1}, 0))
     assert delivery.frame(7, 0)["v2"]["mode"] == "keyframe"
-    delivery.subscribe(7, {"encoding": "f16"})
+    delivery.subscribe(7, {"encoding": "q16"})
     assert delivery.frame(7, frame.seq)["v2"]["mode"] == "keyframe"
     assert delivery.frame(7, frame.seq)["v2"]["mode"] == "delta"
+
+
+def test_an_unknown_encoding_is_refused_by_name():
+    """Two encodings: the half-float one is gone, and a subscriber asking
+    for it is told which two there are, its old terms untouched."""
+    delivery, loop, pipeline = _delivery()
+    delivery.subscribe(7, {"encoding": "q16"})
+    held = delivery._subs[7]
+    for bad in ("f16", "zstd"):
+        with pytest.raises(ValueError, match=r"\('v1', 'q16'\)"):
+            delivery.subscribe(7, {"encoding": bad})
+    assert delivery._subs[7] is held
+    assert ENCODINGS == ("v1", "q16")
 
 
 def test_removed_rake_is_dropped():
@@ -288,7 +301,6 @@ def test_default_subscription_replies_carry_no_envelope_and_record_nothing():
 subscriptions = st.fixed_dictionaries(
     {
         "encoding": st.sampled_from(ENCODINGS),
-        "decimate": st.integers(1, 3),
         "deltas": st.booleans(),
         "rakes": st.none() | st.lists(st.sampled_from(sorted(KINDS)), unique=True),
         "kinds": st.none() | st.lists(

@@ -490,7 +490,7 @@ class TestSubscriberChurn:
                 for i in range(100)
             ]
             for cid in cids:
-                srv._rpc_subscribe(None, cid, {"encoding": "f16"})
+                srv._rpc_subscribe(None, cid, {"encoding": "q16"})
             assert len(srv.delivery._subs) == 100
             # Half leave politely; half just vanish mid-session.
             for cid in cids[:50]:

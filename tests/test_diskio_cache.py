@@ -4,7 +4,7 @@ Tier 2's shared-memory protocol has its own suite
 (test_diskio_shmcache.py); the network block server has
 test_blockserver.py.  This file covers the pure-Python pieces — the
 per-tier accounting contract (exact reconciliation, one store per
-number), the L1 LRU's budgets and read-only discipline, the modeled source tier,
+number), the L1 LRU's budget and read-only discipline, the modeled source tier,
 the L1→L2→source fall-through, and the end-to-end guarantee that
 ``wt.metrics`` reports cache counters that reconcile exactly with the
 loads a deterministic session injected.
@@ -22,7 +22,6 @@ from repro.diskio.cache import (
     TierCounters,
     TimestepCache,
     dataset_key,
-    decoded_timestep_nbytes,
 )
 from repro.flow import tapered_cylinder_dataset
 from repro.obs import MetricsRegistry
@@ -82,22 +81,15 @@ class TestTimestepCache:
         assert c.keys == [0, 2]
         assert c.stats.evictions.value == 1
 
-    def test_byte_budget_evicts(self):
-        one = self._arr(1)
-        c = TimestepCache(capacity_timesteps=None, capacity_bytes=one.nbytes * 2)
-        c.put(0, self._arr(0))
-        c.put(1, self._arr(1))
-        assert len(c) == 2
-        c.put(2, self._arr(2))
-        assert c.keys == [1, 2]
-        assert c.resident_bytes == one.nbytes * 2
-
     def test_oversized_entry_still_flows(self):
-        c = TimestepCache(capacity_timesteps=None, capacity_bytes=8)
-        big = np.zeros(64)
-        view = c.put(0, big)
-        assert c.peek(0) is not None
-        assert view.nbytes == big.nbytes
+        """The budget counts timesteps, not bytes: an entry of any size is
+        cached, and the newest insert is always resident."""
+        c = TimestepCache(capacity_timesteps=1)
+        c.put(0, self._arr(0))
+        big = np.zeros(1 << 16)
+        view = c.put(1, big)
+        assert c.keys == [1] and view.nbytes == big.nbytes
+        assert c.resident_bytes == big.nbytes
 
     def test_entries_are_read_only(self):
         c = TimestepCache(capacity_timesteps=2)
@@ -116,14 +108,6 @@ class TestTimestepCache:
         c.peek(1)
         assert (c.stats.hits.value, c.stats.misses.value) == (1, 1)
 
-    def test_evict_listener_fires_outside_lock(self):
-        c = TimestepCache(capacity_timesteps=1)
-        seen = []
-        c.add_evict_listener(lambda t, arr: (seen.append(t), c.keys))
-        c.put(0, self._arr(0))
-        c.put(1, self._arr(1))
-        assert seen == [0]
-
     def test_pop_is_not_an_eviction(self):
         c = TimestepCache(capacity_timesteps=2)
         c.put(0, self._arr(0))
@@ -133,18 +117,7 @@ class TestTimestepCache:
 
     def test_invalid_budgets(self):
         with pytest.raises(ValueError):
-            TimestepCache(capacity_timesteps=None, capacity_bytes=None)
-        with pytest.raises(ValueError):
             TimestepCache(capacity_timesteps=0)
-        with pytest.raises(ValueError):
-            TimestepCache(capacity_timesteps=None, capacity_bytes=0)
-
-    def test_from_residency_budgets_decoded_bytes(self, dataset):
-        c = TimestepCache.from_residency(dataset, memory_bytes=1 << 30)
-        assert c.capacity_timesteps >= 1
-        assert c.capacity_bytes == c.capacity_timesteps * decoded_timestep_nbytes(
-            dataset
-        )
 
 
 class TestDatasetSource:
@@ -171,7 +144,6 @@ class _FakeL2:
     def __init__(self):
         self.stats = TierCounters(TIER_L2)
         self.entries = {}
-        self.released = []
         self.closed = False
 
     def get(self, t):
@@ -184,9 +156,6 @@ class _FakeL2:
 
     def put(self, t, arr):
         self.entries[t] = np.asarray(arr).copy()
-
-    def release(self, t):
-        self.released.append(t)
 
     def close(self):
         self.closed = True
@@ -207,23 +176,14 @@ class TestTieredTimestepCache:
         np.testing.assert_array_equal(arr, arr2)
         assert not arr2.flags.writeable
 
-    def test_l1_eviction_releases_the_pin(self, dataset):
+    def test_close_closes_l2(self, dataset):
         l2 = _FakeL2()
-        tiers = TieredTimestepCache(dataset, l1_timesteps=1, l2=l2)
+        tiers = TieredTimestepCache(dataset, l1_timesteps=2, l2=l2)
         tiers.get(0)
         tiers.l1.pop(0)
-        tiers.get(0)  # L2 hit: promoted into L1 with a pin
-        tiers.get(1)  # L1 capacity 1: evicts 0, releasing its pin
-        assert l2.released == [0]
-
-    def test_close_releases_pins_and_owned_l2(self, dataset):
-        l2 = _FakeL2()
-        tiers = TieredTimestepCache(dataset, l1_timesteps=2, l2=l2, owns_l2=True)
-        tiers.get(0)
-        tiers.l1.pop(0)
-        tiers.get(0)  # pinned promotion
+        tiers.get(0)  # an L2 hit holds nothing open
         tiers.close()
-        assert l2.released == [0] and l2.closed
+        assert l2.closed
 
     def test_prefetch_hint_filters_and_survives_errors(self, dataset):
         hints = []

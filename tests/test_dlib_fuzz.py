@@ -25,6 +25,16 @@ from repro.dlib import (
 from repro.dlib.transport import Stream, pipe_pair
 
 
+def _array_header(shape, dtype: str = "<f8", payload: bytes = b"") -> bytes:
+    """The wire bytes of an array claiming ``shape`` over ``payload``."""
+    tag = dtype.encode()
+    return (
+        b"A" + struct.pack("<B", len(tag)) + tag
+        + struct.pack("<B", len(shape)) + struct.pack(f"<{len(shape)}q", *shape)
+        + struct.pack("<Q", len(payload)) + payload
+    )
+
+
 class TestDecoderFuzz:
     @given(st.binary(max_size=200))
     @settings(max_examples=300)
@@ -81,6 +91,27 @@ class TestDecoderFuzz:
         out += b"\0" * 32
         with pytest.raises(DlibProtocolError):
             decode_value(bytes(out))
+
+    @given(
+        st.lists(st.integers(0, 62), min_size=1, max_size=3),
+        st.sampled_from(["<f8", "<f4", "<i2", "|u1"]),
+        st.randoms(use_true_random=False),
+    )
+    @settings(max_examples=100)
+    def test_shape_whose_int64_product_wraps_is_a_protocol_error(
+        self, exponents, dtype, rng
+    ):
+        """Dimensions whose product reaches 2**64 multiply to 0 in int64:
+        counted that way, the header matched an empty payload and the
+        reshape raised a ``ValueError`` the server does not catch."""
+        shape = [1 << e for e in exponents]
+        missing = 64 - sum(exponents)
+        while missing > 0:
+            shape.append(1 << min(missing, 62))
+            missing -= 62
+        rng.shuffle(shape)
+        with pytest.raises(DlibProtocolError):
+            decode_value(_array_header(shape, dtype))
 
     def test_unhashable_dict_key_rejected(self):
         # A dict whose key is a list: legal to encode? Keys go through the
@@ -189,6 +220,36 @@ class TestServerAbuse:
             c.close()
         with DlibClient(*server.address) as c:
             assert c.call("echo", "alive") == "alive"
+
+    def test_wrapping_array_shape_costs_one_connection_not_the_loop(self):
+        """One CALL whose argument claims a (2**32, 2**32) float64 array
+        over an empty payload used to kill a windtunnel server's service
+        thread; now it is one protocol error, and the next client's ping
+        is answered."""
+        from repro import WindtunnelServer, tapered_cylinder_dataset
+        from repro.dlib.protocol import MessageKind
+        from repro.dlib.transport import connect_tcp
+        from tests import wait_until
+
+        call = (
+            struct.pack("<BI", int(MessageKind.CALL), 1)
+            + b"M" + struct.pack("<I", 3)
+            + encode_value("proc") + encode_value("dlib.ping")
+            + encode_value("args") + b"L" + struct.pack("<I", 1)
+            + _array_header([2**32, 2**32])
+            + encode_value("kwargs") + encode_value({})
+        )
+        dataset = tapered_cylinder_dataset(shape=(6, 6, 4), n_timesteps=2)
+        with WindtunnelServer(dataset) as srv:
+            bad = connect_tcp(*srv.address)
+            try:
+                bad.send(call)
+                wait_until(lambda: srv.dlib.context.disconnects >= 1)
+            finally:
+                bad.close()
+            with DlibClient(*srv.address, call_timeout=5.0) as good:
+                assert good.ping("alive") == "alive"
+                assert good.call("dlib.stats")["protocol_errors"] == 1
 
 
 class TestAdversarialTransport:

@@ -11,8 +11,8 @@ and rejection paths) with the properties the observability PR leans on:
   byte-identical to the pre-extension format, so old-format messages
   (and old decoders) keep working — the compat regression suite;
 * the packed q16 form (``pack_q16`` / ``unpack_q16``) is lossless on any
-  int16 polyline grid, decodes bit-identically to the plain ``q`` array,
-  and rejects every damaged payload with a typed error.
+  int16 polyline grid, decodes bit-identically to ``dequantize_points``
+  of that grid, and rejects every damaged payload with a typed error.
 """
 
 import struct
@@ -225,7 +225,7 @@ polylines = arrays(
 
 
 def packed_entry(vertices: np.ndarray) -> dict:
-    """A q16 rake entry as the server builds it (``RakeEntry._build``)."""
+    """A q16 rake entry as the server builds it (``RakeEntry._build_q16``)."""
     payload = quantize_points(vertices)
     return {
         "kind": "streamline",

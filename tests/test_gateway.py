@@ -45,13 +45,13 @@ class TestSessionJournal:
     def test_recovery_state_carries_everything(self):
         j = SessionJournal()
         j.record_join("w0", 1, "alice", "tok1")
-        j.record_subscribe(1, {"encoding": "f16", "deltas": True})
+        j.record_subscribe(1, {"encoding": "q16", "deltas": True})
         j.record_add_rake(1, 7, {"end_a": [0, 0, 0]})
         j.record_clock("w0", {"position": 3.5, "playing": False})
         j.record_tool_settings("w0", {"streamline_steps": 9})
         state = j.recovery_state("w0")
         assert state["sessions"][0]["token"] == "tok1"
-        assert state["sessions"][0]["subscription"]["encoding"] == "f16"
+        assert state["sessions"][0]["subscription"]["encoding"] == "q16"
         assert state["rakes"]["7"]["end_a"] == [0, 0, 0]
         assert state["clock"]["playing"] is False
         assert state["tool_settings"]["streamline_steps"] == 9
@@ -385,8 +385,8 @@ class TestGatewayRouting:
 
         host, port = gateway.address
         with WindtunnelClient(host, port, name="subber") as c:
-            info = c.subscribe(encoding="f16", deltas=True)
-            assert info["enabled"] and info["encoding"] == "f16"
+            info = c.subscribe(encoding="q16", deltas=True)
+            assert info["enabled"] and info["encoding"] == "q16"
             c.time_control("pause")
             worker = gateway.journal.worker_of(c.client_id)
             state = gateway.journal.recovery_state(worker)
@@ -394,7 +394,10 @@ class TestGatewayRouting:
                 s for s in state["sessions"]
                 if s["client_id"] == c.client_id
             )
-            assert entry["subscription"]["encoding"] == "f16"
+            assert entry["subscription"] == {
+                "encoding": "q16", "deltas": True, "push": False,
+                "rakes": None, "kinds": None,
+            }
             assert state["clock"]["playing"] is False
             c.time_control("resume")
 

@@ -121,7 +121,7 @@ class TestRepliesAreProjections:
                 "hits": "loader.hits",
                 "misses": "loader.misses",
                 "prefetch_issued": "loader.prefetch_issued",
-                "stall_seconds": "loader.stall_seconds",
+                "stall_seconds": "cache.l1.stall_seconds",
                 "modeled_read_seconds": "cache.source.stall_seconds",
             },
             snapshot,

@@ -104,8 +104,10 @@ def test_option_counts_are_pinned():
 
     import repro
     from repro.core import ComputeEngine, FramePipeline, PublishedFrame
-    from repro.core import WindtunnelServer
-    from repro.diskio import TieredTimestepCache, TimestepLoader
+    from repro.core import WindtunnelClient, WindtunnelServer
+    from repro.core.delivery import Subscription
+    from repro.core.framestore import ENCODINGS
+    from repro.diskio import TieredTimestepCache, TimestepCache, TimestepLoader
     from repro.gateway.worker import DEFAULT_SPEC
     from repro.tracers import (
         IntegratorWorkspace,
@@ -123,7 +125,16 @@ def test_option_counts_are_pinned():
     assert options(WindtunnelServer) == 14
     assert options(ComputeEngine) == 4
     assert options(FramePipeline) == 6
-    assert options(TieredTimestepCache) == 9  # no caller-supplied shared L1
+    # Tier 1 is budgeted in timesteps, and tier 2 copies out: no byte
+    # budget, no ownership flag, no pins to release.
+    assert options(TieredTimestepCache) == 7
+    assert options(TimestepLoader) == 7
+    assert options(TimestepCache) == 2
+    # One lossy encoding beside the paper's float32, and no decimation.
+    assert ENCODINGS == ("v1", "q16")
+    # The options are the fields that decide equality (not conn or seq).
+    assert sum(f.compare for f in dataclasses.fields(Subscription)) == 5
+    assert len(parameters(WindtunnelClient.subscribe)) == 5
     assert options(IntegratorWorkspace) == 0
     assert len(inspect.signature(advance_rk2).parameters) == 3
     # One integration kernel: Table 3's other four are benchmark code.
@@ -155,7 +166,7 @@ def test_option_counts_are_pinned():
         str(p) for p in tracers
         if "multiprocessing" in p.read_text() or "atexit" in p.read_text()
     ]
-    assert len(DEFAULT_SPEC) == 10
+    assert len(DEFAULT_SPEC) == 9
     # Paths, digests and the point count are read off the per-rake entries.
     assert len(dataclasses.fields(PublishedFrame)) == 7
     # A frame is a function of its key: no budget controller to export.

@@ -11,8 +11,8 @@ the compat contract of docs/network.md:
   every delivery mode — cache hit, parked pull, PUSH — ships the bytes
   ``PublishedFrame.compose`` produces (the delivery-equivalence matrix);
 * the packed ``q16`` wire form decodes, over real sockets, to exactly
-  what the plain int16 form decoded to — keyframe, delta, decimated and
-  pushed — and is still built once per ``(rake, encoding, decimate)``;
+  what ``dequantize_points`` makes of the int16 grid — keyframe, delta
+  and pushed — and is still built once per rake entry;
 * a push subscriber that also pulls keeps one delta base, and negotiated
   terms survive a reconnect and a reap.
 
@@ -89,25 +89,6 @@ def test_quantized_payload_survives_the_wire(vertices):
     np.testing.assert_array_equal(decoded["offset"], payload["offset"])
 
 
-@settings(max_examples=40, deadline=None)
-@given(point_arrays)
-def test_f16_entry_decodes_to_float32(vertices):
-    entry = {
-        "kind": "streamline",
-        "vertices": np.ascontiguousarray(vertices, dtype=np.float16),
-        "lengths": np.full(vertices.shape[0], vertices.shape[1], dtype=np.int64),
-    }
-    decoded = decode_path_entry(decode_value(encode_value(entry)))
-    assert decoded["vertices"].dtype == np.float32
-    err = np.abs(
-        decoded["vertices"].astype(np.float64) - vertices.astype(np.float64)
-    )
-    # float16 relative error: ~2^-11 of the magnitude.
-    if err.size:
-        tol = 1e-3 * max(1.0, float(np.abs(vertices).max()))
-        assert float(err.max()) <= tol
-
-
 def test_quantize_rejects_bad_shape():
     with pytest.raises(DlibProtocolError):
         quantize_points(np.zeros((4, 2), dtype=np.float32))
@@ -120,6 +101,21 @@ def test_decode_path_entry_rejects_malformed():
         decode_path_entry({"kind": "streamline", "lengths": [1]})
     with pytest.raises(DlibProtocolError):
         decode_path_entry("not a dict")
+    # The unpacked int16 grid is not a wire form: servers ship ``qpack``.
+    plain = quantize_points(np.zeros((1, 2, 3), dtype=np.float32))
+    with pytest.raises(DlibProtocolError):
+        decode_path_entry({"kind": "streamline", "lengths": [2], **plain})
+
+
+def test_half_floats_are_not_a_wire_dtype():
+    """No encoding ships float16 any more, so the whitelist refuses it
+    both ways."""
+    half = np.zeros((2, 3), dtype=np.float16)
+    with pytest.raises(DlibProtocolError):
+        encode_value(half)
+    wire = encode_value(half.astype(np.int16)).replace(b"<i2", b"<f2", 1)
+    with pytest.raises(DlibProtocolError):
+        decode_value(wire)
 
 
 # -- encode-once frame store --------------------------------------------------
@@ -173,20 +169,20 @@ def test_encoding_cache_builds_each_variant_once():
     counters = VariantCounters()
     frame = _frame({1: _Result(1)}, counters=counters)
     entry = frame.entries["1"]
-    first = entry.fragment("q16", 1)
-    again = entry.fragment("q16", 1)
+    first = entry.fragment("q16")
+    again = entry.fragment("q16")
     assert first == again
     assert counters.misses.value == 1 and counters.hits.value == 1
     # The v1 fragment built with the entry is neither a hit nor a miss.
-    entry.fragment("v1", 1)
+    entry.fragment("v1")
     assert counters.misses.value == 1 and counters.hits.value == 1
-    # A later frame holding the same entry shares its variants.
+    # A later frame holding the same entry shares its fragments.
     later = PublishedFrame(
         version=2, timestep=1, seq=0, entries=frame.entries, compute_seconds=0.0
     )
     assert later.compose(["1"], "q16").data == frame.compose(["1"], "q16").data
     assert counters.misses.value == 1 and counters.hits.value == 3
-    assert sorted(entry.variants) == [("q16", 1), ("v1", 1)]
+    assert sorted(entry.variants) == ["q16", "v1"]
 
 
 def test_q16_variant_ships_only_the_packed_form():
@@ -206,22 +202,12 @@ def test_q16_variant_ships_only_the_packed_form():
     assert counters.q16_raw_bytes.value == plain["q"].nbytes
 
 
-def test_decimated_entry_keeps_every_nth_point():
-    frame = _frame({1: _Result(1, n_seeds=2, length=9)})
-    fragment = frame.compose(["1"], encoding="v1", decimate=3)
-    decoded = decode_value(fragment.data)["1"]
-    np.testing.assert_array_equal(
-        decoded["vertices"], frame.paths["1"]["vertices"][:, ::3, :]
-    )
-    assert list(decoded["lengths"]) == [3, 3]
-
-
 def test_cache_rejects_unknown_variant():
     frame = _frame({1: _Result(1)})
-    with pytest.raises(ValueError):
-        frame.entries["1"].fragment("zstd", 1)
-    with pytest.raises(ValueError):
-        frame.entries["1"].fragment("v1", 0)
+    for encoding in ("zstd", "f16"):
+        with pytest.raises(ValueError):
+            frame.entries["1"].fragment(encoding)
+    assert frame.entries["1"].variants == ["v1"]
 
 
 def test_bandwidth_schedule_steps():
@@ -352,7 +338,6 @@ class TestInterop:
                     "mode": "delta",
                     "base": 12345,
                     "encoding": "v1",
-                    "decimate": 1,
                     "removed": [],
                 },
             }
@@ -391,7 +376,7 @@ class TestInterop:
             if isinstance(value, str):
                 with pytest.raises(ValueError, match=key):
                     c.subscribe(**{key: value})
-            c.subscribe(encoding="f16", rakes=[1], kinds=("streamline",))
+            c.subscribe(encoding="q16", rakes=[1], kinds=("streamline",))
             held = server.delivery._subs[c.client_id]
             assert held.rakes == {"1"} and held.kinds == {"streamline"}
             with pytest.raises(DlibRemoteError, match=f"{key} must be a list"):
@@ -402,8 +387,8 @@ class TestInterop:
             assert server.delivery._subs[c.client_id] is held
 
     def test_journal_written_before_the_controllers_went_restores(self, server):
-        """The literal shape the previous commit's gateway journaled —
-        ``adaptive`` still among the terms — restores: ``from_wire``
+        """The literal shape an older gateway journaled — ``adaptive`` and
+        ``decimate`` still among the terms — restores: ``from_wire``
         ignores keys it does not know."""
         state = {
             "sessions": [{
@@ -422,9 +407,35 @@ class TestInterop:
         with DlibClient(*server.address) as admin:
             assert admin.call("wt.restore", state) == {"sessions": 1, "rakes": 0}
         assert server.delivery._subs[9100] == Subscription(
-            "q16", 2, True, False, None, frozenset({"streamline"})
+            "q16", True, False, None, frozenset({"streamline"})
         )
         assert server.engine.settings == ToolSettings(9, 0.04, 7, 5)
+
+    def test_checkpoint_with_decimate_restores(self, server, tmp_path):
+        """A gateway journal checkpoint from when the terms carried
+        ``decimate`` loads, and its recovery state restores the session
+        through ``wt.restore`` under the terms that remain."""
+        import json
+
+        from repro.gateway import SessionJournal
+
+        path = tmp_path / "journal.json"
+        path.write_text(json.dumps({"w0": {
+            "sessions": {"9200": {
+                "client_id": 9200, "name": "old", "token": "t",
+                "subscription": {
+                    "encoding": "q16", "deltas": True, "decimate": 1,
+                    "push": False, "rakes": None, "kinds": None,
+                },
+            }},
+            "rakes": {}, "clock": None, "tool_settings": None, "steering": [],
+        }}))
+        state = SessionJournal(str(path)).recovery_state("w0")
+        with DlibClient(*server.address) as admin:
+            assert admin.call("wt.restore", state) == {"sessions": 1, "rakes": 0}
+        restored = server.delivery._subs[9200]
+        assert restored == Subscription("q16", True, False, None, None)
+        assert "decimate" not in restored.to_wire()
 
     def test_unsubscribe_restores_v1_path(self, server):
         with WindtunnelClient(*server.address, name="undo") as c:
@@ -463,42 +474,38 @@ class TestInterop:
 # -- the packed q16 form over real sockets ---------------------------------------
 
 
-def _assert_decodes_as_plain_q16(frame: PublishedFrame, state: dict, decimate: int):
-    """Every held rake equals what the plain (unpacked) q16 form decoded
-    to — bit for bit — and sits inside the advertised error bound."""
+def _assert_decodes_as_plain_q16(frame: PublishedFrame, state: dict):
+    """Every held rake equals ``dequantize_points`` of its int16 grid —
+    bit for bit — and sits inside the advertised error bound."""
     assert state["v2"]["seq"] == frame.seq
     assert state["v2"]["encoding"] == "q16"
-    assert state["v2"]["decimate"] == decimate
     assert set(state["paths"]) == set(frame.paths)
     for rid, entry in state["paths"].items():
-        ref = np.ascontiguousarray(frame.paths[rid]["vertices"][:, ::decimate, :])
+        ref = frame.paths[rid]["vertices"]
         payload = quantize_points(ref)
         np.testing.assert_array_equal(entry["vertices"], dequantize_points(payload))
         assert entry["vertices"].dtype == np.float32
         err = np.abs(entry["vertices"].astype(np.float64) - ref.astype(np.float64))
         assert float(err.max()) <= quantization_error_bound(payload)
-        np.testing.assert_array_equal(
-            entry["lengths"],
-            (frame.paths[rid]["lengths"] + decimate - 1) // decimate,
-        )
+        np.testing.assert_array_equal(entry["lengths"], frame.paths[rid]["lengths"])
 
 
 class TestPackedQ16Loopback:
-    @pytest.mark.parametrize("decimate", [1, 2, 4])
-    def test_keyframe_and_delta_decode_as_plain_q16(self, server, decimate):
+    @pytest.mark.parametrize("n_seeds", [1, 2, 4])  # a one-polyline qpack too
+    def test_keyframe_and_delta_decode_as_plain_q16(self, server, n_seeds):
         with WindtunnelClient(*server.address, name="packed") as c:
             c.time_control("pause")
             for i in range(3):
-                c.add_rake([1 + i, 1, 1], [1 + i, 7, 3], n_seeds=5)
-            c.subscribe(encoding="q16", deltas=True, decimate=decimate)
+                c.add_rake([1 + i, 1, 1], [1 + i, 7, 3], n_seeds=n_seeds)
+            c.subscribe(encoding="q16", deltas=True)
             key = c.fetch_frame()
             assert key["v2"]["mode"] == "keyframe"
-            _assert_decodes_as_plain_q16(server.store.latest(), key, decimate)
+            _assert_decodes_as_plain_q16(server.store.latest(), key)
             held = {rid: e["vertices"] for rid, e in key["paths"].items()}
             new = c.add_rake([6, 1, 1], [6, 7, 3], n_seeds=5)  # one rake changes
             delta = c.fetch_frame()
             assert delta["v2"]["mode"] == "delta"
-            _assert_decodes_as_plain_q16(server.store.latest(), delta, decimate)
+            _assert_decodes_as_plain_q16(server.store.latest(), delta)
             # Only the new rake crossed the wire; the rest are the held arrays.
             for rid, vertices in held.items():
                 assert delta["paths"][rid]["vertices"] is vertices
@@ -523,7 +530,7 @@ class TestPackedQ16Loopback:
 
             wait_until(caught_up, timeout=5.0)
             assert c.pushed_frames >= 1
-            _assert_decodes_as_plain_q16(server.store.latest(), c.latest_state, 1)
+            _assert_decodes_as_plain_q16(server.store.latest(), c.latest_state)
 
     def test_variant_built_once_and_counted(self, server):
         """Two q16 subscribers on one publication: the second is all cache
@@ -693,9 +700,8 @@ class TestPushDelivery:
         [
             pytest.param(None, id="default"),
             pytest.param({"encoding": "v1", "deltas": True}, id="v1"),
-            pytest.param({"encoding": "f16", "deltas": False}, id="f16"),
             pytest.param({"encoding": "q16", "deltas": True}, id="q16"),
-            pytest.param({"encoding": "q16", "decimate": 2}, id="q16-decimate2"),
+            pytest.param({"encoding": "q16", "deltas": False}, id="q16-keyframes"),
             pytest.param({"rakes": ["1", "2"]}, id="rake-filter"),
         ],
     )
@@ -734,7 +740,7 @@ class TestPushDelivery:
                     args = (cid,) if options is None else (cid, ack)
                     reply = pull.call("wt.frame", *args)
                     frame = srv.store.latest()
-                    want = frame.compose(expected_rids, sub.encoding, sub.decimate).data
+                    want = frame.compose(expected_rids, sub.encoding).data
                     assert encode_value(reply["paths"]) == want
                     if options is None:
                         assert "v2" not in reply
@@ -773,7 +779,7 @@ class TestPushDelivery:
                 )
         finally:
             srv.stop()
-        assert DEFAULT_SUBSCRIPTION == Subscription("v1", 1, False, False, None, None)
+        assert DEFAULT_SUBSCRIPTION == Subscription("v1", False, False, None, None)
         assert DEFAULT_SUBSCRIPTION.conn is None and DEFAULT_SUBSCRIPTION.seq == 0
 
 

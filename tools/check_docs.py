@@ -144,7 +144,9 @@ def smoke_session_names() -> frozenset:
     enough that every subsystem has registered what it records.
     """
     from repro import SessionGateway, WindtunnelClient, WindtunnelServer
-    from repro.diskio import CONVEX_DISK, SharedTimestepCache, TimestepLoader
+    from repro.diskio import (
+        CONVEX_DISK, SharedTimestepCache, TieredTimestepCache, TimestepLoader,
+    )
     from repro.dlib import DlibClient
     from repro.dlib.transport import connect_tcp
     from repro.flow import tapered_cylinder_dataset
@@ -187,10 +189,11 @@ def smoke_session_names() -> frozenset:
         dataset, name=f"wt-docs-{time.monotonic_ns()}", create="always",
         registry=replay_registry,
     )
-    loader = TimestepLoader(
-        dataset, CONVEX_DISK, sleep=lambda s: None, shared=shared,
+    tiers = TieredTimestepCache(
+        dataset, disk_model=CONVEX_DISK, l2=shared, sleep=lambda s: None,
         registry=replay_registry,
     )
+    loader = TimestepLoader(dataset, cache=tiers)
     try:
         with WindtunnelServer(
             dataset, loader=loader, allow_chaos=True, registry=replay_registry
