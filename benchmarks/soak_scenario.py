@@ -37,9 +37,12 @@ WINDOW_SECONDS = 2.0 if FAST else 10.0
 #: the publication rate the pipeline is asked to sustain.
 TICK_HZ = 20.0
 #: Subscription encodings, assigned round-robin.  "v1" is built with the
-#: entry (zero cache misses); "q16" costs one encode per rake per
-#: publication — *regardless of subscriber count*.
+#: entry (zero cache misses); "q16" costs at most one encode per rake per
+#: form per publication — *regardless of subscriber count*.
 VARIANTS = ("v1", "q16")
+#: The forms a q16 entry is built in: the keyframe, and the residual
+#: predicted from the rake a subscriber holds.
+Q16_FORMS = 2
 N_RAKES = 2
 
 _LEN = struct.Struct("<I")

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 from repro.core.framestore import ENCODINGS, PublishedFrame
 from repro.core.pipeline import STAGES
-from repro.dlib.protocol import PreEncoded, decode_path_entry
+from repro.dlib.protocol import DlibProtocolError, PreEncoded, decode_path_entry
 from repro.dlib.server import Deferred
 from repro.obs import Trace, current_trace
 
@@ -46,9 +46,11 @@ class Subscription:
     assigned after construction — re-negotiating replaces the record —
     and they alone decide equality.  The live part: ``conn`` (the
     connection push delivery is bound to — by ``wt.subscribe`` only, a
-    restored record has no socket to its client yet) and ``seq`` (the
+    restored record has no socket to its client yet), ``seq`` (the
     last frame composed under these terms: on a bound connection the
-    delta base; 0 until then, and an ack is trusted only after it).
+    delta base; 0 until then, and an ack is trusted only after it) and
+    ``entries`` (that frame's ``{rake_id: RakeEntry}``, what a ``q16``
+    delta against it predicts from).
     """
 
     encoding: str
@@ -58,6 +60,7 @@ class Subscription:
     kinds: frozenset | None
     conn: object = field(default=None, compare=False)
     seq: int = field(default=0, compare=False)
+    entries: dict = field(default_factory=dict, compare=False, repr=False)
 
     @classmethod
     def from_wire(cls, options: dict) -> "Subscription":
@@ -350,17 +353,20 @@ class Delivery:
         behind cache hits, resolved continuations and PUSH.
 
         A delta ships only the interesting rakes whose digests changed
-        since publication ``base``.  A base delivery cannot vouch for —
-        never composed under these terms, or out of the digest map —
-        falls back to a keyframe, which is the resync.  The ``"v2"``
-        envelope is attached iff the subscription was negotiated: wire
-        compatibility (an un-negotiated client predates the key), not a
-        second path.
+        since publication ``base``; when ``base`` is the last frame
+        composed for ``sub``, whose entries it kept, a changed ``q16``
+        rake ships predicted from the copy the reader holds.  A base
+        delivery cannot vouch for — never composed under these terms, or
+        out of the digest map — falls back to a keyframe, which is the
+        resync.  The ``"v2"`` envelope is attached iff the subscription
+        was negotiated: wire compatibility (an un-negotiated client
+        predates the key), not a second path.
         """
         rids = [
             rid for rid, entry in frame.entries.items() if sub.wants(rid, entry.kind)
         ]
         base_digests = self._sent.get(base) if sub.deltas and sub.seq else None
+        held = None
         if base_digests is None:
             mode, base, send, removed = "keyframe", 0, rids, []
         else:
@@ -370,7 +376,9 @@ class Delivery:
                 if base_digests.get(rid) != frame.entries[rid].digest
             ]
             removed = [rid for rid in base_digests if rid not in frame.entries]
-        fragment = frame.compose(send, encoding=sub.encoding)
+            if base == sub.seq:
+                held = sub.entries
+        fragment = frame.compose(send, encoding=sub.encoding, held=held)
         (self._delta_frames if mode == "delta" else self._keyframes).inc()
         self._bytes_hist.observe(float(fragment.nbytes))
         reply = {
@@ -382,7 +390,7 @@ class Delivery:
             "cached": cached,
         }
         if sub is not DEFAULT_SUBSCRIPTION:
-            sub.seq = frame.seq
+            sub.seq, sub.entries = frame.seq, frame.entries
             if frame.seq not in self._sent:
                 self._sent[frame.seq] = frame.digests
                 if len(self._sent) > SENT_DIGESTS:
@@ -414,21 +422,36 @@ class HeldScene:
         """Merge one enveloped reply; return the state to show.
 
         A keyframe replaces the scene; a delta overlays its rakes and
-        drops ``removed``.  A delta against a base this scene does not
-        hold returns ``None`` — the caller keeps showing what it showed —
-        and resets the ack to 0 so the next pull resyncs with a keyframe.
+        drops ``removed``, a predicted ``q16`` rake decoded against the
+        copy held.  A delta against a base this scene does not hold, or
+        predicting a rake from a copy it does not hold (none, or one of
+        another shape), returns ``None`` — the caller
+        keeps showing what it showed — and resets the ack to 0 so the
+        next pull resyncs with a keyframe.
         """
         v2 = state["v2"]
-        decoded = {
-            rid: decode_path_entry(entry)
-            for rid, entry in state.get("paths", {}).items()
-        }
         with self._lock:
-            if v2["mode"] == "delta":
-                if int(v2["base"]) != self.seq:
+            delta = v2["mode"] == "delta"
+            if delta and int(v2["base"]) != self.seq:
+                self.seq = 0
+                return None
+            base = self.paths if delta else {}
+            decoded = {}
+            for rid, entry in state.get("paths", {}).items():
+                prior = base.get(rid)
+                try:
+                    decoded[rid] = decode_path_entry(
+                        entry, None if prior is None else prior["vertices"]
+                    )
+                except DlibProtocolError:
+                    if not (isinstance(entry, dict) and entry.get("qpred")):
+                        raise
+                    # Predicted from a copy this scene does not hold (none,
+                    # or one of another shape): resync.
                     self.seq = 0
                     return None
-                held = dict(self.paths)
+            if delta:
+                held = dict(base)
                 for rid in v2.get("removed", []):
                     held.pop(rid, None)
                 held.update(decoded)

@@ -19,9 +19,11 @@ Invariants (docs/architecture.md, docs/network.md):
   :class:`RakeEntry` objects, and an entry outlives the frame: every
   frame whose rake has the same content holds the same entry.  Its
   full-precision (``v1``) fragment is produced exactly once, when the
-  entry is built.  Its fixed-point (``q16``) fragment is produced at
-  most once per entry, on first request, and shared by all readers of
-  all those frames; ``net.encode_cache_hits`` counts the reuse.
+  entry is built.  Each of its two fixed-point (``q16``) forms — the
+  keyframe, and the residual predicted from one base entry a reader
+  holds — is produced at most once per entry, on first request, and
+  shared by all readers of all those frames; ``net.encode_cache_hits``
+  counts the reuse.
   :meth:`PublishedFrame.compose` is the only place reply bytes are
   assembled (the value encoding is compositional: a dict's bytes are its
   entries' bytes behind a count).
@@ -43,7 +45,14 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from repro.dlib.protocol import PreEncoded, encode_value, pack_q16, quantize_points
+from repro.dlib.protocol import (
+    PreEncoded,
+    dequantize_points,
+    encode_value,
+    pack_q16,
+    quantize_points,
+    requantize_points,
+)
 from repro.grid.interpolation import TrilinearScratch
 from repro.obs import MetricsRegistry
 from repro.tracers.result import wire_arrays_batch
@@ -89,13 +98,14 @@ class VariantCounters:
     """The ``net.*`` counters the entries of one registry record into.
 
     ``hits`` / ``misses`` count lookups of the lazily built ``q16``
-    fragment (reading an entry's ``v1`` fragment is neither);
-    ``q16_raw_bytes`` / ``q16_packed_bytes`` total the int16 grid sizes
-    and the packed sizes of the q16 fragments built.  ``registry``
-    defaults to a private one.
+    fragments, either form (reading an entry's ``v1`` fragment is
+    neither); ``q16_raw_bytes`` / ``q16_packed_bytes`` total the int16
+    grid sizes and the packed sizes of the q16 fragments built;
+    ``predicted`` counts the lookups answered in the predicted form.
+    ``registry`` defaults to a private one.
     """
 
-    __slots__ = ("hits", "misses", "q16_raw_bytes", "q16_packed_bytes")
+    __slots__ = ("hits", "misses", "q16_raw_bytes", "q16_packed_bytes", "predicted")
 
     def __init__(self, registry: MetricsRegistry | None = None) -> None:
         registry = registry if registry is not None else MetricsRegistry()
@@ -103,17 +113,21 @@ class VariantCounters:
         self.misses = registry.counter("net.encode_cache_misses")
         self.q16_raw_bytes = registry.counter("net.q16_raw_bytes")
         self.q16_packed_bytes = registry.counter("net.q16_packed_bytes")
+        self.predicted = registry.counter("net.q16_predicted_lookups")
 
 
 class RakeEntry:
-    """One rake's published geometry and both wire fragments of it.
+    """One rake's published geometry and its wire fragments.
 
     ``path`` is the ``{kind, vertices, lengths}`` dict a reply carries,
     its arrays read-only; ``digest`` its content digest.  The ``v1``
-    fragment is encoded here, once.  The ``q16`` fragment is built on
+    fragment is encoded here, once.  The ``q16`` fragments are built on
     first request by :meth:`fragment` and then shared by every frame
     holding this entry and every reader of those frames — the
     encode-once guarantee, extended to both encodings and across frames.
+    q16 comes in two forms: the keyframe, and at most one *predicted*
+    fragment, a residual against the rake a reader already holds, keyed
+    by that base entry's digest (docs/network.md, "Encodings").
     """
 
     def __init__(
@@ -127,41 +141,100 @@ class RakeEntry:
         self._counters = counters
         self._lock = threading.Lock()
         self._fragments = {"v1": encode_value(self.path)}
+        self._quantized: dict | None = None
+        self._predicted: tuple[bytes, bytes] | None = None  # (base digest, fragment)
 
     @property
     def variants(self) -> list[str]:
-        """The encodings built so far."""
+        """The encodings built so far, in either form."""
         with self._lock:
-            return list(self._fragments)
+            built = list(self._fragments)
+            if self._predicted is not None and "q16" not in built:
+                built.append("q16")
+            return built
 
-    def fragment(self, encoding: str = "v1") -> bytes:
-        """The wire fragment of this entry in one encoding."""
+    def fragment(self, encoding: str = "v1", base: "RakeEntry | None" = None) -> bytes:
+        """The wire fragment of this entry in one encoding.
+
+        ``base`` is the entry the reader holds for this rake.  A ``q16``
+        reader gets the predicted form when ``base`` has this entry's
+        ``(n, L)`` and either no predicted fragment is built yet or the
+        one built is against ``base``'s content; otherwise the keyframe
+        form.  So each form is built at most once per entry, however many
+        readers, at whatever bases, ask.
+        """
+        if encoding not in ENCODINGS:
+            raise ValueError(f"unknown wire encoding {encoding!r}")
+        if encoding == "q16" and base is not None and (
+            base.path["vertices"].shape == self.path["vertices"].shape
+        ):
+            predicted = self._predicted_fragment(base)
+            if predicted is not None:
+                return predicted
         with self._lock:
             cached = self._fragments.get(encoding)
         if cached is not None:
             if encoding != "v1":
                 self._counters.hits.inc()
             return cached
-        if encoding not in ENCODINGS:
-            raise ValueError(f"unknown wire encoding {encoding!r}")
         fragment = encode_value(self._build_q16())
         with self._lock:
             fragment = self._fragments.setdefault(encoding, fragment)
         self._counters.misses.inc()
         return fragment
 
-    def _build_q16(self) -> dict:
-        q = quantize_points(self.path["vertices"])
-        packed = pack_q16(q["q"])
+    def _predicted_fragment(self, base: "RakeEntry") -> bytes | None:
+        """The q16 fragment predicted from ``base``; ``None`` when the one
+        predicted fragment this entry keeps is against another base."""
+        with self._lock:
+            predicted = self._predicted
+        if predicted is not None and predicted[0] != base.digest:
+            return None
+        self._counters.predicted.inc()
+        if predicted is not None:
+            self._counters.hits.inc()
+            return predicted[1]
+        fragment = encode_value(self._build_q16(base))
+        with self._lock:
+            if self._predicted is None:
+                self._predicted = (base.digest, fragment)
+        self._counters.misses.inc()
+        return fragment
+
+    def quantized(self) -> dict:
+        """:func:`~repro.dlib.protocol.quantize_points` of the vertices,
+        computed once: both q16 forms of this entry are built on it, and
+        the predicted form of a later entry decodes it as its base."""
+        with self._lock:
+            cached = self._quantized
+        if cached is None:
+            cached = quantize_points(self.path["vertices"])
+            with self._lock:
+                if self._quantized is None:
+                    self._quantized = cached
+        return cached
+
+    def _build_q16(self, base: "RakeEntry | None" = None) -> dict:
+        q = self.quantized()
+        prediction = None
+        if base is not None:
+            # The vertices a q16 reader holds for ``base`` (lossless
+            # packing: whichever form it arrived in), on this entry's grid.
+            held = dequantize_points(base.quantized())
+            prediction = requantize_points(held, q)
+        packed = pack_q16(q["q"], prediction)
         self._counters.q16_raw_bytes.inc(q["q"].nbytes)
         self._counters.q16_packed_bytes.inc(len(packed["qpack"]))
-        return {
+        entry = {
             "kind": self.kind,
             **packed,
             "scale": q["scale"],
             "offset": q["offset"],
             "lengths": self.path["lengths"],
         }
+        if base is not None:
+            entry["qpred"] = True
+        return entry
 
 
 def encode_entries(
@@ -245,15 +318,23 @@ class PublishedFrame:
         """Total valid path points (the paper's particle count)."""
         return sum(entry.n_points for entry in self.entries.values())
 
-    def compose(self, rids: list[str], encoding: str = "v1") -> PreEncoded:
+    def compose(
+        self, rids: list[str], encoding: str = "v1", held: dict | None = None
+    ) -> PreEncoded:
         """Wire fragment of the paths dict restricted to ``rids``.
 
         For ``encoding="v1"`` and the full rake set this is byte-identical
         to ``encode_value(self.paths)`` — the reply an un-negotiated
-        client has always received.  Each entry builds its ``q16``
-        fragment at most once, however many readers and frames ask for it.
+        client has always received.  ``held`` is ``{rake_id: RakeEntry}``
+        of the frame the reader holds: a ``q16`` rake it holds may then
+        ship predicted from its held copy (:meth:`RakeEntry.fragment`).
+        Each entry builds each form at most once, however many readers
+        and frames ask for it.
         """
-        return _compose({rid: self.entries[rid].fragment(encoding) for rid in rids})
+        held = held or {}
+        return _compose({
+            rid: self.entries[rid].fragment(encoding, held.get(rid)) for rid in rids
+        })
 
 
 class FrameStore:

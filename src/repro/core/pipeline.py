@@ -39,7 +39,9 @@ idle server publishes nothing and a frozen clock yields exactly one
 publication per key.  Between requests it may *speculate*: fill the
 memo for the timestep :meth:`FramePipeline._predict_next` names, with
 the rakes and settings just produced, and build for those entries the
-wire encodings the latest frame was asked for.  It does so only when
+wire encodings the latest frame was asked for (a ``q16`` rake in the
+form predicted from the latest frame's entry, which is what a reader
+holding that frame is sent next).  It does so only when
 all four of these observable conditions hold:
 
 (a) the last two productions had the same rakes (kinds and grid seeds)
@@ -607,8 +609,10 @@ class FramePipeline:
             slot.entry, slot.result = entries[key], None
         return list(todo.values())
 
-    def _warm(self, slots: list[_Slot]) -> None:
-        """Build for ``slots`` the encodings the latest frame was asked for."""
+    def _warm(self, slots: dict) -> None:
+        """Build for ``slots`` (``{rid: slot}``) the encodings the latest
+        frame was asked for, in the form a reader holding that frame will
+        be sent: a ``q16`` rake predicted from the latest frame's entry."""
         latest = self.store.latest()
         if latest is None:
             return
@@ -617,9 +621,9 @@ class FramePipeline:
             for entry in latest.entries.values()
             for encoding in entry.variants
         } - {"v1"}
-        for slot in slots:
+        for rid, slot in slots.items():
             for encoding in asked:
-                slot.entry.fragment(encoding)
+                slot.entry.fragment(encoding, latest.entries.get(str(rid)))
 
     def _encode_and_publish(self, job: _Job) -> PublishedFrame | None:
         stage_seconds = dict(job.stage_seconds)
@@ -639,7 +643,9 @@ class FramePipeline:
                             del self._memo[slot.key]
             raise
         if not job.publish:
-            self._warm(encoded)
+            self._warm({
+                rid: slot for rid, slot in job.slots.items() if slot in encoded
+            })
             return None
         stage_seconds["encode"] = sw.elapsed  # before anyone can read it
         with self._stats_lock:

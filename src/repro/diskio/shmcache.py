@@ -187,25 +187,20 @@ class SharedTimestepCache:
             self._slot_meta_view(slots)[:, _M_TIMESTEP] = _EMPTY
             header[_H_VERSION] = VERSION
             header[_H_MAGIC] = MAGIC  # written last: publishes the segment
-        header = np.frombuffer(
-            self._shm.buf, dtype=np.int64, count=_HEADER_WORDS
-        )
-        err = None
-        if header[_H_MAGIC] != MAGIC or header[_H_VERSION] != VERSION:
-            err = f"segment {name!r} is not a timestep cache"
-        elif header[_H_SLOT_NBYTES] != slot_nbytes:
-            err = (
-                f"segment {name!r} has {int(header[_H_SLOT_NBYTES])}-byte "
-                f"slots; this dataset needs {slot_nbytes}"
+        header = None
+        if self._shm.size < _HEADER_WORDS * 8:
+            err = f"segment {name!r} is too small for a cache header"
+        else:
+            header = np.frombuffer(
+                self._shm.buf, dtype=np.int64, count=_HEADER_WORDS
             )
-        elif dataset_id and header[_H_KEY] != _key_hash(dataset_id):
-            err = f"segment {name!r} holds a different dataset"
+            err = self._header_error(header, slot_nbytes, dataset_id)
         if err is not None:
             # The header view must go before close(), or mmap raises
             # BufferError for the exported buffer and masks the error.
             del header
             self._shm.close()
-            raise ValueError(err)
+            raise ValueError(f"segment {name!r} {err}")
         self.n_slots = int(header[_H_SLOTS])
         self.slot_nbytes = slot_nbytes
         self.n_reader_rows = int(header[_H_READER_ROWS])
@@ -221,6 +216,33 @@ class SharedTimestepCache:
         self._lock_file = open(self._lock_path, "a+b")
         self._fallback_lock = threading.Lock() if fcntl is None else None
         self._row = self._claim_reader_row()
+
+    def _header_error(
+        self, header: np.ndarray, slot_nbytes: int, dataset_id: str
+    ) -> str | None:
+        """Why the segment's header cannot be used, or ``None``.
+
+        The header is untrusted (any process can write the segment): its
+        geometry must fit the mapping before any view past it is made.
+        """
+        if header[_H_MAGIC] != MAGIC or header[_H_VERSION] != VERSION:
+            return "is not a timestep cache"
+        if header[_H_SLOT_NBYTES] != slot_nbytes:
+            return (
+                f"has {int(header[_H_SLOT_NBYTES])}-byte slots; "
+                f"this dataset needs {slot_nbytes}"
+            )
+        if dataset_id and header[_H_KEY] != _key_hash(dataset_id):
+            return "holds a different dataset"
+        slots, rows = int(header[_H_SLOTS]), int(header[_H_READER_ROWS])
+        if slots < 1 or rows < 1:
+            return f"declares {slots} slots and {rows} reader rows"
+        if self._segment_size(slots, rows, slot_nbytes) > self._shm.size:
+            return (
+                f"declares {slots} slots and {rows} reader rows, more than "
+                f"its {self._shm.size} bytes hold"
+            )
+        return None
 
     # -- geometry --------------------------------------------------------------
 

@@ -37,6 +37,7 @@ from repro.dlib.protocol import (
     pack_q16,
     quantization_error_bound,
     quantize_points,
+    requantize_points,
     unpack_q16,
 )
 from repro.dlib.transport import Stream, connect_tcp, pipe_pair
@@ -59,6 +60,7 @@ __all__ = [
     "quantize_points",
     "dequantize_points",
     "quantization_error_bound",
+    "requantize_points",
     "pack_q16",
     "unpack_q16",
     "Stream",

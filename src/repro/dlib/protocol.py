@@ -42,10 +42,13 @@ Quantized points (v2 frame encoding, docs/network.md): the paper ships
 6-byte/point alternative — per-axis fixed-point int16 with an explicit
 error bound — used by the negotiated frame delivery layer.
 :func:`pack_q16` / :func:`unpack_q16` are the lossless wire form of that
-int16 grid:
-differences along each polyline, byte-shuffled and deflated, because a
-smooth streamline's neighbouring vertices differ by a few levels, not by
-sixteen bits.
+int16 grid: second differences along each polyline, zigzag-mapped,
+byte-shuffled and deflated, because a smooth streamline's vertices lie
+within a few levels of the straight-line continuation of the two before
+them, not sixteen bits away.  Given a *base* grid both sides can build
+(a rake the client already holds, re-quantized by
+:func:`requantize_points`), the same packing ships the residual against
+it instead.
 """
 
 from __future__ import annotations
@@ -74,6 +77,7 @@ __all__ = [
     "quantize_points",
     "dequantize_points",
     "quantization_error_bound",
+    "requantize_points",
     "pack_q16",
     "unpack_q16",
     "decode_path_entry",
@@ -485,19 +489,26 @@ def quantize_points(vertices: np.ndarray) -> dict:
             (hi.astype(np.float64) - lo.astype(np.float64)) / _Q_LEVELS,
             np.finfo(np.float32).tiny,
         ).astype(np.float32)
-    q = np.rint((flat.astype(np.float64) - lo) / scale - _Q_HALF)
-    q = np.clip(q, -_Q_HALF, _Q_HALF).astype(np.int16)
     return {
-        "q": q.reshape(v.shape),
+        "q": _to_grid(flat, scale, lo).reshape(v.shape),
         "scale": scale,
         "offset": lo.astype(np.float32),
     }
 
 
-def dequantize_points(payload: dict) -> np.ndarray:
-    """Invert :func:`quantize_points`; returns float32 ``(..., 3)``."""
+def _to_grid(points: np.ndarray, scale: np.ndarray, offset: np.ndarray) -> np.ndarray:
+    """The int16 grid of ``(..., 3)`` points under one axis mapping.
+
+    Float64 arithmetic on float32-exact ``scale`` / ``offset``, so any
+    two callers with the same inputs get the same grid, bit for bit.
+    """
+    q = np.rint((points.astype(np.float64) - offset) / scale - _Q_HALF)
+    return np.clip(q, -_Q_HALF, _Q_HALF).astype(np.int16)
+
+
+def _axis_map(payload: dict) -> tuple[np.ndarray, np.ndarray]:
+    """A payload's validated ``(scale, offset)``, as float64 ``(3,)``."""
     try:
-        q = np.asarray(payload["q"], dtype=np.float64)
         scale = np.asarray(payload["scale"], dtype=np.float64)
         offset = np.asarray(payload["offset"], dtype=np.float64)
     except (KeyError, TypeError, ValueError) as exc:
@@ -506,9 +517,37 @@ def dequantize_points(payload: dict) -> np.ndarray:
         raise DlibProtocolError("quantized-point scale/offset must be (3,)")
     if not (np.isfinite(scale).all() and np.isfinite(offset).all()):
         raise DlibProtocolError("quantized-point scale/offset must be finite")
+    return scale, offset
+
+
+def dequantize_points(payload: dict) -> np.ndarray:
+    """Invert :func:`quantize_points`; returns float32 ``(..., 3)``."""
+    try:
+        q = np.asarray(payload["q"], dtype=np.float64)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DlibProtocolError("malformed quantized-point payload") from exc
+    scale, offset = _axis_map(payload)
     if q.ndim < 1 or q.shape[-1] != 3:
         raise DlibProtocolError("quantized points must be a (..., 3) array")
     return ((q + _Q_HALF) * scale + offset).astype(np.float32)
+
+
+def requantize_points(vertices: np.ndarray, payload: dict) -> np.ndarray:
+    """Quantize ``vertices`` onto ``payload``'s axis mapping; int16 grid.
+
+    The grid :func:`quantize_points` would give had the bounding box
+    been ``payload``'s ``scale`` / ``offset``.  Server and client both
+    apply it to the float32 rake the client holds, so the prediction a
+    residual is taken against (:func:`pack_q16`'s ``base``) is the same
+    int16 grid on both sides of the wire.
+    """
+    scale, offset = _axis_map(payload)
+    if not (scale > 0).all():
+        raise DlibProtocolError("quantized-point scale must be positive")
+    v = np.asarray(vertices)
+    if v.ndim < 1 or v.shape[-1] != 3:
+        raise DlibProtocolError("requantize_points expects a (..., 3) array")
+    return _to_grid(v, scale, offset)
 
 
 def quantization_error_bound(payload: dict) -> float:
@@ -533,16 +572,29 @@ def quantization_error_bound(payload: dict) -> float:
 Q16_MAX_POINTS = 1 << 22
 
 
-def pack_q16(q: np.ndarray) -> dict:
+def _q16_base(base, shape: tuple) -> np.ndarray:
+    """``base`` checked to be an int16 grid of ``shape``."""
+    base = np.asarray(base)
+    if base.dtype != np.int16 or base.shape != tuple(shape):
+        raise DlibProtocolError("a q16 base must be an int16 grid of the entry's shape")
+    return base
+
+
+def pack_q16(q: np.ndarray, base: np.ndarray | None = None) -> dict:
     """Losslessly pack an int16 ``(n, L, 3)`` polyline grid for the wire.
 
     ``q`` is :func:`quantize_points`' ``"q"`` array for ``n`` polylines
-    of ``L`` vertices.  Each polyline keeps its first vertex and ships
-    int16 differences (mod 2**16) along the rest; the differences are
-    laid out axis-planar, byte-shuffled (all low bytes, then all high
-    bytes) and deflated at zlib level 1.  Returns ``{"qpack": bytes,
-    "qshape": [n, L, 3]}`` — plain wire types, inverted exactly by
-    :func:`unpack_q16`.
+    of ``L`` vertices.  With a ``base`` (an int16 grid of the same shape
+    the reader can rebuild, see :func:`requantize_points`) the residual
+    ``q - base`` is packed instead.  Along each polyline the grid is
+    replaced by its second-order prediction residual ``v[i] - 2 v[i-1] +
+    v[i-2]`` (the first vertex kept, the second as a first difference;
+    int16 arithmetic, mod 2**16), zigzag-mapped so small residuals of
+    either sign have a zero high byte, laid out axis-planar,
+    byte-shuffled (all low bytes, then all high bytes) and deflated at
+    zlib level 1.  Returns ``{"qpack": bytes, "qshape": [n, L, 3]}`` —
+    plain wire types, inverted exactly by :func:`unpack_q16` given the
+    same ``base``.
     """
     q = np.asarray(q)
     if q.dtype != np.int16 or q.ndim != 3 or q.shape[2] != 3:
@@ -550,23 +602,30 @@ def pack_q16(q: np.ndarray) -> dict:
     n, length, _ = q.shape
     if n * length > Q16_MAX_POINTS:
         raise DlibProtocolError("too many points for one packed q16 entry")
+    if base is not None:
+        q = q - _q16_base(base, q.shape)
     planar = np.ascontiguousarray(q.transpose(2, 0, 1), dtype="<i2")
-    diffs = planar.copy()
-    diffs[:, :, 1:] -= planar[:, :, :-1]  # int16 arithmetic wraps mod 2**16
-    shuffled = np.ascontiguousarray(diffs.view(np.uint8).reshape(-1, 2).T)
+    d1 = planar.copy()
+    d1[..., 1:] -= planar[..., :-1]
+    d2 = d1.copy()
+    d2[..., 2:] -= d1[..., 1:-1]
+    zigzag = (d2 << 1) ^ (d2 >> 15)
+    shuffled = np.ascontiguousarray(zigzag.view(np.uint8).reshape(-1, 2).T)
     return {
         "qpack": zlib.compress(shuffled.tobytes(), 1),
         "qshape": [n, length, 3],
     }
 
 
-def unpack_q16(payload: dict) -> np.ndarray:
+def unpack_q16(payload: dict, base: np.ndarray | None = None) -> np.ndarray:
     """Invert :func:`pack_q16`; returns int16 ``(n, L, 3)``.
 
-    The payload is untrusted: ``qshape`` is validated and capped before
-    anything is allocated, the inflate is bounded by the size the shape
-    implies, and a stream that is truncated, corrupt, short, long or
-    followed by trailing bytes raises :class:`DlibProtocolError`.
+    ``base`` is the grid the entry was packed against, if any; one of
+    another shape raises :class:`DlibProtocolError`.  The payload is
+    untrusted: ``qshape`` is validated and capped before anything is
+    allocated, the inflate is bounded by the size the shape implies, and
+    a stream that is truncated, corrupt, short, long or followed by
+    trailing bytes raises :class:`DlibProtocolError`.
     """
     try:
         data, shape = payload["qpack"], payload["qshape"]
@@ -584,6 +643,8 @@ def unpack_q16(payload: dict) -> np.ndarray:
     n, length, _ = shape
     if n * length > Q16_MAX_POINTS:
         raise DlibProtocolError("qshape declares too many points")
+    if base is not None:
+        base = _q16_base(base, shape)
     expected = n * length * 6
     inflater = zlib.decompressobj()
     try:
@@ -595,17 +656,26 @@ def unpack_q16(payload: dict) -> np.ndarray:
     if len(raw) != expected or not inflater.eof or inflater.unused_data:
         raise DlibProtocolError("packed q16 stream does not match qshape")
     shuffled = np.frombuffer(raw, dtype=np.uint8).reshape(2, -1)
-    diffs = np.ascontiguousarray(shuffled.T).view("<i2").reshape(3, n, length)
-    planar = np.cumsum(diffs, axis=2, dtype=np.int16)
-    return np.ascontiguousarray(planar.transpose(1, 2, 0))
+    zigzag = np.ascontiguousarray(shuffled.T).view("<u2").reshape(3, n, length)
+    d2 = (zigzag >> 1).view(np.int16) ^ -(zigzag & 1).view(np.int16)
+    d2[..., 1:] = np.cumsum(d2[..., 1:], axis=2, dtype=np.int16)  # -> d1
+    planar = np.cumsum(d2, axis=2, dtype=np.int16)
+    q = np.ascontiguousarray(planar.transpose(1, 2, 0))
+    if base is not None:
+        q += base
+    return q
 
 
-def decode_path_entry(entry: dict) -> dict:
+def decode_path_entry(entry: dict, held: np.ndarray | None = None) -> dict:
     """Normalize one wire path entry to the v1 in-memory shape.
 
     A v2 frame carries a rake entry in its negotiated encoding: float32
     (``vertices``) or packed fixed point
     (``qpack``/``qshape``/``scale``/``offset``, see :func:`pack_q16`).
+    A packed entry marked ``"qpred": true`` is a residual against
+    ``held`` — the float32 vertices the reader holds for the rake —
+    re-quantized on the entry's own ``scale`` / ``offset``; without
+    ``held`` it raises :class:`DlibProtocolError`.
     This returns the common ``{"kind", "vertices" (float32), "lengths"}``
     form the render path consumes, so everything above the decoder is
     encoding-agnostic.
@@ -613,7 +683,12 @@ def decode_path_entry(entry: dict) -> dict:
     if not isinstance(entry, dict) or "kind" not in entry or "lengths" not in entry:
         raise DlibProtocolError("malformed path entry")
     if "qpack" in entry:
-        vertices = dequantize_points(dict(entry, q=unpack_q16(entry)))
+        base = None
+        if entry.get("qpred"):
+            if held is None:
+                raise DlibProtocolError("a predicted q16 entry needs the held rake")
+            base = requantize_points(held, entry)
+        vertices = dequantize_points(dict(entry, q=unpack_q16(entry, base)))
     elif "vertices" in entry:
         vertices = np.asarray(entry["vertices"], dtype=np.float32)
     else:

@@ -272,6 +272,83 @@ def test_mismatched_base_is_refused_and_resets_the_ack():
     assert scene.seq == 0 and scene.paths is held  # nothing merged
 
 
+def _predicted_rids(reply: dict) -> set:
+    return {rid for rid, entry in reply["paths"].items() if entry.get("qpred")}
+
+
+def test_q16_delta_predicts_changed_rakes_from_the_frame_the_reader_holds():
+    """A q16 delta against the last frame composed ships each changed
+    rake of the same ``(n, L)`` predicted from the held copy, which
+    decodes to exactly the keyframe form's vertices; a rake of another
+    shape, or a reply composed against an older ack, ships keyframes."""
+    delivery, loop, pipeline = _delivery()
+    delivery.subscribe(7, {"encoding": "q16"})
+    sub = delivery._subs[7]
+    scene = HeldScene()
+    _publish(delivery, loop, pipeline, _frame({"1": 1, "2": 2, "3": 3}, 0))
+    first = _wire(delivery.frame(7, scene.seq))
+    assert first["v2"]["mode"] == "keyframe" and not _predicted_rids(first)
+    scene.integrate(first)
+    frame = _frame({"1": 11, "2": 2, "3": 13}, 1)
+    wider = encode_entries({"3": "streamline"}, {"3": _Result(13, n_seeds=4)})
+    frame = PublishedFrame(
+        version=1, timestep=1, seq=0, compute_seconds=0.0,
+        entries={**frame.entries, "3": wider["3"]},
+    )
+    frame = _publish(delivery, loop, pipeline, frame)
+    reply = _wire(delivery.frame(7, scene.seq))
+    assert reply["v2"]["mode"] == "delta" and set(reply["paths"]) == {"1", "3"}
+    assert _predicted_rids(reply) == {"1"}  # rake 3 changed shape
+    merged = scene.integrate(reply)
+    _assert_same_scene(merged["paths"], _expected(frame, sub))
+    # The reply to seq 2 is lost: an ack of seq 1 is not the last frame
+    # composed, so seq 3 is a delta of keyframe-form entries.
+    _publish(delivery, loop, pipeline, _frame({"1": 21, "2": 2}, 2))
+    delivery.frame(7, scene.seq)
+    frame = _publish(delivery, loop, pipeline, _frame({"1": 31, "2": 2}, 3))
+    reply = _wire(delivery.frame(7, scene.seq))
+    assert reply["v2"]["mode"] == "delta" and not _predicted_rids(reply)
+    _assert_same_scene(scene.integrate(reply)["paths"], _expected(frame, sub))
+
+
+def test_a_predicted_entry_the_scene_cannot_decode_resyncs():
+    """A predicted rake the scene does not hold, or a predicted delta
+    against a base it does not hold, is refused — ``None``, ack 0,
+    nothing merged — never raised out of the handler."""
+    delivery, loop, pipeline = _delivery()
+    delivery.subscribe(7, {"encoding": "q16"})
+    _publish(delivery, loop, pipeline, _frame({"1": 1, "2": 2}, 0))
+    scene = HeldScene()
+    scene.integrate(_wire(delivery.frame(7, 0)))
+    _publish(delivery, loop, pipeline, _frame({"1": 11, "2": 2}, 1))
+    reply = _wire(delivery.frame(7, scene.seq))
+    assert _predicted_rids(reply) == {"1"}
+    held, seq = scene.paths, scene.seq
+
+    unheld = dict(reply, paths={"4": reply["paths"]["1"]})
+    assert scene.integrate(unheld) is None
+    assert scene.seq == 0 and scene.paths is held
+
+    scene.seq = seq
+    other_shape = {**held["1"], "vertices": held["1"]["vertices"][:1]}
+    scene.paths = {**held, "1": other_shape}
+    assert scene.integrate(reply) is None
+    assert scene.seq == 0 and scene.paths["1"] is other_shape
+    scene.paths = held
+
+    scene.seq = seq
+    stray = dict(reply, v2=dict(reply["v2"], base=seq + 1))
+    assert scene.integrate(stray) is None
+    assert scene.seq == 0 and scene.paths is held
+
+    # Resynced: the ack of 0 gets a keyframe, and the scene recovers.
+    frame = delivery.store.latest()
+    again = _wire(delivery.frame(7, scene.seq))
+    assert again["v2"]["mode"] == "keyframe"
+    merged = scene.integrate(again)
+    _assert_same_scene(merged["paths"], _expected(frame, delivery._subs[7]))
+
+
 def test_sent_digest_map_stays_bounded():
     delivery, loop, pipeline = _delivery()
     delivery.subscribe(7, {})
@@ -387,3 +464,35 @@ def test_a_pull_on_a_push_bound_connection_takes_the_bindings_base():
     assert delivery.stats()["push_subscriptions"] == 1
     delivery.drop(7)
     assert pipeline.demand == 0 and delivery.stats()["v2_subscriptions"] == 0
+
+
+def test_pulled_and_pushed_predicted_frames_interleave_on_one_connection():
+    """Pulls before a publication's fan-out, pulls after it and pushes,
+    all on one q16 connection: each is predicted from the frame queued
+    just before it, and each decodes to the frame it names."""
+    delivery, loop, pipeline = _delivery()
+    loop.call(delivery.subscribe, 7, {"encoding": "q16", "push": True})
+    sub = delivery._subs[7]
+    frames = {}
+    for t in range(8):
+        stamped = delivery.store.publish(_frame({"1": t, "2": t // 3, "3": 5}, t))
+        frames[stamped.seq] = stamped
+        pipeline.key = stamped.key
+        if t % 2:
+            loop.call(delivery.frame, 7, 0)  # answered ahead of the fan-out
+        loop.run()
+        if t % 3 == 2:
+            loop.call(delivery.frame, 7, 0)  # after it: an empty delta
+    _echo, *queued = [_wire(m) for m in loop.queued]
+    assert [m["v2"]["mode"] for m in queued] == ["keyframe"] + ["delta"] * (
+        len(queued) - 1
+    )
+    for before, message in zip(queued, queued[1:]):
+        assert message["v2"]["base"] == before["v2"]["seq"]
+        if message["v2"]["seq"] != before["v2"]["seq"]:
+            assert "1" in _predicted_rids(message)
+    scene = HeldScene()
+    for message in queued:
+        merged = scene.integrate(message)
+        assert merged is not None
+        _assert_same_scene(merged["paths"], _expected(frames[message["v2"]["seq"]], sub))

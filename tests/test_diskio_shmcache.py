@@ -78,6 +78,39 @@ class TestSegmentValidation:
             raw.close()
             raw.unlink()
 
+    @pytest.mark.parametrize(
+        "slots, rows",
+        [(0, 16), (-5, 16), (3, 0), (3, -1), (2**40, 16), (3, 2**40), (4, 16)],
+        ids=["no-slots", "negative-slots", "no-rows", "negative-rows",
+             "slots-past-the-mapping", "rows-past-the-mapping", "one-slot-too-many"],
+    )
+    def test_rejects_a_corrupt_header_geometry(self, seg, slots, rows):
+        """A header naming a geometry the mapping cannot hold is refused
+        with a typed error before any view past the header is made."""
+        header = seg._header
+        saved = header.copy()
+        header[shmcache._H_SLOTS], header[shmcache._H_READER_ROWS] = slots, rows
+        try:
+            with pytest.raises(ValueError, match="reader rows"):
+                SharedTimestepCache(seg.name, SHAPE, create="never")
+        finally:
+            header[:] = saved
+        again = SharedTimestepCache(seg.name, SHAPE, create="never")
+        assert (again.n_slots, again.n_reader_rows) == (3, 16)
+        again.close()
+
+    def test_rejects_a_segment_smaller_than_a_header(self):
+        from multiprocessing import shared_memory
+
+        name = _name()
+        raw = shared_memory.SharedMemory(name=name, create=True, size=16)
+        try:
+            with pytest.raises(ValueError, match="too small"):
+                SharedTimestepCache(name, SHAPE, create="never")
+        finally:
+            raw.close()
+            raw.unlink()
+
     def test_rejects_slot_size_mismatch(self, seg):
         with pytest.raises(ValueError, match="byte slots"):
             SharedTimestepCache(seg.name, (8, 8, 8), create="never")

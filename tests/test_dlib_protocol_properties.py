@@ -10,9 +10,11 @@ and rejection paths) with the properties the observability PR leans on:
 * the trace-ID header extension round-trips, and its absence is
   byte-identical to the pre-extension format, so old-format messages
   (and old decoders) keep working — the compat regression suite;
-* the packed q16 form (``pack_q16`` / ``unpack_q16``) is lossless on any
-  int16 polyline grid, decodes bit-identically to ``dequantize_points``
-  of that grid, and rejects every damaged payload with a typed error.
+* the packed q16 forms (``pack_q16`` / ``unpack_q16``, alone or against
+  a base grid) are lossless on any int16 polyline grid, decode
+  bit-identically to ``dequantize_points`` of that grid — the predicted
+  form against the decoded rake the reader holds — and reject every
+  damaged payload, and every base of another shape, with a typed error.
 """
 
 import struct
@@ -39,6 +41,7 @@ from repro.dlib.protocol import (
     encode_value,
     pack_q16,
     quantize_points,
+    requantize_points,
     unpack_q16,
 )
 
@@ -224,16 +227,21 @@ polylines = arrays(
 )
 
 
-def packed_entry(vertices: np.ndarray) -> dict:
-    """A q16 rake entry as the server builds it (``RakeEntry._build_q16``)."""
+def packed_entry(vertices: np.ndarray, held: np.ndarray | None = None) -> dict:
+    """A q16 rake entry as the server builds it (``RakeEntry._build_q16``):
+    the keyframe form, or with ``held`` the form predicted from it."""
     payload = quantize_points(vertices)
-    return {
+    base = None if held is None else requantize_points(held, payload)
+    entry = {
         "kind": "streamline",
-        **pack_q16(payload["q"]),
+        **pack_q16(payload["q"], base),
         "scale": payload["scale"],
         "offset": payload["offset"],
         "lengths": np.full(vertices.shape[0], vertices.shape[1], dtype=np.int64),
     }
+    if held is not None:
+        entry["qpred"] = True
+    return entry
 
 
 def smooth_grid(n: int = 3, length: int = 40) -> np.ndarray:
@@ -241,6 +249,14 @@ def smooth_grid(n: int = 3, length: int = 40) -> np.ndarray:
     t = np.linspace(0.0, 6.0, length)
     curve = np.stack([np.sin(t), np.cos(t), t / 6.0], axis=-1) * 30000.0
     return np.repeat(curve[None], n, axis=0).astype(np.int16)
+
+
+def base_for(q: np.ndarray, predicted: bool) -> np.ndarray | None:
+    """A base of ``q``'s shape for the predicted form (``None``: keyframe):
+    a shifted, scaled copy, so the residual is neither zero nor ``q``."""
+    if not predicted:
+        return None
+    return (np.roll(q, 1, axis=1).astype(np.int32) * 3 + 7).astype(np.int16)
 
 
 class TestPackedQ16:
@@ -251,20 +267,54 @@ class TestPackedQ16:
         assert back.dtype == np.int16 and back.shape == q.shape
         np.testing.assert_array_equal(back, q)
 
+    @given(
+        q16_grids.flatmap(
+            lambda q: st.tuples(
+                st.just(q),
+                arrays(np.int16, q.shape, elements=st.integers(-32768, 32767)),
+            )
+        )
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_roundtrip_against_a_base_is_lossless(self, grids):
+        q, base = grids
+        back = unpack_q16(decode_value(encode_value(pack_q16(q, base))), base)
+        assert back.dtype == np.int16 and back.shape == q.shape
+        np.testing.assert_array_equal(back, q)
+
     @pytest.mark.parametrize("shape", [(0, 0, 3), (0, 7, 3), (4, 0, 3), (4, 1, 3)])
     def test_degenerate_shapes_roundtrip(self, shape):
         q = np.arange(int(np.prod(shape)), dtype=np.int16).reshape(shape)
         back = unpack_q16(decode_value(encode_value(pack_q16(q))))
         assert back.shape == shape
         np.testing.assert_array_equal(back, q)
+        base = base_for(q, True)
+        np.testing.assert_array_equal(unpack_q16(pack_q16(q, base), base), q)
 
     def test_difference_wraparound_is_exact(self):
-        """+-32767 alternation: every difference overflows int16."""
+        """+-32767 alternation: every difference overflows int16, with or
+        without a base (one of opposite sign, so the residual wraps too)."""
         q = np.empty((2, 9, 3), dtype=np.int16)
         q[:, 0::2] = 32767
         q[:, 1::2] = -32767
         q[1] = -q[1]
         np.testing.assert_array_equal(unpack_q16(pack_q16(q)), q)
+        for base in (-q, np.full_like(q, -32768), base_for(q, True)):
+            np.testing.assert_array_equal(unpack_q16(pack_q16(q, base), base), q)
+
+    def test_a_base_of_another_shape_is_refused(self):
+        q = smooth_grid(3, 40)
+        packed = pack_q16(q, base_for(q, True))
+        for bad in (
+            smooth_grid(3, 39),
+            smooth_grid(2, 40),
+            np.zeros((3, 40, 3), dtype=np.int32),
+            np.zeros((3 * 40 * 3,), dtype=np.int16),
+        ):
+            with pytest.raises(DlibProtocolError):
+                pack_q16(q, bad)
+            with pytest.raises(DlibProtocolError):
+                unpack_q16(packed, bad)
 
     @given(polylines)
     @settings(max_examples=100, deadline=None)
@@ -275,6 +325,28 @@ class TestPackedQ16:
         assert decoded["vertices"].shape == vertices.shape
         assert decoded["vertices"].tobytes() == expected.tobytes()
 
+    @given(
+        polylines.flatmap(
+            lambda v: st.tuples(
+                st.just(v),
+                arrays(np.float32, v.shape, elements=st.floats(-1e4, 1e4, width=32)),
+            )
+        )
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_predicted_entry_decodes_bit_identical_to_plain_q16(self, pair):
+        """The predicted form, decoded against the rake the reader holds
+        (itself a decoded q16 grid), gives the keyframe form's vertices."""
+        before, after = pair
+        held = dequantize_points(quantize_points(before))
+        wire = decode_value(encode_value(packed_entry(after, held)))
+        assert wire["qpred"] is True
+        decoded = decode_path_entry(wire, held)
+        expected = dequantize_points(quantize_points(after))
+        assert decoded["vertices"].tobytes() == expected.tobytes()
+        with pytest.raises(DlibProtocolError, match="held"):
+            decode_path_entry(wire)  # nothing held to predict from
+
     def test_pack_rejects_anything_but_an_int16_polyline_grid(self):
         for bad in (
             np.zeros((2, 4, 3), dtype=np.int32),
@@ -284,44 +356,49 @@ class TestPackedQ16:
             with pytest.raises(DlibProtocolError):
                 pack_q16(bad)
 
-    @given(q16_grids, st.data())
+    @given(q16_grids, st.booleans(), st.data())
     @settings(max_examples=100, deadline=None)
-    def test_truncated_stream_rejected(self, q, data):
-        packed = pack_q16(q)
+    def test_truncated_stream_rejected(self, q, predicted, data):
+        base = base_for(q, predicted)
+        packed = pack_q16(q, base)
         cut = data.draw(st.integers(0, len(packed["qpack"]) - 1))
         with pytest.raises(DlibProtocolError):
-            unpack_q16(dict(packed, qpack=packed["qpack"][:cut]))
+            unpack_q16(dict(packed, qpack=packed["qpack"][:cut]), base)
 
-    @given(st.data())
+    @given(st.booleans(), st.data())
     @settings(max_examples=200, deadline=None)
-    def test_bit_flip_is_rejected_or_harmless(self, data):
+    def test_bit_flip_is_rejected_or_harmless(self, predicted, data):
         """A flipped bit raises the typed error — or, where it lands in
         deflate's ignored padding bits, changes nothing.  It never
         decodes to different points and never escapes as another error."""
         q = smooth_grid()
-        packed = pack_q16(q)
+        base = base_for(q, predicted)
+        packed = pack_q16(q, base)
         stream = bytearray(packed["qpack"])
         bit = data.draw(st.integers(0, len(stream) * 8 - 1))
         stream[bit // 8] ^= 1 << (bit % 8)
         try:
-            back = unpack_q16(dict(packed, qpack=bytes(stream)))
+            back = unpack_q16(dict(packed, qpack=bytes(stream)), base)
         except DlibProtocolError:
             return
         np.testing.assert_array_equal(back, q)
 
     def test_flipped_payload_byte_rejected(self):
-        packed = pack_q16(smooth_grid())
-        stream = bytearray(packed["qpack"])
-        stream[len(stream) // 2] ^= 0xFF
-        with pytest.raises(DlibProtocolError):
-            unpack_q16(dict(packed, qpack=bytes(stream)))
+        q = smooth_grid()
+        for base in (None, base_for(q, True)):
+            packed = pack_q16(q, base)
+            stream = bytearray(packed["qpack"])
+            stream[len(stream) // 2] ^= 0xFF
+            with pytest.raises(DlibProtocolError):
+                unpack_q16(dict(packed, qpack=bytes(stream)), base)
 
-    @given(q16_grids, st.binary(min_size=1, max_size=8))
+    @given(q16_grids, st.booleans(), st.binary(min_size=1, max_size=8))
     @settings(max_examples=50, deadline=None)
-    def test_trailing_bytes_rejected(self, q, extra):
-        packed = pack_q16(q)
+    def test_trailing_bytes_rejected(self, q, predicted, extra):
+        base = base_for(q, predicted)
+        packed = pack_q16(q, base)
         with pytest.raises(DlibProtocolError):
-            unpack_q16(dict(packed, qpack=packed["qpack"] + extra))
+            unpack_q16(dict(packed, qpack=packed["qpack"] + extra), base)
 
     @pytest.mark.parametrize(
         "qshape",
@@ -346,14 +423,15 @@ class TestPackedQ16:
 
     def test_deflate_bomb_stops_at_the_declared_size(self):
         bomb = zlib.compress(bytes(16 << 20), 1)  # 16 MiB of zeros in ~70 kB
-        tracemalloc.start()
-        try:
-            with pytest.raises(DlibProtocolError):
-                unpack_q16({"qpack": bomb, "qshape": [1, 2, 3]})
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 1 << 20  # inflated 13 bytes, not 16 MiB
+        for base in (None, np.zeros((1, 2, 3), dtype=np.int16)):
+            tracemalloc.start()
+            try:
+                with pytest.raises(DlibProtocolError):
+                    unpack_q16({"qpack": bomb, "qshape": [1, 2, 3]}, base)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 1 << 20  # inflated 13 bytes, not 16 MiB
 
     @pytest.mark.parametrize(
         "field, value",

@@ -12,7 +12,12 @@ the compat contract of docs/network.md:
   ``PublishedFrame.compose`` produces (the delivery-equivalence matrix);
 * the packed ``q16`` wire form decodes, over real sockets, to exactly
   what ``dequantize_points`` makes of the int16 grid — keyframe, delta
-  and pushed — and is still built once per rake entry;
+  and pushed — and each of its two forms is still built once per rake
+  entry;
+* the differential oracle: through stepping, the clock's wrap, a step
+  back, a scrub and a rake drag, every frame a ``q16`` + deltas client
+  holds — rakes predicted from its held copies included — is bit for
+  bit a fresh q16 keyframe of the same publication;
 * a push subscriber that also pulls keeps one delta base, and negotiated
   terms survive a reconnect and a reap.
 
@@ -182,6 +187,32 @@ def test_encoding_cache_builds_each_variant_once():
     )
     assert later.compose(["1"], "q16").data == frame.compose(["1"], "q16").data
     assert counters.misses.value == 1 and counters.hits.value == 3
+    assert sorted(entry.variants) == ["q16", "v1"]
+
+
+def test_predicted_form_is_built_once_against_one_base():
+    """An entry keeps one predicted fragment, for the first base asked;
+    a reader at another base, or holding a rake of another shape, gets
+    the keyframe form — so each form is built at most once."""
+    counters = VariantCounters()
+    entry = _frame({1: _Result(3)}, counters=counters).entries["1"]
+    base_a, base_b = (_frame({1: _Result(s)}).entries["1"] for s in (1, 2))
+    wider = _frame({1: _Result(1, n_seeds=4)}).entries["1"]
+    predicted = entry.fragment("q16", base_a)
+    assert entry.fragment("q16", base_a) == predicted
+    assert (counters.misses.value, counters.hits.value) == (1, 1)
+    keyframe = entry.fragment("q16", base_b)
+    assert entry.fragment("q16", wider) == entry.fragment("q16") == keyframe
+    assert (counters.misses.value, counters.hits.value) == (2, 3)
+    assert counters.predicted.value == 2
+    assert entry.fragment("v1", base_a) == entry.fragment("v1")
+    wire, plain = decode_value(predicted), decode_value(keyframe)
+    assert wire["qpred"] is True and "qpred" not in plain
+    held = dequantize_points(quantize_points(base_a.path["vertices"]))
+    assert (
+        decode_path_entry(wire, held)["vertices"].tobytes()
+        == decode_path_entry(plain)["vertices"].tobytes()
+    )
     assert sorted(entry.variants) == ["q16", "v1"]
 
 
@@ -587,6 +618,61 @@ class TestPackedQ16Loopback:
                 )
 
 
+class TestPredictedQ16Oracle:
+    """The differential oracle for the predicted q16 form: whatever form
+    each rake crossed the wire in, the scene a ``q16`` + deltas client
+    holds is, bit for bit, what a fresh q16 keyframe of the same
+    publication decodes to."""
+
+    def test_every_frame_decodes_as_a_fresh_q16_keyframe(self):
+        clock = {"now": 0.0}
+        srv = WindtunnelServer(
+            _unsteady_dataset(),
+            settings=ToolSettings(streamline_steps=16, streakline_length=6),
+            time_speed=1.0,
+            time_fn=lambda: clock["now"],
+        )
+        frames = {}  # every publication, by seq
+        srv.store.subscribe(lambda frame: frames.__setitem__(frame.seq, frame))
+        srv.start()
+        try:
+            with WindtunnelClient(*srv.address, name="oracle") as c:
+                c.time_control("pause")
+                for x in (2.0, 4.0, 6.0):
+                    c.add_rake([x, 1, 1], [x, 7, 3], n_seeds=4)
+                c.subscribe(encoding="q16", deltas=True)
+
+                def check(state) -> int:
+                    frame = wait_until(lambda: frames.get(state["v2"]["seq"]))
+                    fresh = decode_value(frame.compose(list(frame.entries), "q16").data)
+                    assert set(state["paths"]) == set(fresh)
+                    for rid, entry in fresh.items():
+                        want = decode_path_entry(entry)["vertices"]
+                        assert state["paths"][rid]["vertices"].tobytes() == want.tobytes()
+                    return frame.timestep
+
+                check(c.fetch_frame())
+                timesteps = []
+                for _ in range(16):  # 6 timesteps: the clock wraps twice
+                    c.time_control("step", 1)
+                    timesteps.append(check(c.fetch_frame()))
+                assert timesteps == [(k + 1) % 6 for k in range(16)]
+                c.time_control("step", -1)
+                assert check(c.fetch_frame()) == 3
+                c.time_control("scrub", 1)
+                assert check(c.fetch_frame()) == 1
+                c.send_input([4, -6, 2], [2.0, 1.0, 1.0], "fist")  # grab rake 1
+                for y in (1.5, 2.0, 2.5):
+                    c.send_input([4, -6, 2], [2.0, y, 1.0], "fist")
+                    check(c.fetch_frame())
+                c.send_input([4, -6, 2], [2.0, 2.5, 1.0], "open")
+                check(c.fetch_frame())
+            counters = srv.registry.snapshot()["counters"]
+            assert counters["net.q16_predicted_lookups"] > 0
+        finally:
+            srv.stop()
+
+
 # -- push-mode delivery -------------------------------------------------------
 
 
@@ -734,13 +820,18 @@ class TestPushDelivery:
                     assert echo["push"] is True
                 assert Subscription.from_wire(sub.to_wire()) == sub
                 wanted = [str(r) for r in (1, 2, 3) if sub.wants(str(r), "streamline")]
+                composed = {}  # seq -> frame, as both readers were sent it
 
                 def check(expected_rids, ack):
                     # Never subscribed: the one-argument v1 request.
                     args = (cid,) if options is None else (cid, ack)
                     reply = pull.call("wt.frame", *args)
                     frame = srv.store.latest()
-                    want = frame.compose(expected_rids, sub.encoding).data
+                    composed[frame.seq] = frame
+                    # A delta against the frame both readers hold predicts
+                    # each changed q16 rake from it.
+                    held = composed[ack].entries if ack and sub.deltas else None
+                    want = frame.compose(expected_rids, sub.encoding, held).data
                     assert encode_value(reply["paths"]) == want
                     if options is None:
                         assert "v2" not in reply
