@@ -2,9 +2,9 @@
 
 The acceptance scenario of docs/network.md: a typical interactive
 unsteady session — eight rakes, the user studying one timestep while
-dragging a single rake — served once over the v1 protocol (full re-encode
-to every client, 12 bytes/point) and once over v2 (per-rake deltas +
-fixed-point quantization).  Measures:
+dragging a single rake — served once as v1 full frames (a
+``deltas=False`` subscription: Table 1's 12 bytes/point, every frame)
+and once as per-rake deltas + fixed-point quantization.  Measures:
 
 * bytes/frame, v1 vs v2, from the server's ``net.bytes_per_frame``
   histogram (the gate: >= 3x reduction);
@@ -104,13 +104,14 @@ def test_v2_cuts_bytes_per_frame(wt_server, small_dataset, record):
     vc1 = VirtualClock()
     shaped = BandwidthSchedule([(0.0, ULTRANET_ACTUAL.bandwidth)])
 
-    # -- phase 1: v1 client (pre-PR protocol, byte-identical) ---------------
+    # -- phase 1: v1 full frames (Table 1's baseline: deltas off) -----------
     c1 = WindtunnelClient(
         stream=ThrottledChannel(
             connect_tcp(host, port), ULTRANET_ACTUAL, clock=vc1, schedule=shaped
         ),
         name="v1",
     )
+    c1.subscribe(deltas=False)
     rids = _add_rakes(c1, small_dataset)
     rake_end = wt_server.env.rakes[rids[0]].end_a.copy()
     reference = c1.fetch_frame()["paths"]  # exact float32 scene

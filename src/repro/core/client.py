@@ -15,8 +15,9 @@ the renderer keeps drawing the last good frame (flagged
 back off, reconnect through the stream factory, and resume the session
 with ``wt.rejoin`` — so a transient stall costs staleness, not a crash.
 A resume re-sends the delivery terms last negotiated: a reaped seat lost
-them, and a new connection has no push binding.  Merging v2 replies
-into the held scene is :class:`~repro.core.delivery.HeldScene`'s.
+them, and a new connection has no push binding.  Every frame reply is
+enveloped, negotiated or not; merging it into the held scene is
+:class:`~repro.core.delivery.HeldScene`'s.
 """
 
 from __future__ import annotations
@@ -148,9 +149,10 @@ class WindtunnelClient:
         self._net_stop = threading.Event()
         self._state_lock = threading.Lock()
         self._closed = False
-        # Negotiated delivery (docs/network.md): the terms last sent
-        # (None = the default subscription) and the scene deltas merge into.
-        self._adopt_terms(None)
+        # Delivery (docs/network.md): the terms last sent (None = never
+        # subscribed, the seat's defaults) and the scene deltas merge into.
+        self._terms: dict | None = None
+        self._held = HeldScene()
 
     # -- resilience ----------------------------------------------------------
 
@@ -283,17 +285,14 @@ class WindtunnelClient:
         """
         return self._call("wt.isosurface", self.client_id, level_fraction)
 
-    # -- negotiated frame delivery (docs/network.md) --------------------------
-
-    def _adopt_terms(self, terms: dict | None) -> None:
-        """Start over under new delivery terms: nothing held, nothing
-        acked, so the next frame is a keyframe."""
-        self._terms, self._held = terms, HeldScene()
+    # -- frame delivery (docs/network.md) ----------------------------------------
 
     def _negotiate(self, call, terms: dict) -> dict:
         info = call("wt.subscribe", self.client_id, terms)
         with self._state_lock:
-            self._adopt_terms(terms)
+            # Start over under the new terms: nothing held, nothing
+            # acked, so the next frame is a keyframe.
+            self._terms, self._held = terms, HeldScene()
         return info
 
     def subscribe(
@@ -307,7 +306,9 @@ class WindtunnelClient:
     ) -> dict:
         """Negotiate bandwidth-adaptive frame delivery.
 
-        Returns the server's echo of the effective settings.
+        Returns the server's echo of the effective settings.  A client
+        that never calls this is served the defaults: ``v1`` deltas of
+        every rake, pulled.
 
         With ``push=True`` the server also streams frames to this
         connection as it publishes them (PUSH messages), without waiting
@@ -328,14 +329,8 @@ class WindtunnelClient:
         }).to_wire()
         return self._negotiate(self._call, terms)
 
-    def unsubscribe(self) -> None:
-        """Return to the default subscription (full ``v1`` keyframes)."""
-        self._call("wt.subscribe", self.client_id, {"enabled": False})
-        with self._state_lock:
-            self._adopt_terms(None)
-
     def _integrate(self, state: dict) -> dict:
-        """Merge a v2 reply into the held scene and show it; return the
+        """Merge a frame reply into the held scene and show it; return the
         state now shown — the previous one when the reply is a delta
         against a base we do not hold (the next pull resyncs).
 
@@ -370,16 +365,7 @@ class WindtunnelClient:
 
     def fetch_frame(self) -> dict:
         """Pull the current shared visualization from the server."""
-        if self._terms is None:
-            state = self._call("wt.frame", self.client_id)
-        else:
-            state = self._call("wt.frame", self.client_id, self._held.seq)
-            if "v2" in state:
-                return self._integrate(state)
-        with self._state_lock:
-            self.latest_state = state
-            self.state_stale = False
-        return state
+        return self._integrate(self._call("wt.frame", self.client_id, self._held.seq))
 
     def start_network_loop(self, interval: float = 0.05, *, max_backoff: float = 2.0) -> None:
         """Run fetch_frame continuously in a background thread.

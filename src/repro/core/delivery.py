@@ -2,11 +2,12 @@
 
 The ``"v2"`` envelope (``seq``, ``mode``, ``base``, ``encoding``,
 ``removed``) is written and read here and nowhere else.
-:class:`Delivery`, on the dlib event loop, holds every reader's
+:class:`Delivery`, on the dlib event loop, holds every seat's
 :class:`Subscription`, parks ``wt.frame`` calls, binds push connections
-and builds every reply with one composer, as a delta against a frame it
-remembers composing (only a composed frame can be acked) when it can.
-:class:`HeldScene` is the client's half: the scene it holds, its ack.
+and builds every reply, enveloped, with one composer: a delta against
+the frame last composed for the subscription when the reader holds it,
+a keyframe otherwise.  :class:`HeldScene` is the client's half: the
+scene it holds, its ack.
 
 One delta base per connection: every frame message queued on a
 push-bound connection, pulled or pushed, is a delta against the one
@@ -17,7 +18,6 @@ from __future__ import annotations
 
 import threading
 import time
-from collections import OrderedDict
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 
@@ -27,30 +27,25 @@ from repro.dlib.protocol import DlibProtocolError, PreEncoded, decode_path_entry
 from repro.dlib.server import Deferred
 from repro.obs import Trace, current_trace
 
-__all__ = [
-    "DEFAULT_SUBSCRIPTION", "SENT_DIGESTS", "Delivery", "HeldScene", "Subscription",
-]
-
-#: How many composed frames' digest maps delivery remembers — the window
-#: inside which a reader's ack can still anchor a delta.
-SENT_DIGESTS = 64
+__all__ = ["Delivery", "HeldScene", "Subscription"]
 
 
 @dataclass
 class Subscription:
-    """One reader's delivery terms, plus the live state that serves them.
+    """One seat's delivery terms, plus the live state that serves them.
 
-    The five option fields are what ``wt.subscribe`` negotiates
+    Every seat holds one from the moment it is seated — the defaults,
+    ``from_wire({})``, until ``wt.subscribe`` replaces them.  The five
+    option fields are what ``wt.subscribe`` negotiates
     (docs/network.md), what the gateway journals (:meth:`to_wire`) and
     what ``wt.restore`` feeds back (:meth:`from_wire`).  They are never
     assigned after construction — re-negotiating replaces the record —
     and they alone decide equality.  The live part: ``conn`` (the
     connection push delivery is bound to — by ``wt.subscribe`` only, a
     restored record has no socket to its client yet), ``seq`` (the
-    last frame composed under these terms: on a bound connection the
-    delta base; 0 until then, and an ack is trusted only after it) and
-    ``entries`` (that frame's ``{rake_id: RakeEntry}``, what a ``q16``
-    delta against it predicts from).
+    last frame composed under these terms, the one delta base; 0 until
+    then) and ``entries`` (that frame's ``{rake_id: RakeEntry}``, what
+    a delta against it is the difference from).
     """
 
     encoding: str
@@ -70,6 +65,11 @@ class Subscription:
             raise ValueError(
                 f"unknown encoding {encoding!r}; expected one of {ENCODINGS}"
             )
+        deltas, push = options.get("deltas", True), options.get("push", False)
+        for key, value in (("deltas", deltas), ("push", push)):
+            # ``bool("false")`` is True.
+            if not isinstance(value, bool):
+                raise ValueError(f"{key} must be a bool (or absent)")
         rakes, kinds = options.get("rakes"), options.get("kinds")
         for key, value in (("rakes", rakes), ("kinds", kinds)):
             # A bare string would iterate into its characters.
@@ -77,8 +77,8 @@ class Subscription:
                 raise ValueError(f"{key} must be a list (or absent)")
         return cls(
             encoding=encoding,
-            deltas=bool(options.get("deltas", True)),
-            push=bool(options.get("push", False)),
+            deltas=deltas,
+            push=push,
             rakes=None if rakes is None else frozenset(str(r) for r in rakes),
             kinds=None if kinds is None else frozenset(str(k) for k in kinds),
         )
@@ -98,15 +98,6 @@ class Subscription:
         return (self.rakes is None or rid in self.rakes) and (
             self.kinds is None or kind in self.kinds
         )
-
-
-#: What a client that never called ``wt.subscribe`` holds: full-precision
-#: keyframes of every rake, on request.  One shared record, never mutated,
-#: and the only one whose replies carry no ``"v2"`` envelope — they stay
-#: byte-identical to the pre-subscription protocol.
-DEFAULT_SUBSCRIPTION = Subscription(
-    encoding="v1", deltas=False, push=False, rakes=None, kinds=None,
-)
 
 
 @dataclass
@@ -142,7 +133,6 @@ class Delivery:
         # Parked ``wt.frame`` calls: a publication resolves them, the
         # sweep tick expires them.
         self._waiters: list[_FrameCall] = []
-        self._sent: OrderedDict[int, dict] = OrderedDict()  # seq -> digests
         self._frames_served = registry.counter("wt.frames_served")
         self._frame_cache_hits = registry.counter("wt.frame_cache_hits")
         self._bytes_hist = registry.histogram("net.bytes_per_frame")
@@ -161,7 +151,6 @@ class Delivery:
     def stats(self) -> dict:
         """Delivery's rows of ``wt.stats``."""
         return {
-            "v2_subscriptions": len(self._subs),
             "push_subscriptions": sum(
                 1 for sub in self._subs.values() if sub.conn is not None
             ),
@@ -172,11 +161,8 @@ class Delivery:
     # -- terms ---------------------------------------------------------------
 
     def subscribe(self, cid: int, options: dict) -> dict:
-        """``wt.subscribe``: negotiate (or, ``enabled=False``, drop) terms
-        and bind push delivery to the calling connection."""
-        if not options.get("enabled", True):
-            self.drop(cid)
-            return {"enabled": False, "seq": self.store.seq}
+        """``wt.subscribe``: negotiate terms and bind push delivery to the
+        calling connection."""
         sub = self.restore(cid, options)
         conn = self.dlib.current_connection() if sub.push else None
         if conn is not None:
@@ -186,15 +172,15 @@ class Delivery:
             sub.conn = conn
             self.pipeline.add_demand()
         return {
-            "enabled": True,
             "seq": self.store.seq,
             **sub.to_wire(),
             "push": sub.conn is not None,  # armed, not merely asked for
         }
 
     def restore(self, cid: int, options: dict) -> Subscription:
-        """Install ``options`` as ``cid``'s subscription (``wt.restore``
-        replays the journal through here).  Last-write-wins: the prior
+        """Install ``options`` as ``cid``'s subscription: seating a client
+        (``{}``, the defaults), ``wt.subscribe`` and ``wt.restore``'s
+        journal replay all come through here.  Last-write-wins: the prior
         record and its binding go — once the new options have validated."""
         sub = Subscription.from_wire(options)
         self.drop(cid)
@@ -202,7 +188,7 @@ class Delivery:
         return sub
 
     def drop(self, cid: int) -> None:
-        """Return ``cid`` to the default subscription (leave, reap).
+        """Drop ``cid``'s subscription with its seat (leave, reap).
 
         The record and its push binding die with the client, so a churn
         of short-lived clients costs nothing once they are gone.
@@ -266,9 +252,10 @@ class Delivery:
         self._frames_served.inc()
         if cached:
             self._frame_cache_hits.inc()
-        sub = self._subs.get(call.client_id, DEFAULT_SUBSCRIPTION)
+        # A caller with no seat gets a keyframe from a throwaway record.
+        sub = self._subs.get(call.client_id) or Subscription.from_wire({})
         bound = sub.conn is not None and sub.conn is call.conn
-        return self._compose(frame, cached, env, sub, sub.seq if bound else call.ack)
+        return self._compose(frame, cached, env, sub, bound or call.ack == sub.seq)
 
     def _sweep(self, frame: PublishedFrame | None = None) -> None:
         """Settle parked calls: resolve those ``frame`` satisfies, or (no
@@ -339,7 +326,7 @@ class Delivery:
                 env_wire = PreEncoded.wrap(self.env.snapshot(self._time_fn()))
             # TCP ordering: a queued frame either arrives or the
             # connection dies, so the base advances without an ack.
-            reply = self._compose(frame, False, env_wire, sub, sub.seq)
+            reply = self._compose(frame, False, env_wire, sub, True)
             if self.dlib.push(sub.conn, reply, shed=False):
                 self._push_frames.inc()
         self._push_latency.observe(time.perf_counter() - t0)
@@ -347,70 +334,59 @@ class Delivery:
     # -- the composer ----------------------------------------------------------
 
     def _compose(
-        self, frame: PublishedFrame, cached: bool, env, sub: Subscription, base: int
+        self, frame: PublishedFrame, cached: bool, env, sub: Subscription, holds: bool
     ) -> dict:
         """Build the reply ``sub`` is owed for ``frame`` — the one composer
         behind cache hits, resolved continuations and PUSH.
 
-        A delta ships only the interesting rakes whose digests changed
-        since publication ``base``; when ``base`` is the last frame
-        composed for ``sub``, whose entries it kept, a changed ``q16``
-        rake ships predicted from the copy the reader holds.  A base
-        delivery cannot vouch for — never composed under these terms, or
-        out of the digest map — falls back to a keyframe, which is the
-        resync.  The ``"v2"`` envelope is attached iff the subscription
-        was negotiated: wire compatibility (an un-negotiated client
-        predates the key), not a second path.
+        ``holds`` says the reader holds the frame last composed for
+        ``sub`` (it acked ``sub.seq``, or the reply goes to the bound
+        connection that frame was queued on).  Then, with deltas on, the
+        reply ships only the interesting rakes whose digests changed
+        since that frame, a changed ``q16`` rake predicted from the copy
+        the reader holds.  Anything else gets a keyframe, which is the
+        resync: a lost reply costs one keyframe.
         """
         rids = [
             rid for rid, entry in frame.entries.items() if sub.wants(rid, entry.kind)
         ]
-        base_digests = self._sent.get(base) if sub.deltas and sub.seq else None
-        held = None
-        if base_digests is None:
-            mode, base, send, removed = "keyframe", 0, rids, []
-        else:
-            mode = "delta"
+        if holds and sub.deltas and sub.seq:
+            mode, base, held = "delta", sub.seq, sub.entries
             send = [
                 rid for rid in rids
-                if base_digests.get(rid) != frame.entries[rid].digest
+                if rid not in held or held[rid].digest != frame.entries[rid].digest
             ]
-            removed = [rid for rid in base_digests if rid not in frame.entries]
-            if base == sub.seq:
-                held = sub.entries
+            removed = [rid for rid in held if rid not in frame.entries]
+        else:
+            mode, base, held, send, removed = "keyframe", 0, None, rids, []
         fragment = frame.compose(send, encoding=sub.encoding, held=held)
         (self._delta_frames if mode == "delta" else self._keyframes).inc()
         self._bytes_hist.observe(float(fragment.nbytes))
-        reply = {
+        sub.seq, sub.entries = frame.seq, frame.entries
+        return {
             "timestep": frame.timestep,
             "steer_epoch": frame.steer_epoch,
             "paths": fragment,
             "compute_seconds": frame.compute_seconds,
             "env": env,
             "cached": cached,
-        }
-        if sub is not DEFAULT_SUBSCRIPTION:
-            sub.seq, sub.entries = frame.seq, frame.entries
-            if frame.seq not in self._sent:
-                self._sent[frame.seq] = frame.digests
-                if len(self._sent) > SENT_DIGESTS:
-                    self._sent.popitem(last=False)
-            reply["v2"] = {
+            "v2": {
                 "seq": frame.seq,
                 "mode": mode,
                 "base": base,
                 "encoding": sub.encoding,
                 "removed": removed,
-            }
-        return reply
+            },
+        }
 
 
 class HeldScene:
     """The client half: the per-rake scene a reader holds and the
     publication ``seq`` it describes — the ack its next pull sends.
 
-    Start a fresh one whenever the terms change (subscribe, resume): it
-    holds nothing and acks 0, so the next frame is a keyframe.
+    Start a fresh one whenever the terms change (a subscribe, or the
+    terms a resume re-sends): it holds nothing and acks 0, so the next
+    frame is a keyframe.
     """
 
     def __init__(self) -> None:

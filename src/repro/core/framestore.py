@@ -29,8 +29,8 @@ Invariants (docs/architecture.md, docs/network.md):
   entries' bytes behind a count).
 * **Delta identity.**  Each rake entry carries a content digest of its
   vertex/length bytes.  Two frames whose digests match for a rake hold
-  bit-identical geometry for it, which is what licenses the v2 delta
-  path to omit the rake entirely (docs/network.md, "Delta frames");
+  bit-identical geometry for it, which is what licenses a delta to
+  omit the rake entirely (docs/network.md, "Delta frames");
   which frames a reader holds is delivery's business
   (:mod:`repro.core.delivery`), not the store's.
 """
@@ -271,8 +271,8 @@ class PublishedFrame:
         cache key, now explicit provenance.
     seq
         Monotonic publication number (assigned by the store).  Also the
-        v2 delivery ack token: a subscribed client acknowledges the last
-        seq it integrated, and deltas are expressed against it.
+        delivery ack token: a client acknowledges the last seq it
+        integrated, and deltas are expressed against it.
     entries
         ``{rake_id: RakeEntry}`` — each rake's geometry and fragments,
         shared with every other frame in which the rake has that content.
@@ -308,12 +308,6 @@ class PublishedFrame:
         return {rid: entry.path for rid, entry in self.entries.items()}
 
     @property
-    def digests(self) -> dict:
-        """``{rake_id: content digest}`` — bit-exact geometry identity per
-        rake, the basis of delta frames (docs/network.md)."""
-        return {rid: entry.digest for rid, entry in self.entries.items()}
-
-    @property
     def n_points(self) -> int:
         """Total valid path points (the paper's particle count)."""
         return sum(entry.n_points for entry in self.entries.values())
@@ -324,10 +318,10 @@ class PublishedFrame:
         """Wire fragment of the paths dict restricted to ``rids``.
 
         For ``encoding="v1"`` and the full rake set this is byte-identical
-        to ``encode_value(self.paths)`` — the reply an un-negotiated
-        client has always received.  ``held`` is ``{rake_id: RakeEntry}``
-        of the frame the reader holds: a ``q16`` rake it holds may then
-        ship predicted from its held copy (:meth:`RakeEntry.fragment`).
+        to ``encode_value(self.paths)`` — a ``v1`` keyframe.  ``held`` is
+        ``{rake_id: RakeEntry}`` of the frame the reader holds: a ``q16``
+        rake it holds may then ship predicted from its held copy
+        (:meth:`RakeEntry.fragment`).
         Each entry builds each form at most once, however many readers
         and frames ask for it.
         """

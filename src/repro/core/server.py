@@ -223,6 +223,7 @@ class WindtunnelServer:
     def _rpc_join(self, ctx, name: str = "") -> dict:
         user = self.env.add_user(name)
         lease = self.sessions.open(user.client_id, name)
+        self.delivery.restore(user.client_id, {})
         info = self._join_info(user.client_id)
         info["token"] = lease.token
         return info
@@ -232,13 +233,15 @@ class WindtunnelServer:
 
         The client keeps its old ``client_id``; if the reaper vacated the
         seat, the user is restored — the rakes themselves never left the
-        shared environment, so they are intact.
+        shared environment, so they are intact; its subscription, which
+        the reaper dropped with the seat, starts over at the defaults.
         """
         client_id = int(client_id)
         lease = self.sessions.resume(client_id, token)
         restored = client_id not in self.env.users
         if restored:
             self.env.restore_user(client_id, lease.name)
+            self.delivery.restore(client_id, {})
         info = self._join_info(client_id)
         info["token"] = lease.token
         info["restored"] = restored
@@ -257,6 +260,7 @@ class WindtunnelServer:
             raise ValueError(f"client {cid} is already seated")
         lease = self.sessions.open(cid, name, token=token or None)
         self.env.restore_user(cid, name)
+        self.delivery.restore(cid, {})
         info = self._join_info(cid)
         info["token"] = lease.token
         return info
@@ -267,10 +271,11 @@ class WindtunnelServer:
         Crash recovery (docs/operations.md): the gateway's supervisor
         replays the session journal — seats, resume tokens, rake layout
         under the *original* rake ids, shared clock state, tool settings,
-        and v2 subscriptions — so clients resuming through ``wt.rejoin``
-        find the environment they left.  Grab locks are deliberately not
-        restored: a grab in flight at the crash is released, exactly as
-        if the holder had let go, and the user re-grabs.
+        and subscriptions (the defaults where none was journaled) — so
+        clients resuming through ``wt.rejoin`` find the environment they
+        left.  Grab locks are deliberately not restored: a grab in flight
+        at the crash is released, exactly as if the holder had let go,
+        and the user re-grabs.
 
         Idempotent per entity: already-present sessions and rakes are
         skipped, so a retried restore cannot duplicate state.
@@ -285,9 +290,7 @@ class WindtunnelServer:
             if cid not in self.env.users:
                 self.env.restore_user(cid, entry.get("name", ""))
                 restored_sessions += 1
-            options = entry.get("subscription")
-            if options:
-                self.delivery.restore(cid, dict(options))
+            self.delivery.restore(cid, entry.get("subscription") or {})
         for rid, rake_dict in (state.get("rakes") or {}).items():
             rid = int(rid)
             if rid not in self.env.rakes:
@@ -460,12 +463,12 @@ class WindtunnelServer:
 
     def _rpc_frame(self, ctx, client_id: int = 0, ack: int = 0):
         """Serve the shared visualization; doubles as the heartbeat.
-        ``ack`` (negotiated clients only) is the last seq integrated."""
+        ``ack`` is the last seq the client integrated."""
         self.sessions.touch(int(client_id))
         return self.delivery.frame(int(client_id), int(ack))
 
     def _rpc_subscribe(self, ctx, client_id: int, options: dict | None = None) -> dict:
-        """Negotiate v2 frame delivery for one client: idempotent,
+        """Negotiate one client's delivery terms: idempotent,
         last-write-wins (the options: docs/network.md)."""
         self.sessions.touch(int(client_id))
         return self.delivery.subscribe(int(client_id), dict(options or {}))

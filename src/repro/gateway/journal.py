@@ -3,7 +3,7 @@
 A worker process owns live, unserializable state (the pipeline, socket
 buffers, numpy workspaces).  The journal records the small durable core
 a session actually needs back after a crash — its seat (id, name, resume
-token), its v2 subscription options, and the worker-shared environment
+token), its subscription options, and the worker-shared environment
 pieces every seat depends on (rake layout under original ids, clock
 state, tool settings).  The supervisor replays a worker's journal slice
 into a fresh process over ``wt.restore``; clients then resume through
@@ -86,9 +86,9 @@ class SessionJournal:
                 self._workers[worker]["sessions"].pop(int(client_id), None)
             self._checkpoint()
 
-    def record_subscribe(self, client_id: int, options: dict | None) -> None:
-        """``options`` is the normalized option dict (or ``None`` after a
-        v1 downgrade) — exactly what ``wt.restore`` feeds back in."""
+    def record_subscribe(self, client_id: int, options: dict) -> None:
+        """``options`` is the normalized option dict — exactly what
+        ``wt.restore`` feeds back in."""
         with self._lock:
             worker = self._session_worker.get(int(client_id))
             if worker is None:

@@ -399,12 +399,7 @@ class SessionGateway:
         result = self._forward(
             worker, "wt.subscribe", cid, {**(options or {}), "push": False}
         )
-        self.journal.record_subscribe(
-            cid,
-            Subscription.from_wire(result).to_wire()
-            if result.get("enabled")
-            else None,
-        )
+        self.journal.record_subscribe(cid, Subscription.from_wire(result).to_wire())
         return result
 
     def _rpc_update(self, ctx, client_id: int, head, hand, gesture: str) -> dict:

@@ -17,14 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import delivery as delivery_module
-from repro.core.delivery import (
-    DEFAULT_SUBSCRIPTION,
-    SENT_DIGESTS,
-    Delivery,
-    HeldScene,
-    Subscription,
-)
+from repro.core.delivery import Delivery, HeldScene, Subscription
 from repro.core.framestore import ENCODINGS, FrameStore, PublishedFrame, encode_entries
 from repro.dlib.protocol import decode_path_entry, decode_value, encode_value
 from repro.obs import MetricsRegistry
@@ -302,12 +295,12 @@ def test_q16_delta_predicts_changed_rakes_from_the_frame_the_reader_holds():
     merged = scene.integrate(reply)
     _assert_same_scene(merged["paths"], _expected(frame, sub))
     # The reply to seq 2 is lost: an ack of seq 1 is not the last frame
-    # composed, so seq 3 is a delta of keyframe-form entries.
+    # composed, so seq 3 is a keyframe.
     _publish(delivery, loop, pipeline, _frame({"1": 21, "2": 2}, 2))
     delivery.frame(7, scene.seq)
     frame = _publish(delivery, loop, pipeline, _frame({"1": 31, "2": 2}, 3))
     reply = _wire(delivery.frame(7, scene.seq))
-    assert reply["v2"]["mode"] == "delta" and not _predicted_rids(reply)
+    assert reply["v2"]["mode"] == "keyframe" and not _predicted_rids(reply)
     _assert_same_scene(scene.integrate(reply)["paths"], _expected(frame, sub))
 
 
@@ -349,27 +342,59 @@ def test_a_predicted_entry_the_scene_cannot_decode_resyncs():
     _assert_same_scene(merged["paths"], _expected(frame, delivery._subs[7]))
 
 
-def test_sent_digest_map_stays_bounded():
+def test_an_unbound_pull_acking_an_older_frame_keyframes_then_deltas_resume():
+    """The one delta base is the frame last composed for the subscription:
+    a pull whose ack is any other frame — even one composed for it
+    earlier, whose reply was lost — gets a keyframe, and the pull after
+    it a delta again."""
     delivery, loop, pipeline = _delivery()
     delivery.subscribe(7, {})
-    seqs = []
-    for t in range(SENT_DIGESTS + 5):
-        frame = _publish(delivery, loop, pipeline, _frame({"1": t % 3, "2": 9}, t))
-        delivery.frame(7, 0)
-        seqs.append(frame.seq)
-    assert len(delivery._sent) == SENT_DIGESTS
-    assert list(delivery._sent) == seqs[-SENT_DIGESTS:]
-    assert delivery.frame(7, seqs[0])["v2"]["mode"] == "keyframe"  # evicted
-    assert delivery.frame(7, seqs[-SENT_DIGESTS])["v2"]["mode"] == "delta"
+    scene = HeldScene()
+    _publish(delivery, loop, pipeline, _frame({"1": 1, "2": 2}, 0))
+    assert scene.integrate(_wire(delivery.frame(7, scene.seq)))["v2"]["mode"] == "keyframe"
+    _publish(delivery, loop, pipeline, _frame({"1": 11, "2": 2}, 1))
+    lost = delivery.frame(7, scene.seq)  # composed, never integrated
+    assert lost["v2"]["mode"] == "delta"
+    frame = _publish(delivery, loop, pipeline, _frame({"1": 21, "2": 2}, 2))
+    reply = _wire(delivery.frame(7, scene.seq))
+    assert reply["v2"]["mode"] == "keyframe" and reply["v2"]["base"] == 0
+    assert set(reply["paths"]) == {"1", "2"}
+    _assert_same_scene(scene.integrate(reply)["paths"], _expected(frame, delivery._subs[7]))
+    frame = _publish(delivery, loop, pipeline, _frame({"1": 31, "2": 2}, 3))
+    reply = _wire(delivery.frame(7, scene.seq))
+    assert reply["v2"]["mode"] == "delta" and set(reply["paths"]) == {"1"}
+    _assert_same_scene(scene.integrate(reply)["paths"], _expected(frame, delivery._subs[7]))
 
 
-def test_default_subscription_replies_carry_no_envelope_and_record_nothing():
+def test_a_caller_with_no_seat_gets_an_enveloped_keyframe_and_records_nothing():
     delivery, loop, pipeline = _delivery()
     frame = _publish(delivery, loop, pipeline, _frame({"1": 1, "3": 3}, 0))
-    reply = delivery.frame(5, 0)
-    assert "v2" not in reply and reply["cached"] is True
-    assert reply["paths"].data == encode_value(frame.paths)
-    assert not delivery._sent and DEFAULT_SUBSCRIPTION.seq == 0
+    for _ in range(2):
+        reply = delivery.frame(5, frame.seq)
+        assert reply["v2"] == {
+            "seq": frame.seq, "mode": "keyframe", "base": 0,
+            "encoding": "v1", "removed": [],
+        }
+        assert reply["paths"].data == encode_value(frame.paths)
+    assert not delivery._subs
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("push", "false"), ("deltas", "no"), ("deltas", 1), ("push", None)],
+    ids=["push-str", "deltas-str", "deltas-int", "push-null"],
+)
+def test_a_switch_that_is_not_a_bool_is_refused(key, value):
+    """``bool("false")`` is True: a string used to arm push delivery or
+    turn deltas on.  Refused by name, the old terms untouched."""
+    with pytest.raises(ValueError, match=f"{key} must be a bool"):
+        Subscription.from_wire({key: value})
+    delivery, loop, pipeline = _delivery()
+    delivery.subscribe(7, {"deltas": False})
+    held = delivery._subs[7]
+    with pytest.raises(ValueError, match=key):
+        delivery.subscribe(7, {key: value})
+    assert delivery._subs[7] is held and pipeline.demand == 0
 
 
 # -- the property: every step shows the scene the subscription asked for ----------
@@ -395,37 +420,31 @@ steps = st.tuples(
 
 
 @settings(max_examples=60, deadline=None)
-@given(subscriptions, st.lists(steps, min_size=1, max_size=12), st.integers(2, 4))
-def test_merged_scene_is_what_the_subscription_asked_for(options, script, window):
+@given(subscriptions, st.lists(steps, min_size=1, max_size=12))
+def test_merged_scene_is_what_the_subscription_asked_for(options, script):
     """Over random publications with lost replies (the ack stays behind),
-    stale acks (one behind the scene held), unknown acks and a digest map
-    only ``window`` frames deep, every reply the client accepts leaves it
-    holding exactly ``decode(frame.compose(wanted, ...))``, and the only
-    reply it refuses is a delta against a base it does not hold."""
-    original = delivery_module.SENT_DIGESTS
-    delivery_module.SENT_DIGESTS = window
-    try:
-        delivery, loop, pipeline = _delivery()
-        delivery.subscribe(7, options)
-        sub = delivery._subs[7]
-        scene = HeldScene()
-        for t, (content, fate) in enumerate(script):
-            frame = _publish(delivery, loop, pipeline, _frame(content, t))
-            held = scene.seq
-            ack = {"unknown": held + 10_000, "stale": max(held - 1, 0)}.get(fate, held)
-            reply = _wire(delivery.frame(7, ack))
-            assert reply["v2"]["seq"] == frame.seq
-            if fate == "lost":
-                continue  # never integrated: the next ack is behind
-            merged = scene.integrate(reply)
-            if merged is None:
-                assert reply["v2"]["mode"] == "delta" and reply["v2"]["base"] != held
-                assert scene.seq == 0  # the next pull keyframes
-            else:
-                _assert_same_scene(merged["paths"], _expected(frame, sub))
-            assert len(delivery._sent) <= window
-    finally:
-        delivery_module.SENT_DIGESTS = original
+    stale acks (one behind the scene held) and unknown acks, a reply is a
+    delta exactly when deltas are on and the ack is the frame last
+    composed for the subscription, and every reply leaves the client
+    holding exactly ``decode(frame.compose(wanted, ...))``."""
+    delivery, loop, pipeline = _delivery()
+    delivery.subscribe(7, options)
+    sub = delivery._subs[7]
+    scene = HeldScene()
+    for t, (content, fate) in enumerate(script):
+        frame = _publish(delivery, loop, pipeline, _frame(content, t))
+        held, last = scene.seq, sub.seq
+        ack = {"unknown": held + 10_000, "stale": max(held - 1, 0)}.get(fate, held)
+        reply = _wire(delivery.frame(7, ack))
+        assert reply["v2"]["seq"] == sub.seq == frame.seq
+        if sub.deltas and last and ack == last:
+            assert reply["v2"]["mode"] == "delta" and reply["v2"]["base"] == ack
+        else:
+            assert reply["v2"]["mode"] == "keyframe" and reply["v2"]["base"] == 0
+        if fate == "lost":
+            continue  # never integrated: the next ack is behind
+        merged = scene.integrate(reply)
+        _assert_same_scene(merged["paths"], _expected(frame, sub))
 
 
 # -- one delta base per connection ----------------------------------------------
@@ -460,10 +479,10 @@ def test_a_pull_on_a_push_bound_connection_takes_the_bindings_base():
     for message in queued:
         assert scene.integrate(_wire(message)) is not None
     latest = delivery.store.latest()
-    _assert_same_scene(scene.paths, _expected(latest, DEFAULT_SUBSCRIPTION))
+    _assert_same_scene(scene.paths, _expected(latest, delivery._subs[7]))
     assert delivery.stats()["push_subscriptions"] == 1
     delivery.drop(7)
-    assert pipeline.demand == 0 and delivery.stats()["v2_subscriptions"] == 0
+    assert pipeline.demand == 0 and not delivery._subs
 
 
 def test_pulled_and_pushed_predicted_frames_interleave_on_one_connection():

@@ -386,7 +386,7 @@ class TestGatewayRouting:
         host, port = gateway.address
         with WindtunnelClient(host, port, name="subber") as c:
             info = c.subscribe(encoding="q16", deltas=True)
-            assert info["enabled"] and info["encoding"] == "q16"
+            assert info["encoding"] == "q16"
             c.time_control("pause")
             worker = gateway.journal.worker_of(c.client_id)
             state = gateway.journal.recovery_state(worker)
@@ -413,7 +413,7 @@ class TestGatewayRouting:
             c.time_control("pause")
             rid = c.add_rake((0, 0, 0), (1, 1, 1), n_seeds=3)
             info = c.subscribe(encoding="q16", push=True)
-            assert info["enabled"] and info["push"] is False
+            assert info["push"] is False
             journaled = gateway.journal.session(c.client_id)["subscription"]
             assert journaled["encoding"] == "q16" and journaled["push"] is False
             worker = gateway.journal.worker_of(c.client_id)

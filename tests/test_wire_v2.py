@@ -7,9 +7,10 @@ the compat contract of docs/network.md:
 * decode(encode(frame)) is bit-exact for v1/delta entries and inside the
   advertised error bound for quantized ones;
 * a delta against a lost/forgotten ack resyncs via keyframe;
-* a client that never subscribed sees the pre-subscription bytes, and
-  every delivery mode — cache hit, parked pull, PUSH — ships the bytes
-  ``PublishedFrame.compose`` produces (the delivery-equivalence matrix);
+* a client that never subscribed, and a seat restored with no journaled
+  terms, get ``v1`` deltas, and every delivery mode — cache hit, parked
+  pull, PUSH — ships the bytes ``PublishedFrame.compose`` produces (the
+  delivery-equivalence matrix);
 * the packed ``q16`` wire form decodes, over real sockets, to exactly
   what ``dequantize_points`` makes of the int16 grid — keyframe, delta
   and pushed — and each of its two forms is still built once per rake
@@ -37,7 +38,7 @@ from repro.core.framestore import (
     VariantCounters,
     encode_entries,
 )
-from repro.core.delivery import DEFAULT_SUBSCRIPTION, Subscription
+from repro.core.delivery import Subscription
 from repro.dlib.client import DlibClient, DlibRemoteError
 from repro.dlib.protocol import (
     DlibProtocolError,
@@ -166,8 +167,8 @@ def test_compose_subset_matches_direct_subset_encode():
 
 def test_digests_identify_identical_geometry():
     a, b, c = _frame({1: _Result(5)}), _frame({1: _Result(5)}), _frame({1: _Result(6)})
-    assert a.digests["1"] == b.digests["1"]
-    assert a.digests["1"] != c.digests["1"]
+    assert a.entries["1"].digest == b.entries["1"].digest
+    assert a.entries["1"].digest != c.entries["1"].digest
 
 
 def test_encoding_cache_builds_each_variant_once():
@@ -288,20 +289,52 @@ def server(dataset):
 
 
 class TestInterop:
-    def test_v1_client_sees_pre_subscription_bytes(self, server):
-        """An unsubscribed client's frame is the pre-PR encoding verbatim."""
-        with WindtunnelClient(*server.address, name="v1") as c:
-            c.add_rake([1, 1, 1], [1, 7, 3], n_seeds=5)
+    def test_a_client_that_never_subscribes_gets_v1_deltas(self, server):
+        """No ``wt.subscribe``: the seat's default terms are ``v1`` with
+        deltas, so after a one-rake change the reply ships that rake
+        alone, and the merged scene is a fresh keyframe's bit for bit."""
+        with WindtunnelClient(*server.address, name="plain") as c:
+            replies = []
+            integrate = c._held.integrate
+            c._held.integrate = lambda state: integrate(replies.append(state) or state)
+            c.time_control("pause")
+            for x in (1, 3, 5):
+                c.add_rake([x, 1, 1], [x, 7, 3], n_seeds=5)
+            key = c.fetch_frame()
+            assert replies[-1]["v2"]["mode"] == "keyframe"
+            assert set(replies[-1]["paths"]) == set(key["paths"]) == {"1", "2", "3"}
+            with server.env.lock:
+                server.env.rakes[2].move(GrabPoint.CENTER, np.array([3.5, 4.0, 2.0]))
+                server.env.bump()
             state = c.fetch_frame()
-            assert "v2" not in state
+            reply = replies[-1]["v2"]
+            assert reply["mode"] == "delta" and reply["encoding"] == "v1"
+            assert reply["base"] == key["v2"]["seq"]
+            assert set(replies[-1]["paths"]) == {"2"}
             frame = server.store.latest()
-            # The served fragment is exactly the old single-shot encode.
-            assert encode_value(state["paths"]) == encode_value(frame.paths)
-            for rid, entry in state["paths"].items():
-                np.testing.assert_array_equal(
-                    entry["vertices"], frame.paths[rid]["vertices"]
-                )
-                assert entry["vertices"].dtype == np.float32
+            assert reply["seq"] == frame.seq
+            fresh = decode_value(frame.compose(list(frame.entries)).data)
+            assert set(state["paths"]) == set(fresh)
+            for rid, entry in fresh.items():
+                assert state["paths"][rid]["vertices"].tobytes() == entry["vertices"].tobytes()
+                np.testing.assert_array_equal(state["paths"][rid]["lengths"], entry["lengths"])
+
+    def test_a_restored_seat_without_terms_is_served_deltas(self, server):
+        """``wt.restore`` of a seat the journal holds no subscription for
+        seats it on the defaults: one keyframe, then deltas."""
+        entry = {"client_id": 9300, "name": "restored", "token": "t"}
+        with DlibClient(*server.address) as raw:
+            raw.call("wt.restore", {"sessions": [entry]})
+            assert server.delivery._subs[9300] == Subscription.from_wire({})
+            key = raw.call("wt.frame", 9300, 0)
+            assert key["v2"]["mode"] == "keyframe"
+            seq = key["v2"]["seq"]
+            again = raw.call("wt.frame", 9300, seq)
+            assert again["v2"] == {
+                "seq": seq, "mode": "delta", "base": seq,
+                "encoding": "v1", "removed": [],
+            }
+            assert again["paths"] == {}
 
     def test_subscribe_then_delta_cycle(self, server):
         with WindtunnelClient(*server.address, name="v2") as c:
@@ -309,7 +342,7 @@ class TestInterop:
                 c.add_rake([1 + i, 1, 1], [1 + i, 7, 3], n_seeds=5)
             baseline = c.fetch_frame()
             info = c.subscribe(encoding="q16", deltas=True)
-            assert info["enabled"] and info["encoding"] == "q16"
+            assert info["encoding"] == "q16"
             key = c.fetch_frame()  # keyframe under the new terms
             assert key["v2"]["mode"] == "keyframe"
             assert set(key["paths"]) == set(baseline["paths"])
@@ -338,7 +371,8 @@ class TestInterop:
             assert held_before is nxt["paths"][str(stable)]["vertices"]
 
     def test_delta_resync_after_lost_ack(self, server):
-        """An ack outside the digest history falls back to a keyframe."""
+        """An ack that is not the last frame composed falls back to a
+        keyframe."""
         with WindtunnelClient(*server.address, name="resync") as c:
             c.add_rake([1, 1, 1], [1, 7, 3], n_seeds=5)
             c.subscribe(deltas=True)
@@ -386,7 +420,7 @@ class TestInterop:
             c.subscribe(rakes=[want])
             state = c.fetch_frame()
             assert set(state["paths"]) == {str(want)}
-            # A second, unsubscribed client still sees everything.
+            # A second client, which never subscribed, sees everything.
             with WindtunnelClient(*server.address, name="all") as c2:
                 full = c2.fetch_frame()
                 assert len(full["paths"]) == 2
@@ -467,16 +501,6 @@ class TestInterop:
         restored = server.delivery._subs[9200]
         assert restored == Subscription("q16", True, False, None, None)
         assert "decimate" not in restored.to_wire()
-
-    def test_unsubscribe_restores_v1_path(self, server):
-        with WindtunnelClient(*server.address, name="undo") as c:
-            c.add_rake([1, 1, 1], [1, 7, 3], n_seeds=5)
-            c.subscribe(encoding="q16")
-            assert "v2" in c.fetch_frame()
-            c.unsubscribe()
-            state = c.fetch_frame()
-            assert "v2" not in state
-            assert state["paths"]["1"]["vertices"].dtype == np.float32
 
     def test_leave_clears_subscription(self, server):
         c = WindtunnelClient(*server.address, name="leaver")
@@ -606,7 +630,7 @@ class TestPackedQ16Loopback:
             q.subscribe(encoding="q16")
             q.fetch_frame()  # the q16 variant now sits in the frame's cache
             state = v1.fetch_frame()
-            assert "v2" not in state
+            assert state["v2"]["mode"] == "keyframe" and state["v2"]["encoding"] == "v1"
             frame = server.store.latest()
             assert encode_value(state["paths"]) == encode_value(frame.paths)
             assert frame.compose(list(frame.paths)).data == encode_value(frame.paths)
@@ -784,7 +808,6 @@ class TestPushDelivery:
     @pytest.mark.parametrize(
         "options",
         [
-            pytest.param(None, id="default"),
             pytest.param({"encoding": "v1", "deltas": True}, id="v1"),
             pytest.param({"encoding": "q16", "deltas": True}, id="q16"),
             pytest.param({"encoding": "q16", "deltas": False}, id="q16-keyframes"),
@@ -796,8 +819,7 @@ class TestPushDelivery:
         over two scripted publications (three rakes, then one of them
         moved), the ``paths`` bytes of the pulled reply, of the PUSH
         payload, and of ``frame.compose(expected rids, ...)`` are the
-        same bytes.  ``options=None`` is the client that never subscribed
-        (pull only: nothing binds a push to the default subscription)."""
+        same bytes."""
         srv, clock = self._serve()
         host, port = srv.address
         pushed: list = []
@@ -810,22 +832,17 @@ class TestPushDelivery:
                     admin.add_rake([x, 1, 1], [x, 7, 3], n_seeds=4)
                 assert sorted(srv.env.rakes) == [1, 2, 3]
                 cid = pull.call("wt.join", "pull")["client_id"]
-                if options is None:
-                    sub = DEFAULT_SUBSCRIPTION
-                else:
-                    pull.call("wt.subscribe", cid, options)
-                    sub = srv.delivery._subs[cid]
-                    push_cid = push.call("wt.join", "push")["client_id"]
-                    echo = push.call("wt.subscribe", push_cid, {**options, "push": True})
-                    assert echo["push"] is True
+                pull.call("wt.subscribe", cid, options)
+                sub = srv.delivery._subs[cid]
+                push_cid = push.call("wt.join", "push")["client_id"]
+                echo = push.call("wt.subscribe", push_cid, {**options, "push": True})
+                assert echo["push"] is True
                 assert Subscription.from_wire(sub.to_wire()) == sub
                 wanted = [str(r) for r in (1, 2, 3) if sub.wants(str(r), "streamline")]
                 composed = {}  # seq -> frame, as both readers were sent it
 
                 def check(expected_rids, ack):
-                    # Never subscribed: the one-argument v1 request.
-                    args = (cid,) if options is None else (cid, ack)
-                    reply = pull.call("wt.frame", *args)
+                    reply = pull.call("wt.frame", cid, ack)
                     frame = srv.store.latest()
                     composed[frame.seq] = frame
                     # A delta against the frame both readers hold predicts
@@ -833,10 +850,6 @@ class TestPushDelivery:
                     held = composed[ack].entries if ack and sub.deltas else None
                     want = frame.compose(expected_rids, sub.encoding, held).data
                     assert encode_value(reply["paths"]) == want
-                    if options is None:
-                        assert "v2" not in reply
-                        assert want == encode_value(frame.paths)
-                        return 0
                     assert reply["v2"]["seq"] == frame.seq
                     wait_until(
                         lambda: push.poll_push(0.05) >= 0
@@ -854,24 +867,14 @@ class TestPushDelivery:
                 check(["2"] if sub.deltas else wanted, seq)
 
                 # wt.restore of the journaled terms rebuilds the same record.
-                entry = {"client_id": 9000, "name": "restored", "token": "t"}
-                if options is not None:
-                    entry["subscription"] = sub.to_wire()
+                entry = {
+                    "client_id": 9000, "name": "restored", "token": "t",
+                    "subscription": sub.to_wire(),
+                }
                 admin._rpc.call("wt.restore", {"sessions": [entry]})
-                assert srv.delivery._subs.get(9000, DEFAULT_SUBSCRIPTION) == sub
-
-                # enabled=False returns any client to the default row.
-                pull.call("wt.subscribe", cid, {"enabled": False})
-                assert cid not in srv.delivery._subs
-                reply = pull.call("wt.frame", cid)
-                assert "v2" not in reply
-                assert encode_value(reply["paths"]) == encode_value(
-                    srv.store.latest().paths
-                )
+                assert srv.delivery._subs[9000] == sub
         finally:
             srv.stop()
-        assert DEFAULT_SUBSCRIPTION == Subscription("v1", False, False, None, None)
-        assert DEFAULT_SUBSCRIPTION.conn is None and DEFAULT_SUBSCRIPTION.seq == 0
 
 
 # -- one delta base per connection, terms that survive a resume -------------------
