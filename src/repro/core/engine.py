@@ -49,7 +49,9 @@ class ComputeEngine:
     Every result is a function of its rake, timestep and settings.  Two
     per-rake memos only make that function cheap: the grid coordinates of
     each rake's seeds, and each streakline rake's last filament, keyed on
-    its arguments so the next timestep costs one field read.  Records
+    its arguments so the next timestep costs one field read.  Every field
+    read goes through ``loader`` (when omitted, a tier-1-only one with no
+    prefetch worker, recording into ``registry``).  Records
     ``engine.*`` into ``registry`` (a private one when omitted;
     the frame pipeline adopts it): ``engine.points_computed`` counts every
     point produced, and the last megabatch's size and rate are the
@@ -66,8 +68,10 @@ class ComputeEngine:
     ) -> None:
         self.dataset = dataset
         self.settings = settings or ToolSettings()
-        self.loader = loader
         self.registry = registry if registry is not None else MetricsRegistry()
+        self.loader = loader or TimestepLoader(
+            dataset, prefetch=False, registry=self.registry
+        )
         self._points_computed = self.registry.counter("engine.points_computed")
         self._fused_frames = self.registry.counter("engine.fused_frames")
         self._batch_size = self.registry.gauge("engine.fused_batch_size")
@@ -109,14 +113,12 @@ class ComputeEngine:
 
     # -- per-frame compute ------------------------------------------------------
 
-    def cache_stats(self) -> dict | None:
-        """Per-tier timestep-cache counters, or ``None`` when unmanaged.
+    def cache_stats(self) -> dict:
+        """Per-tier timestep-cache counters.
 
         Surfaced by ``wt.pipeline_stats`` (the ``"cache"`` block) so an
         operator can read tier hit rates without a metrics scrape.
         """
-        if self.loader is None:
-            return None
         out = self.loader.cache.stats_snapshot()
         out["loader"] = {
             "hits": self.loader.hits.value,
@@ -128,13 +130,10 @@ class ComputeEngine:
         return out
 
     def _field_at(self, timestep: int) -> np.ndarray:
-        """The one way any tool reads a field: through the loader when
-        there is one — so a particle path's whole window is charged,
-        counted and served by the same tiers as a streamline's field —
-        else straight from the dataset."""
-        if self.loader is not None:
-            return self.loader.load(timestep)
-        return self.dataset.grid_velocity(timestep)
+        """The one way any tool reads a field: through the loader, so a
+        particle path's whole window is charged, counted and served by
+        the same tiers as a streamline's field."""
+        return self.loader.load(timestep)
 
     def _particle_paths(
         self, seeds: np.ndarray, timestep: int, s: ToolSettings,

@@ -218,8 +218,7 @@ class FramePipeline:
         # ``wt.metrics`` reconciles exactly with the loads this pipeline
         # injects (and with any made before it was built).
         self.registry.adopt(engine.registry)
-        if engine.loader is not None:
-            self.registry.adopt(engine.loader.registry)
+        self.registry.adopt(engine.loader.registry)
 
         env.subscribe(self.invalidate)
 
@@ -450,16 +449,15 @@ class FramePipeline:
 
         loader = self.engine.loader
         with Stopwatch() as sw:
-            if loader is not None:
-                if misses:
-                    loader.load(timestep)
-                # Aim the prefetch where the clock is actually going
-                # (which is not t+1 when the clock outruns production).
-                # Issued *now*, so the background read overlaps this
-                # integration and is resident when the next one starts.
-                # This is the loader's only prefetch policy: a blind
-                # guess would waste the single background worker.
-                loader.prefetch(prefetch())
+            if misses:
+                loader.load(timestep)
+            # Aim the prefetch where the clock is actually going
+            # (which is not t+1 when the clock outruns production).
+            # Issued *now*, so the background read overlaps this
+            # integration and is resident when the next one starts.
+            # This is the loader's only prefetch policy: a blind
+            # guess would waste the single background worker.
+            loader.prefetch(prefetch())
             self._charge("load")
         stage_seconds["load"] = sw.elapsed
 

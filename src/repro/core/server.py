@@ -56,8 +56,10 @@ class WindtunnelServer:
     dataset
         The unsteady flow to serve.
     loader
-        Optional :class:`~repro.diskio.loader.TimestepLoader` for
-        disk-resident datasets with prefetch (figure 8).
+        The :class:`~repro.diskio.loader.TimestepLoader` every field read
+        goes through — pass one for disk-resident datasets with prefetch
+        (figure 8) or a shared tier 2; when omitted the engine builds a
+        tier-1-only one without prefetch.
     time_fn
         Wall clock (injectable for deterministic tests).
     stage_cost
@@ -167,8 +169,7 @@ class WindtunnelServer:
         # while the loop still runs, so no caller waits out ``frame_wait``.
         self.pipeline.stop()
         self.dlib.stop()
-        if self.engine.loader is not None:
-            self.engine.loader.close()
+        self.engine.loader.close()
 
     def __enter__(self) -> "WindtunnelServer":
         return self.start()

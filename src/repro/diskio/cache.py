@@ -45,6 +45,7 @@ __all__ = [
     "TieredTimestepCache",
     "dataset_key",
     "decoded_timestep_nbytes",
+    "timesteps_key",
 ]
 
 #: Tier labels returned by :meth:`TieredTimestepCache.get`.
@@ -58,7 +59,9 @@ def decoded_timestep_nbytes(dataset: UnsteadyDataset) -> int:
     return int(dataset.grid.n_points) * 3 * 8
 
 
-def dataset_key(dataset: UnsteadyDataset, extra: str = "") -> str:
+def timesteps_key(
+    shape, n_timesteps: int, dt: float, timestep_nbytes: int, extra: str = ""
+) -> str:
     """A short stable identity for a dataset's decoded timesteps.
 
     Keys tier-2 segments and tier-3 block requests: two processes agree
@@ -66,18 +69,28 @@ def dataset_key(dataset: UnsteadyDataset, extra: str = "") -> str:
     timestep count, dt, and raw per-timestep size.  Content is *not*
     hashed (that would read the whole dataset); callers that co-locate
     different datasets with identical geometry must pass a
-    distinguishing ``extra`` string.
+    distinguishing ``extra`` string.  Takes the identity's parts, not a
+    dataset, so a gateway can name a segment before any worker builds
+    the dataset it describes.
     """
     h = hashlib.blake2b(digest_size=8)
     ident = (
-        tuple(int(s) for s in dataset.grid.shape),
-        int(dataset.n_timesteps),
-        float(dataset.dt),
-        int(dataset.timestep_nbytes),
+        tuple(int(s) for s in shape),
+        int(n_timesteps),
+        float(dt),
+        int(timestep_nbytes),
         str(extra),
     )
     h.update(repr(ident).encode())
     return h.hexdigest()
+
+
+def dataset_key(dataset: UnsteadyDataset, extra: str = "") -> str:
+    """:func:`timesteps_key` of ``dataset``."""
+    return timesteps_key(
+        dataset.grid.shape, dataset.n_timesteps, dataset.dt,
+        dataset.timestep_nbytes, extra,
+    )
 
 
 _TIER_COUNTERS = ("hits", "misses", "bytes", "evictions", "appends", "stall_seconds")
@@ -151,18 +164,17 @@ class TimestepCache:
 
     # -- access ----------------------------------------------------------------
 
-    def get(self, t: int, *, count: bool = True) -> np.ndarray | None:
+    def get(self, t: int) -> np.ndarray | None:
         """The cached array for ``t`` (refreshing LRU order), or ``None``."""
         t = int(t)
         with self._lock:
             arr = self._entries.get(t)
             if arr is not None:
                 self._entries.move_to_end(t)
-        if count:
-            if arr is not None:
-                self.stats.hit(arr.nbytes)
-            else:
-                self.stats.misses.inc()
+        if arr is not None:
+            self.stats.hit(arr.nbytes)
+        else:
+            self.stats.misses.inc()
         return arr
 
     def peek(self, t: int) -> np.ndarray | None:

@@ -409,18 +409,6 @@ class DlibClient:
         trace_id = next(self._trace_ids) if self.trace else 0
         return self._roundtrip(procedure, args, kwargs, trace_id)
 
-    def traced_call(self, procedure: str, *args, **kwargs) -> tuple[object, dict]:
-        """One traced round-trip regardless of :attr:`trace`.
-
-        Returns ``(result, trace)`` where ``trace`` is the server's span
-        tree for exactly this call (also kept on :attr:`last_trace`).
-        Diagnostic path: no retries, so the trace describes one wire
-        exchange, not a retry saga.
-        """
-        trace_id = next(self._trace_ids)
-        result = self._roundtrip(procedure, args, kwargs, trace_id)
-        return result, self.last_trace
-
     def trace_report(self) -> str:
         """Pretty-print the last traced call's span tree."""
         if self.last_trace is None:

@@ -106,7 +106,3 @@ class MemoryManager:
         if seg is None:
             raise KeyError(f"no such segment {segment_id}")
         self.allocated_bytes -= seg.size
-
-    def free_all(self) -> None:
-        self._segments.clear()
-        self.allocated_bytes = 0

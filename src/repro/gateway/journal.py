@@ -150,11 +150,6 @@ class SessionJournal:
             entry = self._workers[worker]["sessions"].get(int(client_id))
             return None if entry is None else dict(entry)
 
-    def sessions_of(self, worker: str) -> list[int]:
-        with self._lock:
-            slot = self._workers.get(worker)
-            return [] if slot is None else sorted(slot["sessions"])
-
     def load(self) -> dict[str, int]:
         """Current routing load: ``{worker: n_sessions}`` for every
         worker that has ever been journaled."""

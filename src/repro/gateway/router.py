@@ -43,6 +43,8 @@ from repro.obs.registry import MetricsRegistry
 
 #: Disambiguates segment names when one process hosts several gateways.
 _SEGMENT_SEQ = itertools.count(1)
+#: Decoded timesteps the gateway's shared segment holds.
+_SEGMENT_SLOTS = 8
 
 __all__ = ["ForwardedError", "SessionGateway"]
 
@@ -120,8 +122,6 @@ class SessionGateway:
         ready_timeout: float = 30.0,
         start_method: str | None = None,
         journal_path: str | None = None,
-        shared_timestep_cache: bool = False,
-        cache_slots: int = 8,
         registry: MetricsRegistry | None = None,
     ) -> None:
         self.registry = registry if registry is not None else MetricsRegistry()
@@ -142,12 +142,9 @@ class SessionGateway:
         # workers only ever *attach*, so a SIGKILLed worker can neither
         # leak nor take down the segment — crash recovery respawns into
         # the same warm cache.  Created in start(), unlinked in stop().
-        self._spec = default_worker_spec(**(spec or {}))
-        self._shared_cache_requested = bool(shared_timestep_cache)
-        self._cache_slots = int(cache_slots)
         self.timestep_cache = None
         self.supervisor = WorkerSupervisor(
-            self._spec,
+            default_worker_spec(**(spec or {})),
             n_workers,
             self.journal,
             heartbeat_interval=heartbeat_interval,
@@ -174,33 +171,38 @@ class SessionGateway:
         return self.dlib.address
 
     def start(self) -> "SessionGateway":
-        if self._shared_cache_requested and self.timestep_cache is None:
-            try:
-                key = spec_dataset_key(self._spec)
-                self.timestep_cache = SharedTimestepCache(
-                    f"wt-tsc-{key}-g{os.getpid()}-{next(_SEGMENT_SEQ)}",
-                    spec_slot_shape(self._spec),
-                    slots=self._cache_slots,
-                    dataset_id=key,
-                    create="always",
-                )
-                self._spec["timestep_cache"] = {
-                    "segment": self.timestep_cache.name,
-                    "slots": self._cache_slots,
-                    "create": "never",
-                }
-                # The supervisor holds its own copy of the spec (taken at
-                # construction); respawns must carry the segment too.
-                self.supervisor.spec["timestep_cache"] = dict(
-                    self._spec["timestep_cache"]
-                )
-            except (OSError, ValueError):
-                # Platforms without working shared memory just run each
-                # worker on a private loader.
-                self.timestep_cache = None
-        self.supervisor.start()
-        self.dlib.start()
+        """Create the tier-2 segment, spawn the pool, then listen.
+
+        A start that fails part way stops whatever it had started — no
+        worker outlives it and no segment stays linked — and re-raises.
+        """
+        try:
+            self._create_timestep_cache()
+            self.supervisor.start()
+            self.dlib.start()
+        except BaseException:
+            self.stop()
+            raise
         return self
+
+    def _create_timestep_cache(self) -> None:
+        """Carve the shared segment every worker attaches (the spec the
+        supervisor spawns and respawns from carries its name)."""
+        spec = self.supervisor.spec
+        key = spec_dataset_key(spec)
+        try:
+            self.timestep_cache = SharedTimestepCache(
+                f"wt-tsc-{key}-g{os.getpid()}-{next(_SEGMENT_SEQ)}",
+                spec_slot_shape(spec),
+                slots=_SEGMENT_SLOTS,
+                dataset_id=key,
+                create="always",
+            )
+        except (OSError, ValueError):
+            # A platform without working shared memory: each worker
+            # runs on a private tier 1.
+            return
+        spec["timestep_cache"] = self.timestep_cache.name
 
     def stop(self) -> None:
         self.dlib.stop()

@@ -159,9 +159,6 @@ class WorkerSupervisor:
     def handle_of(self, name: str) -> WorkerHandle | None:
         return self._slots[name].handle
 
-    def is_ready(self, name: str) -> bool:
-        return self._slots[name].ready.is_set()
-
     def ready_workers(self) -> list[str]:
         return [n for n in self.worker_names if self._slots[n].ready.is_set()]
 

@@ -18,9 +18,12 @@ self-contained.
 
 from __future__ import annotations
 
+import math
 import multiprocessing
 import time
 from multiprocessing.connection import Connection
+
+from repro.diskio.cache import timesteps_key
 
 __all__ = ["DEFAULT_SPEC", "WorkerHandle", "default_worker_spec", "run_worker"]
 
@@ -37,9 +40,8 @@ DEFAULT_SPEC = {
     "lease_seconds": 30.0,
     "reap_interval": 1.0,
     "allow_chaos": False,
-    # Set by the gateway: the tier-2 shared-memory segment workers attach
-    # so co-located sessions share decoded timesteps:
-    # {"segment": str, "slots": int, "create": "never"}.
+    # Set by the gateway: the name of the tier-2 shared-memory segment
+    # workers attach so co-located sessions share decoded timesteps.
     "timestep_cache": None,
 }
 
@@ -65,23 +67,15 @@ def spec_slot_shape(spec: dict) -> tuple[int, ...]:
 def spec_dataset_key(spec: dict) -> str:
     """The :func:`repro.diskio.dataset_key` a spec's dataset will have.
 
-    Computed analytically so the gateway can size and name the shared
-    segment *before* any worker builds the dataset.  Mirrors
+    Computed from the spec so the gateway can size and name the shared
+    segment *before* any worker builds the dataset.  Assumes
     ``tapered_cylinder_dataset``'s default float32 storage (12 bytes per
     point, the paper's Table 2 accounting).
     """
-    import hashlib
-
     shape = tuple(spec["shape"])
-    n_timesteps = int(spec["n_timesteps"])
-    dt = float(spec["dt"])
-    n_points = 1
-    for s in shape:
-        n_points *= int(s)
-    ident = (shape, n_timesteps, dt, n_points * 12, "")
-    h = hashlib.blake2b(digest_size=8)
-    h.update(repr(ident).encode())
-    return h.hexdigest()
+    return timesteps_key(
+        shape, spec["n_timesteps"], spec["dt"], 12 * math.prod(shape)
+    )
 
 
 def run_worker(spec: dict, conn: Connection) -> None:
@@ -105,30 +99,28 @@ def run_worker(spec: dict, conn: Connection) -> None:
         n_timesteps=int(spec["n_timesteps"]),
         dt=float(spec["dt"]),
     )
-    # Tier-2 attach: when the gateway carved a shared segment for this
-    # dataset, co-located workers read decoded timesteps from it instead
-    # of each paying the full load — the fleet performs ≈1x aggregate
-    # disk reads (docs/caching.md).  Attach failures degrade to a
-    # private loader: the cache is an optimization, never a dependency.
-    loader = None
-    cache_spec = spec["timestep_cache"]
-    if cache_spec:
-        # One registry for every tier, which the server adopts with the
-        # loader: ``cache.l2.*`` reports through ``wt.metrics`` too.
-        registry = MetricsRegistry()
+    # Tier-2 attach: co-located workers read decoded timesteps from the
+    # gateway's shared segment instead of each paying the full load, so
+    # the fleet performs ≈1x aggregate disk reads (docs/caching.md).
+    # Only a platform without shared memory (no segment in the spec, or
+    # an attach that fails) leaves this worker on a private tier 1.
+    registry = MetricsRegistry()
+    shared = None
+    if spec["timestep_cache"]:
         try:
             shared = SharedTimestepCache.for_dataset(
-                dataset,
-                name=cache_spec.get("segment"),
-                slots=int(cache_spec.get("slots", 8)),
-                create=str(cache_spec.get("create", "never")),
+                dataset, name=spec["timestep_cache"], create="never",
                 registry=registry,
             )
-            # The attachment dies with this worker's cache.
-            tiers = TieredTimestepCache(dataset, l2=shared, registry=registry)
-            loader = TimestepLoader(dataset, cache=tiers, prefetch=False)
         except (OSError, ValueError):
-            loader = None
+            pass
+    # The attachment dies with this worker's cache; one registry holds
+    # every tier, so ``cache.l2.*`` reports through ``wt.metrics`` too.
+    loader = TimestepLoader(
+        dataset,
+        cache=TieredTimestepCache(dataset, l2=shared, registry=registry),
+        prefetch=False,
+    )
     server = WindtunnelServer(
         dataset,
         host="127.0.0.1",

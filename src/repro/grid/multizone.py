@@ -34,10 +34,6 @@ class MultiZoneGrid:
         self.locators = [GridLocator(z) for z in self.zones]
 
     @property
-    def n_zones(self) -> int:
-        return len(self.zones)
-
-    @property
     def n_points(self) -> int:
         return sum(z.n_points for z in self.zones)
 

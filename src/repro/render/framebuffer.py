@@ -28,10 +28,6 @@ class WriteMask:
     def channels(self) -> list[int]:
         return [i for i, on in enumerate((self.red, self.green, self.blue)) if on]
 
-    @property
-    def all_on(self) -> bool:
-        return self.red and self.green and self.blue
-
 
 ALL_CHANNELS = WriteMask()
 

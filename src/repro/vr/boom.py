@@ -97,10 +97,6 @@ class Boom:
         self.encoder_counts = int(encoder_counts)
         self._resolution = 2.0 * np.pi / self.encoder_counts
 
-    @property
-    def n_joints(self) -> int:
-        return 6
-
     def clamp_angles(self, angles) -> np.ndarray:
         """Clamp joint angles into the yoke's mechanical limits."""
         angles = np.asarray(angles, dtype=np.float64)

@@ -190,6 +190,20 @@ class TestEveryToolReadsThroughTheLoader:
         np.testing.assert_array_equal(out[1].lengths, lengths)
         assert out[2].n_points == 4  # two particles for each of two seeds
 
+    def test_a_loaderless_engine_reads_through_its_own_loader(
+        self, dataset, monkeypatch
+    ):
+        """No loader passed: the engine builds one, and every read of the
+        frame still goes through it, with the reference's results."""
+        engine = ComputeEngine(dataset, self.SETTINGS)
+        out, reads = self.drive(engine, monkeypatch)
+        assert set(reads) == set(self.WINDOW)
+        assert engine.loader.hits.value + engine.loader.misses.value == len(reads)
+        paths, lengths = self.reference(dataset, engine)
+        np.testing.assert_array_equal(out[1].grid_paths, paths)
+        np.testing.assert_array_equal(out[1].lengths, lengths)
+        assert out[2].n_points == 4
+
     def test_no_read_reaches_the_local_dataset(self, dataset, monkeypatch):
         """With a (stub) remote source the local dataset is never decoded."""
         local = MemoryDataset(dataset.grid, dataset.velocities, dt=dataset.dt)

@@ -549,15 +549,14 @@ class TestGatewaySerialSafety:
 
 class TestGatewaySharedCache:
     def test_workers_share_one_timestep_segment(self):
-        """Co-located workers publish decoded timesteps into one segment,
-        and the gateway (the owner) unlinks it on stop — no leak."""
+        """A default gateway's workers publish decoded timesteps into one
+        segment, and the gateway (the owner) unlinks it on stop — no leak."""
         from repro.core import WindtunnelClient
         from repro.diskio.shmcache import attach_segment
 
         gw = SessionGateway(
             default_worker_spec(),
             n_workers=2,
-            shared_timestep_cache=True,
             heartbeat_interval=0.25,
             liveness_deadline=2.0,
         )
@@ -602,11 +601,35 @@ class TestGatewaySharedCache:
         monkeypatch.setattr(
             router_mod, "SharedTimestepCache", broken_segment
         )
-        gw = SessionGateway(
-            default_worker_spec(), n_workers=1, shared_timestep_cache=True
-        )
+        gw = SessionGateway(default_worker_spec(), n_workers=1)
         with gw:
             assert gw.timestep_cache is None
             host, port = gw.address
             with WindtunnelClient(host, port, name="solo") as c:
                 assert c.fetch_frame()["timestep"] >= 0
+
+    def test_a_failed_start_leaks_no_worker_and_no_segment(self, monkeypatch):
+        """The second worker never becomes ready: ``start()`` raises, and
+        neither the first worker nor the shared segment outlives it."""
+        from repro.diskio.shmcache import attach_segment
+        from repro.gateway.worker import WorkerHandle
+
+        real_spawn = WorkerHandle.spawn
+        spawned = []
+
+        def spawn(name, spec, **kwargs):
+            if spawned:
+                raise TimeoutError(f"worker {name} did not become ready")
+            spawned.append(real_spawn(name, spec, **kwargs))
+            return spawned[-1]
+
+        monkeypatch.setattr(WorkerHandle, "spawn", staticmethod(spawn))
+        gw = SessionGateway(default_worker_spec(), n_workers=2)
+        with pytest.raises(TimeoutError, match="w1"):
+            gw.start()
+        (w0,) = spawned
+        assert w0.name == "w0" and not w0.alive
+        seg_name = gw.supervisor.spec["timestep_cache"]
+        assert seg_name is not None and gw.timestep_cache is None
+        with pytest.raises(FileNotFoundError):
+            attach_segment(seg_name)

@@ -132,6 +132,17 @@ class TestRepliesAreProjections:
         assert cache["loader"]["modeled_read_seconds"] > 0
         assert snapshot["counters"]["net.keyframes"] >= 1
 
+    def test_a_bare_server_reports_its_tier_1(self, dataset):
+        """No loader passed: the server's reads still go through a tier 1
+        that ``wt.pipeline_stats`` reports."""
+        with WindtunnelServer(dataset) as srv:
+            with WindtunnelClient(*srv.address) as c:
+                c.add_rake([-1.0, -1.0, 1.0], [-1.0, 1.0, 1.0], n_seeds=4)
+                c.fetch_frame()
+                cache = c.pipeline_stats()["cache"]
+        assert isinstance(cache, dict)
+        assert cache["l1"]["hits"] + cache["l1"]["misses"] > 0
+
     def test_block_stats_equal_the_metrics_snapshot(self, dataset):
         with TimestepBlockServer(dataset, stage_timesteps=4) as srv:
             client = DlibClient(*srv.address, timeout=10.0)
