@@ -74,6 +74,7 @@ __all__ = [
     "encode_message",
     "decode_message",
     "decode_message_ex",
+    "split_message",
     "quantize_points",
     "dequantize_points",
     "quantization_error_bound",
@@ -420,6 +421,16 @@ def decode_message_ex(data: bytes) -> tuple[MessageKind, int, int, object]:
     Accepts both wire formats: messages without :data:`TRACE_FLAG`
     decode with ``trace_id=0``.
     """
+    kind, request_id, trace_id, body = split_message(data)
+    return kind, request_id, trace_id, decode_value(body)
+
+
+def split_message(data: bytes) -> tuple[MessageKind, int, int, bytes]:
+    """Decode only a message's header: ``(kind, request_id, trace_id, body)``.
+
+    ``body`` is the payload's wire bytes, undecoded — a relay wraps them
+    in :class:`PreEncoded` to pass a value on without touching it.
+    """
     if len(data) < _HEADER.size:
         raise DlibProtocolError("message shorter than header")
     kind_raw, request_id = _HEADER.unpack_from(data)
@@ -437,7 +448,7 @@ def decode_message_ex(data: bytes) -> tuple[MessageKind, int, int, object]:
         kind = MessageKind(kind_raw)
     except ValueError as exc:
         raise DlibProtocolError(f"unknown message kind {kind_raw}") from exc
-    return kind, request_id, trace_id, decode_value(data[body:])
+    return kind, request_id, trace_id, data[body:]
 
 
 def decode_message(data: bytes) -> tuple[MessageKind, int, object]:

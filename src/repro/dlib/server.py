@@ -35,6 +35,11 @@ shape:
   ``PUSH`` message (``request_id = 0``) on any live connection — the
   fan-out path for published frames (docs/network.md, "Push-mode
   delivery").
+* **Backends.**  :meth:`DlibServer.dial` opens a non-blocking
+  connection *out* of the loop to another dlib server, on the same
+  selector and write queues: a proxy (the session gateway) sends calls
+  on it and completes its own parked replies as the peer's answers
+  arrive, so no forwarded call ever blocks the loop.
 
 Robustness properties carried over from the pre-refactor loop: every
 connection reads through a per-client reassembly buffer on a
@@ -45,6 +50,8 @@ included) happens in exactly one place, :meth:`DlibServer._drop`.
 
 from __future__ import annotations
 
+import errno
+import os
 import selectors
 import socket
 import struct
@@ -75,6 +82,7 @@ __all__ = [
     "ServerContext",
     "DlibServer",
     "Deferred",
+    "Backend",
     "SEND_HIGH_WATER",
     "SEND_HARD_LIMIT",
 ]
@@ -301,6 +309,51 @@ class _Connection:
         self.sock.close()
 
 
+class Backend(_Connection):
+    """A connection the loop dialled out (:meth:`DlibServer.dial`).
+
+    It rides the same selector, send queue and teardown path as a client
+    connection; only the direction differs.  Every complete frame the
+    peer sends goes to ``on_message(frame)`` on the service thread, and
+    the one teardown — a refused dial, EOF, a reset, malformed data, a
+    send backlog past the hard limit, server shutdown, or :meth:`abort`
+    — calls ``on_close(exc)`` exactly once.
+    """
+
+    __slots__ = ("server", "on_message", "on_close")
+
+    def __init__(
+        self,
+        sock: socket.socket,
+        server: "DlibServer",
+        on_message: Callable[[bytes], None],
+        on_close: Callable[[BaseException], None],
+    ) -> None:
+        super().__init__(sock)
+        self.server = server
+        self.on_message = on_message
+        self.on_close = on_close
+
+    def send(self, payload: bytes) -> None:
+        """Queue one message and flush what fits (service thread only).
+
+        Never blocks and never raises: a transport failure tears the
+        backend down through ``on_close``.
+        """
+        server = self.server
+        try:
+            server._queue(self, payload)
+            server._flush(self)
+            if self.sendq_bytes > server.send_hard_limit:
+                raise ConnectionError("backend stopped draining its calls")
+        except (ConnectionError, OSError) as exc:
+            server._drop(self.sock, exc)
+
+    def abort(self, exc: BaseException) -> None:
+        """Tear the connection down now; ``on_close`` receives ``exc``."""
+        self.server._drop(self.sock, exc)
+
+
 class Deferred:
     """A parked reply: a continuation for one in-flight CALL.
 
@@ -355,6 +408,11 @@ class Deferred:
     @property
     def procedure(self) -> str:
         return self._name
+
+    @property
+    def trace(self) -> Trace | None:
+        """The parked call's live trace (``None`` when untraced)."""
+        return self._trace
 
     def _claim(self) -> bool:
         with self._lock:
@@ -722,6 +780,35 @@ class DlibServer:
         self._pushes_sent.inc()
         return True
 
+    # -- backends ----------------------------------------------------------
+
+    def dial(
+        self,
+        address: tuple[str, int],
+        on_message: Callable[[bytes], None],
+        on_close: Callable[[BaseException], None],
+    ) -> Backend:
+        """Connect to another dlib server from the loop (service thread only).
+
+        The connect itself is non-blocking: calls sent before it
+        completes wait in the send queue.  A dial the kernel refuses on
+        the spot raises ``ConnectionRefusedError``; one refused later
+        arrives as ``on_close``.
+        """
+        if self._sel is None:
+            raise RuntimeError("dial() is only valid on a running server")
+        sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        sock.setblocking(False)
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        err = sock.connect_ex(address)
+        if err not in (0, errno.EINPROGRESS, errno.EWOULDBLOCK):
+            sock.close()
+            raise ConnectionRefusedError(err, os.strerror(err))
+        backend = Backend(sock, self, on_message, on_close)
+        self._conns[sock] = backend
+        self._sel.register(sock, selectors.EVENT_READ, "client")
+        return backend
+
     # -- service loop ----------------------------------------------------------
 
     def _serve(self) -> None:
@@ -772,13 +859,17 @@ class DlibServer:
                             if mask & selectors.EVENT_WRITE:
                                 self._flush(conn)
                             if mask & selectors.EVENT_READ:
-                                for frame, arrived in conn.pump():
-                                    self._dispatch(conn, frame, arrived)
-                        except DlibProtocolError:
+                                if type(conn) is Backend:
+                                    for frame, _arrived in conn.pump():
+                                        conn.on_message(frame)
+                                else:
+                                    for frame, arrived in conn.pump():
+                                        self._dispatch(conn, frame, arrived)
+                        except DlibProtocolError as exc:
                             self.context._protocol_errors.inc()
-                            self._drop(sock)
-                        except (ConnectionError, OSError):
-                            self._drop(sock)
+                            self._drop(sock, exc)
+                        except (ConnectionError, OSError) as exc:
+                            self._drop(sock, exc)
                 self._run_callbacks()
                 self._run_ticks()
         finally:
@@ -812,8 +903,11 @@ class DlibServer:
             except (ConnectionError, OSError):
                 pass
 
-    def _drop(self, sock: socket.socket) -> None:
-        """The single teardown path: unregister, close, account."""
+    def _drop(self, sock: socket.socket, exc: BaseException | None = None) -> None:
+        """The single teardown path: unregister, close, account.
+
+        ``exc`` is why; a :class:`Backend` hands it to its ``on_close``.
+        """
         conn = self._conns.pop(sock, None)
         if conn is None:
             return
@@ -825,6 +919,12 @@ class DlibServer:
         self._sendq_total -= conn.sendq_bytes
         self._sendq_gauge.set(self._sendq_total)
         conn.close()
+        if type(conn) is Backend:
+            try:
+                conn.on_close(exc or ConnectionError("backend closed"))
+            except Exception:  # noqa: BLE001 - a callback must never kill the loop
+                self._callback_errors.inc()
+            return
         # Parked continuations for this connection have nobody to reply
         # to: mark them done so a later resolve()/fail() is a no-op.
         for d in [d for d in self._parked if d._conn is conn]:

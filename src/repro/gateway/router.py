@@ -1,23 +1,31 @@
 """The session gateway: a stable ``wt.*`` front-end over the worker pool.
 
 Clients speak the ordinary windtunnel protocol to one address; the
-gateway seats each new session on a worker (admission control), forwards
+gateway seats each new session on a worker (admission control), relays
 every session-scoped call to that worker, and journals the durable
 slice of what it sees pass through.  When a worker dies mid-call the
 caller gets a ``SessionExpiredError`` — deliberately the *same* error a
 reaped lease produces — so the client's existing resume machinery
 (``wt.rejoin`` with its token, driven by
 :meth:`~repro.core.client.WindtunnelClient._call`) handles worker
-failure with zero new client code.  ``wt.rejoin`` at the gateway blocks
-(bounded by ``recovery_wait``) until the supervisor has restored the
-session's worker, then forwards; an unrecovered pool answers with a
-typed ``RETRY_AFTER`` instead of hanging.
+failure with zero new client code.
 
-The gateway's own dlib service loop is serial, like a worker's: routing
-decisions and journal updates need no further locking.  The price is
-that one slow forwarded call delays other clients — which is why worker
-specs routed through a gateway keep ``frame_wait`` short and why the
-admission ladder throttles frames before workers saturate.
+The relay never blocks the gateway's dlib service loop.  Each worker
+incarnation has one non-blocking backend connection on the loop's own
+selector (:meth:`~repro.dlib.server.DlibServer.dial`); a relayed call
+goes out on it the moment it is dispatched, so calls reach a worker in
+gateway arrival order and the paper's first-come-first-served rule
+holds exactly as at a bare server.  The client's reply is parked as a
+:class:`~repro.dlib.server.Deferred`.  When the worker answers, the
+procedure's journal hook (:attr:`SessionGateway._hooks`) runs on the
+loop and the reply is resolved; a procedure with no hook — ``wt.frame``
+among them — answers with the worker's encoded bytes, never decoded.
+One session's call parked on a slow worker holds up nobody else.
+
+``wt.rejoin`` parks the same way until the supervisor has restored the
+session's worker, then relays; an unrecovered pool answers with a typed
+``RETRY_AFTER`` at ``recovery_wait`` instead of hanging.  A loop tick
+enforces ``route_timeout``.
 """
 
 from __future__ import annotations
@@ -25,12 +33,21 @@ from __future__ import annotations
 import itertools
 import os
 import secrets
+import time
 
 from repro.core.delivery import Subscription
 from repro.diskio.shmcache import SharedTimestepCache
-from repro.dlib.client import RETRYABLE_ERRORS, DlibClient, DlibRemoteError
-from repro.dlib.protocol import RetryAfterError
-from repro.dlib.server import DlibServer
+from repro.dlib.protocol import (
+    DlibProtocolError,
+    DlibTimeoutError,
+    MessageKind,
+    PreEncoded,
+    RetryAfterError,
+    decode_value,
+    encode_message,
+    split_message,
+)
+from repro.dlib.server import Deferred, DlibServer
 from repro.gateway.admission import AdmissionController
 from repro.gateway.journal import SessionJournal
 from repro.gateway.supervisor import WorkerSupervisor
@@ -45,6 +62,9 @@ from repro.obs.registry import MetricsRegistry
 _SEGMENT_SEQ = itertools.count(1)
 #: Decoded timesteps the gateway's shared segment holds.
 _SEGMENT_SLOTS = 8
+#: Seconds between the relay's deadline checks (``route_timeout``,
+#: ``recovery_wait``).
+_TICK_SECONDS = 0.05
 
 __all__ = ["ForwardedError", "SessionGateway"]
 
@@ -64,15 +84,62 @@ class ForwardedError(Exception):
         self.wire_data = data if isinstance(data, dict) and data else None
 
 
-#: ``wt.*`` procedures forwarded verbatim (no journal side effects):
-#: name -> needs an established session (worker loss => rejoin).
-_PLAIN_FORWARDS = {
-    "wt.heartbeat": True,
-    "wt.snapshot": True,
-    "wt.pipeline_stats": True,
-    "wt.isosurface": True,
-    "wt.steer_release": True,
-}
+#: Session-scoped ``wt.*`` procedures relayed as they come: the first
+#: argument is the client id, which names the worker.
+_RELAYED = (
+    "wt.heartbeat",
+    "wt.snapshot",
+    "wt.pipeline_stats",
+    "wt.isosurface",
+    "wt.steer_release",
+    "wt.update",
+    "wt.add_rake",
+    "wt.remove_rake",
+    "wt.time",
+    "wt.steer",
+    "wt.set_tool_settings",
+)
+
+
+class _Call:
+    """One relayed call: its client's parked reply and what to do with it.
+
+    ``session`` picks the error a transport loss answers with
+    (``SessionExpiredError`` for a seated client, ``RETRY_AFTER`` before
+    it has a seat); a ``quiet`` call answers any failure as if the
+    worker had replied ``None``.
+    """
+
+    __slots__ = ("deferred", "procedure", "args", "session", "quiet",
+                 "deadline", "trace", "sent")
+
+    def __init__(self, deferred: Deferred, procedure: str, args: tuple,
+                 session: bool, quiet: bool) -> None:
+        self.deferred = deferred
+        self.procedure = procedure
+        self.args = args
+        self.session = session
+        self.quiet = quiet
+        self.deadline = 0.0
+        self.trace = deferred.trace
+        self.sent = 0.0 if self.trace is None else self.trace.now()
+
+
+class _Link:
+    """The loop's backend connection to one worker incarnation.
+
+    ``pending`` maps request id to :class:`_Call` in send order, which
+    is also deadline order.
+    """
+
+    __slots__ = ("worker", "generation", "backend", "pending", "request_ids")
+
+    def __init__(self, worker: str, generation: int) -> None:
+        self.worker = worker
+        self.generation = generation
+        self.backend = None
+        self.pending: dict[int, _Call] = {}
+        self.request_ids = itertools.count(1)
 
 
 class SessionGateway:
@@ -92,10 +159,10 @@ class SessionGateway:
     heartbeat_interval, liveness_deadline, probe_failures_to_kill
         Supervisor health cadence (see :mod:`repro.gateway.supervisor`).
     recovery_wait
-        Longest a ``wt.rejoin`` blocks for its worker to be restored
-        before answering ``RETRY_AFTER``.
+        Longest a ``wt.rejoin`` stays parked for its worker to be
+        restored before answering ``RETRY_AFTER``.
     route_timeout
-        Per-forwarded-call deadline against a worker; must exceed the
+        Per-relayed-call deadline against a worker; must exceed the
         worker spec's ``frame_wait``.
     journal_path
         Optional journal checkpoint file (survives gateway restarts).
@@ -157,12 +224,31 @@ class SessionGateway:
         )
         self.dlib = DlibServer(host, port, registry=self.registry)
         self._next_cid = itertools.count(1)
-        self._backends: dict[str, tuple[int, DlibClient]] = {}
+        self._links: dict[str, _Link] = {}
+        # Parked wt.rejoin calls: (deadline, worker, args, deferred).
+        self._rejoining: list[tuple[float, str, tuple, Deferred]] = []
         self._admitted = self.registry.counter("gateway.sessions_admitted")
         self._active = self.registry.gauge("gateway.sessions_active")
         self._rejoins = self.registry.counter("gateway.rejoins")
         self._forward_failures = self.registry.counter("gateway.forward_failures")
+        #: Post-reply hooks: procedure -> ``hook(worker, args, result)``,
+        #: run on the loop before the client's reply is resolved; returns
+        #: the value the client gets.  A procedure without one answers
+        #: the worker's encoded bytes as they came.
+        self._hooks = {
+            "wt.adopt": self._journal_join,
+            "wt.rejoin": self._note_rejoin,
+            "wt.leave": self._journal_leave,
+            "wt.subscribe": self._journal_subscribe,
+            "wt.update": self._journal_release,
+            "wt.add_rake": self._journal_add_rake,
+            "wt.remove_rake": self._journal_remove_rake,
+            "wt.time": self._journal_clock,
+            "wt.steer": self._journal_steering,
+            "wt.set_tool_settings": self._journal_tool_settings,
+        }
         self._register_procedures()
+        self.dlib.add_tick(self._tick, _TICK_SECONDS)
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -205,13 +291,11 @@ class SessionGateway:
         spec["timestep_cache"] = self.timestep_cache.name
 
     def stop(self) -> None:
+        # The loop's shutdown answers every parked call and closes every
+        # backend link.
         self.dlib.stop()
-        for _, client in self._backends.values():
-            try:
-                client.close()
-            except OSError:
-                pass
-        self._backends.clear()
+        self._links.clear()
+        self._rejoining.clear()
         self.supervisor.stop()
         if self.timestep_cache is not None:
             self.timestep_cache.close()  # owner: unlinks the segment
@@ -223,81 +307,266 @@ class SessionGateway:
     def __exit__(self, *exc) -> None:
         self.stop()
 
-    # -- plumbing -----------------------------------------------------------
+    # -- the relay ----------------------------------------------------------
 
     def _on_health(self, healths: dict[str, dict]) -> None:
+        """Supervisor thread, after each sweep: feed admission, and let
+        the loop relay any ``wt.rejoin`` whose worker is back."""
         self.admission.update(
             {n: float(h.get("saturation", 0.0)) for n, h in healths.items()}
         )
+        self.dlib.call_soon(self._wake_rejoins)
 
-    def _backend(self, worker: str) -> DlibClient:
-        """The routing client for ``worker``'s *current* incarnation.
+    def _link(self, worker: str) -> _Link:
+        """The backend link to ``worker``'s *current* incarnation.
 
-        Keyed by the supervisor's generation counter: a respawn bumps the
-        generation, so the next forward transparently dials the new
-        process instead of a dead port.
+        Keyed by the supervisor's generation counter: a respawn bumps
+        the generation, so the next call dials the new process and the
+        old link is torn down (its pending calls fail as a loss).
+        Raises ``ConnectionError`` when there is nothing to dial.
         """
         generation = self.supervisor.generation_of(worker)
-        cached = self._backends.get(worker)
-        if cached is not None and cached[0] == generation:
-            return cached[1]
-        if cached is not None:
-            try:
-                cached[1].close()
-            except OSError:
-                pass
+        link = self._links.get(worker)
+        if link is not None:
+            if link.generation == generation:
+                return link
+            link.backend.abort(ConnectionError(f"worker {worker} was respawned"))
         address = self.supervisor.address_of(worker)
         if address is None:
             raise ConnectionError(f"worker {worker} has no live incarnation")
-        client = DlibClient(
-            address[0], address[1],
-            timeout=self.route_timeout, call_timeout=self.route_timeout,
+        link = _Link(worker, generation)
+        link.backend = self.dlib.dial(
+            address,
+            lambda frame: self._on_reply(link, frame),
+            lambda exc: self._on_lost(link, exc),
         )
-        self._backends[worker] = (generation, client)
-        return client
+        self._links[worker] = link
+        return link
 
-    def _forward(self, worker: str, procedure: str, *args, session: bool = True):
-        """Route one call to a worker, translating failure faithfully.
+    def _relay(
+        self,
+        worker: str,
+        procedure: str,
+        args: tuple,
+        *,
+        session: bool = True,
+        quiet: bool = False,
+        deferred: Deferred | None = None,
+    ) -> Deferred:
+        """Send one call to ``worker``; its reply comes back parked.
 
-        Worker-side exceptions re-raise under their original wire type
-        (:class:`ForwardedError`).  Transport failure on a session call
-        becomes ``SessionExpiredError`` — the signal that routes the
-        client into its rejoin path while the supervisor restores the
-        worker; on a non-session call it is a plain ``RETRY_AFTER``.
+        Service thread only.  Without ``deferred`` this must run inside
+        a handler, which returns the result.  Never blocks and never
+        raises: a failure reaches the client through the deferred.
         """
+        if deferred is None:
+            deferred = self.dlib.defer()
+        call = _Call(deferred, procedure, args, session, quiet)
         try:
-            return self._backend(worker).call(procedure, *args)
-        except DlibRemoteError as exc:
-            message = str(exc)
-            prefix = f"{exc.remote_type}: "
-            if message.startswith(prefix):
-                message = message[len(prefix):]
-            raise ForwardedError(exc.remote_type, message, exc.data) from exc
-        except RETRYABLE_ERRORS as exc:
-            self._forward_failures.inc()
-            self.supervisor.mark_suspect(worker)
-            cached = self._backends.pop(worker, None)
-            if cached is not None:
-                try:
-                    cached[1].close()
-                except OSError:
-                    pass
-            if session:
-                raise ForwardedError(
-                    "SessionExpiredError",
-                    f"worker {worker} lost mid-call; rejoin to resume",
-                ) from exc
-            raise RetryAfterError(
+            link = self._link(worker)
+        except (ConnectionError, OSError):
+            if self._lose(worker, call):
+                self.supervisor.mark_suspect(worker)
+            return deferred
+        request_id = next(link.request_ids) & 0xFFFFFFFF
+        call.deadline = time.monotonic() + self.route_timeout
+        link.pending[request_id] = call
+        link.backend.send(encode_message(
+            MessageKind.CALL, request_id,
+            {"proc": procedure, "args": list(args), "kwargs": {}},
+        ))
+        return deferred
+
+    def _on_reply(self, link: _Link, frame: bytes) -> None:
+        """One worker message arrived on ``link`` (service thread).
+
+        Malformed data raises with the call still pending, so the link's
+        teardown answers it like every other call on the link.
+        """
+        kind, request_id, _trace_id, body = split_message(frame)
+        if kind is not MessageKind.RESULT and kind is not MessageKind.ERROR:
+            raise DlibProtocolError(f"worker {link.worker} sent a {kind.name}")
+        call = link.pending.get(request_id)
+        if call is None:
+            return  # a reply to a call the link no longer holds
+        if kind is MessageKind.RESULT and call.procedure not in self._hooks:
+            result = PreEncoded(body)
+        else:
+            result = decode_value(body)
+        del link.pending[request_id]
+        if kind is MessageKind.RESULT:
+            self._answer(link.worker, call, result)
+            return
+        error = result if isinstance(result, dict) else {}
+        self._refuse(link.worker, call, ForwardedError(
+            str(error.get("type", "Exception")),
+            str(error.get("message", "")),
+            error.get("data"),
+        ))
+
+    def _answer(self, worker: str, call: _Call, result) -> None:
+        """Run ``call``'s hook on ``result`` and resolve its client's reply."""
+        hook = self._hooks.get(call.procedure)
+        if hook is not None:
+            try:
+                result = hook(worker, call.args, result)
+            except Exception as exc:  # noqa: BLE001 - faults must cross the wire
+                call.deferred.fail(exc)
+                return
+        trace = call.trace
+        if trace is not None:
+            trace.mark("forward", trace.now() - call.sent, start=call.sent)
+        call.deferred.resolve(result)
+
+    def _refuse(self, worker: str, call: _Call, exc: BaseException) -> None:
+        if call.quiet:
+            self._answer(worker, call, None)
+        else:
+            call.deferred.fail(exc)
+
+    def _lose(self, worker: str, call: _Call) -> bool:
+        """Answer one call its worker will never answer; returns whether
+        a client was still waiting for it.
+
+        A seated client gets ``SessionExpiredError`` — the signal that
+        routes it into its rejoin path while the supervisor restores the
+        worker; a pre-session call gets a plain ``RETRY_AFTER``.
+        """
+        if call.deferred.done:
+            return False  # the client left, or the loop is shutting down
+        self._forward_failures.inc()
+        if call.session:
+            exc = ForwardedError(
+                "SessionExpiredError",
+                f"worker {worker} lost mid-call; rejoin to resume",
+            )
+        else:
+            exc = RetryAfterError(
                 f"worker {worker} unavailable; retry",
                 retry_after=self.retry_after,
                 reason="worker_down",
-            ) from exc
+            )
+        self._refuse(worker, call, exc)
+        return True
+
+    def _on_lost(self, link: _Link, exc: BaseException) -> None:
+        """``link``'s transport is gone: fail every call still on it."""
+        if self._links.get(link.worker) is link:
+            del self._links[link.worker]
+        calls = list(link.pending.values())
+        link.pending.clear()
+        lost = [self._lose(link.worker, call) for call in calls]
+        if any(lost) and link.generation == self.supervisor.generation_of(link.worker):
+            # Routing noticed before the sweep did; a link to an older
+            # incarnation says nothing about the current one.
+            self.supervisor.mark_suspect(link.worker)
+
+    def _wake_rejoins(self) -> None:
+        """Relay each parked ``wt.rejoin`` whose worker is ready again;
+        answer ``RETRY_AFTER`` to those past ``recovery_wait``."""
+        if not self._rejoining:
+            return
+        now = time.monotonic()
+        waiting = []
+        for entry in self._rejoining:
+            deadline, worker, args, deferred = entry
+            if deferred.done:
+                continue
+            if self.supervisor.is_ready(worker):
+                self._relay(worker, "wt.rejoin", args, deferred=deferred)
+            elif now >= deadline:
+                deferred.fail(RetryAfterError(
+                    f"worker {worker} is still recovering; retry",
+                    retry_after=self.retry_after,
+                    reason="recovering",
+                ))
+            else:
+                waiting.append(entry)
+        self._rejoining = waiting
+
+    def _tick(self, ctx) -> None:
+        self._wake_rejoins()
+        now = time.monotonic()
+        for link in list(self._links.values()):
+            oldest = next(iter(link.pending.values()), None)
+            if oldest is not None and now >= oldest.deadline:
+                # A worker that sits on a call past route_timeout is
+                # treated as lost, exactly like a reset connection.
+                link.backend.abort(DlibTimeoutError(
+                    f"worker {link.worker} did not answer "
+                    f"{oldest.procedure} within {self.route_timeout} s"
+                ))
 
     def _worker_for(self, client_id: int) -> str:
         worker = self.journal.worker_of(int(client_id))
         if worker is None:
             raise KeyError(f"no session for client {client_id}")
         return worker
+
+    # -- post-reply hooks -----------------------------------------------------
+
+    def _journal_join(self, worker: str, args: tuple, info: dict) -> dict:
+        cid, name, token = args
+        self.journal.record_join(worker, cid, name, token)
+        self._admitted.inc()
+        self._active.set(self.journal.total_sessions)
+        info["worker"] = worker
+        return info
+
+    def _note_rejoin(self, worker: str, args: tuple, info: dict) -> dict:
+        self._rejoins.inc()
+        info["worker"] = worker
+        return info
+
+    def _journal_leave(self, worker: str | None, args: tuple, _result) -> None:
+        """Whatever the worker said — it may be down, or may already have
+        forgotten the seat — the journal drop is what ends the session."""
+        self.journal.record_leave(args[0])
+        self.admission.note_leave(args[0])
+        self._active.set(self.journal.total_sessions)
+
+    def _journal_subscribe(self, worker: str, args: tuple, result: dict) -> dict:
+        self.journal.record_subscribe(args[0], Subscription.from_wire(result).to_wire())
+        return result
+
+    def _journal_release(self, worker: str, args: tuple, result: dict) -> dict:
+        """The update that releases a grab replies ``released`` with the
+        rake's final geometry, which overwrites the journaled one — so
+        recovery restores a dragged rake where the hand left it, not
+        where it was added."""
+        released = result.get("released")
+        if released:
+            self.journal.record_add_rake(
+                args[0], int(released["rake_id"]), dict(released["rake"])
+            )
+        return result
+
+    def _journal_add_rake(self, worker: str, args: tuple, rake_id: int) -> int:
+        self.journal.record_add_rake(args[0], int(rake_id), dict(args[1]))
+        return rake_id
+
+    def _journal_remove_rake(self, worker: str, args: tuple, result):
+        self.journal.record_remove_rake(int(args[1]))
+        return result
+
+    def _journal_clock(self, worker: str, args: tuple, snapshot: dict) -> dict:
+        self.journal.record_clock(worker, snapshot)
+        return snapshot
+
+    def _journal_steering(self, worker: str, args: tuple, result: dict) -> dict:
+        """Only accepted steers land in the journal (a conflict or a bad
+        parameter comes back as an error, which skips the hook), so
+        replaying the log on a respawned worker reconstructs exactly the
+        regime users steered the tunnel into (docs/steering.md)."""
+        self.journal.record_steering(
+            worker,
+            {"epoch": result.get("epoch", 0), "changes": result.get("changes", {})},
+        )
+        return result
+
+    def _journal_tool_settings(self, worker: str, args: tuple, effective: dict) -> dict:
+        self.journal.record_tool_settings(worker, effective)
+        return effective
 
     # -- procedures ---------------------------------------------------------
 
@@ -308,47 +577,39 @@ class SessionGateway:
         reg("wt.leave", self._rpc_leave)
         reg("wt.frame", self._rpc_frame)
         reg("wt.subscribe", self._rpc_subscribe)
-        reg("wt.update", self._rpc_update)
-        reg("wt.add_rake", self._rpc_add_rake)
-        reg("wt.remove_rake", self._rpc_remove_rake)
-        reg("wt.time", self._rpc_time)
-        reg("wt.steer", self._rpc_steer)
-        reg("wt.set_tool_settings", self._rpc_set_tool_settings)
         reg("wt.stats", self._rpc_stats)
         reg("wt.metrics", self._rpc_metrics)
-        for name in _PLAIN_FORWARDS:
-            reg(name, self._make_plain_forward(name))
+        for name in _RELAYED:
+            reg(name, self._make_relay(name))
 
-    def _make_plain_forward(self, procedure: str):
-        session = _PLAIN_FORWARDS[procedure]
+    def _make_relay(self, procedure: str):
+        def relay(ctx, client_id, *args):
+            cid = int(client_id)
+            return self._relay(self._worker_for(cid), procedure, (cid, *args))
 
-        def forward(ctx, client_id, *args):
-            worker = self._worker_for(client_id)
-            return self._forward(
-                worker, procedure, int(client_id), *args, session=session
-            )
+        return relay
 
-        return forward
+    def _rpc_join(self, ctx, name: str = "") -> Deferred:
+        """Seat a new session on the least-loaded ready worker.
 
-    def _rpc_join(self, ctx, name: str = "") -> dict:
+        Placement counts the seats whose ``wt.adopt`` is still in
+        flight, so joins that overlap are placed as if they had been
+        served one after the other.
+        """
         names = set(self.supervisor.worker_names)
-        worker = self.admission.place(
-            {w: n for w, n in self.journal.load().items() if w in names},
-            self.supervisor.ready_workers(),
-        )
+        load = {w: n for w, n in self.journal.load().items() if w in names}
+        for worker, link in self._links.items():
+            adopting = sum(c.procedure == "wt.adopt" for c in link.pending.values())
+            load[worker] = load.get(worker, 0) + adopting
+        worker = self.admission.place(load, self.supervisor.ready_workers())
         cid = next(self._next_cid)
         token = secrets.token_hex(16)
         # Transport failure here is pre-session: the client holds no
         # token yet, so refuse with RETRY_AFTER rather than feigning an
         # expired session it could never resume.
-        info = self._forward(worker, "wt.adopt", cid, name, token, session=False)
-        self.journal.record_join(worker, cid, name, token)
-        self._admitted.inc()
-        self._active.set(self.journal.total_sessions)
-        info["worker"] = worker
-        return info
+        return self._relay(worker, "wt.adopt", (cid, name, token), session=False)
 
-    def _rpc_rejoin(self, ctx, client_id: int, token: str) -> dict:
+    def _rpc_rejoin(self, ctx, client_id: int, token: str) -> Deferred:
         cid = int(client_id)
         worker = self._worker_for(cid)
         entry = self.journal.session(cid)
@@ -357,115 +618,39 @@ class SessionGateway:
             raise ForwardedError(
                 "SessionExpiredError", f"no resumable session for client {cid}"
             )
-        if not self.supervisor.await_ready(worker, self.recovery_wait):
-            raise RetryAfterError(
-                f"worker {worker} is still recovering; retry",
-                retry_after=self.retry_after,
-                reason="recovering",
-            )
-        info = self._forward(worker, "wt.rejoin", cid, token)
-        self._rejoins.inc()
-        info["worker"] = worker
-        return info
+        deferred = self.dlib.defer()
+        if self.supervisor.is_ready(worker):
+            return self._relay(worker, "wt.rejoin", (cid, token), deferred=deferred)
+        self._rejoining.append(
+            (time.monotonic() + self.recovery_wait, worker, (cid, token), deferred)
+        )
+        return deferred
 
-    def _rpc_leave(self, ctx, client_id: int) -> None:
+    def _rpc_leave(self, ctx, client_id: int):
         cid = int(client_id)
         worker = self.journal.worker_of(cid)
-        if worker is not None:
-            try:
-                self._forward(worker, "wt.leave", cid)
-            except ForwardedError:
-                # The worker is down or already forgot the seat; the
-                # journal drop below is what actually ends the session.
-                pass
-        self.journal.record_leave(cid)
-        self.admission.note_leave(cid)
-        self._active.set(self.journal.total_sessions)
+        if worker is None:
+            return self._journal_leave(None, (cid,), None)
+        return self._relay(worker, "wt.leave", (cid,), quiet=True)
 
-    def _rpc_frame(self, ctx, client_id: int = 0, ack: int = 0) -> dict:
+    def _rpc_frame(self, ctx, client_id: int = 0, ack: int = 0) -> Deferred:
         cid = int(client_id)
         worker = self._worker_for(cid)
         self.admission.admit_frame(cid)
-        return self._forward(worker, "wt.frame", cid, ack)
+        return self._relay(worker, "wt.frame", (cid, ack))
 
-    def _rpc_subscribe(self, ctx, client_id: int, options: dict | None = None) -> dict:
-        """Forward ``wt.subscribe`` (pull only) and journal the terms.
+    def _rpc_subscribe(self, ctx, client_id: int, options: dict | None = None) -> Deferred:
+        """Relay ``wt.subscribe`` (pull only) and journal the terms.
 
         ``push`` is forced off: the worker would bind push delivery to
-        *this* gateway's routing connection, which relays no PUSH, and
+        *this* gateway's backend connection, which relays no PUSH, and
         produce frames for nobody.  The reply says ``"push": False``, so
         the client pulls (docs/operations.md).
         """
         cid = int(client_id)
-        worker = self._worker_for(cid)
-        result = self._forward(
-            worker, "wt.subscribe", cid, {**(options or {}), "push": False}
+        return self._relay(
+            self._worker_for(cid), "wt.subscribe", (cid, {**(options or {}), "push": False})
         )
-        self.journal.record_subscribe(cid, Subscription.from_wire(result).to_wire())
-        return result
-
-    def _rpc_update(self, ctx, client_id: int, head, hand, gesture: str) -> dict:
-        """Forward ``wt.update``; journal a rake where its drag let go.
-
-        The update that releases a grab replies ``released`` with the
-        rake's final geometry, which overwrites the journaled one — so
-        recovery restores a dragged rake where the hand left it, not
-        where it was added.
-        """
-        cid = int(client_id)
-        worker = self._worker_for(cid)
-        result = self._forward(worker, "wt.update", cid, head, hand, gesture)
-        released = result.get("released")
-        if released:
-            self.journal.record_add_rake(
-                cid, int(released["rake_id"]), dict(released["rake"])
-            )
-        return result
-
-    def _rpc_add_rake(self, ctx, client_id: int, rake: dict) -> int:
-        cid = int(client_id)
-        worker = self._worker_for(cid)
-        rake_id = self._forward(worker, "wt.add_rake", cid, rake)
-        self.journal.record_add_rake(cid, int(rake_id), dict(rake))
-        return rake_id
-
-    def _rpc_remove_rake(self, ctx, client_id: int, rake_id: int) -> None:
-        cid = int(client_id)
-        worker = self._worker_for(cid)
-        result = self._forward(worker, "wt.remove_rake", cid, rake_id)
-        self.journal.record_remove_rake(int(rake_id))
-        return result
-
-    def _rpc_time(self, ctx, client_id: int, op: str, value: float = 0.0) -> dict:
-        cid = int(client_id)
-        worker = self._worker_for(cid)
-        snapshot = self._forward(worker, "wt.time", cid, op, value)
-        self.journal.record_clock(worker, snapshot)
-        return snapshot
-
-    def _rpc_steer(self, ctx, client_id: int, changes: dict) -> dict:
-        """Forward ``wt.steer`` and journal the accepted change set.
-
-        Only accepted steers land in the journal (a conflict or a bad
-        parameter raises before we get here), so replaying the log on a
-        respawned worker reconstructs exactly the regime users steered
-        the tunnel into (docs/steering.md).
-        """
-        cid = int(client_id)
-        worker = self._worker_for(cid)
-        result = self._forward(worker, "wt.steer", cid, changes)
-        self.journal.record_steering(
-            worker,
-            {"epoch": result.get("epoch", 0), "changes": result.get("changes", {})},
-        )
-        return result
-
-    def _rpc_set_tool_settings(self, ctx, client_id: int, settings: dict) -> dict:
-        cid = int(client_id)
-        worker = self._worker_for(cid)
-        effective = self._forward(worker, "wt.set_tool_settings", cid, settings)
-        self.journal.record_tool_settings(worker, effective)
-        return effective
 
     def _rpc_stats(self, ctx, client_id: int = 0) -> dict:
         """Gateway-level view: pool health, placement, shedding state."""

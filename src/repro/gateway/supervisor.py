@@ -160,10 +160,10 @@ class WorkerSupervisor:
         return self._slots[name].handle
 
     def ready_workers(self) -> list[str]:
-        return [n for n in self.worker_names if self._slots[n].ready.is_set()]
+        return [n for n in self.worker_names if self.is_ready(n)]
 
-    def await_ready(self, name: str, timeout: float) -> bool:
-        return self._slots[name].ready.wait(timeout)
+    def is_ready(self, name: str) -> bool:
+        return self._slots[name].ready.is_set()
 
     def healths(self) -> dict[str, dict]:
         return {n: dict(s.health) for n, s in self._slots.items()}

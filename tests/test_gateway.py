@@ -547,6 +547,152 @@ class TestGatewaySerialSafety:
         assert errors == []
 
 
+def _instrument(server, worker, log, parked=(), park=frozenset()):
+    """Log ``server``'s windtunnel calls in the order it serves them.
+
+    Calls named in ``park`` wait at the worker until the test releases
+    them (``(worker, name, deferred, run)`` lands on ``parked``): only
+    the test decides when they finish.
+    """
+    procedures = server.dlib._procedures
+    for name in ("wt.adopt", "wt.frame", "wt.add_rake", "wt.update"):
+        def wrapped(ctx, *args, _fn=procedures[name], _name=name):
+            log.append((_name, args[0]))
+            if _name not in park:
+                return _fn(ctx, *args)
+            deferred = server.dlib.defer()
+            parked.append((worker, _name, deferred, lambda: _fn(ctx, *args)))
+            return deferred
+
+        server.dlib.register(name, wrapped)
+
+
+def _release(server, entry):
+    """Run a parked call's real procedure on its worker's loop."""
+    _worker, _name, deferred, run = entry
+    server.dlib.call_soon(lambda: deferred.resolve(run()))
+
+
+@pytest.fixture
+def relay_pool(monkeypatch):
+    """A two-worker gateway whose relay dials in-process servers.
+
+    The supervisor's worker processes stay up but idle; routing goes to
+    a :class:`~repro.core.server.WindtunnelServer` per slot in this
+    process, which the test can instrument.
+    """
+    from repro import WindtunnelServer, tapered_cylinder_dataset
+
+    gw = SessionGateway(default_worker_spec(), n_workers=2, heartbeat_interval=3600.0)
+    with gw:
+        servers = {}
+        try:
+            for worker in gw.supervisor.worker_names:
+                servers[worker] = WindtunnelServer(
+                    tapered_cylinder_dataset(shape=(12, 12, 6), n_timesteps=4)
+                ).start()
+            monkeypatch.setattr(
+                gw.supervisor, "address_of", lambda worker: servers[worker].address
+            )
+            yield gw, servers
+        finally:
+            for server in servers.values():
+                server.stop()
+
+
+def _grab_conflict(a, b) -> list:
+    """A holds a rake, B reaches for it, A lets go, B takes it."""
+    a.add_rake((-1.0, -1.0, 0.5), (-1.0, 1.0, 0.5), n_seeds=3)
+    head, center = (0.0, -3.0, 0.5), (-1.0, 0.0, 0.5)
+    return [
+        a.send_input(head, center, "fist")["holding"],
+        b.send_input(head, center, "fist")["holding"],
+        a.send_input(head, center, "open")["released"]["rake_id"],
+        b.send_input(head, center, "fist")["holding"],
+    ]
+
+
+class TestGatewayRelay:
+    """FCFS and placement survive the non-blocking relay."""
+
+    def test_a_parked_frame_holds_back_no_later_call(self, relay_pool):
+        from repro.core import WindtunnelClient
+
+        gw, servers = relay_pool
+        gw.supervisor.mark_suspect("w1")  # seat both sessions on w0
+        log, parked = [], []
+        with DlibClient(*gw.address) as a, WindtunnelClient(*gw.address, name="b") as b:
+            cid_a = a.call("wt.join", "a")["client_id"]
+            assert gw.journal.worker_of(cid_a) == gw.journal.worker_of(b.client_id) == "w0"
+            _instrument(servers["w0"], "w0", log, parked, park={"wt.frame"})
+            got = {}
+            t = threading.Thread(
+                target=lambda: got.update(frame=a.call("wt.frame", cid_a)), daemon=True
+            )
+            t.start()
+            wait_until(lambda: parked)
+            # A's frame sits at the worker until the test lets it go, so
+            # everything below completes while it is parked.
+            rid = b.add_rake((1.0, -1.0, 0.5), (1.0, 1.0, 0.5), n_seeds=3)
+            holding = b.send_input((0.0, -3.0, 0.5), (1.0, 0.0, 0.5), "fist")["holding"]
+            assert holding == [rid, "center"]
+            assert t.is_alive() and gw.dlib.parked_count == 1
+            parked[0][2].resolve("held")
+            t.join(timeout=10)
+            assert got == {"frame": "held"}
+        assert log == [
+            ("wt.frame", cid_a),
+            ("wt.add_rake", b.client_id),
+            ("wt.update", b.client_id),
+        ]
+
+    def test_a_grab_conflict_resolves_as_at_a_bare_server(self, relay_pool):
+        from repro import WindtunnelServer, tapered_cylinder_dataset
+        from repro.core import WindtunnelClient
+
+        with WindtunnelServer(
+            tapered_cylinder_dataset(shape=(12, 12, 6), n_timesteps=4)
+        ) as bare:
+            with WindtunnelClient(*bare.address, name="a") as a, \
+                    WindtunnelClient(*bare.address, name="b") as b:
+                expected = _grab_conflict(a, b)
+        gw, _servers = relay_pool
+        gw.supervisor.mark_suspect("w1")
+        with WindtunnelClient(*gw.address, name="a") as a, \
+                WindtunnelClient(*gw.address, name="b") as b:
+            assert gw.journal.worker_of(a.client_id) == gw.journal.worker_of(b.client_id)
+            assert _grab_conflict(a, b) == expected
+        rid = expected[2]
+        assert expected[0] == expected[3] == [rid, "center"]
+        assert expected[1] != expected[0]  # B lost the race it came second to
+
+    def test_overlapping_joins_are_placed_as_if_served_in_turn(self, relay_pool):
+        gw, servers = relay_pool
+        log, parked = [], []
+        for worker, server in servers.items():
+            _instrument(server, worker, log, parked, park={"wt.adopt"})
+        joined = {}
+
+        def join(name):
+            with DlibClient(*gw.address) as c:
+                joined[name] = c.call("wt.join", name)["worker"]
+
+        first = threading.Thread(target=join, args=("one",), daemon=True)
+        first.start()
+        wait_until(lambda: len(parked) == 1)
+        second = threading.Thread(target=join, args=("two",), daemon=True)
+        second.start()
+        wait_until(lambda: len(parked) == 2)
+        # The first adopt has not replied, yet it counts against w0.
+        assert [entry[0] for entry in parked] == ["w0", "w1"]
+        for entry in parked:
+            _release(servers[entry[0]], entry)
+        first.join(timeout=10)
+        second.join(timeout=10)
+        assert joined == {"one": "w0", "two": "w1"}
+        assert gw.journal.load() == {"w0": 1, "w1": 1}
+
+
 class TestGatewaySharedCache:
     def test_workers_share_one_timestep_segment(self):
         """A default gateway's workers publish decoded timesteps into one

@@ -11,7 +11,10 @@ it already knows how to recover.  A third kills a worker while a routed
 ``wt.frame`` is *parked* on it as a continuation — workers run the
 figure-8 producer pipeline, so a miss waits on the worker's loop without
 blocking it.  A fourth kills a worker after a drag and checks the rake
-comes back where the hand let go of it, not where it was added.
+comes back where the hand let go of it, not where it was added.  Two
+more check the relay's isolation: a worker that is down or wedged
+stalls only its own sessions — the other worker's sessions keep being
+served while a rejoin or a forward is parked at the gateway.
 """
 
 import threading
@@ -240,6 +243,108 @@ class TestKillWhileParked:
             assert counter(gw, "gateway.rejoins") == 1
 
 
+#: Fetches a healthy worker's session completes while the other
+#: worker's session is parked at the gateway.
+BYSTANDER_FETCHES = 20
+
+
+def _seat_one_on_each(gw):
+    """Two clients, one per worker: ``{worker: client}``."""
+    clients = [WindtunnelClient(*gw.address, name=f"seat{i}") for i in range(2)]
+    seats = {gw.journal.worker_of(c.client_id): c for c in clients}
+    assert set(seats) == {"w0", "w1"}
+    for c in clients:
+        c.fetch_frame()
+    return seats
+
+
+def _respawn(gw, worker):
+    """Sweep (the heartbeat is parked) until ``worker`` is a new incarnation."""
+    generation = gw.supervisor.generation_of(worker)
+
+    def respawned():
+        gw.supervisor.sweep()
+        return gw.supervisor.generation_of(worker) > generation
+
+    wait_until(respawned, timeout=RECOVER_DEADLINE, interval=0.05)
+
+
+class TestRelayIsolation:
+    """The supervisor only sweeps when the test says so, and every
+    deadline is far away: each step is decided by what has happened."""
+
+    def test_a_parked_rejoin_stalls_no_other_worker(self):
+        gw = SessionGateway(
+            default_worker_spec(), n_workers=2, heartbeat_interval=3600.0,
+            recovery_wait=60.0, route_timeout=60.0,
+        )
+        with gw:
+            seats = _seat_one_on_each(gw)
+            victim = gw.supervisor.handle_of("w0")
+            ProcessFaults(seed=17, registry=gw.registry).kill(victim)
+            victim.process.join(timeout=RECOVER_DEADLINE)
+            errors0 = counter(gw, "dlib.call_errors")
+            got = {}
+            t = threading.Thread(
+                target=lambda: got.update(frame=seats["w0"].fetch_frame()),
+                daemon=True,
+            )
+            t.start()
+            # The fetch fails on the dead worker (its error reply is
+            # out), and then the client's rejoin parks: w0 stays down
+            # until the sweep below.
+            wait_until(lambda: counter(gw, "dlib.call_errors") == errors0 + 1
+                       and gw.dlib.parked_count == 1, timeout=JOIN_DEADLINE)
+            assert counter(gw, "gateway.forward_failures") == 1
+            for _ in range(BYSTANDER_FETCHES):
+                assert seats["w1"].fetch_frame()["timestep"] >= 0
+            assert t.is_alive() and gw.dlib.parked_count == 1
+            assert counter(gw, "gateway.rejoins") == 0
+            _respawn(gw, "w0")
+            t.join(timeout=RECOVER_DEADLINE)
+            assert not t.is_alive()
+            assert got["frame"]["timestep"] >= 0
+            assert seats["w0"].rejoins == 1 and seats["w1"].rejoins == 0
+            assert counter(gw, "gateway.rejoins") == 1
+            for c in seats.values():
+                c.close()
+
+    def test_a_hung_worker_stalls_only_its_own_sessions(self):
+        gw = SessionGateway(
+            default_worker_spec(allow_chaos=True), n_workers=2,
+            heartbeat_interval=3600.0, recovery_wait=60.0, route_timeout=60.0,
+        )
+        with gw:
+            seats = _seat_one_on_each(gw)
+            faults = ProcessFaults(seed=19, registry=gw.registry)
+            faults.hang(gw.supervisor.address_of("w0"), 60.0)
+            got = {}
+            t = threading.Thread(
+                target=lambda: got.update(frame=seats["w0"].fetch_frame()),
+                daemon=True,
+            )
+            t.start()
+            wait_until(lambda: gw.dlib.parked_count == 1, timeout=JOIN_DEADLINE)
+            for _ in range(BYSTANDER_FETCHES):
+                assert seats["w1"].fetch_frame()["timestep"] >= 0
+            # w0's forward is still pending: nothing has failed yet.
+            assert t.is_alive() and gw.dlib.parked_count == 1
+            assert counter(gw, "gateway.forward_failures") == 0
+            # Then it fails as it always has: the worker dies under it,
+            # the client sees SessionExpiredError and rejoins.
+            victim = gw.supervisor.handle_of("w0")
+            faults.kill(victim)
+            victim.process.join(timeout=RECOVER_DEADLINE)
+            _respawn(gw, "w0")
+            t.join(timeout=RECOVER_DEADLINE)
+            assert not t.is_alive()
+            assert got["frame"]["timestep"] >= 0
+            assert seats["w0"].rejoins == 1 and seats["w1"].rejoins == 0
+            assert counter(gw, "gateway.forward_failures") == 1
+            for c in seats.values():
+                c.close()
+
+
 class TestDraggedRakeRecovery:
     def test_released_drag_survives_a_worker_kill(self, gateway):
         """``wt.update`` journals the geometry when a grab ends, so a
@@ -264,9 +369,9 @@ class TestDraggedRakeRecovery:
             assert (released["rake"]["end_a"], released["rake"]["end_b"]) == dragged
 
             worker = gateway.journal.worker_of(c.client_id)
-            gateway.supervisor.mark_suspect(worker)  # so await_ready waits
+            gateway.supervisor.mark_suspect(worker)  # so the wait below waits
             ProcessFaults(seed=7).kill(gateway.supervisor.handle_of(worker))
-            assert gateway.supervisor.await_ready(worker, RECOVER_DEADLINE)
+            wait_until(lambda: gateway.supervisor.is_ready(worker), RECOVER_DEADLINE)
             c.rejoin()
             assert geometry() == dragged
 
@@ -292,9 +397,9 @@ class TestStreaklineFailover:
             assert before["timestep"] == 3
             assert before["paths"][rid]["vertices"].shape[1] == 4
 
-            gw.supervisor.mark_suspect("w0")  # so await_ready waits
+            gw.supervisor.mark_suspect("w0")  # so the wait below waits
             ProcessFaults(seed=13).kill(gw.supervisor.handle_of("w0"))
-            assert gw.supervisor.await_ready("w0", RECOVER_DEADLINE)
+            wait_until(lambda: gw.supervisor.is_ready("w0"), RECOVER_DEADLINE)
             c.rejoin()
             after = c.fetch_frame()
             assert after["timestep"] == before["timestep"]
