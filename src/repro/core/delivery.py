@@ -6,8 +6,9 @@ The ``"v2"`` envelope (``seq``, ``mode``, ``base``, ``encoding``,
 :class:`Subscription`, parks ``wt.frame`` calls, binds push connections
 and builds every reply, enveloped, with one composer: a delta against
 the frame last composed for the subscription when the reader holds it,
-a keyframe otherwise.  :class:`HeldScene` is the client's half: the
-scene it holds, its ack.
+a keyframe otherwise; a delta carries the ``env`` block only when it
+differs from the one the reader holds.  :class:`HeldScene` is the
+client's half: the scene and ``env`` it holds, its ack.
 
 One delta base per connection: every frame message queued on a
 push-bound connection, pulled or pushed, is a delta against the one
@@ -44,8 +45,10 @@ class Subscription:
     connection push delivery is bound to — by ``wt.subscribe`` only, a
     restored record has no socket to its client yet), ``seq`` (the
     last frame composed under these terms, the one delta base; 0 until
-    then) and ``entries`` (that frame's ``{rake_id: RakeEntry}``, what
-    a delta against it is the difference from).
+    then), ``entries`` (that frame's ``{rake_id: RakeEntry}``, what
+    a delta against it is the difference from) and ``env`` (the encoded
+    ``env`` block a reader holding that frame holds; ``None`` when that
+    is not known).
     """
 
     encoding: str
@@ -56,6 +59,7 @@ class Subscription:
     conn: object = field(default=None, compare=False)
     seq: int = field(default=0, compare=False)
     entries: dict = field(default_factory=dict, compare=False, repr=False)
+    env: bytes | None = field(default=None, compare=False, repr=False)
 
     @classmethod
     def from_wire(cls, options: dict) -> "Subscription":
@@ -248,7 +252,7 @@ class Delivery:
                 wait_span.add_child(stage, offset, seconds)
                 offset += seconds
         with trace.span("snapshot") if trace else nullcontext():
-            env = self.env.snapshot(self._time_fn())
+            env = PreEncoded.wrap(self.env.snapshot(self._time_fn()))
         self._frames_served.inc()
         if cached:
             self._frame_cache_hits.inc()
@@ -344,8 +348,15 @@ class Delivery:
         connection that frame was queued on).  Then, with deltas on, the
         reply ships only the interesting rakes whose digests changed
         since that frame, a changed ``q16`` rake predicted from the copy
-        the reader holds.  Anything else gets a keyframe, which is the
-        resync: a lost reply costs one keyframe.
+        the reader holds, and ``env`` (encoded) only when it differs from
+        ``sub.env``.  Anything else gets a keyframe, which is the resync:
+        a lost reply costs one keyframe, ``env`` included.
+
+        The ack names a frame, not a reply, so ``sub.env`` is known only
+        while every reply composed for ``sub.seq`` left the same ``env``:
+        one that re-sends that frame with another ``env`` makes it
+        unknown (a lost re-send is not seen), and until the next frame
+        every reply carries ``env``.
         """
         rids = [
             rid for rid, entry in frame.entries.items() if sub.wants(rid, entry.kind)
@@ -362,13 +373,12 @@ class Delivery:
         fragment = frame.compose(send, encoding=sub.encoding, held=held)
         (self._delta_frames if mode == "delta" else self._keyframes).inc()
         self._bytes_hist.observe(float(fragment.nbytes))
-        sub.seq, sub.entries = frame.seq, frame.entries
-        return {
+        same_env = env.data == sub.env
+        reply = {
             "timestep": frame.timestep,
             "steer_epoch": frame.steer_epoch,
             "paths": fragment,
             "compute_seconds": frame.compute_seconds,
-            "env": env,
             "cached": cached,
             "v2": {
                 "seq": frame.seq,
@@ -378,11 +388,18 @@ class Delivery:
                 "removed": removed,
             },
         }
+        if mode == "keyframe" or not same_env:
+            reply["env"] = env
+        resent = frame.seq == sub.seq
+        sub.seq, sub.entries = frame.seq, frame.entries
+        sub.env = None if resent and not same_env else env.data
+        return reply
 
 
 class HeldScene:
-    """The client half: the per-rake scene a reader holds and the
-    publication ``seq`` it describes — the ack its next pull sends.
+    """The client half: the per-rake scene and the ``env`` block a
+    reader holds, and the publication ``seq`` they describe — the ack its
+    next pull sends.
 
     Start a fresh one whenever the terms change (a subscribe, or the
     terms a resume re-sends): it holds nothing and acks 0, so the next
@@ -391,6 +408,7 @@ class HeldScene:
 
     def __init__(self) -> None:
         self.paths: dict = {}
+        self.env: dict = {}
         self.seq = 0
         self._lock = threading.Lock()  # pushes merge on the reading thread
 
@@ -399,11 +417,12 @@ class HeldScene:
 
         A keyframe replaces the scene; a delta overlays its rakes and
         drops ``removed``, a predicted ``q16`` rake decoded against the
-        copy held.  A delta against a base this scene does not hold, or
-        predicting a rake from a copy it does not hold (none, or one of
-        another shape), returns ``None`` — the caller
-        keeps showing what it showed — and resets the ack to 0 so the
-        next pull resyncs with a keyframe.
+        copy held; a delta without ``env`` keeps the one held, so every
+        state returned has the full ``env``.  A delta against a base this
+        scene does not hold, or predicting a rake from a copy it does not
+        hold (none, or one of another shape), returns ``None`` — the
+        caller keeps showing what it showed — and resets the ack to 0 so
+        the next pull resyncs with a keyframe.
         """
         v2 = state["v2"]
         with self._lock:
@@ -434,4 +453,5 @@ class HeldScene:
             else:
                 held = decoded
             self.paths, self.seq = held, int(v2["seq"])
-        return dict(state, paths=held)
+            self.env = env = state.get("env", self.env)
+        return dict(state, paths=held, env=env)

@@ -17,13 +17,14 @@ Invariants (docs/architecture.md, docs/network.md):
   enforced by the buffer flags instead of by convention.
 * **Encode-once, per encoding.**  A frame is a dict of
   :class:`RakeEntry` objects, and an entry outlives the frame: every
-  frame whose rake has the same content holds the same entry.  Its
-  full-precision (``v1``) fragment is produced exactly once, when the
-  entry is built.  Each of its two fixed-point (``q16``) forms — the
-  keyframe, and the residual predicted from one base entry a reader
-  holds — is produced at most once per entry, on first request, and
-  shared by all readers of all those frames; ``net.encode_cache_hits``
-  counts the reuse.
+  frame whose rake has the same content holds the same entry.  Each of
+  its wire forms — full precision (``v1``), and the two fixed-point
+  (``q16``) ones: the keyframe, and the residual predicted from one base
+  entry a reader holds — is produced at most once per entry, on first
+  request, and shared by all readers of all those frames;
+  ``net.encode_cache_hits`` counts the reuse of the ``q16`` forms.  An
+  entry no reader asked for in ``v1`` never holds a float32 copy of its
+  vertices as wire bytes.
   :meth:`PublishedFrame.compose` is the only place reply bytes are
   assembled (the value encoding is compositional: a dict's bytes are its
   entries' bytes behind a count).
@@ -98,9 +99,9 @@ class VariantCounters:
     """The ``net.*`` counters the entries of one registry record into.
 
     ``hits`` / ``misses`` count lookups of the lazily built ``q16``
-    fragments, either form (reading an entry's ``v1`` fragment is
-    neither); ``q16_raw_bytes`` / ``q16_packed_bytes`` total the int16
-    grid sizes and the packed sizes of the q16 fragments built;
+    fragments, either form (building or reading an entry's ``v1``
+    fragment is neither); ``q16_raw_bytes`` / ``q16_packed_bytes`` total
+    the int16 grid sizes and the packed sizes of the q16 fragments built;
     ``predicted`` counts the lookups answered in the predicted form.
     ``registry`` defaults to a private one.
     """
@@ -120,11 +121,10 @@ class RakeEntry:
     """One rake's published geometry and its wire fragments.
 
     ``path`` is the ``{kind, vertices, lengths}`` dict a reply carries,
-    its arrays read-only; ``digest`` its content digest.  The ``v1``
-    fragment is encoded here, once.  The ``q16`` fragments are built on
-    first request by :meth:`fragment` and then shared by every frame
-    holding this entry and every reader of those frames — the
-    encode-once guarantee, extended to both encodings and across frames.
+    its arrays read-only; ``digest`` its content digest.  Every wire
+    fragment is built on first request by :meth:`fragment` and then
+    shared by every frame holding this entry and every reader of those
+    frames — the encode-once guarantee, across encodings and frames.
     q16 comes in two forms: the keyframe, and at most one *predicted*
     fragment, a residual against the rake a reader already holds, keyed
     by that base entry's digest (docs/network.md, "Encodings").
@@ -140,7 +140,7 @@ class RakeEntry:
         self.n_points = int(lengths.sum())
         self._counters = counters
         self._lock = threading.Lock()
-        self._fragments = {"v1": encode_value(self.path)}
+        self._fragments: dict[str, bytes] = {}
         self._quantized: dict | None = None
         self._predicted: tuple[bytes, bytes] | None = None  # (base digest, fragment)
 
@@ -177,10 +177,11 @@ class RakeEntry:
             if encoding != "v1":
                 self._counters.hits.inc()
             return cached
-        fragment = encode_value(self._build_q16())
+        fragment = encode_value(self.path if encoding == "v1" else self._build_q16())
         with self._lock:
             fragment = self._fragments.setdefault(encoding, fragment)
-        self._counters.misses.inc()
+        if encoding != "v1":
+            self._counters.misses.inc()
         return fragment
 
     def _predicted_fragment(self, base: "RakeEntry") -> bytes | None:
@@ -243,14 +244,16 @@ def encode_entries(
     scratch: TrilinearScratch | None = None,
     counters: VariantCounters | None = None,
 ) -> dict:
-    """One-shot wire encoding of tracer results: ``{key: RakeEntry}``.
+    """One-shot wire conversion of tracer results: ``{key: RakeEntry}``.
 
-    This is the *only* place path arrays are serialized at full
-    precision.  ``kinds`` and ``results`` share their keys (rake ids, or
-    the frame pipeline's memo keys).  The results are converted grid ->
-    physical in one batch (:func:`~repro.tracers.result.wire_arrays_batch`)
-    on ``scratch`` — the calling thread's sampler storage; a one-off
-    caller omits it, and ``counters`` too.
+    This is the *only* place path arrays become float32 wire arrays;
+    each entry serializes them on first request
+    (:meth:`RakeEntry.fragment`).  ``kinds`` and ``results`` share their
+    keys (rake ids, or the frame pipeline's memo keys).  The results are
+    converted grid -> physical in one batch
+    (:func:`~repro.tracers.result.wire_arrays_batch`) on ``scratch`` —
+    the calling thread's sampler storage; a one-off caller omits it, and
+    ``counters`` too.
     """
     counters = counters if counters is not None else VariantCounters()
     wire = wire_arrays_batch(results, scratch or TrilinearScratch())

@@ -9,8 +9,9 @@ produces frames:
 * a **producer thread** follows the environment clock, locates rake
   seeds, loads the needed timestep (prefetching where the clock is
   *going*, one production period ahead), and integrates the tracers;
-* an **encode stage** (its own thread) serializes the finished results
-  once into wire-ready entries and publishes an immutable
+* an **encode stage** (its own thread) turns the finished results once
+  into wire-ready entries, builds the wire encodings the latest frame
+  was asked for, and publishes an immutable
   :class:`~repro.core.framestore.PublishedFrame` into the shared
   :class:`~repro.core.framestore.FrameStore`;
 * the dlib service thread's ``wt.frame`` handler becomes a cheap read of
@@ -28,9 +29,21 @@ one frame at a time through :meth:`FramePipeline.produce_inline`.
 digest and wire fragments) is a function of ``(kind, grid seeds,
 tool settings, timestep)``, so the pipeline memoizes entries on that
 key: a frame integrates and encodes only the rakes whose key misses —
-still one megabatch per kind — and assembles the rest from hits.  The
-memo holds the entries of the last produced frame plus one speculative
-timestep; production evicts everything else.
+still one megabatch per kind — and assembles the rest from hits.  What
+a production keeps depends on the clock:
+
+* a **replay** clock steps, scrubs, reverses and wraps over a stored
+  dataset (section 5.2), so a production evicts only the entries whose
+  ``(kind, grid seeds, settings)`` no rake in its snapshot has: every
+  other timestep's entries stay, and a looped replay's second lap is all
+  hits.  :data:`MEMO_POINT_BUDGET` bounds what is kept beside the last
+  production: past it, the newest entries are not admitted, so a cyclic
+  loop longer than the budget still hits on what was kept;
+* a **live** clock only moves forward, so a production keeps its own
+  entries and nothing else.
+
+Either way a speculation's entries join the memo, and the loader is
+not asked to prefetch a timestep the memo already holds for every rake.
 
 **Demand-gated publication, speculative production.**  The producer
 publishes only while a reader holds demand (a parked ``wt.frame``, a
@@ -92,6 +105,12 @@ STAGES = ("load", "locate", "integrate", "encode")
 #: How long an idle producer sleeps between looks at its key.
 POLL_SECONDS = 0.02
 
+#: Path points (seeds x path length, padding included) the entry memo
+#: of a replay clock keeps beside its last production: above a looped
+#: 16-timestep replay of 8 rakes x 16 seeds x 201 points (411 648), about
+#: 10 MB of entries at their float32 vertices and q16 forms.
+MEMO_POINT_BUDGET = 1 << 19
+
 
 @dataclass(eq=False)
 class _Slot:
@@ -103,6 +122,8 @@ class _Slot:
     speculative: bool
     result: object = None
     entry: RakeEntry | None = None
+    points: int = 0  # path points stored: seeds x path length
+    published: bool = False  # set by the encode stage
 
 
 @dataclass
@@ -234,7 +255,8 @@ class FramePipeline:
 
     @property
     def frames_anticipated(self) -> int:
-        """Publications whose every entry came from speculation."""
+        """Publications whose every entry came from speculation and was
+        published for the first time."""
         return self._frames_anticipated.value
 
     @property
@@ -423,10 +445,11 @@ class FramePipeline:
 
         Returns ``({rid: slot}, fresh slots, stage seconds)``.  Fresh
         slots carry their tracer results for the encode stage and enter
-        the memo here: a production's slots replace it, a speculation's
-        join it.  ``prefetch()`` names the timestep the loader stages
-        next; it is asked once ``timestep`` is loaded, so a prediction
-        read off a playing clock accounts for the time the load took.
+        the memo here, as the module docstring says.  ``prefetch()``
+        names the timestep the loader stages next; it is asked once
+        ``timestep`` is loaded, so a prediction read off a playing clock
+        accounts for the time the load took, and the loader is not asked
+        at all when the memo holds that timestep for every rake.
         """
         stage_seconds: dict[str, float] = {}
         with Stopwatch() as sw:
@@ -457,7 +480,11 @@ class FramePipeline:
             # integration and is resident when the next one starts.
             # This is the loader's only prefetch policy: a blind
             # guess would waste the single background worker.
-            loader.prefetch(prefetch())
+            target = prefetch()
+            with self._state_lock:
+                held = all(key[:3] + (target,) in self._memo for key in keys.values())
+            if not held:
+                loader.prefetch(target)
             self._charge("load")
         stage_seconds["load"] = sw.elapsed
 
@@ -471,19 +498,45 @@ class FramePipeline:
             self._charge("integrate")
         stage_seconds["integrate"] = sw.elapsed
 
-        fresh = {
-            key: _Slot(key, rakes[rid].kind, speculative, results[rid])
-            for key, rid in misses.items()
-        }
+        fresh = {}
+        for key, rid in misses.items():
+            seeds, length = results[rid].grid_paths.shape[:2]
+            fresh[key] = _Slot(
+                key, rakes[rid].kind, speculative, results[rid], points=seeds * length
+            )
         for rid, slot in slots.items():
             if slot is None:
                 slots[rid] = fresh[keys[rid]]
         with self._state_lock:
             if speculative:
                 self._memo.update(fresh)
-            else:
+            elif self.env.clock.live:
                 self._memo = {slot.key: slot for slot in slots.values()}
+            else:
+                self._memo = self._retain(slots)
         return slots, list(fresh.values()), stage_seconds
+
+    def _retain(self, slots: dict) -> dict:
+        """The memo after a replay clock's production of ``slots``
+        (``{rid: slot}``; under ``_state_lock``).
+
+        Entries of a rake shape no slot has go; the rest stay in
+        admission order, the production's new slots last.  While the
+        memo is over :data:`MEMO_POINT_BUDGET`, the newest entries that
+        are not this production's go first: once full, a memo admits
+        nothing new beyond the last production.
+        """
+        current = {slot.key: slot for slot in slots.values()}
+        shapes = {key[:3] for key in current}
+        memo = {key: slot for key, slot in self._memo.items() if key[:3] in shapes}
+        memo.update(current)
+        points = sum(slot.points for slot in memo.values())
+        for key in reversed(list(memo)):
+            if points <= MEMO_POINT_BUDGET:
+                break
+            if key not in current:
+                points -= memo.pop(key).points
+        return memo
 
     def _produce(self) -> _Job:
         """Run the locate / load / integrate stages for the current key."""
@@ -618,7 +671,7 @@ class FramePipeline:
             encoding
             for entry in latest.entries.values()
             for encoding in entry.variants
-        } - {"v1"}
+        }
         for rid, slot in slots.items():
             for encoding in asked:
                 slot.entry.fragment(encoding, latest.entries.get(str(rid)))
@@ -628,6 +681,9 @@ class FramePipeline:
         try:
             with Stopwatch() as sw:
                 encoded = self._encode_slots(job.slots.values())
+                self._warm({
+                    rid: slot for rid, slot in job.slots.items() if slot in encoded
+                })
                 self._charge("encode")
         except BaseException:
             # Nothing is published: forget the key so a parked call's
@@ -641,17 +697,17 @@ class FramePipeline:
                             del self._memo[slot.key]
             raise
         if not job.publish:
-            self._warm({
-                rid: slot for rid, slot in job.slots.items() if slot in encoded
-            })
             return None
         stage_seconds["encode"] = sw.elapsed  # before anyone can read it
         with self._stats_lock:
             self._stage_hist["encode"].observe(sw.elapsed)
         self._frames_encoded.inc()
         slots = job.slots.values()
-        if slots and all(slot.speculative for slot in slots):
+        # A retained entry published on an earlier lap is a memo hit.
+        if slots and all(slot.speculative and not slot.published for slot in slots):
             self._frames_anticipated.inc()
+        for slot in slots:
+            slot.published = True
         return self.store.publish(
             PublishedFrame(
                 version=job.version,

@@ -134,8 +134,11 @@ class _Loop:
 
 
 class _Env:
+    def __init__(self) -> None:
+        self.state = 0  # what the ``env`` block says besides the wall time
+
     def snapshot(self, wall) -> dict:
-        return {"wall": wall}
+        return {"wall": wall, "state": self.state}
 
 
 class _Pipeline:
@@ -515,3 +518,110 @@ def test_pulled_and_pushed_predicted_frames_interleave_on_one_connection():
         merged = scene.integrate(message)
         assert merged is not None
         _assert_same_scene(merged["paths"], _expected(frames[message["v2"]["seq"]], sub))
+
+
+# -- the env block: carried by a delta only when it changed -----------------------
+
+
+def test_an_unchanged_env_is_left_out_of_a_delta_and_the_scene_keeps_it():
+    delivery, loop, pipeline = _delivery()
+    delivery.subscribe(7, {})
+    scene = HeldScene()
+    _publish(delivery, loop, pipeline, _frame({"1": 1}, 0))
+    first = _wire(delivery.frame(7, scene.seq))
+    assert first["v2"]["mode"] == "keyframe" and first["env"] == {"wall": 0.0, "state": 0}
+    scene.integrate(first)
+    again = _wire(delivery.frame(7, scene.seq))
+    assert again["v2"]["mode"] == "delta" and "env" not in again
+    assert scene.integrate(again)["env"] == first["env"]
+    pipeline.env.state = 1
+    _publish(delivery, loop, pipeline, _frame({"1": 2}, 1))
+    moved = _wire(delivery.frame(7, scene.seq))
+    assert moved["v2"]["mode"] == "delta" and moved["env"]["state"] == 1
+    assert scene.integrate(moved)["env"]["state"] == 1
+    _publish(delivery, loop, pipeline, _frame({"1": 3}, 2))
+    still = _wire(delivery.frame(7, scene.seq))
+    assert "env" not in still and scene.integrate(still)["env"]["state"] == 1
+
+
+def test_a_lost_reply_resends_the_env_with_its_keyframe():
+    """The reply that carried an ``env`` change is lost: the next pull
+    acks the frame before it and gets a keyframe, ``env`` included,
+    although the ``env`` has not changed since the lost reply."""
+    delivery, loop, pipeline = _delivery()
+    delivery.subscribe(7, {})
+    scene = HeldScene()
+    _publish(delivery, loop, pipeline, _frame({"1": 1}, 0))
+    scene.integrate(_wire(delivery.frame(7, scene.seq)))
+    pipeline.env.state = 1
+    _publish(delivery, loop, pipeline, _frame({"1": 2}, 1))
+    lost = delivery.frame(7, scene.seq)
+    assert lost["v2"]["mode"] == "delta" and "env" in lost
+    _publish(delivery, loop, pipeline, _frame({"1": 3}, 2))
+    reply = _wire(delivery.frame(7, scene.seq))
+    assert reply["v2"]["mode"] == "keyframe" and reply["env"]["state"] == 1
+    assert scene.integrate(reply)["env"]["state"] == 1
+
+
+def test_a_frame_resent_with_another_env_carries_env_until_the_next_frame():
+    """An ack names a frame, not a reply: once the frame last composed is
+    re-sent with another ``env``, a lost re-send cannot be seen, so every
+    reply carries ``env`` until a new frame is composed."""
+    delivery, loop, pipeline = _delivery()
+    delivery.subscribe(7, {})
+    scene = HeldScene()
+    _publish(delivery, loop, pipeline, _frame({"1": 1}, 0))
+    scene.integrate(_wire(delivery.frame(7, scene.seq)))
+    pipeline.env.state = 1  # the env moves, the frame does not
+    lost = delivery.frame(7, scene.seq)
+    assert lost["v2"]["mode"] == "delta" and "env" in lost
+    for _ in range(2):
+        reply = _wire(delivery.frame(7, scene.seq))
+        assert reply["v2"]["mode"] == "delta" and reply["env"]["state"] == 1
+        assert scene.integrate(reply)["env"]["state"] == 1
+    _publish(delivery, loop, pipeline, _frame({"1": 2}, 1))
+    reply = _wire(delivery.frame(7, scene.seq))
+    assert reply["env"]["state"] == 1
+    scene.integrate(reply)
+    assert "env" not in _wire(delivery.frame(7, scene.seq))
+
+
+#: One pull: whether a new frame is published first, whether the env
+#: changes first, and what becomes of the reply or its ack.
+env_steps = st.tuples(
+    st.booleans(), st.booleans(), st.sampled_from(["ok", "lost", "stale"])
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.booleans(), st.lists(env_steps, min_size=1, max_size=16))
+def test_every_state_shown_has_the_env_it_was_composed_with(push, script):
+    """Over new frames and re-sent ones, env changes, lost replies and
+    stale acks, on a pulled or a push-bound subscription: every state the
+    scene shows carries the ``env`` snapshot its reply was composed with."""
+    delivery, loop, pipeline = _delivery()
+    loop.call(delivery.subscribe, 7, {"push": push})
+    loop.queued.clear()  # the subscribe echo
+    scene = HeldScene()
+    t = 0
+    for publish, change, fate in script:
+        if push and fate == "lost":
+            fate = "ok"  # a bound connection loses nothing
+        if change:
+            pipeline.env.state += 1
+        if publish or not t:
+            t += 1
+            stamped = delivery.store.publish(_frame({"1": t % 3, "2": 0}, t))
+            pipeline.key = stamped.key
+            loop.run()
+        ack = max(scene.seq - 1, 0) if fate == "stale" else scene.seq
+        for message in loop.queued:
+            scene.integrate(_wire(message))
+        loop.queued.clear()
+        reply = loop.call(delivery.frame, 7, ack)
+        loop.queued.clear()
+        if fate == "lost":
+            continue
+        merged = scene.integrate(_wire(reply))
+        assert merged is not None
+        assert merged["env"] == {"wall": 0.0, "state": pipeline.env.state}

@@ -17,7 +17,8 @@ Covers the guarantees the refactor introduced:
   mixing memo hits and misses and frames speculated ahead of the step —
   it equals a fresh engine's ``compute_rakes`` on the same snapshot;
 * the producer speculates only where its rule says it should, and the
-  memo stays within one published and one speculative timestep;
+  memo holds what it produced and speculated (what a replay clock keeps
+  across timesteps is ``tests/test_entry_retention.py``'s);
 * a failed encode does not strand parked calls, and a dead producer
   thread reads dead: parked calls fail promptly.
 """
@@ -531,8 +532,9 @@ class TestSpeculation:
                 assert c.fetch_frame()["timestep"] == k
                 _settle(pipeline)
                 assert pipeline.frames_anticipated == max(0, k - 2)
-                # The published frame's entries plus one speculative timestep.
-                assert len(pipeline._memo) == (3 if k == 1 else 6)
+                # A replay clock keeps every timestep produced (1..k), plus
+                # one speculative timestep from the second step on.
+                assert len(pipeline._memo) == 3 * (k if k == 1 else k + 1)
 
     def test_rake_edit_during_speculation_publishes_the_edited_frame(
         self, server, dataset, monkeypatch

@@ -20,7 +20,9 @@ the compat contract of docs/network.md:
   holds — rakes predicted from its held copies included — is bit for
   bit a fresh q16 keyframe of the same publication;
 * a push subscriber that also pulls keeps one delta base, and negotiated
-  terms survive a reconnect and a reap.
+  terms survive a reconnect and a reap;
+* a delta carries the ``env`` block only when it changed, and the client
+  still shows the full one.
 
 The composer and the client's held scene are tested socket-free in
 ``tests/test_core_delivery.py``.
@@ -179,7 +181,7 @@ def test_encoding_cache_builds_each_variant_once():
     again = entry.fragment("q16")
     assert first == again
     assert counters.misses.value == 1 and counters.hits.value == 1
-    # The v1 fragment built with the entry is neither a hit nor a miss.
+    # Building or reading the v1 fragment is neither a hit nor a miss.
     entry.fragment("v1")
     assert counters.misses.value == 1 and counters.hits.value == 1
     # A later frame holding the same entry shares its fragments.
@@ -239,6 +241,9 @@ def test_cache_rejects_unknown_variant():
     for encoding in ("zstd", "f16"):
         with pytest.raises(ValueError):
             frame.entries["1"].fragment(encoding)
+    # Nothing is built until asked for, v1 included; a refusal builds nothing.
+    assert frame.entries["1"].variants == []
+    frame.entries["1"].fragment("v1")
     assert frame.entries["1"].variants == ["v1"]
 
 
@@ -527,6 +532,30 @@ class TestInterop:
 
 
 # -- the packed q16 form over real sockets ---------------------------------------
+
+
+class TestEnvElision:
+    def test_a_delta_carries_the_env_only_when_it_changed(self, server):
+        """Over real sockets: a re-read of an unchanged scene ships no
+        ``env``; a head move (which leaves the frame alone) ships the new
+        one; and every state the client shows has the full ``env``."""
+        with WindtunnelClient(*server.address, name="viewer") as c:
+            replies = []
+            integrate = c._held.integrate
+            c._held.integrate = lambda state: integrate(replies.append(state) or state)
+            c.time_control("pause")
+            rid = c.add_rake([1, 1, 1], [1, 7, 3], n_seeds=5)
+            first = c.fetch_frame()
+            again = c.fetch_frame()
+            assert replies[0]["v2"]["mode"] == "keyframe" and "env" in replies[0]
+            assert replies[1]["v2"]["mode"] == "delta" and "env" not in replies[1]
+            assert again["env"] == first["env"] and str(rid) in again["env"]["rakes"]
+            c.send_input([0.0, 1.0, 9.0], [0.0, 0.0, 0.0], "open")
+            moved = c.fetch_frame()
+            assert replies[2]["v2"]["seq"] == replies[1]["v2"]["seq"]
+            assert "env" in replies[2]
+            user = moved["env"]["users"][str(c.client_id)]
+            np.testing.assert_allclose(user["head_position"], [0.0, 1.0, 9.0])
 
 
 def _assert_decodes_as_plain_q16(frame: PublishedFrame, state: dict):
