@@ -6,9 +6,11 @@ The ``"v2"`` envelope (``seq``, ``mode``, ``base``, ``encoding``,
 :class:`Subscription`, parks ``wt.frame`` calls, binds push connections
 and builds every reply, enveloped, with one composer: a delta against
 the frame last composed for the subscription when the reader holds it,
-a keyframe otherwise; a delta carries the ``env`` block only when it
-differs from the one the reader holds.  :class:`HeldScene` is the
-client's half: the scene and ``env`` it holds, its ack.
+a keyframe otherwise; a delta carries only the sections of the ``env``
+block (``version``, ``clock``, ``rakes``, ``users``, each state
+provider's key) that differ from the ones the reader holds.
+:class:`HeldScene` is the client's half: the scene and ``env`` it holds,
+its ack.
 
 One delta base per connection: every frame message queued on a
 push-bound connection, pulled or pushed, is a delta against the one
@@ -46,9 +48,10 @@ class Subscription:
     restored record has no socket to its client yet), ``seq`` (the
     last frame composed under these terms, the one delta base; 0 until
     then), ``entries`` (that frame's ``{rake_id: RakeEntry}``, what
-    a delta against it is the difference from) and ``env`` (the encoded
-    ``env`` block a reader holding that frame holds; ``None`` when that
-    is not known).
+    a delta against it is the difference from) and ``env`` (``{section:
+    encoded bytes}``, the ``env`` block a reader holding that frame
+    holds; a section's bytes are ``None`` when they are not known, and
+    the whole is ``None`` when not even its sections are).
     """
 
     encoding: str
@@ -59,7 +62,7 @@ class Subscription:
     conn: object = field(default=None, compare=False)
     seq: int = field(default=0, compare=False)
     entries: dict = field(default_factory=dict, compare=False, repr=False)
-    env: bytes | None = field(default=None, compare=False, repr=False)
+    env: dict | None = field(default=None, compare=False, repr=False)
 
     @classmethod
     def from_wire(cls, options: dict) -> "Subscription":
@@ -252,7 +255,7 @@ class Delivery:
                 wait_span.add_child(stage, offset, seconds)
                 offset += seconds
         with trace.span("snapshot") if trace else nullcontext():
-            env = PreEncoded.wrap(self.env.snapshot(self._time_fn()))
+            env = self._env_sections()
         self._frames_served.inc()
         if cached:
             self._frame_cache_hits.inc()
@@ -327,7 +330,7 @@ class Delivery:
             if self.dlib.push_backlogged(sub.conn):
                 continue  # shed: the delta base must not advance either
             if env_wire is None:
-                env_wire = PreEncoded.wrap(self.env.snapshot(self._time_fn()))
+                env_wire = self._env_sections()
             # TCP ordering: a queued frame either arrives or the
             # connection dies, so the base advances without an ack.
             reply = self._compose(frame, False, env_wire, sub, True)
@@ -337,43 +340,62 @@ class Delivery:
 
     # -- the composer ----------------------------------------------------------
 
+    def _env_sections(self) -> dict:
+        """The ``env`` snapshot now, each section encoded on its own."""
+        snapshot = self.env.snapshot(self._time_fn())
+        return {key: PreEncoded.wrap(value) for key, value in snapshot.items()}
+
     def _compose(
-        self, frame: PublishedFrame, cached: bool, env, sub: Subscription, holds: bool
+        self, frame: PublishedFrame, cached: bool, env: dict, sub: Subscription,
+        holds: bool,
     ) -> dict:
         """Build the reply ``sub`` is owed for ``frame`` — the one composer
         behind cache hits, resolved continuations and PUSH.
 
+        ``env`` is the ``env`` snapshot, ``{section: PreEncoded}``.
         ``holds`` says the reader holds the frame last composed for
         ``sub`` (it acked ``sub.seq``, or the reply goes to the bound
-        connection that frame was queued on).  Then, with deltas on, the
-        reply ships only the interesting rakes whose digests changed
-        since that frame, a changed ``q16`` rake predicted from the copy
-        the reader holds, and ``env`` (encoded) only when it differs from
-        ``sub.env``.  Anything else gets a keyframe, which is the resync:
-        a lost reply costs one keyframe, ``env`` included.
+        connection that frame was queued on).  Then, with deltas on and
+        the same ``env`` sections as ``sub.env``, the reply ships only the
+        interesting rakes whose digests changed since that frame, a
+        changed ``q16`` rake predicted from the copy the reader holds, and
+        only the ``env`` sections whose bytes differ from ``sub.env``'s
+        (no ``env`` when none do).  Anything else gets a keyframe, which
+        is the resync: a lost reply costs one keyframe, the whole ``env``
+        included.  A section that leaves the snapshot (a state provider
+        removed) thus goes with a keyframe, never lingering in a merge.
 
-        The ack names a frame, not a reply, so ``sub.env`` is known only
-        while every reply composed for ``sub.seq`` left the same ``env``:
-        one that re-sends that frame with another ``env`` makes it
-        unknown (a lost re-send is not seen), and until the next frame
-        every reply carries ``env``.
+        The ack names a frame, not a reply, so a section of ``sub.env``
+        is known only while every reply composed for ``sub.seq`` left it
+        the same: one that re-sends that frame with another section makes
+        the section unknown (a lost re-send is not seen), and until the
+        next frame every reply carries it; another set of sections makes
+        the whole unknown, and until the next frame every reply is a
+        keyframe.
         """
         rids = [
             rid for rid, entry in frame.entries.items() if sub.wants(rid, entry.kind)
         ]
-        if holds and sub.deltas and sub.seq:
+        known = sub.env
+        if (
+            holds and sub.deltas and sub.seq
+            and known is not None and known.keys() == env.keys()
+        ):
             mode, base, held = "delta", sub.seq, sub.entries
             send = [
                 rid for rid in rids
                 if rid not in held or held[rid].digest != frame.entries[rid].digest
             ]
             removed = [rid for rid in held if rid not in frame.entries]
+            carried = {
+                key: value for key, value in env.items() if value.data != known[key]
+            }
         else:
             mode, base, held, send, removed = "keyframe", 0, None, rids, []
+            carried = env
         fragment = frame.compose(send, encoding=sub.encoding, held=held)
         (self._delta_frames if mode == "delta" else self._keyframes).inc()
         self._bytes_hist.observe(float(fragment.nbytes))
-        same_env = env.data == sub.env
         reply = {
             "timestep": frame.timestep,
             "steer_epoch": frame.steer_epoch,
@@ -388,11 +410,18 @@ class Delivery:
                 "removed": removed,
             },
         }
-        if mode == "keyframe" or not same_env:
-            reply["env"] = env
-        resent = frame.seq == sub.seq
-        sub.seq, sub.entries = frame.seq, frame.entries
-        sub.env = None if resent and not same_env else env.data
+        if mode == "keyframe" or carried:
+            reply["env"] = carried
+        sections = {key: value.data for key, value in env.items()}
+        if frame.seq == sub.seq:  # re-sent: the reader holds either env
+            if known is None or known.keys() != sections.keys():
+                sections = None
+            else:
+                sections = {
+                    key: data if data == known[key] else None
+                    for key, data in sections.items()
+                }
+        sub.seq, sub.entries, sub.env = frame.seq, frame.entries, sections
         return reply
 
 
@@ -415,14 +444,14 @@ class HeldScene:
     def integrate(self, state: dict) -> dict | None:
         """Merge one enveloped reply; return the state to show.
 
-        A keyframe replaces the scene; a delta overlays its rakes and
-        drops ``removed``, a predicted ``q16`` rake decoded against the
-        copy held; a delta without ``env`` keeps the one held, so every
-        state returned has the full ``env``.  A delta against a base this
-        scene does not hold, or predicting a rake from a copy it does not
-        hold (none, or one of another shape), returns ``None`` — the
-        caller keeps showing what it showed — and resets the ack to 0 so
-        the next pull resyncs with a keyframe.
+        A keyframe replaces the scene and ``env``; a delta overlays its
+        rakes and drops ``removed``, a predicted ``q16`` rake decoded
+        against the copy held, and merges the ``env`` sections it carries
+        over the ones held, so every state returned has the full ``env``.
+        A delta against a base this scene does not hold, or predicting a
+        rake from a copy it does not hold (none, or one of another shape),
+        returns ``None`` — the caller keeps showing what it showed — and
+        resets the ack to 0 so the next pull resyncs with a keyframe.
         """
         v2 = state["v2"]
         with self._lock:
@@ -435,9 +464,7 @@ class HeldScene:
             for rid, entry in state.get("paths", {}).items():
                 prior = base.get(rid)
                 try:
-                    decoded[rid] = decode_path_entry(
-                        entry, None if prior is None else prior["vertices"]
-                    )
+                    decoded[rid] = decode_path_entry(entry, prior)
                 except DlibProtocolError:
                     if not (isinstance(entry, dict) and entry.get("qpred")):
                         raise
@@ -450,8 +477,8 @@ class HeldScene:
                 for rid in v2.get("removed", []):
                     held.pop(rid, None)
                 held.update(decoded)
+                env = {**self.env, **state.get("env", {})}
             else:
-                held = decoded
-            self.paths, self.seq = held, int(v2["seq"])
-            self.env = env = state.get("env", self.env)
+                held, env = decoded, state.get("env", self.env)
+            self.paths, self.seq, self.env = held, int(v2["seq"]), env
         return dict(state, paths=held, env=env)

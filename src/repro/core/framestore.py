@@ -127,7 +127,8 @@ class RakeEntry:
     frames — the encode-once guarantee, across encodings and frames.
     q16 comes in two forms: the keyframe, and at most one *predicted*
     fragment, a residual against the rake a reader already holds, keyed
-    by that base entry's digest (docs/network.md, "Encodings").
+    by that base entry's digest and carrying ``kind`` / ``lengths`` only
+    where they differ from that base's (docs/network.md, "Encodings").
     """
 
     def __init__(
@@ -234,7 +235,16 @@ class RakeEntry:
             "lengths": self.path["lengths"],
         }
         if base is not None:
+            # The reader holds ``base``'s kind and lengths: send only
+            # what differs (decode_path_entry fills in the rest).
             entry["qpred"] = True
+            if base.kind == self.kind:
+                del entry["kind"]
+            held = base.path["lengths"]
+            if held.dtype == entry["lengths"].dtype and np.array_equal(
+                held, entry["lengths"]
+            ):
+                del entry["lengths"]
         return entry
 
 

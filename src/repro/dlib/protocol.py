@@ -576,6 +576,12 @@ def quantization_error_bound(payload: dict) -> float:
     return step * 1.001 + magnitude * np.finfo(np.float32).eps
 
 
+#: The one deflate setting of :func:`pack_q16` (``zlib.compressobj``
+#: arguments): level 6, a 32 kB window, the largest state, and the
+#: filtered strategy, which suits residuals that are mostly small.  Any
+#: setting inflates with the plain decoder, so this is not wire format.
+Q16_DEFLATE = (6, zlib.DEFLATED, 15, 9, zlib.Z_FILTERED)
+
 #: Most points one packed q16 entry may declare: about 160 paper-scale
 #: frames (25.7k points each) or 40 times Table 1's largest row.  It
 #: caps what a hostile ``qshape`` can make :func:`unpack_q16` allocate
@@ -602,10 +608,10 @@ def pack_q16(q: np.ndarray, base: np.ndarray | None = None) -> dict:
     v[i-2]`` (the first vertex kept, the second as a first difference;
     int16 arithmetic, mod 2**16), zigzag-mapped so small residuals of
     either sign have a zero high byte, laid out axis-planar,
-    byte-shuffled (all low bytes, then all high bytes) and deflated at
-    zlib level 1.  Returns ``{"qpack": bytes, "qshape": [n, L, 3]}`` —
-    plain wire types, inverted exactly by :func:`unpack_q16` given the
-    same ``base``.
+    byte-shuffled (all low bytes, then all high bytes) and deflated
+    with :data:`Q16_DEFLATE`.  Returns ``{"qpack": bytes, "qshape": [n,
+    L, 3]}`` — plain wire types, inverted exactly by :func:`unpack_q16`
+    given the same ``base``.
     """
     q = np.asarray(q)
     if q.dtype != np.int16 or q.ndim != 3 or q.shape[2] != 3:
@@ -622,8 +628,9 @@ def pack_q16(q: np.ndarray, base: np.ndarray | None = None) -> dict:
     d2[..., 2:] -= d1[..., 1:-1]
     zigzag = (d2 << 1) ^ (d2 >> 15)
     shuffled = np.ascontiguousarray(zigzag.view(np.uint8).reshape(-1, 2).T)
+    deflater = zlib.compressobj(*Q16_DEFLATE)
     return {
-        "qpack": zlib.compress(shuffled.tobytes(), 1),
+        "qpack": deflater.compress(shuffled.tobytes()) + deflater.flush(),
         "qshape": [n, length, 3],
     }
 
@@ -677,28 +684,32 @@ def unpack_q16(payload: dict, base: np.ndarray | None = None) -> np.ndarray:
     return q
 
 
-def decode_path_entry(entry: dict, held: np.ndarray | None = None) -> dict:
+def decode_path_entry(entry: dict, held: dict | None = None) -> dict:
     """Normalize one wire path entry to the v1 in-memory shape.
 
     A v2 frame carries a rake entry in its negotiated encoding: float32
     (``vertices``) or packed fixed point
     (``qpack``/``qshape``/``scale``/``offset``, see :func:`pack_q16`).
     A packed entry marked ``"qpred": true`` is a residual against
-    ``held`` — the float32 vertices the reader holds for the rake —
-    re-quantized on the entry's own ``scale`` / ``offset``; without
-    ``held`` it raises :class:`DlibProtocolError`.
+    ``held`` — the ``{kind, vertices, lengths}`` path the reader holds
+    for the rake — re-quantized on the entry's own ``scale`` /
+    ``offset``, and it may omit ``kind`` and ``lengths`` where they equal
+    ``held``'s; without ``held`` it raises :class:`DlibProtocolError`.
     This returns the common ``{"kind", "vertices" (float32), "lengths"}``
     form the render path consumes, so everything above the decoder is
     encoding-agnostic.
     """
-    if not isinstance(entry, dict) or "kind" not in entry or "lengths" not in entry:
+    if not isinstance(entry, dict):
+        raise DlibProtocolError("malformed path entry")
+    predicted = "qpack" in entry and entry.get("qpred")
+    if predicted:
+        if held is None:
+            raise DlibProtocolError("a predicted q16 entry needs the held rake")
+        entry = {"kind": held["kind"], "lengths": held["lengths"], **entry}
+    if "kind" not in entry or "lengths" not in entry:
         raise DlibProtocolError("malformed path entry")
     if "qpack" in entry:
-        base = None
-        if entry.get("qpred"):
-            if held is None:
-                raise DlibProtocolError("a predicted q16 entry needs the held rake")
-            base = requantize_points(held, entry)
+        base = requantize_points(held["vertices"], entry) if predicted else None
         vertices = dequantize_points(dict(entry, q=unpack_q16(entry, base)))
     elif "vertices" in entry:
         vertices = np.asarray(entry["vertices"], dtype=np.float32)

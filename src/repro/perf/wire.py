@@ -21,10 +21,13 @@ from repro.netsim.model import BYTES_PER_POINT, BYTES_PER_POINT_QUANTIZED
 
 __all__ = ["SessionWireModel", "frame_payload_bytes"]
 
-#: Approximate per-rake envelope overhead of a paths-dict entry beyond
-#: the point payload: the rake key, the entry dict header, the ``kind``
-#: string, array headers, and the int64 lengths array.  Small against
-#: thousands of points; counted so tiny-frame predictions stay honest.
+#: Approximate per-rake envelope overhead of a keyframe paths-dict
+#: entry beyond the point payload: the rake key, the entry dict header,
+#: the ``kind`` string, array headers, and the int64 lengths array.  A
+#: predicted ``q16`` entry leaves out the ``kind`` and ``lengths`` the
+#: reader holds, so there it over-counts, as an upper bound may.  Small
+#: against thousands of points; counted so tiny-frame predictions stay
+#: honest.
 RAKE_OVERHEAD_BYTES = 120
 
 

@@ -136,9 +136,11 @@ class _Loop:
 class _Env:
     def __init__(self) -> None:
         self.state = 0  # what the ``env`` block says besides the wall time
+        # Further sections, as the environment's own and state providers'.
+        self.sections: dict = {}
 
     def snapshot(self, wall) -> dict:
-        return {"wall": wall, "state": self.state}
+        return {"wall": wall, "state": self.state, **self.sections}
 
 
 class _Pipeline:
@@ -520,7 +522,7 @@ def test_pulled_and_pushed_predicted_frames_interleave_on_one_connection():
         _assert_same_scene(merged["paths"], _expected(frames[message["v2"]["seq"]], sub))
 
 
-# -- the env block: carried by a delta only when it changed -----------------------
+# -- the env block: a delta carries the sections that changed --------------------
 
 
 def test_an_unchanged_env_is_left_out_of_a_delta_and_the_scene_keeps_it():
@@ -586,20 +588,117 @@ def test_a_frame_resent_with_another_env_carries_env_until_the_next_frame():
     assert "env" not in _wire(delivery.frame(7, scene.seq))
 
 
-#: One pull: whether a new frame is published first, whether the env
+def _sectioned_env(pipeline) -> dict:
+    """Give the stand-in ``env`` the environment's four sections."""
+    pipeline.env.sections = {
+        "version": 1,
+        "clock": {"timestep": 0, "playing": False},
+        "rakes": {"1": {"end_a": [0.0, 0.0, 0.0], "owner": None}},
+        "users": {"7": {"name": "pilot"}},
+    }
+    return pipeline.env.sections
+
+
+def test_a_delta_carries_only_the_sections_that_changed():
+    """A stepping clock bumps ``version`` and moves ``clock``: the delta
+    carries those two sections, and the scene shows the whole block."""
+    delivery, loop, pipeline = _delivery()
+    sections = _sectioned_env(pipeline)
+    delivery.subscribe(7, {"encoding": "q16"})
+    scene = HeldScene()
+    _publish(delivery, loop, pipeline, _frame({"1": 1}, 0))
+    first = _wire(delivery.frame(7, scene.seq))
+    assert set(first["env"]) == {"wall", "state", "version", "clock", "rakes", "users"}
+    scene.integrate(first)
+    for t in range(1, 4):
+        sections["version"] += 1
+        sections["clock"] = {"timestep": t, "playing": False}
+        _publish(delivery, loop, pipeline, _frame({"1": 1 + t}, t))
+        reply = delivery.frame(7, scene.seq)
+        assert reply["v2"]["mode"] == "delta"
+        assert set(reply["env"]) == {"version", "clock"}
+        shown = scene.integrate(_wire(reply))
+        assert shown["env"] == pipeline.env.snapshot(0.0)
+    sections["users"]["8"] = {"name": "viewer"}  # a join; the frame stays
+    reply = _wire(delivery.frame(7, scene.seq))
+    assert reply["v2"]["mode"] == "delta" and set(reply["env"]) == {"users"}
+    shown = scene.integrate(reply)
+    assert shown["env"]["users"] == {"7": {"name": "pilot"}, "8": {"name": "viewer"}}
+
+
+def test_a_section_that_leaves_the_snapshot_leaves_the_shown_env():
+    """A state provider removed between frames: its section must not
+    linger in the merged ``env``, so the reply is a keyframe carrying the
+    whole block; one added is a keyframe too; then deltas resume."""
+    delivery, loop, pipeline = _delivery()
+    pipeline.env.sections = {"solver": {"step": 1}}
+    delivery.subscribe(7, {})
+    scene = HeldScene()
+    _publish(delivery, loop, pipeline, _frame({"1": 1}, 0))
+    assert scene.integrate(_wire(delivery.frame(7, scene.seq)))["env"]["solver"] == {
+        "step": 1
+    }
+    del pipeline.env.sections["solver"]
+    _publish(delivery, loop, pipeline, _frame({"1": 2}, 1))
+    reply = _wire(delivery.frame(7, scene.seq))
+    assert reply["v2"]["mode"] == "keyframe"
+    shown = scene.integrate(reply)
+    assert "solver" not in shown["env"] and "solver" not in scene.env
+    assert shown["env"] == {"wall": 0.0, "state": 0}
+    _publish(delivery, loop, pipeline, _frame({"1": 3}, 2))
+    reply = _wire(delivery.frame(7, scene.seq))
+    assert reply["v2"]["mode"] == "delta" and "env" not in reply
+    pipeline.env.sections = {"ring": [1, 2]}
+    _publish(delivery, loop, pipeline, _frame({"1": 4}, 3))
+    reply = _wire(delivery.frame(7, scene.seq))
+    assert reply["v2"]["mode"] == "keyframe"
+    assert scene.integrate(reply)["env"] == {"wall": 0.0, "state": 0, "ring": [1, 2]}
+
+
+def test_a_frame_resent_with_another_set_of_sections_keyframes_until_the_next_frame():
+    """The frame last composed is re-sent after a section left: the
+    reader acking it may hold either set, so every reply is a keyframe
+    until a new frame is composed."""
+    delivery, loop, pipeline = _delivery()
+    pipeline.env.sections = {"solver": 1}
+    delivery.subscribe(7, {})
+    scene = HeldScene()
+    _publish(delivery, loop, pipeline, _frame({"1": 1}, 0))
+    scene.integrate(_wire(delivery.frame(7, scene.seq)))
+    pipeline.env.sections = {}
+    lost = delivery.frame(7, scene.seq)  # never integrated
+    assert lost["v2"]["mode"] == "keyframe"
+    reply = _wire(delivery.frame(7, scene.seq))
+    assert reply["v2"]["mode"] == "keyframe"
+    assert scene.integrate(reply)["env"] == {"wall": 0.0, "state": 0}
+    _publish(delivery, loop, pipeline, _frame({"1": 2}, 1))
+    reply = _wire(delivery.frame(7, scene.seq))
+    assert reply["v2"]["mode"] == "keyframe"  # its ack names the re-sent frame
+    scene.integrate(reply)
+    assert "env" not in _wire(delivery.frame(7, scene.seq))
+
+
+#: What one step changes in the ``env`` before it: nothing, one section,
+#: or the set of sections (a state provider comes or goes).
+ENV_CHANGES = [None, "state", "version", "clock", "rakes", "users", "provider"]
+
+#: One pull: whether a new frame is published first, what in the env
 #: changes first, and what becomes of the reply or its ack.
 env_steps = st.tuples(
-    st.booleans(), st.booleans(), st.sampled_from(["ok", "lost", "stale"])
+    st.booleans(), st.sampled_from(ENV_CHANGES), st.sampled_from(["ok", "lost", "stale"])
 )
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=120, deadline=None)
 @given(st.booleans(), st.lists(env_steps, min_size=1, max_size=16))
 def test_every_state_shown_has_the_env_it_was_composed_with(push, script):
-    """Over new frames and re-sent ones, env changes, lost replies and
-    stale acks, on a pulled or a push-bound subscription: every state the
-    scene shows carries the ``env`` snapshot its reply was composed with."""
+    """Over new frames and re-sent ones, single-section ``env`` changes
+    (``clock`` only, ``rakes`` only, ...), sections coming and going, lost
+    replies and stale acks, on a pulled or a push-bound subscription:
+    every state the scene shows carries the ``env`` snapshot its reply
+    was composed with, section for section."""
     delivery, loop, pipeline = _delivery()
+    sections = _sectioned_env(pipeline)
     loop.call(delivery.subscribe, 7, {"push": push})
     loop.queued.clear()  # the subscribe echo
     scene = HeldScene()
@@ -607,8 +706,13 @@ def test_every_state_shown_has_the_env_it_was_composed_with(push, script):
     for publish, change, fate in script:
         if push and fate == "lost":
             fate = "ok"  # a bound connection loses nothing
-        if change:
+        if change == "state":
             pipeline.env.state += 1
+        elif change == "provider":
+            if sections.pop("solver", None) is None:
+                sections["solver"] = {"t": t}
+        elif change is not None:
+            sections[change] = {"was": sections[change], "t": t}
         if publish or not t:
             t += 1
             stamped = delivery.store.publish(_frame({"1": t % 3, "2": 0}, t))
@@ -624,4 +728,4 @@ def test_every_state_shown_has_the_env_it_was_composed_with(push, script):
             continue
         merged = scene.integrate(_wire(reply))
         assert merged is not None
-        assert merged["env"] == {"wall": 0.0, "state": pipeline.env.state}
+        assert merged["env"] == pipeline.env.snapshot(0.0)

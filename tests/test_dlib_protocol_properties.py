@@ -227,20 +227,30 @@ polylines = arrays(
 )
 
 
-def packed_entry(vertices: np.ndarray, held: np.ndarray | None = None) -> dict:
+def full_lengths(vertices: np.ndarray) -> np.ndarray:
+    return np.full(vertices.shape[0], vertices.shape[1], dtype=np.int64)
+
+
+def packed_entry(vertices: np.ndarray, held: dict | None = None) -> dict:
     """A q16 rake entry as the server builds it (``RakeEntry._build_q16``):
-    the keyframe form, or with ``held`` the form predicted from it."""
+    the keyframe form, or with ``held`` (the ``{kind, vertices, lengths}``
+    path the reader holds) the form predicted from it, which leaves out
+    the ``kind`` and ``lengths`` equal to ``held``'s."""
     payload = quantize_points(vertices)
-    base = None if held is None else requantize_points(held, payload)
+    base = None if held is None else requantize_points(held["vertices"], payload)
     entry = {
         "kind": "streamline",
         **pack_q16(payload["q"], base),
         "scale": payload["scale"],
         "offset": payload["offset"],
-        "lengths": np.full(vertices.shape[0], vertices.shape[1], dtype=np.int64),
+        "lengths": full_lengths(vertices),
     }
     if held is not None:
         entry["qpred"] = True
+        if held["kind"] == entry["kind"]:
+            del entry["kind"]
+        if np.array_equal(held["lengths"], entry["lengths"]):
+            del entry["lengths"]
     return entry
 
 
@@ -338,12 +348,18 @@ class TestPackedQ16:
         """The predicted form, decoded against the rake the reader holds
         (itself a decoded q16 grid), gives the keyframe form's vertices."""
         before, after = pair
-        held = dequantize_points(quantize_points(before))
+        held = {
+            "kind": "streamline",
+            "vertices": dequantize_points(quantize_points(before)),
+            "lengths": full_lengths(before),
+        }
         wire = decode_value(encode_value(packed_entry(after, held)))
         assert wire["qpred"] is True
         decoded = decode_path_entry(wire, held)
         expected = dequantize_points(quantize_points(after))
         assert decoded["vertices"].tobytes() == expected.tobytes()
+        assert decoded["kind"] == "streamline"
+        np.testing.assert_array_equal(decoded["lengths"], full_lengths(after))
         with pytest.raises(DlibProtocolError, match="held"):
             decode_path_entry(wire)  # nothing held to predict from
 

@@ -9,7 +9,11 @@ Covered here:
 * a looped replay's second lap integrates nothing, asks the loader for
   nothing, counts no anticipated frame, and publishes frames
   bit-identical to the first lap's and to a fresh engine's — the
-  differential oracle (ROADMAP item 10(a)) run over retained entries;
+  differential oracle run over retained entries — and a q16 + deltas
+  reader is sent the same bytes on both laps: rakes predicted from the
+  one it holds, ``kind`` / ``lengths`` left out where held, and only
+  the ``env`` sections that changed, decoding to a fresh keyframe and
+  the server's whole ``env``;
 * a live clock's memo never holds more than one production and one
   speculation;
 * moving a rake evicts its entries at every timestep, and nothing else;
@@ -22,15 +26,26 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from repro.core import ComputeEngine, Environment, FramePipeline, FrameStore, ToolSettings
+from repro.core import (
+    ComputeEngine,
+    Environment,
+    FramePipeline,
+    FrameStore,
+    ToolSettings,
+    WindtunnelClient,
+    WindtunnelServer,
+)
 from repro.core import pipeline as pipeline_module
-from repro.tracers.rake import GrabPoint, Rake
+from repro.dlib.protocol import decode_path_entry, decode_value, encode_value
+from repro.tracers.rake import TOOL_KINDS, GrabPoint, Rake
+from tests import wait_until
 from tests.test_core_pipeline import (
     _assert_equals_fresh_engine,
     _demand_frame,
     _one_rake_of_each_kind,
     make_dataset,
 )
+from tests.test_wire_v2 import _unsteady_dataset
 
 SETTINGS = ToolSettings(streamline_steps=12, particle_path_steps=4, streakline_length=5)
 
@@ -113,7 +128,83 @@ class TestLoopedReplay:
                     again.compose(rids, encoding).data
                     == first.compose(rids, encoding).data
                 )
+            # The predicted form a reader holding the frame before is sent.
+            before = (t - 1) % n
+            assert (
+                again.compose(rids, "q16", laps[1][before].entries).data
+                == first.compose(rids, "q16", laps[0][before].entries).data
+            )
             _assert_equals_fresh_engine(dataset, engine.settings, again, rakes)
+
+    def test_a_q16_reader_is_sent_the_same_bytes_each_lap(self):
+        """Over a real socket, two lock-step laps of a flow whose
+        streamlines move each timestep (so they ship predicted): each
+        reply of lap 2 is lap 1's for the same timestep — paths bytes,
+        ``env`` sections carried and their content, ``version`` aside —
+        and every state shown is a fresh q16 keyframe of its frame, a
+        fresh engine's rakes, and the server's whole ``env``."""
+        dataset = _unsteady_dataset(8)
+        clock = {"now": 0.0}
+        srv = WindtunnelServer(
+            dataset, settings=replace(SETTINGS), time_speed=1.0,
+            time_fn=lambda: clock["now"],
+        )
+        frames = {}
+        srv.store.subscribe(lambda frame: frames.__setitem__(frame.seq, frame))
+        srv.start()
+        n = dataset.n_timesteps
+        try:
+            with WindtunnelClient(*srv.address, name="looped") as c:
+                c.time_control("pause")
+                for i, kind in enumerate(TOOL_KINDS):
+                    c.add_rake([2.0 + i, 2.0, 2.0], [2.0 + i, 5.0, 2.5], 3, kind)
+                c.subscribe(encoding="q16", deltas=True)
+                replies = []
+                integrate = c._held.integrate
+
+                def record(state):
+                    replies.append(state)
+                    return integrate(state)
+
+                c._held.integrate = record
+                c.fetch_frame()
+                laps = []
+                for _ in range(2):
+                    lap = []
+                    for _ in range(n):
+                        c.time_control("step", 1)
+                        state = c.fetch_frame()
+                        frame = wait_until(lambda: frames.get(state["v2"]["seq"]))
+                        fresh = decode_value(
+                            frame.compose(list(frame.entries), "q16").data
+                        )
+                        assert set(state["paths"]) == set(fresh)
+                        for rid, entry in fresh.items():
+                            want, got = decode_path_entry(entry), state["paths"][rid]
+                            assert got["kind"] == want["kind"]
+                            assert got["vertices"].tobytes() == want["vertices"].tobytes()
+                            assert got["lengths"].tobytes() == want["lengths"].tobytes()
+                        assert encode_value(state["env"]) == encode_value(
+                            srv.env.snapshot(clock["now"])
+                        )
+                        _assert_equals_fresh_engine(
+                            dataset, srv.engine.settings, frame, srv.env.rakes_snapshot()[1]
+                        )
+                        lap.append(replies[-1])
+                    laps.append(lap)
+        finally:
+            srv.stop()
+        for first, again in zip(*laps):
+            assert first["v2"]["mode"] == again["v2"]["mode"] == "delta"
+            assert encode_value(again["paths"]) == encode_value(first["paths"])
+            assert set(again["env"]) == set(first["env"]) == {"version", "clock"}
+            assert again["env"]["clock"] == first["env"]["clock"]
+        predicted = [
+            entry for reply in laps[1] for entry in reply["paths"].values()
+            if entry.get("qpred")
+        ]
+        assert any("kind" not in entry for entry in predicted)
+        assert any("lengths" not in entry for entry in predicted)
 
 
 class TestLiveClock:

@@ -21,8 +21,8 @@ the compat contract of docs/network.md:
   bit a fresh q16 keyframe of the same publication;
 * a push subscriber that also pulls keeps one delta base, and negotiated
   terms survive a reconnect and a reap;
-* a delta carries the ``env`` block only when it changed, and the client
-  still shows the full one.
+* a delta carries only the ``env`` sections that changed, and the
+  client still shows the full block.
 
 The composer and the client's held scene are tested socket-free in
 ``tests/test_core_delivery.py``.
@@ -37,6 +37,7 @@ from hypothesis.extra.numpy import arrays
 from repro.core import ToolSettings, WindtunnelClient, WindtunnelServer
 from repro.core.framestore import (
     PublishedFrame,
+    RakeEntry,
     VariantCounters,
     encode_entries,
 )
@@ -211,12 +212,72 @@ def test_predicted_form_is_built_once_against_one_base():
     assert entry.fragment("v1", base_a) == entry.fragment("v1")
     wire, plain = decode_value(predicted), decode_value(keyframe)
     assert wire["qpred"] is True and "qpred" not in plain
-    held = dequantize_points(quantize_points(base_a.path["vertices"]))
+    held = dict(
+        base_a.path, vertices=dequantize_points(quantize_points(base_a.path["vertices"]))
+    )
     assert (
         decode_path_entry(wire, held)["vertices"].tobytes()
         == decode_path_entry(plain)["vertices"].tobytes()
     )
     assert sorted(entry.variants) == ["q16", "v1"]
+
+
+def _held_q16(entry: RakeEntry) -> dict:
+    """The path a q16 reader holds for ``entry``, as it decoded it."""
+    return decode_path_entry(decode_value(entry.fragment("q16")))
+
+
+def _rake_entry(kind: str, seed: int, lengths) -> RakeEntry:
+    vertices = _Result(seed, n_seeds=3, length=5).wire_arrays()[0]
+    return RakeEntry(kind, vertices, np.asarray(lengths, dtype=np.int64), VariantCounters())
+
+
+@pytest.mark.parametrize(
+    "kind, lengths, carried",
+    [
+        ("streamline", [5, 5, 5], set()),
+        ("streamline", [5, 3, 4], {"lengths"}),
+        ("streakline", [5, 5, 5], {"kind"}),
+        ("streakline", [2, 5, 5], {"kind", "lengths"}),
+    ],
+    ids=["both-held", "lengths-differ", "kind-differs", "both-differ"],
+)
+def test_predicted_entry_carries_kind_and_lengths_only_when_they_differ(
+    kind, lengths, carried
+):
+    """A predicted q16 entry leaves out the ``kind`` and ``lengths`` the
+    reader holds for its base, carries whichever differ, and decodes to
+    exactly the keyframe form's rake."""
+    base = _rake_entry("streamline", 1, [5, 5, 5])
+    entry = _rake_entry(kind, 2, lengths)
+    wire = decode_value(entry.fragment("q16", base))
+    assert wire["qpred"] is True
+    assert {"kind", "lengths"} & set(wire) == carried
+    decoded = decode_path_entry(wire, _held_q16(base))
+    plain = decode_path_entry(decode_value(entry.fragment("q16")))
+    assert decoded["kind"] == plain["kind"] == kind
+    assert decoded["lengths"].dtype == plain["lengths"].dtype
+    np.testing.assert_array_equal(decoded["lengths"], plain["lengths"])
+    assert decoded["vertices"].tobytes() == plain["vertices"].tobytes()
+
+
+def test_a_predicted_entry_without_its_held_rake_is_a_protocol_error():
+    """Untrusted input: a predicted entry that leaves out ``kind`` /
+    ``lengths`` (or carries them) with no held rake, or with a held rake
+    of another shape, raises the typed error, never ``KeyError`` or
+    ``IndexError``."""
+    base = _rake_entry("streamline", 1, [5, 5, 5])
+    for entry in (
+        _rake_entry("streamline", 2, [5, 5, 5]),
+        _rake_entry("streakline", 2, [5, 3, 4]),
+    ):
+        wire = decode_value(entry.fragment("q16", base))
+        for partial in (wire, {k: v for k, v in wire.items() if k != "qpack"}):
+            with pytest.raises(DlibProtocolError):
+                decode_path_entry(partial)
+        held = _held_q16(base)
+        with pytest.raises(DlibProtocolError):
+            decode_path_entry(wire, dict(held, vertices=held["vertices"][:2]))
 
 
 def test_q16_variant_ships_only_the_packed_form():
@@ -538,7 +599,8 @@ class TestEnvElision:
     def test_a_delta_carries_the_env_only_when_it_changed(self, server):
         """Over real sockets: a re-read of an unchanged scene ships no
         ``env``; a head move (which leaves the frame alone) ships the new
-        one; and every state the client shows has the full ``env``."""
+        ``users`` section alone; and every state the client shows has the
+        full ``env``."""
         with WindtunnelClient(*server.address, name="viewer") as c:
             replies = []
             integrate = c._held.integrate
@@ -553,7 +615,8 @@ class TestEnvElision:
             c.send_input([0.0, 1.0, 9.0], [0.0, 0.0, 0.0], "open")
             moved = c.fetch_frame()
             assert replies[2]["v2"]["seq"] == replies[1]["v2"]["seq"]
-            assert "env" in replies[2]
+            assert set(replies[2]["env"]) == {"users"}
+            assert set(moved["env"]) == set(first["env"])
             user = moved["env"]["users"][str(c.client_id)]
             np.testing.assert_allclose(user["head_position"], [0.0, 1.0, 9.0])
 
@@ -673,9 +736,11 @@ class TestPackedQ16Loopback:
 
 class TestPredictedQ16Oracle:
     """The differential oracle for the predicted q16 form: whatever form
-    each rake crossed the wire in, the scene a ``q16`` + deltas client
-    holds is, bit for bit, what a fresh q16 keyframe of the same
-    publication decodes to."""
+    each rake crossed the wire in — ``kind`` / ``lengths`` left out or
+    not — and whichever ``env`` sections a delta left out, the scene a
+    ``q16`` + deltas client holds is, bit for bit, what a fresh q16
+    keyframe of the same publication decodes to, and the ``env`` it
+    shows is the server's whole snapshot."""
 
     def test_every_frame_decodes_as_a_fresh_q16_keyframe(self):
         clock = {"now": 0.0}
@@ -694,14 +759,27 @@ class TestPredictedQ16Oracle:
                 for x in (2.0, 4.0, 6.0):
                     c.add_rake([x, 1, 1], [x, 7, 3], n_seeds=4)
                 c.subscribe(encoding="q16", deltas=True)
+                replies = []  # every reply as it crossed the wire
+                integrate = c._held.integrate
+
+                def record(state):
+                    replies.append(state)
+                    return integrate(state)
+
+                c._held.integrate = record
 
                 def check(state) -> int:
                     frame = wait_until(lambda: frames.get(state["v2"]["seq"]))
                     fresh = decode_value(frame.compose(list(frame.entries), "q16").data)
                     assert set(state["paths"]) == set(fresh)
                     for rid, entry in fresh.items():
-                        want = decode_path_entry(entry)["vertices"]
-                        assert state["paths"][rid]["vertices"].tobytes() == want.tobytes()
+                        want = decode_path_entry(entry)
+                        got = state["paths"][rid]
+                        assert got["vertices"].tobytes() == want["vertices"].tobytes()
+                        assert got["kind"] == want["kind"]
+                        assert got["lengths"].tobytes() == want["lengths"].tobytes()
+                    shown = encode_value(state["env"])
+                    assert shown == encode_value(srv.env.snapshot(clock["now"]))
                     return frame.timestep
 
                 check(c.fetch_frame())
@@ -722,6 +800,17 @@ class TestPredictedQ16Oracle:
                 check(c.fetch_frame())
             counters = srv.registry.snapshot()["counters"]
             assert counters["net.q16_predicted_lookups"] > 0
+            # The oracle covered the elided forms: deltas that left out
+            # some env sections, and predicted rakes without kind/lengths.
+            deltas = [r for r in replies if r["v2"]["mode"] == "delta"]
+            carried = [set(r.get("env", ())) for r in deltas]
+            assert {"version", "clock"} in carried
+            assert all(sections < set(replies[0]["env"]) for sections in carried)
+            predicted = [
+                e for r in deltas for e in r["paths"].values() if e.get("qpred")
+            ]
+            assert any("kind" not in e for e in predicted)
+            assert any("lengths" not in e for e in predicted)
         finally:
             srv.stop()
 
