@@ -52,7 +52,7 @@ def test_fig8_live_prefetch_overlap(cylinder_dataset, tmp_path_factory, record, 
     path = cylinder_dataset.save(tmp_path_factory.mktemp("fig8") / "ds")
 
     def sweep(prefetch: bool):
-        ds = DiskDataset(path, cache_timesteps=2)
+        ds = DiskDataset(path)
         engine_ds = ds
         with TimestepLoader(engine_ds, prefetch=prefetch) as loader:
             engine = ComputeEngine(

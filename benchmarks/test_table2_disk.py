@@ -79,7 +79,7 @@ def test_table2_measured_disk_read(cylinder_dataset, tmp_path_factory, benchmark
         "table2_measured",
         [
             f"timestep size: {per:,} bytes",
-            f"this machine reads one timestep via mmap+copy; the Convex",
+            f"this machine reads one timestep with one positional read; the Convex",
             f"needed {required_disk_bandwidth_mbps(disk.grid.n_points):.1f} MB/s "
             f"sustained for 10 fps at this size",
         ],

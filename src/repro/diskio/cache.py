@@ -241,7 +241,10 @@ class TimestepCache:
 class DatasetSource:
     """The bottom tier: read a decoded timestep from the dataset itself.
 
-    Charges the modeled disk cost of one raw timestep per read through
+    ``dataset.grid_velocity`` reads and decodes; it shares a decode that
+    some tier or caller still holds, and otherwise keeps nothing, so what
+    stays resident is what the tiers above keep.  Charges the modeled
+    disk cost of one raw timestep per read through
     the injectable ``sleep`` (a ``VirtualClock.sleep`` or a plain list
     append in tests), exactly as the historical loader did.  The modeled
     charge — not wall time — is ``cache.source.stall_seconds``, so the

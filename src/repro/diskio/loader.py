@@ -40,8 +40,9 @@ class TimestepLoader:
     ----------
     dataset
         The dataset to serve; source reads go through
-        ``dataset.grid_velocity`` (which performs the real I/O for
-        disk-backed datasets plus the physical->grid conversion).
+        ``dataset.grid_velocity`` (one positional read for a disk-backed
+        dataset, plus the physical->grid conversion).  The dataset keeps
+        no timestep of its own, so tier 1 bounds what a replay holds.
     disk_model
         Optional bandwidth model; each *source* load sleeps for the
         modeled read time of one raw timestep, emulating the Convex disk.

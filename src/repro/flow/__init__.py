@@ -18,7 +18,7 @@ closest synthetic equivalents (see DESIGN.md):
   solver (Chorin projection, FFT Poisson solve, volume-penalized obstacle)
   for producing real simulated unsteady data at laptop scale.
 * :mod:`repro.flow.dataset` — timestep-sequence containers, memory- or
-  disk-resident, with the physical->grid velocity conversion cache.
+  disk-resident, with the physical->grid velocity conversion.
 * :mod:`repro.flow.plot3d` — PLOT3D-style binary grid/solution files, the
   interchange format of the NAS era.
 """

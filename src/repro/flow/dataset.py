@@ -7,22 +7,25 @@ velocity arrays — the paper's representation of a time-accurate solution
 * :class:`MemoryDataset` — "having the entire data set resident in memory
   is the easiest method of managing the data"; the stand-alone windtunnel's
   only option (≤ ~250 MB) and the Convex's preferred one (≤ 1 GB).
-* :class:`DiskDataset` — memory-mapped on disk, loaded one timestep at a
-  time; the mode that motivates the disk-bandwidth analysis of Table 2 and
-  the prefetching server pipeline of figure 8.
+* :class:`DiskDataset` — resident on disk, read one timestep at a time
+  with one positional read; the mode that motivates the disk-bandwidth
+  analysis of Table 2 and the prefetching server pipeline of figure 8.
 
-Both expose ``grid_velocity(t)``: velocities converted once per timestep to
-grid coordinates (the conversion described in section 2.1) and kept in a
-bounded LRU cache — the in-memory timestep window that, per section 5.2,
-limits how long a particle path can be computed in real time.
+Both expose ``grid_velocity(t)``: velocities converted to grid
+coordinates (the conversion described in section 2.1).  A conversion is
+shared while anything holds it and freed when nothing does; the dataset
+keeps no timestep of its own.  What stays resident is the tier stack's
+to decide (:mod:`repro.diskio.cache`): its tier 1 is the in-memory
+timestep window that, per section 5.2, limits how long a particle path
+can be computed in real time.
 """
 
 from __future__ import annotations
 
 import json
 import threading
+import weakref
 from abc import ABC, abstractmethod
-from collections import OrderedDict
 from pathlib import Path
 
 import numpy as np
@@ -30,11 +33,41 @@ import numpy as np
 from repro.grid.curvilinear import CurvilinearGrid
 from repro.grid.jacobian import physical_to_grid_velocity
 
-__all__ = ["UnsteadyDataset", "MemoryDataset", "DiskDataset"]
+__all__ = ["UnsteadyDataset", "MemoryDataset", "DiskDataset", "TruncatedDatasetError"]
 
 _META_NAME = "meta.json"
 _GRID_NAME = "grid.npy"
 _VELOCITY_NAME = "velocity.npy"
+_NPY_HEADER_READERS = {
+    (1, 0): np.lib.format.read_array_header_1_0,
+    (2, 0): np.lib.format.read_array_header_2_0,
+}
+
+
+class TruncatedDatasetError(ValueError):
+    """A timestep read came back short: ``velocity.npy`` ends before the
+    timestep its header promises."""
+
+
+def _memory_owner(gv: np.ndarray) -> np.ndarray:
+    """The array that owns ``gv``'s memory, in ``gv``'s layout.
+
+    NumPy points every view's ``base`` straight at the owner, so a weak
+    reference to a view dies while a tier still holds the memory through
+    another view; the decode memo must reference the owner.
+    """
+    base = gv.base
+    if base is None:
+        return gv
+    if (
+        isinstance(base, np.ndarray)
+        and base.dtype == gv.dtype
+        and base.size == gv.size
+        and base.flags.c_contiguous
+        and gv.flags.c_contiguous
+    ):
+        return base
+    return gv.copy()
 
 
 class UnsteadyDataset(ABC):
@@ -45,7 +78,6 @@ class UnsteadyDataset(ABC):
         grid: CurvilinearGrid,
         n_timesteps: int,
         dt: float,
-        cache_timesteps: int = 16,
         *,
         timestep_nbytes: int,
     ) -> None:
@@ -53,20 +85,20 @@ class UnsteadyDataset(ABC):
             raise ValueError("dataset needs at least one timestep")
         if dt <= 0.0:
             raise ValueError("dt must be positive")
-        if cache_timesteps < 1:
-            raise ValueError("cache must hold at least one timestep")
         self.grid = grid
         self.n_timesteps = int(n_timesteps)
         self.dt = float(dt)
-        self.cache_timesteps = int(cache_timesteps)
         #: Bytes of one velocity timestep as stored (Table 2 accounting):
         #: shape x stored dtype, recorded by the subclass without a read.
         self.timestep_nbytes = int(timestep_nbytes)
-        self._gv_cache: OrderedDict[int, np.ndarray] = OrderedDict()
-        # The cache is shared by the frame pipeline's producer thread, the
-        # loader's prefetch worker, and the dlib service thread (isosurface
-        # requests) — guard the OrderedDict against concurrent mutation.
-        self._gv_lock = threading.Lock()
+        # Timestep -> the array owning its decoded memory, held weakly:
+        # an entry lives exactly as long as some tier, engine or caller
+        # holds a view of it.  The frame pipeline's producer thread, the
+        # loader's prefetch worker and the dlib service thread all decode.
+        self._decoded: weakref.WeakValueDictionary[int, np.ndarray] = (
+            weakref.WeakValueDictionary()
+        )
+        self._decoded_lock = threading.Lock()
 
     # -- subclass interface -------------------------------------------------
 
@@ -85,37 +117,31 @@ class UnsteadyDataset(ABC):
         return t
 
     def grid_velocity(self, t: int) -> np.ndarray:
-        """Velocity for timestep ``t`` in *grid* coordinates (LRU cached).
+        """Velocity for timestep ``t`` in *grid* coordinates (read-only).
 
         This is the windtunnel's hot input: the integrator consumes grid-
         coordinate velocities so no physical-space search is needed per
-        step (section 2.1).
+        step (section 2.1).  While anything holds a timestep's result, a
+        second call shares its memory and decodes nothing; once nothing
+        does, the memory is freed and the next call decodes again.
         """
         t = self._check_timestep(t)
-        with self._gv_lock:
-            cached = self._gv_cache.get(t)
-            if cached is not None:
-                self._gv_cache.move_to_end(t)
-                return cached
-        gv = physical_to_grid_velocity(self.grid, self.velocity(t))
-        gv.setflags(write=False)
-        with self._gv_lock:
-            self._gv_cache[t] = gv
-            while len(self._gv_cache) > self.cache_timesteps:
-                self._gv_cache.popitem(last=False)
-        return gv
+        with self._decoded_lock:
+            owner = self._decoded.get(t)
+        if owner is None:
+            owner = _memory_owner(
+                physical_to_grid_velocity(self.grid, self.velocity(t))
+            )
+            owner.flags.writeable = False
+            with self._decoded_lock:
+                owner = self._decoded.setdefault(t, owner)
+        return owner.reshape(self.grid.shape + (3,))
 
     @property
     def oldest_timestep(self) -> int:
         """The oldest timestep still readable: 0, unless a live source
         has retired its early history."""
         return 0
-
-    @property
-    def cached_timesteps(self) -> list[int]:
-        """Timesteps currently resident in the grid-velocity cache."""
-        with self._gv_lock:
-            return list(self._gv_cache.keys())
 
     @property
     def total_nbytes(self) -> int:
@@ -132,8 +158,8 @@ class UnsteadyDataset(ABC):
 
         Layout: ``grid.npy`` (float64 node positions), ``velocity.npy``
         (one ``(T, ni, nj, nk, 3)`` array, normally float32), ``meta.json``.
-        ``velocity.npy`` is written with :func:`numpy.lib.format` so
-        :class:`DiskDataset` can memory-map it.
+        ``velocity.npy`` is written with :func:`numpy.lib.format`, so
+        :class:`DiskDataset` finds timestep ``t`` at a fixed offset.
         """
         path = Path(path)
         path.mkdir(parents=True, exist_ok=True)
@@ -168,7 +194,6 @@ class MemoryDataset(UnsteadyDataset):
         grid: CurvilinearGrid,
         velocities: np.ndarray,
         dt: float = 1.0,
-        cache_timesteps: int = 16,
     ) -> None:
         velocities = np.asarray(velocities)
         if velocities.ndim != 5 or velocities.shape[1:] != grid.shape + (3,):
@@ -178,7 +203,7 @@ class MemoryDataset(UnsteadyDataset):
             )
         # [:1], not [0]: an empty array must reach the base class's check.
         super().__init__(
-            grid, velocities.shape[0], dt, cache_timesteps,
+            grid, velocities.shape[0], dt,
             timestep_nbytes=velocities[:1].nbytes,
         )
         self.velocities = velocities
@@ -188,34 +213,56 @@ class MemoryDataset(UnsteadyDataset):
 
 
 class DiskDataset(UnsteadyDataset):
-    """Dataset resident on disk, one timestep loaded at a time.
+    """Dataset resident on disk, one timestep read at a time.
 
-    Velocity data is memory-mapped; :meth:`velocity` materializes exactly
-    one timestep (a real disk read on a cold page cache).  This is the
-    substrate under the Table 2 disk-bandwidth experiments — the
+    The ``velocity.npy`` header is parsed once (shape, dtype, data
+    offset); :meth:`velocity` reads timestep ``t`` with one positional
+    read into a fresh array (a real disk read on a cold page cache) and
+    keeps no mapping, so a timestep read once is not left resident.  This
+    is the substrate under the Table 2 disk-bandwidth experiments — the
     :mod:`repro.diskio` layer wraps these reads in a bandwidth model
     calibrated to the Convex's measured 30-50 MB/s.
     """
 
-    def __init__(self, path: str | Path, cache_timesteps: int = 16) -> None:
+    def __init__(self, path: str | Path) -> None:
         path = Path(path)
         meta = json.loads((path / _META_NAME).read_text())
         grid = CurvilinearGrid(np.load(path / _GRID_NAME))
-        self._mmap = np.load(path / _VELOCITY_NAME, mmap_mode="r")
-        if self._mmap.shape[0] != meta["n_timesteps"]:
+        self._velocity_path = path / _VELOCITY_NAME
+        with open(self._velocity_path, "rb") as f:
+            version = np.lib.format.read_magic(f)
+            if version not in _NPY_HEADER_READERS:
+                raise ValueError(f"unsupported .npy format version {version}")
+            shape, fortran_order, dtype = _NPY_HEADER_READERS[version](f)
+            self._data_offset = f.tell()
+        if fortran_order or dtype.hasobject:
+            raise ValueError("velocity file must be a C-ordered numeric array")
+        if shape[0] != meta["n_timesteps"]:
             raise ValueError(
                 f"metadata says {meta['n_timesteps']} timesteps but "
-                f"velocity file has {self._mmap.shape[0]}"
+                f"velocity file has {shape[0]}"
             )
-        if self._mmap.shape[1:] != grid.shape + (3,):
+        if shape[1:] != grid.shape + (3,):
             raise ValueError("velocity file does not match the grid shape")
+        self._dtype = dtype
         super().__init__(
-            grid, meta["n_timesteps"], meta["dt"], cache_timesteps,
-            timestep_nbytes=self._mmap[:1].nbytes,
+            grid, meta["n_timesteps"], meta["dt"],
+            timestep_nbytes=grid.n_points * 3 * dtype.itemsize,
         )
         self.path = path
 
     def velocity(self, t: int) -> np.ndarray:
-        # np.array forces the actual read; returning the mmap slice would
-        # defer I/O into the integrator and wreck the timing model.
-        return np.array(self._mmap[self._check_timestep(t)])
+        # A real read into a fresh array: a lazy view would defer I/O
+        # into the integrator and wreck the timing model.
+        t = self._check_timestep(t)
+        out = np.empty(self.grid.shape + (3,), dtype=self._dtype)
+        offset = self._data_offset + t * self.timestep_nbytes
+        with open(self._velocity_path, "rb") as f:
+            f.seek(offset)
+            n = f.readinto(memoryview(out).cast("B"))
+        if n != out.nbytes:
+            raise TruncatedDatasetError(
+                f"{self._velocity_path.name} holds {n} of timestep {t}'s "
+                f"{out.nbytes} bytes at offset {offset}"
+            )
+        return out

@@ -66,7 +66,6 @@ class LiveFlowSource(UnsteadyDataset):
         dt: float,
         *,
         ring_capacity: int = 32,
-        cache_timesteps: int = 16,
     ) -> None:
         initial = np.asarray(initial)
         if initial.shape != grid.shape + (3,):
@@ -74,9 +73,7 @@ class LiveFlowSource(UnsteadyDataset):
                 f"initial timestep must have shape {grid.shape + (3,)}, "
                 f"got {initial.shape}"
             )
-        super().__init__(
-            grid, 1, dt, cache_timesteps, timestep_nbytes=initial.nbytes
-        )
+        super().__init__(grid, 1, dt, timestep_nbytes=initial.nbytes)
         self.ring = TimestepRing(ring_capacity)
         self.ring.append(0, initial)
 

@@ -1,10 +1,39 @@
-"""Tests for dataset containers, residency, and grid-velocity caching."""
+"""Tests for dataset containers, residency, and the grid-velocity decode."""
+
+import gc
+import sys
+import threading
+import time
+import weakref
 
 import numpy as np
 import pytest
 
-from repro.flow import DiskDataset, MemoryDataset, UniformFlow, sample_on_grid
+import repro.flow.dataset as dataset_module
+from repro.diskio import TimestepCache, TimestepLoader
+from repro.flow import (
+    DiskDataset,
+    MemoryDataset,
+    UniformFlow,
+    sample_on_grid,
+    tapered_cylinder_dataset,
+)
+from repro.flow.dataset import TruncatedDatasetError
 from repro.grid import cartesian_grid
+from repro.grid.jacobian import physical_to_grid_velocity
+
+
+@pytest.fixture()
+def decodes(monkeypatch):
+    """Count the dataset's physical->grid decodes."""
+    calls = []
+
+    def counted(grid, velocity):
+        calls.append(1)
+        return physical_to_grid_velocity(grid, velocity)
+
+    monkeypatch.setattr(dataset_module, "physical_to_grid_velocity", counted)
+    return calls
 
 
 @pytest.fixture()
@@ -35,7 +64,8 @@ class TestMemoryDataset:
         vel = np.zeros((2, 4, 4, 4, 3))
         with pytest.raises(ValueError):
             MemoryDataset(grid, vel, dt=0.0)
-        with pytest.raises(ValueError):
+        # The dataset keeps no timesteps of its own, so it takes no budget.
+        with pytest.raises(TypeError):
             MemoryDataset(grid, vel, cache_timesteps=0)
 
     def test_timestep_bounds(self, small_dataset):
@@ -52,27 +82,66 @@ class TestMemoryDataset:
         gv = small_dataset.grid_velocity(0)
         np.testing.assert_allclose(gv, 1.0, atol=1e-12)
 
-    def test_grid_velocity_cache_lru(self, small_dataset):
+    def test_grid_velocity_freed_when_nothing_holds_it(self, small_dataset, decodes):
         ds = small_dataset
-        ds.cache_timesteps = 2
+        gv = ds.grid_velocity(0)
+        owner = weakref.ref(gv.base)
+        del gv
+        gc.collect()
+        assert owner() is None
         ds.grid_velocity(0)
-        ds.grid_velocity(1)
-        ds.grid_velocity(2)
-        assert ds.cached_timesteps == [1, 2]
-        # Touch 1 -> becomes most recent; loading 3 evicts 2.
-        ds.grid_velocity(1)
-        ds.grid_velocity(3)
-        assert ds.cached_timesteps == [1, 3]
+        assert len(decodes) == 2
 
-    def test_grid_velocity_cached_identity(self, small_dataset):
-        a = small_dataset.grid_velocity(0)
-        b = small_dataset.grid_velocity(0)
-        assert a is b
+    def test_grid_velocity_shared_while_held(self, small_dataset, decodes):
+        ds = small_dataset
+        a = ds.grid_velocity(0)
+        b = ds.grid_velocity(0)
+        assert np.shares_memory(a, b) and len(decodes) == 1
+        # A tier holding only its own view of the decode keeps it shared.
+        tier = TimestepCache(capacity_timesteps=1)
+        tier.put(1, ds.grid_velocity(1))
+        del a, b
+        gc.collect()
+        c = ds.grid_velocity(1)
+        assert np.shares_memory(c, tier.peek(1)) and len(decodes) == 2
+
+    def test_concurrent_decodes_hand_out_one_array(self, small_dataset, monkeypatch):
+        """Threads racing to decode a timestep may each solve, but every
+        caller ends up holding the one array the memo kept."""
+
+        def slow_decode(grid, velocity):
+            time.sleep(0.001)  # every racer misses before any stores
+            return physical_to_grid_velocity(grid, velocity)
+
+        monkeypatch.setattr(dataset_module, "physical_to_grid_velocity", slow_decode)
+        held = [[] for _ in range(8)]
+        barrier = threading.Barrier(len(held))
+
+        def worker(out):
+            barrier.wait()
+            for t in range(small_dataset.n_timesteps):
+                out.append(small_dataset.grid_velocity(t))
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(h,)) for h in held]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=30)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(th.is_alive() for th in threads)
+        for t in range(small_dataset.n_timesteps):
+            assert all(np.shares_memory(h[t], held[0][t]) for h in held)
 
     def test_grid_velocity_readonly(self, small_dataset):
         gv = small_dataset.grid_velocity(0)
-        with pytest.raises(ValueError):
-            gv[0, 0, 0, 0] = 1.0
+        shared = small_dataset.grid_velocity(0)
+        for arr in (gv, shared):
+            with pytest.raises(ValueError):
+                arr[0, 0, 0, 0] = 1.0
 
 
 class TestTimestepNbytes:
@@ -136,6 +205,53 @@ class TestDiskDataset:
         nodes[:, :, -1] = nodes[:, :, -2]
         np.save(path / "grid.npy", nodes)
         disk = DiskDataset(path)
-        with pytest.raises(ValueError, match="singular at 16 of 64 nodes"):
-            disk.grid_velocity(0)
-        assert disk.cached_timesteps == []
+        # A failed decode leaves nothing behind: a retry raises again.
+        for _ in range(2):
+            with pytest.raises(ValueError, match="singular at 16 of 64 nodes"):
+                disk.grid_velocity(0)
+
+
+class TestReplayHoldsOnlyItsTiers:
+    """A disk replay holds what its tier stack holds: no decoded timestep
+    outlives the tiers, and no read leaves the file mapped."""
+
+    N_TIMESTEPS = 12
+
+    @pytest.fixture()
+    def disk(self, tmp_path):
+        path = tapered_cylinder_dataset(
+            shape=(8, 8, 4), n_timesteps=self.N_TIMESTEPS
+        ).save(tmp_path / "ds")
+        return DiskDataset(path)
+
+    def test_looped_replay_keeps_tier_one_plus_one_in_flight(self, disk):
+        stored = np.load(disk.path / "velocity.npy")
+        loader = TimestepLoader(disk, capacity=2, prefetch=True)
+        try:
+            for t in [*range(self.N_TIMESTEPS)] * 2:
+                gv = loader.load(t)
+                loader.prefetch((t + 1) % self.N_TIMESTEPS)
+                expected = physical_to_grid_velocity(disk.grid, stored[t])
+                assert gv.tobytes() == expected.tobytes()
+                assert len(disk._decoded) <= loader.capacity + 1
+                del gv
+            loader.drain()
+        finally:
+            loader.close()
+        assert not any(isinstance(v, np.memmap) for v in vars(disk).values())
+        for t in range(self.N_TIMESTEPS):
+            v = disk.velocity(t)
+            assert type(v) is np.ndarray
+            assert v.dtype == stored.dtype and v.tobytes() == stored[t].tobytes()
+
+    def test_truncated_velocity_file_is_a_typed_short_read(self, disk):
+        velocity = disk.path / "velocity.npy"
+        velocity.write_bytes(velocity.read_bytes()[:-5])
+        disk = DiskDataset(disk.path)
+        disk.velocity(0)
+        last = self.N_TIMESTEPS - 1
+        with pytest.raises(TruncatedDatasetError, match=f"timestep {last}"):
+            disk.velocity(last)
+        with TimestepLoader(disk, capacity=2, prefetch=False) as loader:
+            with pytest.raises(TruncatedDatasetError):
+                loader.load(last)
