@@ -14,12 +14,14 @@ bit-identical results):
   readable oracle the other path is tested against;
 * the scratch path — :class:`TrilinearScratch`, component-major
   (``(3, n)`` in, ``(C, n)`` out): all eight corners of every component
-  come from **one** gather and each blend level is three calls, 18 NumPy
+  come from **one** gather and each blend level is three calls, 16 NumPy
   calls a sample instead of the plain path's several dozen, every one
-  ``out=``-threaded through storage allocated once.  At a few hundred
-  points a NumPy call costs more to launch than to run, so the call count
-  *is* the cost: the RK2 inner loop of :mod:`repro.tracers.integrate` and
-  the encode stage's grid -> physical conversion both run on it.
+  ``out=``-threaded through storage allocated once and every operand
+  the full contiguous size of the call.  At a few hundred points a NumPy
+  call costs more to launch than to run, so the calls — how many, and
+  whether any broadcasts — *are* the cost: the RK2 inner loop of
+  :mod:`repro.tracers.integrate` and the encode stage's grid -> physical
+  conversion both run on it.
 """
 
 from __future__ import annotations
@@ -59,19 +61,30 @@ class TrilinearScratch:
     The sampler is **component-major**: coordinates arrive as ``(3, n)``,
     values leave as ``(C, n)``, and every intermediate keeps the point
     axis last, so each NumPy call runs one long contiguous inner loop and
-    the whole sample is 18 calls whatever ``n`` is — two for the clamp,
-    the cast, the cell clamp, the fraction, an integer ``dot`` for the
-    base index, a tile and an add for the ``(8 C, n)`` corner indices,
-    **one** ``take`` of all eight corners of every component from the
-    flat field, and three calls for each of the z / y / x blends.  The
-    blend is term for term the plain :func:`trilinear_interpolate`
-    expression ``c0 + (c1 - c0) * f``, so results are bit-identical to
-    it; only the layout and the storage differ.
+    the whole sample is 16 calls whatever ``n`` is — two for the clamp,
+    the cell clamp, the fraction, an integer ``dot`` for the base index,
+    an add for the ``(8 C, n)`` corner indices, **one** ``take`` of all
+    eight corners of every component from the flat field, and three calls
+    for each of the z / y / x blends (the cast to the cell index and the
+    tile of the base index are assignments, not calls).  The blend is
+    term for term the plain :func:`trilinear_interpolate` expression
+    ``c0 + (c1 - c0) * f``, so results are bit-identical to it; only the
+    layout and the storage differ.
+
+    At interactive ``n`` a call costs what its operands make it cost, not
+    only what it computes: a ``(3, 1)`` bound or a scalar broadcast
+    against ``(3, n)`` takes NumPy's broadcasting iterator, and that
+    doubles a 16-point call.  So :meth:`bind` builds the sampler for one
+    point count and field shape with **every** constant operand — the
+    bounds, the last cell, the corner offsets, a zero block — carved at
+    the full ``(…, n)`` size of the views it meets: no call in a sample
+    broadcasts.
 
     One scratch serves one thread.  Buffers grow to the largest point
     count ever requested and are reused thereafter; the exact-size views
-    the calls run on are rebuilt only when ``n`` changes, so in steady
-    state a sample touches no allocator at all.
+    and the constants are built once per ``(n, field shape)`` and kept
+    (:data:`BINDINGS` of them), so in steady state a sample touches no
+    allocator at all.
 
     The sampler requires a C-contiguous float64 field of shape
     ``(ni, nj, nk, C)``; :meth:`bind_field` returns ``None`` for anything
@@ -80,143 +93,164 @@ class TrilinearScratch:
     unsteady or live dataset) copies nothing.
     """
 
-    #: Field shapes whose constants are kept before the cache is cleared.
-    SHAPE_CACHE = 4
-    #: Points per :meth:`sample` call inside :meth:`sample_blocks`.  The
-    #: sampler's own storage is ~80 words a point; a frame-sized batch
-    #: sampled whole would hold 16 MB of it for nothing — past a few
-    #: thousand points a sample is memory-bound, not launch-bound.
-    BLOCK = 4096
+    #: Bound samplers, one per ``(n, field shape)``, kept before the
+    #: cache is cleared.
+    BINDINGS = 4
+    #: Points per sample inside :meth:`sample_blocks`.  The sampler's own
+    #: storage and constants are ~130 words a point; a frame-sized batch
+    #: sampled whole would hold 25 MB of it for nothing — past a thousand
+    #: points a sample is memory-bound, not launch-bound, and a block that
+    #: stays in cache samples as fast as a larger one.
+    BLOCK = 1024
 
     def __init__(self) -> None:
         self._cap = 0
         self._nc = 0
         # Flat capacity-sized stores; ``_bind`` carves exact-size,
         # contiguous ``(…, n)`` views out of them (``take`` copies a
-        # non-contiguous index or output block behind our back).
-        self._f8 = None  # float64: clamped, frac, corners, three blends
+        # non-contiguous index or output block behind our back, and a
+        # ufunc on a strided ``(3, n)`` view costs twice a contiguous one).
+        self._f8 = None  # float64: clamped, cell, fractions, corners, blends
         self._i8 = None  # intp: cell, base, corner indices
-        self._bound: tuple[int, int] = (-1, -1)
-        self._views: tuple | None = None
+        self._zeros = None  # float64 zeros: any prefix is a zero block
         self._staged = np.empty(0)  # sample_blocks' (3 + nc, n) staging
-        # Per-shape sampler constants: field.shape -> (hi, ..., nc).
-        self._shapes: dict[tuple, tuple] = {}
+        # (n, field shape) -> (sample, hi, zero); see :meth:`bind`.
+        self._bindings: dict[tuple, tuple] = {}
 
-    # -- buffers ------------------------------------------------------------
-
-    def _bind(self, n: int, nc: int) -> None:
-        """Rebuild the exact-size views over the scratch stores."""
-        if n > self._cap or nc > self._nc:
-            cap, cnc = max(n, self._cap), max(nc, self._nc)
-            self._f8 = np.empty((6 + 15 * cnc) * cap, dtype=np.float64)
-            self._i8 = np.empty((4 + 8 * cnc) * cap, dtype=np.intp)
-            self._cap, self._nc = cap, cnc
-        clamped, frac, corners, bz, by, bx = _carve(
-            self._f8, (3, n), (3, n), (2, 4 * nc, n), (2, 2 * nc, n), (2, nc, n),
-            (nc, n),
-        )
-        cell, base, idx = _carve(self._i8, (3, n), (n,), (8 * nc, n))
-        # Corner rows run (dk, dj, di, component), dk slowest, so the lower
-        # and upper operand of every blend level is one contiguous half.
-        self._views = (
-            clamped, cell, frac, base, idx, corners.reshape(8 * nc, n),
-            corners[0], corners[1], bz.reshape(4 * nc, n), frac[2],
-            bz[0], bz[1], by.reshape(2 * nc, n), frac[1],
-            by[0], by[1], bx, frac[0],
-        )
-        self._bound = (n, nc)
-
-    # -- field cache --------------------------------------------------------
+    # -- binding ------------------------------------------------------------
 
     def bind_field(self, field: np.ndarray) -> tuple | None:
-        """The flat view of ``field`` plus the constants of its shape.
+        """``(flat, shape)``: the flat view of ``field`` and its shape.
 
-        Returns ``(flat, hi, maxcell, strides, offsets, nc)`` or ``None``
-        when the field is not eligible for the sampler (wrong
-        dtype/layout/shape).  The constants are cached per field *shape*,
-        so binding the next timestep of a dataset costs one ``reshape``
-        view; a caller sampling one field many times binds it once and
-        keeps the tuple.
+        ``None`` when the field is not eligible for the sampler (wrong
+        dtype/layout/shape).  Binding the next timestep of a dataset costs
+        one ``reshape`` view; a caller sampling one field many times binds
+        it once and keeps the tuple.
         """
         if (
             not isinstance(field, np.ndarray)
             or field.ndim != 4
             or field.dtype != np.float64
             or not field.flags.c_contiguous
+            or min(field.shape[:3]) < 2
         ):
             return None
-        consts = self._shapes.get(field.shape)
-        if consts is None:
-            ni, nj, nk, nc = field.shape
-            if min(ni, nj, nk) < 2:
-                return None
-            hi = np.array([[ni - 1.0], [nj - 1.0], [nk - 1.0]])
-            maxcell = np.array([[ni - 2], [nj - 2], [nk - 2]], dtype=np.intp)
-            # Element strides of the flat field, and the offset from a
-            # cell's base element of each corner row (dk, dj, di, component).
-            strides = np.array([nj * nk * nc, nk * nc, nc], dtype=np.intp)
-            dk, dj, di = np.indices((2, 2, 2), dtype=np.intp).reshape(3, 8)
-            corner = di * strides[0] + dj * strides[1] + dk * strides[2]
-            offsets = (corner[:, None] + np.arange(nc, dtype=np.intp)).reshape(-1, 1)
-            consts = (hi, maxcell, strides, offsets, nc)
-            if len(self._shapes) >= self.SHAPE_CACHE:
-                self._shapes.clear()
-            self._shapes[field.shape] = consts
-        return (field.reshape(-1), *consts)
+        return field.reshape(-1), field.shape
 
-    # -- the sampler --------------------------------------------------------
+    def bind(self, n: int, shape: tuple) -> tuple:
+        """``(sample, hi, zero)`` for ``n`` points of fields shaped ``shape``.
+
+        ``sample(flat, coords, out, clamp=True)`` is the sampler:
+        ``flat`` is :meth:`bind_field`'s flat view of a field of this
+        ``shape``, ``coords`` is ``(3, n)`` float64 and ``out`` is
+        ``(C, n)`` float64 (neither need be contiguous — transposed views
+        of point-major arrays are fine).  With ``clamp`` the coordinates
+        are clamped to the domain (the integrator's contract); without
+        it they must already lie in it, as the integrator's live
+        particles do — the clamp could then change only the sign of a
+        zero coordinate.  ``hi`` and ``zero`` are the ``(3, n)`` bounds
+        the sampler clamps to, full-size for the caller's own domain
+        test.
+        """
+        binding = self._bindings.get((n, shape))
+        if binding is None:
+            binding = self._bind(n, shape)
+        return binding
+
+    def _bind(self, n: int, shape: tuple) -> tuple:
+        """Carve the views, build the constants and close the sampler."""
+        ni, nj, nk, nc = shape
+        if n > self._cap or nc > self._nc:
+            cap, cnc = max(n, self._cap), max(nc, self._nc)
+            self._f8 = np.empty((9 + 22 * cnc) * cap, dtype=np.float64)
+            self._i8 = np.empty((4 + 8 * cnc) * cap, dtype=np.intp)
+            self._zeros = np.zeros(3 * cap)
+            self._cap, self._nc = cap, cnc
+            self._bindings.clear()  # they hold views of the old stores
+        elif len(self._bindings) >= self.BINDINGS:
+            self._bindings.clear()
+        clamped, cellf, frac, fz, fy, fx, corners, bz, by, bx = _carve(
+            self._f8, (3, n), (3, n), (3, n), (4 * nc, n), (2 * nc, n), (nc, n),
+            (8 * nc, n), (4 * nc, n), (2 * nc, n), (nc, n),
+        )
+        cell, base, idx = _carve(self._i8, (3, n), (n,), (8 * nc, n))
+        # Corner rows run (dk, dj, di, component), dk slowest, so the lower
+        # and upper operand of every blend level is one contiguous half.
+        z0, z1 = corners[: 4 * nc], corners[4 * nc :]
+        y0, y1 = bz[: 2 * nc], bz[2 * nc :]
+        x0, x1 = by[:nc], by[nc:]
+        frac_x, frac_y, frac_z = frac
+
+        # The constants, each the full size of the view it meets.
+        zero = self._zeros[: 3 * n].reshape(3, n)
+        hi = np.repeat([[ni - 1.0], [nj - 1.0], [nk - 1.0]], n, axis=1)
+        maxcell = np.repeat([[ni - 2], [nj - 2], [nk - 2]], n, axis=1).astype(np.intp)
+        # Element strides of the flat field, and the offset from a cell's
+        # base element of each corner row (dk, dj, di, component).
+        strides = np.array([nj * nk * nc, nk * nc, nc], dtype=np.intp)
+        dk, dj, di = np.indices((2, 2, 2), dtype=np.intp).reshape(3, 8)
+        corner = di * strides[0] + dj * strides[1] + dk * strides[2]
+        offsets = np.repeat(
+            (corner[:, None] + np.arange(nc, dtype=np.intp)).reshape(-1, 1), n, axis=1
+        )
+
+        def sample(flat, coords, out, clamp=True):
+            if clamp:
+                np.maximum(coords, zero, out=clamped)
+                np.minimum(clamped, hi, out=clamped)
+                coords = clamped
+            # Int-cast assignment truncates toward zero — same values the
+            # plain path's astype(intp) produces for these non-negative
+            # coords.
+            cell[...] = coords
+            np.minimum(cell, maxcell, out=cell)
+            cellf[...] = cell  # a float operand: no mixed-type subtract
+            np.subtract(coords, cellf, out=frac)
+            # Each level's fraction, tiled to the rows it scales.
+            fz[...] = frac_z
+            fy[...] = frac_y
+            fx[...] = frac_x
+
+            # The 'eight floating point loads', for every component of
+            # every point, as one gather.  (Tiling the base first keeps
+            # the add free of a broadcast operand.)  mode="clip" selects
+            # take's unbuffered path; the clamped cells keep every index in
+            # range already (a NaN coordinate casts to garbage, is clipped,
+            # and blends to NaN).
+            np.dot(strides, cell, out=base)
+            idx[...] = base
+            np.add(idx, offsets, out=idx)
+            flat.take(idx, out=corners, mode="clip")
+
+            # c0 + (c1 - c0) * f along z, then y, then x.
+            np.subtract(z1, z0, out=bz)
+            np.multiply(bz, fz, out=bz)
+            np.add(z0, bz, out=bz)
+            np.subtract(y1, y0, out=by)
+            np.multiply(by, fy, out=by)
+            np.add(y0, by, out=by)
+            np.subtract(x1, x0, out=bx)
+            np.multiply(bx, fx, out=bx)
+            np.add(x0, bx, out=out)
+            return out
+
+        binding = (sample, hi, zero)
+        self._bindings[(n, shape)] = binding
+        return binding
+
+    # -- sampling -----------------------------------------------------------
 
     def sample(
         self, field_meta: tuple, coords: np.ndarray, out: np.ndarray
     ) -> np.ndarray:
-        """Zero-allocation trilinear sample of ``coords`` into ``out``.
+        """Trilinear sample of ``coords`` into ``out``, clamped.
 
-        ``field_meta`` comes from :meth:`bind_field`; ``coords`` is
-        ``(3, n)`` float64 and ``out`` is ``(nc, n)`` float64 (neither
-        need be contiguous — transposed views of point-major arrays are
-        fine).  Coordinates are clamped to the domain (the integrator's
-        contract).  All temporaries live in the scratch; once the
-        ``n``-binding is warm, nothing is allocated.
+        ``field_meta`` comes from :meth:`bind_field`; ``coords`` and
+        ``out`` are as for :meth:`bind`'s sampler.  A caller sampling
+        many times at one ``n`` calls :meth:`bind` once instead.
         """
-        flat, hi, maxcell, strides, offsets, nc = field_meta
-        n = coords.shape[1]
-        if (n, nc) != self._bound:
-            self._bind(n, nc)
-        (
-            clamped, cell, frac, base, idx, corners,
-            z0, z1, bz, fz, y0, y1, by, fy, x0, x1, bx, fx,
-        ) = self._views
-
-        np.maximum(coords, 0.0, out=clamped)
-        np.minimum(clamped, hi, out=clamped)
-        # Int-cast assignment truncates toward zero — same values the
-        # plain path's astype(intp) produces for these non-negative coords.
-        cell[...] = clamped
-        np.minimum(cell, maxcell, out=cell)
-        np.subtract(clamped, cell, out=frac)
-
-        # The 'eight floating point loads', for every component of every
-        # point, as one gather.  (Tiling the base first keeps the add to
-        # one broadcast operand, which halves NumPy's transient iterator
-        # buffer.)  mode="clip" selects take's unbuffered path; the
-        # clamped cells keep every index in range already (a NaN
-        # coordinate casts to garbage, is clipped, and blends to NaN).
-        np.dot(strides, cell, out=base)
-        idx[...] = base
-        np.add(idx, offsets, out=idx)
-        flat.take(idx, out=corners, mode="clip")
-
-        # c0 + (c1 - c0) * f along z, then y, then x.
-        np.subtract(z1, z0, out=bz)
-        np.multiply(bz, fz, out=bz)
-        np.add(z0, bz, out=bz)
-        np.subtract(y1, y0, out=by)
-        np.multiply(by, fy, out=by)
-        np.add(y0, by, out=by)
-        np.subtract(x1, x0, out=bx)
-        np.multiply(bx, fx, out=bx)
-        np.add(x0, bx, out=out)
-        return out
+        flat, shape = field_meta
+        return self.bind(coords.shape[1], shape)[0](flat, coords, out)
 
     def sample_blocks(self, field: np.ndarray, blocks: list, outs: list) -> None:
         """Sample many point-major blocks as **one** batch.
@@ -234,7 +268,8 @@ class TrilinearScratch:
             raise ValueError(
                 "sample_blocks needs a C-contiguous float64 (ni, nj, nk, C) field"
             )
-        nc = meta[-1]
+        flat, shape = meta
+        nc = shape[3]
         ends = list(itertools.accumulate(block.size // 3 for block in blocks))
         n = ends[-1] if ends else 0
         if n == 0:
@@ -247,8 +282,8 @@ class TrilinearScratch:
             staged = coords[:, a:b].reshape(3, *block.shape[:-1])
             staged[...] = block.transpose(-1, *range(block.ndim - 1))
         for a in range(0, n, self.BLOCK):
-            b = a + self.BLOCK
-            self.sample(meta, coords[:, a:b], values[:, a:b])
+            b = min(a + self.BLOCK, n)
+            self.bind(b - a, shape)[0](flat, coords[:, a:b], values[:, a:b])
         for out, (a, b) in zip(outs, spans):
             sampled = values[:, a:b].reshape(nc, *out.shape[:-1])
             out.transpose(-1, *range(out.ndim - 1))[...] = sampled

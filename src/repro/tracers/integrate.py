@@ -8,8 +8,9 @@ interpolation, two trilinear interpolations, and two simple computations
 per component per point integrated."  That is exactly the inner loop here
 — on the workspace kernel literally so: each access is *one* gather of
 the eight corners of every component of every particle, each
-interpolation nine calls, and the whole step under fifty NumPy calls
-whatever the particle count.
+interpolation nine calls, and the whole step 40 NumPy calls (45 for a
+particle path, which reads and binds the next field) whatever the
+particle count, none of them with a broadcast operand.
 
 The kernel vectorizes across streamlines, as the Convex did ("This is
 the only possibility, as the computation of an individual streamline is
@@ -26,7 +27,9 @@ bit-identical to each other:
   threads ``out=`` through every call: no per-step array allocations
   (the Convex did not call ``malloc`` per vector op either) and, because
   a NumPy call costs more to launch than to run at interactive particle
-  counts, as few calls as the arithmetic allows.
+  counts, as few calls as the arithmetic allows, each on contiguous
+  operands of one shape (a broadcast or strided operand doubles a call
+  at 16 particles).
 
 The paper's other arrangements of the same arithmetic — scalar C, strip
 mining to 128-lane vector registers, the 4-CPU parallel scalar code and
@@ -36,6 +39,7 @@ not a frame path, and live with the Table 3 benchmark.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable
 
 import numpy as np
@@ -98,7 +102,7 @@ class IntegratorWorkspace:
         self._f8 = None
         self._b1 = None
         self._active = None
-        self._bound_n = -1
+        self._bound: tuple = ()
         self._views: tuple | None = None
         self._paths_pools: dict[tuple, list] = {}
         self._paths_next: dict[tuple, int] = {}
@@ -107,24 +111,35 @@ class IntegratorWorkspace:
         """The live-particle index buffer, sized by the total seed count."""
         if s > self._cap or self._f8 is None:
             self._cap = max(s, self._cap)
-            self._f8 = np.empty((5, 3, self._cap), dtype=np.float64)
-            self._b1 = np.empty((7, self._cap), dtype=bool)
+            self._f8 = np.empty(21 * self._cap, dtype=np.float64)
+            self._b1 = np.empty(7 * self._cap, dtype=bool)
             self._active = np.empty(self._cap, dtype=np.intp)
-            self._bound_n = -1
+            self._bound = ()
         return self._active[:s]
 
-    def bind_active(self, n: int) -> tuple:
-        """Per-step views sized by the live-particle count (cached per n).
+    def bind_active(self, n: int, dt: float) -> tuple:
+        """Per-step views sized by the live-particle count (cached per n, dt).
 
-        ``(k1, k2, mid, cur, new, ok, ok2, inside)``: float64 ``(3, n)``
-        blocks, two ``(3, n)`` masks and one ``(n,)`` mask.
+        ``(k1, k2, mid, cur, new, dts, halves, oks, ok, ok2, inside)``:
+        float64 ``(3, n)`` blocks — ``dts`` full of ``dt`` and ``halves``
+        of ``0.5 * dt``, so no multiply broadcasts a scalar — the
+        ``(6, n)`` domain-test mask ``oks`` and its halves ``ok`` and
+        ``ok2``, and one ``(n,)`` mask.  Every view is carved contiguous
+        out of the flat stores: a ufunc on a strided ``(3, n)`` block
+        costs twice a contiguous one at interactive ``n``.
         """
-        if n != self._bound_n:
-            masks = self._b1[:, :n]
+        key = (n, dt, math.copysign(1.0, dt))  # -0.0 is not 0.0 here
+        if key != self._bound:
+            blocks = self._f8[: 21 * n].reshape(7, 3, n)
+            k1, k2, mid, cur, new, dts, halves = blocks
+            dts.fill(dt)
+            halves.fill(0.5 * dt)
+            oks = self._b1[: 6 * n].reshape(6, n)
+            inside = self._b1[6 * n : 7 * n]
             self._views = (
-                *self._f8[:, :, :n], masks[0:3], masks[3:6], masks[6]
+                k1, k2, mid, cur, new, dts, halves, oks, oks[:3], oks[3:], inside
             )
-            self._bound_n = n
+            self._bound = key
         return self._views
 
     def paths_buffer(self, s: int, cols: int, kernel: str = "steady") -> np.ndarray:
@@ -167,7 +182,8 @@ def advance_rk2(gv: np.ndarray, coords: np.ndarray, dt: float) -> np.ndarray:
 
 
 def _integrate_plain(
-    field_at: Callable[[int], np.ndarray],
+    gv: np.ndarray,
+    field_at: Callable[[int], np.ndarray] | None,
     seeds: np.ndarray,
     t0: int,
     n_steps: int,
@@ -175,29 +191,35 @@ def _integrate_plain(
 ) -> tuple[np.ndarray, np.ndarray]:
     """The readable RK2 stepping loop, steady and unsteady.
 
-    Step ``n`` takes its two stages from ``field_at(t0 + n - 1)`` and
-    ``field_at(t0 + n)``; a streamline is the case where both are the
-    same frozen field.  A particle that leaves the domain freezes at its
-    last inside vertex.
+    ``gv`` is the field at ``t0``.  Step ``n`` takes its two stages from
+    the fields at ``t0 + n - 1`` and ``t0 + n``, read through
+    ``field_at``; a streamline (``field_at`` is ``None``) is the case
+    where both are the same frozen field.  A particle that leaves the
+    domain freezes at its last inside vertex.
     """
     s = seeds.shape[0]
     coords = seeds.copy()
     paths = np.empty((s, n_steps + 1, 3), dtype=np.float64)
     paths[:, 0] = coords
     lengths = np.ones(s, dtype=np.intp)
-    gv_now = field_at(t0)
-    dims = gv_now.shape[:3]
+    gv_now = gv_next = gv
+    dims = gv.shape[:3]
     alive = in_domain_mask(coords, dims)
     for step in range(1, n_steps + 1):
         # Read before the death check: the fields the workspace kernel reads.
-        gv_next = field_at(t0 + step)
+        if field_at is not None:
+            gv_next = field_at(t0 + step)
         if not alive.any():
             # Everyone is dead: freeze the remaining columns and stop.
             paths[:, step:] = coords[:, None, :]
             break
         sel = np.nonzero(alive)[0]
         cur = coords[sel]
-        k1 = trilinear_interpolate(gv_now, cur)
+        # Every live particle is inside, so stage 1 needs no clamp: it
+        # could change only the sign of a zero coordinate (``maximum``
+        # and ``clip`` may turn ``-0.0`` into ``0.0``), and the workspace
+        # kernel does not clamp here either.
+        k1 = trilinear_interpolate(gv_now, cur, clamp=False)
         k2 = trilinear_interpolate(gv_next, cur + dt * k1)
         new = cur + (0.5 * dt) * (k1 + k2)
         inside = in_domain_mask(new, dims)
@@ -211,7 +233,8 @@ def _integrate_plain(
 
 
 def _integrate_ws(
-    field_at: Callable[[int], np.ndarray],
+    gv: np.ndarray,
+    field_at: Callable[[int], np.ndarray] | None,
     seeds: np.ndarray,
     t0: int,
     n_steps: int,
@@ -221,37 +244,42 @@ def _integrate_ws(
 ) -> tuple[np.ndarray, np.ndarray]:
     """The one RK2 stepping loop on workspace storage, steady and unsteady.
 
-    Step ``n`` takes its two stages from ``field_at(t0 + n - 1)`` and
-    ``field_at(t0 + n)``; the streamline kernel is the case where both
-    are the same frozen field.  Bit-identical to :func:`_integrate_plain`
-    — same expression per element, same death semantics, same fields
-    read — on component-major storage:
-    while nobody has died, step ``n`` samples row ``n - 1`` of the
+    The arguments are :func:`_integrate_plain`'s, and the result is
+    bit-identical to it — same expression per element, same death
+    semantics, same fields read — on component-major storage: while
+    nobody has died, step ``n`` samples row ``n - 1`` of the
     step-major buffer and writes row ``n`` in place (no gather, no
     scatter, no allocation); after a death the live particles are the
     prefix of an index buffer and are gathered and scattered per step.
-    Every field must satisfy :meth:`TrilinearScratch.bind_field`.
+    Every field must satisfy :meth:`TrilinearScratch.bind_field`, at the
+    shape of the first.
+
+    Stage 1 samples live particles only, and every live particle passed
+    the domain test, so — as in the plain loop — it skips the clamp; the
+    midpoint of stage 2 may lie outside and keeps it.
     """
-    bind_field, sample = ws.scratch.bind_field, ws.scratch.sample
-    gv = field_at(t0)
-    now = nxt = bind_field(gv)
-    hi = now[1]
+    bind, bind_field = ws.scratch.bind, ws.scratch.bind_field
+    now, shape = bind_field(gv)
+    nxt = now
     s = seeds.shape[0]
     active = ws.bind_seeds(s)
     steps = ws.paths_buffer(s, n_steps + 1, kernel)
     here = steps[0]
     here[...] = seeds.T
     lengths = np.ones(s, dtype=np.intp)
-    alive = np.nonzero(in_domain_mask(seeds, gv.shape[:3]))[0]
+    alive = np.nonzero(in_domain_mask(seeds, shape[:3]))[0]
     n = alive.size
     active[:n] = alive
-    k1, k2, mid, cur, new, ok, ok2, inside = ws.bind_active(n)
+    k1, k2, mid, cur, new, dts, halves, oks, ok, ok2, inside = ws.bind_active(n, dt)
+    sample, hi, zero = bind(n, shape)
     for step in range(1, n_steps + 1):
-        gv_next = field_at(t0 + step)
-        if gv_next is not gv:
-            gv, nxt = gv_next, bind_field(gv_next)
-            if nxt is None:
-                raise ValueError(f"field at timestep {t0 + step} changed layout")
+        if field_at is not None:
+            gv_next = field_at(t0 + step)
+            if gv_next is not gv:
+                gv, meta = gv_next, bind_field(gv_next)
+                if meta is None or meta[1] != shape:
+                    raise ValueError(f"field at timestep {t0 + step} changed layout")
+                nxt = meta[0]
         prev, here = here, steps[step]
         if n == 0:
             # Everyone is dead: freeze the remaining rows and stop.
@@ -263,23 +291,24 @@ def _integrate_ws(
             np.take(prev, active[:n], axis=1, out=cur, mode="clip")
         # RK2, the plain kernel's exact expression tree:
         #   new = cur + (0.5*dt) * (k1 + k2)
-        sample(now, cur, k1)
-        np.multiply(k1, dt, out=mid)
+        sample(now, cur, k1, clamp=False)
+        np.multiply(k1, dts, out=mid)
         np.add(mid, cur, out=mid)  # cur + dt*k1
         sample(nxt, mid, k2)
         np.add(k1, k2, out=k2)
-        np.multiply(k2, 0.5 * dt, out=k2)
+        np.multiply(k2, halves, out=k2)
         np.add(cur, k2, out=new)
-        # In-domain test: (new >= 0) & (new <= hi) on every axis.
-        np.greater_equal(new, 0.0, out=ok)
+        # In-domain test: (new >= 0) & (new <= hi) on every axis, the two
+        # halves side by side in ``oks``.
+        np.greater_equal(new, zero, out=ok)
         np.less_equal(new, hi, out=ok2)
-        np.logical_and(ok, ok2, out=ok)
         if n < s:
             here[...] = prev  # the dead stay frozen
-        if ok.all():
+        if np.count_nonzero(oks) == oks.size:
             if n < s:
                 here[:, active[:n]] = new
         else:
+            np.logical_and(ok, ok2, out=ok)
             np.all(ok, axis=0, out=inside)
             act = active[:n]
             good, lost = act[inside], act[~inside]
@@ -292,7 +321,10 @@ def _integrate_ws(
             lengths[lost] = step
             n = good.size
             active[:n] = good
-            k1, k2, mid, cur, new, ok, ok2, inside = ws.bind_active(n)
+            k1, k2, mid, cur, new, dts, halves, oks, ok, ok2, inside = (
+                ws.bind_active(n, dt)
+            )
+            sample, hi, zero = bind(n, shape)
         now = nxt
     lengths[active[:n]] = n_steps + 1
     return steps.transpose(2, 0, 1), lengths
@@ -307,19 +339,22 @@ def _integrate(
     workspace: IntegratorWorkspace | None,
     kernel: str,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Validate, then step on ``workspace`` when it can take the field at
-    ``t0`` and in the plain loop otherwise."""
+    """Validate, read the field at ``t0`` once, then step on ``workspace``
+    when it can take that field and in the plain loop otherwise.
+
+    The ``"steady"`` kernel reads that one field only; the others read
+    ``field_at`` once a step.
+    """
     seeds = np.asarray(seeds, dtype=np.float64)
     if seeds.ndim != 2 or seeds.shape[1] != 3:
         raise ValueError(f"seeds must have shape (S, 3), got {seeds.shape}")
     if n_steps < 0:
         raise ValueError("n_steps must be non-negative")
-    if (
-        workspace is not None
-        and workspace.scratch.bind_field(field_at(t0)) is not None
-    ):
-        return _integrate_ws(field_at, seeds, t0, n_steps, dt, workspace, kernel)
-    return _integrate_plain(field_at, seeds, t0, n_steps, dt)
+    gv = field_at(t0)
+    later = None if kernel == "steady" else field_at
+    if workspace is not None and workspace.scratch.bind_field(gv) is not None:
+        return _integrate_ws(gv, later, seeds, t0, n_steps, dt, workspace, kernel)
+    return _integrate_plain(gv, later, seeds, t0, n_steps, dt)
 
 
 # ---------------------------------------------------------------------------

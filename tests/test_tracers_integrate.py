@@ -3,14 +3,25 @@
 import numpy as np
 import pytest
 
-from repro.flow import MemoryDataset, RigidRotation, UniformFlow, sample_on_grid
-from repro.grid import cartesian_grid
+from repro.flow import (
+    LambOseenVortex,
+    MemoryDataset,
+    RigidRotation,
+    UniformFlow,
+    sample_on_grid,
+)
+from repro.grid import cartesian_grid, cylindrical_grid
+from repro.grid.interpolation import trilinear_interpolate
 from repro.tracers import (
     IntegratorWorkspace,
     advance_rk2,
     integrate_paths,
     integrate_steady,
 )
+
+# A deprecated NumPy call in the stepping loop warns on every step and
+# costs without a trace: make it fail here instead.
+pytestmark = pytest.mark.filterwarnings("error::DeprecationWarning")
 
 
 def make_dataset(field, shape=(9, 9, 5), lo=(-2, -2, 0), hi=(2, 2, 1), times=(0.0,)):
@@ -188,3 +199,206 @@ class TestIntegratePaths:
         )
         s_paths, _ = integrate_steady(ds.grid_velocity(0), seeds, 10, ds.dt)
         np.testing.assert_allclose(p_paths, s_paths, atol=1e-12)
+
+
+def _kernel_workspace(kernel):
+    return IntegratorWorkspace() if kernel == "workspace" else None
+
+
+class TestConvergenceOracle:
+    """Streamlines against closed-form circles on the body-fitted O-grid.
+
+    A rigid rotation (every circle at one angular speed) and a Lamb-Oseen
+    vortex (each radius at its own), both centred off the cylinder axis
+    so a circle crosses the grid's radial lines and is curved in grid
+    space, are sampled on :func:`cylindrical_grid`, converted to grid
+    velocity, and integrated for a fixed time.  The endpoints, mapped
+    back to physical space, are compared with the closed-form rotation
+    of the seeds.  At this grid the spatial error floor is ≈ 5e-4; the
+    step counts keep ``dt`` well above it, so the error is RK2's own and
+    must fall ≈ 4x each time ``dt`` halves.  Both kernels run it: a later
+    kernel change that is not bit-identical is judged here.
+    """
+
+    SHAPE = (97, 385, 3)
+    STEPS = (6, 12, 24)
+    CENTER = (-3.0, 0.0, 0.0)  # circles stay on the far side: j never wraps
+
+    @staticmethod
+    def _lamb_oseen_omega(r, gamma, core):
+        return gamma / (2.0 * np.pi * r * r) * -np.expm1(-r * r / core**2)
+
+    def _errors(self, field, omega_of, horizon, workspace):
+        grid = cylindrical_grid(
+            self.SHAPE, r_inner=0.5, r_outer=8.0, height=1.0, radial_stretch=0.0
+        )
+        velocity = sample_on_grid(field, grid, np.array([0.0]), dtype=np.float64)
+        gv = MemoryDataset(grid, velocity).grid_velocity(0)
+        ni, nj, nk = self.SHAPE
+        seeds = np.column_stack(
+            [
+                np.linspace(0.3, 0.45, 6) * (ni - 1),
+                np.full(6, 0.5 * (nj - 1)),
+                np.full(6, 0.5 * (nk - 1)),
+            ]
+        )
+        start = trilinear_interpolate(grid.xyz, seeds)
+        offset = start - np.asarray(self.CENTER)
+        angle = omega_of(np.hypot(offset[:, 0], offset[:, 1])) * horizon
+        cos, sin = np.cos(angle), np.sin(angle)
+        exact = np.column_stack(
+            [
+                self.CENTER[0] + offset[:, 0] * cos - offset[:, 1] * sin,
+                self.CENTER[1] + offset[:, 0] * sin + offset[:, 1] * cos,
+                start[:, 2],
+            ]
+        )
+        errors = []
+        for n_steps in self.STEPS:
+            paths, lengths = integrate_steady(
+                gv, seeds, n_steps, horizon / n_steps, workspace=workspace
+            )
+            assert (lengths == n_steps + 1).all(), lengths
+            end = trilinear_interpolate(grid.xyz, paths[:, -1])
+            errors.append(np.sqrt(((end - exact) ** 2).sum(axis=1).mean()))
+        return np.array(errors)
+
+    def _assert_second_order(self, errors):
+        ratios = errors[:-1] / errors[1:]
+        assert ((ratios > 3.5) & (ratios < 4.5)).all(), (errors, ratios)
+
+    @pytest.mark.parametrize("kernel", ["plain", "workspace"])
+    def test_rigid_rotation(self, kernel):
+        field = RigidRotation(omega=(0.0, 0.0, 1.0), center=self.CENTER)
+        errors = self._errors(
+            field, np.ones_like, 3.0, _kernel_workspace(kernel)
+        )
+        self._assert_second_order(errors)
+
+    @pytest.mark.parametrize("kernel", ["plain", "workspace"])
+    def test_lamb_oseen_vortex(self, kernel):
+        field = LambOseenVortex(20.0, center=self.CENTER, core_radius=2.0)
+        errors = self._errors(
+            field,
+            lambda r: self._lamb_oseen_omega(r, 20.0, 2.0),
+            6.0,
+            _kernel_workspace(kernel),
+        )
+        self._assert_second_order(errors)
+
+
+class TestWorkspaceByteIdentity:
+    """The workspace kernel against the plain loop, byte for byte.
+
+    ``np.array_equal`` calls ``-0.0`` and ``0.0`` equal; ``tobytes`` does
+    not.  Stage 1 of the workspace kernel skips the clamp on live
+    particles, which is exact only because ``maximum(-0.0, 0.0)`` is
+    ``-0.0`` and every live particle is already inside — so the cases are
+    the ones that would expose a clamp that mattered: seeds at ``-0.0``,
+    seeds exactly on each upper face, a NaN in the field, and particles
+    that die mid-run.
+    """
+
+    SHAPE = (10, 9, 8, 3)
+    N_TIMESTEPS = 12
+
+    def _fields(self, case):
+        rng = np.random.default_rng(21)
+        fields = []
+        for _ in range(self.N_TIMESTEPS):
+            field = rng.normal(0.0, 0.6, size=self.SHAPE)
+            if case == "negative_zero":
+                # On the i = 0 face a seed at (-0.0, j, k), j + k even,
+                # blends to k1 = ±0.0 by the sign of its i fraction and
+                # moves neither j nor k, so k2 is a signed zero too and
+                # the sign reaches the path: a clamp that changed the
+                # fraction's sign in one kernel only shows in the bytes.
+                j, k = np.indices(self.SHAPE[1:3])
+                field[0, ..., 0] = np.where((j + k) % 2 == 0, -0.0, -1.0)
+                field[0, ..., 1:] = -0.0
+                field[1, ..., 0] = -np.abs(field[1, ..., 0]) - 0.1
+            elif case == "upper_face":
+                field -= 1.0  # inward from the upper faces: stage 1 samples there
+            elif case == "nan_field":
+                field[4:6, :, 3:5] = np.nan
+            elif case == "deaths":
+                field[..., 0] += 2.5  # a drift that carries everyone out
+            fields.append(np.ascontiguousarray(field))
+        return fields
+
+    def _seeds(self, case, n_seeds):
+        rng = np.random.default_rng(n_seeds)
+        hi = np.array(self.SHAPE[:3]) - 1.0
+        seeds = rng.uniform(0.5, 1.0, size=(n_seeds, 3)) * (hi - 1.0)
+        if case == "negative_zero":
+            j = rng.integers(0, self.SHAPE[1] - 1, size=n_seeds)
+            k = rng.integers(0, self.SHAPE[2] - 2, size=n_seeds)
+            seeds[:] = np.column_stack([np.full(n_seeds, -0.0), j, k + (j + k) % 2])
+        elif case == "upper_face":
+            for axis in range(3):
+                seeds[axis::3, axis] = hi[axis]
+        elif case == "deaths":
+            seeds = rng.uniform(0.3, 0.7, size=(n_seeds, 3)) * hi
+        return seeds
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize("n_seeds", [1, 16, 512])
+    @pytest.mark.parametrize(
+        "case", ["negative_zero", "upper_face", "nan_field", "deaths"]
+    )
+    @pytest.mark.parametrize("kernel", ["steady", "paths"])
+    def test_bytes_match_plain_loop(self, kernel, case, n_seeds):
+        fields = self._fields(case)
+        seeds = self._seeds(case, n_seeds)
+
+        def run(workspace):
+            if kernel == "steady":
+                return integrate_steady(
+                    fields[0], seeds, 40, 0.3, workspace=workspace
+                )
+            return integrate_paths(
+                fields.__getitem__, seeds, 0, 40, self.N_TIMESTEPS, 0.3,
+                workspace=workspace,
+            )
+
+        plain = run(None)
+        ws = IntegratorWorkspace()
+        for _ in range(2):  # cold, then on warmed buffers and bindings
+            paths, lengths = run(ws)
+            assert paths.tobytes() == plain[0].tobytes()
+            assert lengths.tobytes() == plain[1].tobytes()
+        if case == "deaths":
+            steps = paths.shape[1]
+            assert ((lengths > 1) & (lengths < steps)).any(), "nobody died mid-run"
+
+
+class TestFieldReads:
+    @pytest.mark.parametrize("t0", [0, 3])
+    @pytest.mark.parametrize("drift", [0.0, 50.0], ids=["live", "all_die"])
+    def test_kernels_read_the_same_fields(self, t0, drift):
+        """Each kernel reads every timestep of its window once, in order:
+        the field at ``t0`` is read once, not once to pick a kernel and
+        again to start it."""
+        rng = np.random.default_rng(12)
+        fields = [
+            np.ascontiguousarray(rng.normal(0.0, 0.5, size=(8, 8, 6, 3)) + drift)
+            for _ in range(10)
+        ]
+        seeds = rng.uniform(2.0, 5.0, size=(16, 3))
+        reads = {}
+        for kernel in ("plain", "workspace"):
+            log = reads[kernel] = []
+
+            def field_at(t, log=log):
+                log.append(t)
+                return fields[t]
+
+            integrate_paths(
+                field_at, seeds, t0, 5, len(fields), 0.2,
+                workspace=_kernel_workspace(kernel),
+            )
+        assert reads["workspace"] == reads["plain"]
+        window = reads["plain"]
+        assert window == list(range(t0, t0 + len(window)))
+        # Once everyone is dead the loop stops reading.
+        assert len(window) == (6 if drift == 0.0 else 3)
