@@ -1,69 +1,29 @@
-"""Beyond 1992: isosurfaces, speed-colored paths, multi-zone grids.
+"""Beyond 1992: speed-colored streamlines.
 
-Three extensions the paper points at but could not ship:
+For the conventional-screen mode: each streamline vertex is colored by
+the local flow speed, so the picture shows where the wake is fast (hot)
+and where it stalls (cold).
 
-* an interactive |v| **isosurface** (ruled out in section 1.2 for 1992
-  hardware; our vectorized marching tetrahedra fits the budget),
-* **speed-colored** streamlines for the conventional-screen mode,
-* **multiple-grid** datasets (section 7 further work): a streamline
-  convecting seamlessly across two grid zones.
-
-Run:  python examples/advanced_tools.py
+Run:  python examples/advanced_tools.py [output-dir]
 """
 
+import sys
 from pathlib import Path
 
 import numpy as np
 
-from repro import WindtunnelClient, WindtunnelServer, tapered_cylinder_dataset
-from repro.core import ToolSettings
-from repro.flow import MemoryDataset, UniformFlow, LambOseenVortex, sample_on_grid
-from repro.grid import cartesian_grid
-from repro.render import (
-    Camera,
-    Framebuffer,
-    HEAT,
-    PathBundle,
-    Scene,
-    TriangleMesh,
-    render_anaglyph,
-    speed_colors,
-)
+from repro import tapered_cylinder_dataset
+from repro.render import HEAT, Camera, Framebuffer, speed_colors
 from repro.render.rasterizer import draw_polylines
-from repro.tracers import multizone_streamlines
+from repro.tracers import compute_streamlines
 from repro.util import look_at
 
-OUT = Path(__file__).parent / "output"
+OUT = Path(
+    sys.argv[1] if len(sys.argv) > 1 else Path(__file__).parent / "output"
+)
 OUT.mkdir(exist_ok=True)
 
-# ---------------------------------------------------------------------------
-# 1. A shared isosurface over the network
-# ---------------------------------------------------------------------------
 dataset = tapered_cylinder_dataset(shape=(32, 32, 16), n_timesteps=8, dt=0.25)
-with WindtunnelServer(dataset, settings=ToolSettings(streamline_steps=100),
-                      time_speed=0.0) as server:
-    with WindtunnelClient(*server.address, width=560, height=420) as client:
-        client.add_rake([0.9, -2.0, 1.0], [0.9, 2.0, 3.0], n_seeds=8)
-        iso = client.request_isosurface(level_fraction=0.8)
-        print(f"isosurface: {iso['n_triangles']:,} triangles at |v|="
-              f"{iso['level']:.2f}, extracted in "
-              f"{iso['compute_seconds'] * 1e3:.1f} ms "
-              f"({'within' if iso['compute_seconds'] < 0.125 else 'OVER'} "
-              "the 1/8 s budget)")
-        client.fetch_frame()
-        head = look_at([2.0, -10.0, 3.0], [3.0, 0.0, 2.0], up=[0, 0, 1])
-        scene = client.build_scene()
-        scene.add(TriangleMesh(iso["triangles"].astype(np.float64)))
-        fb = client.fb
-        render_anaglyph(scene, Camera(head), fb)
-        fb.save_ppm(OUT / "advanced_isosurface.ppm")
-        print("wrote advanced_isosurface.ppm")
-
-# ---------------------------------------------------------------------------
-# 2. Speed-colored streamlines (conventional screen mode)
-# ---------------------------------------------------------------------------
-from repro.tracers import compute_streamlines
-
 seeds = np.stack(
     [np.full(10, 4.0), np.linspace(4, 28, 10), np.full(10, 8.0)], axis=1
 )
@@ -75,31 +35,3 @@ cam = Camera(look_at([2.0, -10.0, 3.0], [3.0, 0.0, 2.0], up=[0, 0, 1]))
 draw_polylines(fb, cam, paths, res.lengths, colors.astype(np.float64))
 fb.save_ppm(OUT / "advanced_speed_colored.ppm")
 print("wrote advanced_speed_colored.ppm (hot = fast)")
-
-# ---------------------------------------------------------------------------
-# 3. A streamline crossing two grid zones
-# ---------------------------------------------------------------------------
-flow = UniformFlow([1.0, 0.0, 0.0]) + LambOseenVortex(
-    gamma=3.0, center=[2.0, 1.0, 0.0], core_radius=0.4
-)
-zone_a = MemoryDataset(
-    cartesian_grid((17, 17, 5), lo=(0, 0, 0), hi=(2, 2, 1)),
-    sample_on_grid(flow, cartesian_grid((17, 17, 5), lo=(0, 0, 0), hi=(2, 2, 1)),
-                   [0.0], dtype=np.float64),
-)
-zone_b = MemoryDataset(
-    cartesian_grid((17, 17, 5), lo=(2, 0, 0), hi=(4, 2, 1)),
-    sample_on_grid(flow, cartesian_grid((17, 17, 5), lo=(2, 0, 0), hi=(4, 2, 1)),
-                   [0.0], dtype=np.float64),
-)
-seeds = np.array([[0.2, y, 0.5] for y in np.linspace(0.4, 1.6, 6)])
-mz = multizone_streamlines([zone_a, zone_b], 0, seeds, n_steps=120, dt=0.04)
-for i in range(mz.n_paths):
-    print(f"  line {i}: zones visited {mz.zones_visited(i)}, "
-          f"{mz.lengths[i]} vertices")
-fb = Framebuffer(560, 300)
-cam = Camera(look_at([2.0, 1.0, 5.0], [2.0, 1.0, 0.5], up=[0, 1, 0]))
-scene = Scene([PathBundle(mz.paths, mz.lengths, color=(120, 255, 160))])
-scene.draw(fb, cam)
-fb.save_ppm(OUT / "advanced_multizone.ppm")
-print("wrote advanced_multizone.ppm")

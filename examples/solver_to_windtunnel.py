@@ -6,9 +6,10 @@ solver past a penalized cylinder until the wake destabilizes, package the
 history as a windtunnel dataset, and explore it with streaklines — smoke
 in genuinely simulated unsteady flow rather than the analytic wake model.
 
-Run:  python examples/solver_to_windtunnel.py   (takes ~1-2 minutes)
+Run:  python examples/solver_to_windtunnel.py [output-dir]   (takes ~1-2 minutes)
 """
 
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +19,9 @@ from repro.core import ToolSettings
 from repro.flow import SolverConfig, cylinder_mask, solver_dataset
 from repro.util import look_at
 
-OUT = Path(__file__).parent / "output"
+OUT = Path(
+    sys.argv[1] if len(sys.argv) > 1 else Path(__file__).parent / "output"
+)
 OUT.mkdir(exist_ok=True)
 
 # Cubic semi-Lagrangian advection keeps numerical diffusion low enough

@@ -8,9 +8,10 @@ exercised (speed up, pause, step, reverse).
 
 Writes an image sequence to ``examples/output/tour_*.ppm``.
 
-Run:  python examples/tapered_cylinder_tour.py
+Run:  python examples/tapered_cylinder_tour.py [output-dir]
 """
 
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +20,9 @@ from repro import WindtunnelClient, WindtunnelServer, tapered_cylinder_dataset
 from repro.core import ToolSettings
 from repro.util import look_at
 
-OUT = Path(__file__).parent / "output"
+OUT = Path(
+    sys.argv[1] if len(sys.argv) > 1 else Path(__file__).parent / "output"
+)
 OUT.mkdir(exist_ok=True)
 
 print("synthesizing the tapered-cylinder dataset...")

@@ -8,9 +8,10 @@ it and sweeps it through the wake while the BOOM orbits.
 
 Writes frames to ``examples/output/vr_*.ppm``.
 
-Run:  python examples/vr_session.py
+Run:  python examples/vr_session.py [output-dir]
 """
 
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +29,9 @@ from repro.vr import (
 )
 from repro.vr.gestures import CANONICAL_BENDS, Gesture
 
-OUT = Path(__file__).parent / "output"
+OUT = Path(
+    sys.argv[1] if len(sys.argv) > 1 else Path(__file__).parent / "output"
+)
 OUT.mkdir(exist_ok=True)
 
 OPEN = tuple(CANONICAL_BENDS[Gesture.OPEN] * 0.9 + 0.05)

@@ -8,13 +8,10 @@ Commands:
     Print the analytic reproductions of Tables 1-3.
 ``demo``
     Run a short self-contained windtunnel session and write a stereo
-    frame (and optionally a session recording).
+    frame.
 ``serve``
     Start a windtunnel server on a synthetic dataset and block, so real
     clients (or another machine) can connect.
-``replay``
-    Replay a recorded session (see :mod:`repro.core.recording`) against a
-    fresh server and report the resulting environment.
 """
 
 from __future__ import annotations
@@ -44,7 +41,6 @@ def build_parser() -> argparse.ArgumentParser:
     demo.add_argument("--timesteps", type=int, default=12)
     demo.add_argument("--frames", type=int, default=8)
     demo.add_argument("--output", default="demo_frame.ppm")
-    demo.add_argument("--record", default=None, metavar="SESSION.jsonl")
     demo.add_argument("--mono", action="store_true", help="disable stereo")
 
     serve = sub.add_parser("serve", help="start a windtunnel server and block")
@@ -54,12 +50,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--timesteps", type=int, default=16)
     serve.add_argument("--speed", type=float, default=4.0,
                        help="playback speed, timesteps/second")
-
-    replay = sub.add_parser("replay", help="replay a recorded session")
-    replay.add_argument("session", help="path to a .jsonl recording")
-    replay.add_argument("--realtime", action="store_true")
-    replay.add_argument("--shape", type=int, nargs=3, default=(24, 24, 12))
-    replay.add_argument("--timesteps", type=int, default=12)
     return parser
 
 
@@ -113,12 +103,6 @@ def _cmd_demo(args, out) -> int:
         with WindtunnelClient(
             *server.address, width=480, height=360, stereo=not args.mono
         ) as client:
-            recorder = None
-            if args.record:
-                from repro.core.recording import SessionRecorder, attach_recorder
-
-                recorder = SessionRecorder()
-                attach_recorder(client, recorder)
             client.add_rake(
                 [1.2, -1.5, 0.8], [1.2, 1.5, 2.8], n_seeds=10, kind="streakline"
             )
@@ -130,10 +114,6 @@ def _cmd_demo(args, out) -> int:
             fb.save_ppm(args.output)
             print(f"wrote {args.output}", file=out)
             print(client.timer.report(), file=out)
-            if recorder is not None:
-                recorder.save(args.record)
-                print(f"session recorded to {args.record} "
-                      f"({len(recorder)} events)", file=out)
     return 0
 
 
@@ -161,31 +141,11 @@ def _cmd_serve(args, out) -> int:  # pragma: no cover - blocks forever
     return 0
 
 
-def _cmd_replay(args, out) -> int:
-    from repro import WindtunnelClient, WindtunnelServer, tapered_cylinder_dataset
-    from repro.core.recording import SessionPlayer
-
-    player = SessionPlayer.load(args.session)
-    print(f"replaying {len(player.events)} events "
-          f"({player.duration:.1f} s of session)", file=out)
-    dataset = tapered_cylinder_dataset(
-        shape=tuple(args.shape), n_timesteps=args.timesteps, dt=0.25
-    )
-    with WindtunnelServer(dataset) as server:
-        with WindtunnelClient(*server.address, name="replay") as client:
-            summary = player.replay(client, realtime=args.realtime)
-        print(f"event counts: {summary['counts']}", file=out)
-        print(f"environment: {len(server.env.rakes)} rakes, "
-              f"version {server.env.version}", file=out)
-    return 0
-
-
 _COMMANDS = {
     "info": _cmd_info,
     "tables": _cmd_tables,
     "demo": _cmd_demo,
     "serve": _cmd_serve,
-    "replay": _cmd_replay,
 }
 
 

@@ -28,15 +28,11 @@ from repro.core.framestore import FrameStore, PublishedFrame
 from repro.core.pipeline import FramePipeline
 from repro.core.server import WindtunnelServer
 from repro.core.client import WindtunnelClient
-from repro.core.recording import SessionPlayer, SessionRecorder, attach_recorder
 
 __all__ = [
     "FramePipeline",
     "FrameStore",
     "PublishedFrame",
-    "SessionRecorder",
-    "SessionPlayer",
-    "attach_recorder",
     "TimeControl",
     "Environment",
     "UserState",

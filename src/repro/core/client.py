@@ -54,7 +54,6 @@ _IDEMPOTENT_PROCEDURES = frozenset(
         "wt.stats",
         "wt.pipeline_stats",
         "wt.heartbeat",
-        "wt.isosurface",
         "wt.rejoin",
         "wt.metrics",
         "dlib.ping",
@@ -276,14 +275,6 @@ class WindtunnelClient:
     def release_steering(self) -> dict:
         """Release the steering lease early (``wt.steer_release``)."""
         return self._call("wt.steer_release", self.client_id)
-
-    def request_isosurface(self, level_fraction: float = 0.75) -> dict:
-        """Fetch a |v| isosurface of the current timestep from the server.
-
-        Returns the server payload; pass ``payload["triangles"]`` to a
-        :class:`~repro.render.scene.TriangleMesh` to draw it.
-        """
-        return self._call("wt.isosurface", self.client_id, level_fraction)
 
     # -- frame delivery (docs/network.md) ----------------------------------------
 

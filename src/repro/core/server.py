@@ -123,8 +123,6 @@ class WindtunnelServer:
         )
         self._compute_hist = self.registry.histogram("pipeline.compute_seconds")
         self._points_computed = self.registry.counter("engine.points_computed")
-        self._iso_cache_key: tuple | None = None
-        self._iso_cache: dict | None = None
         self.sessions = SessionTable(
             lease_seconds, retain_seconds=lease_retain_seconds, time_fn=time_fn
         )
@@ -196,7 +194,6 @@ class WindtunnelServer:
         reg("wt.pipeline_stats", self._rpc_pipeline_stats)
         reg("wt.metrics", self._rpc_metrics)
         reg("wt.set_tool_settings", self._rpc_set_tool_settings)
-        reg("wt.isosurface", self._rpc_isosurface)
         # Gateway support (docs/operations.md): seat a session under a
         # caller-chosen identity, rebuild a journaled environment after a
         # respawn, and answer cheap supervisor health probes.
@@ -544,40 +541,6 @@ class WindtunnelServer:
             "particle_path_steps": s.particle_path_steps,
             "streakline_length": s.streakline_length,
         }
-
-    def _rpc_isosurface(self, ctx, client_id: int, level_fraction: float = 0.75) -> dict:
-        """Extract a |v| isosurface at the current timestep.
-
-        ``level_fraction`` picks the contour level as a percentile of the
-        node speeds.  The paper ruled this tool out for 1992 hardware
-        (section 1.2); modern vectorized extraction fits the budget (see
-        the ablation benchmark), so the reproduction offers it as the
-        natural extension.  Cached per (version, timestep, level) like the
-        tracer frame.
-        """
-        from repro.tracers.isosurface import extract_isosurface, velocity_magnitude
-
-        self.sessions.touch(int(client_id))
-        if not (0.0 < float(level_fraction) < 1.0):
-            raise ValueError("level_fraction must be in (0, 1)")
-        wall = self._time_fn()
-        timestep = self.env.clock.timestep_index(wall)
-        key = (self.env.version, timestep, round(float(level_fraction), 6))
-        if key != self._iso_cache_key or self._iso_cache is None:
-            mag = velocity_magnitude(self.dataset, timestep)
-            level = float(np.percentile(mag, 100.0 * float(level_fraction)))
-            start = time.perf_counter()
-            res = extract_isosurface(mag, level, self.dataset.grid.xyz)
-            elapsed = time.perf_counter() - start
-            self._iso_cache = {
-                "timestep": timestep,
-                "level": level,
-                "triangles": res.vertices.astype(np.float32),
-                "n_triangles": res.n_triangles,
-                "compute_seconds": elapsed,
-            }
-            self._iso_cache_key = key
-        return dict(self._iso_cache)
 
     def _rpc_stats(self, ctx) -> dict:
         return {

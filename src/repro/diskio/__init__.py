@@ -8,11 +8,10 @@ reach — Table 2.  The server hides what latency it can by loading the
 *next* timestep into a buffer while the current one is being computed on
 (figure 8, rightmost process); that prefetch is
 :class:`~repro.diskio.loader.TimestepLoader`, and the buffer behind it
-has grown into a three-tier cache (docs/caching.md): a per-process LRU
-(:class:`~repro.diskio.cache.TimestepCache`), a shared-memory segment
-co-located sessions attach (:class:`~repro.diskio.shmcache.
-SharedTimestepCache`), and a network block server fleets stripe
-prefetches across (:mod:`repro.diskio.blockserver`).
+has grown into a two-tier cache over the dataset (docs/caching.md): a
+per-process LRU (:class:`~repro.diskio.cache.TimestepCache`) and a
+shared-memory segment co-located sessions attach
+(:class:`~repro.diskio.shmcache.SharedTimestepCache`).
 """
 
 from repro.diskio.model import (

@@ -1,4 +1,4 @@
-"""The tiered timestep cache — one read API over three storage tiers.
+"""The tiered timestep cache — one read API over two cache tiers and a source.
 
 The paper's Table 2 says the windtunnel is ultimately disk-bandwidth
 bound: every session replaying an unsteady dataset pays the full read
@@ -14,16 +14,15 @@ grid-velocity timesteps:
 * **Tier 2** — a :class:`~repro.diskio.shmcache.SharedTimestepCache`
   segment that co-located sessions attach read-only, so N workers on one
   dataset hold one copy and perform ≈1× aggregate disk reads.
-* **Tier 3 / source** — the dataset itself (modeled disk cost) or a
-  remote :mod:`~repro.diskio.blockserver` a fleet stripes prefetches
-  across.
+* **Source** — the dataset itself, charged the modeled disk cost of
+  each read.
 
 :class:`TieredTimestepCache` is the single read API: ``get(t)`` falls
 through L1 → L2 → source, promoting on the way back up, and every tier
 records ``cache.<tier>.{hits,misses,bytes,evictions,appends,
 stall_seconds}`` into the :class:`~repro.obs.registry.MetricsRegistry`
 it was built with (a private one when none is passed) — the numbers
-``wt.metrics``, ``wt.pipeline_stats`` and ``block.stats`` all read.
+``wt.metrics`` and ``wt.pipeline_stats`` read.
 """
 
 from __future__ import annotations
@@ -64,14 +63,13 @@ def timesteps_key(
 ) -> str:
     """A short stable identity for a dataset's decoded timesteps.
 
-    Keys tier-2 segments and tier-3 block requests: two processes agree
-    on a segment/stripe only if their datasets have the same grid shape,
-    timestep count, dt, and raw per-timestep size.  Content is *not*
-    hashed (that would read the whole dataset); callers that co-locate
-    different datasets with identical geometry must pass a
-    distinguishing ``extra`` string.  Takes the identity's parts, not a
-    dataset, so a gateway can name a segment before any worker builds
-    the dataset it describes.
+    Keys tier-2 segments: two processes agree on a segment only if
+    their datasets have the same grid shape, timestep count, dt, and raw
+    per-timestep size.  Content is *not* hashed (that would read the
+    whole dataset); callers that co-locate different datasets with
+    identical geometry must pass a distinguishing ``extra`` string.
+    Takes the identity's parts, not a dataset, so a gateway can name a
+    segment before any worker builds the dataset it describes.
     """
     h = hashlib.blake2b(digest_size=8)
     ident = (
@@ -273,9 +271,6 @@ class DatasetSource:
         self.stats.hit(gv.nbytes)
         return gv
 
-    def hint(self, timesteps) -> None:
-        """Prefetch hint — a no-op for a local dataset."""
-
     def close(self) -> None:
         pass
 
@@ -292,7 +287,7 @@ class TieredTimestepCache:
 
     ``l1_timesteps`` is tier 1's budget, in timesteps.  The ``l2``
     object is duck-typed (``get``/``put``/``stats``/``close``);
-    ``source`` needs ``read``/``hint``/``stats``/``close``.  This cache
+    ``source`` needs ``read``/``stats``/``close``.  This cache
     owns its tier-2 attachment — :meth:`close` closes it — while the
     segment itself outlives the attachment when another process created
     it (a gateway's segment outlives its workers).
@@ -378,24 +373,6 @@ class TieredTimestepCache:
         view = self.l1.put(t, gv)
         self.l1.stats.append(gv.nbytes)
         return view
-
-    def prefetch_hint(self, timesteps) -> None:
-        """Forward a prediction downstream (to a block server's stager).
-
-        Best-effort: a hint must never fail a frame, so transport errors
-        are swallowed.
-        """
-        if np.isscalar(timesteps):
-            timesteps = [int(timesteps)]
-        ts = [
-            int(t) for t in timesteps if 0 <= int(t) < self.dataset.n_timesteps
-        ]
-        if not ts:
-            return
-        try:
-            self.source.hint(ts)
-        except Exception:
-            pass
 
     # -- introspection / lifecycle ---------------------------------------------
 

@@ -5,8 +5,8 @@ computation is loaded into a buffer" while the current computation runs.
 :class:`TimestepLoader` reproduces that overlap with a single background
 worker.  Storage and reads live in a
 :class:`~repro.diskio.cache.TieredTimestepCache` (per-process LRU →
-optional shared-memory segment → dataset/block-server source), so the
-historical double buffer is now just a 2-slot tier-1; the modeled disk
+optional shared-memory segment → dataset), so the historical double
+buffer is now just a 2-slot tier-1; the modeled disk
 read time (from a :class:`~repro.diskio.model.DiskModel`) is charged by
 the source tier against whichever thread performs the read, so a
 well-hidden load costs the frame nothing and an unhidden one stalls it —
@@ -33,8 +33,8 @@ class TimestepLoader:
 
     :meth:`load` reads, :meth:`prefetch` stages, and the loader guesses
     nothing: each driver owns its one prefetch policy — the pipeline aims
-    where the clock is going, the block server stages what clients hint,
-    a playback loop says ``loader.prefetch(t + 1)`` (Figure 8 read aloud).
+    where the clock is going, a playback loop says
+    ``loader.prefetch(t + 1)`` (Figure 8 read aloud).
 
     Parameters
     ----------
@@ -109,12 +109,7 @@ class TimestepLoader:
     # -- internals -------------------------------------------------------------
 
     def _prefetch_job(self, t: int) -> np.ndarray:
-        # Forward the prediction downstream first: a striped block server
-        # starts staging while this read's round trip is in flight, and
-        # sibling sessions benefit from the hint even if our own read
-        # lands moments later.
         try:
-            self.cache.prefetch_hint(t)
             gv, _tier = self.cache.get(t)
             return gv
         except Exception as exc:
@@ -163,12 +158,9 @@ class TimestepLoader:
         The driver calls this with the timestep it will need next (for
         the pipeline a *prediction*, which may not be ``t ± 1`` when the
         clock outruns the compute), so the background read overlaps the
-        current frame's integration.  The prediction is also forwarded
-        downstream (:meth:`TieredTimestepCache.prefetch_hint`) so a
-        tier-3 block server stages it before any worker asks.  Returns
-        ``True`` if a background load was actually issued;
-        already-buffered, already-pending, or out-of-range timesteps are
-        a cheap no-op.
+        current frame's integration.  Returns ``True`` if a background
+        load was actually issued; already-buffered, already-pending, or
+        out-of-range timesteps are a cheap no-op.
         """
         if self._pool is None:
             return False

@@ -19,14 +19,11 @@ closest synthetic equivalents (see DESIGN.md):
   for producing real simulated unsteady data at laptop scale.
 * :mod:`repro.flow.dataset` — timestep-sequence containers, memory- or
   disk-resident, with the physical->grid velocity conversion.
-* :mod:`repro.flow.plot3d` — PLOT3D-style binary grid/solution files, the
-  interchange format of the NAS era.
 """
 
 from repro.flow.fields import SampledField, Superposition, VectorField, sample_on_grid
 from repro.flow.analytic import (
     ABCFlow,
-    DoubleGyre,
     LambOseenVortex,
     OscillatingShearLayer,
     RigidRotation,
@@ -41,14 +38,6 @@ from repro.flow.solver import (
     tapered_cylinder_mask,
 )
 from repro.flow.dataset import DiskDataset, MemoryDataset, UnsteadyDataset
-from repro.flow.plot3d import (
-    load_dataset_plot3d,
-    read_grid,
-    read_solution,
-    save_dataset_plot3d,
-    write_grid,
-    write_solution,
-)
 from repro.flow.scalars import (
     q_criterion,
     speed,
@@ -67,7 +56,6 @@ __all__ = [
     "LambOseenVortex",
     "ABCFlow",
     "OscillatingShearLayer",
-    "DoubleGyre",
     "TaperedCylinderFlow",
     "tapered_cylinder_dataset",
     "NavierStokes2D",
@@ -78,12 +66,6 @@ __all__ = [
     "UnsteadyDataset",
     "MemoryDataset",
     "DiskDataset",
-    "read_grid",
-    "write_grid",
-    "read_solution",
-    "write_solution",
-    "save_dataset_plot3d",
-    "load_dataset_plot3d",
     "speed",
     "velocity_gradient",
     "vorticity",

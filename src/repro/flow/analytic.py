@@ -18,7 +18,6 @@ __all__ = [
     "LambOseenVortex",
     "ABCFlow",
     "OscillatingShearLayer",
-    "DoubleGyre",
 ]
 
 
@@ -138,29 +137,3 @@ class OscillatingShearLayer(VectorField):
         out[:, 1] = self.eps * np.sin(self.k * points[:, 0] - self.omega * t)
         return out
 
-
-class DoubleGyre(VectorField):
-    """The periodically-perturbed double gyre of Shadden et al.
-
-    The standard benchmark flow of the Lagrangian-coherent-structures
-    literature: two counter-rotating gyres on ``[0, 2] x [0, 1]`` whose
-    dividing line oscillates.  ``u = -pi A sin(pi f(x, t)) cos(pi y)``,
-    ``v = pi A cos(pi f(x, t)) sin(pi y) df/dx`` with
-    ``f = eps sin(wt) x^2 + (1 - 2 eps sin(wt)) x``.  Used here to test
-    unsteady tracers and the FTLE diagnostic against well-known structure.
-    """
-
-    def __init__(self, a: float = 0.1, eps: float = 0.25, omega: float = 2.0 * np.pi / 10.0) -> None:
-        self.a = float(a)
-        self.eps = float(eps)
-        self.omega = float(omega)
-
-    def sample(self, points: np.ndarray, t: float) -> np.ndarray:
-        x, y = points[:, 0], points[:, 1]
-        b = self.eps * np.sin(self.omega * t)
-        f = b * x * x + (1.0 - 2.0 * b) * x
-        dfdx = 2.0 * b * x + (1.0 - 2.0 * b)
-        out = np.zeros_like(points)
-        out[:, 0] = -np.pi * self.a * np.sin(np.pi * f) * np.cos(np.pi * y)
-        out[:, 1] = np.pi * self.a * np.cos(np.pi * f) * np.sin(np.pi * y) * dfdx
-        return out

@@ -90,7 +90,6 @@ _RELAYED = (
     "wt.heartbeat",
     "wt.snapshot",
     "wt.pipeline_stats",
-    "wt.isosurface",
     "wt.steer_release",
     "wt.update",
     "wt.add_rake",

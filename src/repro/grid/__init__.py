@@ -7,15 +7,13 @@ coordinates to avoid a physical-space search per step; velocities are
 pre-transformed into grid coordinates with the grid Jacobian, and resulting
 paths are mapped back to physical space by trilinear lookup of node
 positions.  This package implements all of that machinery, plus the
-physical->grid point location needed to seed tools from hand positions, and
-the multi-zone composite grid of the paper's "further work".
+physical->grid point location needed to seed tools from hand positions.
 """
 
 from repro.grid.curvilinear import CurvilinearGrid, cartesian_grid, cylindrical_grid
 from repro.grid.interpolation import trilinear_interpolate, in_domain_mask
 from repro.grid.jacobian import grid_jacobian, physical_to_grid_velocity
 from repro.grid.search import GridLocator
-from repro.grid.multizone import MultiZoneGrid
 from repro.grid.metrics import (
     aspect_ratio,
     grid_report,
@@ -36,5 +34,4 @@ __all__ = [
     "grid_jacobian",
     "physical_to_grid_velocity",
     "GridLocator",
-    "MultiZoneGrid",
 ]

@@ -1,10 +1,9 @@
 """The live dataset: an unsteady dataset that grows as the solver runs.
 
 :class:`LiveFlowSource` subclasses :class:`~repro.flow.dataset.
-UnsteadyDataset`, so every existing consumer — the compute engine, the
-tiered cache's :class:`~repro.diskio.cache.DatasetSource`, the
-isosurface extractor's ``velocity_magnitude`` — works unchanged.  The
-differences from a replay dataset:
+UnsteadyDataset`, so every existing consumer — the compute engine and
+the tiered cache's :class:`~repro.diskio.cache.DatasetSource` — works
+unchanged.  The differences from a replay dataset:
 
 * ``n_timesteps`` *grows*: each :meth:`append` extends the sequence by
   one, and the live :class:`~repro.core.timectrl.TimeControl` follows

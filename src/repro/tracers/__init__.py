@@ -42,8 +42,6 @@ from repro.tracers.isosurface import (
     extract_isosurface,
     velocity_magnitude,
 )
-from repro.tracers.multizone import MultiZoneTracerResult, multizone_streamlines
-from repro.tracers.ftle import FTLEResult, compute_ftle
 
 __all__ = [
     "IntegratorWorkspace",
@@ -59,8 +57,4 @@ __all__ = [
     "IsosurfaceResult",
     "extract_isosurface",
     "velocity_magnitude",
-    "MultiZoneTracerResult",
-    "multizone_streamlines",
-    "FTLEResult",
-    "compute_ftle",
 ]

@@ -45,21 +45,18 @@ class TestInfoAndTables:
         assert "10,526" in out or "10526" in out  # Table 3 row 2
 
 
-class TestDemoAndReplay:
-    def test_demo_writes_frame_and_recording(self, tmp_path):
+class TestDemo:
+    def test_demo_writes_frame(self, tmp_path):
         frame = tmp_path / "frame.ppm"
-        session = tmp_path / "session.jsonl"
         code, out = run_cli(
             "demo",
             "--shape", "12", "12", "6",
             "--timesteps", "4",
             "--frames", "3",
             "--output", str(frame),
-            "--record", str(session),
         )
         assert code == 0
         assert frame.exists()
-        assert session.exists()
         assert "wrote" in out
 
         from repro.render import Framebuffer
@@ -80,17 +77,3 @@ class TestDemoAndReplay:
         # Mono rendering uses all channels (not writemask-separated).
         assert fb.color[..., 1].max() > 0
 
-    def test_replay_roundtrip(self, tmp_path):
-        session = tmp_path / "session.jsonl"
-        run_cli(
-            "demo", "--shape", "12", "12", "6", "--timesteps", "4",
-            "--frames", "2", "--output", str(tmp_path / "f.ppm"),
-            "--record", str(session),
-        )
-        code, out = run_cli(
-            "replay", str(session), "--shape", "12", "12", "6",
-            "--timesteps", "4",
-        )
-        assert code == 0
-        assert "replaying" in out
-        assert "1 rakes" in out

@@ -1,4 +1,4 @@
-"""Tests for the extension RPCs: runtime tool settings and isosurfaces."""
+"""Tests for the runtime tool-settings RPC."""
 
 import dataclasses
 
@@ -9,8 +9,6 @@ from repro.core import ToolSettings, WindtunnelClient, WindtunnelServer
 from repro.dlib import DlibRemoteError
 from repro.flow import MemoryDataset, RigidRotation, sample_on_grid
 from repro.grid import cartesian_grid
-from repro.render import Camera, Framebuffer, Scene, TriangleMesh
-from repro.util import look_at
 
 
 @pytest.fixture(scope="module")
@@ -139,49 +137,3 @@ class TestOneSettingCannotWedgeTheServer:
                 a.time_control("resume")
                 a.remove_rake(rid)
 
-
-class TestIsosurfaceRPC:
-    def test_returns_triangles(self, server):
-        with WindtunnelClient(*server.address) as c:
-            out = c.request_isosurface(0.5)
-            assert out["n_triangles"] > 0
-            assert out["triangles"].dtype == np.float32
-            assert out["triangles"].shape == (out["n_triangles"], 3, 3)
-            # Rotation speed = radius: the |v| contour is a cylinder of
-            # that radius around the z axis.
-            radii = np.linalg.norm(
-                out["triangles"].reshape(-1, 3)[:, :2], axis=1
-            )
-            np.testing.assert_allclose(radii, out["level"], atol=0.15)
-
-    def test_cached_across_clients(self, server):
-        with WindtunnelClient(*server.address) as a, WindtunnelClient(
-            *server.address
-        ) as b:
-            ta = a.request_isosurface(0.5)["triangles"]
-            tb = b.request_isosurface(0.5)["triangles"]
-            np.testing.assert_array_equal(ta, tb)
-
-    def test_level_validation(self, server):
-        with WindtunnelClient(*server.address) as c:
-            with pytest.raises(DlibRemoteError):
-                c.request_isosurface(1.5)
-
-    def test_renders_as_wireframe(self, server):
-        with WindtunnelClient(*server.address) as c:
-            out = c.request_isosurface(0.5)
-        fb = Framebuffer(96, 72)
-        cam = Camera(look_at([0, -6, 2], [0, 0, 0.5], up=[0, 0, 1]))
-        scene = Scene([TriangleMesh(out["triangles"].astype(np.float64))])
-        written = scene.draw(fb, cam)
-        assert written > 50
-
-    def test_empty_mesh_draws_nothing(self):
-        fb = Framebuffer(32, 32)
-        cam = Camera()
-        assert TriangleMesh(np.empty((0, 3, 3))).draw(fb, cam, None) == 0
-
-    def test_mesh_validation(self):
-        fb = Framebuffer(32, 32)
-        with pytest.raises(ValueError):
-            TriangleMesh(np.zeros((2, 3))).draw(fb, Camera(), None)

@@ -1,8 +1,7 @@
-"""The tiered timestep cache: tiers 1/3, the ladder, and wt.metrics.
+"""The tiered timestep cache: tier 1, the source, the ladder, and wt.metrics.
 
 Tier 2's shared-memory protocol has its own suite
-(test_diskio_shmcache.py); the network block server has
-test_blockserver.py.  This file covers the pure-Python pieces — the
+(test_diskio_shmcache.py).  This file covers the pure-Python pieces — the
 per-tier accounting contract (exact reconciliation, one store per
 number), the L1 LRU's budget and read-only discipline, the modeled source tier,
 the L1→L2→source fall-through, and the end-to-end guarantee that
@@ -184,20 +183,6 @@ class TestTieredTimestepCache:
         tiers.get(0)  # an L2 hit holds nothing open
         tiers.close()
         assert l2.closed
-
-    def test_prefetch_hint_filters_and_survives_errors(self, dataset):
-        hints = []
-
-        class Source(DatasetSource):
-            def hint(self, timesteps):
-                hints.append(list(timesteps))
-                raise OSError("transport down")
-
-        tiers = TieredTimestepCache(dataset, source=Source(dataset))
-        tiers.prefetch_hint([-3, 1, 2, TIMESTEPS + 9])
-        tiers.prefetch_hint(0)
-        tiers.prefetch_hint([-1, TIMESTEPS])  # nothing in range: no call
-        assert hints == [[1, 2], [0]]
 
     def test_stats_snapshot_shape(self, dataset):
         tiers = TieredTimestepCache(dataset, l2=_FakeL2())

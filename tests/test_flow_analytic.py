@@ -140,40 +140,3 @@ class TestShearLayerAndSuperposition:
             (a + b)(pts, t), a(pts, t) + b(pts, t), atol=1e-12
         )
 
-
-class TestDoubleGyre:
-    def test_walls_are_impermeable(self):
-        """v = 0 on y=0 and y=1; u = 0 on x=0 and x=2 (closed box)."""
-        from repro.flow import DoubleGyre
-
-        f = DoubleGyre()
-        for t in (0.0, 2.5, 7.1):
-            top = f(np.stack([np.linspace(0, 2, 9), np.ones(9), np.zeros(9)], 1), t)
-            bottom = f(np.stack([np.linspace(0, 2, 9), np.zeros(9), np.zeros(9)], 1), t)
-            np.testing.assert_allclose(top[:, 1], 0.0, atol=1e-12)
-            np.testing.assert_allclose(bottom[:, 1], 0.0, atol=1e-12)
-            left = f(np.stack([np.zeros(9), np.linspace(0, 1, 9), np.zeros(9)], 1), t)
-            right = f(np.stack([2 * np.ones(9), np.linspace(0, 1, 9), np.zeros(9)], 1), t)
-            np.testing.assert_allclose(left[:, 0], 0.0, atol=1e-12)
-            np.testing.assert_allclose(right[:, 0], 0.0, atol=1e-12)
-
-    def test_time_periodic(self):
-        from repro.flow import DoubleGyre
-
-        f = DoubleGyre(omega=2 * np.pi / 10.0)
-        p = np.array([[0.7, 0.3, 0.0]])
-        np.testing.assert_allclose(f(p, 1.3), f(p, 11.3), atol=1e-12)
-
-    def test_unsteady_when_perturbed(self):
-        from repro.flow import DoubleGyre
-
-        f = DoubleGyre(eps=0.25)
-        p = np.array([[0.7, 0.3, 0.0]])
-        assert not np.allclose(f(p, 0.0), f(p, 2.5))
-
-    def test_steady_when_unperturbed(self):
-        from repro.flow import DoubleGyre
-
-        f = DoubleGyre(eps=0.0)
-        p = np.array([[0.7, 0.3, 0.0]])
-        np.testing.assert_allclose(f(p, 0.0), f(p, 3.7), atol=1e-12)

@@ -1,8 +1,8 @@
 """One store per number: every stats reply is a projection of the registry.
 
-``wt.stats``, ``wt.pipeline_stats``, ``wt.health`` and ``block.stats``
-predate ``wt.metrics`` and used to keep their own plain-int copies beside
-it; the copies drifted.  These tests pin the replacement: each numeric
+``wt.stats``, ``wt.pipeline_stats`` and ``wt.health`` predate
+``wt.metrics`` and used to keep their own plain-int copies beside it;
+the copies drifted.  These tests pin the replacement: each numeric
 key a reply carries that has a registry name *is* that instrument's
 value — including numbers accrued before the server (and its registry)
 existed, which are re-homed by :meth:`MetricsRegistry.adopt`, not
@@ -15,7 +15,6 @@ import pytest
 from repro.core import WindtunnelClient
 from repro.core.server import WindtunnelServer
 from repro.diskio import CONVEX_DISK, TimestepLoader
-from repro.diskio.blockserver import TimestepBlockServer
 from repro.dlib import DlibClient
 from repro.flow import tapered_cylinder_dataset
 from repro.obs import MetricsRegistry
@@ -142,31 +141,6 @@ class TestRepliesAreProjections:
                 cache = c.pipeline_stats()["cache"]
         assert isinstance(cache, dict)
         assert cache["l1"]["hits"] + cache["l1"]["misses"] > 0
-
-    def test_block_stats_equal_the_metrics_snapshot(self, dataset):
-        with TimestepBlockServer(dataset, stage_timesteps=4) as srv:
-            client = DlibClient(*srv.address, timeout=10.0)
-            try:
-                client.call("block.prefetch", srv.dataset_id, [1, 2])
-                srv.loader.drain()
-                client.call("block.read", srv.dataset_id, 1)
-                client.call("block.read", srv.dataset_id, 3)
-                stats = client.call("block.stats")
-                snapshot = client.call("dlib.metrics")
-            finally:
-                client.close()
-        for tier in ("l1", "source"):
-            _assert_projects(stats[tier], _tier_names(tier), snapshot, tier)
-        _assert_projects(
-            stats,
-            {
-                "hints_received": "block.hints_received",
-                "blocks_served": "block.blocks_served",
-            },
-            snapshot,
-            "block.stats",
-        )
-        assert stats["blocks_served"] == 2 and stats["source"]["hits"] == 3
 
 
 class TestLateBinding:

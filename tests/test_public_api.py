@@ -75,12 +75,10 @@ def test_stat_mirrors_and_dead_selectors_stay_unexported():
         "timesteps_per_gigabyte",
     ]
     assert sorted(repro.tracers.__all__) == [
-        "FTLEResult", "GrabPoint", "IntegratorWorkspace",
-        "IsosurfaceResult", "MultiZoneTracerResult", "Rake", "TracerResult",
-        "advance_rk2", "compute_ftle", "compute_particle_paths",
+        "GrabPoint", "IntegratorWorkspace", "IsosurfaceResult", "Rake",
+        "TracerResult", "advance_rk2", "compute_particle_paths",
         "compute_streaklines", "compute_streamlines", "extract_isosurface",
-        "integrate_paths", "integrate_steady", "multizone_streamlines",
-        "velocity_magnitude",
+        "integrate_paths", "integrate_steady", "velocity_magnitude",
     ]
     # The three tools are three functions; none of them keeps state.
     tools = {"compute_streamlines", "compute_particle_paths", "compute_streaklines"}

@@ -19,6 +19,7 @@ from repro.render import (
     STEREO_LEFT_MASK,
     STEREO_RIGHT_MASK,
     Scene,
+    TriangleMesh,
     WriteMask,
     draw_points,
     draw_polyline,
@@ -314,3 +315,15 @@ class TestSceneAndStereo:
     def test_stereo_masks(self):
         assert STEREO_LEFT_MASK.channels() == [0]
         assert STEREO_RIGHT_MASK.channels() == [2]
+
+
+class TestTriangleMesh:
+    def test_empty_mesh_draws_nothing(self):
+        fb = Framebuffer(32, 32)
+        cam = Camera()
+        assert TriangleMesh(np.empty((0, 3, 3))).draw(fb, cam, None) == 0
+
+    def test_mesh_validation(self):
+        fb = Framebuffer(32, 32)
+        with pytest.raises(ValueError):
+            TriangleMesh(np.zeros((2, 3))).draw(fb, Camera(), None)

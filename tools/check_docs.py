@@ -64,11 +64,13 @@ _PATH_ROOTS = (REPO, REPO / "src" / "repro")
 #: Documents whose prose may name things that no longer exist.
 _NAME_CHECK_EXEMPT = ("ROADMAP.md",)
 #: Namespaces in which a back-ticked dotted name is a metric (or RPC) name.
-#: ``governor`` records nothing any more; it stays listed so that a stale
-#: reference to one of its deleted metrics fails like a typo does.
+#: ``governor`` and ``block`` record nothing any more; they stay listed so
+#: that a stale reference to one of their deleted metrics or procedures
+#: fails like a typo does.
 _METRIC_NAMESPACES = (
     "dlib", "wt", "pipeline", "engine", "framestore", "net", "cache", "loader",
-    "governor", "insitu", "gateway", "faults", "integrate", "transport",
+    "governor", "block", "insitu", "gateway", "faults", "integrate",
+    "transport",
 )
 _METRIC_NAME = re.compile(
     r"^(?:%s)\.[\w.<>*]+$" % "|".join(_METRIC_NAMESPACES)
