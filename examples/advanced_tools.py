@@ -15,7 +15,7 @@ import numpy as np
 from repro import tapered_cylinder_dataset
 from repro.render import HEAT, Camera, Framebuffer, speed_colors
 from repro.render.rasterizer import draw_polylines
-from repro.tracers import compute_streamlines
+from repro.tracers import TracerResult, integrate_steady
 from repro.util import look_at
 
 OUT = Path(
@@ -27,7 +27,9 @@ dataset = tapered_cylinder_dataset(shape=(32, 32, 16), n_timesteps=8, dt=0.25)
 seeds = np.stack(
     [np.full(10, 4.0), np.linspace(4, 28, 10), np.full(10, 8.0)], axis=1
 )
-res = compute_streamlines(dataset, 0, seeds, n_steps=150, dt=0.08)
+res = TracerResult(
+    *integrate_steady(dataset.grid_velocity(0), seeds, 150, 0.08), dataset.grid
+)
 paths = res.physical().astype(np.float64)
 colors = speed_colors(paths, res.lengths, colormap=HEAT)
 fb = Framebuffer(560, 420)

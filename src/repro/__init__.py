@@ -44,9 +44,7 @@ from repro.tracers import (
     GrabPoint,
     Rake,
     TracerResult,
-    compute_particle_paths,
     compute_streaklines,
-    compute_streamlines,
 )
 from repro.render import Camera, Framebuffer, Scene, render_anaglyph
 
@@ -70,8 +68,6 @@ __all__ = [
     "Rake",
     "GrabPoint",
     "TracerResult",
-    "compute_streamlines",
-    "compute_particle_paths",
     "compute_streaklines",
     "Camera",
     "Framebuffer",

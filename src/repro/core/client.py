@@ -57,7 +57,6 @@ _IDEMPOTENT_PROCEDURES = frozenset(
         "wt.rejoin",
         "wt.metrics",
         "dlib.ping",
-        "dlib.stats",
         "dlib.metrics",
     }
 )

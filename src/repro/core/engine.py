@@ -24,12 +24,22 @@ from repro.tracers.integrate import (
     integrate_paths,
     integrate_steady,
 )
-from repro.tracers.particlepath import window_steps
 from repro.tracers.rake import Rake
 from repro.tracers.result import TracerResult
 from repro.tracers.streakline import compute_streaklines
 
 __all__ = ["ToolSettings", "ComputeEngine"]
+
+
+def window_steps(n_steps: int, max_window: int | None) -> int:
+    """``n_steps`` clamped to a window of ``max_window`` timesteps: the
+    number of timesteps that fit in memory bounds a particle path's
+    length (section 5.2)."""
+    if max_window is None:
+        return n_steps
+    if max_window < 1:
+        raise ValueError("max_window must be at least 1 timestep")
+    return min(n_steps, max_window - 1)
 
 
 @dataclass

@@ -61,7 +61,6 @@ class SessionTable:
         *,
         retain_seconds: float | None = None,
         time_fn: Callable[[], float] = time.monotonic,
-        token_fn: Callable[[], str] | None = None,
     ) -> None:
         if lease_seconds <= 0:
             raise ValueError("lease_seconds must be positive")
@@ -78,7 +77,6 @@ class SessionTable:
         if self.retain_seconds < 0:
             raise ValueError("retain_seconds must be non-negative")
         self._time_fn = time_fn
-        self._token_fn = token_fn or (lambda: secrets.token_hex(8))
         self._leases: dict[int, SessionLease] = {}
         self.reaped_total = 0
         self.resumed_total = 0
@@ -115,7 +113,7 @@ class SessionTable:
         now = self._time_fn()
         lease = SessionLease(
             client_id=int(client_id),
-            token=token if token else self._token_fn(),
+            token=token if token else secrets.token_hex(8),
             name=name,
             opened=now,
             last_seen=now,

@@ -108,17 +108,6 @@ class RetryPolicy:
     max_delay: float = 2.0
     jitter: float = 0.25
     seed: int | None = None
-    #: Lifetime retry budget for the whole client: total re-issues it may
-    #: ever spend, across all calls.  ``None`` = unbounded (the pre-budget
-    #: behavior).  A dead server then costs at most ``budget`` retries
-    #: before every further call fails fast — the client stops feeding a
-    #: retry storm and surfaces the outage to its failover logic instead.
-    budget: int | None = None
-    #: Consecutive *failed calls* (every attempt exhausted) that trip the
-    #: circuit breaker.  ``None`` disables the breaker.
-    breaker_threshold: int | None = None
-    #: How long an open circuit rejects calls before allowing one probe.
-    breaker_cooldown: float = 5.0
 
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
@@ -127,12 +116,6 @@ class RetryPolicy:
             raise ValueError("delays must be non-negative")
         if not 0.0 <= self.jitter <= 1.0:
             raise ValueError("jitter must be a fraction in [0, 1]")
-        if self.budget is not None and self.budget < 0:
-            raise ValueError("budget must be non-negative")
-        if self.breaker_threshold is not None and self.breaker_threshold < 1:
-            raise ValueError("breaker_threshold must be at least 1")
-        if self.breaker_cooldown < 0:
-            raise ValueError("breaker_cooldown must be non-negative")
 
     def delays(self) -> Iterable[float]:
         """Yield the sleep before each retry (``max_attempts - 1`` values)."""
@@ -191,12 +174,6 @@ class DlibClient:
     on_reconnect
         Callback ``fn(client)`` invoked after each successful reconnect —
         the hook for session resume handshakes.
-    failover
-        Additional stream factories forming an endpoint chain.  When the
-        retry policy's circuit breaker trips on the current endpoint the
-        client rotates to the next factory instead of opening the
-        circuit — a worker client fails over to the gateway rather than
-        retrying against a dead process forever.
     trace
         ``True`` stamps a fresh trace ID (strictly increasing per
         client) into every call's message header; the server replies
@@ -228,7 +205,6 @@ class DlibClient:
         retry: RetryPolicy | None = None,
         idempotent: Iterable[str] = (),
         on_reconnect: Callable[["DlibClient"], None] | None = None,
-        failover: Iterable[Callable[[], Stream]] = (),
         trace: bool = False,
         registry: MetricsRegistry | None = None,
         on_push: Callable[[object], None] | None = None,
@@ -237,13 +213,7 @@ class DlibClient:
             raise ValueError("provide host and port, a stream, or a stream_factory")
         if stream_factory is None and host is not None and port is not None:
             stream_factory = lambda: connect_tcp(host, port, timeout=timeout)  # noqa: E731
-        # Endpoint chain: the primary factory plus any failover factories.
-        # When the circuit breaker trips on the current endpoint the
-        # client rotates to the next one (a client of a windtunnel worker
-        # fails over to the gateway instead of hammering a corpse).
-        self._factories: list[Callable[[], Stream] | None] = [stream_factory]
-        self._factories += [f for f in failover if f is not None]
-        self._factory_index = 0
+        self._stream_factory = stream_factory
         if stream is not None:
             self._stream = stream
         else:
@@ -255,9 +225,6 @@ class DlibClient:
         self.reconnects = 0
         self.retries = 0
         self.retries_exhausted = 0
-        self.failovers = 0
-        self._breaker_failures = 0
-        self._breaker_open_until = 0.0
         self.last_error: BaseException | None = None
         self._request_ids = itertools.count(1)
         self._sleep = time.sleep
@@ -274,16 +241,6 @@ class DlibClient:
     @property
     def stream(self) -> Stream:
         return self._stream
-
-    @property
-    def _stream_factory(self) -> Callable[[], Stream] | None:
-        """The factory for the *current* endpoint in the failover chain."""
-        return self._factories[self._factory_index]
-
-    @property
-    def breaker_open(self) -> bool:
-        """Is the circuit breaker currently rejecting calls?"""
-        return time.monotonic() < self._breaker_open_until
 
     @property
     def stub(self) -> _Stub:
@@ -318,15 +275,7 @@ class DlibClient:
         :class:`RetryPolicy` configured, transport failures on procedures
         in :attr:`idempotent` reconnect (with backoff) and re-issue the
         call; everything else propagates on first failure.
-
-        The policy's ``budget`` caps total retries over the client's
-        lifetime and its circuit breaker fails calls fast (or rotates to
-        a ``failover`` endpoint) once ``breaker_threshold`` consecutive
-        calls have exhausted their attempts — a dead server costs a
-        bounded number of probes, not an unbounded retry storm.
         """
-        if self.retry is not None and self.retry.breaker_threshold is not None:
-            self._check_breaker()
         retryable = (
             self.retry is not None
             and self._stream_factory is not None
@@ -334,21 +283,13 @@ class DlibClient:
         )
         if not retryable:
             try:
-                result = self.call_once(procedure, *args, **kwargs)
+                return self.call_once(procedure, *args, **kwargs)
             except RETRYABLE_ERRORS as exc:
                 self.last_error = exc
-                self._note_call_failure()
                 raise
-            self._breaker_failures = 0
-            return result
         delays = iter(self.retry.delays())
-        attempts = self.retry.max_attempts
-        if self.retry.budget is not None:
-            # Spend what is left of the lifetime budget, never less than
-            # the first (free) attempt.
-            attempts = 1 + max(0, min(attempts - 1, self.retry.budget - self.retries))
         last_exc: BaseException | None = None
-        for attempt in range(attempts):
+        for attempt in range(self.retry.max_attempts):
             if attempt:
                 self.retries += 1
                 self._sleep(next(delays, self.retry.max_delay))
@@ -362,47 +303,11 @@ class DlibClient:
             except RETRYABLE_ERRORS as exc:
                 last_exc = self.last_error = exc
             else:
-                self._breaker_failures = 0
                 return result
         self.retries_exhausted += 1
         if self.registry is not None:
             self.registry.counter("client.retries_exhausted").inc()
-        self._note_call_failure()
         raise last_exc
-
-    # -- circuit breaker + failover ------------------------------------------
-
-    def _check_breaker(self) -> None:
-        """Fail fast while the circuit is open (cooldown not yet lapsed).
-
-        After the cooldown the circuit half-opens: the next call runs as
-        a probe; success closes the circuit, failure re-opens it.
-        """
-        if time.monotonic() < self._breaker_open_until:
-            raise ConnectionError(
-                "circuit breaker open: endpoint declared dead for another "
-                f"{self._breaker_open_until - time.monotonic():.2f}s"
-            )
-
-    def _note_call_failure(self) -> None:
-        """One whole call failed (every attempt spent); maybe trip the breaker."""
-        if self.retry is None or self.retry.breaker_threshold is None:
-            return
-        self._breaker_failures += 1
-        if self._breaker_failures < self.retry.breaker_threshold:
-            return
-        self._breaker_failures = 0
-        if len(self._factories) > 1:
-            # Failover: rotate to the next endpoint instead of opening —
-            # the next call (or retry) reconnects through the new factory.
-            self._factory_index = (self._factory_index + 1) % len(self._factories)
-            self.failovers += 1
-            if self.registry is not None:
-                self.registry.counter("client.failovers").inc()
-            return
-        self._breaker_open_until = time.monotonic() + self.retry.breaker_cooldown
-        if self.registry is not None:
-            self.registry.counter("client.breaker_opened").inc()
 
     def call_once(self, procedure: str, *args, **kwargs):
         """One wire round-trip, no retries (see :meth:`call`)."""
@@ -492,19 +397,27 @@ class DlibClient:
         """
         drained = 0
         wait = max(0.0, timeout)
-        while max_frames is None or drained < max_frames:
-            ready, _, _ = select.select([self._stream.fileno()], [], [], wait)
-            if not ready:
-                break
-            wait = 0.0
-            if hasattr(self._stream, "settimeout"):
-                # Bound the frame read: data is already pending, so a
-                # stall here means a truncated frame, not idleness.
-                self._stream.settimeout(self.call_timeout or 10.0)
-            kind, _rid, _tid, value = decode_message_ex(self._stream.recv())
-            if kind is MessageKind.PUSH:
-                self._handle_push(value)
-                drained += 1
+        bounded = False
+        try:
+            while max_frames is None or drained < max_frames:
+                ready, _, _ = select.select([self._stream.fileno()], [], [], wait)
+                if not ready:
+                    break
+                wait = 0.0
+                if not bounded and hasattr(self._stream, "settimeout"):
+                    # Bound the frame read: data is already pending, so a
+                    # stall here means a truncated frame, not idleness.
+                    self._stream.settimeout(self.call_timeout or 10.0)
+                    bounded = True
+                kind, _rid, _tid, value = decode_message_ex(self._stream.recv())
+                if kind is MessageKind.PUSH:
+                    self._handle_push(value)
+                    drained += 1
+        finally:
+            if bounded:
+                # Later calls get their own deadline back (``None`` =
+                # wait forever), not this read's bound.
+                self._stream.settimeout(self.call_timeout)
         return drained
 
     # -- remote memory convenience -------------------------------------------

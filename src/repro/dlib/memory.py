@@ -48,10 +48,6 @@ class MemoryManager:
         self._next_id = 1
         self.allocated_bytes = 0
 
-    @property
-    def n_segments(self) -> int:
-        return len(self._segments)
-
     def alloc(self, nbytes: int) -> SegmentHandle:
         """Allocate a zeroed segment of ``nbytes`` bytes."""
         if nbytes <= 0:

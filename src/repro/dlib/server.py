@@ -96,7 +96,7 @@ _READ_CHUNK = 1 << 16
 #: shed (not queued) while a connection's backlog is above this.
 SEND_HIGH_WATER = 256 * 1024
 
-#: Default hard limit on a connection's send queue.  Replies are never
+#: Hard limit on a connection's send queue.  Replies are never
 #: shed, so a peer that stops draining while replies accumulate past
 #: this bound is declared dead and dropped — the non-blocking analogue
 #: of the old 5 s blocking send deadline.
@@ -122,9 +122,8 @@ class ServerContext:
     registry
         The server's :class:`~repro.obs.registry.MetricsRegistry`.  The
         service counters below are *views into it* (``dlib.*`` metrics),
-        not private ints — one source of truth for ``dlib.stats``,
-        ``dlib.metrics``, and any procedure that wants to record its own
-        numbers.
+        not private ints — one source of truth for ``dlib.metrics`` and
+        any procedure that wants to record its own numbers.
     calls_served
         Total procedure invocations, all clients.
     clients_connected
@@ -344,7 +343,7 @@ class Backend(_Connection):
         try:
             server._queue(self, payload)
             server._flush(self)
-            if self.sendq_bytes > server.send_hard_limit:
+            if self.sendq_bytes > SEND_HARD_LIMIT:
                 raise ConnectionError("backend stopped draining its calls")
         except (ConnectionError, OSError) as exc:
             server._drop(self.sock, exc)
@@ -463,14 +462,12 @@ class DlibServer:
         registry: MetricsRegistry | None = None,
         trace_capacity: int = 64,
         send_high_water: int = SEND_HIGH_WATER,
-        send_hard_limit: int = SEND_HARD_LIMIT,
     ) -> None:
         self._host, self._requested_port = host, port
         self.registry = registry if registry is not None else MetricsRegistry()
         self.context = ServerContext(memory_budget, registry=self.registry)
         self.traces = TraceCollector(trace_capacity)
         self.send_high_water = int(send_high_water)
-        self.send_hard_limit = int(send_hard_limit)
         self._dispatch_hist = self.registry.histogram("dlib.dispatch_seconds")
         self._send_hist = self.registry.histogram("dlib.send_seconds")
         self._ticks_run = self.registry.counter("dlib.ticks_run")
@@ -499,14 +496,6 @@ class DlibServer:
         self._wake_r: socket.socket | None = None
         self._wake_w: socket.socket | None = None
         self._register_builtins()
-
-    @property
-    def ticks_run(self) -> int:
-        return self._ticks_run.value
-
-    @property
-    def tick_errors(self) -> int:
-        return self._tick_errors.value
 
     @property
     def parked_count(self) -> int:
@@ -545,29 +534,11 @@ class DlibServer:
         self._ticks.append([fn, float(interval), 0.0])
 
     def _register_builtins(self) -> None:
-        ctx_mem = self.context.memory
-
         def ping(ctx, payload=None):
             return payload
 
         def procedures(ctx):
             return sorted(self._procedures)
-
-        def stats(ctx):
-            return {
-                "calls_served": ctx.calls_served,
-                "clients_connected": ctx.clients_connected,
-                "disconnects": ctx.disconnects,
-                "protocol_errors": ctx.protocol_errors,
-                "memory_segments": ctx_mem.n_segments,
-                "memory_allocated": ctx_mem.allocated_bytes,
-                "ticks_run": self.ticks_run,
-                "tick_errors": self.tick_errors,
-                "parked_calls": self.parked_count,
-                "sendq_bytes": self._sendq_total,
-                "frames_shed": self._frames_shed.value,
-                "pushes_sent": self._pushes_sent.value,
-            }
 
         def mem_alloc(ctx, nbytes):
             return ctx.memory.alloc(int(nbytes)).to_wire()
@@ -588,7 +559,7 @@ class DlibServer:
             return ctx.registry.snapshot()
 
         for fn in (
-            ping, procedures, stats, metrics,
+            ping, procedures, metrics,
             mem_alloc, mem_write, mem_read, mem_free,
         ):
             self._procedures[f"dlib.{fn.__name__}"] = fn
@@ -770,7 +741,7 @@ class DlibServer:
         try:
             self._queue(conn, payload)
             self._flush(conn)
-            if conn.sendq_bytes > self.send_hard_limit:
+            if conn.sendq_bytes > SEND_HARD_LIMIT:
                 raise ConnectionError(
                     "peer stopped draining; push backlog exceeded hard limit"
                 )
@@ -994,7 +965,7 @@ class DlibServer:
         t0 = time.perf_counter()
         self._queue(conn, response)
         self._flush(conn)
-        if conn.sendq_bytes > self.send_hard_limit:
+        if conn.sendq_bytes > SEND_HARD_LIMIT:
             raise ConnectionError(
                 "peer stopped draining; reply backlog exceeded hard limit"
             )

@@ -21,7 +21,7 @@ closest synthetic equivalents (see DESIGN.md):
   disk-resident, with the physical->grid velocity conversion.
 """
 
-from repro.flow.fields import SampledField, Superposition, VectorField, sample_on_grid
+from repro.flow.fields import Superposition, VectorField, sample_on_grid
 from repro.flow.analytic import (
     ABCFlow,
     LambOseenVortex,
@@ -49,7 +49,6 @@ from repro.flow.scalars import (
 __all__ = [
     "VectorField",
     "Superposition",
-    "SampledField",
     "sample_on_grid",
     "UniformFlow",
     "RigidRotation",

@@ -17,7 +17,7 @@ import numpy as np
 
 from repro.grid.curvilinear import CurvilinearGrid
 
-__all__ = ["VectorField", "Superposition", "SampledField", "sample_on_grid"]
+__all__ = ["VectorField", "Superposition", "sample_on_grid"]
 
 
 class VectorField(ABC):
@@ -68,37 +68,6 @@ class Superposition(VectorField):
         out = np.array(out, dtype=np.float64, copy=True)
         for c in self.components[1:]:
             out += c.sample(points, t)
-        return out
-
-
-class SampledField(VectorField):
-    """A field defined by interpolating node data on a grid.
-
-    Wraps one timestep of gridded data back into the :class:`VectorField`
-    interface (physical coordinates in, physical velocities out) by
-    locating points in the grid.  Mainly used for cross-validating the
-    grid-coordinate integration against direct physical-space integration —
-    the expensive path the paper deliberately avoids (section 2.1).
-    """
-
-    def __init__(self, grid: CurvilinearGrid, velocity: np.ndarray) -> None:
-        from repro.grid.search import GridLocator  # deferred; heavy
-
-        velocity = np.asarray(velocity, dtype=np.float64)
-        if velocity.shape != grid.shape + (3,):
-            raise ValueError(
-                f"velocity shape {velocity.shape} != grid shape {grid.shape + (3,)}"
-            )
-        self.grid = grid
-        self.velocity = velocity
-        self._locator = GridLocator(grid)
-
-    def sample(self, points: np.ndarray, t: float) -> np.ndarray:
-        from repro.grid.interpolation import trilinear_interpolate
-
-        coords, found = self._locator.locate(points)
-        out = trilinear_interpolate(self.velocity, coords)
-        out[~found] = 0.0
         return out
 
 

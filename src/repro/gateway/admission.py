@@ -24,7 +24,7 @@ L  name       behavior
 == ========== =====================================================
 
 The ladder protects *existing* sessions first: refusing a newcomer is
-cheap, degrading everyone is last resort.  Hysteresis (``clear_margin``)
+cheap, degrading everyone is last resort.  Hysteresis (:data:`CLEAR_MARGIN`)
 keeps the level from flapping when saturation rides a threshold.
 """
 
@@ -37,6 +37,10 @@ from repro.dlib.protocol import RetryAfterError
 from repro.obs.registry import MetricsRegistry
 
 __all__ = ["AdmissionController", "ShedLevel"]
+
+#: Hysteresis: a ladder level clears only once saturation drops this far
+#: below its threshold.
+CLEAR_MARGIN = 0.1
 
 
 class ShedLevel(IntEnum):
@@ -59,9 +63,6 @@ class AdmissionController:
     reject_saturation, throttle_saturation
         Pool saturation (max over workers, in [0, 1]) at which the
         ladder escalates to REJECT_NEW and THROTTLE.
-    clear_margin
-        Hysteresis: a level clears only once saturation drops this far
-        below its threshold.
     min_frame_interval
         Per-client floor on ``wt.frame`` spacing while throttling.
     retry_after
@@ -77,7 +78,6 @@ class AdmissionController:
         max_sessions_total: int | None = None,
         reject_saturation: float = 0.85,
         throttle_saturation: float = 0.95,
-        clear_margin: float = 0.1,
         min_frame_interval: float = 0.1,
         retry_after: float = 1.0,
         registry: MetricsRegistry | None = None,
@@ -95,7 +95,6 @@ class AdmissionController:
         )
         self.reject_saturation = float(reject_saturation)
         self.throttle_saturation = float(throttle_saturation)
-        self.clear_margin = float(clear_margin)
         self.min_frame_interval = float(min_frame_interval)
         self.retry_after = float(retry_after)
         import time as _time
@@ -127,7 +126,7 @@ class AdmissionController:
             level = self._level
             if sat >= self.throttle_saturation:
                 level = ShedLevel.THROTTLE
-            elif sat >= self.reject_saturation - self.clear_margin:
+            elif sat >= self.reject_saturation - CLEAR_MARGIN:
                 # Escalate to REJECT_NEW past its threshold; step a held
                 # THROTTLE down only once clear of *its* margin.  Inside
                 # a level's hysteresis band the level holds.
@@ -135,7 +134,7 @@ class AdmissionController:
                     if sat >= self.reject_saturation:
                         level = ShedLevel.REJECT_NEW
                 elif level == ShedLevel.THROTTLE and (
-                    sat < self.throttle_saturation - self.clear_margin
+                    sat < self.throttle_saturation - CLEAR_MARGIN
                 ):
                     level = ShedLevel.REJECT_NEW
             else:

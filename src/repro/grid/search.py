@@ -19,6 +19,13 @@ from repro.grid.jacobian import jacobian_at
 
 __all__ = ["GridLocator"]
 
+#: Newton steps a query may take before a point is declared not found.
+MAX_NEWTON_ITERS = 20
+
+#: Convergence tolerance on the residual, as a fraction of the grid's
+#: characteristic cell length.
+NEWTON_TOL = 1e-9
+
 
 class GridLocator:
     """Locate physical points within a :class:`CurvilinearGrid`.
@@ -27,16 +34,8 @@ class GridLocator:
     costs a tree lookup plus a handful of Newton steps, all batched.
     """
 
-    def __init__(
-        self,
-        grid: CurvilinearGrid,
-        *,
-        max_newton_iters: int = 20,
-        tol: float = 1e-9,
-    ) -> None:
+    def __init__(self, grid: CurvilinearGrid) -> None:
         self.grid = grid
-        self.max_newton_iters = max_newton_iters
-        self.tol = tol
         self._tree = cKDTree(grid.xyz.reshape(-1, 3))
         ni, nj, nk = grid.shape
         self._dims = np.array([ni, nj, nk], dtype=np.float64)
@@ -90,10 +89,10 @@ class GridLocator:
                 raise ValueError("guess must match points shape")
 
         hi = self._dims - 1.0
-        tol2 = (self.tol + 1e-12) ** 2
+        tol2 = (NEWTON_TOL + 1e-12) ** 2
         scale2 = self._scale**2
         active = np.ones(len(points), dtype=bool)
-        for _ in range(self.max_newton_iters):
+        for _ in range(MAX_NEWTON_ITERS):
             if not active.any():
                 break
             idx = np.nonzero(active)[0]

@@ -6,8 +6,8 @@ yet a budget you cannot attribute is a budget you cannot hold.  This
 package gives every layer one place to put its numbers:
 
 * :mod:`~repro.obs.registry` — a :class:`MetricsRegistry`
-  of counters, gauges, and bounded-ring latency histograms (p50/p95/p99
-  over a :class:`~repro.util.ringbuffer.RingBuffer` window), snapshotted
+  of counters, gauges, and bounded-window latency histograms (p50/p95/p99
+  over a ``deque`` of recent samples), snapshotted
   as plain wire-encodable data for the ``wt.metrics`` RPC.
 * :mod:`~repro.obs.trace` — per-RPC request tracing: the client stamps a
   trace ID into the message header, the server dispatch opens a span

@@ -9,11 +9,11 @@ data (so a snapshot crosses the dlib wire unmodified):
   batch size).
 * :class:`Histogram` — a latency distribution: streaming
   :class:`~repro.util.timers.TimingStats` (exact count/mean/min/max over
-  the full history) plus a bounded :class:`~repro.util.ringbuffer.
-  RingBuffer` of recent samples for p50/p95/p99 quantiles.  The ring
-  bounds memory — an arbitrarily long run costs a fixed window — which
-  is also the right semantics for tail latency: quantiles describe *now*,
-  not the process's whole life.
+  the full history) plus a bounded window (a ``deque``) of recent
+  samples for p50/p95/p99 quantiles.  The window bounds memory — an
+  arbitrarily long run costs a fixed window — which is also the right
+  semantics for tail latency: quantiles describe *now*, not the
+  process's whole life.
 
 Instruments are created on first use (``registry.counter("dlib.calls")``)
 and shared by name afterwards, so the producing and the reporting side
@@ -27,10 +27,10 @@ a registry somebody passed.
 from __future__ import annotations
 
 import threading
+from collections import deque
 
 import numpy as np
 
-from repro.util.ringbuffer import RingBuffer
 from repro.util.timers import TimingStats
 
 __all__ = [
@@ -104,12 +104,14 @@ class Histogram:
     recent window.
     """
 
-    __slots__ = ("name", "stats", "_ring", "_lock")
+    __slots__ = ("name", "stats", "_window", "_lock")
 
     def __init__(self, name: str, window: int = HISTOGRAM_WINDOW) -> None:
+        if window < 1:
+            raise ValueError("window must be positive")
         self.name = name
         self.stats = TimingStats()
-        self._ring = RingBuffer(window, 1)
+        self._window: deque[float] = deque(maxlen=window)
         self._lock = threading.Lock()
 
     @property
@@ -120,14 +122,17 @@ class Histogram:
         """Record one sample (non-negative, like all durations here)."""
         with self._lock:
             self.stats.add(seconds)
-            self._ring.append(np.array([seconds]))
+            self._window.append(seconds)
+
+    def _samples(self) -> np.ndarray:
+        return np.fromiter(self._window, np.float64, len(self._window))
 
     def quantile(self, q: float) -> float:
         """Quantile of the recent-sample window (0 if empty)."""
         with self._lock:
-            if len(self._ring) == 0:
+            if not self._window:
                 return 0.0
-            return float(self._ring.quantile(q)[0])
+            return float(np.quantile(self._samples(), q))
 
     def snapshot(self) -> dict:
         """Plain-data summary (wire-encodable)."""
@@ -140,13 +145,12 @@ class Histogram:
                 "max": s.max,
                 "total": s.total,
             }
-            if len(self._ring):
-                qs = self._ring.quantile(list(QUANTILES))
-                for q, v in zip(QUANTILES, np.asarray(qs).reshape(len(QUANTILES), -1)):
-                    out[f"p{int(q * 100)}"] = float(v[0])
-            else:
-                for q in QUANTILES:
-                    out[f"p{int(q * 100)}"] = 0.0
+            qs = (
+                np.quantile(self._samples(), QUANTILES) if self._window
+                else (0.0,) * len(QUANTILES)
+            )
+            for q, v in zip(QUANTILES, qs):
+                out[f"p{int(q * 100)}"] = float(v)
         return out
 
 

@@ -33,8 +33,6 @@ from repro.tracers.integrate import (
     integrate_steady,
 )
 from repro.tracers.rake import GrabPoint, Rake
-from repro.tracers.streamline import compute_streamlines
-from repro.tracers.particlepath import compute_particle_paths
 from repro.tracers.streakline import compute_streaklines
 from repro.tracers.result import TracerResult
 from repro.tracers.isosurface import (
@@ -50,8 +48,6 @@ __all__ = [
     "integrate_paths",
     "Rake",
     "GrabPoint",
-    "compute_streamlines",
-    "compute_particle_paths",
     "compute_streaklines",
     "TracerResult",
     "IsosurfaceResult",

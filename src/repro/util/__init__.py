@@ -1,13 +1,12 @@
-"""Shared utilities: homogeneous-transform algebra, timing, small containers.
+"""Shared utilities: homogeneous-transform algebra and timing.
 
 These are the low-level helpers every other subsystem builds on.  The
 transform helpers mirror the 4x4 position/orientation matrices the paper's
-BOOM tracker and IrisGL-style matrix stack both speak (section 3).
+BOOM tracker and the graphics transformation both speak (section 3).
 """
 
 from repro.util.transforms import (
     IDENTITY,
-    MatrixStack,
     compose,
     invert_rigid,
     is_rigid,
@@ -15,17 +14,13 @@ from repro.util.transforms import (
     rotation_x,
     rotation_y,
     rotation_z,
-    rotation_about_axis,
     transform_points,
-    transform_vectors,
     translation,
 )
 from repro.util.timers import FrameTimer, Stopwatch, TimingStats
-from repro.util.ringbuffer import RingBuffer
 
 __all__ = [
     "IDENTITY",
-    "MatrixStack",
     "compose",
     "invert_rigid",
     "is_rigid",
@@ -33,12 +28,9 @@ __all__ = [
     "rotation_x",
     "rotation_y",
     "rotation_z",
-    "rotation_about_axis",
     "transform_points",
-    "transform_vectors",
     "translation",
     "FrameTimer",
     "Stopwatch",
     "TimingStats",
-    "RingBuffer",
 ]

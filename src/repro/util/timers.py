@@ -52,27 +52,6 @@ class TimingStats:
         """Mean events per second (e.g. frame rate), 0 if unmeasured."""
         return 1.0 / self.mean if self.mean > 0.0 else 0.0
 
-    def merge(self, other: "TimingStats") -> None:
-        """Fold another stats object into this one (parallel Welford merge)."""
-        if other.count == 0:
-            return
-        if self.count == 0:
-            self.count = other.count
-            self.mean = other.mean
-            self._m2 = other._m2
-            self.min = other.min
-            self.max = other.max
-            self.total = other.total
-            return
-        n = self.count + other.count
-        delta = other.mean - self.mean
-        self._m2 += other._m2 + delta * delta * self.count * other.count / n
-        self.mean += delta * other.count / n
-        self.count = n
-        self.min = min(self.min, other.min)
-        self.max = max(self.max, other.max)
-        self.total += other.total
-
     def summary(self) -> str:
         if self.count == 0:
             return "no samples"

@@ -22,14 +22,11 @@ __all__ = [
     "rotation_x",
     "rotation_y",
     "rotation_z",
-    "rotation_about_axis",
     "compose",
     "invert_rigid",
     "is_rigid",
     "transform_points",
-    "transform_vectors",
     "look_at",
-    "MatrixStack",
 ]
 
 #: The 4x4 identity transform.  Treat as read-only.
@@ -70,25 +67,6 @@ def rotation_y(angle: float) -> np.ndarray:
 def rotation_z(angle: float) -> np.ndarray:
     """Rotation about +Z by ``angle`` radians (right-handed)."""
     return _rotation(angle, 0, 1)
-
-
-def rotation_about_axis(axis, angle: float) -> np.ndarray:
-    """Rotation by ``angle`` radians about an arbitrary ``axis`` through origin.
-
-    Uses the Rodrigues formula.  ``axis`` need not be normalized.
-    """
-    a = np.asarray(axis, dtype=np.float64)
-    norm = np.linalg.norm(a)
-    if norm == 0.0:
-        raise ValueError("rotation axis must be nonzero")
-    a = a / norm
-    k = np.array(
-        [[0.0, -a[2], a[1]], [a[2], 0.0, -a[0]], [-a[1], a[0], 0.0]]
-    )
-    r3 = np.eye(3) + np.sin(angle) * k + (1.0 - np.cos(angle)) * (k @ k)
-    m = np.eye(4)
-    m[:3, :3] = r3
-    return m
 
 
 def compose(*matrices: np.ndarray) -> np.ndarray:
@@ -140,8 +118,7 @@ def invert_rigid(m: np.ndarray) -> np.ndarray:
 def transform_points(m: np.ndarray, points: np.ndarray) -> np.ndarray:
     """Apply a 4x4 transform to points of shape ``(..., 3)``.
 
-    Points receive the translation component; use :func:`transform_vectors`
-    for directions.
+    Points receive the translation component.
     """
     m = np.asarray(m, dtype=np.float64)
     p = np.asarray(points, dtype=np.float64)
@@ -153,15 +130,6 @@ def transform_points(m: np.ndarray, points: np.ndarray) -> np.ndarray:
     if not np.allclose(w, 1.0):
         out /= w[..., None]
     return out
-
-
-def transform_vectors(m: np.ndarray, vectors: np.ndarray) -> np.ndarray:
-    """Apply only the linear part of ``m`` to direction vectors ``(..., 3)``."""
-    m = np.asarray(m, dtype=np.float64)
-    v = np.asarray(vectors, dtype=np.float64)
-    if v.shape[-1] != 3:
-        raise ValueError(f"vectors must have trailing dimension 3, got {v.shape}")
-    return v @ m[:3, :3].T
 
 
 def look_at(eye, target, up=(0.0, 0.0, 1.0)) -> np.ndarray:
@@ -192,56 +160,3 @@ def look_at(eye, target, up=(0.0, 0.0, 1.0)) -> np.ndarray:
     m[:3, 3] = eye
     return m
 
-
-class MatrixStack:
-    """IrisGL-style transformation matrix stack.
-
-    The SGI rendering code concatenates the inverted head matrix with "the
-    graphics transformation matrix stack" (section 3).  This is a minimal
-    reproduction: ``push``/``pop`` save and restore, ``load``/``mult``
-    replace or right-multiply the top.
-    """
-
-    def __init__(self) -> None:
-        self._stack: list[np.ndarray] = [np.eye(4)]
-
-    @property
-    def top(self) -> np.ndarray:
-        """The current (topmost) composite transform.  Returned as a copy."""
-        return self._stack[-1].copy()
-
-    @property
-    def depth(self) -> int:
-        return len(self._stack)
-
-    def push(self) -> None:
-        """Duplicate the top of the stack."""
-        self._stack.append(self._stack[-1].copy())
-
-    def pop(self) -> np.ndarray:
-        """Remove and return the top; the initial entry cannot be popped."""
-        if len(self._stack) == 1:
-            raise IndexError("cannot pop the root of the matrix stack")
-        return self._stack.pop()
-
-    def load(self, m: np.ndarray) -> None:
-        """Replace the top with ``m``."""
-        m = np.asarray(m, dtype=np.float64)
-        if m.shape != (4, 4):
-            raise ValueError(f"expected 4x4 matrix, got shape {m.shape}")
-        self._stack[-1] = m.copy()
-
-    def mult(self, m: np.ndarray) -> None:
-        """Right-multiply the top by ``m`` (``top <- top @ m``)."""
-        m = np.asarray(m, dtype=np.float64)
-        if m.shape != (4, 4):
-            raise ValueError(f"expected 4x4 matrix, got shape {m.shape}")
-        self._stack[-1] = self._stack[-1] @ m
-
-    def identity(self) -> None:
-        """Reset the top to the identity."""
-        self._stack[-1] = np.eye(4)
-
-    def transform(self, points: np.ndarray) -> np.ndarray:
-        """Apply the current top transform to ``points``."""
-        return transform_points(self._stack[-1], points)

@@ -249,7 +249,8 @@ class TestServerAbuse:
                 bad.close()
             with DlibClient(*srv.address, call_timeout=5.0) as good:
                 assert good.ping("alive") == "alive"
-                assert good.call("dlib.stats")["protocol_errors"] == 1
+                counters = good.call("dlib.metrics")["counters"]
+                assert counters["dlib.protocol_errors"] == 1
 
 
 class TestAdversarialTransport:

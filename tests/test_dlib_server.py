@@ -8,6 +8,8 @@ import pytest
 
 from repro.dlib import DlibClient, DlibRemoteError, DlibServer
 
+from tests import wait_until
+
 
 @pytest.fixture()
 def server():
@@ -107,9 +109,9 @@ class TestPersistentContext:
 
     def test_stats(self, client):
         client.ping()
-        stats = client.call("dlib.stats")
-        assert stats["calls_served"] >= 1
-        assert stats["clients_connected"] >= 1
+        snap = client.call("dlib.metrics")
+        assert snap["counters"]["dlib.calls_served"] >= 1
+        assert snap["gauges"]["dlib.clients_connected"] >= 1
 
 
 class TestRemoteMemory:
@@ -201,7 +203,7 @@ class TestLifecycle:
         c1 = DlibClient(*server.address)
         c1.ping()
         c1.close()
-        time.sleep(0.1)
+        wait_until(lambda: server.context.disconnects >= 1)
         with DlibClient(*server.address) as c2:
             assert c2.ping("still alive") == "still alive"
 
@@ -233,10 +235,7 @@ class TestEventLoop:
                 got = []
                 t = threading.Thread(target=lambda: got.append(c.call("wait_for_it")))
                 t.start()
-                deadline = time.monotonic() + 5.0
-                while not parked and time.monotonic() < deadline:
-                    time.sleep(0.01)
-                assert parked, "call never parked"
+                wait_until(lambda: parked)
                 assert srv.parked_count == 1
                 assert parked[0].resolve({"answer": 42})
                 t.join(timeout=5.0)
@@ -269,9 +268,7 @@ class TestEventLoop:
 
                 t = threading.Thread(target=call)
                 t.start()
-                deadline = time.monotonic() + 5.0
-                while not parked and time.monotonic() < deadline:
-                    time.sleep(0.01)
+                wait_until(lambda: parked)
                 parked[0].fail(ValueError("no frame for you"))
                 t.join(timeout=5.0)
                 assert errs and errs[0].remote_type == "ValueError"
@@ -294,9 +291,7 @@ class TestEventLoop:
                 got = []
                 t = threading.Thread(target=lambda: got.append(c.call("once")))
                 t.start()
-                deadline = time.monotonic() + 5.0
-                while not parked and time.monotonic() < deadline:
-                    time.sleep(0.01)
+                wait_until(lambda: parked)
                 d = parked[0]
                 assert d.resolve("first")
                 assert not d.resolve("second")  # lost the race: no-op
@@ -335,9 +330,7 @@ class TestEventLoop:
 
         t = threading.Thread(target=call)
         t.start()
-        deadline = time.monotonic() + 5.0
-        while not parked and time.monotonic() < deadline:
-            time.sleep(0.01)
+        wait_until(lambda: parked)
         srv.stop()  # drains the parked call with ServerShutdownError
         t.join(timeout=5.0)
         c.close()
@@ -371,6 +364,30 @@ class TestEventLoop:
                 assert got == [{"seq": 1}]
                 assert ok == [True]
                 assert c.pushes_received == 1
+        finally:
+            srv.stop()
+
+    def test_poll_push_restores_the_call_deadline(self):
+        """The bound on a drained push's read does not outlive it: a
+        client built with ``call_timeout=None`` waits forever again, so
+        a parked call cannot time out mid-frame and desynchronize."""
+        srv = DlibServer()
+        conns = []
+
+        @srv.procedure
+        def subscribe_me(ctx):
+            conns.append(srv.current_connection())
+            return "subscribed"
+
+        srv.start()
+        try:
+            got = []
+            with DlibClient(*srv.address, on_push=got.append) as c:
+                assert c.call("subscribe_me") == "subscribed"
+                srv.call_soon(lambda: srv.push(conns[0], {"seq": 1}))
+                wait_until(lambda: c.poll_push(timeout=0.05) or got)
+                assert got == [{"seq": 1}]
+                assert c.stream._sock.gettimeout() is None
         finally:
             srv.stop()
 
@@ -452,9 +469,11 @@ class TestEventLoop:
     def test_stop_timeout_warns_and_counts(self):
         srv = DlibServer()
         release = threading.Event()
+        wedged = threading.Event()
 
         @srv.procedure
         def wedge(ctx):
+            wedged.set()
             release.wait(timeout=10.0)  # blocks the service thread
             return "finally"
 
@@ -462,7 +481,7 @@ class TestEventLoop:
         c = DlibClient(*srv.address)
         t = threading.Thread(target=lambda: _swallow(lambda: c.call("wedge")))
         t.start()
-        time.sleep(0.2)  # let the wedge land on the loop
+        assert wedged.wait(timeout=5.0)  # the wedge holds the loop
         with pytest.warns(RuntimeWarning, match="did not stop"):
             srv.stop(timeout=0.1)
         assert srv.registry.snapshot()["counters"]["server.stop_timeouts"] == 1
@@ -472,14 +491,13 @@ class TestEventLoop:
 
     def test_loop_metrics_exported(self, server, client):
         client.ping()
-        server.call_soon(lambda: None)
-        time.sleep(0.2)
-        snap = server.registry.snapshot()
+        ran = threading.Event()
+        server.call_soon(ran.set)
+        assert ran.wait(timeout=5.0)
+        snap = client.call("dlib.metrics")
         assert snap["histograms"]["server.loop_lag_seconds"]["count"] >= 1
-        assert "net.sendq_bytes" in snap["gauges"]
-        stats = client.call("dlib.stats")
-        assert stats["parked_calls"] == 0
-        assert stats["sendq_bytes"] == 0
+        assert snap["gauges"]["net.sendq_bytes"] == 0
+        assert server.parked_count == 0
 
 
 def _swallow(fn):
@@ -629,11 +647,8 @@ class TestScatterGatherWrites:
                     "net.sendmsg_batches", 0
                 )
 
-            deadline = time.monotonic() + 5.0
-            while batches() < 5 and time.monotonic() < deadline:
-                time.sleep(0.01)
             if _Connection.use_sendmsg:
-                assert batches() >= 5
+                wait_until(lambda: batches() >= 5)
             else:  # pragma: no cover - non-sendmsg platform
                 assert batches() == 0
         finally:

@@ -24,7 +24,6 @@ from repro.tracers.integrate import (
     integrate_paths,
     integrate_steady,
 )
-from repro.tracers.particlepath import compute_particle_paths
 from tests.launches import calls_per_step
 
 # A deprecated NumPy call in the stepping loop warns on every step and
@@ -397,12 +396,11 @@ class TestFullSizeOperands:
 class TestParticlePathWorkspace:
     def test_workspace_matches_plain(self, dataset):
         seeds = np.array([[3.0, 3.0, 2.0], [7.0, 6.0, 3.0], [5.0, 5.0, 1.0]])
-        plain = compute_particle_paths(dataset, 0, seeds, n_steps=4)
-        ws = compute_particle_paths(
-            dataset, 0, seeds, n_steps=4, workspace=IntegratorWorkspace()
-        )
-        assert np.array_equal(plain.grid_paths, ws.grid_paths)
-        assert np.array_equal(plain.lengths, ws.lengths)
+        args = (dataset.grid_velocity, seeds, 0, 4, dataset.n_timesteps, dataset.dt)
+        plain_paths, plain_lengths = integrate_paths(*args)
+        ws_paths, ws_lengths = integrate_paths(*args, workspace=IntegratorWorkspace())
+        assert np.array_equal(plain_paths, ws_paths)
+        assert np.array_equal(plain_lengths, ws_lengths)
 
 
 class TestPipelineIntegration:

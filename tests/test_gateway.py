@@ -2,9 +2,9 @@
 
 Chaos (kill/hang recovery) lives in test_gateway_chaos.py; this file
 covers the deterministic pieces — unit behavior of the journal and the
-admission ladder, the capacity model's arithmetic, client-side retry
-budget / circuit breaker / failover, and plain multi-worker routing
-through a live gateway.
+admission ladder, the capacity model's arithmetic, client-side
+per-call retries, and plain multi-worker routing through a live
+gateway.
 """
 
 import threading
@@ -16,7 +16,6 @@ from repro.dlib import DlibRemoteError, RetryPolicy
 from repro.dlib.client import DlibClient
 from repro.dlib.protocol import RetryAfterError
 from repro.dlib.server import DlibServer
-from repro.dlib.transport import connect_tcp
 from repro.gateway import (
     AdmissionController,
     SessionGateway,
@@ -202,7 +201,7 @@ class TestRetryAfterError:
 
 
 class TestClientResilience:
-    """Retry budget, circuit breaker, and endpoint failover (issue 6)."""
+    """Per-call retries against a dead endpoint: bounded, and counted."""
 
     def _dead_client(self, **retry_kw):
         """A client whose server dies right after the handshake."""
@@ -217,71 +216,34 @@ class TestClientResilience:
         server.stop()
         return client
 
-    def test_retry_budget_bounds_lifetime_retries(self):
-        client = self._dead_client(max_attempts=10, budget=2)
+    def test_retries_are_bounded_per_call(self):
+        client = self._dead_client(max_attempts=3)
         with pytest.raises((ConnectionError, OSError)):
             client.call("echo", 1)
-        assert client.retries == 2  # not the 9 max_attempts would allow
+        assert client.retries == 2  # max_attempts counts the first try
         assert client.retries_exhausted == 1
-        # The budget is spent: the next call gets one attempt, no retries.
+        # Each call gets its own attempts: no lifetime budget runs out.
         with pytest.raises((ConnectionError, OSError)):
             client.call("echo", 2)
-        assert client.retries == 2
+        assert client.retries == 4
         assert client.retries_exhausted == 2
+        client.close()
+
+    def test_non_idempotent_calls_are_never_reissued(self):
+        client = self._dead_client(max_attempts=3)
+        with pytest.raises((ConnectionError, OSError)):
+            client.call("not-echo")
+        assert client.retries == 0 and client.retries_exhausted == 0
         client.close()
 
     def test_exhaustion_lands_in_registry(self):
         registry = MetricsRegistry()
-        client = self._dead_client(max_attempts=2, budget=1)
+        client = self._dead_client(max_attempts=2)
         client.registry = registry
         with pytest.raises((ConnectionError, OSError)):
             client.call("echo", 1)
         assert registry.snapshot()["counters"]["client.retries_exhausted"] == 1
         client.close()
-
-    def test_breaker_opens_after_consecutive_failures(self):
-        client = self._dead_client(
-            max_attempts=2, breaker_threshold=2, breaker_cooldown=60.0
-        )
-        for _ in range(2):
-            with pytest.raises((ConnectionError, OSError)):
-                client.call("echo", 1)
-        assert client.breaker_open
-        t0 = time.monotonic()
-        with pytest.raises(ConnectionError, match="circuit breaker open"):
-            client.call("echo", 1)
-        # Fail-fast: no reconnect attempts, no backoff sleeps.
-        assert time.monotonic() - t0 < 0.5
-        client.close()
-
-    def test_failover_rotates_to_live_endpoint(self):
-        primary = DlibServer("127.0.0.1", 0)
-        primary.register("echo", lambda ctx, x: ["primary", x])
-        primary.start()
-        backup = DlibServer("127.0.0.1", 0)
-        backup.register("echo", lambda ctx, x: ["backup", x])
-        backup.start()
-        bhost, bport = backup.address
-        try:
-            client = DlibClient(
-                *primary.address,
-                retry=RetryPolicy(
-                    max_attempts=2, base_delay=0.005, jitter=0.0,
-                    breaker_threshold=1,
-                ),
-                idempotent={"echo"},
-                failover=[lambda: connect_tcp(bhost, bport)],
-            )
-            primary.stop()
-            with pytest.raises((ConnectionError, OSError)):
-                client.call("echo", 1)  # exhausts the primary, rotates
-            assert client.failovers == 1
-            assert not client.breaker_open  # rotated instead of opening
-            assert client.call("echo", 2) == ["backup", 2]
-            client.close()
-        finally:
-            primary.stop()
-            backup.stop()
 
 
 class TestWorkerSpec:

@@ -2,7 +2,10 @@
 
 import threading
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.obs import Counter, Gauge, Histogram, MetricsRegistry
 
@@ -71,6 +74,29 @@ class TestHistogram:
             h.observe(0.01)
         assert h.quantile(0.99) == pytest.approx(0.01)
         assert h.snapshot()["max"] == 1000.0  # history keeps the peak
+
+    def test_window_keeps_the_newest_samples(self):
+        h = Histogram("h", window=3)
+        for v in range(5):
+            h.observe(float(v))
+        assert h.quantile(0.0) == 2.0 and h.quantile(1.0) == 4.0
+
+    def test_invalid_window(self):
+        with pytest.raises(ValueError):
+            Histogram("h", window=0)
+
+    @given(st.integers(1, 6), st.lists(st.integers(0, 50), min_size=1, max_size=30))
+    def test_window_quantiles_match_reference_model(self, window, values):
+        """Property: the quantiles are NumPy's over the trailing
+        ``window`` samples of everything observed."""
+        h = Histogram("h", window=window)
+        for i, v in enumerate(values):
+            h.observe(v / 8.0)
+            recent = [x / 8.0 for x in values[: i + 1]][-window:]
+            snap = h.snapshot()
+            for q in (0.5, 0.95, 0.99):
+                assert snap[f"p{int(q * 100)}"] == np.quantile(recent, q)
+            assert h.quantile(0.5) == np.quantile(recent, 0.5)
 
     def test_quantile_ordering(self):
         h = Histogram("h")

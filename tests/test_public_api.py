@@ -76,19 +76,44 @@ def test_stat_mirrors_and_dead_selectors_stay_unexported():
     ]
     assert sorted(repro.tracers.__all__) == [
         "GrabPoint", "IntegratorWorkspace", "IsosurfaceResult", "Rake",
-        "TracerResult", "advance_rk2", "compute_particle_paths",
-        "compute_streaklines", "compute_streamlines", "extract_isosurface",
-        "integrate_paths", "integrate_steady", "velocity_magnitude",
+        "TracerResult", "advance_rk2", "compute_streaklines",
+        "extract_isosurface", "integrate_paths", "integrate_steady",
+        "velocity_magnitude",
     ]
-    # The three tools are three functions; none of them keeps state.
-    tools = {"compute_streamlines", "compute_particle_paths", "compute_streaklines"}
-    assert tools <= set(repro.__all__) and len(repro.__all__) == 25
+    # A tool is computed one way: through ``ComputeEngine``, on the two
+    # kernels.  No engine-free wrapper reads the dataset past the tiers.
+    assert not {"compute_streamlines", "compute_particle_paths"} & {
+        *repro.__all__, *repro.tracers.__all__
+    }
+    assert "compute_streaklines" in repro.__all__ and len(repro.__all__) == 23
     assert sorted(repro.netsim.__all__) == [
         "BYTES_PER_POINT", "BYTES_PER_POINT_QUANTIZED", "BandwidthSchedule",
         "ETHERNET_10", "FaultPlan", "FaultStats", "FaultyChannel", "HIPPI",
         "NetworkModel", "ProcessFaults", "ThrottledChannel", "ULTRANET_ACTUAL",
         "ULTRANET_RATED", "ULTRANET_VME", "VirtualClock", "bytes_per_frame",
         "max_particles_for_bandwidth", "required_bandwidth_mbps", "table1_rows",
+    ]
+
+
+def test_helpers_nothing_calls_stay_unexported():
+    """No matrix stack, ring buffer, axis rotation, vector transform or
+    grid-sampled field beside the helpers the system uses."""
+    import repro.flow
+    import repro.util
+
+    assert sorted(repro.util.__all__) == [
+        "FrameTimer", "IDENTITY", "Stopwatch", "TimingStats", "compose",
+        "invert_rigid", "is_rigid", "look_at", "rotation_x", "rotation_y",
+        "rotation_z", "transform_points", "translation",
+    ]
+    assert sorted(repro.flow.__all__) == [
+        "ABCFlow", "DiskDataset", "LambOseenVortex", "MemoryDataset",
+        "NavierStokes2D", "OscillatingShearLayer", "RigidRotation",
+        "SolverConfig", "Superposition", "TaperedCylinderFlow", "UniformFlow",
+        "UnsteadyDataset", "VectorField", "cylinder_mask", "q_criterion",
+        "sample_on_grid", "solver_dataset", "speed", "tapered_cylinder_dataset",
+        "tapered_cylinder_mask", "velocity_gradient", "vorticity",
+        "vorticity_magnitude",
     ]
 
 
@@ -105,12 +130,16 @@ def test_option_counts_are_pinned():
     from repro.core import WindtunnelClient, WindtunnelServer
     from repro.core.delivery import Subscription
     from repro.core.framestore import ENCODINGS
+    from repro.core.session import SessionTable
     from repro.diskio import TieredTimestepCache, TimestepCache, TimestepLoader
+    from repro.dlib import DlibClient, DlibServer, RetryPolicy
+    from repro.gateway.admission import AdmissionController
     from repro.gateway.worker import DEFAULT_SPEC
+    from repro.grid.search import GridLocator
     from repro.tracers import (
         IntegratorWorkspace,
         advance_rk2,
-        compute_streamlines,
+        integrate_paths,
         integrate_steady,
     )
 
@@ -140,8 +169,16 @@ def test_option_counts_are_pinned():
         "gv", "seeds", "n_steps", "dt", "workspace",
     ]
     assert not {"backend", "workers"} & set(
-        inspect.signature(compute_streamlines).parameters
+        inspect.signature(integrate_paths).parameters
     )
+    # Per-call backoff and reconnect, no lifetime budget, circuit breaker
+    # or failover chain; and no knob that only a constant ever set.
+    assert len(dataclasses.fields(RetryPolicy)) == 6
+    assert options(DlibClient) == 12
+    assert options(DlibServer) == 6
+    assert options(SessionTable) == 3
+    assert options(AdmissionController) == 8
+    assert options(GridLocator) == 1
     # One way to a velocity field: a load loads (whoever drives a loader
     # calls ``prefetch``), and the engine has no prefetch policy to flip.
     assert parameters(TimestepLoader.load) == ["t"]

@@ -1,15 +1,22 @@
-"""Tests for the tool-level tracers: streamlines, particle paths, streaklines."""
+"""Tests for the tool-level tracers: streamlines, particle paths, streaklines.
+
+Streamlines and particle paths are the two kernels wrapped in a
+:class:`TracerResult`, as ``ComputeEngine.compute_rake`` wraps them; the
+particle-path window clamp is the engine's (``ToolSettings.max_window``).
+"""
 
 import numpy as np
 import pytest
 
+from repro.core import ComputeEngine, ToolSettings
 from repro.flow import MemoryDataset, RigidRotation, UniformFlow, sample_on_grid
 from repro.grid import cartesian_grid
 from repro.tracers import (
+    Rake,
     TracerResult,
-    compute_particle_paths,
     compute_streaklines,
-    compute_streamlines,
+    integrate_paths,
+    integrate_steady,
 )
 
 
@@ -17,6 +24,12 @@ def make_dataset(field, shape=(9, 9, 5), lo=(0, 0, 0), hi=(8, 8, 4), n_times=4, 
     grid = cartesian_grid(shape, lo=lo, hi=hi)
     vel = sample_on_grid(field, grid, np.arange(n_times) * dt, dtype=np.float64)
     return MemoryDataset(grid, vel, dt=dt)
+
+
+def streamlines(ds, t, seeds, n_steps, dt):
+    return TracerResult(
+        *integrate_steady(ds.grid_velocity(t), seeds, n_steps, dt), ds.grid
+    )
 
 
 @pytest.fixture(scope="module")
@@ -34,7 +47,7 @@ def rotation_ds():
 class TestComputeStreamlines:
     def test_straight_in_uniform_flow(self, uniform_ds):
         seeds = np.array([[1.0, 4.0, 2.0]])
-        res = compute_streamlines(uniform_ds, 0, seeds, n_steps=10, dt=0.1)
+        res = streamlines(uniform_ds, 0, seeds, n_steps=10, dt=0.1)
         assert isinstance(res, TracerResult)
         phys = res.physical()
         np.testing.assert_allclose(phys[0, :, 1], 4.0, atol=1e-6)
@@ -44,39 +57,20 @@ class TestComputeStreamlines:
         """100 streamlines x 200 points: the section 5.3 benchmark."""
         rng = np.random.default_rng(0)
         seeds = rng.uniform([2, 2, 1], [6, 6, 3], size=(100, 3))
-        res = compute_streamlines(rotation_ds, 0, seeds, n_steps=199, dt=0.01)
+        res = streamlines(rotation_ds, 0, seeds, n_steps=199, dt=0.01)
         assert res.grid_paths.shape == (100, 200, 3)
         assert res.n_points == 20000
         assert res.nbytes_wire == 240000  # paper: "240,000 bytes of data"
 
-    def test_bidirectional_extends_both_ways(self, uniform_ds):
-        seeds = np.array([[4.0, 4.0, 2.0]])
-        res = compute_streamlines(
-            uniform_ds, 0, seeds, n_steps=5, dt=0.1, bidirectional=True
-        )
-        line = res.grid_paths[0, : res.lengths[0]]
-        assert line[:, 0].min() < 4.0 < line[:, 0].max()
-        # Monotone along the line (upstream half reversed correctly).
-        assert np.all(np.diff(line[:, 0]) > 0)
-
-    def test_bidirectional_contains_seed_once(self, uniform_ds):
-        seeds = np.array([[4.0, 4.0, 2.0]])
-        res = compute_streamlines(
-            uniform_ds, 0, seeds, n_steps=3, dt=0.1, bidirectional=True
-        )
-        line = res.grid_paths[0, : res.lengths[0]]
-        matches = np.all(np.isclose(line, [4.0, 4.0, 2.0]), axis=1).sum()
-        assert matches == 1
-
     def test_physical_is_float32_12_bytes_per_point(self, uniform_ds):
-        res = compute_streamlines(uniform_ds, 0, np.array([[1.0, 4.0, 2.0]]), 5, 0.1)
+        res = streamlines(uniform_ds, 0, np.array([[1.0, 4.0, 2.0]]), 5, 0.1)
         phys = res.physical()
         assert phys.dtype == np.float32
         assert phys[0].nbytes == 6 * 12
 
     def test_polylines_trimmed(self, uniform_ds):
         seeds = np.array([[7.0, 4.0, 2.0]])  # dies quickly moving +x
-        res = compute_streamlines(uniform_ds, 0, seeds, n_steps=20, dt=0.5)
+        res = streamlines(uniform_ds, 0, seeds, n_steps=20, dt=0.5)
         polys = res.physical_polylines()
         assert len(polys) == 1
         assert polys[0].shape[0] == res.lengths[0] < 21
@@ -84,31 +78,34 @@ class TestComputeStreamlines:
 
 class TestComputeParticlePaths:
     def test_window_limits_length(self, uniform_ds):
-        seeds = np.array([[1.0, 4.0, 2.0]])
-        res = compute_particle_paths(uniform_ds, 0, seeds, n_steps=10, max_window=3)
+        # A rake along y at x = 1 (grid = physical coordinates here).
+        rake = Rake([1.0, 3.0, 2.0], [1.0, 5.0, 2.0], n_seeds=3, kind="particle_path")
+        engine = ComputeEngine(
+            uniform_ds, ToolSettings(particle_path_steps=10, max_window=3)
+        )
+        res = engine.compute_rake(rake, 0)
         # max_window=3 timesteps -> at most 2 integration steps.
-        assert res.grid_paths.shape[1] == 3
+        assert res.grid_paths.shape == (3, 3, 3)
+        assert res.lengths.tolist() == [3, 3, 3]
+        fused = engine.compute_rakes({0: rake}, 0)[0]
+        np.testing.assert_array_equal(fused.grid_paths, res.grid_paths)
 
     def test_invalid_window(self, uniform_ds):
+        rake = Rake([1.0, 3.0, 2.0], [1.0, 5.0, 2.0], n_seeds=2, kind="particle_path")
+        engine = ComputeEngine(uniform_ds, ToolSettings(max_window=0))
         with pytest.raises(ValueError):
-            compute_particle_paths(
-                uniform_ds, 0, np.zeros((1, 3)), n_steps=5, max_window=0
-            )
+            engine.compute_rake(rake, 0)
 
     def test_uniform_advection_distance(self, uniform_ds):
         # Physical speed 1, dt 0.25, 3 steps -> 0.75 displacement.
         seeds = np.array([[1.0, 4.0, 2.0]])
-        res = compute_particle_paths(uniform_ds, 0, seeds, n_steps=3)
+        ds = uniform_ds
+        res = TracerResult(
+            *integrate_paths(ds.grid_velocity, seeds, 0, 3, ds.n_timesteps, ds.dt),
+            ds.grid,
+        )
         phys = res.physical(np.float64)
         np.testing.assert_allclose(phys[0, -1, 0] - phys[0, 0, 0], 0.75, atol=1e-9)
-
-    def test_time_scale(self, uniform_ds):
-        seeds = np.array([[1.0, 4.0, 2.0]])
-        res = compute_particle_paths(uniform_ds, 0, seeds, n_steps=2, time_scale=2.0)
-        phys = res.physical(np.float64)
-        np.testing.assert_allclose(phys[0, 1, 0] - phys[0, 0, 0], 0.5, atol=1e-9)
-
-
 
 
 class TestComputeStreaklines:

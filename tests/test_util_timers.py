@@ -38,32 +38,6 @@ class TestTimingStats:
                 s.variance, np.var(values, ddof=1), atol=1e-10
             )
 
-    @given(durations, durations)
-    def test_merge_equals_concatenation(self, a, b):
-        sa, sb, sc = TimingStats(), TimingStats(), TimingStats()
-        for v in a:
-            sa.add(v)
-            sc.add(v)
-        for v in b:
-            sb.add(v)
-            sc.add(v)
-        sa.merge(sb)
-        np.testing.assert_allclose(sa.mean, sc.mean, atol=1e-10)
-        np.testing.assert_allclose(sa.variance, sc.variance, atol=1e-8)
-        assert sa.count == sc.count
-
-    def test_merge_into_empty(self):
-        a, b = TimingStats(), TimingStats()
-        b.add(2.0)
-        a.merge(b)
-        assert a.count == 1 and a.mean == 2.0
-
-    def test_merge_empty_is_noop(self):
-        a = TimingStats()
-        a.add(1.0)
-        a.merge(TimingStats())
-        assert a.count == 1
-
     def test_rate(self):
         s = TimingStats()
         s.add(0.1)
