@@ -24,6 +24,7 @@ import time
 from multiprocessing.connection import Connection
 
 from repro.diskio.cache import timesteps_key
+from repro.util.processes import mp_context
 
 __all__ = ["DEFAULT_SPEC", "WorkerHandle", "default_worker_spec", "run_worker"]
 
@@ -143,15 +144,6 @@ def run_worker(spec: dict, conn: Connection) -> None:
         server.stop()
 
 
-def _mp_context(prefer: str | None = None) -> multiprocessing.context.BaseContext:
-    methods = multiprocessing.get_all_start_methods()
-    if prefer and prefer in methods:
-        return multiprocessing.get_context(prefer)
-    if "fork" in methods:
-        return multiprocessing.get_context("fork")
-    return multiprocessing.get_context()
-
-
 class WorkerHandle:
     """Parent-side handle on one worker process.
 
@@ -188,7 +180,7 @@ class WorkerHandle:
         start_method: str | None = None,
     ) -> "WorkerHandle":
         """Start a worker process and wait for its listening address."""
-        ctx = _mp_context(start_method)
+        ctx = mp_context(start_method)
         parent, child = ctx.Pipe()
         process = ctx.Process(
             target=run_worker, args=(spec, child), daemon=True,

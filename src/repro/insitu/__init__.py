@@ -16,8 +16,14 @@ coupling for the reproduction's own 2-D Navier-Stokes solver
   locks), and monotonically increasing steering *epochs* stamped into
   every :class:`~repro.core.framestore.PublishedFrame`.
 * :class:`~repro.insitu.producer.SolverProducer` — steps the solver,
-  extrudes each new timestep, installs it in the live source and the
-  tiered cache's new append path, and nudges the demand-gated pipeline.
+  extrudes and decodes each new timestep, appends it to the cache, and
+  advances the published frontier; or, in the server, adopts a solver
+  child's reports and publishes the timesteps the child appended.
+* :class:`~repro.insitu.process.SolverProcess` — the solver child: one
+  process per live server that free-runs a producer into a tier-2
+  shared-memory segment and reports each timestep boundary over a pipe,
+  steering coming down the same pipe; its exit is counted
+  (``insitu.solver_exits``) and the session outlives it.
 * :class:`~repro.insitu.server.InsituWindtunnelServer` — a
   :class:`~repro.core.server.WindtunnelServer` whose dataset is the live
   source: clients keep the whole ``wt.*`` protocol and gain ``wt.steer``.
@@ -33,6 +39,7 @@ from repro.insitu.steering import (
     SteeringController,
 )
 from repro.insitu.producer import SolverProducer
+from repro.insitu.process import SolverExitedError, SolverProcess
 from repro.insitu.server import InsituWindtunnelServer
 
 __all__ = [
@@ -43,5 +50,7 @@ __all__ = [
     "SteeringConflictError",
     "SteeringController",
     "SolverProducer",
+    "SolverExitedError",
+    "SolverProcess",
     "InsituWindtunnelServer",
 ]

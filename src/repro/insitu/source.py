@@ -11,7 +11,11 @@ unchanged.  The differences from a replay dataset:
 * ``velocity(t)`` reads the producer's bounded
   :class:`~repro.insitu.ring.TimestepRing`; a timestep that has retired
   from the ring raises ``IndexError`` with a message saying so, and
-  ``oldest_timestep`` names the oldest one still held.
+  ``oldest_timestep`` names the oldest one of the ring's window.
+* In a live server the producer is a child process
+  (:mod:`repro.insitu.process`): the server's source only admits each
+  reported timestep (:meth:`~LiveFlowSource.admit`), whose data sits in
+  the tier-2 segment the child appends to.
 """
 
 from __future__ import annotations
@@ -91,19 +95,25 @@ class LiveFlowSource(UnsteadyDataset):
         read-only view.
         """
         view = self.ring.append(t, arr)
-        self.n_timesteps = max(self.n_timesteps, int(t) + 1)
+        self.admit(t)
         return view
+
+    def admit(self, t: int) -> None:
+        """Extend ``n_timesteps`` to timestep ``t`` without its data.
+
+        The server's side of a solver child: the child appends to its own
+        ring and to the tier-2 segment, which holds the window
+        :attr:`oldest_timestep` names, so reads of ``t`` are served by
+        the tiers and never reach this ring.
+        """
+        self.n_timesteps = max(self.n_timesteps, int(t) + 1)
 
     @property
     def latest(self) -> int:
-        """Newest produced timestep (the solver frontier)."""
+        """Newest timestep produced in this process."""
         return self.ring.latest
 
     @property
     def oldest_timestep(self) -> int:
-        """The oldest timestep the ring still holds."""
-        return max(self.ring.oldest, 0)
-
-    @property
-    def ring_evictions(self) -> int:
-        return self.ring.evictions
+        """The oldest timestep of the ring's window behind the frontier."""
+        return max(0, self.n_timesteps - self.ring.capacity)

@@ -345,19 +345,6 @@ class TestSolverProducer:
             assert np.array_equal(q.source.velocity(t), expected), t
         assert q.steering.applied_epoch == p.steering.applied_epoch
 
-    def test_background_thread_produces_and_stops(self):
-        from tests import wait_until
-
-        p = self.make_producer(period_seconds=0.0)
-        p.start()
-        try:
-            wait_until(lambda: p.available >= 3)
-        finally:
-            p.stop()
-        assert p.alive is False
-        frontier = p.available
-        assert p.source.velocity(frontier) is not None
-
 
 class TestJournalSteering:
     def test_record_and_recover(self, tmp_path):
