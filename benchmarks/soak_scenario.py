@@ -1,19 +1,23 @@
-"""Push fan-out soak on one event-loop worker.
+"""Paced push soak on one event-loop worker.
 
 The scenario behind ``benchmarks/test_server_soak.py``: stand up a
 single :class:`repro.core.WindtunnelServer`, connect a ladder of
 raw-socket push subscribers spread across the two encodings, drive the
 simulation clock at a fixed tick rate, and measure — per subscriber
-level — delivered frame throughput, the server's fan-out latency and
-loop lag (from ``repro.obs``), and the encode-dedup ratio (encodes per
-publication, which must track the number of *distinct* lazily built
-encodings, not the number of clients).
+level — delivered frame throughput, the time the server spends settling
+one publication's paced calls and its loop lag (from ``repro.obs``),
+and the encode-dedup ratio (encodes per publication, which must track
+the number of *distinct* lazily built encodings, not the number of
+clients).
 
 Subscribers are deliberately raw sockets, not ``WindtunnelClient``s: a
 thousand full clients cost more test-harness CPU than server CPU, which
 would measure the harness.  Each subscriber joins, negotiates
-``wt.subscribe(push=True)``, and then only *reads*, counting PUSH frames
-by header without decoding payloads.
+``wt.subscribe(push=True)``, arms ``FRAME_CREDIT`` ``wt.frame`` calls,
+and from then on only *reads*: it counts each reply by header, without
+decoding its payload, and re-arms one call for it.  A frame a
+subscriber had no call parked for is never composed for it; the level
+reports those as shed.
 
 ``WT_BENCH_FAST=1`` shrinks the ladder for CI smoke runs.
 """
@@ -26,6 +30,9 @@ import socket
 import struct
 import threading
 import time
+
+from repro.core.delivery import FRAME_CREDIT
+from repro.dlib.protocol import MessageKind, decode_message, encode_message
 
 FAST = bool(os.environ.get("WT_BENCH_FAST"))
 
@@ -46,8 +53,8 @@ Q16_FORMS = 2
 N_RAKES = 2
 
 _LEN = struct.Struct("<I")
-_HDR = struct.Struct("<BI")
-_PUSH_KIND = 4
+#: How long a level may take to settle (credits parked, replies read).
+SETTLE_SECONDS = 30.0
 
 
 def _raise_fd_limit(need: int) -> int:
@@ -65,9 +72,10 @@ def _raise_fd_limit(need: int) -> int:
 
 
 class _Subscriber:
-    """One raw push subscriber: a socket and its reassembly buffer."""
+    """One raw push subscriber: a blocking socket, its reassembly buffer
+    and the framed ``wt.frame`` call it re-arms."""
 
-    __slots__ = ("sock", "buf", "frames", "bytes", "client_id")
+    __slots__ = ("sock", "buf", "frames", "bytes", "client_id", "call")
 
     def __init__(self, sock: socket.socket, client_id: int) -> None:
         self.sock = sock
@@ -75,27 +83,35 @@ class _Subscriber:
         self.frames = 0
         self.bytes = 0
         self.client_id = client_id
+        message = encode_message(
+            MessageKind.CALL, 3, {"proc": "wt.frame", "args": [client_id, 0]}
+        )
+        self.call = _LEN.pack(len(message)) + message
+
+    def arm(self, calls: int = 1) -> None:
+        self.sock.sendall(self.call * calls)
 
     def pump(self) -> None:
-        """Drain the socket; count complete PUSH frames by header only."""
-        while True:
-            try:
-                chunk = self.sock.recv(1 << 16)
-            except (BlockingIOError, InterruptedError):
-                return
-            if not chunk:
-                raise ConnectionError("server closed the subscriber")
-            self.buf += chunk
-            self.bytes += len(chunk)
-            while len(self.buf) >= _LEN.size:
-                (length,) = _LEN.unpack_from(self.buf)
-                end = _LEN.size + length
-                if len(self.buf) < end:
-                    break
-                kind = self.buf[_LEN.size] & 0x7F
-                if kind == _PUSH_KIND:
-                    self.frames += 1
-                del self.buf[:end]
+        """Read what the socket holds; count each complete reply by
+        header only, and re-arm one call for it."""
+        chunk = self.sock.recv(1 << 16)
+        if not chunk:
+            raise ConnectionError("server closed the subscriber")
+        self.buf += chunk
+        self.bytes += len(chunk)
+        replies = 0
+        while len(self.buf) >= _LEN.size:
+            (length,) = _LEN.unpack_from(self.buf)
+            end = _LEN.size + length
+            if len(self.buf) < end:
+                break
+            if self.buf[_LEN.size] & 0x7F != MessageKind.RESULT:
+                raise ConnectionError("a paced call failed")
+            replies += 1
+            del self.buf[:end]
+        if replies:
+            self.frames += replies
+            self.arm(replies)
 
 
 class _Reader(threading.Thread):
@@ -109,7 +125,7 @@ class _Reader(threading.Thread):
         self.dropped = 0
 
     def add(self, sub: _Subscriber) -> None:
-        sub.sock.setblocking(False)
+        sub.arm(FRAME_CREDIT)  # before this thread can re-arm any
         self.sel.register(sub.sock, selectors.EVENT_READ, sub)
         self.subs.append(sub)
 
@@ -141,8 +157,6 @@ class _Reader(threading.Thread):
 
 def _call(stream, rid: int, proc: str, *args):
     """One raw dlib round-trip on a blocking stream."""
-    from repro.dlib.protocol import MessageKind, decode_message, encode_message
-
     stream.send(
         encode_message(MessageKind.CALL, rid, {"proc": proc, "args": list(args)})
     )
@@ -170,6 +184,15 @@ def _connect_subscriber(address, index: int) -> _Subscriber:
     if not sub.get("push"):
         raise RuntimeError("server did not arm push delivery")
     return _Subscriber(sock, client_id)
+
+
+def _wait(ready, what: str) -> None:
+    """Poll ``ready`` (progress counters) until it holds."""
+    deadline = time.monotonic() + SETTLE_SECONDS
+    while not ready():
+        if time.monotonic() > deadline:
+            raise RuntimeError(f"soak level did not settle: {what}")
+        time.sleep(0.005)
 
 
 def _make_dataset():
@@ -212,7 +235,7 @@ def run_soak_scenario() -> dict:
         time_speed=TICK_HZ,
         time_fn=lambda: clock["now"],
         frame_wait=5.0,
-        lease_seconds=1e9,  # the soak must measure fan-out, not the reaper
+        lease_seconds=1e9,  # the soak must measure delivery, not the reaper
     )
     srv.start()
     reader = _Reader()
@@ -225,6 +248,10 @@ def run_soak_scenario() -> dict:
             control.fetch_frame()  # warm the pipeline + first publication
 
             registry = srv.registry
+
+            def parked() -> int:
+                return srv.delivery.stats()["frame_waiters"]
+
             lag_hist = registry.histogram("server.loop_lag_seconds")
             fanout_hist = registry.histogram("net.push_latency_seconds")
 
@@ -233,7 +260,8 @@ def run_soak_scenario() -> dict:
                     reader.add(
                         _connect_subscriber(srv.address, len(reader.subs))
                     )
-                time.sleep(0.2)  # let subscriptions settle
+                # Settled: every subscriber's credit is parked.
+                _wait(lambda: parked() == n * FRAME_CREDIT, "credits parked")
                 c0 = registry.snapshot()["counters"]
                 delivered0 = reader.delivered()
                 fanout_total0 = fanout_hist.stats.total
@@ -250,7 +278,16 @@ def run_soak_scenario() -> dict:
                         next_tick += 1.0 / TICK_HZ
                     time.sleep(min(0.005, max(0.0, next_tick - now)))
                 window = time.perf_counter() - t0
-                time.sleep(0.3)  # drain in-flight pushes before counting
+                # Drained: the clock's last key is published, and every
+                # reply it brought has been read and re-armed.
+                _wait(
+                    lambda: srv.store.latest().key == srv.pipeline.current_key()
+                    and parked() == n * FRAME_CREDIT
+                    and reader.delivered() - delivered0
+                    == registry.counter("net.push_frames").value
+                    - c0.get("net.push_frames", 0),
+                    "replies read",
+                )
                 c1 = registry.snapshot()["counters"]
                 delivered = reader.delivered() - delivered0
 
@@ -261,7 +298,7 @@ def run_soak_scenario() -> dict:
                 misses = c1.get("net.encode_cache_misses", 0) - c0.get(
                     "net.encode_cache_misses", 0
                 )
-                shed = c1.get("net.frames_shed", 0) - c0.get("net.frames_shed", 0)
+                shed = max(0, publications * n - pushes)
                 levels.append(
                     {
                         "clients": n,

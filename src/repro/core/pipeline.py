@@ -46,10 +46,10 @@ Either way a speculation's entries join the memo, and the loader is
 not asked to prefetch a timestep the memo already holds for every rake.
 
 **Demand-gated publication, speculative production.**  The producer
-publishes only while a reader holds demand (a parked ``wt.frame``, a
-push binding) and the key ``(env.version, timestep)`` has moved, so an
-idle server publishes nothing and a frozen clock yields exactly one
-publication per key.  Between requests it may *speculate*: fill the
+publishes only while a reader holds demand (a parked ``wt.frame``,
+pulled or one of a push subscriber's paced calls) and the key
+``(env.version, timestep)`` has moved, so an idle server publishes
+nothing and a frozen clock yields exactly one publication per key.  Between requests it may *speculate*: fill the
 memo for the timestep :meth:`FramePipeline._predict_next` names, with
 the rakes and settings just produced, and build for those entries the
 wire encodings the latest frame was asked for (a ``q16`` rake in the
@@ -334,18 +334,21 @@ class FramePipeline:
     def add_demand(self) -> None:
         """A reader now depends on fresh frames; produce on key changes.
 
-        Held by a parked ``wt.frame`` for the length of its wait and by a
-        push binding for its lifetime (push subscribers never poll), and
-        balanced by :meth:`remove_demand`.  Held demand is what
-        authorizes the producer to publish, so a frozen clock plus an
-        unchanged environment still yields exactly one publication per
-        distinct ``(version, timestep)``.  ``pipeline.requests`` counts
-        the registrations.
+        Held by a parked ``wt.frame`` for the length of its wait — a
+        push seat holds one while any of its paced calls is parked —
+        and balanced by :meth:`remove_demand`.
+        Held demand is what authorizes the producer to publish, so a
+        frozen clock plus an unchanged environment still yields exactly
+        one publication per distinct ``(version, timestep)``.
+        ``pipeline.requests`` counts the registrations.
         """
         with self._state_lock:
             self._demand += 1
+            first = self._demand == 1
             self._requests.inc()
-        self._work.set()
+        if first:
+            # Held demand already has the producer polling the key.
+            self._work.set()
 
     def remove_demand(self) -> None:
         """Balance an :meth:`add_demand` once its reader is gone."""

@@ -12,9 +12,9 @@ one compute and one encode serve N clients, and the steady-state frame
 period approaches the slowest *stage* rather than the sum of all of them
 (figure 8's concurrency, measured by ``benchmarks/test_fig8_live_pipeline``).
 
-Getting frames to readers — ``wt.frame`` pulls that park until a fresh
-publication, push-mode fan-out, subscriptions and the one reply
-composer — is :class:`~repro.core.delivery.Delivery`'s (docs/network.md).
+Getting frames to readers — ``wt.frame`` calls that park until a fresh
+publication (a push subscriber's paced ones among them), subscriptions
+and the one reply composer — is :class:`~repro.core.delivery.Delivery`'s (docs/network.md).
 This module keeps construction, procedure registration, the session,
 edit and introspection RPCs, and reaches delivery through its frame,
 subscribe, restore, drop and stats calls.

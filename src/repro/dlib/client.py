@@ -16,13 +16,13 @@ that re-issues *idempotent* calls only, and automatic reconnection
 through a ``stream_factory`` with an ``on_reconnect`` hook the
 windtunnel layer uses to resume its session (``wt.rejoin``).
 
-Servers that negotiated push-mode delivery (``wt.subscribe`` with
-``push=True``) interleave :attr:`~repro.dlib.protocol.MessageKind.PUSH`
-frames with replies on the same stream.  The client hands each one to
-:attr:`~DlibClient.on_push` — whether it surfaces mid-call (while
-blocked for a reply) or while idle via :meth:`~DlibClient.poll_push`.
-Pull-mode clients never see a PUSH, so the wire format is unchanged
-for them.
+Every message the server sends answers a call.  A client may keep
+calls outstanding on its one stream (:meth:`DlibClient.submit`) —
+the windtunnel client's push subscription is ``wt.frame`` calls kept
+parked that way — and replies are matched by request id: a reply to a
+submitted call goes to that call's callback whenever the stream is
+read, inside another call's round trip or while idle in
+:meth:`DlibClient.poll`.
 """
 
 from __future__ import annotations
@@ -127,6 +127,16 @@ class RetryPolicy:
             delay = min(self.max_delay, delay * self.multiplier)
 
 
+def _remote_error(error: dict) -> DlibRemoteError:
+    """The exception an ERROR reply's body describes."""
+    return DlibRemoteError(
+        error.get("type", "Exception"),
+        error.get("message", ""),
+        error.get("traceback", ""),
+        data=error.get("data"),
+    )
+
+
 class _Stub:
     """Attribute-access procedure stubs: ``client.stub.compute(x)``.
 
@@ -184,13 +194,6 @@ class DlibClient:
         Optional :class:`~repro.obs.registry.MetricsRegistry`; when
         given, every call records a ``client.rpc.<procedure>`` latency
         histogram and a ``client.calls`` counter.
-    on_push
-        Callback ``fn(value)`` for server-initiated PUSH frames
-        (push-mode subscriptions).  Invoked from whichever thread is
-        reading the stream — inside :meth:`call` while a reply is
-        pending, or from :meth:`poll_push` while idle.  Exceptions it
-        raises are swallowed (kept on :attr:`last_push_error`) so a
-        buggy handler cannot corrupt an unrelated RPC in flight.
     """
 
     def __init__(
@@ -207,7 +210,6 @@ class DlibClient:
         on_reconnect: Callable[["DlibClient"], None] | None = None,
         trace: bool = False,
         registry: MetricsRegistry | None = None,
-        on_push: Callable[[object], None] | None = None,
     ) -> None:
         if stream is None and (host is None or port is None) and stream_factory is None:
             raise ValueError("provide host and port, a stream, or a stream_factory")
@@ -233,10 +235,8 @@ class DlibClient:
         self._trace_ids = itertools.count(1)
         self.last_trace: dict | None = None
         self.last_latency = 0.0
-        self.on_push = on_push
-        self.pushes_received = 0
-        self.push_errors = 0
-        self.last_push_error: BaseException | None = None
+        # Submitted calls awaiting their replies: request id -> callback.
+        self._submitted: dict[int, Callable] = {}
 
     @property
     def stream(self) -> Stream:
@@ -261,6 +261,7 @@ class DlibClient:
             self._stream.close()
         except OSError:
             pass
+        self._submitted.clear()  # their replies died with the stream
         self._stream = self._stream_factory()
         self.reconnects += 1
         if self.on_reconnect is not None:
@@ -332,15 +333,11 @@ class DlibClient:
         stale = 0
         while True:
             kind, rid, rsp_trace_id, result = decode_message_ex(self._stream.recv())
-            if kind is MessageKind.PUSH:
-                # Server-initiated frame interleaved with our reply.
-                # Deliver it and keep reading; pushes are not "stale" —
-                # an active subscription may legitimately outpace the
-                # stale-response budget.
-                self._handle_push(result)
-                continue
             if rid == request_id:
                 break
+            if self._deliver(kind, rid, result):
+                # A submitted call's reply queued ahead of ours; not stale.
+                continue
             # A stale response: the reply to a duplicated frame or to a
             # call we abandoned at its deadline.  Skip it.
             stale += 1
@@ -361,45 +358,54 @@ class DlibClient:
                 return result.get("r")
             return result
         if kind is MessageKind.ERROR:
-            raise DlibRemoteError(
-                result.get("type", "Exception"),
-                result.get("message", ""),
-                result.get("traceback", ""),
-                data=result.get("data"),
-            )
+            raise _remote_error(result)
         raise DlibProtocolError(f"unexpected message kind {kind}")
 
-    # -- push-mode delivery ---------------------------------------------------
+    # -- calls kept outstanding ----------------------------------------------
 
-    def _handle_push(self, value) -> None:
-        """Deliver one server-pushed value to :attr:`on_push`."""
-        self.pushes_received += 1
-        if self.registry is not None:
-            self.registry.counter("client.pushes_received").inc()
-        if self.on_push is None:
-            return
-        try:
-            self.on_push(value)
-        except Exception as exc:  # noqa: BLE001 - handler bugs must not kill RPC
-            self.push_errors += 1
-            self.last_push_error = exc
+    def submit(self, procedure: str, *args, on_reply: Callable) -> int:
+        """Send a call without waiting for its reply; returns its request id.
 
-    def poll_push(self, timeout: float = 0.0, max_frames: int | None = None) -> int:
-        """Drain server-pushed frames while no call is in flight.
+        ``on_reply(value, error)`` runs on whichever thread reads the
+        reply — inside a later :meth:`call`'s round trip, or in
+        :meth:`poll` — with the result and ``None``, or ``None`` and the
+        :class:`DlibRemoteError`.  A reconnect forgets submitted calls:
+        their replies died with the stream.
+        """
+        request_id = next(self._request_ids) & 0xFFFFFFFF
+        payload = {"proc": procedure, "args": list(args), "kwargs": {}}
+        self._stream.send(encode_message(MessageKind.CALL, request_id, payload))
+        self._submitted[request_id] = on_reply
+        return request_id
 
-        Waits up to ``timeout`` seconds for the first frame, then keeps
-        draining whatever is already buffered without waiting further.
-        Returns the number of PUSH frames delivered.  Any non-PUSH frame
-        seen here is a stale reply to an abandoned call and is skipped.
+    def _deliver(self, kind: MessageKind, request_id: int, result) -> bool:
+        """Hand a submitted call its reply; ``False`` when it is none's."""
+        on_reply = self._submitted.pop(request_id, None)
+        if on_reply is None:
+            return False
+        if kind is MessageKind.ERROR:
+            on_reply(None, _remote_error(result))
+        else:
+            on_reply(result, None)
+        return True
+
+    def poll(self, timeout: float = 0.0) -> int:
+        """Read replies to submitted calls while no call is in flight.
+
+        Waits up to ``timeout`` seconds for the first reply, then keeps
+        reading whatever is already buffered without waiting further.
+        Returns how many submitted calls were answered; any other reply
+        is stale and skipped.  Returns at once when no call is
+        outstanding.
 
         Only call this between :meth:`call` invocations (same thread or
         externally serialized) — the stream carries one conversation.
         """
-        drained = 0
+        delivered = 0
         wait = max(0.0, timeout)
         bounded = False
         try:
-            while max_frames is None or drained < max_frames:
+            while self._submitted:
                 ready, _, _ = select.select([self._stream.fileno()], [], [], wait)
                 if not ready:
                     break
@@ -409,16 +415,14 @@ class DlibClient:
                     # stall here means a truncated frame, not idleness.
                     self._stream.settimeout(self.call_timeout or 10.0)
                     bounded = True
-                kind, _rid, _tid, value = decode_message_ex(self._stream.recv())
-                if kind is MessageKind.PUSH:
-                    self._handle_push(value)
-                    drained += 1
+                kind, rid, _tid, value = decode_message_ex(self._stream.recv())
+                delivered += self._deliver(kind, rid, value)
         finally:
             if bounded:
                 # Later calls get their own deadline back (``None`` =
                 # wait forever), not this read's bound.
                 self._stream.settimeout(self.call_timeout)
-        return drained
+        return delivered
 
     # -- remote memory convenience -------------------------------------------
 

@@ -23,7 +23,6 @@ closest synthetic equivalents (see DESIGN.md):
 
 from repro.flow.fields import Superposition, VectorField, sample_on_grid
 from repro.flow.analytic import (
-    ABCFlow,
     LambOseenVortex,
     OscillatingShearLayer,
     RigidRotation,
@@ -53,7 +52,6 @@ __all__ = [
     "UniformFlow",
     "RigidRotation",
     "LambOseenVortex",
-    "ABCFlow",
     "OscillatingShearLayer",
     "TaperedCylinderFlow",
     "tapered_cylinder_dataset",

@@ -16,7 +16,6 @@ __all__ = [
     "UniformFlow",
     "RigidRotation",
     "LambOseenVortex",
-    "ABCFlow",
     "OscillatingShearLayer",
 ]
 
@@ -85,27 +84,6 @@ class LambOseenVortex(VectorField):
         out = np.zeros_like(points)
         out[:, 0] = -dy * factor
         out[:, 1] = dx * factor
-        return out
-
-
-class ABCFlow(VectorField):
-    """Arnold-Beltrami-Childress flow — a classic chaotic steady 3-D field.
-
-    ``u = A sin z + C cos y; v = B sin x + A cos z; w = C sin y + B cos x``.
-    Used to exercise tools in a flow with genuinely three-dimensional,
-    chaotic structure (the kind of 'complicated geometrical and topological
-    situations' the paper motivates).
-    """
-
-    def __init__(self, a: float = 1.0, b: float = np.sqrt(2 / 3), c: float = np.sqrt(1 / 3)) -> None:
-        self.a, self.b, self.c = float(a), float(b), float(c)
-
-    def sample(self, points: np.ndarray, t: float) -> np.ndarray:
-        x, y, z = points[:, 0], points[:, 1], points[:, 2]
-        out = np.empty_like(points)
-        out[:, 0] = self.a * np.sin(z) + self.c * np.cos(y)
-        out[:, 1] = self.b * np.sin(x) + self.a * np.cos(z)
-        out[:, 2] = self.c * np.sin(y) + self.b * np.cos(x)
         return out
 
 

@@ -14,18 +14,7 @@ from repro.grid.curvilinear import CurvilinearGrid, cartesian_grid, cylindrical_
 from repro.grid.interpolation import trilinear_interpolate, in_domain_mask
 from repro.grid.jacobian import grid_jacobian, physical_to_grid_velocity
 from repro.grid.search import GridLocator
-from repro.grid.metrics import (
-    aspect_ratio,
-    grid_report,
-    jacobian_determinant,
-    orthogonality,
-)
-
 __all__ = [
-    "jacobian_determinant",
-    "orthogonality",
-    "aspect_ratio",
-    "grid_report",
     "CurvilinearGrid",
     "cartesian_grid",
     "cylindrical_grid",

@@ -5,7 +5,7 @@ WindtunnelServer` whose dataset is a :class:`~repro.insitu.source.
 LiveFlowSource` fed by a solver child process
 (:class:`~repro.insitu.process.SolverProcess`) through a tier-2
 shared-memory segment.  Everything the replay server has — the
-demand-gated pipeline, the frame store, push fan-out, v2 deltas,
+demand-gated pipeline, the frame store, paced delivery, v2 deltas,
 sessions, metrics — is inherited unchanged; this subclass wires the
 live pieces together:
 

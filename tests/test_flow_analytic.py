@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.flow import (
-    ABCFlow,
     LambOseenVortex,
     OscillatingShearLayer,
     RigidRotation,
@@ -86,28 +85,6 @@ class TestLambOseenVortex:
     def test_invalid_core(self):
         with pytest.raises(ValueError):
             LambOseenVortex(gamma=1.0, core_radius=0.0)
-
-
-class TestABCFlow:
-    def test_is_steady(self):
-        f = ABCFlow()
-        p = np.random.default_rng(0).normal(size=(5, 3))
-        np.testing.assert_allclose(f(p, 0.0), f(p, 10.0))
-
-    def test_beltrami_property(self):
-        """ABC flow is a Beltrami flow: curl(v) = v (for these coefficients)."""
-        f = ABCFlow(a=1.0, b=0.7, c=0.4)
-        p = np.array([[0.3, 1.2, -0.7]])
-        eps = 1e-6
-        jac = np.empty((3, 3))
-        for b in range(3):
-            dp = np.zeros(3)
-            dp[b] = eps
-            jac[:, b] = (f(p + dp)[0] - f(p - dp)[0]) / (2 * eps)
-        curl = np.array(
-            [jac[2, 1] - jac[1, 2], jac[0, 2] - jac[2, 0], jac[1, 0] - jac[0, 1]]
-        )
-        np.testing.assert_allclose(curl, f(p)[0], atol=1e-5)
 
 
 class TestShearLayerAndSuperposition:

@@ -24,6 +24,7 @@ import numpy as np
 import pytest
 
 from repro.core import WindtunnelClient
+from repro.core.delivery import FRAME_CREDIT
 from repro.dlib.client import DlibClient
 from repro.gateway import SessionGateway, default_worker_spec
 from repro.netsim import ProcessFaults
@@ -240,6 +241,59 @@ class TestKillWhileParked:
             assert counter(gw, "gateway.forward_failures") == 1
             assert counter(gw, "gateway.workers_respawned") == 1
             assert counter(gw, "gateway.sessions_recovered") == 1
+            assert counter(gw, "gateway.rejoins") == 1
+
+
+    def test_sigkill_with_paced_calls_parked_on_the_worker(self):
+        """The worker dies holding a push session's paced calls: they
+        fail as ``SessionExpiredError``, the next drain rejoins and
+        re-arms, and frames keep arriving.  The new worker holds the
+        credit as parked calls and no more: once the session leaves, a
+        new key is produced for nobody."""
+        gw = SessionGateway(
+            default_worker_spec(), n_workers=1, heartbeat_interval=0.2,
+            recovery_wait=20.0,
+        )
+        with gw:
+            faults = ProcessFaults(seed=3, registry=gw.registry)
+
+            def waiters():
+                with DlibClient(*gw.supervisor.address_of("w0")) as direct:
+                    return direct.call("wt.stats")["frame_waiters"]
+
+            with WindtunnelClient(*gw.address, name="paced") as c:
+                c.time_control("pause")
+                rid = c.add_rake((-1.0, 0.0, 0.5), (1.0, 0.0, 0.5), n_seeds=8)
+                assert c.subscribe(push=True)["push"] is True
+                wait_until(lambda: c.drain_pushes(0.05) >= 0 and c.pushed_frames)
+                wait_until(lambda: waiters() == FRAME_CREDIT)
+                faults.kill(gw.supervisor.handle_of("w0"))
+                wait_until(
+                    lambda: c.drain_pushes(0.05) >= 0 and c.rejoins == 1,
+                    timeout=RECOVER_DEADLINE,
+                )
+                for _ in range(2):
+                    frames = c.pushed_frames
+                    c.time_control("step", 1)
+                    wait_until(
+                        lambda: c.drain_pushes(0.05) >= 0 and c.pushed_frames > frames
+                    )
+                assert str(rid) in c.latest_state["paths"]
+                wait_until(lambda: c.drain_pushes(0.05) >= 0 and waiters() == FRAME_CREDIT)
+            assert waiters() == 0
+            with WindtunnelClient(*gw.address, name="bystander") as b:
+                with DlibClient(*gw.supervisor.address_of("w0")) as direct:
+                    before = direct.call("wt.pipeline_stats")
+                    b.time_control("step", 1)
+                    wait_until(
+                        lambda: direct.call("wt.pipeline_stats")["idle_cycles"]
+                        > before["idle_cycles"] + 1
+                    )
+                    after = direct.call("wt.pipeline_stats")
+                    assert after["frames_produced"] == before["frames_produced"]
+
+            assert faults.kills.value == 1
+            assert counter(gw, "gateway.workers_respawned") == 1
             assert counter(gw, "gateway.rejoins") == 1
 
 

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from repro.core import WindtunnelClient
+from repro.core.delivery import FRAME_CREDIT
 from repro.dlib import DlibRemoteError
 from repro.flow.solver import SolverConfig
 from repro.insitu import InsituWindtunnelServer
@@ -108,6 +109,26 @@ class TestLiveSession:
             assert server.producer.available == frontier
             c.steer(paused=False)
             wait_until(lambda: server.producer.available > frontier)
+
+    def test_a_paused_server_serves_a_push_seat_one_frame(self, server):
+        """Paused, the live server publishes the frozen frontier once for
+        a push seat, and then serves it no further ``wt.frame`` reply:
+        the seat's credit stays parked while the producer idles."""
+        with WindtunnelClient(*server.address, name="paused") as c:
+            wait_until(lambda: server.producer.available >= 2)
+            c.steer(paused=True)
+            wait_until(lambda: server.producer.paused)
+            published = server.store.published_total
+            assert c.subscribe(push=True)["push"] is True
+            wait_until(lambda: c.drain_pushes(0.05) >= 0 and c.pushed_frames == 1)
+            wait_until(
+                lambda: server.delivery.stats()["frame_waiters"] == FRAME_CREDIT
+            )
+            idle = server.pipeline.idle_cycles
+            wait_until(lambda: server.pipeline.idle_cycles > idle + 3)
+            assert c.drain_pushes(0.0) == 0 and c.pushed_frames == 1
+            assert server.store.published_total == published + 1
+            assert server.delivery.stats()["frame_waiters"] == FRAME_CREDIT
 
     def test_steering_conflict_and_release_over_the_wire(self, server):
         with WindtunnelClient(*server.address, name="a") as a, WindtunnelClient(

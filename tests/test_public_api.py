@@ -107,7 +107,7 @@ def test_helpers_nothing_calls_stay_unexported():
         "rotation_z", "transform_points", "translation",
     ]
     assert sorted(repro.flow.__all__) == [
-        "ABCFlow", "DiskDataset", "LambOseenVortex", "MemoryDataset",
+        "DiskDataset", "LambOseenVortex", "MemoryDataset",
         "NavierStokes2D", "OscillatingShearLayer", "RigidRotation",
         "SolverConfig", "Superposition", "TaperedCylinderFlow", "UniformFlow",
         "UnsteadyDataset", "VectorField", "cylinder_mask", "q_criterion",
@@ -159,7 +159,7 @@ def test_option_counts_are_pinned():
     assert options(TimestepCache) == 2
     # One lossy encoding beside the paper's float32, and no decimation.
     assert ENCODINGS == ("v1", "q16")
-    # The options are the fields that decide equality (not conn or seq).
+    # The options are the fields that decide equality (not seq).
     assert sum(f.compare for f in dataclasses.fields(Subscription)) == 5
     assert len(parameters(WindtunnelClient.subscribe)) == 5
     assert options(IntegratorWorkspace) == 0
@@ -174,8 +174,8 @@ def test_option_counts_are_pinned():
     # Per-call backoff and reconnect, no lifetime budget, circuit breaker
     # or failover chain; and no knob that only a constant ever set.
     assert len(dataclasses.fields(RetryPolicy)) == 6
-    assert options(DlibClient) == 12
-    assert options(DlibServer) == 6
+    assert options(DlibClient) == 11
+    assert options(DlibServer) == 5
     assert options(SessionTable) == 3
     assert options(AdmissionController) == 8
     assert options(GridLocator) == 1
