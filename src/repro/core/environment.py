@@ -89,6 +89,9 @@ class Environment:
         # pipeline's producer thread); re-entrant because update_user
         # nests try_grab/release.
         self.lock = threading.RLock()
+        # The ``users`` section of :meth:`snapshot`; ``None`` once a user
+        # changes, so a thousand seats are not rebuilt every publication.
+        self._users_wire: dict | None = None
         self._listeners: list = []
         self._state_providers: dict[str, object] = {}
 
@@ -137,6 +140,7 @@ class Environment:
             user = UserState(client_id=self._next_client_id, name=name)
             self._next_client_id += 1
             self.users[user.client_id] = user
+            self._users_wire = None
             self._bump()
             return user
 
@@ -155,6 +159,7 @@ class Environment:
             user = UserState(client_id=client_id, name=name)
             self.users[client_id] = user
             self._next_client_id = max(self._next_client_id, client_id + 1)
+            self._users_wire = None
             self._bump()
             return user
 
@@ -163,6 +168,7 @@ class Environment:
             user = self.users.pop(client_id, None)
             if user is None:
                 raise KeyError(f"no such client {client_id}")
+            self._users_wire = None
             # Anything they held is released (their locks evaporate).
             for rake_id, owner in list(self.locks.items()):
                 if owner == client_id:
@@ -257,6 +263,7 @@ class Environment:
             _, rake_id, grab = best
             self.locks[rake_id] = client_id
             user.holding = (rake_id, grab)
+            self._users_wire = None
             self._bump()
             return True
 
@@ -268,6 +275,7 @@ class Environment:
                 return
             rake_id, _ = user.holding
             user.holding = None
+            self._users_wire = None
             if self.locks.get(rake_id) == client_id:
                 del self.locks[rake_id]
             self._bump()
@@ -294,6 +302,7 @@ class Environment:
             user.head_position = head
             user.hand_position = hand
             user.gesture = str(gesture)
+            self._users_wire = None
             if gesture == "fist":
                 if user.holding is None:
                     self.try_grab(client_id, user.hand_position)
@@ -307,8 +316,13 @@ class Environment:
     # -- wire ------------------------------------------------------------------
 
     def snapshot(self, wall: float) -> dict:
-        """Serializable view of the environment for clients to render."""
+        """Serializable view of the environment for clients to render;
+        its ``users`` map is shared until a user changes (read-only)."""
         with self.lock:
+            if self._users_wire is None:
+                self._users_wire = {
+                    str(uid): u.to_wire() for uid, u in self.users.items()
+                }
             snap = {
                 "version": self.version,
                 "clock": self.clock.snapshot(wall),
@@ -316,7 +330,7 @@ class Environment:
                     str(rid): {**rake.to_dict(), "owner": self.locks.get(rid)}
                     for rid, rake in self.rakes.items()
                 },
-                "users": {str(uid): u.to_wire() for uid, u in self.users.items()},
+                "users": self._users_wire,
             }
             for key, provider in self._state_providers.items():
                 snap[key] = provider()

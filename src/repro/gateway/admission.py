@@ -20,7 +20,8 @@ L  name       behavior
 0  SERVE      everything admitted
 1  REJECT     new sessions refused; existing sessions full service
 2  THROTTLE   + ``wt.frame`` limited to one per ``min_frame_interval``
-              per client (excess refused with the residual wait)
+              per client (excess refused with the residual wait); a
+              push session's paced calls are not throttled
 == ========== =====================================================
 
 The ladder protects *existing* sessions first: refusing a newcomer is
