@@ -198,6 +198,15 @@ class PreEncoded:
         return f"PreEncoded({len(self.data)} bytes)"
 
 
+_U8 = struct.Struct("<B")
+_U32 = struct.Struct("<I")
+_I64 = struct.Struct("<q")
+_U64 = struct.Struct("<Q")
+_F64 = struct.Struct("<d")
+#: An array's shape, by ``ndim`` (one byte on the wire).
+_SHAPES = tuple(struct.Struct(f"<{n}q") for n in range(256))
+
+
 def encode_value(value, _depth: int = 0) -> bytes:
     """Serialize a Python/NumPy value to wire bytes."""
     if _depth > _MAX_DEPTH:
@@ -211,7 +220,7 @@ def _encode_into(out: bytearray, value, depth: int) -> None:
     # Most common first: a message is mostly maps, strings and fragments.
     if isinstance(value, dict):
         out += b"M"
-        out += struct.pack("<I", len(value))
+        out += _U32.pack(len(value))
         for k, v in value.items():
             if depth + 1 > _MAX_DEPTH:
                 raise DlibProtocolError("value nesting too deep")
@@ -220,7 +229,7 @@ def _encode_into(out: bytearray, value, depth: int) -> None:
     elif isinstance(value, str):
         raw = value.encode("utf-8")
         out += b"S"
-        out += struct.pack("<I", len(raw))
+        out += _U32.pack(len(raw))
         out += raw
     elif isinstance(value, PreEncoded):
         out += value.data
@@ -233,19 +242,19 @@ def _encode_into(out: bytearray, value, depth: int) -> None:
     elif isinstance(value, int):
         if -(2**63) <= value < 2**63:
             out += b"I"
-            out += struct.pack("<q", value)
+            out += _I64.pack(value)
         else:
             text = str(value).encode()
             out += b"J"
-            out += struct.pack("<I", len(text))
+            out += _U32.pack(len(text))
             out += text
     elif isinstance(value, float):
         out += b"D"
-        out += struct.pack("<d", value)
+        out += _F64.pack(value)
     elif isinstance(value, (bytes, bytearray, memoryview)):
         raw = bytes(value)
         out += b"B"
-        out += struct.pack("<I", len(raw))
+        out += _U32.pack(len(raw))
         out += raw
     elif isinstance(value, np.ndarray):
         _encode_array(out, value)
@@ -253,7 +262,7 @@ def _encode_into(out: bytearray, value, depth: int) -> None:
         _encode_into(out, value.item(), depth)
     elif isinstance(value, (list, tuple)):
         out += b"L" if isinstance(value, list) else b"U"
-        out += struct.pack("<I", len(value))
+        out += _U32.pack(len(value))
         for item in value:
             if depth + 1 > _MAX_DEPTH:
                 raise DlibProtocolError("value nesting too deep")
@@ -277,12 +286,12 @@ def _encode_array(out: bytearray, arr: np.ndarray) -> None:
         raise DlibProtocolError(f"array dtype {arr.dtype} not supported on the wire")
     out += b"A"
     tag_b = tag.encode()
-    out += struct.pack("<B", len(tag_b))
+    out += _U8.pack(len(tag_b))
     out += tag_b
-    out += struct.pack("<B", arr.ndim)
-    out += struct.pack(f"<{arr.ndim}q", *arr.shape)
+    out += _U8.pack(arr.ndim)
+    out += _SHAPES[arr.ndim].pack(*arr.shape)
     raw = arr.tobytes()
-    out += struct.pack("<Q", len(raw))
+    out += _U64.pack(len(raw))
     out += raw
 
 
@@ -300,9 +309,13 @@ class _Reader:
         self.pos += n
         return chunk
 
-    def unpack(self, fmt: str):
-        size = struct.calcsize(fmt)
-        return struct.unpack(fmt, self.take(size))
+    def unpack(self, fmt: struct.Struct) -> tuple:
+        end = self.pos + fmt.size
+        if end > len(self.data):
+            raise DlibProtocolError("truncated wire data")
+        values = fmt.unpack_from(self.data, self.pos)
+        self.pos = end
+        return values
 
 
 def decode_value(data: bytes):
@@ -327,36 +340,36 @@ def _decode(r: _Reader, depth: int):
     if tag == b"F":
         return False
     if tag == b"I":
-        return r.unpack("<q")[0]
+        return r.unpack(_I64)[0]
     if tag == b"J":
-        (n,) = r.unpack("<I")
+        (n,) = r.unpack(_U32)
         raw = r.take(n)
         try:
             return int(raw.decode("ascii"))
         except (UnicodeDecodeError, ValueError) as exc:
             raise DlibProtocolError("corrupt big-integer payload") from exc
     if tag == b"D":
-        return r.unpack("<d")[0]
+        return r.unpack(_F64)[0]
     if tag == b"S":
-        (n,) = r.unpack("<I")
+        (n,) = r.unpack(_U32)
         raw = r.take(n)
         try:
             return raw.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise DlibProtocolError("corrupt UTF-8 string payload") from exc
     if tag == b"B":
-        (n,) = r.unpack("<I")
+        (n,) = r.unpack(_U32)
         return r.take(n)
     if tag == b"A":
-        (tlen,) = r.unpack("<B")
+        (tlen,) = r.unpack(_U8)
         dtype_str = r.take(tlen).decode("ascii", "replace")
         if dtype_str not in _ALLOWED_DTYPES:
             raise DlibProtocolError(f"array dtype {dtype_str!r} not allowed")
-        (ndim,) = r.unpack("<B")
-        shape = r.unpack(f"<{ndim}q") if ndim else ()
+        (ndim,) = r.unpack(_U8)
+        shape = r.unpack(_SHAPES[ndim])
         if any(s < 0 for s in shape):
             raise DlibProtocolError("negative array dimension")
-        (nbytes,) = r.unpack("<Q")
+        (nbytes,) = r.unpack(_U64)
         dt = np.dtype(dtype_str)
         # Python ints: an int64 product of hostile dimensions can wrap
         # to a count that matches ``nbytes``.
@@ -366,11 +379,11 @@ def _decode(r: _Reader, depth: int):
         raw = r.take(nbytes)
         return np.frombuffer(raw, dtype=dt).reshape(shape).copy()
     if tag in (b"L", b"U"):
-        (n,) = r.unpack("<I")
+        (n,) = r.unpack(_U32)
         items = [_decode(r, depth + 1) for _ in range(n)]
         return items if tag == b"L" else tuple(items)
     if tag == b"M":
-        (n,) = r.unpack("<I")
+        (n,) = r.unpack(_U32)
         out = {}
         for _ in range(n):
             k = _decode(r, depth + 1)

@@ -37,13 +37,6 @@ from repro.flow.solver import (
     tapered_cylinder_mask,
 )
 from repro.flow.dataset import DiskDataset, MemoryDataset, UnsteadyDataset
-from repro.flow.scalars import (
-    q_criterion,
-    speed,
-    velocity_gradient,
-    vorticity,
-    vorticity_magnitude,
-)
 
 __all__ = [
     "VectorField",
@@ -63,9 +56,4 @@ __all__ = [
     "UnsteadyDataset",
     "MemoryDataset",
     "DiskDataset",
-    "speed",
-    "velocity_gradient",
-    "vorticity",
-    "vorticity_magnitude",
-    "q_criterion",
 ]

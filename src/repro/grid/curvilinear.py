@@ -27,8 +27,8 @@ class CurvilinearGrid:
         Node positions of shape ``(ni, nj, nk, 3)``.  Stored C-contiguous
         float64 (converted if needed) so the interpolation gathers stride
         predictably, and as a read-only *view* (the caller's own array
-        stays writable) so the metric terms built from it on first use
-        — :attr:`jacobian`, :attr:`inverse_jacobian` — cannot go stale.
+        stays writable) so the metric term built from it on first use,
+        :attr:`inverse_jacobian`, cannot go stale.
     """
 
     def __init__(self, xyz: np.ndarray) -> None:
@@ -41,7 +41,6 @@ class CurvilinearGrid:
             raise ValueError("grid must have at least 2 nodes along each axis")
         self.xyz = xyz.view()
         self.xyz.flags.writeable = False
-        self._jacobian: np.ndarray | None = None
         self._inverse_jacobian: np.ndarray | None = None
 
     @property
@@ -65,24 +64,18 @@ class CurvilinearGrid:
         return self.n_points * 3 * 4
 
     @property
-    def jacobian(self) -> np.ndarray:
-        """``dX/dxi`` at every node, ``(ni, nj, nk, 3, 3)`` — see
-        :func:`~repro.grid.jacobian.grid_jacobian`."""
-        if self._jacobian is None:
-            jac = grid_jacobian(self.xyz)
-            jac.flags.writeable = False
-            self._jacobian = jac
-        return self._jacobian
-
-    @property
     def inverse_jacobian(self) -> np.ndarray:
-        """``dxi/dx`` at every node — the chain-rule factor of
-        :mod:`repro.flow.scalars`.  ``ValueError`` on a degenerate grid."""
+        """``dxi/dx`` at every node, ``(ni, nj, nk, 3, 3)``: the inverse of
+        :func:`~repro.grid.jacobian.grid_jacobian`, built once on first
+        use (the Jacobian itself is a temporary of that build), that every
+        timestep's decode contracts against.  ``ValueError`` on a
+        degenerate grid."""
         if self._inverse_jacobian is None:
+            jac = grid_jacobian(self.xyz)
             try:
-                inv = np.linalg.inv(self.jacobian)
+                inv = np.linalg.inv(jac)
             except np.linalg.LinAlgError:
-                raise degenerate_grid_error(self.jacobian) from None
+                raise degenerate_grid_error(jac) from None
             inv.flags.writeable = False
             self._inverse_jacobian = inv
         return self._inverse_jacobian

@@ -4,9 +4,10 @@ The paper avoids the per-step physical-space search "by converting the
 velocity data to grid coordinates and performing all integrations in grid
 coordinates" (section 2.1).  If ``X(xi)`` maps grid coordinates to physical
 space, a particle moving with physical velocity ``v`` has grid-coordinate
-velocity ``J^{-1} v`` where ``J = dX/dxi`` — so the conversion is one
-batched 3x3 solve per node, done once per timestep, against a Jacobian
-the (static) grid builds once.
+velocity ``J^{-1} v`` where ``J = dX/dxi`` — so the conversion, done
+once per timestep, is one contraction of the velocities against the
+inverse Jacobian the (static) grid builds once
+(:attr:`~repro.grid.curvilinear.CurvilinearGrid.inverse_jacobian`).
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ def grid_jacobian(xyz: np.ndarray) -> np.ndarray:
 def degenerate_grid_error(jac: np.ndarray) -> ValueError:
     """The typed rejection of an exactly singular node (e.g. coincident
     boundary planes in a grid file): else a bare ``LinAlgError`` from
-    whichever thread decodes a timestep first."""
+    whichever thread builds the grid's inverse Jacobian first."""
     singular = int(np.count_nonzero(np.linalg.det(jac) == 0.0))
     return ValueError(
         f"degenerate grid: the Jacobian is singular at {singular} "
@@ -64,8 +65,8 @@ def physical_to_grid_velocity(
     Parameters
     ----------
     grid
-        The (static) grid, whose once-built ``jacobian`` every timestep —
-        the paper's 800 — is solved against.
+        The (static) grid, whose once-built ``inverse_jacobian`` every
+        timestep — the paper's 800 — is contracted against.
     velocity
         Physical velocities at the nodes, ``(ni, nj, nk, 3)``.
 
@@ -74,20 +75,16 @@ def physical_to_grid_velocity(
     Grid-coordinate velocities, ``(ni, nj, nk, 3)``: the rate of change of
     the fractional grid index of a fluid element.
     """
-    velocity = np.asarray(velocity, dtype=np.float64)
-    jac = grid.jacobian
-    if velocity.shape != jac.shape[:3] + (3,):
+    velocity = np.asarray(velocity)
+    if velocity.shape != grid.shape + (3,):
         raise ValueError(
-            f"velocity shape {velocity.shape} does not match grid {jac.shape[:3]}"
+            f"velocity shape {velocity.shape} does not match grid {grid.shape}"
         )
-    # Batched 3x3 solve: J @ v_grid = v_phys at every node.
-    flat_j = jac.reshape(-1, 3, 3)
-    flat_v = velocity.reshape(-1, 3, 1)
-    try:
-        out = np.linalg.solve(flat_j, flat_v)
-    except np.linalg.LinAlgError:
-        raise degenerate_grid_error(jac) from None
-    return np.ascontiguousarray(out.reshape(velocity.shape))
+    # The inverse is built before the float64 copy, for a lower peak; and
+    # einsum casting mixed dtypes per element is ~3x slower than the copy.
+    inv = grid.inverse_jacobian
+    v = velocity.astype(np.float64, copy=False)
+    return np.einsum("...ab,...b->...a", inv, v)
 
 
 def jacobian_at(xyz: np.ndarray, coords: np.ndarray) -> np.ndarray:

@@ -6,17 +6,17 @@ simulation that users steer interactively.  This package is that
 coupling for the reproduction's own 2-D Navier-Stokes solver
 (:mod:`repro.flow.solver`):
 
-* :class:`~repro.insitu.ring.TimestepRing` — the bounded ring of recent
-  solver timesteps the producer free-runs into.
 * :class:`~repro.insitu.source.LiveFlowSource` — an
   :class:`~repro.flow.dataset.UnsteadyDataset` whose timestep sequence
-  *grows* as the solver produces (unbounded t), backed by the ring.
+  *grows* as the solver produces (unbounded t); it holds timestep 0 and
+  the frontier, and the cache tiers hold the bounded window of recent
+  timesteps behind it.
 * :class:`~repro.insitu.steering.SteeringController` — ``wt.steer``
   validation, FCFS steering-conflict leases (modeled on the rake grab
   locks), and monotonically increasing steering *epochs* stamped into
   every :class:`~repro.core.framestore.PublishedFrame`.
 * :class:`~repro.insitu.producer.SolverProducer` — steps the solver,
-  extrudes and decodes each new timestep, appends it to the cache, and
+  extrudes and decodes each new timestep straight into the cache, and
   advances the published frontier; or, in the server, adopts a solver
   child's reports and publishes the timesteps the child appended.
 * :class:`~repro.insitu.process.SolverProcess` — the solver child: one
@@ -31,7 +31,6 @@ coupling for the reproduction's own 2-D Navier-Stokes solver
 See docs/steering.md for the architecture and wire semantics.
 """
 
-from repro.insitu.ring import TimestepRing
 from repro.insitu.source import LiveFlowSource, extrude_slice
 from repro.insitu.steering import (
     STEERING_RANGES,
@@ -43,7 +42,6 @@ from repro.insitu.process import SolverExitedError, SolverProcess
 from repro.insitu.server import InsituWindtunnelServer
 
 __all__ = [
-    "TimestepRing",
     "LiveFlowSource",
     "extrude_slice",
     "STEERING_RANGES",

@@ -5,12 +5,12 @@ the *only* caller that steps it.  Each produced timestep is
 ``steps_per_timestep`` solver steps, extruded to the windtunnel layout
 and installed in strict order:
 
-1. append the raw timestep to the :class:`~repro.insitu.source.
-   LiveFlowSource` ring (extends ``n_timesteps``);
-2. convert it to grid coordinates once (the dataset's own LRU does this);
-3. write it through the cache's append path — a
+1. convert it to grid coordinates, once;
+2. write it through the cache's append path — a
    :class:`~repro.diskio.cache.TieredTimestepCache` in process, the
    tier-2 segment itself in a solver child — so the very next read hits;
+3. admit it to the :class:`~repro.insitu.source.LiveFlowSource`
+   (extends ``n_timesteps``), which keeps no copy: the cache holds it;
 4. advance the *published frontier* — the live clock reads this, so the
    visualization can never ask for a timestep whose data is not already
    cache-resident;
@@ -21,7 +21,7 @@ A live server free-runs its producer in a child process
 once the child runs, and adopts the child's reports instead
 (:meth:`SolverProducer.adopt`): the newest timestep comes up from tier 2
 into tier 1, then the frontier, the counters and the pipeline follow as
-in steps 4–5.
+in steps 3–5.
 
 Steering changes drain at timestep boundaries only (never mid-step), in
 epoch order, and the applied log records ``(epoch, timestep, changes)``
@@ -35,13 +35,14 @@ from __future__ import annotations
 import time
 from collections import OrderedDict
 
+from repro.grid.jacobian import physical_to_grid_velocity
 from repro.insitu.source import LiveFlowSource, extrude_slice
 from repro.insitu.steering import SteeringController
 from repro.obs import MetricsRegistry
 
 __all__ = ["SolverProducer"]
 
-#: timestep -> steering-epoch history retained (multiples of the ring).
+#: timestep -> steering-epoch history retained (multiples of the window).
 _EPOCH_HISTORY_FACTOR = 4
 
 
@@ -54,13 +55,13 @@ class SolverProducer:
         A :class:`~repro.flow.solver.NavierStokes2D` (already holding the
         initial condition that became the source's timestep 0).
     source
-        The :class:`LiveFlowSource` to append into.
+        The :class:`LiveFlowSource` whose frontier each timestep extends.
+    cache
+        Where each produced timestep's grid velocities go: a
+        :class:`~repro.diskio.cache.TieredTimestepCache` (the loader's
+        read path then hits L1), or a solver child's tier-2 segment.
     steering
         The shared :class:`SteeringController` (one per tunnel).
-    cache
-        Optional :class:`~repro.diskio.cache.TieredTimestepCache` to
-        write each produced timestep through (the loader's read path then
-        hits L1 instead of re-converting).
     steps_per_timestep
         Solver steps folded into one published timestep.
     obstacle_factory
@@ -79,8 +80,8 @@ class SolverProducer:
         solver,
         source: LiveFlowSource,
         *,
+        cache,
         steering: SteeringController | None = None,
-        cache=None,
         steps_per_timestep: int = 5,
         obstacle_factory=None,
         pipeline=None,
@@ -107,7 +108,7 @@ class SolverProducer:
         self._geometry = {"taper": 0.0, "angle": 0.0}
         self._initial_snapshot = solver.snapshot_state()
         self._epoch_at: OrderedDict[int, int] = OrderedDict()
-        self._epoch_cap = _EPOCH_HISTORY_FACTOR * source.ring.capacity
+        self._epoch_cap = _EPOCH_HISTORY_FACTOR * source.ring_capacity
         self._available = -1
         self._retired = 0
         self._rate_mark: tuple[float, int] | None = None
@@ -121,7 +122,7 @@ class SolverProducer:
     def available(self) -> int:
         """Newest timestep whose data is installed everywhere (-1 = none).
 
-        This — not the ring's latest — is what the live clock follows:
+        This — not the source's frontier — is what the live clock follows:
         it only advances *after* the cache write-through, so a frame
         production triggered by the new frontier finds its data resident.
         """
@@ -137,9 +138,7 @@ class SolverProducer:
         """Publish timestep 0 (the initial condition) without stepping."""
         if self._available >= 0:
             return self._available
-        gv = self.source.grid_velocity(0)
-        if self.cache is not None:
-            self.cache.append(0, gv)
+        self.cache.append(0, self.source.grid_velocity(0))
         self._record_epoch(0, self.steering.applied_epoch)
         self._publish(0, float(self.solver.time))
         return 0
@@ -174,7 +173,7 @@ class SolverProducer:
             self.paused = bool(changes["paused"])
 
     def _drain_steering(self) -> None:
-        next_t = self.source.latest + 1
+        next_t = self.source.n_timesteps
         for epoch, changes in self.steering.drain():
             self.apply_changes(changes)
             self.steering.note_applied(epoch, next_t, changes)
@@ -196,14 +195,13 @@ class SolverProducer:
         return self._step_and_publish()
 
     def _step_and_publish(self) -> int:
-        t = self.source.latest + 1
+        t = self.source.n_timesteps
         self.solver.run(self.steps_per_timestep)
         self._sim_steps.inc(self.steps_per_timestep)
-        arr = extrude_slice(self.solver.u, self.solver.v, self.source.grid.shape[2])
-        self.source.append(t, arr)
-        gv = self.source.grid_velocity(t)
-        if self.cache is not None:
-            self.cache.append(t, gv)
+        grid = self.source.grid
+        arr = extrude_slice(self.solver.u, self.solver.v, grid.shape[2])
+        self.cache.append(t, physical_to_grid_velocity(grid, arr))
+        self.source.admit(t)
         self._record_epoch(t, self.steering.applied_epoch)
         self._publish(t, float(self.solver.time))
         return t
@@ -213,7 +211,7 @@ class SolverProducer:
         self._published.inc(t - self._available)
         self._available = t
         self._sim_time_gauge.set(sim_time)
-        retired = max(0, t + 1 - self.source.ring.capacity)
+        retired = max(0, t + 1 - self.source.ring_capacity)
         self._ring_evictions.inc(retired - self._retired)
         self._retired = retired
         now, steps = time.perf_counter(), self._sim_steps.value
@@ -252,8 +250,8 @@ class SolverProducer:
         by_timestep: dict[int, list[dict]] = {}
         for entry in sorted(entries, key=lambda e: int(e.get("epoch", 0))):
             by_timestep.setdefault(int(entry["timestep"]), []).append(entry)
-        while self.source.latest < int(until_t):
-            next_t = self.source.latest + 1
+        while self.source.n_timesteps <= int(until_t):
+            next_t = self.source.n_timesteps
             for entry in by_timestep.get(next_t, []):
                 changes = {
                     k: v

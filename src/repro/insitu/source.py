@@ -5,17 +5,17 @@ UnsteadyDataset`, so every existing consumer — the compute engine and
 the tiered cache's :class:`~repro.diskio.cache.DatasetSource` — works
 unchanged.  The differences from a replay dataset:
 
-* ``n_timesteps`` *grows*: each :meth:`append` extends the sequence by
-  one, and the live :class:`~repro.core.timectrl.TimeControl` follows
-  that frontier instead of a wall-anchored schedule.
-* ``velocity(t)`` reads the producer's bounded
-  :class:`~repro.insitu.ring.TimestepRing`; a timestep that has retired
-  from the ring raises ``IndexError`` with a message saying so, and
-  ``oldest_timestep`` names the oldest one of the ring's window.
-* In a live server the producer is a child process
-  (:mod:`repro.insitu.process`): the server's source only admits each
-  reported timestep (:meth:`~LiveFlowSource.admit`), whose data sits in
-  the tier-2 segment the child appends to.
+* ``n_timesteps`` *grows*: the producer admits each timestep it has
+  written to its cache (:meth:`~LiveFlowSource.admit`), and the live
+  :class:`~repro.core.timectrl.TimeControl` follows that frontier
+  instead of a wall-anchored schedule.
+* The source holds the data of timestep 0 alone (the solver's initial
+  condition); the window of ``ring_capacity`` timesteps behind the
+  frontier, whose oldest :attr:`~LiveFlowSource.oldest_timestep` names,
+  lives in the cache tiers the producer appends to — in a live server,
+  the tier-2 segment its solver child (:mod:`repro.insitu.process`)
+  writes.  ``velocity(t)`` of any other timestep raises ``IndexError``
+  naming that window, and saying so when ``t`` has retired from it.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ import numpy as np
 
 from repro.flow.dataset import UnsteadyDataset
 from repro.grid.curvilinear import CurvilinearGrid
-from repro.insitu.ring import TimestepRing
 
 __all__ = ["LiveFlowSource", "extrude_slice"]
 
@@ -45,7 +44,7 @@ def extrude_slice(u: np.ndarray, v: np.ndarray, nk: int = 4) -> np.ndarray:
 
 
 class LiveFlowSource(UnsteadyDataset):
-    """Unsteady dataset backed by a live producer ring.
+    """Unsteady dataset whose timesteps a live producer appends to its cache.
 
     Parameters
     ----------
@@ -59,7 +58,7 @@ class LiveFlowSource(UnsteadyDataset):
         Physical seconds between *published* timesteps (solver ``dt``
         times the producer's ``steps_per_timestep``).
     ring_capacity
-        Recent timesteps retained (older ones retire).
+        Recent timesteps readable behind the frontier (older ones retire).
     """
 
     def __init__(
@@ -70,50 +69,46 @@ class LiveFlowSource(UnsteadyDataset):
         *,
         ring_capacity: int = 32,
     ) -> None:
-        initial = np.asarray(initial)
+        if ring_capacity < 2:
+            raise ValueError("ring_capacity must be >= 2")
+        initial = np.asarray(initial).view()
         if initial.shape != grid.shape + (3,):
             raise ValueError(
                 f"initial timestep must have shape {grid.shape + (3,)}, "
                 f"got {initial.shape}"
             )
         super().__init__(grid, 1, dt, timestep_nbytes=initial.nbytes)
-        self.ring = TimestepRing(ring_capacity)
-        self.ring.append(0, initial)
-
-    # -- the dataset interface ------------------------------------------------
+        self.ring_capacity = int(ring_capacity)
+        initial.flags.writeable = False
+        self._initial = initial
 
     def velocity(self, t: int) -> np.ndarray:
-        return self.ring.get(self._check_timestep(t))
-
-    # -- the producer interface -----------------------------------------------
-
-    def append(self, t: int, arr: np.ndarray) -> np.ndarray:
-        """Install freshly produced timestep ``t`` (= ``latest + 1``).
-
-        Extends ``n_timesteps`` so bounds checks downstream (the engine,
-        ``_check_timestep``) admit the new frontier.  Returns the stored
-        read-only view.
-        """
-        view = self.ring.append(t, arr)
-        self.admit(t)
-        return view
+        """Timestep 0 while the window holds it; any other read raises
+        ``IndexError`` naming the window, whose data the tiers hold."""
+        t = int(t)
+        oldest, latest = self.oldest_timestep, self.n_timesteps - 1
+        if t == 0 and oldest == 0:
+            return self._initial
+        window = f"the live window is [{oldest}, {latest}]"
+        if 0 <= t < oldest:
+            raise IndexError(
+                f"timestep {t} has retired ({window}); the in situ "
+                "windtunnel keeps only recent history"
+            )
+        if not 0 <= t <= latest:
+            raise IndexError(f"timestep {t} has not been produced ({window})")
+        raise IndexError(
+            f"timestep {t} is not held by the live source ({window}): the "
+            "cache tiers the producer appends to hold its data"
+        )
 
     def admit(self, t: int) -> None:
-        """Extend ``n_timesteps`` to timestep ``t`` without its data.
-
-        The server's side of a solver child: the child appends to its own
-        ring and to the tier-2 segment, which holds the window
-        :attr:`oldest_timestep` names, so reads of ``t`` are served by
-        the tiers and never reach this ring.
-        """
+        """Extend ``n_timesteps`` to timestep ``t``, whose data the
+        producer has written to its cache, so bounds checks downstream
+        (the engine, the live clock) admit the new frontier."""
         self.n_timesteps = max(self.n_timesteps, int(t) + 1)
 
     @property
-    def latest(self) -> int:
-        """Newest timestep produced in this process."""
-        return self.ring.latest
-
-    @property
     def oldest_timestep(self) -> int:
-        """The oldest timestep of the ring's window behind the frontier."""
-        return max(0, self.n_timesteps - self.ring.capacity)
+        """The oldest timestep of the window behind the frontier."""
+        return max(0, self.n_timesteps - self.ring_capacity)

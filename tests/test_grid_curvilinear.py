@@ -1,10 +1,12 @@
-"""Tests for CurvilinearGrid, grid factories, Jacobians, and point search."""
+"""Tests for CurvilinearGrid, grid factories, Jacobians, the velocity
+decode, and point search."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.grid.curvilinear as curvilinear_module
 from repro.grid import (
     CurvilinearGrid,
     GridLocator,
@@ -98,13 +100,14 @@ class TestJacobian:
         np.testing.assert_allclose(vg, np.broadcast_to([1.0, 0.5, 1 / 3], vg.shape))
 
     def test_velocity_transform_reuses_jacobian(self):
-        """The transform solves against the grid's own, once-built Jacobian."""
+        """The transform contracts against the grid's own, once-built
+        inverse Jacobian."""
         g = cylindrical_grid((6, 9, 5))
-        jac = g.jacobian
-        np.testing.assert_array_equal(jac, grid_jacobian(g.xyz))
+        inv = g.inverse_jacobian
         v = np.random.default_rng(1).normal(size=g.shape + (3,))
         vg = physical_to_grid_velocity(g, v)
-        assert g.jacobian is jac
+        assert g.inverse_jacobian is inv
+        jac = grid_jacobian(g.xyz)
         np.testing.assert_allclose(np.einsum("...ab,...b->...a", jac, vg), v)
 
     def test_shape_mismatch(self):
@@ -141,14 +144,13 @@ class TestMetricTerms:
 
     def test_metric_terms_are_cached_and_read_only(self):
         g = cylindrical_grid((6, 9, 5))
-        assert g.jacobian is g.jacobian
-        assert g.inverse_jacobian is g.inverse_jacobian
-        for term in (g.jacobian, g.inverse_jacobian):
-            with pytest.raises(ValueError):
-                term[0, 0, 0, 0, 0] = 1.0
+        inv = g.inverse_jacobian
+        assert g.inverse_jacobian is inv
+        with pytest.raises(ValueError):
+            inv[0, 0, 0, 0, 0] = 1.0
         np.testing.assert_allclose(
-            g.inverse_jacobian @ g.jacobian,
-            np.broadcast_to(np.eye(3), g.jacobian.shape),
+            inv @ grid_jacobian(g.xyz),
+            np.broadcast_to(np.eye(3), inv.shape),
             atol=1e-12,
         )
 
@@ -160,6 +162,62 @@ class TestMetricTerms:
             physical_to_grid_velocity(g, np.ones(g.shape + (3,)))
         with pytest.raises(ValueError, match="degenerate grid"):
             g.inverse_jacobian
+
+
+def solve_decode(grid, velocity):
+    """The reference decode: one 3x3 solve ``J v_grid = v`` per node."""
+    jac = grid_jacobian(grid.xyz).reshape(-1, 3, 3)
+    v = np.asarray(velocity, dtype=np.float64).reshape(-1, 3, 1)
+    return np.linalg.solve(jac, v).reshape(grid.shape + (3,))
+
+
+def warped_grid():
+    base = cartesian_grid((9, 9, 7), lo=(-2, -2, -1), hi=(2, 2, 1)).xyz.copy()
+    base[..., 0] += 0.15 * np.sin(base[..., 1])
+    return CurvilinearGrid(base)
+
+
+class TestDecode:
+    """The decode is one contraction against the grid's inverse Jacobian;
+    a per-node solve is the reference it must match."""
+
+    @pytest.mark.parametrize(
+        "make_grid",
+        [
+            lambda: cartesian_grid((9, 9, 7), hi=(16, 4, 2)),  # stretched
+            warped_grid,
+            lambda: cylindrical_grid((12, 17, 6), taper=0.4),
+        ],
+        ids=["stretched", "warped", "cylindrical"],
+    )
+    def test_matches_the_per_node_solve(self, make_grid):
+        g = make_grid()
+        v = (40.0 * np.random.default_rng(7).normal(size=g.shape + (3,))).astype(
+            np.float32
+        )
+        vg = physical_to_grid_velocity(g, v)
+        assert vg.dtype == np.float64 and vg.flags.c_contiguous
+        assert np.abs(vg - solve_decode(g, v)).max() <= 1e-12 * np.abs(v).max()
+
+    def test_the_inverse_is_built_once_and_is_the_one_metric_term(self, monkeypatch):
+        builds = []
+
+        def counted(xyz):
+            builds.append(1)
+            return grid_jacobian(xyz)
+
+        monkeypatch.setattr(curvilinear_module, "grid_jacobian", counted)
+        g = cylindrical_grid((6, 9, 5))
+        v = np.ones(g.shape + (3,))
+        for _ in range(3):
+            physical_to_grid_velocity(g, v)
+        assert len(builds) == 1
+        assert not hasattr(g, "jacobian")
+        terms = [
+            a for a in vars(g).values()
+            if isinstance(a, np.ndarray) and a.shape == g.shape + (3, 3)
+        ]
+        assert len(terms) == 1 and terms[0] is g.inverse_jacobian
 
 
 class TestGridLocator:

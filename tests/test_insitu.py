@@ -1,4 +1,4 @@
-"""Unit tests for the in situ package: ring, source, steering, producer.
+"""Unit tests for the in situ package: source, steering, producer.
 
 The determinism tests are the load-bearing ones: solver snapshot-restore
 must be bit-identical, and a steered run replayed from its applied log
@@ -9,6 +9,7 @@ lets the gateway journal stand in for a velocity-field checkpoint.
 import numpy as np
 import pytest
 
+from repro.diskio.cache import TieredTimestepCache
 from repro.flow.solver import NavierStokes2D, SolverConfig, tapered_cylinder_mask
 from repro.grid.curvilinear import cartesian_grid
 from repro.insitu import (
@@ -17,7 +18,6 @@ from repro.insitu import (
     SolverProducer,
     SteeringConflictError,
     SteeringController,
-    TimestepRing,
     extrude_slice,
 )
 from repro.obs import MetricsRegistry
@@ -46,42 +46,6 @@ def make_source(config=None, *, nk=3, ring_capacity=8):
     return solver, source
 
 
-class TestTimestepRing:
-    def test_append_and_get(self):
-        ring = TimestepRing(4)
-        a = ring.append(0, np.ones((2, 2)))
-        assert ring.latest == 0 and ring.oldest == 0
-        assert not a.flags.writeable
-        np.testing.assert_array_equal(ring.get(0), np.ones((2, 2)))
-
-    def test_appends_must_be_sequential(self):
-        ring = TimestepRing(4)
-        ring.append(0, np.zeros(2))
-        with pytest.raises(ValueError, match="sequential"):
-            ring.append(2, np.zeros(2))
-
-    def test_eviction_retires_oldest(self):
-        ring = TimestepRing(2)
-        for t in range(4):
-            ring.append(t, np.full(2, t))
-        assert ring.oldest == 2 and ring.latest == 3
-        assert ring.evictions == 2
-        assert len(ring) == 2
-
-    def test_retired_and_future_errors_are_distinct(self):
-        ring = TimestepRing(2)
-        for t in range(3):
-            ring.append(t, np.zeros(1))
-        with pytest.raises(IndexError, match="retired"):
-            ring.get(0)
-        with pytest.raises(IndexError, match="not been produced"):
-            ring.get(9)
-
-    def test_capacity_validated(self):
-        with pytest.raises(ValueError):
-            TimestepRing(1)
-
-
 class TestLiveFlowSource:
     def test_extrude_slice_layout(self):
         u = np.arange(6.0).reshape(3, 2)
@@ -98,20 +62,46 @@ class TestLiveFlowSource:
         with pytest.raises(ValueError, match="shape"):
             LiveFlowSource(grid, np.zeros((2, 2, 3, 3)), dt=0.01)
 
-    def test_append_grows_n_timesteps(self):
-        solver, source = make_source()
-        assert source.n_timesteps == 1 and source.latest == 0
-        source.append(1, extrude_slice(solver.u, solver.v, 3))
-        assert source.n_timesteps == 2 and source.latest == 1
-        assert source.velocity(1).shape == source.grid.shape + (3,)
+    def test_admit_grows_n_timesteps(self):
+        _, source = make_source()
+        assert source.n_timesteps == 1
+        source.admit(1)
+        assert source.n_timesteps == 2 and source.oldest_timestep == 0
+        source.admit(1)  # idempotent
+        assert source.n_timesteps == 2
+        assert source.velocity(0).shape == source.grid.shape + (3,)
 
     def test_retired_timestep_raises(self):
-        solver, source = make_source(ring_capacity=2)
-        arr = extrude_slice(solver.u, solver.v, 3)
-        for t in (1, 2, 3):
-            source.append(t, arr)
+        _, source = make_source(ring_capacity=2)
+        source.admit(3)
         with pytest.raises(IndexError, match="retired"):
             source.velocity(0)
+
+    def test_retired_and_future_errors_are_distinct(self):
+        _, source = make_source(ring_capacity=2)
+        source.admit(2)
+        with pytest.raises(IndexError, match="retired"):
+            source.velocity(0)
+        with pytest.raises(IndexError, match="not been produced"):
+            source.velocity(9)
+
+    def test_index_error_names_the_window(self):
+        """Timestep 0 is the only one the source holds, and only while
+        the window does: every other read names the window."""
+        _, source = make_source(ring_capacity=4)
+        source.admit(40)
+        assert source.oldest_timestep == 37
+        for t in (0, 5):
+            with pytest.raises(IndexError, match=r"retired .*\[37, 40\]"):
+                source.velocity(t)
+        with pytest.raises(IndexError, match=r"not held .*\[37, 40\]"):
+            source.velocity(38)
+        with pytest.raises(IndexError, match=r"not been produced .*\[37, 40\]"):
+            source.velocity(41)
+
+    def test_ring_capacity_validated(self):
+        with pytest.raises(ValueError, match="ring_capacity"):
+            make_source(ring_capacity=1)
 
     def test_byte_accounting_outlives_timestep_zero(self):
         """Sizes are recorded at construction, not read off timestep 0 —
@@ -122,8 +112,7 @@ class TestLiveFlowSource:
         arr = extrude_slice(solver.u, solver.v, 3)
         per = source.timestep_nbytes
         assert per == arr.nbytes
-        for t in range(1, 9):
-            source.append(t, arr)
+        source.admit(8)
         assert source.timestep_nbytes == per
         assert source.total_nbytes == 9 * per
         assert dataset_key(source)  # used to raise with the property
@@ -221,17 +210,22 @@ class TestSolverDeterminism:
         assert solver.reconfigure(u_inf=2.0).u_inf == 2.0
 
 
+def make_producer(solver, source, **kwargs):
+    """A producer writing through a tier-1 cache as long as the window."""
+    cache = TieredTimestepCache(source, l1_timesteps=source.ring_capacity)
+    return SolverProducer(solver, source, cache=cache, **kwargs)
+
+
 class TestSolverProducer:
     def make_producer(self, **kwargs):
         solver, source = make_source()
-        producer = SolverProducer(
+        return make_producer(
             solver,
             source,
             steps_per_timestep=kwargs.pop("steps_per_timestep", 2),
             registry=kwargs.pop("registry", MetricsRegistry()),
             **kwargs,
         )
-        return producer
 
     def test_prime_is_idempotent(self):
         p = self.make_producer()
@@ -289,8 +283,6 @@ class TestSolverProducer:
         assert not np.array_equal(initial_u, p.solver.u)
 
     def test_cache_write_through_makes_reads_hits(self):
-        from repro.diskio.cache import TieredTimestepCache
-
         solver, source = make_source()
         cache = TieredTimestepCache(source, l1_timesteps=8)
         p = SolverProducer(solver, source, cache=cache, steps_per_timestep=2)
@@ -311,7 +303,7 @@ class TestSolverProducer:
             calls.append((taper, angle))
             return tapered_cylinder_mask(config, taper=taper, angle_degrees=angle)
 
-        p = SolverProducer(
+        p = make_producer(
             solver, source, steps_per_timestep=1, obstacle_factory=factory
         )
         p.prime()
@@ -332,8 +324,8 @@ class TestSolverProducer:
         p.steering.request(7, {"dt": 0.002})
         p.advance(3)
         reference = {
-            t: p.source.velocity(t).copy()
-            for t in range(p.source.ring.oldest, p.available + 1)
+            t: p.cache.get(t)[0].copy()
+            for t in range(p.source.oldest_timestep, p.available + 1)
         }
         log = [dict(e) for e in p.steering.applied_log]
 
@@ -341,8 +333,9 @@ class TestSolverProducer:
         q = self.make_producer()
         q.prime()
         q.replay_steering(log, until_t=p.available)
+        assert len(reference) == p.source.ring_capacity
         for t, expected in reference.items():
-            assert np.array_equal(q.source.velocity(t), expected), t
+            assert np.array_equal(q.cache.get(t)[0], expected), t
         assert q.steering.applied_epoch == p.steering.applied_epoch
 
 

@@ -18,6 +18,7 @@ import pytest
 
 import repro.insitu.process as solver_process
 from repro.core import WindtunnelClient
+from repro.diskio.cache import TieredTimestepCache
 from repro.dlib import DlibClient, DlibRemoteError
 from repro.flow.solver import SolverConfig
 from repro.insitu import InsituWindtunnelServer, SolverProducer
@@ -143,6 +144,7 @@ class TestSteeringAcrossTheBoundary:
         )
         replay = SolverProducer(
             solver, source, steps_per_timestep=STEPS,
+            cache=TieredTimestepCache(source, l1_timesteps=until + 1),
             obstacle_factory=server.producer.obstacle_factory,
         )
         replay.prime()
@@ -153,7 +155,7 @@ class TestSteeringAcrossTheBoundary:
         assert resident == list(range(until - 16 - solver_process.LAG + 1, until + 1))
         for t in resident:
             child = segment.get(t)
-            assert child.tobytes() == replay.source.grid_velocity(t).tobytes(), t
+            assert child.tobytes() == replay.cache.get(t)[0].tobytes(), t
             assert replay.epoch_for(t) == server.producer.epoch_for(t), t
 
 

@@ -110,10 +110,19 @@ def test_helpers_nothing_calls_stay_unexported():
         "DiskDataset", "LambOseenVortex", "MemoryDataset",
         "NavierStokes2D", "OscillatingShearLayer", "RigidRotation",
         "SolverConfig", "Superposition", "TaperedCylinderFlow", "UniformFlow",
-        "UnsteadyDataset", "VectorField", "cylinder_mask", "q_criterion",
-        "sample_on_grid", "solver_dataset", "speed", "tapered_cylinder_dataset",
-        "tapered_cylinder_mask", "velocity_gradient", "vorticity",
-        "vorticity_magnitude",
+        "UnsteadyDataset", "VectorField", "cylinder_mask", "sample_on_grid",
+        "solver_dataset", "tapered_cylinder_dataset", "tapered_cylinder_mask",
+    ]
+
+
+def test_the_live_window_is_stored_once():
+    """The cache tiers hold the live window: no ring beside them."""
+    import repro.insitu
+
+    assert sorted(repro.insitu.__all__) == [
+        "InsituWindtunnelServer", "LiveFlowSource", "STEERING_RANGES",
+        "SolverExitedError", "SolverProcess", "SolverProducer",
+        "SteeringConflictError", "SteeringController", "extrude_slice",
     ]
 
 
@@ -136,6 +145,7 @@ def test_option_counts_are_pinned():
     from repro.gateway.admission import AdmissionController
     from repro.gateway.worker import DEFAULT_SPEC
     from repro.grid.search import GridLocator
+    from repro.insitu import LiveFlowSource, SolverProducer
     from repro.tracers import (
         IntegratorWorkspace,
         advance_rk2,
@@ -179,6 +189,13 @@ def test_option_counts_are_pinned():
     assert options(SessionTable) == 3
     assert options(AdmissionController) == 8
     assert options(GridLocator) == 1
+    # The live source holds timestep 0 and the frontier; the producer
+    # writes every later timestep to the one cache it must be given.
+    assert options(LiveFlowSource) == 4
+    assert options(SolverProducer) == 8
+    assert inspect.signature(SolverProducer).parameters["cache"].default is (
+        inspect.Parameter.empty
+    )
     # One way to a velocity field: a load loads (whoever drives a loader
     # calls ``prefetch``), and the engine has no prefetch policy to flip.
     assert parameters(TimestepLoader.load) == ["t"]
