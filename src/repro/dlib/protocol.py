@@ -473,25 +473,61 @@ def decode_message(data: bytes) -> tuple[MessageKind, int, object]:
 # -- quantized point coordinates (v2 frame encoding) --------------------------
 
 #: Quantization levels of the int16 fixed-point codec.  The span of each
-#: axis maps onto [-32767, 32767] (65535 levels), so the worst-case
-#: reconstruction error is ``span / (2 * 65534)`` per axis.
+#: axis fits within [-32767, 32767] (65535 levels), so no axis is quantized
+#: finer than ``span / 65534``.
 _Q_LEVELS = 65534.0
 _Q_HALF = 32767.0
+
+#: The reconstruction error q16 promises (docs/network.md): every axis
+#: gets the coarsest step whose :func:`quantization_error_bound` stays
+#: within it, unless the axis spans more than 65534 such steps (113 to
+#: 129 grid units, by distance from the origin), where the 16-bit step
+#: governs.
+Q16_ERROR_BUDGET = 1e-3
+
+#: float32's machine epsilon as a Python float: the bound is float64
+#: arithmetic (a NumPy float32 scalar would round it to float32).
+_F32_EPS = float(np.finfo(np.float32).eps)
+
+
+def _budget_step(magnitude: float) -> float:
+    """The largest float32 step whose error bound meets the budget.
+
+    ``magnitude`` is the largest ``|offset|`` of the payload; 0 when no
+    step does (offsets beyond ~8 000 units, where float32 rounding alone
+    spends the budget).  Solves :func:`quantization_error_bound` for its
+    step in closed form, then backs off ulp by ulp from float32 rounding.
+    """
+    step = (Q16_ERROR_BUDGET - magnitude * _F32_EPS) / (0.5005 + _Q_LEVELS * _F32_EPS)
+    if step <= 0.0:
+        return 0.0
+    step32 = np.float32(step)
+    offset = np.float32(magnitude)
+    while step32 > 0 and quantization_error_bound(
+        {"scale": [step32], "offset": [offset]}
+    ) > Q16_ERROR_BUDGET:
+        step32 = np.nextafter(step32, np.float32(0))
+    return float(step32)
 
 
 def quantize_points(vertices: np.ndarray) -> dict:
     """Quantize float32 point coordinates to 6 bytes/point fixed point.
 
     ``vertices`` is any ``(..., 3)`` float array of path points.  Each of
-    the three axes is affinely mapped onto int16 over the array's own
-    bounding box, so the payload is ``{"q": int16 (..., 3), "scale":
-    float32 (3,), "offset": float32 (3,)}`` — every value a plain wire
-    type, decodable by :func:`decode_value` with no new tags.
+    the three axes is affinely mapped onto int16 from the array's own
+    minimum, so the payload is ``{"q": int16 (..., 3), "scale": float32
+    (3,), "offset": float32 (3,)}`` — every value a plain wire type,
+    decodable by :func:`decode_value` with no new tags.
 
-    The reconstruction error of :func:`dequantize_points` is bounded
-    per axis by ``scale / 2`` (see :func:`quantization_error_bound`);
-    for the paper's grids (tens of grid units of extent) that is a few
-    1e-4 grid units, against the 12-byte float32 baseline's exactness.
+    The step (``scale``) of an axis is the coarser of ``span / 65534``
+    and the largest step whose :func:`quantization_error_bound` stays
+    within :data:`Q16_ERROR_BUDGET`: a pure function of the vertices.
+    The reconstruction error of :func:`dequantize_points` is bounded per
+    axis by ``scale / 2``; for the paper's rakes (tens of grid units of
+    extent) that is the 1e-3 budget, at most a quarter of the
+    streamlines' own error against the analytic flow
+    (``tests/test_q16_tolerance.py``), on a grid of fewer levels than the
+    span allows, which packs smaller.
     """
     v = np.asarray(vertices, dtype=np.float32)
     if v.ndim < 2 or v.shape[-1] != 3:
@@ -505,9 +541,10 @@ def quantize_points(vertices: np.ndarray) -> dict:
         hi = flat.max(axis=0)
         # float64 for the span arithmetic: a float32 span of a huge
         # coordinate range must not round to zero scale.
+        span_step = (hi.astype(np.float64) - lo.astype(np.float64)) / _Q_LEVELS
+        budget_step = _budget_step(float(np.abs(lo).max()))
         scale = np.maximum(
-            (hi.astype(np.float64) - lo.astype(np.float64)) / _Q_LEVELS,
-            np.finfo(np.float32).tiny,
+            span_step, max(budget_step, np.finfo(np.float32).tiny)
         ).astype(np.float32)
     return {
         "q": _to_grid(flat, scale, lo).reshape(v.shape),
@@ -582,7 +619,7 @@ def quantization_error_bound(payload: dict) -> float:
     offset = np.asarray(payload["offset"], dtype=np.float64)
     step = float(scale.max()) / 2.0
     magnitude = float(np.abs(offset).max()) + float(scale.max()) * _Q_LEVELS
-    return step * 1.001 + magnitude * np.finfo(np.float32).eps
+    return step * 1.001 + magnitude * _F32_EPS
 
 
 #: The one deflate setting of :func:`pack_q16` (``zlib.compressobj``

@@ -17,6 +17,11 @@ from repro.grid.jacobian import degenerate_grid_error, grid_jacobian
 
 __all__ = ["CurvilinearGrid", "cartesian_grid", "cylindrical_grid"]
 
+#: Nodes per slab of the inverse Jacobian's build (a 1.2 MB Jacobian
+#: slab): freeing a whole 64x64x32 grid's 9.4 MB Jacobian raises glibc's
+#: mmap threshold above the decode's own arrays, which then stay resident.
+JACOBIAN_SLAB_NODES = 1 << 14
+
 
 class CurvilinearGrid:
     """A structured curvilinear grid of physical node positions.
@@ -67,15 +72,23 @@ class CurvilinearGrid:
     def inverse_jacobian(self) -> np.ndarray:
         """``dxi/dx`` at every node, ``(ni, nj, nk, 3, 3)``: the inverse of
         :func:`~repro.grid.jacobian.grid_jacobian`, built once on first
-        use (the Jacobian itself is a temporary of that build), that every
-        timestep's decode contracts against.  ``ValueError`` on a
-        degenerate grid."""
+        use, that every timestep's decode contracts against.  Built in
+        i-slabs of about :data:`JACOBIAN_SLAB_NODES` nodes, each from the
+        Jacobian of its planes plus one halo plane a side (bit-identical
+        to the whole grid's), so no whole-grid Jacobian is ever held.
+        ``ValueError`` on a degenerate grid."""
         if self._inverse_jacobian is None:
-            jac = grid_jacobian(self.xyz)
-            try:
-                inv = np.linalg.inv(jac)
-            except np.linalg.LinAlgError:
-                raise degenerate_grid_error(jac) from None
+            ni, nj, nk = self.shape
+            inv = np.empty((ni, nj, nk, 3, 3))
+            planes = max(1, JACOBIAN_SLAB_NODES // (nj * nk))
+            for lo in range(0, ni, planes):
+                hi = min(lo + planes, ni)
+                first = max(lo - 1, 0)
+                jac = grid_jacobian(self.xyz[first:min(hi + 1, ni)])
+                try:
+                    inv[lo:hi] = np.linalg.inv(jac[lo - first:hi - first])
+                except np.linalg.LinAlgError:
+                    raise degenerate_grid_error(grid_jacobian(self.xyz)) from None
             inv.flags.writeable = False
             self._inverse_jacobian = inv
         return self._inverse_jacobian

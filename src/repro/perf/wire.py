@@ -9,8 +9,10 @@ arithmetic predicts.
 
 For ``q16`` the prediction is an upper bound: the wire form packs the
 int16 grid losslessly (``repro.dlib.pack_q16``) by an amount that
-depends on how smooth the paths are, which arithmetic cannot know.
-``benchmarks/test_wire_efficiency.py`` gates measured <= model.
+depends on how smooth the paths are and on how few of the int16 levels
+each axis's error-budget step uses (``quantize_points``), which
+arithmetic cannot know.  6 bytes/point stays the bound whatever the
+step.  ``benchmarks/test_wire_efficiency.py`` gates measured <= model.
 """
 
 from __future__ import annotations

@@ -14,7 +14,13 @@ and rejection paths) with the properties the observability PR leans on:
   a base grid) are lossless on any int16 polyline grid, decode
   bit-identically to ``dequantize_points`` of that grid — the predicted
   form against the decoded rake the reader holds — and reject every
-  damaged payload, and every base of another shape, with a typed error.
+  damaged payload, and every base of another shape, with a typed error;
+* ``quantize_points``' step per axis is the coarsest the 1e-3 error
+  budget allows (``Q16_ERROR_BUDGET``), so any block that fits the budget
+  at all decodes within it, and a reader holding a rake quantized at the
+  old 16-bit step still decodes a predicted entry on the new step
+  exactly: the step is carried by ``scale``, so the wire format is
+  unchanged.
 """
 
 import struct
@@ -28,6 +34,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 from repro.dlib.protocol import (
+    Q16_ERROR_BUDGET,
     TRACE_FLAG,
     DlibProtocolError,
     MessageKind,
@@ -40,6 +47,7 @@ from repro.dlib.protocol import (
     encode_message,
     encode_value,
     pack_q16,
+    quantization_error_bound,
     quantize_points,
     requantize_points,
     unpack_q16,
@@ -474,3 +482,80 @@ class TestPackedQ16:
             broken = {k: v for k, v in entry.items() if k != field}
             with pytest.raises(DlibProtocolError):
                 decode_path_entry(broken)
+
+
+# -- the quantization step --------------------------------------------------------
+
+#: Blocks the budget fits: |coord| <= 1e3 and at most 110 units a side.
+#: Near 1e3 the bound's float32 rounding term is 1.2e-4, so from ~113
+#: units on even the 16-bit step (span / 65534) exceeds 1e-3.
+budget_blocks = st.tuples(
+    arrays(np.float64, 3, elements=st.floats(-1e3, 1e3 - 110)),
+    arrays(np.float64, 3, elements=st.floats(0, 110)),
+    arrays(np.float64, st.tuples(st.integers(1, 4), st.integers(1, 12), st.just(3)),
+           elements=st.floats(0, 1)),
+).map(lambda t: (t[0] + t[2] * t[1]).astype(np.float32))
+
+
+def sixteen_bit(vertices: np.ndarray) -> dict:
+    """The fixed 16-bit q16 grid: every axis's span over 65534 steps."""
+    flat = vertices.reshape(-1, 3)
+    lo = flat.min(axis=0)
+    span = flat.max(axis=0).astype(np.float64) - lo
+    axes = {
+        "scale": np.maximum(span / 65534, np.finfo(np.float32).tiny).astype(np.float32),
+        "offset": lo,
+    }
+    return dict(axes, q=requantize_points(vertices, axes))
+
+
+class TestQuantizationStep:
+    @given(budget_blocks)
+    @settings(max_examples=200, deadline=None)
+    def test_any_block_the_budget_fits_decodes_within_it(self, vertices):
+        payload = quantize_points(vertices)
+        bound = quantization_error_bound(payload)
+        assert bound <= Q16_ERROR_BUDGET
+        error = np.abs(dequantize_points(payload) - vertices).max()
+        assert error <= bound
+
+    @given(budget_blocks)
+    @settings(max_examples=100, deadline=None)
+    def test_the_step_is_the_coarsest_the_budget_allows(self, vertices):
+        payload = quantize_points(vertices)
+        coarser = np.nextafter(payload["scale"].max(), np.float32(np.inf))
+        assert quantization_error_bound(dict(payload, scale=np.full(3, coarser))) \
+            > Q16_ERROR_BUDGET
+        # ... and never finer than the 16-bit step, on any axis.
+        assert (payload["scale"] >= sixteen_bit(vertices)["scale"]).all()
+
+    def test_past_the_budget_the_16_bit_step_governs(self):
+        vertices = np.array([[[0, 0, 0], [500, 1, 200]]], dtype=np.float32)
+        payload = quantize_points(vertices)
+        np.testing.assert_array_equal(payload["scale"][[0, 2]],
+                                      sixteen_bit(vertices)["scale"][[0, 2]])
+        assert payload["scale"][1] < payload["scale"][0]  # a short axis keeps the budget's
+
+    @given(
+        budget_blocks.flatmap(
+            lambda v: st.tuples(
+                st.just(v),
+                arrays(np.float32, v.shape, elements=st.floats(-100, 100, width=32)),
+            )
+        )
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_a_rake_held_at_16_bits_predicts_the_budget_step(self, pair):
+        """A reader holding a rake decoded from a fixed 16-bit grid gets
+        a predicted entry on the budget's step and decodes it to exactly
+        ``dequantize_points`` of the new grid: no format change."""
+        before, after = pair
+        held = {
+            "kind": "streamline",
+            "vertices": dequantize_points(sixteen_bit(before)),
+            "lengths": full_lengths(before),
+        }
+        wire = decode_value(encode_value(packed_entry(after, held)))
+        decoded = decode_path_entry(wire, held)
+        expected = dequantize_points(quantize_points(after))
+        assert decoded["vertices"].tobytes() == expected.tobytes()
