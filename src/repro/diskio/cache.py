@@ -286,7 +286,7 @@ class TieredTimestepCache:
     tier 2 must keep alive.
 
     ``l1_timesteps`` is tier 1's budget, in timesteps.  The ``l2``
-    object is duck-typed (``get``/``put``/``stats``/``close``);
+    object is duck-typed (``get``/``append``/``stats``/``close``);
     ``source`` needs ``read``/``stats``/``close``.  This cache
     owns its tier-2 attachment — :meth:`close` closes it — while the
     segment itself outlives the attachment when another process created
@@ -334,7 +334,7 @@ class TieredTimestepCache:
                 return self.l1.put(t, arr), TIER_L2
         gv = self.source.read(t)
         if self.l2 is not None:
-            self.l2.put(t, gv)
+            self.l2.append(t, gv)
         return self.l1.put(t, gv), TIER_SOURCE
 
     def peek(self, t: int) -> np.ndarray | None:
@@ -364,8 +364,8 @@ class TieredTimestepCache:
             try:
                 self.l2.append(t, gv)
             except Exception:
-                # A full/contended segment must never stall the solver;
-                # tier 2 is an optimization, the L1 copy is authoritative.
+                # A failing segment must never stop the solver; tier 2
+                # is an optimization, the L1 copy is authoritative.
                 pass
             else:
                 self.l2.stats.append(gv.nbytes)

@@ -4,43 +4,41 @@ The one shared-memory field store: a named, crash-safe cache segment
 that any process on the machine can attach, so gateway workers serving
 the same dataset hold no private copies of each decoded timestep and N
 co-located sessions perform ≈1× aggregate disk reads
-(``benchmarks/test_cache_tiers.py``).
+(``benchmarks/test_cache_tiers.py``), and a live tunnel's solver child
+hands the server its window of timesteps (docs/steering.md).
 
 Layout of the single ``multiprocessing.shared_memory`` segment (all
 metadata is aligned int64, so loads/stores are single machine words)::
 
-    header      [magic, version, n_slots, slot_nbytes, n_reader_rows,
-                 tick, creator_pid, key_hash]
-    slot meta   n_slots x [seq, timestep, last_tick]
-    reader tbl  n_reader_rows x [pid, (slot, seq) * PINS_PER_READER]
-    payload     n_slots x slot_nbytes
+    header      [magic, version, n_slots, slot_nbytes, tick,
+                 creator_pid, key_hash]
+    slot meta   n_slots x [seq, timestep, written]
+    payload     n_slots x slot_nbytes of float64
 
-**Consistency protocol** (seqlock + advisory pins, lock-free readers):
+**Consistency protocol** (one seqlock ring, lock-free readers):
 
 * A slot's ``seq`` is even when its payload is stable and odd while a
   write is in progress.  A writer bumps ``seq`` to odd, copies the
   payload, sets ``timestep``, then bumps ``seq`` back to even.
 * A reader finds a slot whose ``timestep`` matches and ``seq`` is even,
-  *pins* ``(slot, seq)`` in its own reader-table row, copies the payload
-  out, then re-reads ``seq``.  If it changed, the copy is torn and is
-  discarded — the reader never uses invalid data, with no reader-side
-  lock at all.
-* Pins are advisory: the writer skips pinned slots when choosing an
-  eviction victim (so in-progress reads aren't wasted), but correctness
-  never depends on a pin being observed — the seqlock re-validation
-  catches the race.  A slot is therefore never *replaced* under a
-  reader that will go on to use the data.
+  copies the payload out, then re-reads ``seq``.  If it changed, the
+  copy is torn and is discarded — the reader never uses invalid data,
+  with no reader-side lock at all.  Readers write nothing to the
+  segment.
+* Every write takes one victim: a torn slot, else an empty one, else
+  the least recently *written*.  A producer that appends in timestep
+  order therefore keeps its newest ``n_slots`` timesteps, whatever its
+  readers do: the window is strictly FIFO.
 * Writers serialize on an ``fcntl.flock`` of a sidecar file, not a
   ``multiprocessing.Lock``: the kernel drops a flock when its holder
   dies, so a SIGKILLed worker cannot wedge the cache.  A writer that
   died mid-copy leaves ``seq`` odd; the slot is unreadable and is the
-  *preferred* eviction victim for the next writer.  Reader rows owned
-  by dead pids (``os.kill(pid, 0)`` fails) are reclaimed the same way.
+  *preferred* victim for the next writer.
 
 Reads are copy-out: :meth:`SharedTimestepCache.get` returns a read-only
-private copy, so no caller ever holds a view into a slot after its pin
-is dropped.  The copy is a memory-bandwidth cost (microseconds) against
-a modeled disk read (milliseconds–seconds) — see docs/caching.md.
+private copy, so no caller ever holds a view into a slot a writer may
+reuse.  The copy is a memory-bandwidth cost (microseconds) against a
+modeled disk read (milliseconds–seconds) — see docs/caching.md.
 """
 
 from __future__ import annotations
@@ -55,6 +53,7 @@ from multiprocessing import shared_memory
 import numpy as np
 
 from repro.diskio.cache import TIER_L2, TierCounters, dataset_key
+from repro.obs import MetricsRegistry
 
 try:  # POSIX only; on other platforms writers fall back to an in-process lock
     import fcntl
@@ -64,14 +63,13 @@ except ImportError:  # pragma: no cover - exercised only on non-POSIX
 __all__ = ["SharedTimestepCache", "attach_segment"]
 
 MAGIC = 0x5754_5343  # "WTSC"
-VERSION = 1
-PINS_PER_READER = 8
+VERSION = 2
 
 _H_MAGIC, _H_VERSION, _H_SLOTS, _H_SLOT_NBYTES = 0, 1, 2, 3
-_H_READER_ROWS, _H_TICK, _H_CREATOR, _H_KEY = 4, 5, 6, 7
-_HEADER_WORDS = 8
-_META_WORDS = 3  # per slot: seq, timestep, last_tick
-_M_SEQ, _M_TIMESTEP, _M_TICK = 0, 1, 2
+_H_TICK, _H_CREATOR, _H_KEY = 4, 5, 6
+_HEADER_WORDS = 7
+_META_WORDS = 3  # per slot: seq, timestep, written (the tick of its write)
+_M_SEQ, _M_TIMESTEP, _M_WRITTEN = 0, 1, 2
 _EMPTY = -1
 
 
@@ -133,22 +131,8 @@ def _key_hash(dataset_id: str) -> int:
     return int(dataset_id[:15], 16) if dataset_id else 0
 
 
-def _pid_alive(pid: int) -> bool:
-    if pid <= 0:
-        return False
-    try:
-        os.kill(pid, 0)
-    except ProcessLookupError:
-        return False
-    except PermissionError:  # pragma: no cover - other-user pid: alive
-        return True
-    except OSError:  # pragma: no cover
-        return False
-    return True
-
-
 class SharedTimestepCache:
-    """A fixed-slot shared-memory cache of decoded timesteps.
+    """A fixed-slot shared-memory ring of decoded float64 timesteps.
 
     One instance per process per segment; the first creator becomes the
     *owner* (and unlinks the segment on :meth:`close` / :meth:`unlink`),
@@ -156,7 +140,8 @@ class SharedTimestepCache:
     geometry, segment name, and dataset identity from a dataset.
     ``track=False`` keeps a created segment out of this process's
     ``resource_tracker`` (no tracker process is started for it): the
-    owner alone unlinks it.
+    owner alone unlinks it.  Counters go to ``registry`` (a private one
+    when omitted) as ``cache.l2.*``.
     """
 
     def __init__(
@@ -164,39 +149,33 @@ class SharedTimestepCache:
         name: str,
         slot_shape: tuple[int, ...],
         *,
-        dtype=np.float64,
         slots: int = 8,
-        reader_rows: int = 16,
         dataset_id: str = "",
         create: str = "auto",
-        registry=None,
+        registry: MetricsRegistry | None = None,
         track: bool = True,
     ) -> None:
         if slots < 1:
             raise ValueError("need at least one slot")
-        if reader_rows < 1:
-            raise ValueError("need at least one reader row")
         self.name = name
         self.slot_shape = tuple(int(s) for s in slot_shape)
-        self.dtype = np.dtype(dtype)
         self.dataset_id = dataset_id
+        registry = registry if registry is not None else MetricsRegistry()
         self.stats = TierCounters(TIER_L2, registry)
-        # Protocol-level event counts beyond the standard tier stats.
-        self.bypasses = 0  # puts skipped because every victim was pinned
-        self.torn_reads = 0  # copies discarded by seqlock re-validation
-        self.reclaimed = 0  # dead-reader rows + torn slots reclaimed
-        self._local = threading.Lock()  # guards this process's pin row
+        # Protocol-level events beyond the standard tier stats.
+        self.torn_reads = registry.counter("cache.l2.torn_reads")
+        self.reclaimed = registry.counter("cache.l2.reclaimed")
         self._closed = False
         self._track = bool(track)
 
-        slot_nbytes = int(np.prod(self.slot_shape)) * self.dtype.itemsize
+        slot_nbytes = int(np.prod(self.slot_shape)) * 8
         created = False
         if create not in ("auto", "always", "never"):
             raise ValueError("create must be 'auto', 'always', or 'never'")
         if create == "never":
             self._shm = attach_segment(name)
         else:
-            size = self._segment_size(slots, reader_rows, slot_nbytes)
+            size = self._segment_size(slots, slot_nbytes)
             try:
                 self._shm = _shared_memory(
                     self._track, name=name, create=True, size=size
@@ -210,11 +189,10 @@ class SharedTimestepCache:
 
         if created:
             buf = np.frombuffer(self._shm.buf, dtype=np.int64)
-            buf[: self._meta_words(slots, reader_rows)] = 0
+            buf[: self._meta_words(slots)] = 0
             header = buf[:_HEADER_WORDS]
             header[_H_SLOTS] = slots
             header[_H_SLOT_NBYTES] = slot_nbytes
-            header[_H_READER_ROWS] = reader_rows
             header[_H_CREATOR] = os.getpid()
             header[_H_KEY] = _key_hash(dataset_id)
             self._slot_meta_view(slots)[:, _M_TIMESTEP] = _EMPTY
@@ -236,19 +214,14 @@ class SharedTimestepCache:
             raise ValueError(f"segment {name!r} {err}")
         self.n_slots = int(header[_H_SLOTS])
         self.slot_nbytes = slot_nbytes
-        self.n_reader_rows = int(header[_H_READER_ROWS])
         self._header = header
         self._meta = self._slot_meta_view(self.n_slots)
-        self._readers = self._reader_table_view()
-        self._payload_offset = (
-            self._meta_words(self.n_slots, self.n_reader_rows) * 8
-        )
+        self._payload_offset = self._meta_words(self.n_slots) * 8
         self._lock_path = os.path.join(
             tempfile.gettempdir(), f"{name.lstrip('/')}.lock"
         )
         self._lock_file = open(self._lock_path, "a+b")
         self._fallback_lock = threading.Lock() if fcntl is None else None
-        self._row = self._claim_reader_row()
 
     def _header_error(
         self, header: np.ndarray, slot_nbytes: int, dataset_id: str
@@ -267,33 +240,25 @@ class SharedTimestepCache:
             )
         if dataset_id and header[_H_KEY] != _key_hash(dataset_id):
             return "holds a different dataset"
-        slots, rows = int(header[_H_SLOTS]), int(header[_H_READER_ROWS])
-        if slots < 1 or rows < 1:
-            return f"declares {slots} slots and {rows} reader rows"
-        if self._segment_size(slots, rows, slot_nbytes) > self._shm.size:
+        slots = int(header[_H_SLOTS])
+        if slots < 1:
+            return f"declares {slots} slots"
+        if self._segment_size(slots, slot_nbytes) > self._shm.size:
             return (
-                f"declares {slots} slots and {rows} reader rows, more than "
-                f"its {self._shm.size} bytes hold"
+                f"declares {slots} slots, more than its "
+                f"{self._shm.size} bytes hold"
             )
         return None
 
     # -- geometry --------------------------------------------------------------
 
     @staticmethod
-    def _reader_row_words() -> int:
-        return 1 + 2 * PINS_PER_READER
+    def _meta_words(slots: int) -> int:
+        return _HEADER_WORDS + slots * _META_WORDS
 
     @classmethod
-    def _meta_words(cls, slots: int, reader_rows: int) -> int:
-        return (
-            _HEADER_WORDS
-            + slots * _META_WORDS
-            + reader_rows * cls._reader_row_words()
-        )
-
-    @classmethod
-    def _segment_size(cls, slots: int, reader_rows: int, slot_nbytes: int) -> int:
-        return cls._meta_words(slots, reader_rows) * 8 + slots * slot_nbytes
+    def _segment_size(cls, slots: int, slot_nbytes: int) -> int:
+        return cls._meta_words(slots) * 8 + slots * slot_nbytes
 
     def _slot_meta_view(self, slots: int) -> np.ndarray:
         return np.ndarray(
@@ -303,18 +268,10 @@ class SharedTimestepCache:
             offset=_HEADER_WORDS * 8,
         )
 
-    def _reader_table_view(self) -> np.ndarray:
-        return np.ndarray(
-            (self.n_reader_rows, self._reader_row_words()),
-            dtype=np.int64,
-            buffer=self._shm.buf,
-            offset=(_HEADER_WORDS + self.n_slots * _META_WORDS) * 8,
-        )
-
     def _slot_array(self, slot: int) -> np.ndarray:
         return np.ndarray(
             self.slot_shape,
-            dtype=self.dtype,
+            dtype=np.float64,
             buffer=self._shm.buf,
             offset=self._payload_offset + slot * self.slot_nbytes,
         )
@@ -328,8 +285,7 @@ class SharedTimestepCache:
         dataset_id: str | None = None,
         slots: int = 8,
         create: str = "auto",
-        registry=None,
-        reader_rows: int = 16,
+        registry: MetricsRegistry | None = None,
     ) -> "SharedTimestepCache":
         """Build/attach the segment for ``dataset``'s decoded timesteps."""
         dataset_id = dataset_id or dataset_key(dataset)
@@ -338,9 +294,7 @@ class SharedTimestepCache:
         return cls(
             name,
             tuple(dataset.grid.shape) + (3,),
-            dtype=np.float64,
             slots=slots,
-            reader_rows=reader_rows,
             dataset_id=dataset_id,
             create=create,
             registry=registry,
@@ -362,72 +316,12 @@ class SharedTimestepCache:
         else:  # pragma: no cover - non-POSIX
             self._fallback_lock.release()
 
-    # -- reader rows / pins ----------------------------------------------------
-
-    def _claim_reader_row(self) -> int:
-        """Claim a reader-table row for this process (reclaiming dead ones)."""
-        pid = os.getpid()
-        wait = self._acquire_writer()
-        try:
-            rows = self._readers
-            for i in range(self.n_reader_rows):
-                if rows[i, 0] == pid:
-                    return i
-            for i in range(self.n_reader_rows):
-                owner = int(rows[i, 0])
-                if owner != 0 and not _pid_alive(owner):
-                    rows[i] = 0
-                    self.reclaimed += 1
-                    owner = 0
-                if owner == 0:
-                    rows[i, 1::2] = _EMPTY  # pin slots: -1 = free
-                    rows[i, 0] = pid
-                    return i
-            # Table full of live readers: run unpinned.  Seqlock
-            # re-validation alone still guarantees correctness.
-            return -1
-        finally:
-            self._release_writer()
-            self.stats.stall(wait)
-
-    def _pin(self, slot: int, seq: int) -> int:
-        if self._row < 0:
-            return -1
-        row = self._readers[self._row]
-        with self._local:
-            for i in range(PINS_PER_READER):
-                if row[1 + 2 * i] == _EMPTY:
-                    row[2 + 2 * i] = seq
-                    row[1 + 2 * i] = slot  # written last: publishes the pin
-                    return i
-        return -1
-
-    def _unpin(self, pin: int) -> None:
-        if pin >= 0:
-            self._readers[self._row, 1 + 2 * pin] = _EMPTY
-
-    def _pinned_slots(self) -> set[int]:
-        """Writer-side scan (under the writer lock): slots live readers pin."""
-        rows = self._readers
-        pinned = set()
-        for i in range(self.n_reader_rows):
-            owner = int(rows[i, 0])
-            if owner == 0:
-                continue
-            if not _pid_alive(owner):
-                rows[i] = 0
-                self.reclaimed += 1
-                continue
-            pinned.update(int(slot) for slot in rows[i, 1::2])
-        pinned.discard(_EMPTY)
-        return pinned
-
     # -- the cache API ---------------------------------------------------------
 
     def get(self, t: int) -> np.ndarray | None:
         """A read-only private copy of timestep ``t``, or ``None``.
 
-        Lock-free: pin → copy → re-validate the seqlock; a torn copy is
+        Lock-free: copy → re-validate the seqlock; a torn copy is
         discarded and retried once before reporting a miss.
         """
         t = int(t)
@@ -438,19 +332,14 @@ class SharedTimestepCache:
                 return None
             seq = int(self._meta[slot, _M_SEQ])
             if seq % 2 or int(self._meta[slot, _M_TIMESTEP]) != t:
-                continue  # writer got there between find and pin
-            pin = self._pin(slot, seq)
-            try:
-                out = np.array(self._slot_array(slot))  # the copy-out
-                if (
-                    int(self._meta[slot, _M_SEQ]) != seq
-                    or int(self._meta[slot, _M_TIMESTEP]) != t
-                ):
-                    self.torn_reads += 1
-                    continue
-            finally:
-                self._unpin(pin)
-            self._meta[slot, _M_TICK] = int(self._header[_H_TICK])  # LRU hint
+                continue  # a writer got there after the find
+            out = np.array(self._slot_array(slot))  # the copy-out
+            if (
+                int(self._meta[slot, _M_SEQ]) != seq
+                or int(self._meta[slot, _M_TIMESTEP]) != t
+            ):
+                self.torn_reads.inc()
+                continue
             out.flags.writeable = False
             self.stats.hit(out.nbytes)
             return out
@@ -464,29 +353,17 @@ class SharedTimestepCache:
                 return slot
         return -1
 
-    def put(self, t: int, arr: np.ndarray) -> bool:
-        """Publish timestep ``t``; returns ``False`` when skipped.
-
-        Skips are benign: another writer already published ``t``, or
-        every eviction candidate is pinned by a live reader (the caller
-        simply keeps its private copy — write-around).
-        """
-        return self._write(t, arr, _M_TICK)
-
     def append(self, t: int, arr: np.ndarray) -> bool:
-        """Publish a freshly *produced* timestep ``t``, as :meth:`put` does.
+        """Publish timestep ``t``; ``False`` when it is already resident.
 
-        The victim is the unpinned slot holding the oldest timestep, not
-        the least recently read one: a producer appends in timestep order,
-        so the segment then holds its newest ``n_slots`` timesteps however
-        readers touch them — the window a live tunnel's readers rely on
-        (docs/steering.md).
+        The one write, for a producer's fresh timestep and a reader's
+        fill alike.  It replaces the least recently written slot (after
+        torn and empty ones), so a producer appending in timestep order
+        keeps its newest ``n_slots`` timesteps — the window a live
+        tunnel's readers rely on (docs/steering.md).
         """
-        return self._write(t, arr, _M_TIMESTEP)
-
-    def _write(self, t: int, arr: np.ndarray, victim_key: int) -> bool:
         t = int(t)
-        arr = np.asarray(arr, dtype=self.dtype)
+        arr = np.asarray(arr, dtype=np.float64)
         if arr.shape != self.slot_shape:
             raise ValueError(
                 f"timestep shape {arr.shape} != slot shape {self.slot_shape}"
@@ -496,22 +373,19 @@ class SharedTimestepCache:
         try:
             if self._find_slot(t) >= 0:
                 return False  # already published by a sibling
-            slot = self._choose_victim(victim_key)
-            if slot < 0:
-                self.bypasses += 1
-                return False
+            slot = self._choose_victim()
             meta = self._meta
             evicting = int(meta[slot, _M_TIMESTEP]) != _EMPTY
             seq = int(meta[slot, _M_SEQ])
             if seq % 2:  # torn leftover from a crashed writer
-                self.reclaimed += 1
+                self.reclaimed.inc()
                 seq += 1  # realign to even before starting our write
             meta[slot, _M_SEQ] = seq + 1  # odd: write in progress
             meta[slot, _M_TIMESTEP] = _EMPTY
             self._slot_array(slot)[...] = arr
             tick = int(self._header[_H_TICK]) + 1
             self._header[_H_TICK] = tick
-            meta[slot, _M_TICK] = tick
+            meta[slot, _M_WRITTEN] = tick
             meta[slot, _M_TIMESTEP] = t
             meta[slot, _M_SEQ] = seq + 2  # even: published
             if evicting:
@@ -520,29 +394,17 @@ class SharedTimestepCache:
         finally:
             self._release_writer()
 
-    def _choose_victim(self, key: int) -> int:
-        """Pick a slot to write, under the writer lock.
-
-        Preference: torn slots (a crashed writer's leftovers), then
-        empty slots, then the unpinned slot with the smallest ``key``
-        meta word: the last tick (least recently used) or the timestep
-        (oldest).  ``-1`` when everything is pinned.
-        """
+    def _choose_victim(self) -> int:
+        """The slot to write, under the writer lock: a torn slot (a
+        crashed writer's leftover), else an empty one, else the least
+        recently written."""
         meta = self._meta
-        best, best_value = -1, None
         for slot in range(self.n_slots):
             if int(meta[slot, _M_SEQ]) % 2:
                 return slot
             if int(meta[slot, _M_TIMESTEP]) == _EMPTY:
                 return slot
-        pinned = self._pinned_slots()
-        for slot in range(self.n_slots):
-            if slot in pinned:
-                continue
-            value = int(meta[slot, key])
-            if best_value is None or value < best_value:
-                best, best_value = slot, value
-        return best
+        return int(np.argmin(meta[:, _M_WRITTEN]))
 
     # -- introspection / lifecycle ---------------------------------------------
 
@@ -565,9 +427,8 @@ class SharedTimestepCache:
                 "owner": self.owner,
                 "n_slots": self.n_slots,
                 "resident": self.resident_timesteps,
-                "bypasses": self.bypasses,
-                "torn_reads": self.torn_reads,
-                "reclaimed": self.reclaimed,
+                "torn_reads": self.torn_reads.value,
+                "reclaimed": self.reclaimed.value,
             }
         )
         return out
@@ -577,15 +438,9 @@ class SharedTimestepCache:
         if self._closed:
             return
         self._closed = True
-        try:
-            if self._row >= 0 and _pid_alive(int(self._readers[self._row, 0])):
-                if int(self._readers[self._row, 0]) == os.getpid():
-                    self._readers[self._row] = 0
-        except (ValueError, TypeError):  # pragma: no cover - buf already gone
-            pass
         # Drop every numpy view before closing, or mmap.close() raises
         # BufferError for the exported buffers.
-        self._header = self._meta = self._readers = None
+        self._header = self._meta = None
         try:
             self._shm.close()
         except BufferError:  # pragma: no cover

@@ -153,7 +153,7 @@ class _FakeL2:
         self.stats.hit(arr.nbytes)
         return arr
 
-    def put(self, t, arr):
+    def append(self, t, arr):
         self.entries[t] = np.asarray(arr).copy()
 
     def close(self):

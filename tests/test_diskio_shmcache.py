@@ -1,12 +1,13 @@
 """Tier 2 of the cache ladder: the shared-memory timestep segment.
 
-Covers the seqlock/pin protocol single-process (validation, LRU victim
-choice, torn slots, pinned-slot write-around, dead-reader reclaim), then
-hammers one segment from several *processes* under both ``spawn`` and
-``fork`` start methods, and finally SIGKILLs a writer mid-operation to
-prove the crash-safety story: the kernel drops the flock, the torn slot
-is reclaimed by the next writer, dead pins don't wedge eviction, and the
-segment unlinks cleanly (docs/caching.md).
+Covers the seqlock ring single-process (header validation, the one
+victim rule — torn, else empty, else least recently written — torn
+reads, and a read that loses its slot to a write), then hammers one
+segment from several *processes* under both ``spawn`` and ``fork``
+start methods, and finally SIGKILLs a writer mid-operation to prove the
+crash-safety story: the kernel drops the flock, the torn slot is
+reclaimed by the next writer, and the segment unlinks cleanly
+(docs/caching.md).
 """
 
 import multiprocessing
@@ -24,6 +25,7 @@ from repro.diskio.cache import decoded_timestep_nbytes
 from repro.diskio.shmcache import SharedTimestepCache, attach_segment
 from repro.flow import tapered_cylinder_dataset
 from repro.netsim import ProcessFaults
+from repro.obs import MetricsRegistry
 
 SHAPE = (4, 3, 2)
 _seq = count(1)
@@ -64,8 +66,6 @@ class TestSegmentValidation:
     def test_geometry_validation(self):
         with pytest.raises(ValueError, match="slot"):
             SharedTimestepCache(_name(), SHAPE, slots=0)
-        with pytest.raises(ValueError, match="reader row"):
-            SharedTimestepCache(_name(), SHAPE, reader_rows=0)
 
     def test_rejects_foreign_segment(self):
         from multiprocessing import shared_memory
@@ -80,24 +80,24 @@ class TestSegmentValidation:
             raw.unlink()
 
     @pytest.mark.parametrize(
-        "slots, rows",
-        [(0, 16), (-5, 16), (3, 0), (3, -1), (2**40, 16), (3, 2**40), (4, 16)],
-        ids=["no-slots", "negative-slots", "no-rows", "negative-rows",
-             "slots-past-the-mapping", "rows-past-the-mapping", "one-slot-too-many"],
+        "slots",
+        [0, -5, 2**40, 4],
+        ids=["no-slots", "negative-slots", "slots-past-the-mapping",
+             "one-slot-too-many"],
     )
-    def test_rejects_a_corrupt_header_geometry(self, seg, slots, rows):
+    def test_rejects_a_corrupt_header_geometry(self, seg, slots):
         """A header naming a geometry the mapping cannot hold is refused
         with a typed error before any view past the header is made."""
         header = seg._header
         saved = header.copy()
-        header[shmcache._H_SLOTS], header[shmcache._H_READER_ROWS] = slots, rows
+        header[shmcache._H_SLOTS] = slots
         try:
-            with pytest.raises(ValueError, match="reader rows"):
+            with pytest.raises(ValueError, match="declares"):
                 SharedTimestepCache(seg.name, SHAPE, create="never")
         finally:
             header[:] = saved
         again = SharedTimestepCache(seg.name, SHAPE, create="never")
-        assert (again.n_slots, again.n_reader_rows) == (3, 16)
+        assert again.n_slots == 3
         again.close()
 
     def test_rejects_a_segment_smaller_than_a_header(self):
@@ -149,13 +149,13 @@ class TestProtocol:
     def test_get_miss_then_put_then_hit(self, seg):
         assert seg.get(0) is None
         assert seg.stats.misses.value == 1
-        assert seg.put(0, _fill(SHAPE, 0))
+        assert seg.append(0, _fill(SHAPE, 0))
         out = seg.get(0)
         np.testing.assert_array_equal(out, _fill(SHAPE, 0))
         assert seg.stats.hits.value == 1
 
     def test_reads_are_readonly_private_copies(self, seg):
-        seg.put(0, _fill(SHAPE, 0))
+        seg.append(0, _fill(SHAPE, 0))
         a, b = seg.get(0), seg.get(0)
         assert not a.flags.writeable
         assert a is not b
@@ -163,21 +163,19 @@ class TestProtocol:
             a[0, 0, 0] = 99.0
 
     def test_duplicate_put_is_skipped(self, seg):
-        assert seg.put(0, _fill(SHAPE, 0))
-        assert not seg.put(0, _fill(SHAPE, 0))
+        assert seg.append(0, _fill(SHAPE, 0))
+        assert not seg.append(0, _fill(SHAPE, 0))
         assert seg.resident_timesteps == [0]
 
     def test_put_rejects_wrong_shape(self, seg):
         with pytest.raises(ValueError, match="slot shape"):
-            seg.put(0, np.zeros((2, 2)))
+            seg.append(0, np.zeros((2, 2)))
 
-    def test_lru_victim_is_least_recently_touched(self, seg):
-        for t in range(3):
-            seg.put(t, _fill(SHAPE, t))
-        seg.get(0)  # touch t=0 so t=1 becomes the LRU victim
-        seg.put(3, _fill(SHAPE, 3))
-        assert seg.resident_timesteps == [0, 2, 3]
-        assert seg.stats.evictions.value == 1
+    def test_victim_is_the_least_recently_written(self, seg):
+        for t in (5, 1, 2):  # a fill-on-read writes in read order
+            seg.append(t, _fill(SHAPE, t))
+        seg.append(3, _fill(SHAPE, 3))
+        assert seg.resident_timesteps == [1, 2, 3]
 
     def test_append_victim_is_the_oldest_timestep(self, seg):
         for t in range(3):
@@ -186,6 +184,25 @@ class TestProtocol:
         seg.append(3, _fill(SHAPE, 3))
         assert seg.resident_timesteps == [1, 2, 3]
         assert seg.stats.evictions.value == 1
+
+    def test_a_read_in_progress_cannot_keep_its_timestep(self, seg):
+        """An append that lands mid-copy still evicts the oldest
+        timestep: the window stays FIFO, and the reader's torn copy is
+        discarded."""
+        for t in range(3):
+            seg.append(t, _fill(SHAPE, t))
+        real = seg._slot_array
+
+        def copy_racing_an_append(slot):
+            out = np.array(real(slot))
+            seg._slot_array = real
+            seg.append(3, _fill(SHAPE, 3))
+            return out
+
+        seg._slot_array = copy_racing_an_append
+        assert seg.get(0) is None
+        assert seg.resident_timesteps == [1, 2, 3]
+        assert seg.torn_reads.value == 1
 
     def test_early_unlink_keeps_attached_readers_serving(self):
         owner = SharedTimestepCache(
@@ -237,21 +254,21 @@ class TestProtocol:
 
     def test_torn_slot_is_preferred_victim(self, seg):
         for t in range(3):
-            seg.put(t, _fill(SHAPE, t))
+            seg.append(t, _fill(SHAPE, t))
         # A crashed writer leaves seq odd; the slot is unreadable and
-        # must be recycled first, not a healthy LRU slot.
+        # must be recycled first, not the least recently written one.
         seg._meta[1, shmcache._M_SEQ] += 1
-        assert seg.put(7, _fill(SHAPE, 7))
-        assert seg.reclaimed == 1
+        assert seg.append(7, _fill(SHAPE, 7))
+        assert seg.reclaimed.value == 1
         assert seg.resident_timesteps == [0, 2, 7]
         np.testing.assert_array_equal(seg.get(7), _fill(SHAPE, 7))
 
     def test_torn_read_is_discarded(self, seg):
-        seg.put(0, _fill(SHAPE, 0))
+        seg.append(0, _fill(SHAPE, 0))
         real = seg._slot_array
 
         def racing_slot_array(slot):
-            # A writer replaces the slot between pin and re-validation.
+            # A writer replaces the slot between copy and re-validation.
             out = np.array(real(slot))
             seg._meta[slot, shmcache._M_SEQ] += 2
             seg._meta[slot, shmcache._M_TIMESTEP] = 5
@@ -259,41 +276,23 @@ class TestProtocol:
 
         seg._slot_array = racing_slot_array
         assert seg.get(0) is None  # torn copy never reaches the caller
-        assert seg.torn_reads == 1
+        assert seg.torn_reads.value == 1
         assert seg.stats.misses.value == 1
 
-    def test_every_victim_pinned_means_write_around(self, seg):
-        for t in range(3):
-            seg.put(t, _fill(SHAPE, t))
-        pins = [seg._pin(s, int(seg._meta[s, shmcache._M_SEQ])) for s in range(3)]
-        assert all(p >= 0 for p in pins)
-        assert not seg.put(9, _fill(SHAPE, 9))
-        assert seg.bypasses == 1
-        for p in pins:
-            seg._unpin(p)
-        assert seg.put(9, _fill(SHAPE, 9))
-
-    def test_dead_reader_pin_does_not_block_eviction(self, seg):
-        for t in range(3):
-            seg.put(t, _fill(SHAPE, t))
-        # A reader that died mid-read leaves a pin behind; os.kill(pid, 0)
-        # unmasks it and the row is reclaimed instead of honored.
-        proc = multiprocessing.get_context().Process(target=lambda: None)
-        proc.start()
-        proc.join()
-        seg._readers[1, 0] = proc.pid
-        seg._readers[1, 1] = 0  # dead pid pins slot 0
-        assert seg.put(9, _fill(SHAPE, 9))
-        assert seg.reclaimed == 1
-        assert int(seg._readers[1, 0]) == 0
-
     def test_snapshot_and_close_unlink(self):
-        seg = SharedTimestepCache(_name(), SHAPE, slots=2, create="always")
-        seg.put(0, _fill(SHAPE, 0))
+        registry = MetricsRegistry()
+        seg = SharedTimestepCache(
+            _name(), SHAPE, slots=2, create="always", registry=registry
+        )
+        seg.append(0, _fill(SHAPE, 0))
         snap = seg.snapshot()
         assert snap["owner"] and snap["resident"] == [0]
-        for key in ("bypasses", "torn_reads", "reclaimed", "hits", "misses"):
+        for key in ("torn_reads", "reclaimed", "hits", "misses"):
             assert key in snap
+        # The protocol counters live in the registry the segment was
+        # built with, beside the tier's own.
+        assert registry.counter("cache.l2.torn_reads") is seg.torn_reads
+        assert registry.counter("cache.l2.reclaimed") is seg.reclaimed
         seg.close()
         with pytest.raises(FileNotFoundError):
             attach_segment(seg.name)
@@ -309,18 +308,18 @@ HAMMER_SLOTS = 4  # < TIMESTEPS: constant eviction pressure
 
 
 def _hammer_worker(name, seed, q):
-    """Random get/put storm; reports counters and any corruption seen."""
+    """Random get/append storm; reports counters and any corruption seen."""
     seg = SharedTimestepCache(name, SHAPE, slots=HAMMER_SLOTS, create="never")
     rng = random.Random(seed)
-    hits = misses = puts = corrupt = 0
+    hits = misses = appends = corrupt = 0
     try:
         for _ in range(ROUNDS):
             t = rng.randrange(TIMESTEPS)
             out = seg.get(t)
             if out is None:
                 misses += 1
-                if seg.put(t, _fill(SHAPE, t)):
-                    puts += 1
+                if seg.append(t, _fill(SHAPE, t)):
+                    appends += 1
             else:
                 hits += 1
                 if not np.array_equal(out, _fill(SHAPE, t)):
@@ -330,11 +329,11 @@ def _hammer_worker(name, seed, q):
                 "pid": os.getpid(),
                 "hits": hits,
                 "misses": misses,
-                "puts": puts,
+                "appends": appends,
                 "corrupt": corrupt,
                 "stat_hits": seg.stats.hits.value,
                 "stat_misses": seg.stats.misses.value,
-                "torn_reads": seg.torn_reads,
+                "torn_reads": seg.torn_reads.value,
             }
         )
     finally:
@@ -380,7 +379,7 @@ def test_concurrent_hit_miss_eviction_property(method):
             # retry that ends in a miss is still one API-level miss).
             assert r["stat_misses"] == r["misses"]
         assert sum(r["hits"] for r in results) > 0
-        assert sum(r["puts"] for r in results) >= TIMESTEPS - HAMMER_SLOTS + 1
+        assert sum(r["appends"] for r in results) >= TIMESTEPS - HAMMER_SLOTS + 1
 
         # The segment survives the storm in a coherent state: every
         # resident slot is stable (even seq) and reads back exactly.
@@ -398,9 +397,8 @@ def test_concurrent_hit_miss_eviction_property(method):
 
 
 def _crash_victim(name, ready):
-    """Pin a slot, start a write, then wedge while holding the flock."""
+    """Start a write, then wedge while holding the flock."""
     seg = SharedTimestepCache(name, SHAPE, slots=2, create="never")
-    seg._pin(0, int(seg._meta[0, shmcache._M_SEQ]))
     seg._acquire_writer()
     seg._meta[1, shmcache._M_SEQ] += 1  # odd: write in progress
     ready.set()
@@ -408,14 +406,14 @@ def _crash_victim(name, ready):
 
 
 def test_sigkilled_writer_cannot_wedge_the_segment():
-    """Kill a writer mid-put: flock drops, torn slot recycles, no leak."""
+    """Kill a writer mid-append: flock drops, torn slot recycles, no leak."""
     import fcntl
 
     ctx = multiprocessing.get_context()
     owner = SharedTimestepCache(_name(), SHAPE, slots=2, create="always")
     try:
-        owner.put(0, _fill(SHAPE, 0))
-        owner.put(1, _fill(SHAPE, 1))
+        owner.append(0, _fill(SHAPE, 0))
+        owner.append(1, _fill(SHAPE, 1))
         ready = ctx.Event()
         proc = ctx.Process(
             target=_crash_victim, args=(owner.name, ready), daemon=True
@@ -437,14 +435,9 @@ def test_sigkilled_writer_cannot_wedge_the_segment():
         # Slot 1 was left torn (odd seq): it is the preferred victim and
         # is realigned, not served.
         assert owner.get(1) is None
-        assert owner.put(2, _fill(SHAPE, 2))
-        assert owner.reclaimed >= 1
+        assert owner.append(2, _fill(SHAPE, 2))
+        assert owner.reclaimed.value == 1
         assert owner.resident_timesteps == [0, 2]
-
-        # The dead reader's pin on slot 0 is unmasked by the liveness
-        # probe, so the next eviction proceeds instead of bypassing.
-        assert owner.put(3, _fill(SHAPE, 3))
-        assert owner.bypasses == 0
         for t in owner.resident_timesteps:
             np.testing.assert_array_equal(owner.get(t), _fill(SHAPE, t))
     finally:

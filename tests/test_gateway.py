@@ -739,18 +739,13 @@ class TestGatewaySharedCache:
                     )
                     for c in (a, b):
                         c.add_rake((0, 0, 0), (1, 1, 1), n_seeds=2)
-                        for _ in range(2):
-                            assert c.fetch_frame()["timestep"] >= 0
-            # The workers faulted timesteps in through tier 2: the
-            # segment holds decoded timesteps published across process
-            # boundaries.
-            deadline = time.monotonic() + 10.0
-            while (
-                not gw.timestep_cache.resident_timesteps
-                and time.monotonic() < deadline
-            ):
-                time.sleep(0.05)
-            assert gw.timestep_cache.resident_timesteps
+                        assert c.fetch_frame()["timestep"] >= 0
+                        # A worker's fill appends the timestep to tier 2
+                        # before it publishes the frame that needed it:
+                        # the segment holds decoded timesteps published
+                        # across process boundaries.
+                        assert gw.timestep_cache.resident_timesteps
+                        assert c.fetch_frame()["timestep"] >= 0
         assert gw.timestep_cache is None
         with pytest.raises(FileNotFoundError):
             attach_segment(seg_name)

@@ -140,7 +140,12 @@ def test_option_counts_are_pinned():
     from repro.core.delivery import Subscription
     from repro.core.framestore import ENCODINGS
     from repro.core.session import SessionTable
-    from repro.diskio import TieredTimestepCache, TimestepCache, TimestepLoader
+    from repro.diskio import (
+        SharedTimestepCache,
+        TieredTimestepCache,
+        TimestepCache,
+        TimestepLoader,
+    )
     from repro.dlib import DlibClient, DlibServer, RetryPolicy
     from repro.gateway.admission import AdmissionController
     from repro.gateway.worker import DEFAULT_SPEC
@@ -167,6 +172,12 @@ def test_option_counts_are_pinned():
     assert options(TieredTimestepCache) == 7
     assert options(TimestepLoader) == 7
     assert options(TimestepCache) == 2
+    # Tier 2 is one seqlock ring of float64 timesteps: no reader table
+    # to size, no dtype to pick.
+    assert options(SharedTimestepCache) == 7
+    assert list(inspect.signature(SharedTimestepCache.for_dataset).parameters) == [
+        "dataset", "name", "dataset_id", "slots", "create", "registry",
+    ]
     # One lossy encoding beside the paper's float32, and no decimation.
     assert ENCODINGS == ("v1", "q16")
     # The options are the fields that decide equality (not seq).

@@ -1,8 +1,8 @@
 """Execution fuzz: valid scenarios at hostile corners, run headlessly.
 
 Minimum 2x2x2 grids, prime dimensions, coincident seeds (zero-length
-rakes), one- and two-seed rakes of every tool kind, each wire encoding at
-decimations up to 64, with and without a lossy transport — every such
+rakes), one- and two-seed rakes of every tool kind, each wire encoding
+(``v1`` and ``q16``), with and without a lossy transport — every such
 run must drive the un-started frame pipeline (``produce_inline``) over
 several timesteps to metrics that agree with each other.
 
