@@ -18,8 +18,8 @@ grid-velocity timesteps:
   each read.
 
 :class:`TieredTimestepCache` is the single read API: ``get(t)`` falls
-through L1 → L2 → source, promoting on the way back up, and every tier
-records ``cache.<tier>.{hits,misses,bytes,evictions,appends,
+through L1 → L2 → source (a tier-2 fill reads the source once), and
+every tier records ``cache.<tier>.{hits,misses,bytes,evictions,appends,
 stall_seconds}`` into the :class:`~repro.obs.registry.MetricsRegistry`
 it was built with (a private one when none is passed) — the numbers
 ``wt.metrics`` and ``wt.pipeline_stats`` read.
@@ -104,8 +104,9 @@ class TierCounters:
     ``bytes`` is cumulative bytes served from (or appended to) the tier;
     ``appends`` counts producer write-throughs (in situ solver output);
     ``stall_seconds`` is the tier's wait cost: for L1 it is time a demand
-    load spent blocked on an in-flight prefetch; for L2 the writer-lock /
-    copy wait; for the source tier the (modeled) read seconds.
+    load spent blocked on an in-flight prefetch; for L2 the writer-lock
+    wait, a sibling's fill included; for the source tier the (modeled)
+    read seconds.
     """
 
     def __init__(self, tier: str, registry: MetricsRegistry | None = None) -> None:
@@ -279,14 +280,14 @@ class TieredTimestepCache:
     """One read API over the L1 → L2 → source ladder.
 
     ``get(t)`` returns ``(array, tier)`` where ``tier`` names the level
-    that satisfied the read; the array is always a read-only view.  A
-    tier-2 hit is a private copy
-    (:meth:`~repro.diskio.shmcache.SharedTimestepCache.get` copies out),
-    promoted into tier 1 like any other read: tier 1 holds nothing that
-    tier 2 must keep alive.
+    that satisfied the read; the array is always a read-only view.  An
+    L1 miss is tier 2's
+    :meth:`~repro.diskio.shmcache.SharedTimestepCache.fill`: a private
+    copy out of the segment, or one source read written to it.  Tier 1
+    holds nothing that tier 2 must keep alive.
 
     ``l1_timesteps`` is tier 1's budget, in timesteps.  The ``l2``
-    object is duck-typed (``get``/``append``/``stats``/``close``);
+    object is duck-typed (``get``/``fill``/``append``/``stats``/``close``);
     ``source`` needs ``read``/``stats``/``close``.  This cache
     owns its tier-2 attachment — :meth:`close` closes it — while the
     segment itself outlives the attachment when another process created
@@ -328,14 +329,11 @@ class TieredTimestepCache:
         arr = self.l1.get(t)
         if arr is not None:
             return arr, TIER_L1
-        if self.l2 is not None:
-            arr = self.l2.get(t)
-            if arr is not None:
-                return self.l1.put(t, arr), TIER_L2
-        gv = self.source.read(t)
-        if self.l2 is not None:
-            self.l2.append(t, gv)
-        return self.l1.put(t, gv), TIER_SOURCE
+        if self.l2 is None:
+            arr, tier = self.source.read(t), TIER_SOURCE
+        else:
+            arr, tier = self.l2.fill(t, self.source.read)
+        return self.l1.put(t, arr), tier
 
     def peek(self, t: int) -> np.ndarray | None:
         """Tier-1 resident view for ``t`` (no fills, no accounting)."""
@@ -370,23 +368,6 @@ class TieredTimestepCache:
             else:
                 self.l2.stats.append(gv.nbytes)
         view = self.l1.put(t, gv)
-        self.l1.stats.append(gv.nbytes)
-        return view
-
-    def promote(self, t: int) -> np.ndarray | None:
-        """Install in tier 1 a timestep another process appended to tier 2.
-
-        The live tunnel's path (docs/steering.md): its solver child
-        appends each timestep to tier 2, and the server promotes the
-        newest one.  The copy up is a tier-2 read, counted as one, and
-        the install a tier-1 append, as :meth:`append`'s is.  Returns the
-        read-only tier-1 view, or ``None`` when tier 2 no longer holds
-        ``t``.
-        """
-        gv = self.l2.get(int(t))
-        if gv is None:
-            return None
-        view = self.l1.put(int(t), gv)
         self.l1.stats.append(gv.nbytes)
         return view
 

@@ -31,9 +31,13 @@ metadata is aligned int64, so loads/stores are single machine words)::
   readers do: the window is strictly FIFO.
 * Writers serialize on an ``fcntl.flock`` of a sidecar file, not a
   ``multiprocessing.Lock``: the kernel drops a flock when its holder
-  dies, so a SIGKILLed worker cannot wedge the cache.  A writer that
-  died mid-copy leaves ``seq`` odd; the slot is unreadable and is the
-  *preferred* victim for the next writer.
+  dies, so a SIGKILLed worker cannot wedge the cache.  (A thread lock
+  around it keeps this process's threads apart: a flock is per open
+  file.)  A writer that died mid-copy leaves ``seq`` odd; the slot is
+  unreadable and is the *preferred* victim for the next writer.
+* A reader's write, :meth:`SharedTimestepCache.fill`, reads a missing
+  timestep from the source inside that lock, so processes that miss it
+  together read it once; a producer's is ``append``.
 
 Reads are copy-out: :meth:`SharedTimestepCache.get` returns a read-only
 private copy, so no caller ever holds a view into a slot a writer may
@@ -44,6 +48,7 @@ modeled disk read (milliseconds–seconds) — see docs/caching.md.
 from __future__ import annotations
 
 import contextlib
+import fcntl
 import os
 import tempfile
 import threading
@@ -52,13 +57,8 @@ from multiprocessing import shared_memory
 
 import numpy as np
 
-from repro.diskio.cache import TIER_L2, TierCounters, dataset_key
+from repro.diskio.cache import TIER_L2, TIER_SOURCE, TierCounters, dataset_key
 from repro.obs import MetricsRegistry
-
-try:  # POSIX only; on other platforms writers fall back to an in-process lock
-    import fcntl
-except ImportError:  # pragma: no cover - exercised only on non-POSIX
-    fcntl = None
 
 __all__ = ["SharedTimestepCache", "attach_segment"]
 
@@ -221,7 +221,7 @@ class SharedTimestepCache:
             tempfile.gettempdir(), f"{name.lstrip('/')}.lock"
         )
         self._lock_file = open(self._lock_path, "a+b")
-        self._fallback_lock = threading.Lock() if fcntl is None else None
+        self._thread_lock = threading.Lock()
 
     def _header_error(
         self, header: np.ndarray, slot_nbytes: int, dataset_id: str
@@ -302,19 +302,17 @@ class SharedTimestepCache:
 
     # -- writer lock (crash-safe) ----------------------------------------------
 
-    def _acquire_writer(self) -> float:
+    @contextlib.contextmanager
+    def _writer(self):
+        """Hold the writer lock; the wait is ``cache.l2.stall_seconds``."""
         start = time.perf_counter()
-        if fcntl is not None:
+        with self._thread_lock:
             fcntl.flock(self._lock_file.fileno(), fcntl.LOCK_EX)
-        else:  # pragma: no cover - non-POSIX
-            self._fallback_lock.acquire()
-        return time.perf_counter() - start
-
-    def _release_writer(self) -> None:
-        if fcntl is not None:
-            fcntl.flock(self._lock_file.fileno(), fcntl.LOCK_UN)
-        else:  # pragma: no cover - non-POSIX
-            self._fallback_lock.release()
+            try:
+                self.stats.stall(time.perf_counter() - start)
+                yield
+            finally:
+                fcntl.flock(self._lock_file.fileno(), fcntl.LOCK_UN)
 
     # -- the cache API ---------------------------------------------------------
 
@@ -324,11 +322,51 @@ class SharedTimestepCache:
         Lock-free: copy → re-validate the seqlock; a torn copy is
         discarded and retried once before reporting a miss.
         """
+        out = self._read(int(t))
+        if out is None:
+            self.stats.misses.inc()
+        else:
+            self.stats.hit(out.nbytes)
+        return out
+
+    def fill(self, t: int, read) -> tuple[np.ndarray, str]:
+        """``(array, tier)``: a copy of ``t`` from the segment, else
+        ``read(t)``, written to it.  A miss takes the writer lock and
+        probes again, so a sibling's fill of ``t`` is waited for, not
+        repeated.  Counts one hit or one miss."""
         t = int(t)
+        out = self._read(t)
+        if out is None:
+            with self._writer():
+                out = self._read(t)
+                if out is None:
+                    self.stats.misses.inc()
+                    out = read(t)
+                    self._write(t, out)
+                    return out, TIER_SOURCE
+        self.stats.hit(out.nbytes)
+        return out, TIER_L2
+
+    def append(self, t: int, arr: np.ndarray) -> bool:
+        """Publish timestep ``t``; ``False`` when it is already resident.
+
+        A producer's write: a live tunnel's solver child, and the
+        server's prime of timestep 0.  It replaces the least recently
+        written slot (after torn and empty ones), so a producer appending
+        in timestep order keeps its newest ``n_slots`` timesteps — the
+        window a live tunnel's readers rely on (docs/steering.md).
+        """
+        t = int(t)
+        with self._writer():
+            if self._find_slot(t) >= 0:
+                return False  # already published by a sibling
+            self._write(t, arr)
+        return True
+
+    def _read(self, t: int) -> np.ndarray | None:
         for _ in range(2):
             slot = self._find_slot(t)
             if slot < 0:
-                self.stats.misses.inc()
                 return None
             seq = int(self._meta[slot, _M_SEQ])
             if seq % 2 or int(self._meta[slot, _M_TIMESTEP]) != t:
@@ -341,9 +379,7 @@ class SharedTimestepCache:
                 self.torn_reads.inc()
                 continue
             out.flags.writeable = False
-            self.stats.hit(out.nbytes)
             return out
-        self.stats.misses.inc()
         return None
 
     def _find_slot(self, t: int) -> int:
@@ -353,46 +389,30 @@ class SharedTimestepCache:
                 return slot
         return -1
 
-    def append(self, t: int, arr: np.ndarray) -> bool:
-        """Publish timestep ``t``; ``False`` when it is already resident.
-
-        The one write, for a producer's fresh timestep and a reader's
-        fill alike.  It replaces the least recently written slot (after
-        torn and empty ones), so a producer appending in timestep order
-        keeps its newest ``n_slots`` timesteps — the window a live
-        tunnel's readers rely on (docs/steering.md).
-        """
-        t = int(t)
+    def _write(self, t: int, arr: np.ndarray) -> None:
+        """Write ``t`` into the victim slot; the caller holds the lock."""
         arr = np.asarray(arr, dtype=np.float64)
         if arr.shape != self.slot_shape:
             raise ValueError(
                 f"timestep shape {arr.shape} != slot shape {self.slot_shape}"
             )
-        wait = self._acquire_writer()
-        self.stats.stall(wait)
-        try:
-            if self._find_slot(t) >= 0:
-                return False  # already published by a sibling
-            slot = self._choose_victim()
-            meta = self._meta
-            evicting = int(meta[slot, _M_TIMESTEP]) != _EMPTY
-            seq = int(meta[slot, _M_SEQ])
-            if seq % 2:  # torn leftover from a crashed writer
-                self.reclaimed.inc()
-                seq += 1  # realign to even before starting our write
-            meta[slot, _M_SEQ] = seq + 1  # odd: write in progress
-            meta[slot, _M_TIMESTEP] = _EMPTY
-            self._slot_array(slot)[...] = arr
-            tick = int(self._header[_H_TICK]) + 1
-            self._header[_H_TICK] = tick
-            meta[slot, _M_WRITTEN] = tick
-            meta[slot, _M_TIMESTEP] = t
-            meta[slot, _M_SEQ] = seq + 2  # even: published
-            if evicting:
-                self.stats.evictions.inc()
-            return True
-        finally:
-            self._release_writer()
+        slot = self._choose_victim()
+        meta = self._meta
+        evicting = int(meta[slot, _M_TIMESTEP]) != _EMPTY
+        seq = int(meta[slot, _M_SEQ])
+        if seq % 2:  # torn leftover from a crashed writer
+            self.reclaimed.inc()
+            seq += 1  # realign to even before starting our write
+        meta[slot, _M_SEQ] = seq + 1  # odd: write in progress
+        meta[slot, _M_TIMESTEP] = _EMPTY
+        self._slot_array(slot)[...] = arr
+        tick = int(self._header[_H_TICK]) + 1
+        self._header[_H_TICK] = tick
+        meta[slot, _M_WRITTEN] = tick
+        meta[slot, _M_TIMESTEP] = t
+        meta[slot, _M_SEQ] = seq + 2  # even: published
+        if evicting:
+            self.stats.evictions.inc()
 
     def _choose_victim(self) -> int:
         """The slot to write, under the writer lock: a torn slot (a

@@ -191,7 +191,6 @@ class SessionGateway:
         recovery_wait: float = 10.0,
         route_timeout: float = 10.0,
         ready_timeout: float = 30.0,
-        start_method: str | None = None,
         journal_path: str | None = None,
         registry: MetricsRegistry | None = None,
     ) -> None:
@@ -222,7 +221,6 @@ class SessionGateway:
             liveness_deadline=liveness_deadline,
             probe_failures_to_kill=probe_failures_to_kill,
             ready_timeout=ready_timeout,
-            start_method=start_method,
             on_health=self._on_health,
             registry=self.registry,
         )

@@ -92,7 +92,6 @@ class WorkerSupervisor:
         liveness_deadline: float = 2.0,
         probe_failures_to_kill: int = 2,
         ready_timeout: float = 30.0,
-        start_method: str | None = None,
         on_health=None,
         registry: MetricsRegistry | None = None,
     ) -> None:
@@ -104,7 +103,6 @@ class WorkerSupervisor:
         self.liveness_deadline = float(liveness_deadline)
         self.probe_failures_to_kill = max(1, int(probe_failures_to_kill))
         self.ready_timeout = float(ready_timeout)
-        self.start_method = start_method
         self.on_health = on_health
         self.registry = registry if registry is not None else MetricsRegistry()
         self._respawns = self.registry.counter("gateway.workers_respawned")
@@ -242,9 +240,7 @@ class WorkerSupervisor:
             slot.client = None
         slot.probe_failures = 0
         slot.handle = WorkerHandle.spawn(
-            slot.name, self.spec,
-            ready_timeout=self.ready_timeout,
-            start_method=self.start_method,
+            slot.name, self.spec, ready_timeout=self.ready_timeout
         )
         if restore:
             state = self.journal.recovery_state(slot.name)

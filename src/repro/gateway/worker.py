@@ -177,10 +177,9 @@ class WorkerHandle:
         spec: dict,
         *,
         ready_timeout: float = 30.0,
-        start_method: str | None = None,
     ) -> "WorkerHandle":
         """Start a worker process and wait for its listening address."""
-        ctx = mp_context(start_method)
+        ctx = mp_context()
         parent, child = ctx.Pipe()
         process = ctx.Process(
             target=run_worker, args=(spec, child), daemon=True,

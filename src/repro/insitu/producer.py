@@ -19,9 +19,9 @@ and installed in strict order:
 A live server free-runs its producer in a child process
 (:mod:`repro.insitu.process`); the server's own producer steps nothing
 once the child runs, and adopts the child's reports instead
-(:meth:`SolverProducer.adopt`): the newest timestep comes up from tier 2
-into tier 1, then the frontier, the counters and the pipeline follow as
-in steps 3–5.
+(:meth:`SolverProducer.adopt`): the child appended each timestep to tier
+2 before reporting it, so steps 3–5 follow with no copy, and the
+pipeline's load reads the new timestep from tier 2.
 
 Steering changes drain at timestep boundaries only (never mid-step), in
 epoch order, and the applied log records ``(epoch, timestep, changes)``
@@ -317,12 +317,12 @@ class SolverProducer:
 
         Each report is a :meth:`report` plus the ``applied`` steering
         entries the child logged since its last one.  The applied log and
-        the timestep → epoch records follow every report; the newest
-        timestep alone is copied up from tier 2 into tier 1, then the
-        frontier and the counters advance and the pipeline is nudged, so
-        the frontier still trails the cache.  ``paused`` is set last: a
-        reader that sees it sees every counter of the timesteps before
-        it.  Returns the frontier.
+        the timestep → epoch records follow every report; then the
+        frontier and the counters advance to the newest timestep and the
+        pipeline is nudged.  The child appended that timestep to tier 2
+        before reporting it, so the frontier still trails the cache.
+        ``paused`` is set last: a reader that sees it sees every counter
+        of the timesteps before it.  Returns the frontier.
         """
         last_t = self._available
         for report in reports:
@@ -338,7 +338,7 @@ class SolverProducer:
         self._geometry = dict(newest["geometry"])
         self._epoch_gauge.set(self.steering.applied_epoch)
         t = newest["t"]
-        if t > self._available and self.cache.promote(t) is not None:
+        if t > self._available:
             self.source.admit(t)
             self._sim_steps.inc(newest["sim_steps"] - self._sim_steps.value)
             self._publish(t, newest["sim_time"])

@@ -4,7 +4,9 @@
 WindtunnelServer` whose dataset is a :class:`~repro.insitu.source.
 LiveFlowSource` fed by a solver child process
 (:class:`~repro.insitu.process.SolverProcess`) through a tier-2
-shared-memory segment.  Everything the replay server has — the
+shared-memory segment, which the pipeline's loads read as a gateway
+worker's read the gateway's: nothing copies a reported timestep up into
+tier 1 ahead of them.  Everything the replay server has — the
 demand-gated pipeline, the frame store, paced delivery, v2 deltas,
 sessions, metrics — is inherited unchanged; this subclass wires the
 live pieces together:

@@ -14,11 +14,8 @@ import multiprocessing
 __all__ = ["mp_context"]
 
 
-def mp_context(prefer: str | None = None) -> multiprocessing.context.BaseContext:
-    """``prefer`` when available, else ``fork``, else the platform default."""
-    methods = multiprocessing.get_all_start_methods()
-    if prefer and prefer in methods:
-        return multiprocessing.get_context(prefer)
-    if "fork" in methods:
+def mp_context() -> multiprocessing.context.BaseContext:
+    """``fork`` when available, else the platform default."""
+    if "fork" in multiprocessing.get_all_start_methods():
         return multiprocessing.get_context("fork")
     return multiprocessing.get_context()

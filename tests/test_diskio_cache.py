@@ -153,6 +153,14 @@ class _FakeL2:
         self.stats.hit(arr.nbytes)
         return arr
 
+    def fill(self, t, read):
+        arr = self.get(t)
+        if arr is not None:
+            return arr, TIER_L2
+        arr = read(t)
+        self.append(t, arr)
+        return arr, TIER_SOURCE
+
     def append(self, t, arr):
         self.entries[t] = np.asarray(arr).copy()
 

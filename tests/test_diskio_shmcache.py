@@ -4,12 +4,15 @@ Covers the seqlock ring single-process (header validation, the one
 victim rule — torn, else empty, else least recently written — torn
 reads, and a read that loses its slot to a write), then hammers one
 segment from several *processes* under both ``spawn`` and ``fork``
-start methods, and finally SIGKILLs a writer mid-operation to prove the
-crash-safety story: the kernel drops the flock, the torn slot is
-reclaimed by the next writer, and the segment unlinks cleanly
-(docs/caching.md).
+start methods, checks that a fill is single-flight — two processes, or
+two threads of one, that miss one timestep together read the source
+once — and finally SIGKILLs a writer mid-operation and a filler
+mid-read to prove the crash-safety story: the kernel drops the flock,
+the torn slot is reclaimed by the next writer, a killed fill touches no
+slot, and the segment unlinks cleanly (docs/caching.md).
 """
 
+import fcntl
 import multiprocessing
 import os
 import random
@@ -21,7 +24,13 @@ import numpy as np
 import pytest
 
 from repro.diskio import shmcache
-from repro.diskio.cache import decoded_timestep_nbytes
+from repro.diskio.cache import (
+    TIER_L2,
+    TIER_SOURCE,
+    DatasetSource,
+    TieredTimestepCache,
+    decoded_timestep_nbytes,
+)
 from repro.diskio.shmcache import SharedTimestepCache, attach_segment
 from repro.flow import tapered_cylinder_dataset
 from repro.netsim import ProcessFaults
@@ -399,16 +408,14 @@ def test_concurrent_hit_miss_eviction_property(method):
 def _crash_victim(name, ready):
     """Start a write, then wedge while holding the flock."""
     seg = SharedTimestepCache(name, SHAPE, slots=2, create="never")
-    seg._acquire_writer()
-    seg._meta[1, shmcache._M_SEQ] += 1  # odd: write in progress
-    ready.set()
-    time.sleep(60)  # SIGKILLed long before this returns
+    with seg._writer():
+        seg._meta[1, shmcache._M_SEQ] += 1  # odd: write in progress
+        ready.set()
+        time.sleep(60)  # SIGKILLed long before this returns
 
 
 def test_sigkilled_writer_cannot_wedge_the_segment():
     """Kill a writer mid-append: flock drops, torn slot recycles, no leak."""
-    import fcntl
-
     ctx = multiprocessing.get_context()
     owner = SharedTimestepCache(_name(), SHAPE, slots=2, create="always")
     try:
@@ -446,3 +453,169 @@ def test_sigkilled_writer_cannot_wedge_the_segment():
     with pytest.raises(FileNotFoundError):
         attach_segment(owner.name)
     assert not os.path.exists(owner._lock_path)
+
+
+def _killed_filler(name, ready):
+    """Fill timestep 2, and wedge inside its read while holding the lock."""
+    seg = SharedTimestepCache(name, SHAPE, slots=2, create="never")
+
+    def read(t):
+        ready.set()
+        threading.Event().wait(60)  # SIGKILLed long before this returns
+
+    seg.fill(2, read)
+
+
+def test_sigkilled_filler_leaves_no_torn_slot():
+    """Kill a filler inside its read: no slot was touched, the flock
+    drops, and a sibling's fill of the same timestep reads it itself."""
+    ctx = multiprocessing.get_context()
+    owner = SharedTimestepCache(_name(), SHAPE, slots=2, create="always")
+    try:
+        owner.append(0, _fill(SHAPE, 0))
+        owner.append(1, _fill(SHAPE, 1))
+        meta = owner._meta.copy()
+        ready = ctx.Event()
+        proc = ctx.Process(
+            target=_killed_filler, args=(owner.name, ready), daemon=True
+        )
+        proc.start()
+        assert ready.wait(timeout=30)
+        # The filler reads under the writer lock.
+        with open(owner._lock_path, "a+b") as fh:
+            with pytest.raises(BlockingIOError):
+                fcntl.flock(fh.fileno(), fcntl.LOCK_EX | fcntl.LOCK_NB)
+
+        faults = ProcessFaults(seed=0)
+        faults.kill(proc)
+        proc.join(timeout=30)
+        assert faults.kills.value == 1
+
+        np.testing.assert_array_equal(owner._meta, meta)
+        assert owner.resident_timesteps == [0, 1]
+        reads = []
+
+        def read(t):
+            reads.append(t)
+            return _fill(SHAPE, t)
+
+        arr, tier = owner.fill(2, read)
+        assert reads == [2] and tier == TIER_SOURCE
+        np.testing.assert_array_equal(arr, _fill(SHAPE, 2))
+        np.testing.assert_array_equal(owner.get(2), _fill(SHAPE, 2))
+        assert owner.reclaimed.value == 0
+    finally:
+        owner.close()
+
+
+# -- single-flight fills -------------------------------------------------------
+
+FILL_TIMESTEPS = (0, 1, 2)
+#: How long a source read waits for a second read of its timestep.  A
+#: single-flight fill never has one, so there each wait runs out.
+OVERLAP_WAIT = 0.5
+
+
+def _overlapping(read, barriers):
+    """``read``, after waiting (bounded) on ``barriers[t]`` for a second
+    read of the same timestep: two reads of one timestep overlap
+    whenever the cache lets them both start."""
+
+    def overlapping_read(t):
+        try:
+            barriers[t].wait(OVERLAP_WAIT)
+        except threading.BrokenBarrierError:
+            pass
+        return read(t)
+
+    return overlapping_read
+
+
+def _tiered_reader(name, dataset, barriers, start, q):
+    """Attach the segment, then read every timestep through the tiers."""
+    source = DatasetSource(dataset)
+    source.read = _overlapping(source.read, barriers)
+    cache = TieredTimestepCache(
+        dataset,
+        l2=SharedTimestepCache.for_dataset(dataset, name=name, create="never"),
+        source=source,
+    )
+    try:
+        start.wait(30)
+        tiers = [cache.get(t)[1] for t in FILL_TIMESTEPS]
+        q.put(
+            {
+                "tiers": tiers,
+                "source_hits": source.stats.hits.value,
+                "l2_hits": cache.l2.stats.hits.value,
+                "l2_misses": cache.l2.stats.misses.value,
+            }
+        )
+    finally:
+        cache.close()
+
+
+def test_two_processes_read_each_timestep_from_the_source_once():
+    """Two processes that miss the same timesteps together: one reads
+    each from the source, the other waits on the writer lock and hits."""
+    ctx = multiprocessing.get_context()
+    dataset = tapered_cylinder_dataset(
+        shape=(6, 6, 4), n_timesteps=len(FILL_TIMESTEPS)
+    )
+    owner = SharedTimestepCache.for_dataset(
+        dataset, name=_name(), slots=len(FILL_TIMESTEPS), create="always"
+    )
+    try:
+        barriers = {t: ctx.Barrier(2) for t in FILL_TIMESTEPS}
+        start, q = ctx.Barrier(2), ctx.Queue()
+        procs = [
+            ctx.Process(
+                target=_tiered_reader,
+                args=(owner.name, dataset, barriers, start, q),
+                daemon=True,
+            )
+            for _ in range(2)
+        ]
+        for p in procs:
+            p.start()
+        results = [q.get(timeout=60) for _ in procs]
+        for p in procs:
+            p.join(timeout=30)
+            assert p.exitcode == 0
+        assert owner.resident_timesteps == list(FILL_TIMESTEPS)
+    finally:
+        owner.close()
+    assert sum(r["source_hits"] for r in results) == len(FILL_TIMESTEPS)
+    for r in results:
+        # Each tier-2 access counted once: a hit, or the miss that read.
+        assert r["l2_hits"] + r["l2_misses"] == len(FILL_TIMESTEPS)
+        assert r["l2_misses"] == r["source_hits"]
+        assert r["tiers"].count(TIER_SOURCE) == r["source_hits"]
+        assert r["tiers"].count(TIER_L2) == r["l2_hits"]
+
+
+def test_two_threads_of_one_instance_fill_once(seg):
+    """The flock is per open file: a thread lock keeps this process's
+    own threads to one fill as well."""
+    barriers = {0: threading.Barrier(2)}
+    reads = []
+
+    def read(t):
+        reads.append(t)
+        return _fill(SHAPE, t)
+
+    results = []
+    fill = _overlapping(read, barriers)
+    threads = [
+        threading.Thread(target=lambda: results.append(seg.fill(0, fill)))
+        for _ in range(2)
+    ]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=30)
+    assert reads == [0]
+    assert sorted(tier for _, tier in results) == [TIER_L2, TIER_SOURCE]
+    for arr, _ in results:
+        np.testing.assert_array_equal(arr, _fill(SHAPE, 0))
+    assert seg.stats.hits.value == 1 and seg.stats.misses.value == 1

@@ -120,6 +120,53 @@ class TestSolverChild:
         assert_nothing_left(srv)
 
 
+class TestTheLiveReadPath:
+    def test_a_reported_timestep_is_read_from_tier_2(self):
+        """No copy-up: adopting a report only advances the frontier, and
+        the first frame at the new timestep reads it from the segment."""
+        srv = make_server(sim_period_seconds=0.005)
+        cache = srv.engine.loader.cache
+        adopted, first_reads = [], {}
+        read_three = threading.Event()
+        adopt, get = srv._adopt, cache.get
+
+        def adopting(reports):
+            adopted.append((reports[-1]["t"], adopt(reports)))
+            return adopted[-1][1]
+
+        def counts():
+            return cache.l2.stats.hits.value, cache.source.stats.hits.value
+
+        def counted_get(t):
+            before = counts()
+            out = get(t)
+            if t > 0 and t not in first_reads:
+                first_reads[t] = out[1], before, counts()
+                if len(first_reads) >= 3:
+                    read_three.set()
+            return out
+
+        srv._adopt, cache.get = adopting, counted_get
+        srv.start()
+        try:
+            with WindtunnelClient(*srv.address, name="viewer") as c:
+                assert c.subscribe(push=True)["push"] is True
+                c.add_rake((3.0, 1.5, 0.5), (3.0, 2.5, 0.5), n_seeds=4)
+
+                def three_timesteps_read():
+                    c.drain_pushes(timeout=0.05)
+                    return read_three.is_set()
+
+                wait_until(three_timesteps_read, timeout=10.0)
+        finally:
+            srv.stop()
+        assert adopted and all(t == frontier for t, frontier in adopted)
+        for t, (tier, before, after) in first_reads.items():
+            assert tier == "l2", t
+            assert after == (before[0] + 1, before[1]), t
+        assert cache.source.stats.hits.value == 0
+
+
 class TestSteeringAcrossTheBoundary:
     def test_steered_child_replays_bit_identically_in_process(self, server):
         with WindtunnelClient(*server.address, name="pilot") as pilot:

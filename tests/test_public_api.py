@@ -147,7 +147,9 @@ def test_option_counts_are_pinned():
         TimestepLoader,
     )
     from repro.dlib import DlibClient, DlibServer, RetryPolicy
+    from repro.gateway import SessionGateway
     from repro.gateway.admission import AdmissionController
+    from repro.gateway.supervisor import WorkerSupervisor
     from repro.gateway.worker import DEFAULT_SPEC
     from repro.grid.search import GridLocator
     from repro.insitu import LiveFlowSource, SolverProducer
@@ -199,6 +201,9 @@ def test_option_counts_are_pinned():
     assert options(DlibServer) == 5
     assert options(SessionTable) == 3
     assert options(AdmissionController) == 8
+    # Workers start the one way the platform offers best: no start method.
+    assert options(SessionGateway) == 18
+    assert options(WorkerSupervisor) == 9
     assert options(GridLocator) == 1
     # The live source holds timestep 0 and the frontier; the producer
     # writes every later timestep to the one cache it must be given.
